@@ -1,21 +1,18 @@
-"""Shared benchmark utilities: table rendering and result capture.
+"""Shared benchmark utilities: table rendering.
 
 Every bench regenerates one table/figure of the paper's evaluation and
-prints the rows (also persisted under ``benchmarks/results/``) so that
-paper-vs-measured comparisons in EXPERIMENTS.md can be refreshed by
-running ``pytest benchmarks/ --benchmark-only -s``.
+prints the rows, so paper-vs-measured comparisons can be refreshed by
+running ``pytest benchmarks/ --benchmark-only -s``.  (The standing
+wall-clock benchmark is ``bench/``, not this directory.)
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
-
-_RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 def emit_table(name: str, header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Render, print and persist one figure's data table."""
+    """Render and print one figure's data table."""
     widths = [
         max(len(str(header[i])), *(len(str(r[i])) for r in rows))
         for i in range(len(header))
@@ -28,9 +25,6 @@ def emit_table(name: str, header: Sequence[str], rows: Sequence[Sequence]) -> st
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     text = f"\n=== {name} ===\n" + "\n".join(lines) + "\n"
     print(text)
-    os.makedirs(_RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(_RESULTS_DIR, f"{name}.txt"), "w") as f:
-        f.write(text)
     return text
 
 

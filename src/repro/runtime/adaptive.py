@@ -4,7 +4,7 @@ The profiling subsystem (:mod:`repro.runtime.profiling`) closed the PGO
 loop *mechanically* — ``graph.optimize(profile)`` re-places a captured
 DAG by measured cost — but left it **manual**: serving code had to call
 :meth:`~repro.ops.QuantizedLinear.reoptimize` by hand, and a fresh
-capture still froze stream placement and engine choice with zero
+capture still froze stream placement with zero
 knowledge of what anything costs.  This module makes the loop automatic
 and continuous, which is where profile-guided systems actually pay off
 (cf. the PGO survey in PAPERS.md):
@@ -12,9 +12,7 @@ and continuous, which is where profile-guided systems actually pay off
 **Profile-guided capture** — ``runtime.capture(profile=...)`` /
 ``pool.capture(profile=...)`` hands a prior
 :class:`~repro.runtime.profiling.Profile` to the capture itself.  At
-record time the engine choice consults measured per-engine costs for the
-launch's specialization key (sequential vs batched by what each actually
-cost, not just grid size); at instantiate time the node placement is
+instantiate time the node placement is
 recomputed from measured per-node costs — longest-processing-time list
 scheduling over the hazard DAG, never worse than round-robin under the
 makespan estimate — and the **stream count is capped to the measured

@@ -1,0 +1,207 @@
+"""The launch executor: the one seam every kernel launch goes through.
+
+Four call sites issue launches — the synchronous ``Runtime.launch``,
+the eager stream worker, a graph replay's group task and the serial
+replay oracle — and each keeps only what is its own (argument checks
+and the specialization cache; dependency waits and merge probing; the
+error latch; the in-order loop).  What they share lives here, once:
+
+- :func:`resolve_engine` — the tier decision.  A launch carries two
+  facts: the *requested* tier (``auto | sequential | batched |
+  compiled``) and the *frozen* interpreted engine it runs on when the
+  compiled tier does not take it (``sequential | batched``).
+- :func:`execute` — consult the JIT, run the engine, time it, record
+  the profile, emit the span; returns the tier that ran.
+- :class:`Lane` — the engines one thread of execution owns, and
+  :class:`ExecutionContext` — the profiler / JIT manager / adaptive
+  policy a runtime and its stream pool share.
+"""
+
+from __future__ import annotations
+
+import threading
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
+
+from repro.ir.program import Program
+from repro.obs import trace as obs_trace
+from repro.runtime.adaptive import AdaptivePolicy
+from repro.runtime.jit import JitManager
+from repro.runtime.profiling import Profile, StatsTimer, spec_string
+from repro.vm.batched import BatchedExecutor, select_engine
+from repro.vm.interp import Interpreter
+from repro.vm.memory import GlobalMemory
+
+
+@dataclass
+class ExecutionContext:
+    """What every launch path of one runtime consults: the active
+    profiler, the compiled tier and the adaptive policy (each None when
+    off), plus the runtime's launch counter.  A ``Runtime`` creates one
+    and hands the same object to its ``StreamPool``; a pool built
+    standalone creates its own."""
+
+    profiler: Profile | None = None
+    jit: JitManager | None = None
+    adaptive: AdaptivePolicy | None = None
+    launches: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def attach_jit(
+        self, memory: GlobalMemory, shared_capacity: int, **knobs
+    ) -> JitManager:
+        """The attached JIT manager, created on first use (under a lock:
+        racing stream workers forcing ``engine="compiled"`` must end up
+        sharing one manager)."""
+        with self._lock:
+            if self.jit is None:
+                self.jit = JitManager(memory, shared_capacity, **knobs)
+            return self.jit
+
+
+class ContextAttr:
+    """A read/write view of one :class:`ExecutionContext` field on an
+    object holding the context as ``.context`` (``runtime.profiler``,
+    ``pool.jit``, …), so the field has one home however it is reached."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        return self if obj is None else getattr(obj.context, self.name)
+
+    def __set__(self, obj, value) -> None:
+        setattr(obj.context, self.name, value)
+
+
+class Lane:
+    """The engines one thread of execution drives: a sequential
+    interpreter and a batched executor over one memory, sharing one
+    :class:`~repro.vm.interp.ExecutionStats`, plus the trace lane
+    (``tid``) their spans land on.  The runtime owns the host lane,
+    every stream owns one."""
+
+    __slots__ = ("interpreter", "batched", "stats", "tid")
+
+    def __init__(
+        self, memory: GlobalMemory, shared_capacity: int, tid: int, stdout=None
+    ) -> None:
+        self.interpreter = Interpreter(
+            memory, shared_capacity=shared_capacity, stdout=stdout
+        )
+        self.stats = self.interpreter.stats
+        self.batched = BatchedExecutor(
+            memory, shared_capacity=shared_capacity, stats=self.stats, stdout=stdout
+        )
+        self.tid = tid
+
+
+class Site(NamedTuple):
+    """Where one execution is accounted: the span it emits and the
+    profile sites it records under."""
+
+    #: Span name prefix (``launch`` / ``exec`` / ``replay``) and category.
+    span: str
+    cat: str
+    #: Profile scope and stream: ``EAGER`` or a graph signature; the
+    #: stream the launch was placed on (not necessarily the lane that
+    #: runs it — the serial oracle borrows stream 0's).
+    scope: str
+    stream: int
+    #: Graph replays: the node index of each launch and the coalescing
+    #: group's index.  Eager sites are identified by their spec strings.
+    idents: Sequence[int] | None = None
+    group: int | None = None
+
+
+def resolve_engine(requested: str, program: Program, grid: Sequence[int]) -> str:
+    """The interpreted engine a launch is frozen to: ``auto`` asks the
+    grid-size policy, ``compiled`` falls back to batched (the tier the
+    lowering pipeline is bit-exact with), an explicit engine is itself."""
+    if requested == "auto":
+        return select_engine(program, grid)
+    return "batched" if requested == "compiled" else requested
+
+
+_UNTIMED = nullcontext()
+
+
+def execute(
+    lane: Lane,
+    ctx: ExecutionContext,
+    program: Program,
+    args_list: Sequence[Sequence],
+    requested: str,
+    frozen: str,
+    keys: Sequence[tuple],
+    site: Site,
+) -> str:
+    """Run one engine invocation — a single launch, or a coalesced group
+    of launches of one program — and account for it.  ``keys`` are the
+    launches' specialization keys.  Returns the tier that ran."""
+    profiler = ctx.profiler
+    tracer = obs_trace.ACTIVE
+    start = tracer.now() if tracer is not None else 0.0
+    kernel = None
+    if len(args_list) > 1:
+        # Coalesced groups run stacked on the batched engine and never
+        # consult the JIT (a lowered kernel is one launch's grid).
+        frozen = "batched"
+    elif requested in ("auto", "compiled"):
+        # Forcing skips the heat check and needs no prior enable_jit();
+        # "auto" promotes on heat once a manager is attached; explicit
+        # sequential/batched are honored.  A bailout (None) leaves the
+        # launch on its frozen engine — batched, when forced.
+        forced = requested == "compiled"
+        jit = ctx.jit
+        if jit is None and forced:
+            jit = ctx.attach_jit(
+                lane.interpreter.memory, lane.interpreter.shared_capacity
+            )
+        if jit is not None:
+            kernel = jit.maybe_compile(
+                program, args_list[0], profiler, forced=forced, key=keys[0]
+            )
+    tier = frozen if kernel is None else "compiled"
+    # Only the engine call is timed: compilation above and the
+    # bookkeeping below stay out of the measurement.
+    with StatsTimer(lane.stats) if profiler is not None else _UNTIMED as timer:
+        if kernel is not None:
+            jit.run(kernel, args_list[0], lane.stats)
+        elif len(args_list) > 1:
+            lane.batched.launch_many(program, args_list)
+        else:
+            engine = lane.batched if tier == "batched" else lane.interpreter
+            engine.launch(program, args_list[0])
+    if timer is not None:
+        # One invocation, split evenly over its launches (integer
+        # counters remainder-exactly).  Compiled time records under its
+        # own engine so it never feeds the interpreted tiers' heat.
+        specs = [spec_string(key) for key in keys]
+        profiler.record_group(
+            site.scope,
+            specs if site.idents is None else site.idents,
+            program.name,
+            specs,
+            tier,
+            site.stream,
+            timer.wall,
+            stats_delta=timer.delta,
+            group=site.group,
+        )
+    if tracer is not None:
+        args = {"engine": tier}
+        if site.cat == "stream":
+            args["launches"] = len(args_list)
+        tracer.complete(
+            f"{site.span}:{program.name}",
+            site.cat,
+            lane.tid,
+            start,
+            tracer.now() - start,
+            args,
+        )
+    return tier

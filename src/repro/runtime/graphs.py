@@ -27,7 +27,8 @@ global byte ranges, its hazard dependencies (computed against every
 earlier recorded node — writes serialize, reads share, exactly the live
 semantics), its frozen stream assignment (the caller's stream, or the
 same round-robin + memory-aware placement the live scheduler would
-pick), and its resolved engine choice.  Handles returned during capture
+pick), and its tier decision (the interpreted engine it is frozen to,
+and whether the compiled tier was forced).  Handles returned during capture
 are inert: ``wait()`` is a no-op, so code written for eager streams
 (e.g. ``ops.QuantizedLinear``'s split-k path) captures unchanged.
 
@@ -47,7 +48,8 @@ Replay
 :meth:`ExecutionGraph.replay` enqueues one :class:`~repro.runtime.
 streams.StreamTask` per group onto the captured streams and blocks
 until the whole graph retires.  Each task waits on its precomputed
-cross-stream dependency events, then calls the stream's engine directly
+cross-stream dependency events, then runs the group on the stream's lane
+through the launch executor (:mod:`repro.runtime.executor`)
 — no ``analyze_access``, no ``launch_ranges``, no ``ranges_conflict``,
 no scheduler, no mergeability probing.  Replay is bit-exact with eager
 stream submission of the same launches and with a serial replay
@@ -88,12 +90,8 @@ from repro.runtime.adaptive import (
     guided_placement,
     lpt_placement,
 )
-from repro.runtime.profiling import (
-    Profile,
-    StatsTimer,
-    spec_string,
-    split_counts,
-)
+from repro.runtime.executor import Site, execute, resolve_engine
+from repro.runtime.profiling import Profile, spec_string
 from repro.runtime.streams import (
     Stream,
     StreamPool,
@@ -102,8 +100,6 @@ from repro.runtime.streams import (
     ranges_conflict,
     stackable_with_group,
 )
-from repro.vm.batched import BatchedExecutor, select_engine
-from repro.vm.interp import ExecutionStats, Interpreter
 
 _SIDE_EFFECT_ATTR = "_graph_has_side_effects"
 
@@ -131,19 +127,28 @@ class GraphNode:
     submission, frozen at capture time."""
 
     __slots__ = ("index", "program", "args", "ranges", "deps", "stream_index",
-                 "engine", "grid", "key")
+                 "engine", "grid", "key", "requested")
 
     def __init__(self, index, program, args, ranges, deps, stream_index,
-                 engine, grid, key) -> None:
+                 engine, grid, key, requested) -> None:
         self.index = index
         self.program = program
         self.args = args
         self.ranges = ranges
         self.deps = deps            # indices of earlier conflicting nodes
         self.stream_index = stream_index
-        self.engine = engine        # resolved: "sequential" | "batched"
+        self.engine = engine        # frozen: "sequential" | "batched"
         self.grid = grid
         self.key = key              # capture-time specialization key
+        #: Tier asked of each replay: "compiled" stays forced; anything
+        #: else was consumed into ``engine`` and replays as "auto"
+        #: (promotable on heat).  Not part of the plan or the signature.
+        self.requested = requested
+
+    def placed(self, index, deps, stream_index, engine) -> "GraphNode":
+        """This launch under another schedule (optimize / apply_plan)."""
+        return GraphNode(index, self.program, self.args, self.ranges, deps,
+                         stream_index, engine, self.grid, self.key, self.requested)
 
     def __repr__(self) -> str:
         return (
@@ -301,14 +306,18 @@ class GraphPlan:
 class _Group:
     """A per-stream execution group: one engine invocation at replay."""
 
-    __slots__ = ("stream_index", "node_indices", "dep_groups", "engine", "program")
+    __slots__ = ("stream_index", "node_indices", "dep_groups", "engine",
+                 "program", "requested", "keys", "site")
 
-    def __init__(self, stream_index, node_indices, engine, program) -> None:
+    def __init__(self, stream_index, nodes: list[GraphNode]) -> None:
         self.stream_index = stream_index
-        self.node_indices = node_indices
+        self.node_indices = [n.index for n in nodes]
         self.dep_groups: tuple[int, ...] = ()
-        self.engine = engine
-        self.program = program
+        self.engine = nodes[0].engine
+        self.program = nodes[0].program
+        self.requested = nodes[0].requested
+        self.keys = [n.key for n in nodes]
+        self.site: Site | None = None  # set once the group order is final
 
 
 class _ReplayState:
@@ -329,87 +338,33 @@ class _ReplayState:
 
 class _GroupTask(StreamTask):
     """Replays one execution group on its stream's worker: wait the
-    precomputed cross-stream dependency events, drive the engine, signal
-    completion.  No analysis of any kind happens here.  When the pool
-    has an active profiler, the engine invocation is timed (dependency
-    waits excluded) and attributed to the group's nodes."""
+    precomputed cross-stream dependency events, run the group through
+    the launch executor, signal completion.  No analysis of any kind
+    happens here (dependency waits stay outside the executor's timing)."""
 
-    __slots__ = ("group", "group_index", "args_list", "dep_events",
-                 "done_event", "state", "graph", "engine_used")
+    __slots__ = ("group", "args_list", "dep_events", "done_event", "state")
 
-    def __init__(self, group: _Group, group_index, args_list, dep_events,
-                 done_event, state, graph) -> None:
+    def __init__(self, group: _Group, args_list, dep_events, done_event,
+                 state) -> None:
         self.group = group
-        self.group_index = group_index
         self.args_list = args_list
         self.dep_events = dep_events
         self.done_event = done_event
         self.state = state
-        self.graph = graph
-        #: Engine that actually executed (the compiled tier may promote
-        #: a single-node group past its frozen choice at replay time).
-        self.engine_used = group.engine
-
-    def _execute(self, stream: Stream) -> None:
-        group = self.group
-        if len(self.args_list) == 1:
-            args = self.args_list[0]
-            jit = stream.pool.jit
-            if jit is not None:
-                node = self.graph.nodes[group.node_indices[0]]
-                compiled = jit.maybe_compile(
-                    group.program, args, stream.pool.profiler, key=node.key
-                )
-                if compiled is not None:
-                    self.engine_used = "compiled"
-                    jit.run(compiled, args, stream.stats)
-                    stream.launches += 1
-                    stream.executions += 1
-                    return
-            engine = (
-                stream.batched
-                if group.engine == "batched"
-                else stream.interpreter
-            )
-            engine.launch(group.program, args)
-        else:
-            stream.batched.launch_many(group.program, self.args_list)
-        stream.launches += len(self.args_list)
-        stream.executions += 1
 
     def run(self, stream: Stream) -> None:
         try:
             for event in self.dep_events:
                 event.wait()
             if self.state.error is None:
-                profiler = stream.pool.profiler
-                tracer = obs_trace.ACTIVE
-                trace_start = tracer.now() if tracer is not None else 0.0
-                if profiler is None:
-                    self._execute(stream)
-                else:
-                    with StatsTimer(stream.stats) as timer:
-                        self._execute(stream)
-                    self.graph._record_nodes(
-                        profiler,
-                        self.group.node_indices,
-                        timer.wall,
-                        timer.delta,
-                        group=self.group_index,
-                        engine=self.engine_used,
-                    )
-                if tracer is not None:
-                    # Lane-level execution spans carry cat "stream" (like
-                    # live stream groups); "graph" is the lifecycle lane
-                    # (capture / host-side replay spans).
-                    tracer.complete(
-                        f"replay:{self.group.program.name}",
-                        "stream",
-                        stream.index + 1,
-                        trace_start,
-                        tracer.now() - trace_start,
-                        {"launches": len(self.args_list), "engine": self.engine_used},
-                    )
+                group = self.group
+                execute(
+                    stream.lane, stream.pool.context, group.program,
+                    self.args_list, group.requested, group.engine,
+                    group.keys, group.site,
+                )
+                stream.launches += len(self.args_list)
+                stream.executions += 1
         except BaseException as exc:  # noqa: BLE001 — surfaced by replay()
             self.state.fail(exc)
         finally:
@@ -476,8 +431,8 @@ class ExecutionGraph:
         stream: Stream | None = None,
         engine: str = "auto",
     ) -> CapturedLaunchHandle:
-        """Record one launch: hazard analysis, scheduling and engine
-        selection run here, once, never again."""
+        """Record one launch: hazard analysis, scheduling and the tier
+        decision run here, once, never again."""
         if self._phase != "capturing":
             raise VMError("graph is not capturing")
         if len(args) != len(program.params):
@@ -503,16 +458,9 @@ class ExecutionGraph:
             stream_index = self._rr % len(self.pool.streams)
             self._rr += 1
         grid = program.grid_size(args)
-        key = specialization_key(program, args)
-        choice = engine
-        if choice == "auto":
-            choice = self._guided_engine(program, grid, key)
-        elif choice == "compiled":
-            # The compiled tier is an execution-time decision (replay
-            # tasks promote hot nodes themselves); captured nodes only
-            # ever freeze an interpreted engine, keeping plans portable
-            # to processes without a JIT manager attached.
-            choice = "batched"
+        # Captured nodes only ever freeze an interpreted engine (plans
+        # stay portable to processes without a JIT manager); the compiled
+        # tier is decided at each replay, forced when it was forced here.
         node = GraphNode(
             index=len(self.nodes),
             program=program,
@@ -520,34 +468,13 @@ class ExecutionGraph:
             ranges=ranges,
             deps=deps,
             stream_index=stream_index,
-            engine=choice,
+            engine=resolve_engine(engine, program, grid),
             grid=grid,
-            key=key,
+            key=specialization_key(program, args),
+            requested="compiled" if engine == "compiled" else "auto",
         )
         self.nodes.append(node)
         return CapturedLaunchHandle(program, args, node, self)
-
-    def _guided_engine(self, program: Program, grid, key: tuple) -> str:
-        """Resolve ``engine="auto"`` for one recorded launch.
-
-        With a capture profile, the launch's specialization key is looked
-        up per engine: when *both* engines have measured costs, the
-        cheaper one wins — measured cost, not grid size, decides.  A key
-        the profile has seen under at most one engine has nothing to
-        compare, so it falls back to the live heuristic
-        (:func:`~repro.vm.batched.select_engine`) unchanged.
-        """
-        if self._capture_profile is not None:
-            measured = self._capture_profile.spec_engine_seconds(spec_string(key))
-            # Only the interpreted engines are capture-time choices; the
-            # compiled tier's records must not elect "compiled" as a
-            # frozen node engine (promotion happens at replay).
-            measured = {
-                e: s for e, s in measured.items() if e in ("sequential", "batched")
-            }
-            if len(measured) >= 2:
-                return min(measured.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        return select_engine(program, grid)
 
     # -- instantiation ------------------------------------------------------
     def _mergeable(self, group: list[GraphNode], node: GraphNode) -> bool:
@@ -555,6 +482,11 @@ class ExecutionGraph:
         if node.program is not first.program or node.engine != first.engine:
             return False
         if first.engine != "batched":
+            return False
+        if "compiled" in (first.requested, node.requested):
+            # Stacked groups run on the batched engine: a forced-compiled
+            # node must not be silently demoted by merging (the eager
+            # worker refuses the same merge).
             return False
         if not stackable_with_group(
             first.program, first.grid, first.args, node.grid, node.args, len(group)
@@ -589,14 +521,22 @@ class ExecutionGraph:
                     current.append(node)
                 else:
                     if current:
-                        groups.append(self._finish_group(stream_index, current))
+                        groups.append(_Group(stream_index, current))
                     current = [node]
             if current:
-                groups.append(self._finish_group(stream_index, current))
+                groups.append(_Group(stream_index, current))
         # Stable global order (by head node) so replay enqueues a group's
         # dependencies before its dependents.
         groups.sort(key=lambda g: g.node_indices[0])
         for gi, group in enumerate(groups):
+            # Lane-level execution spans carry cat "stream" (like live
+            # stream groups); "graph" is the lifecycle lane.  Nodes
+            # record under their frozen stream, so every node keeps one
+            # profile site whichever thread executes it.
+            group.site = Site(
+                "replay", "stream", self.signature, group.stream_index,
+                group.node_indices, gi,
+            )
             for ni in group.node_indices:
                 node_group[ni] = gi
         for gi, group in enumerate(groups):
@@ -674,14 +614,6 @@ class ExecutionGraph:
         if span <= heuristic_span * (1.0 + STREAM_CAP_SLACK):
             for node in self.nodes:
                 node.stream_index = placement[node.index]
-
-    def _finish_group(self, stream_index: int, nodes: list[GraphNode]) -> _Group:
-        return _Group(
-            stream_index,
-            [n.index for n in nodes],
-            nodes[0].engine,
-            nodes[0].program,
-        )
 
     # -- rebinding ----------------------------------------------------------
     def bind(self, name: str, value, nbytes: int | None = None) -> None:
@@ -819,12 +751,10 @@ class ExecutionGraph:
         for gi, group in enumerate(self._groups):
             task = _GroupTask(
                 group,
-                gi,
                 self._group_args[gi],
                 [events[d] for d in group.dep_groups],
                 events[gi],
                 state,
-                self,
             )
             self.pool.streams[group.stream_index].enqueue_task(task)
         for event in events:
@@ -832,95 +762,26 @@ class ExecutionGraph:
         if state.error is not None:
             raise VMError(f"graph replay failed: {state.error}") from state.error
 
-    def _replay_serial(self) -> ExecutionStats:
+    def _replay_serial(self) -> None:
         # The serial oracle runs on the calling thread: drain the pool
-        # first so it cannot race in-flight stream work, and account its
-        # execution into stream 0's stats/counters so aggregate totals
-        # stay comparable with a streamed replay's.
+        # first so it cannot race in-flight stream work, then borrow
+        # stream 0's lane, so aggregate stats/counters stay comparable
+        # with a streamed replay's.  One engine invocation per node also
+        # makes it the cheapest exact (not group-amortized) profile
+        # collector.
         pool = self.pool
         pool.synchronize()
         stream0 = pool.streams[0]
-        interpreter = Interpreter(
-            pool.memory, shared_capacity=pool.shared_capacity, stdout=pool.stdout
-        )
-        interpreter.stats = stream0.stats
-        batched = BatchedExecutor(
-            pool.memory,
-            shared_capacity=pool.shared_capacity,
-            stats=stream0.stats,
-            stdout=pool.stdout,
-        )
-        profiler = pool.profiler
-        jit = pool.jit
         for node in self.nodes:
-            args = self._bound_args[node.index]
-            compiled = (
-                jit.maybe_compile(node.program, args, profiler, key=node.key)
-                if jit is not None
-                else None
+            execute(
+                stream0.lane, pool.context, node.program,
+                [self._bound_args[node.index]], node.requested, node.engine,
+                [node.key],
+                Site("replay", "stream", self.signature, node.stream_index,
+                     [node.index]),
             )
-
-            def execute() -> None:
-                if compiled is not None:
-                    jit.run(compiled, args, stream0.stats)
-                else:
-                    engine = batched if node.engine == "batched" else interpreter
-                    engine.launch(node.program, args)
-
-            if profiler is None:
-                execute()
-            else:
-                # The serial oracle is also the cheapest profile
-                # collector: one engine invocation per node gives exact
-                # (not group-amortized) per-node costs.
-                with StatsTimer(stream0.stats) as timer:
-                    execute()
-                self._record_nodes(
-                    profiler,
-                    [node.index],
-                    timer.wall,
-                    timer.delta,
-                    engine="compiled" if compiled is not None else None,
-                )
         stream0.launches += len(self.nodes)
         stream0.executions += len(self.nodes)
-        return stream0.stats
-
-    def _record_nodes(
-        self,
-        profiler: Profile,
-        node_indices: Sequence[int],
-        wall_s: float,
-        stats_delta: Mapping,
-        group: int | None = None,
-        engine: str | None = None,
-    ) -> None:
-        """Attribute one engine invocation to the given nodes under this
-        graph's signature scope (an even split across a coalesced group —
-        members run the same program on one stacked grid; integer stat
-        counters split remainder-exactly).  Graph nodes record under
-        their *frozen* stream so every node keeps a unique profile site
-        regardless of which thread executed it (the serial oracle runs
-        them all on the calling thread, for instance).  ``engine``
-        overrides the frozen engine choice when the compiled tier
-        promoted the execution past it — compiled time must not pollute
-        the interpreted tiers' promotion heat or capture-time costs."""
-        n = len(node_indices)
-        shares = split_counts(stats_delta, n)
-        for ni, share in zip(node_indices, shares):
-            node = self.nodes[ni]
-            profiler.record(
-                self.signature,
-                ni,
-                node.program.name,
-                spec_string(node.key),
-                engine if engine is not None else node.engine,
-                node.stream_index,
-                wall_s / n,
-                stats_delta=share,
-                group=group,
-                group_size=n,
-            )
 
     # -- profile-guided optimization ----------------------------------------
     @property
@@ -1135,16 +996,11 @@ class ExecutionGraph:
         for old in live:
             node = self.nodes[old]
             optimized.nodes.append(
-                GraphNode(
-                    index=remap[old],
-                    program=node.program,
-                    args=node.args,
-                    ranges=node.ranges,
-                    deps=tuple(remap[d] for d in node.deps if d in remap),
-                    stream_index=placement[old],
-                    engine=node.engine,
-                    grid=node.grid,
-                    key=node.key,
+                node.placed(
+                    remap[old],
+                    tuple(remap[d] for d in node.deps if d in remap),
+                    placement[old],
+                    node.engine,
                 )
             )
         optimized._instantiate()
@@ -1222,17 +1078,7 @@ class ExecutionGraph:
                     f"this pool has {num_streams} streams"
                 )
             applied.nodes.append(
-                GraphNode(
-                    index=node.index,
-                    program=node.program,
-                    args=node.args,
-                    ranges=node.ranges,
-                    deps=node.deps,
-                    stream_index=stream,
-                    engine=record["engine"],
-                    grid=node.grid,
-                    key=node.key,
-                )
+                node.placed(node.index, node.deps, stream, record["engine"])
             )
         applied._instantiate()
         applied._bindings = dict(self._bindings)

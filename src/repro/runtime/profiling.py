@@ -182,15 +182,12 @@ _JSON_VERSION = 1
 
 class StatsTimer:
     """Times one engine invocation and captures its ``ExecutionStats``
-    delta — the single implementation of the measure-around-the-engine
-    pattern every profiled execution path uses::
-
-        with StatsTimer(stream.stats) as t:
-            engine.launch(program, args)
-        profiler.record(..., t.wall, stats_delta=t.delta)
-
-    Only the engine call belongs inside the block: dependency waits and
-    recording bookkeeping must stay outside the measurement.
+    delta: a context manager the launch executor
+    (:func:`repro.runtime.executor.execute`) holds around the engine
+    call, reading ``wall`` and ``delta`` afterwards for the profile
+    record.  Only the engine call belongs inside the block: dependency
+    waits, JIT compilation and recording bookkeeping must stay outside
+    the measurement.
     """
 
     __slots__ = ("_stats", "_before", "_start", "wall", "delta")
@@ -362,21 +359,6 @@ class Profile:
                 for attr, _ in _STAT_FIELDS:
                     setattr(agg, attr, getattr(agg, attr) + getattr(node, attr))
         return merged
-
-    def spec_engine_seconds(self, spec: str) -> dict[str, float]:
-        """Mean wall seconds per launch of this specialization-key
-        string, broken out **per engine** — the profile-guided capture
-        lookup: when both engines have been measured for a kernel, the
-        capture picks the cheaper one instead of deciding by grid size.
-        Engines never recorded are absent from the result."""
-        totals: dict[str, tuple[float, int]] = {}
-        with self._lock:
-            for node in self.nodes.values():
-                if node.spec != spec or not node.calls:
-                    continue
-                wall, calls = totals.get(node.engine, (0.0, 0))
-                totals[node.engine] = (wall + node.wall_s, calls + node.calls)
-        return {engine: wall / calls for engine, (wall, calls) in totals.items()}
 
     def spec_heat(self, spec: str) -> float:
         """Total wall seconds this specialization-key string has spent in

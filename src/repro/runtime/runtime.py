@@ -4,7 +4,9 @@ Maintains the three pieces of state the paper describes:
 
 1. a **workspace** in global memory that kernels request through
    ``AllocateGlobal``;
-2. an **execution context** for launch bookkeeping, plus a lazily created
+2. an **execution context** (the profiler, JIT manager and adaptive
+   policy every launch path consults, plus the launch counter), shared
+   with a lazily created
    **stream pool** (:mod:`repro.runtime.streams`) for asynchronous
    launches: ``launch(..., stream=...)`` enqueues and returns a handle,
    independent streams execute concurrently on per-stream engines, and
@@ -15,11 +17,13 @@ Maintains the three pieces of state the paper describes:
    including fresh re-instantiations of the same template — compile once
    and every later launch skips lowering entirely.
 
-Execution is delegated to one of the two VM engines — the sequential
-interpreter or the grid-vectorized batched executor — selected per launch
-by :func:`repro.vm.batched.select_engine` (policy: batched for multi-block
-grids of batchable programs).  Compilation is delegated to the compiler
-pipeline.
+Execution is delegated to the launch executor
+(:mod:`repro.runtime.executor`), which every launch path shares: it
+picks one of the two VM engines — the sequential interpreter or the
+grid-vectorized batched executor (policy: batched for multi-block grids
+of batchable programs) — or the compiled tier, times the engine, records
+the profile and emits the span.  Compilation is delegated to the
+compiler pipeline.
 
 A third, **compiled** tier sits above both (:mod:`repro.runtime.jit`):
 with :meth:`Runtime.enable_jit` (or ``engine="compiled"``), hot
@@ -33,7 +37,6 @@ signatures the pipeline cannot lower fall back to the batched engine.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -47,26 +50,22 @@ from repro.dtypes import DataType
 from repro.errors import VMError
 from repro.ir.program import Program
 from repro.obs import trace as obs_trace
-from repro.runtime.profiling import (
-    EAGER,
-    HOST_STREAM,
-    Profile,
-    StatsTimer,
-    spec_string,
+from repro.runtime.adaptive import AdaptivePolicy
+from repro.runtime.executor import (
+    ContextAttr,
+    ExecutionContext,
+    Lane,
+    Site,
+    execute,
+    resolve_engine,
 )
+from repro.runtime.profiling import EAGER, HOST_STREAM, Profile
 from repro.runtime.streams import LaunchHandle, Stream, StreamPool
-from repro.vm.batched import BatchedExecutor, select_engine
-from repro.vm.interp import ExecutionStats, Interpreter
+from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory
 
-
-@dataclass
-class ExecutionContext:
-    """Launch-time state: the stream and accumulated statistics."""
-
-    stream: int = 0
-    launches: int = 0
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
+#: Where synchronous launches are accounted.
+_HOST_SITE = Site("launch", "runtime", EAGER, HOST_STREAM)
 
 
 class SpecializationCache:
@@ -157,31 +156,32 @@ class Runtime:
         if engine not in ("auto", "sequential", "batched", "compiled"):
             raise ValueError(f"unknown engine {engine!r}")
         self.memory = GlobalMemory(dram_bytes)
-        self.interpreter = Interpreter(self.memory, shared_capacity=shared_capacity)
-        # Both engines share the memory and the stats object, so
-        # ``stats()`` reflects every launch regardless of engine.
-        self.batched = BatchedExecutor(
-            self.memory, shared_capacity=shared_capacity, stats=self.interpreter.stats
-        )
+        # The host lane: both engines share the memory and the stats
+        # object, so ``stats()`` reflects every launch regardless of engine.
+        self._lane = Lane(self.memory, shared_capacity, obs_trace.HOST_TID)
+        self.interpreter = self._lane.interpreter
+        self.batched = self._lane.batched
         self.engine = engine
         self.cache = SpecializationCache(max_entries=cache_entries)
+        #: Shared with the stream pool (see :meth:`stream_pool`).
         self.context = ExecutionContext()
         self._workspace_addr: int | None = None
         self._workspace_size = 0
         self._pool: StreamPool | None = None
-        #: Active profiler (see :meth:`enable_profiling`), or None.
-        self.profiler: Profile | None = None
-        #: Attached adaptive policy (see :meth:`enable_adaptive`), or None.
-        self.adaptive = None
-        #: Attached :class:`~repro.runtime.jit.JitManager` (see
-        #: :meth:`enable_jit`), or None.
-        self.jit = None
         #: Attached :class:`~repro.store.TuningStore` (wired by
         #: :class:`~repro.runtime.engine.LocalEngine` or the serving
         #: simulator), or None.  Only read for ``store.*`` metrics.
         self.store = None
         if engine == "compiled":
             self.enable_jit()
+
+    #: Active profiler (see :meth:`enable_profiling`), or None.
+    profiler = ContextAttr()
+    #: Attached adaptive policy (see :meth:`enable_adaptive`), or None.
+    adaptive = ContextAttr()
+    #: Attached :class:`~repro.runtime.jit.JitManager` (see
+    #: :meth:`enable_jit`), or None.
+    jit = ContextAttr()
 
     # -- profiling -----------------------------------------------------------
     def enable_profiling(self, profile: Profile | None = None) -> Profile:
@@ -201,16 +201,11 @@ class Runtime:
             self.profiler = profile
         elif self.profiler is None:
             self.profiler = Profile()
-        if self._pool is not None:
-            self._pool.profiler = self.profiler
         return self.profiler
 
     def disable_profiling(self) -> Profile | None:
         """Stop recording; returns the profile collected so far."""
-        profile = self.profiler
-        self.profiler = None
-        if self._pool is not None:
-            self._pool.profiler = None
+        profile, self.profiler = self.profiler, None
         return profile
 
     # -- tracing -------------------------------------------------------------
@@ -244,14 +239,10 @@ class Runtime:
         :meth:`~repro.ops.QuantizedLinear.reoptimize` call needed.
         Graphs captured *before* this call stay unmanaged.
         """
-        from repro.runtime.adaptive import AdaptivePolicy
-
         if policy is None:
             policy = self.adaptive if self.adaptive is not None else AdaptivePolicy()
         self.adaptive = policy
         self.enable_profiling()
-        if self._pool is not None:
-            self._pool.adaptive = policy
         return policy
 
     def disable_adaptive(self):
@@ -259,10 +250,7 @@ class Runtime:
         come under management afterwards; graphs already managed keep
         their facade and continue evaluating while profiling stays on —
         call :meth:`disable_profiling` too for a full stop."""
-        policy = self.adaptive
-        self.adaptive = None
-        if self._pool is not None:
-            self._pool.adaptive = None
+        policy, self.adaptive = self.adaptive, None
         return policy
 
     # -- tiered JIT ----------------------------------------------------------
@@ -281,30 +269,21 @@ class Runtime:
         lowering pipeline declines fall back to the batched engine,
         bit-exactly.
         """
-        from repro.runtime.jit import JitManager
-
         if self.jit is None:
-            kwargs = {}
-            if threshold_s is not None:
-                kwargs["threshold_s"] = threshold_s
-            if max_entries is not None:
-                kwargs["max_entries"] = max_entries
-            self.jit = JitManager(
-                self.memory, self.interpreter.shared_capacity, **kwargs
+            knobs = {"threshold_s": threshold_s, "max_entries": max_entries}
+            self.context.attach_jit(
+                self.memory,
+                self.interpreter.shared_capacity,
+                **{name: value for name, value in knobs.items() if value is not None},
             )
         elif threshold_s is not None:
             self.jit.threshold_s = threshold_s
-        if self._pool is not None:
-            self._pool.jit = self.jit
         return self.jit
 
     def disable_jit(self):
         """Detach the compiled tier; returns the manager (with its cache
         intact, so re-enabling resumes warm)."""
-        manager = self.jit
-        self.jit = None
-        if self._pool is not None:
-            self._pool.jit = None
+        manager, self.jit = self.jit, None
         return manager
 
     # -- streams ------------------------------------------------------------
@@ -321,9 +300,7 @@ class Runtime:
                 num_streams=num_streams,
                 shared_capacity=self.interpreter.shared_capacity,
             )
-            self._pool.profiler = self.profiler
-            self._pool.adaptive = self.adaptive
-            self._pool.jit = self.jit
+            self._pool.context = self.context
         return self._pool
 
     def synchronize(self) -> None:
@@ -346,8 +323,8 @@ class Runtime:
         coalescing decisions.  See :mod:`repro.runtime.graphs`.
 
         ``profile`` turns on profile-guided capture: measured costs pick
-        the engine choice, the per-launch stream placement, and the
-        stream count, with heuristic fallback for anything unseen (see
+        the per-launch stream placement and the stream count, with
+        heuristic fallback for anything unseen (see
         :mod:`repro.runtime.adaptive`).
         """
         return self.stream_pool(num_streams).capture(profile=profile)
@@ -419,6 +396,7 @@ class Runtime:
         program = kernel.program
         if kernel.workspace_bytes:
             self.ensure_workspace(kernel.workspace_bytes)
+        requested = engine or self.engine
         if stream is None and self._pool is not None and self._pool.capturing:
             # During graph capture every launch is recorded, including
             # synchronous ones (scheduler-placed, like stream="auto").
@@ -429,66 +407,19 @@ class Runtime:
                 program,
                 args,
                 stream=stream if isinstance(stream, Stream) else None,
-                engine=engine or self.engine,
+                engine=requested,
             )
             self.context.launches += 1
             return handle
-        choice = engine or self.engine
-        auto = choice == "auto"
-        if auto:
-            choice = select_engine(program, program.grid_size(args))
-        compiled = None
-        if choice == "compiled" or (auto and self.jit is not None):
-            jit = self.jit if self.jit is not None else self.enable_jit()
-            compiled = jit.maybe_compile(
-                program, args, self.profiler, forced=choice == "compiled", key=key
-            )
-            if compiled is not None:
-                choice = "compiled"
-            elif choice == "compiled":
-                # The lowering pipeline declined: the batched engine is
-                # the bit-exact fallback tier.
-                choice = "batched"
-        executor = self.batched if choice == "batched" else self.interpreter
-
-        def execute() -> None:
-            if compiled is not None:
-                jit.run(compiled, args, self.interpreter.stats)
-            else:
-                executor.launch(program, args)
-
-        tracer = obs_trace.ACTIVE
-        trace_start = tracer.now() if tracer is not None else 0.0
+        frozen = resolve_engine(requested, program, program.grid_size(args))
         try:
-            if self.profiler is None:
-                execute()
-            else:
-                with StatsTimer(self.interpreter.stats) as timer:
-                    execute()
-                spec = spec_string(key)
-                self.profiler.record(
-                    EAGER,
-                    spec,
-                    program.name,
-                    spec,
-                    choice,
-                    HOST_STREAM,
-                    timer.wall,
-                    stats_delta=timer.delta,
-                )
+            execute(
+                self._lane, self.context, program, [args],
+                requested, frozen, [key], _HOST_SITE,
+            )
         except VMError as exc:
             raise VMError(f"kernel {program.name!r} failed: {exc}") from exc
-        if tracer is not None:
-            tracer.complete(
-                f"launch:{program.name}",
-                "runtime",
-                obs_trace.HOST_TID,
-                trace_start,
-                tracer.now() - trace_start,
-                {"engine": choice},
-            )
         self.context.launches += 1
-        self.context.stats = self.interpreter.stats
         return kernel
 
     def stats(self) -> ExecutionStats:

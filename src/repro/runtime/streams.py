@@ -7,9 +7,9 @@ CPU2026 observation in PAPERS.md).  This module adds the CUDA-shaped
 stream vocabulary on top of the VM engines:
 
 - :class:`Stream` — a FIFO queue of launches executed by a dedicated
-  worker thread with its own pair of engines (sequential interpreter +
-  grid-vectorized batched executor) and its own
-  :class:`~repro.vm.interp.ExecutionStats`;
+  worker thread on its own :class:`~repro.runtime.executor.Lane` (a
+  sequential interpreter + grid-vectorized batched executor pair with
+  their own :class:`~repro.vm.interp.ExecutionStats`);
 - :class:`Event` — a marker recorded on a stream; ``event.wait()`` blocks
   the host, ``stream.wait_event(event)`` orders one stream behind another;
 - :class:`StreamPool` — owns the streams, schedules launches that don't
@@ -63,14 +63,23 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.compiler.pipeline import specialization_key
 from repro.errors import VMError
 from repro.ir import instructions as insts
-from repro.obs import trace as obs_trace
 from repro.ir.evaluator import evaluate
 from repro.ir.expr import Expr, Var
 from repro.ir.program import Program
-from repro.vm.batched import BatchedExecutor, select_engine, supports_batched
-from repro.vm.interp import ExecutionStats, Interpreter
+from repro.runtime.executor import (
+    ContextAttr,
+    ExecutionContext,
+    Lane,
+    Site,
+    execute,
+    resolve_engine,
+)
+from repro.runtime.profiling import EAGER
+from repro.vm.batched import supports_batched
+from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory
 
 
@@ -358,7 +367,9 @@ class LaunchHandle:
         self.stream = stream
         self.seq = seq
         self.ranges = ranges
-        self.engine = engine
+        self.engine = engine  # the requested tier
+        #: Specialization key, computed once here at submit.
+        self.key = specialization_key(program, args)
         self.deps: tuple[LaunchHandle, ...] = ()
         self.error: BaseException | None = None
         self._done = threading.Event()
@@ -488,17 +499,10 @@ class Stream:
     def __init__(self, pool: "StreamPool", index: int) -> None:
         self.pool = pool
         self.index = index
-        self.stats = ExecutionStats()
-        self.interpreter = Interpreter(
-            pool.memory, shared_capacity=pool.shared_capacity, stdout=pool.stdout
-        )
-        self.interpreter.stats = self.stats
-        self.batched = BatchedExecutor(
-            pool.memory,
-            shared_capacity=pool.shared_capacity,
-            stats=self.stats,
-            stdout=pool.stdout,
-        )
+        #: Trace lane ``index + 1`` (lane 0 is the host thread).
+        self.lane = Lane(pool.memory, pool.shared_capacity, index + 1, pool.stdout)
+        self.stats = self.lane.stats
+        self._site = Site("exec", "stream", EAGER, index)
         self.launches = 0          # individual launches retired
         self.executions = 0        # engine invocations (after coalescing)
         self._queue: deque = deque()
@@ -666,101 +670,29 @@ class Stream:
         return all(not ranges_conflict(nxt.ranges, member.ranges) for member in group)
 
     def _execute_group(self, group: list[LaunchHandle]) -> None:
-        profiler = self.pool.profiler
+        first = group[0]
         try:
-            first = group[0]
-            if len(group) == 1:
-                choice = first.engine
-                if choice == "auto":
-                    choice = select_engine(
-                        first.program, first.program.grid_size(first.args)
-                    )
-            else:
-                choice = "batched"
-            jit = self.pool.jit
-            compiled = None
-            if (
-                jit is not None
-                and len(group) == 1
-                and first.engine in ("auto", "compiled")
-            ):
-                # The compiled tier: an explicit engine="compiled" launch
-                # compiles immediately; an "auto" launch promotes once its
-                # specialization's profiled heat clears the manager's
-                # threshold (explicit sequential/batched are honored).  A
-                # bailout falls back bit-exactly to the batched engine.
-                compiled = jit.maybe_compile(
-                    first.program,
-                    first.args,
-                    self.pool.profiler,
-                    forced=first.engine == "compiled",
-                )
-            choice = (
-                "compiled"
-                if compiled is not None
-                else ("batched" if choice == "compiled" else choice)
+            # Eager sites are keyed by specialization-key string, so
+            # launches that coalesced with different scalar bindings
+            # still record under their own tunable identity.
+            execute(
+                self.lane,
+                self.pool.context,
+                first.program,
+                [handle.args for handle in group],
+                first.engine,
+                resolve_engine(
+                    first.engine, first.program, first.program.grid_size(first.args)
+                ),
+                [handle.key for handle in group],
+                self._site,
             )
-
-            def execute() -> None:
-                if compiled is not None:
-                    jit.run(compiled, first.args, self.stats)
-                elif len(group) == 1:
-                    engine = self.batched if choice == "batched" else self.interpreter
-                    engine.launch(first.program, first.args)
-                else:
-                    self.batched.launch_many(first.program, [h.args for h in group])
-
-            tracer = obs_trace.ACTIVE
-            trace_start = tracer.now() if tracer is not None else 0.0
-            if profiler is None:
-                execute()
-            else:
-                from repro.runtime.profiling import StatsTimer
-
-                with StatsTimer(self.stats) as timer:
-                    execute()
-                self._record_group(profiler, group, choice, timer)
-            if tracer is not None:
-                tracer.complete(
-                    f"exec:{first.program.name}",
-                    "stream",
-                    self.index + 1,
-                    trace_start,
-                    tracer.now() - trace_start,
-                    {"engine": choice, "launches": len(group)},
-                )
             self.executions += 1
         except BaseException as exc:  # noqa: BLE001 — propagated to waiters
             for handle in group:
                 handle.error = exc
         finally:
             self._finish_group(group, executed=True)
-
-    def _record_group(self, profiler, group, engine_choice, timer) -> None:
-        """Attribute one engine invocation to its member launches under
-        the eager scope (imports deferred: profiling is off the default
-        hot path)."""
-        from repro.compiler.pipeline import specialization_key
-        from repro.runtime.profiling import EAGER, spec_string
-
-        program = group[0].program
-        # Eager sites are keyed by specialization-key string, so launches
-        # that coalesced with different scalar bindings still record
-        # under their own tunable identity.
-        specs = [
-            spec_string(specialization_key(program, handle.args))
-            for handle in group
-        ]
-        profiler.record_group(
-            EAGER,
-            specs,
-            program.name,
-            specs,
-            engine_choice,
-            self.index,
-            timer.wall,
-            stats_delta=timer.delta,
-        )
 
     def _finish_group(self, group: list[LaunchHandle], executed: bool) -> None:
         if executed:
@@ -808,22 +740,25 @@ class StreamPool:
         self._rr = itertools.count()
         self._seq = itertools.count()
         self._capture = None  # active ExecutionGraph recording, if any
-        #: Active :class:`~repro.runtime.profiling.Profile`, or None.
-        #: When set, every engine invocation — eager group or graph
-        #: replay — records a per-node cost into it.
-        self.profiler = None
-        #: Attached :class:`~repro.runtime.adaptive.AdaptivePolicy`, or
-        #: None.  When set, :meth:`capture` returns the graph already
-        #: under management (an ``AdaptiveGraph``), so every captured
-        #: DAG auto-reoptimizes after the policy's warmup window.  See
-        #: :mod:`repro.runtime.adaptive`.
-        self.adaptive = None
-        #: Attached :class:`~repro.runtime.jit.JitManager`, or None.
-        #: When set, single-launch executions on every stream (eager
-        #: groups and graph-replay tasks alike) promote hot
-        #: specializations to their compiled kernels.  See
-        #: :mod:`repro.runtime.jit`.
-        self.jit = None
+        #: What every execution on this pool consults.  A pool created by
+        #: ``Runtime.stream_pool`` is handed the runtime's context.
+        self.context = ExecutionContext()
+
+    #: Active :class:`~repro.runtime.profiling.Profile`, or None.  When
+    #: set, every engine invocation — eager group or graph replay —
+    #: records a per-node cost into it.
+    profiler = ContextAttr()
+    #: Attached :class:`~repro.runtime.adaptive.AdaptivePolicy`, or None.
+    #: When set, :meth:`capture` returns the graph already under
+    #: management (an ``AdaptiveGraph``), so every captured DAG
+    #: auto-reoptimizes after the policy's warmup window.  See
+    #: :mod:`repro.runtime.adaptive`.
+    adaptive = ContextAttr()
+    #: Attached :class:`~repro.runtime.jit.JitManager`, or None.  When
+    #: set, single-launch executions on every stream (eager groups and
+    #: graph-replay tasks alike) promote hot specializations to their
+    #: compiled kernels.  See :mod:`repro.runtime.jit`.
+    jit = ContextAttr()
 
     # -- graph capture ------------------------------------------------------
     @property
@@ -840,7 +775,7 @@ class StreamPool:
         :mod:`repro.runtime.graphs`.
 
         ``profile`` (a prior :class:`~repro.runtime.profiling.Profile`)
-        turns on **profile-guided capture**: engine choices, per-launch
+        turns on **profile-guided capture**: per-launch
         stream placement and the stream count are derived from measured
         costs instead of the heuristics, falling back to the heuristics
         for anything the profile never saw.  With an :attr:`adaptive`

@@ -54,12 +54,15 @@ Nine modes are locked together:
   graph is replayed under ``manage(warm=True)`` — a profile surviving
   the disk round-trip, and the zero-first-swap warm policy, must
   change nothing observable.
-- ``jit``          — the compiled tier: every launch is lowered through
-  the :mod:`repro.compiler.lower` pass pipeline (const-fold the bound
-  scalars → unroll the block loop → flatten to straight-line vectorized
-  source) and the ``compile()``-d kernel executes instead of the
-  interpreter; launches the pipeline bails out on (data-dependent
-  control flow, unsupported ops) fall back to the batched executor.
+- ``jit``          — the compiled tier, through the launch executor:
+  the ``stream`` mode's submissions, issued with ``engine="compiled"``
+  on a pool with a :class:`~repro.runtime.jit.JitManager` attached, so
+  every launch is lowered through the :mod:`repro.compiler.lower` pass
+  pipeline (const-fold the bound scalars → unroll the block loop →
+  flatten to straight-line vectorized source) and the ``compile()``-d
+  kernel executes instead of the interpreter; launches the pipeline
+  bails out on (data-dependent control flow, unsupported ops) take the
+  executor's fallback to the batched engine.
   Bit patterns *and* execution statistics must match the sequential
   reference — the compiled kernel is required to count blocks,
   instructions and global traffic exactly as if it had interpreted.
@@ -75,6 +78,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.adaptive import AdaptivePolicy
+from repro.runtime.jit import JitManager
 from repro.runtime.profiling import Profile
 from repro.runtime.streams import StreamPool
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, TensorView
@@ -167,13 +171,16 @@ def _run_engine(case: GeneratedCase, mode: str):
         for program, spec in plan:
             executor.launch(program, _resolve_args(spec, buffers))
         stats = host.stats
-    elif mode == "stream":
+    elif mode in ("stream", "jit"):
         with StreamPool(memory, num_streams=4) as pool:
+            if mode == "jit":
+                pool.jit = JitManager(memory)
             for i, (program, spec) in enumerate(plan):
                 pool.submit(
                     program,
                     _resolve_args(spec, buffers),
                     stream=pool.streams[i % len(pool.streams)],
+                    engine="compiled" if mode == "jit" else "auto",
                 )
             pool.synchronize()
         stats = pool.aggregate_stats()
@@ -229,19 +236,6 @@ def _run_engine(case: GeneratedCase, mode: str):
             managed.replay()
             pool.synchronize()
         stats = pool.aggregate_stats()
-    elif mode == "jit":
-        from repro.compiler.lower import LoweringBailout, lower_program
-
-        fallback = BatchedExecutor(memory, stats=host.stats)
-        for program, spec in plan:
-            args = _resolve_args(spec, buffers)
-            try:
-                kernel = lower_program(program, args, memory)
-            except LoweringBailout:
-                fallback.launch(program, args)
-                continue
-            kernel.run(memory, args, host.stats)
-        stats = host.stats
     elif mode == "plan-roundtrip":
         from repro.runtime.graphs import GraphPlan
 

@@ -590,47 +590,6 @@ class TestProfileGuidedCapture:
                 n.stream_index for n in graph.nodes
             ]
 
-    def test_engine_choice_by_measured_cost(self):
-        """A multi-block kernel the heuristic would batch runs
-        sequential when that is what measured cheaper — and vice versa."""
-        for cheap, expensive in (("sequential", "batched"), ("batched", "sequential")):
-            memory, host, pairs = device(1)
-            program = work_program(f"engine_{cheap}")
-            a, out = pairs[0]
-            with StreamPool(memory, num_streams=2) as pool:
-                with pool.capture() as heuristic:
-                    pool.submit(program, [a, out])
-                spec = spec_string(heuristic.nodes[0].key)
-                profile = Profile()
-                profile.record(EAGER, spec, program.name, spec, cheap, 0, 0.001)
-                profile.record(EAGER, spec, program.name, spec, expensive, 1, 0.5)
-                with pool.capture(profile=profile) as guided:
-                    pool.submit(program, [a, out])
-                assert heuristic.nodes[0].engine == "batched"  # multi-block
-                assert guided.nodes[0].engine == cheap
-                guided.replay(serial=True)
-                want = host.download(out, [ROWS, COLS], float16).copy()
-                guided.replay()
-                pool.synchronize()
-                assert np.array_equal(
-                    host.download(out, [ROWS, COLS], float16), want
-                )
-
-    def test_single_engine_measurement_keeps_the_heuristic(self):
-        memory, host, pairs = device(1)
-        program = work_program("engine_single")
-        a, out = pairs[0]
-        with StreamPool(memory, num_streams=2) as pool:
-            with pool.capture() as heuristic:
-                pool.submit(program, [a, out])
-            spec = spec_string(heuristic.nodes[0].key)
-            profile = Profile()
-            profile.record(EAGER, spec, program.name, spec, "sequential", 0, 0.001)
-            with pool.capture(profile=profile) as guided:
-                pool.submit(program, [a, out])
-            # Only one engine measured: nothing to compare, heuristic wins.
-            assert guided.nodes[0].engine == "batched"
-
 
 # ---------------------------------------------------------------------------
 # Profile JSON negative paths
