@@ -406,13 +406,16 @@ def graph_report(
 # ---------------------------------------------------------------------------
 
 #: The PGO workload: a *skewed-cost* launch mix on 8 streams.  Four
-#: heavy kernels (distinct programs, so they never coalesce away) land
-#: on one stream under the capture-time round-robin heuristic — their
-#: submission positions are congruent mod the stream count — while 28
-#: cheap kernels fill the rest, and 8 more heavy launches write scratch
-#: buffers nothing ever reads.  A profiled replay records the real
-#: per-node costs; ``graph.optimize(profile)`` then spreads the heavies
-#: by longest-processing-time placement and eliminates the dead nodes.
+#: heavy kernels land on one stream under the capture-time round-robin
+#: heuristic — their submission positions are congruent mod the stream
+#: count — while 28 cheap kernels fill the rest, and 8 more heavy
+#: launches write scratch buffers nothing ever reads.  Every launch is
+#: its own program, hence its own specialization: launches sharing one
+#: would fuse into a single execution group wherever they were placed
+#: (the ``graphs`` section measures that), and this section measures
+#: placement.  A profiled replay records the real per-node costs;
+#: ``graph.optimize(profile)`` then spreads the heavies by
+#: longest-processing-time placement and eliminates the dead nodes.
 PGO_STREAMS = 8
 PGO_LIVE = 32
 PGO_DEAD = 8
@@ -421,32 +424,29 @@ PGO_LIGHT_STEPS = 2
 
 
 def _pgo_workload():
-    heavies = [
-        _multiblock_program(gb=4, gw=4, steps=PGO_HEAVY_STEPS, name=f"pgo_heavy{i}")[0]
-        for i in range(4)
+    def program(kind: str, i: int, steps: int):
+        return _multiblock_program(gb=4, gw=4, steps=steps, name=f"pgo_{kind}{i}")
+
+    # All heavies hit one heuristic stream.
+    heavy = [i % PGO_STREAMS == 0 for i in range(PGO_LIVE)]
+    live = [
+        program("heavy", i, PGO_HEAVY_STEPS) if h else program("light", i, PGO_LIGHT_STEPS)
+        for i, h in enumerate(heavy)
     ]
-    dead_prog, _ = _multiblock_program(
-        gb=4, gw=4, steps=PGO_HEAVY_STEPS, name="pgo_dead"
-    )
-    light_prog, (rows, cols) = _multiblock_program(
-        gb=4, gw=4, steps=PGO_LIGHT_STEPS, name="pgo_light"
-    )
+    rows, cols = live[0][1]
     memory = GlobalMemory(1 << 24)
     host = Interpreter(memory)
     rng = np.random.default_rng(0)
     launches = []  # (program, a_addr, out_addr, is_heavy)
-    heavy_iter = iter(heavies)
-    for i in range(PGO_LIVE):
+    for (prog, _), h in zip(live, heavy):
         a = host.upload(float16.quantize(rng.standard_normal((rows, cols))), float16)
         out = host.alloc_output([rows, cols], float16)
-        heavy = i % PGO_STREAMS == 0  # all heavies hit one heuristic stream
-        program = next(heavy_iter) if heavy else light_prog
-        launches.append((program, a, out, heavy))
+        launches.append((prog, a, out, h))
     dead = []  # scratch writers: outputs never read, never bound
-    for _ in range(PGO_DEAD):
+    for i in range(PGO_DEAD):
         a = host.upload(float16.quantize(rng.standard_normal((rows, cols))), float16)
         scratch = host.alloc_output([rows, cols], float16)
-        dead.append((dead_prog, a, scratch))
+        dead.append((program("dead", i, PGO_HEAVY_STEPS)[0], a, scratch))
     return (rows, cols), host, launches, dead
 
 
@@ -454,8 +454,8 @@ def pgo_report(min_speedup: float = 1.2) -> dict:
     """Measure profile-optimized replay against heuristic-placement replay.
 
     Captures the skewed workload with scheduler placement, binds the live
-    output buffers, collects a per-node profile from one replay, and
-    optimizes.  Asserts that the heavies spread to distinct streams, that
+    output buffers, collects a per-node profile from one serial replay,
+    and optimizes.  Asserts that the heavies spread to distinct streams, that
     the dead nodes are eliminated, that the optimized replay is >=
     ``min_speedup`` faster, and that its outputs match the serial oracle
     bit-for-bit.
@@ -473,15 +473,16 @@ def pgo_report(min_speedup: float = 1.2) -> dict:
             graph.bind(f"out{i}", out, out_bytes)
 
         # Serial oracle first: the bit-exactness reference (the kernels
-        # are out = f(a), so repeated replays are idempotent).
-        graph.replay(serial=True)
-        want = [host.download(out, [rows, cols], float16) for _, _, out, _ in launches]
-
+        # are out = f(a), so repeated replays are idempotent) and, one
+        # node at a time on one thread, the exact per-node profile — a
+        # streamed replay's walls include the wait for the other seven
+        # stream threads' turns at the interpreter lock.
+        graph.replay(serial=True)  # warm every program before timing it
         profile = Profile()
         pool.profiler = profile
-        graph.replay()
-        pool.synchronize()
+        graph.replay(serial=True)
         pool.profiler = None
+        want = [host.download(out, [rows, cols], float16) for _, _, out, _ in launches]
 
         optimized = graph.optimize(profile)
         assert optimized.num_nodes == PGO_LIVE, (

@@ -66,6 +66,7 @@ from repro.ir.stmt import (
     WhileStmt,
 )
 from repro.ir.types import TensorVar
+from repro.utils.bits import regroup_patterns
 from repro.vm.batched import _as_mask, batched_evaluate
 from repro.vm.dispatch import (
     bounds_mask,
@@ -185,13 +186,10 @@ def _tolog(values, shape, ix):
 
 
 def _viewp(p, old_nbits, new_nbits, new_l):
-    """Regroup patterns under a new element width (register View)."""
-    nb, t, l = p.shape
-    bit_idx = np.arange(old_nbits, dtype=np.uint64)
-    bits = ((p[..., None] >> bit_idx) & np.uint64(1)).astype(np.uint8)
-    grouped = bits.reshape(nb, t, new_l, new_nbits).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(new_nbits, dtype=np.uint64)
-    return (grouped * weights).sum(axis=3, dtype=np.uint64)
+    """Regroup patterns under a new element width (register View).
+    ``new_l`` is implied by the row width; kernel sources persisted in
+    tuning stores pass it."""
+    return regroup_patterns(p, old_nbits, new_nbits)
 
 
 _HELPERS = {
@@ -387,6 +385,9 @@ class _LoweringState:
     env: dict
     ptr_slots: dict  # param index -> ptrs[] slot
     ptr_indices: tuple
+    #: Launches stacked launch-major on the block axis; with more than
+    #: one, every pointer slot is a per-block array at runtime.
+    launches: int = 1
     emitter: _Emitter = field(default_factory=_Emitter)
 
 
@@ -397,7 +398,7 @@ class SpecializeConstants:
 
     @staticmethod
     def run(program: Program, args: Sequence, memory: GlobalMemory,
-            shared_capacity: int) -> _LoweringState:
+            shared_capacity: int, launches: int = 1) -> _LoweringState:
         if len(args) != len(program.params):
             raise LoweringBailout(
                 f"{program.name} expects {len(program.params)} args, got {len(args)}"
@@ -414,8 +415,10 @@ class SpecializeConstants:
             grid = tuple(int(g) for g in program.grid_size(args))
         except (IRError, VMError, TypeError, ValueError) as exc:
             raise LoweringBailout(f"cannot evaluate launch grid: {exc}") from exc
-        nblocks = int(np.prod(grid)) if grid else 1
-        coords = tuple(decompose_linear(tuple(grid)))
+        # Launch-major stacking, like BatchedExecutor.launch_many: block
+        # order, memory effects and counters match back-to-back launches.
+        nblocks = launches * (int(np.prod(grid)) if grid else 1)
+        coords = tuple(np.tile(c, launches) for c in decompose_linear(tuple(grid)))
         env: dict = {}
         ptr_slots: dict = {}
         ptr_indices = []
@@ -440,6 +443,7 @@ class SpecializeConstants:
             env=env,
             ptr_slots=ptr_slots,
             ptr_indices=tuple(ptr_indices),
+            launches=launches,
         )
 
 
@@ -875,8 +879,10 @@ class _Tracer:
                 addr = self.em.const(byte_off)
             else:
                 addr = self.em.tmp()
+                # A stack's pointers are per-block arrays: pick each row's.
+                at = "" if self.st.launches == 1 else f"[{self.em.const(rows)}]"
                 terms = [
-                    f"p{self.st.ptr_slots[idx]} * {self.em.const(c[rows] // 8)}"
+                    f"p{self.st.ptr_slots[idx]}{at} * {self.em.const(c[rows] // 8)}"
                     for idx, c in view.coeffs.items()
                     if np.any(c)
                 ]
@@ -901,6 +907,9 @@ class _Tracer:
                     "sub-byte scatter through a block-varying pointer base"
                 )
             shift_terms.append((idx, int(sel_c[0])))
+        if shift_terms and self.st.launches > 1:
+            # The dedup below needs one pointer for all selected rows.
+            raise LoweringBailout("sub-byte scatter through a per-launch pointer")
         offsets = np.arange(nbits, dtype=np.int64)
         bit_addr_conc = conc_flat + linear * nbits
         pos = (bit_addr_conc[:, None] + offsets).reshape(-1)
@@ -1414,7 +1423,10 @@ class LoweredKernel:
     """A specialized program compiled to a flat numpy function.
 
     ``run`` executes on the memory the kernel was lowered against (buffer
-    length is baked into bounds checks and error strings).
+    length is baked into bounds checks and error strings).  A kernel
+    lowered with ``launches=G`` is ``G`` launches of one specialization
+    stacked launch-major on the block axis: ``nblocks`` is ``G`` grids,
+    and :meth:`run_many` takes the ``G`` argument lists.
     """
 
     program_name: str
@@ -1433,13 +1445,28 @@ class LoweredKernel:
     #: so the tuning store can persist a kernel as source + consts and
     #: rehydrate it in a fresh process without re-running the passes.
     consts: dict = field(repr=False, default=None)
+    launches: int = 1
 
     def run(self, memory: GlobalMemory, args: Sequence,
             stats: Optional[ExecutionStats] = None) -> ExecutionStats:
-        if len(args) != self.num_params:
+        return self.run_many(memory, [args], stats)
+
+    def run_many(self, memory: GlobalMemory, args_list: Sequence[Sequence],
+                 stats: Optional[ExecutionStats] = None) -> ExecutionStats:
+        """Execute the ``launches`` launches this kernel stacks, with the
+        memory effects and counters of running them back to back (the
+        caller has proven them independent)."""
+        if len(args_list) != self.launches:
             raise VMError(
-                f"{self.program_name} expects {self.num_params} args, got {len(args)}"
+                f"compiled kernel for {self.program_name} stacks "
+                f"{self.launches} launches, got {len(args_list)}"
             )
+        for args in args_list:
+            if len(args) != self.num_params:
+                raise VMError(
+                    f"{self.program_name} expects {self.num_params} args, "
+                    f"got {len(args)}"
+                )
         if len(memory.buffer) != self.buffer_len:
             raise VMError(
                 f"compiled kernel for {self.program_name} was lowered against a "
@@ -1447,7 +1474,17 @@ class LoweredKernel:
             )
         if stats is None:
             stats = ExecutionStats()
-        ptrs = [int(args[i]) for i in self.ptr_indices]
+        if self.launches == 1:
+            ptrs = [int(args_list[0][i]) for i in self.ptr_indices]
+        else:
+            per_launch = self.nblocks // self.launches
+            ptrs = [
+                np.repeat(
+                    np.array([args[i] for args in args_list], dtype=np.int64),
+                    per_launch,
+                )
+                for i in self.ptr_indices
+            ]
         self._fn(memory.buffer, ptrs, stats)
         return stats
 
@@ -1496,6 +1533,7 @@ class FlattenToSource:
             num_params=len(state.program.params),
             _fn=namespace["_jit_kernel"],
             consts=dict(em.consts),
+            launches=state.launches,
         )
 
 
@@ -1509,6 +1547,7 @@ def lower_program(
     args: Sequence,
     memory: GlobalMemory,
     shared_capacity: int = 228 * 1024,
+    launches: int = 1,
 ) -> LoweredKernel:
     """Lower a specialized launch to a :class:`LoweredKernel`.
 
@@ -1518,10 +1557,17 @@ def lower_program(
     compiled kernel is reusable for any launch with the same specialization
     key.  Raises :class:`LoweringBailout` when the program cannot be
     flattened; callers fall back to the batched engine.
+
+    ``launches=G`` lowers ``G`` hazard-independent launches of this one
+    specialization as a single stacked grid (the compiled twin of
+    :meth:`~repro.vm.batched.BatchedExecutor.launch_many`): the same
+    three passes over ``G`` times the blocks, pointers bound per block.
     """
     recorder = obs_trace.ACTIVE
     start = recorder.now() if recorder is not None else 0.0
-    state = SpecializeConstants.run(program, args, memory, shared_capacity)
+    state = SpecializeConstants.run(
+        program, args, memory, shared_capacity, launches
+    )
     tracer = UnrollAndTrace.run(state)
     kernel = FlattenToSource.run(state, tracer)
     if recorder is not None:

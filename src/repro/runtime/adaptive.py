@@ -428,24 +428,21 @@ class AdaptivePolicy:
                 {"signature": image.signature, "swaps": agraph.swaps},
             )
         first = agraph.swaps == 0 and not agraph._warm
+        costs, matched = image._profiled_costs(window)
+        if not first and matched == 0:
+            return
+        optimized = image.optimize(window, outputs=agraph._outputs)
         if not first:
-            costs, matched = image._profiled_costs(window)
-            if matched == 0:
-                return
+            # Score the candidate as instantiated, not as LPT proposed
+            # it: execution groups pull their members onto one stream.
             deps = {node.index: node.deps for node in image.nodes}
             current = {node.index: node.stream_index for node in image.nodes}
             current_span = estimated_makespan(current, costs, deps)
             live = image._live_indices(agraph._outputs)
-            live_set = set(live)
-            live_costs = {i: costs[i] for i in live}
-            live_deps = {
-                i: tuple(d for d in image.nodes[i].deps if d in live_set)
-                for i in live
+            candidate = {
+                old: node.stream_index for old, node in zip(live, optimized.nodes)
             }
-            candidate = lpt_placement(
-                len(image.pool.streams), live_costs, live_deps
-            )
-            candidate_span = estimated_makespan(candidate, live_costs, live_deps)
+            candidate_span = estimated_makespan(candidate, costs, deps)
             if current_span <= 0.0:
                 return
             gain = (current_span - candidate_span) / current_span
@@ -453,7 +450,6 @@ class AdaptivePolicy:
             # swap; placements scoring within min_gain never flap.
             if gain <= 0.0 or gain < self.min_gain:
                 return
-        optimized = image.optimize(window, outputs=agraph._outputs)
         agraph._swap(optimized, profiler=profiler)
         with self._lock:
             self.swaps += 1

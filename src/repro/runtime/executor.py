@@ -140,21 +140,21 @@ def execute(
     site: Site,
 ) -> str:
     """Run one engine invocation — a single launch, or a coalesced group
-    of launches of one program — and account for it.  ``keys`` are the
-    launches' specialization keys.  Returns the tier that ran."""
+    of hazard-independent launches of one program — and account for it.
+    ``keys`` are the launches' specialization keys.  Returns the tier
+    that ran."""
     profiler = ctx.profiler
     tracer = obs_trace.ACTIVE
     start = tracer.now() if tracer is not None else 0.0
     kernel = None
-    if len(args_list) > 1:
-        # Coalesced groups run stacked on the batched engine and never
-        # consult the JIT (a lowered kernel is one launch's grid).
-        frozen = "batched"
-    elif requested in ("auto", "compiled"):
-        # Forcing skips the heat check and needs no prior enable_jit();
-        # "auto" promotes on heat once a manager is attached; explicit
-        # sequential/batched are honored.  A bailout (None) leaves the
-        # launch on its frozen engine — batched, when forced.
+    if requested in ("auto", "compiled") and keys.count(keys[0]) == len(keys):
+        # One specialization, one invocation, on whatever tier that key
+        # has reached: a group of launches sharing a key asks for the
+        # kernel stacking that many.  Forcing skips the heat check and
+        # needs no prior enable_jit(); "auto" promotes on heat once a
+        # manager is attached; explicit sequential/batched are honored.
+        # A bailout (None) leaves the launch on its frozen engine —
+        # batched, when forced.
         forced = requested == "compiled"
         jit = ctx.jit
         if jit is None and forced:
@@ -163,19 +163,24 @@ def execute(
             )
         if jit is not None:
             kernel = jit.maybe_compile(
-                program, args_list[0], profiler, forced=forced, key=keys[0]
+                program, args_list[0], profiler, forced=forced, key=keys[0],
+                launches=len(args_list),
             )
-    tier = frozen if kernel is None else "compiled"
+    if kernel is not None:
+        tier = "compiled"
+    elif len(args_list) > 1:
+        tier = "batched"  # only the batched engine interprets a stack
+    else:
+        tier = frozen
     # Only the engine call is timed: compilation above and the
     # bookkeeping below stay out of the measurement.
     with StatsTimer(lane.stats) if profiler is not None else _UNTIMED as timer:
         if kernel is not None:
-            jit.run(kernel, args_list[0], lane.stats)
-        elif len(args_list) > 1:
+            jit.run(kernel, args_list, lane.stats)
+        elif tier == "batched":
             lane.batched.launch_many(program, args_list)
         else:
-            engine = lane.batched if tier == "batched" else lane.interpreter
-            engine.launch(program, args_list[0])
+            lane.interpreter.launch(program, args_list[0])
     if timer is not None:
         # One invocation, split evenly over its launches (integer
         # counters remainder-exactly).  Compiled time records under its

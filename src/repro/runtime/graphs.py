@@ -33,15 +33,20 @@ are inert: ``wait()`` is a no-op, so code written for eager streams
 (e.g. ``ops.QuantizedLinear``'s split-k path) captures unchanged.
 
 On exit the graph **instantiates**: nodes are partitioned into
-per-stream *execution groups* — the static image of the live runtime's
-launch coalescing.  Consecutive same-stream nodes merge into one
-stacked :meth:`~repro.vm.batched.BatchedExecutor.launch_many` when they
-run the same program on the batched engine with one grid shape,
-identical shape-contributing scalars, pairwise-disjoint ranges, and no
-dependency on or after the group head (so hoisting their waits to the
-group head cannot deadlock: every dependency strictly precedes the
-head, and dependencies only ever point at earlier submissions).
-Cross-stream group edges are the only synchronization replay performs.
+*execution groups*, one engine invocation each at replay.  Groups form
+over the whole DAG, first fit in submission order, whatever stream each
+node was captured on: a node joins a group when both run the same
+program on the batched engine with one grid shape, identical
+shape-contributing scalars, pairwise-disjoint ranges, and no dependency
+on or after the group head.  A node's dependencies are *all* earlier
+nodes it conflicts with, so a member conflicts with nothing it is
+hoisted over, and every group edge points at a group with an earlier
+head: head order is a topological order and hoisting the members' waits
+to the head cannot deadlock.  The group runs on its head's stream (its
+members' placement is rewritten to it), on whatever tier its
+specialization key has reached — a stacked compiled kernel or
+:meth:`~repro.vm.batched.BatchedExecutor.launch_many`.  Cross-stream
+group edges are the only synchronization replay performs.
 
 Replay
 ------
@@ -304,7 +309,7 @@ class GraphPlan:
 
 
 class _Group:
-    """A per-stream execution group: one engine invocation at replay."""
+    """An execution group: one engine invocation at replay, on one stream."""
 
     __slots__ = ("stream_index", "node_indices", "dep_groups", "engine",
                  "program", "requested", "keys", "site")
@@ -369,6 +374,16 @@ class _GroupTask(StreamTask):
             self.state.fail(exc)
         finally:
             self.done_event.set()
+
+
+def _group_costs(stacks, node_costs: Mapping[int, float]) -> dict[int, float]:
+    """Cost of each execution group as a unit of placement: a stacked
+    invocation's time is recorded split evenly over its members, so the
+    members' costs sum back to it."""
+    return {
+        gi: sum(node_costs[node.index] for node in stack)
+        for gi, stack in enumerate(stacks)
+    }
 
 
 class ExecutionGraph:
@@ -481,12 +496,12 @@ class ExecutionGraph:
         first = group[0]
         if node.program is not first.program or node.engine != first.engine:
             return False
-        if first.engine != "batched":
+        if first.engine != "batched" or node.requested != first.requested:
             return False
-        if "compiled" in (first.requested, node.requested):
-            # Stacked groups run on the batched engine: a forced-compiled
-            # node must not be silently demoted by merging (the eager
-            # worker refuses the same merge).
+        if first.requested == "compiled" and node.key != first.key:
+            # A mixed-key stack runs on the batched engine: a forced-
+            # compiled node must not be silently demoted by merging (the
+            # eager worker refuses the same merge).
             return False
         if not stackable_with_group(
             first.program, first.grid, first.args, node.grid, node.args, len(group)
@@ -501,60 +516,68 @@ class ExecutionGraph:
             not ranges_conflict(node.ranges, member.ranges) for member in group
         )
 
-    def _instantiate(self) -> None:
-        """Freeze the per-stream execution groups and their cross-stream
-        dependency edges — the static image of the live runtime's
-        coalescing and ordering decisions.  With a capture profile, node
-        placement (and the stream count) is first recomputed from
-        measured costs (:meth:`_apply_capture_profile`)."""
-        if self._capture_profile is not None and self.nodes:
-            self._apply_capture_profile(self._capture_profile)
-        per_stream: dict[int, list[GraphNode]] = {}
+    def _instantiate(self, costs: Mapping[int, float] | None = None) -> None:
+        """Freeze the execution groups, the stream each runs on and
+        their cross-stream dependency edges.
+
+        Groups form over the whole DAG, first fit in submission order: a
+        node joins the earliest group it is :meth:`_mergeable` with,
+        whichever stream either was captured on.  The group is the unit
+        of placement: it runs on its head node's stream, unless measured
+        per-node ``costs`` (:meth:`optimize`) or a capture profile
+        (:meth:`_apply_capture_profile`) re-place the groups by LPT.
+        The members' ``stream_index`` is rewritten to the group's
+        stream, so every node keeps one profile site and ``plan()`` /
+        ``apply_plan()`` / ``optimize()`` reproduce groups and placement.
+        """
+        stacks: list[list[GraphNode]] = []
         for node in self.nodes:
-            per_stream.setdefault(node.stream_index, []).append(node)
+            for stack in stacks:
+                if self._mergeable(stack, node):
+                    stack.append(node)
+                    break
+            else:
+                stacks.append([node])
+        # Creation order is head-node order, and every dependency of a
+        # group precedes its head: group edges point backwards, so replay
+        # enqueues a group's dependencies before its dependents.
+        node_group = {
+            node.index: gi for gi, stack in enumerate(stacks) for node in stack
+        }
+        group_deps = {
+            gi: tuple(sorted(
+                {node_group[dep] for node in stack for dep in node.deps} - {gi}
+            ))
+            for gi, stack in enumerate(stacks)
+        }
+        placement = {gi: stack[0].stream_index for gi, stack in enumerate(stacks)}
+        if costs is not None:
+            placement = lpt_placement(
+                len(self.pool.streams), _group_costs(stacks, costs), group_deps
+            )
+        elif self._capture_profile is not None and self.nodes:
+            placement = self._apply_capture_profile(
+                self._capture_profile, stacks, group_deps, placement
+            )
         groups: list[_Group] = []
-        node_group = [0] * len(self.nodes)
-        for stream_index, stream_nodes in per_stream.items():
-            current: list[GraphNode] = []
-            for node in stream_nodes:
-                if current and self._mergeable(current, node):
-                    current.append(node)
-                else:
-                    if current:
-                        groups.append(_Group(stream_index, current))
-                    current = [node]
-            if current:
-                groups.append(_Group(stream_index, current))
-        # Stable global order (by head node) so replay enqueues a group's
-        # dependencies before its dependents.
-        groups.sort(key=lambda g: g.node_indices[0])
-        for gi, group in enumerate(groups):
+        for gi, stack in enumerate(stacks):
+            for node in stack:
+                node.stream_index = placement[gi]
+            group = _Group(placement[gi], stack)
             # Lane-level execution spans carry cat "stream" (like live
             # stream groups); "graph" is the lifecycle lane.  Nodes
-            # record under their frozen stream, so every node keeps one
+            # record under the group's stream, so every node keeps one
             # profile site whichever thread executes it.
             group.site = Site(
                 "replay", "stream", self.signature, group.stream_index,
                 group.node_indices, gi,
             )
-            for ni in group.node_indices:
-                node_group[ni] = gi
-        for gi, group in enumerate(groups):
-            dep_groups = {
-                node_group[dep]
-                for ni in group.node_indices
-                for dep in self.nodes[ni].deps
-            }
-            dep_groups.discard(gi)
             # Same-stream edges are implied by FIFO order; only
             # cross-stream edges need an event wait at replay.
             group.dep_groups = tuple(
-                sorted(
-                    d
-                    for d in dep_groups
-                    if groups[d].stream_index != group.stream_index
-                )
+                d for d in group_deps[gi] if placement[d] != placement[gi]
             )
+            groups.append(group)
         self._groups = groups
         tracer = obs_trace.ACTIVE
         if tracer is not None:
@@ -569,14 +592,20 @@ class ExecutionGraph:
                 },
             )
 
-    def _apply_capture_profile(self, profile: Profile) -> None:
-        """Profile-guided placement at capture time.
+    def _apply_capture_profile(
+        self,
+        profile: Profile,
+        stacks: list[list[GraphNode]],
+        group_deps: Mapping[int, tuple],
+        heuristic: dict[int, int],
+    ) -> dict[int, int]:
+        """Profile-guided group placement at capture time.
 
         Measured per-node costs (this graph's signature, falling back to
         specialization-key means for nodes the signature scope missed)
-        drive a guided LPT placement over the hazard DAG, and the
-        **stream count is capped to the measured parallelism**: the
-        smallest count whose estimated makespan is within
+        drive a guided LPT placement of the execution groups over the
+        hazard DAG, and the **stream count is capped to the measured
+        parallelism**: the smallest count whose estimated makespan is within
         :data:`~repro.runtime.adaptive.STREAM_CAP_SLACK` of the best
         over all counts wins.  The re-placement is applied only when its
         estimated makespan stays within that same slack of the heuristic
@@ -590,8 +619,8 @@ class ExecutionGraph:
         misoptimize.
         """
         if len(profile) == 0:
-            return  # cold start: nothing measured yet, keep the heuristics
-        costs, matched = self._profiled_costs(profile)
+            return heuristic  # cold start: nothing measured yet
+        node_costs, matched = self._profiled_costs(profile)
         if matched == 0:
             raise VMError(
                 f"capture profile ({len(profile)} sites) matches no node of "
@@ -600,20 +629,21 @@ class ExecutionGraph:
                 "recorded — wrong profile?  Capture without profile= to "
                 "use the heuristic placement."
             )
-        deps = {node.index: node.deps for node in self.nodes}
-        heuristic = {node.index: node.stream_index for node in self.nodes}
-        heuristic_span = estimated_makespan(heuristic, costs, deps)
+        costs = _group_costs(stacks, node_costs)
+        heuristic_span = estimated_makespan(heuristic, costs, group_deps)
         candidates = []
         for k in range(1, len(self.pool.streams) + 1):
-            placement = guided_placement(k, costs, deps)
-            candidates.append((k, placement, estimated_makespan(placement, costs, deps)))
-        best_span = min(span for _, _, span in candidates)
-        for _, placement, span in candidates:  # ascending stream count
+            placement = guided_placement(k, costs, group_deps)
+            candidates.append(
+                (placement, estimated_makespan(placement, costs, group_deps))
+            )
+        best_span = min(span for _, span in candidates)
+        for placement, span in candidates:  # ascending stream count
             if span <= best_span * (1.0 + STREAM_CAP_SLACK):
                 break
         if span <= heuristic_span * (1.0 + STREAM_CAP_SLACK):
-            for node in self.nodes:
-                node.stream_index = placement[node.index]
+            return placement
+        return heuristic
 
     # -- rebinding ----------------------------------------------------------
     def bind(self, name: str, value, nbytes: int | None = None) -> None:
@@ -909,18 +939,6 @@ class ExecutionGraph:
             matched,
         )
 
-    def _lpt_placement(
-        self, live: list[int], costs: dict[int, float]
-    ) -> dict[int, int]:
-        """Measured-cost LPT over the hazard DAG, restricted to the live
-        nodes (see :func:`repro.runtime.adaptive.lpt_placement` for the
-        scheduling semantics — the same deterministic core drives
-        profile-guided capture and the adaptive policy)."""
-        deps = {i: self.nodes[i].deps for i in live}
-        return lpt_placement(
-            len(self.pool.streams), {i: costs[i] for i in live}, deps
-        )
-
     def profile_matches(self, profile: Profile | None) -> bool:
         """True when ``profile`` holds at least one record describing
         this graph — a signature or specialization-key match — i.e. the
@@ -944,19 +962,20 @@ class ExecutionGraph:
           by a later live node and never alias a bound output span (see
           :meth:`_live_indices`; with no pointer bindings and ``outputs``
           unset, nothing is dropped — all memory is presumed observable);
-        - **stream placement re-balanced** by longest-processing-time
-          list scheduling over the hazard DAG, using measured per-node
-          costs from ``profile`` (collected under this graph's
-          :attr:`signature` by any profiled replay, falling back to
-          specialization-key means for nodes the signature scope missed)
-          instead of the capture-time round-robin/memory-aware heuristic
-          — unprofiled nodes cost the profiled mean, ``profile=None``
-          degrades to uniform costs (pure re-balancing), and a non-empty
-          profile that matches *nothing* in this graph raises
-          :class:`VMError` instead of silently misoptimizing;
-        - **coalescing groups re-derived** for the new placement (the
-          instantiate pass runs again, so nodes that now neighbour on a
-          stream may merge into one stacked execution and vice versa).
+        - **execution groups re-derived** over the surviving nodes (the
+          instantiate pass runs again: nodes an eliminated launch kept
+          apart may now stack into one execution);
+        - **group placement re-balanced** by longest-processing-time
+          list scheduling over the groups' hazard DAG, a group costing
+          the sum of its members' measured per-node costs from
+          ``profile`` (collected under this graph's :attr:`signature` by
+          any profiled replay, falling back to specialization-key means
+          for nodes the signature scope missed) instead of the
+          capture-time round-robin/memory-aware heuristic — unprofiled
+          nodes cost the profiled mean, ``profile=None`` degrades to
+          uniform costs (pure re-balancing), and a non-empty profile
+          that matches *nothing* in this graph raises :class:`VMError`
+          instead of silently misoptimizing.
 
         Hazard edges are *not* recomputed — they came from capture and
         remain valid for any placement (cross-stream edges become event
@@ -990,7 +1009,6 @@ class ExecutionGraph:
                 )
         else:
             costs = {node.index: 1.0 for node in self.nodes}
-        placement = self._lpt_placement(live, costs)
         remap = {old: new for new, old in enumerate(live)}
         optimized = ExecutionGraph(self.pool)
         for old in live:
@@ -999,11 +1017,11 @@ class ExecutionGraph:
                 node.placed(
                     remap[old],
                     tuple(remap[d] for d in node.deps if d in remap),
-                    placement[old],
+                    node.stream_index,
                     node.engine,
                 )
             )
-        optimized._instantiate()
+        optimized._instantiate({remap[old]: costs[old] for old in live})
         # Bindings carry over; the slot map is rebuilt lazily against the
         # remapped node indices on the first replay.
         optimized._bindings = dict(self._bindings)

@@ -11,10 +11,10 @@ source.  This module is the *runtime* half of the tier:
 
 - :class:`JitCache` — a bounded LRU of
   :class:`~repro.compiler.lower.LoweredKernel` objects keyed by
-  :func:`~repro.compiler.pipeline.specialization_key`, the same
-  discipline (and the same key) as the runtime's
-  :class:`~repro.runtime.runtime.SpecializationCache`, so a compiled
-  kernel lives alongside its interpreted specialization;
+  :func:`~repro.compiler.pipeline.specialization_key` and the number of
+  launches the kernel stacks, the same discipline (and the same key) as
+  the runtime's :class:`~repro.runtime.runtime.SpecializationCache`, so
+  a compiled kernel lives alongside its interpreted specialization;
 - :class:`JitManager` — the promotion policy plus a bounded *bailout
   memo*: specializations the pipeline declined (``LoweringBailout``) are
   remembered so a hot-but-unloweable signature does not re-attempt the
@@ -60,10 +60,10 @@ DEFAULT_MAX_ENTRIES = 64
 
 class JitCache:
     """Bounded LRU of compiled (lowered) kernels, keyed by
-    specialization key — the compiled twin of the runtime's
-    :class:`~repro.runtime.runtime.SpecializationCache`, with the same
-    eviction discipline and the same ``hits``/``misses``/``evictions``
-    counters."""
+    ``(specialization key, stacked launches)`` — the compiled twin of
+    the runtime's :class:`~repro.runtime.runtime.SpecializationCache`,
+    with the same eviction discipline and the same
+    ``hits``/``misses``/``evictions`` counters."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries <= 0:
@@ -144,7 +144,8 @@ class JitManager:
         self.compiled = 0
         #: Lowering attempts that declined (``LoweringBailout``).
         self.bailouts = 0
-        #: Launches actually executed on the compiled tier.
+        #: Launches actually executed on the compiled tier (a stacked
+        #: invocation counts each launch it carries).
         self.promotions = 0
         #: Kernels restored from a tuning store (no pass pipeline run).
         self.rehydrated = 0
@@ -164,9 +165,14 @@ class JitManager:
         profiler: Optional[Profile] = None,
         forced: bool = False,
         key: Optional[tuple] = None,
+        launches: int = 1,
     ) -> Optional[LoweredKernel]:
         """The compiled kernel this launch should run, or None to stay
-        interpreted.
+        interpreted.  ``launches > 1`` asks for the kernel that runs a
+        group of that many hazard-independent launches of this one
+        specialization as a single stacked grid: kernels (and bailouts)
+        are cached per ``(key, launches)``, heat is per specialization,
+        so a hot key is hot at every group size.
 
         ``forced=True`` (an explicit ``engine="compiled"``) skips the
         heat check and compiles immediately; otherwise the launch
@@ -181,13 +187,14 @@ class JitManager:
         """
         if key is None:
             key = specialization_key(program, args)
+        entry = (key, launches)
         with self._lock:
-            kernel = self.cache.lookup(key)
+            kernel = self.cache.lookup(entry)
             if kernel is not None:
                 return kernel
-            reason = self._bailed.get(key)
+            reason = self._bailed.get(entry)
             if reason is not None:
-                self._bailed.move_to_end(key)
+                self._bailed.move_to_end(entry)
                 return None
         if not forced:
             spec = spec_string(key)
@@ -202,13 +209,17 @@ class JitManager:
         with self._lock:
             # Re-check under the lock: a racing launch may have compiled
             # (or bailed) this key while the heat check ran.
-            kernel = self.cache.lookup(key)
+            kernel = self.cache.lookup(entry)
             if kernel is not None:
                 return kernel
-            if key in self._bailed:
+            if entry in self._bailed:
                 return None
             tracer = obs_trace.ACTIVE
-            record = self._stored.pop(spec_string(key), None)
+            # The store persists single-launch kernels only; a stacked
+            # one re-lowers.
+            record = (
+                self._stored.pop(spec_string(key), None) if launches == 1 else None
+            )
             if record is not None:
                 from repro.errors import VMError
                 from repro.store import decode_kernel
@@ -218,7 +229,7 @@ class JitManager:
                 except VMError:
                     kernel = None  # corrupt record: fall through and compile
                 if kernel is not None:
-                    self.cache.put(key, kernel)
+                    self.cache.put(entry, kernel)
                     self.rehydrated += 1
                     if tracer is not None:
                         tracer.instant(
@@ -230,11 +241,11 @@ class JitManager:
                     return kernel
             try:
                 kernel = lower_program(
-                    program, args, self.memory, self.shared_capacity
+                    program, args, self.memory, self.shared_capacity, launches
                 )
             except LoweringBailout as exc:
                 self.bailouts += 1
-                self._bailed[key] = str(exc)
+                self._bailed[entry] = str(exc)
                 while len(self._bailed) > self._max_bailed:
                     self._bailed.popitem(last=False)
                 if tracer is not None:
@@ -245,7 +256,7 @@ class JitManager:
                         {"reason": str(exc)},
                     )
                 return None
-            self.cache.put(key, kernel)
+            self.cache.put(entry, kernel)
             self.compiled += 1
             if tracer is not None:
                 tracer.instant(
@@ -259,13 +270,15 @@ class JitManager:
     def run(
         self,
         kernel: LoweredKernel,
-        args: Sequence,
+        args_list: Sequence[Sequence],
         stats: Optional[ExecutionStats] = None,
     ) -> ExecutionStats:
-        """Execute one compiled launch against the manager's memory."""
+        """Execute one compiled invocation — the launches ``kernel``
+        stacks — against the manager's memory.  ``promotions`` counts
+        launches, not invocations."""
         with self._lock:
-            self.promotions += 1
-        return kernel.run(self.memory, args, stats)
+            self.promotions += len(args_list)
+        return kernel.run_many(self.memory, args_list, stats)
 
     # -- store warm-start ----------------------------------------------------
     def preheat(self, heats: dict) -> None:
@@ -294,12 +307,14 @@ class JitManager:
         return staged
 
     # -- introspection -------------------------------------------------------
-    def bailout_reason(self, program, args: Sequence) -> Optional[str]:
-        """Why a specialization stays interpreted, or None if it never
-        bailed (useful in tests and bug reports)."""
-        key = specialization_key(program, args)
+    def bailout_reason(
+        self, program, args: Sequence, launches: int = 1
+    ) -> Optional[str]:
+        """Why a specialization (at this group size) stays interpreted,
+        or None if it never bailed (useful in tests and bug reports)."""
+        entry = (specialization_key(program, args), launches)
         with self._lock:
-            return self._bailed.get(key)
+            return self._bailed.get(entry)
 
     def counters(self) -> dict:
         """JSON-friendly counter snapshot (shipped in worker state

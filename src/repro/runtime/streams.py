@@ -42,10 +42,12 @@ large array ops, so multi-block grids overlap on multi-core hosts), and
 each stream **coalesces** queued launches: consecutive launches of the
 same program whose dependencies are met and whose access ranges are
 pairwise disjoint execute as one stacked grid
-(:meth:`~repro.vm.batched.BatchedExecutor.launch_many`), paying the
-per-instruction Python dispatch cost once per group instead of once per
-launch.  That is exactly the paper's launch-overhead argument transposed
-to the simulator: batching the orchestration, not the math.
+(:meth:`~repro.vm.batched.BatchedExecutor.launch_many`, or the stacked
+compiled kernel once the launches' shared specialization is hot),
+paying the per-instruction Python dispatch cost once per group instead
+of once per launch.  That is exactly the paper's launch-overhead
+argument transposed to the simulator: batching the orchestration, not
+the math.
 
 Workloads that re-submit an identical launch DAG every iteration can
 additionally freeze all of the above — hazard edges, stream placement,
@@ -650,8 +652,10 @@ class Stream:
             return False
         if nxt.program is not first.program or nxt.engine != first.engine:
             return False
-        if first.engine in ("sequential", "compiled"):
-            # Stacked groups execute on the batched engine; an explicit
+        if first.engine == "sequential":
+            return False
+        if first.engine == "compiled" and nxt.key != first.key:
+            # A mixed-key stack runs on the batched engine; an explicit
             # compiled launch must not be silently demoted by merging.
             return False
         if any(not dep.done or dep.error is not None for dep in nxt.deps):
@@ -755,9 +759,9 @@ class StreamPool:
     #: :mod:`repro.runtime.adaptive`.
     adaptive = ContextAttr()
     #: Attached :class:`~repro.runtime.jit.JitManager`, or None.  When
-    #: set, single-launch executions on every stream (eager groups and
-    #: graph-replay tasks alike) promote hot specializations to their
-    #: compiled kernels.  See :mod:`repro.runtime.jit`.
+    #: set, executions on every stream (eager groups and graph-replay
+    #: tasks alike) promote hot specializations to their compiled
+    #: kernels.  See :mod:`repro.runtime.jit`.
     jit = ContextAttr()
 
     # -- graph capture ------------------------------------------------------

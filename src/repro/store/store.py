@@ -579,14 +579,17 @@ class TuningStore:
     def publish_jit(self, scope: str, manager, profile) -> int:
         """Persist a :class:`~repro.runtime.jit.JitManager`'s warm state:
         per-specialization heat from ``profile`` plus every cached
-        kernel's source and constant pool.  Returns the number of
-        kernels persisted (unpersistable ones are skipped — they only
-        cost a re-lowering)."""
+        single-launch kernel's source and constant pool.  Returns the
+        number of kernels persisted (unpersistable ones are skipped, and
+        so are stacked ones — the record is keyed by specialization
+        alone, and both only cost a re-lowering)."""
         heat = {}
         kernels = []
         with manager._lock:
-            cached = list(manager.cache._kernels.items())
-        for key, kernel in cached:
+            cached = list(manager.cache._kernels.values())
+        for kernel in cached:
+            if kernel.launches != 1:
+                continue
             record = encode_kernel(kernel)
             if record is None:
                 continue

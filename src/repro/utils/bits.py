@@ -101,6 +101,48 @@ def unpack_bits(
     return (bits * weights).sum(axis=1, dtype=np.uint64)
 
 
+def expand_regroup(patterns: np.ndarray, old_nbits: int, new_nbits: int) -> np.ndarray:
+    """:func:`regroup_patterns` by expansion to single bits: any row
+    width.  The reference the word path is tested against."""
+    lead = patterns.shape[:-1]
+    bit_idx = np.arange(old_nbits, dtype=np.uint64)
+    bits = (patterns[..., None] >> bit_idx) & np.uint64(1)
+    if new_nbits == 1:
+        return bits.reshape(lead + (-1,))
+    weights = np.uint64(1) << np.arange(new_nbits, dtype=np.uint64)
+    grouped = bits.reshape(lead + (-1, new_nbits))
+    return (grouped * weights).sum(axis=-1, dtype=np.uint64)
+
+
+def regroup_patterns(patterns: np.ndarray, old_nbits: int, new_nbits: int) -> np.ndarray:
+    """Re-read rows of bit patterns under a new element width (the
+    register ``View``: same bits, new grouping).
+
+    Each row of the last axis holds ``old_l`` patterns of ``old_nbits``
+    bits, LSB first and back to back; the result holds the same
+    ``old_l * old_nbits`` bits as ``new_l`` patterns of ``new_nbits``.
+    Rows of at most 64 bits pack into one ``uint64`` word and the new
+    fields are shifted and masked out of it.  Wider rows go through
+    :func:`expand_regroup`, and so does ``new_nbits == 1`` — the single
+    bits the interpreters store registers as *are* the expansion.
+    """
+    patterns = np.asarray(patterns, dtype=np.uint64)
+    row_bits = patterns.shape[-1] * old_nbits
+    if row_bits % new_nbits:
+        raise DataTypeError(
+            f"regroup_patterns: {row_bits}-bit rows do not divide into "
+            f"{new_nbits}-bit elements"
+        )
+    if row_bits > 64 or new_nbits == 1:
+        return expand_regroup(patterns, old_nbits, new_nbits)
+    starts = np.arange(patterns.shape[-1], dtype=np.uint64) * np.uint64(old_nbits)
+    # Masked like the expansion path, which never reads past old_nbits.
+    kept = patterns & np.uint64(bit_mask(old_nbits))
+    word = np.bitwise_or.reduce(kept << starts, axis=-1)
+    fields = np.arange(row_bits // new_nbits, dtype=np.uint64) * np.uint64(new_nbits)
+    return (word[..., None] >> fields) & np.uint64(bit_mask(new_nbits))
+
+
 def extract_bits(data: np.ndarray, bit_offset: int, nbits: int) -> int:
     """Extract ``nbits`` starting at absolute ``bit_offset`` from a byte stream.
 

@@ -94,6 +94,7 @@ from repro.ir.stmt import (
     WhileStmt,
 )
 from repro.ir.types import TensorVar
+from repro.utils.bits import regroup_patterns
 from repro.vm.dispatch import (
     BATCHED,
     bounds_mask,
@@ -319,11 +320,8 @@ class BatchedRegisterValue:
         expected = (nb, layout.num_threads, layout.local_size)
         if patterns.shape != expected:
             raise VMError(f"pattern shape {patterns.shape} != {expected}")
-        nbits = dtype.nbits
-        bit_idx = np.arange(nbits, dtype=np.uint64)
-        bits = ((patterns[..., None] >> bit_idx) & np.uint64(1)).astype(np.uint8)
         return cls(
-            dtype, layout, bits.reshape(nb, layout.num_threads, layout.local_size * nbits)
+            dtype, layout, regroup_patterns(patterns, dtype.nbits, 1).astype(np.uint8)
         )
 
     @classmethod

@@ -16,6 +16,7 @@ import numpy as np
 from repro.dtypes import DataType
 from repro.errors import VMError
 from repro.layout import Layout
+from repro.utils.bits import regroup_patterns
 
 
 def apply_elementwise(dtype: DataType, op: str, a: np.ndarray, b) -> np.ndarray:
@@ -87,10 +88,9 @@ class RegisterValue:
         expected = (layout.num_threads, layout.local_size)
         if patterns.shape != expected:
             raise VMError(f"pattern shape {patterns.shape} != {expected}")
-        nbits = dtype.nbits
-        bit_idx = np.arange(nbits, dtype=np.uint64)
-        bits = ((patterns[..., None] >> bit_idx) & np.uint64(1)).astype(np.uint8)
-        return cls(dtype, layout, bits.reshape(layout.num_threads, layout.local_size * nbits))
+        return cls(
+            dtype, layout, regroup_patterns(patterns, dtype.nbits, 1).astype(np.uint8)
+        )
 
     @classmethod
     def from_thread_values(

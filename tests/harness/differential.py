@@ -62,7 +62,12 @@ Nine modes are locked together:
   flatten to straight-line vectorized source) and the ``compile()``-d
   kernel executes instead of the interpreter; launches the pipeline
   bails out on (data-dependent control flow, unsupported ops) take the
-  executor's fallback to the batched engine.
+  executor's fallback to the batched engine.  The streams are held
+  behind a gate until every launch is queued, so which launches
+  coalesce does not depend on timing: the replicated cases
+  (:meth:`~tests.harness.generator.GeneratedCase.replicated`) queue
+  same-specialization neighbours, which run as *stacked* compiled
+  kernels (or, on a stacked bailout, as one ``launch_many``).
   Bit patterns *and* execution statistics must match the sequential
   reference — the compiled kernel is required to count blocks,
   instructions and global traffic exactly as if it had interpreted.
@@ -80,7 +85,7 @@ import numpy as np
 from repro.runtime.adaptive import AdaptivePolicy
 from repro.runtime.jit import JitManager
 from repro.runtime.profiling import Profile
-from repro.runtime.streams import StreamPool
+from repro.runtime.streams import Event, StreamPool
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, TensorView
 from repro.vm.dispatch import decompose_linear
 from repro.vm.interp import ExecutionStats
@@ -156,7 +161,11 @@ def _collect_profile(case: GeneratedCase) -> Profile:
 
 
 def _run_engine(case: GeneratedCase, mode: str):
+    """Execute ``case`` under ``mode`` on a fresh device image: output
+    bit patterns, the stats snapshot, and how many stacked compiled
+    kernels (several launches in one lowered call) ran."""
     memory = GlobalMemory(1 << 24)
+    stacked_compiled = 0
     host = Interpreter(memory)
     buffers = [host.upload(data, dtype) for data, dtype in case.inputs]
     out_addrs = [host.alloc_output(shape, dtype) for shape, dtype in case.outputs]
@@ -175,6 +184,9 @@ def _run_engine(case: GeneratedCase, mode: str):
         with StreamPool(memory, num_streams=4) as pool:
             if mode == "jit":
                 pool.jit = JitManager(memory)
+                gate = Event.manual()
+                for stream in pool.streams:
+                    stream.wait_event(gate)
             for i, (program, spec) in enumerate(plan):
                 pool.submit(
                     program,
@@ -182,7 +194,14 @@ def _run_engine(case: GeneratedCase, mode: str):
                     stream=pool.streams[i % len(pool.streams)],
                     engine="compiled" if mode == "jit" else "auto",
                 )
+            if mode == "jit":
+                gate.set()
             pool.synchronize()
+        if mode == "jit":
+            # A kernel is lowered by the execution that then runs it.
+            stacked_compiled = sum(
+                kernel.launches > 1 for kernel in pool.jit.cache._kernels.values()
+            )
         stats = pool.aggregate_stats()
     elif mode == "graph-replay":
         with StreamPool(memory, num_streams=4) as pool:
@@ -255,15 +274,15 @@ def _run_engine(case: GeneratedCase, mode: str):
         view = TensorView(memory.buffer, addr * 8, dtype, tuple(shape))
         bits = view.gather_bits(decompose_linear(tuple(shape)))
         outputs.append(bits.copy())
-    return outputs, stats.snapshot()
+    return outputs, stats.snapshot(), stacked_compiled
 
 
 def run_differential(case: GeneratedCase) -> None:
     """Assert all modes produce bit-identical outputs and equal stats."""
     reference_mode = MODES[0]
-    ref_outs, ref_stats = _run_engine(case, reference_mode)
+    ref_outs, ref_stats, _ = _run_engine(case, reference_mode)
     for mode in MODES[1:]:
-        outs, stats = _run_engine(case, mode)
+        outs, stats, _ = _run_engine(case, mode)
         for idx, (ref_bits, got_bits) in enumerate(zip(ref_outs, outs)):
             if not np.array_equal(ref_bits, got_bits):
                 diff = np.flatnonzero(ref_bits != got_bits)

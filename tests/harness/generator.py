@@ -72,6 +72,8 @@ class GeneratedCase:
     outputs: list = field(default_factory=list)
     #: Optional multi-launch plan: (program, buffer-index tuple) pairs.
     launches: list = field(default=None)
+    #: How many times the plan is issued (see :meth:`replicated`).
+    copies: int = 1
 
     def launch_plan(self) -> list:
         """Normalized (program, buffer indices) launch sequence."""
@@ -79,6 +81,27 @@ class GeneratedCase:
             return self.launches
         nbuffers = len(self.inputs) + len(self.outputs)
         return [(self.program, tuple(range(nbuffers)))]
+
+    def replicated(self, copies: int) -> "GeneratedCase":
+        """This case issued ``copies`` times: every copy re-runs the
+        whole launch plan on the shared inputs into its own outputs
+        (copy-major order), so the copies are hazard-independent
+        launches of one specialization — what the runtime stacks into
+        one execution group."""
+        n_in, n_out = len(self.inputs), len(self.outputs)
+        return GeneratedCase(
+            self.seed,
+            self.family,
+            self.program,
+            inputs=self.inputs,
+            outputs=self.outputs * copies,
+            launches=[
+                (program, tuple(i if i < n_in else i + copy * n_out for i in spec))
+                for copy in range(copies)
+                for program, spec in self.launch_plan()
+            ],
+            copies=copies,
+        )
 
     def describe(self) -> str:
         programs = "\n".join(repr(p) for p, _ in self.launch_plan())
@@ -98,6 +121,11 @@ _FAMILIES = (
     "splitk",
 )
 
+#: One seed in this many issues its plan several times over
+#: (:meth:`GeneratedCase.replicated`): independent same-specialization
+#: launches, the input of launch stacking.
+REPLICATE_EVERY = 16
+
 _GRIDS = [(2, 1), (2, 2), (3, 1), (2, 3), (4, 2), (3, 2)]
 _TILES = [(4, 8), (8, 4), (2, 16)]
 
@@ -116,7 +144,12 @@ def generate_case(seed: int) -> GeneratedCase:
         "pipelined_matmul": _gen_pipelined_matmul,
         "splitk": _gen_splitk,
     }[family]
-    return builder(seed, rng, family)
+    case = builder(seed, rng, family)
+    if seed % REPLICATE_EVERY == REPLICATE_EVERY - 1:
+        # 5..8 copies: over the harness's four streams that queues at
+        # least two launches of one specialization on a stream.
+        return case.replicated(5 + (seed // REPLICATE_EVERY) % 4)
+    return case
 
 
 def _pick(rng, options):

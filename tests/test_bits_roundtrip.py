@@ -15,7 +15,13 @@ from repro.dtypes import int_, uint
 from repro.errors import DataTypeError
 from repro.layout import spatial
 from repro.quant.packing import transform_weight, untransform_weight
-from repro.utils.bits import extract_bits, pack_bits, unpack_bits
+from repro.utils.bits import (
+    expand_regroup,
+    extract_bits,
+    pack_bits,
+    regroup_patterns,
+    unpack_bits,
+)
 
 from tests.helpers import random_values_for
 
@@ -129,3 +135,45 @@ def test_transform_untransform_roundtrip(nbits, signed, tiles_k, tiles_n, seed):
     assert packed.shape == (tiles_k, tiles_n, layout.num_threads * layout.local_size * nbits // 8)
     restored = untransform_weight(packed, dtype, layout, tiles_k * bk, tiles_n * bn)
     assert np.array_equal(restored, q)
+
+
+# ---------------------------------------------------------------------------
+# regroup_patterns: the register View's bit regrouping
+# ---------------------------------------------------------------------------
+
+_WIDTHS = list(range(1, 9)) + [16]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    old_nbits=st.sampled_from(_WIDTHS),
+    new_nbits=st.sampled_from(_WIDTHS),
+    rows=st.integers(1, 5),
+    repeat=st.integers(1, 4),
+    dirty=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_regroup_word_path_agrees_with_bit_expansion(
+    old_nbits, new_nbits, rows, repeat, dirty, seed
+):
+    """Every (old, new) width pair, on rows narrow enough for the packed
+    word path and on wider ones: the result is the bit-expansion
+    reference's, also when patterns carry bits above ``old_nbits``."""
+    unit = np.lcm(old_nbits, new_nbits) // old_nbits  # smallest regroupable row
+    old_l = int(unit) * repeat
+    rng = np.random.default_rng(seed)
+    high = 64 if dirty else old_nbits
+    patterns = rng.integers(0, 1 << high, size=(rows, 3, old_l), dtype=np.uint64)
+    got = regroup_patterns(patterns, old_nbits, new_nbits)
+    want = expand_regroup(patterns, old_nbits, new_nbits)
+    assert got.dtype == np.uint64
+    assert got.shape == (rows, 3, old_l * old_nbits // new_nbits)
+    assert np.array_equal(got, want)
+    # Regrouping back restores the (masked) patterns.
+    back = regroup_patterns(got, new_nbits, old_nbits)
+    assert np.array_equal(back, patterns & np.uint64((1 << old_nbits) - 1))
+
+
+def test_regroup_rejects_rows_that_do_not_divide():
+    with pytest.raises(DataTypeError, match="do not divide"):
+        regroup_patterns(np.zeros((2, 3), dtype=np.uint64), 6, 4)

@@ -131,6 +131,168 @@ class TestLowering:
 
 
 # ---------------------------------------------------------------------------
+# Stacked lowering: G launches of one specialization in one lowered call
+# ---------------------------------------------------------------------------
+
+STACK = 3
+
+
+def _family_case(family: str):
+    """The first generated (un-replicated) case of ``family`` the
+    pipeline lowers at ``STACK`` launches, issued ``STACK`` times into
+    separate outputs."""
+    from tests.harness import generate_case
+
+    for seed in range(256):
+        case = generate_case(seed)
+        if case.family != family or case.copies != 1:
+            continue
+        case = case.replicated(STACK)
+        memory, groups = _case_image(case)
+        try:
+            for program, args_list in groups:
+                lower_program(program, args_list[0], memory, launches=STACK)
+        except LoweringBailout:
+            continue
+        return case
+    raise AssertionError(f"the JIT accepts no generated case of family {family!r}")
+
+
+def _case_image(case):
+    """A fresh device image of ``case`` and its launches grouped by
+    program (the copies are independent, so program-major order is a
+    valid schedule): ``memory, [(program, [args, ...]), ...]``."""
+    memory = GlobalMemory(1 << 24)
+    host = Interpreter(memory)
+    buffers = [host.upload(data, dtype) for data, dtype in case.inputs]
+    buffers += [host.alloc_output(shape, dtype) for shape, dtype in case.outputs]
+    groups: dict = {}
+    for program, spec in case.launch_plan():
+        groups.setdefault(id(program), (program, []))[1].append(
+            [buffers[i] for i in spec]
+        )
+    return memory, list(groups.values())
+
+
+def subbyte_store_program(name: str = "nibbles"):
+    """Copies a tile of 4-bit values: its store is a sub-byte scatter
+    through the output pointer."""
+    from repro.dtypes import uint4
+
+    pb = ProgramBuilder(name, grid=[2, 2])
+    a_ptr = pb.param("a", pointer(uint4))
+    out_ptr = pb.param("out", pointer(uint4))
+    bi, bj = pb.block_indices()
+    g_a = pb.view_global(a_ptr, dtype=uint4, shape=[ROWS, COLS])
+    g_out = pb.view_global(out_ptr, dtype=uint4, shape=[ROWS, COLS])
+    tile = pb.load_global(g_a, layout=spatial(8, 4), offset=[bi * 8, bj * 4])
+    pb.store_global(tile, g_out, offset=[bi * 8, bj * 4])
+    return pb.finish()
+
+
+class TestStackedLowering:
+    @pytest.mark.parametrize("family", [
+        "pipeline", "subbyte_view", "shared", "dot", "reduce", "lookup",
+        "pipelined_matmul", "splitk",
+    ])
+    def test_stacked_kernel_equals_single_launch_kernels(self, family):
+        """On every template family the JIT accepts: one ``G``-stacked
+        call leaves the same device bytes and the same stats as ``G``
+        single-launch calls, and the manager answers the second request
+        for ``(key, G)`` from its cache."""
+        case = _family_case(family)
+        want_memory, want_groups = _case_image(case)
+        want_stats = Interpreter(want_memory).stats
+        for program, args_list in want_groups:
+            single = lower_program(program, args_list[0], want_memory)
+            for args in args_list:
+                single.run(want_memory, args, want_stats)
+
+        memory, groups = _case_image(case)
+        manager = JitManager(memory)
+        stats = Interpreter(memory).stats
+        for program, args_list in groups:
+            kernel = manager.maybe_compile(
+                program, args_list[0], forced=True, launches=STACK
+            )
+            assert kernel is not None, manager.bailout_reason(
+                program, args_list[0], launches=STACK
+            )
+            assert (kernel.launches, kernel.nblocks) == (
+                STACK,
+                STACK * int(np.prod(program.grid_size(args_list[0]))),
+            )
+            manager.run(kernel, args_list, stats)
+            hits = manager.cache.hits
+            again = manager.maybe_compile(
+                program, args_list[0], forced=True, launches=STACK
+            )
+            assert again is kernel and manager.cache.hits == hits + 1
+        assert np.array_equal(memory.buffer, want_memory.buffer)
+        assert stats.snapshot() == want_stats.snapshot()
+        assert manager.compiled == len(groups)
+        assert manager.promotions == STACK * len(groups)
+
+    def test_stack_sizes_are_cached_apart(self):
+        memory, host, a, out = device()
+        manager = JitManager(memory)
+        program = work_program("sizes")
+        one = manager.maybe_compile(program, [a, out], forced=True)
+        two = manager.maybe_compile(program, [a, out], forced=True, launches=2)
+        assert (one.launches, two.launches) == (1, 2) and one is not two
+        assert manager.maybe_compile(program, [a, out], forced=True) is one
+        assert manager.compiled == 2
+
+    def test_run_many_validates_like_run(self):
+        program = work_program("many_checks")
+        memory, host, a, out = device()
+        out2 = host.alloc_output([ROWS, COLS], float16)
+        kernel = lower_program(program, [a, out], memory, launches=2)
+        with pytest.raises(VMError, match="stacks 2 launches, got 1"):
+            kernel.run(memory, [a, out])
+        with pytest.raises(VMError, match="expects 2 args, got 1"):
+            kernel.run_many(memory, [[a, out], [a]])
+        with pytest.raises(VMError, match="lowered against"):
+            kernel.run_many(GlobalMemory(1 << 20), [[a, out], [a, out2]])
+
+    def test_stacked_bounds_check_names_the_offending_launch(self):
+        """A pointer past the buffer in one stacked launch raises the
+        batched engine's own error (the per-block view bounds check
+        survives stacking)."""
+        program = work_program("oob")
+        memory, host, a, out = device()
+        kernel = lower_program(program, [a, out], memory, launches=2)
+        beyond = len(memory.buffer)
+        with pytest.raises(VMError, match="exceeds its buffer"):
+            kernel.run_many(memory, [[a, out], [a, beyond]])
+
+    def test_subbyte_scatter_through_a_per_launch_pointer_bails(self):
+        """The sub-byte scatter's precomputed last-writer dedup needs one
+        pointer for all rows: a single launch lowers, a stack declines —
+        and the manager remembers the two apart."""
+        from repro.dtypes import uint4
+
+        memory = GlobalMemory(1 << 22)
+        host = Interpreter(memory)
+        rng = np.random.default_rng(3)
+        a = host.upload(rng.integers(0, 16, size=(ROWS, COLS)), uint4)
+        outs = [host.alloc_output([ROWS, COLS], uint4) for _ in range(2)]
+        program = subbyte_store_program()
+        manager = JitManager(memory)
+        assert manager.maybe_compile(program, [a, outs[0]], forced=True) is not None
+        assert (
+            manager.maybe_compile(program, [a, outs[0]], forced=True, launches=2)
+            is None
+        )
+        assert "per-launch pointer" in manager.bailout_reason(
+            program, [a, outs[0]], launches=2
+        )
+        assert manager.bailout_reason(program, [a, outs[0]]) is None
+        with pytest.raises(LoweringBailout, match="per-launch pointer"):
+            lower_program(program, [a, outs[0]], memory, launches=2)
+
+
+# ---------------------------------------------------------------------------
 # The kernel cache and the manager's policy
 # ---------------------------------------------------------------------------
 

@@ -172,61 +172,152 @@ def test_one_launch_is_the_same_through_every_entry_point(entry, scenario):
         assert outcome[what] == reference[what], what
 
 
-@pytest.mark.parametrize("entry", ["stream", "replay"])
-def test_coalesced_pair_records_two_sites_summing_to_the_group_delta(entry):
-    """Two launches of one program with different scalar bindings run as
-    one stacked invocation; each keeps its own profile site, and the
-    sites' integer counters sum exactly to the invocation's delta."""
-    runtime, a, outs = fresh_runtime(num_outputs=2)
-    # Two blocks: "auto" resolves to the batched engine on both paths
+# ---------------------------------------------------------------------------
+# Groups: hazard-independent launches of one program in one invocation
+# ---------------------------------------------------------------------------
+
+GROUP = 3
+
+#: scenario -> (scalars bound per launch, launch engine, printing program).
+#: One specialization key runs stacked on the tier the key has reached;
+#: a stacked bailout falls back to ``launch_many``; launches binding
+#: ``scale`` differently are distinct specializations and stay batched.
+GROUP_SCENARIOS = {
+    "stacked-hot": ([2.0] * GROUP, None, False),
+    "stacked-forced": ([2.0] * GROUP, "compiled", False),
+    "stacked-bailout": ([2.0] * GROUP, "compiled", True),
+    "mixed-key": ([2.0, 3.0, 4.0], None, False),
+}
+
+
+def drive_group(entry: str, scenario: str) -> dict:
+    """``GROUP`` launches through ``entry``: ``sync`` issues them one by
+    one (the reference), ``stream`` queues them on one gated stream,
+    ``replay``/``serial`` capture them on ``GROUP`` different streams."""
+    scales, engine, printing = GROUP_SCENARIOS[scenario]
+    runtime, a, outs = fresh_runtime(num_outputs=GROUP)
+    # Two blocks: "auto" resolves to the batched engine on every path
     # (capture only merges nodes frozen to it).
-    program = scale_program(f"pair_{entry}", blocks=2)
-    launches = [[a, outs[0], 2.0], [a, outs[1], 3.0]]
+    program = scale_program(
+        "group_" + scenario.replace("-", "_"), blocks=2, printing=printing
+    )
+    launches = [[a, out, scale] for out, scale in zip(outs, scales)]
     program = runtime.cache.get(program, launches[0]).program
+    specs = [spec_string(specialization_key(program, args)) for args in launches]
     profiler = runtime.enable_profiling()
-    runtime.enable_jit(threshold_s=0.0)  # hot: groups must still skip the JIT
-    pool = runtime.stream_pool(1)
-    stream = pool.streams[0]
+    if engine is None:
+        runtime.enable_jit(threshold_s=1.0)
+        runtime.jit.preheat({spec: 2.0 for spec in specs})
+    tracer = runtime.enable_tracing()
+    pool = runtime.stream_pool(GROUP)
     try:
+        graph = None
+        if entry in ("replay", "serial"):
+            with runtime.capture() as graph:
+                for stream, args in zip(pool.streams, launches):
+                    runtime.launch(program, args, engine=engine, stream=stream)
+            assert graph.num_groups == 1
         before = runtime.stats().snapshot()
-        if entry == "stream":
-            gate = Event.manual()
-            stream.wait_event(gate)  # hold the worker so the pair queues up
+        if entry == "sync":
             for args in launches:
-                runtime.launch(program, args, stream=stream)
+                runtime.launch(program, args, engine=engine)
+        elif entry == "stream":
+            gate = Event.manual()
+            pool.streams[0].wait_event(gate)  # hold the worker: the group queues up
+            for args in launches:
+                runtime.launch(program, args, engine=engine, stream=pool.streams[0])
             gate.set()
         else:
-            with runtime.capture() as graph:
-                for args in launches:
-                    runtime.launch(program, args, stream=stream)
-            assert graph.num_groups == 1
-            graph.replay()
+            graph.replay(serial=entry == "serial")
         runtime.synchronize()
         after = runtime.stats().snapshot()
-        assert (pool.launches, pool.executions) == (2, 1)
+        counts = (pool.launches, pool.executions)
     finally:
+        runtime.disable_tracing()
         pool.shutdown()
-    assert runtime.jit.compiled == 0 and runtime.jit.promotions == 0
-    records = list(profiler.nodes.values())
-    assert len(records) == 2
-    assert {r.spec for r in records} == {
-        spec_string(specialization_key(program, args)) for args in launches
+    spans = [
+        (event["name"].split(":")[0], event["cat"], event["args"])
+        for event in tracer.events()
+        if event["name"].split(":")[0] in ("launch", "exec", "replay")
+        and event["name"].endswith(program.name)
+    ]
+    records = sorted(profiler.nodes.values(), key=lambda r: (r.spec, str(r.ident)))
+    jit = runtime.jit
+    return {
+        "outputs": [
+            runtime.download(out, [ROWS, COLS], float16).tobytes() for out in outs
+        ],
+        "stats": {k: after[k] - before[k] for k in after},
+        "records": records,
+        "specs": sorted(specs),
+        "spans": spans,
+        "counts": counts,
+        "jit": (jit.compiled, jit.bailouts, jit.promotions),
     }
-    assert all((r.engine, r.calls, r.group_size) == ("batched", 1, 2) for r in records)
-    delta = {k: after[k] - before[k] for k in after}
-    assert delta["blocks_run"] == 4
-    for attr, stat in (
-        ("blocks", "blocks_run"),
-        ("instructions", "instructions"),
-        ("global_bits_loaded", "global_bits_loaded"),
-        ("global_bits_stored", "global_bits_stored"),
+
+
+#: scenario -> (tier of one invocation per launch, tier of the group,
+#: JIT (compiled, bailouts, promotions) per launch / for the group).
+#: ``promotions`` counts launches, so a stacked call reads like G calls.
+GROUP_EXPECTED = {
+    "stacked-hot": ("compiled", "compiled", (1, 0, GROUP), (1, 0, GROUP)),
+    "stacked-forced": ("compiled", "compiled", (1, 0, GROUP), (1, 0, GROUP)),
+    "stacked-bailout": ("batched", "batched", (0, 1, 0), (0, 1, 0)),
+    "mixed-key": ("compiled", "batched", (GROUP, 0, GROUP), (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("scenario", list(GROUP_SCENARIOS))
+@pytest.mark.parametrize("entry", ENTRIES[1:])
+def test_a_group_is_its_launches_issued_one_by_one(entry, scenario):
+    """A group through any entry point against the same launches issued
+    synchronously on a fresh runtime: same bits, same ``ExecutionStats``
+    delta, one profiled call per launch summing exactly to that delta,
+    and the tier, span and JIT counters the one rule predicts."""
+    single_tier, group_tier, single_jit, group_jit = GROUP_EXPECTED[scenario]
+    grouped = entry in ("stream", "replay")  # the serial oracle runs node by node
+    reference = drive_group("sync", scenario)
+    outcome = drive_group(entry, scenario)
+    assert outcome["outputs"] == reference["outputs"]
+    assert outcome["stats"] == reference["stats"]
+    assert outcome["stats"]["blocks_run"] == 2 * GROUP
+    for observed, tier, jit, size in (
+        (reference, single_tier, single_jit, 1),
+        (outcome, group_tier if grouped else single_tier,
+         group_jit if grouped else single_jit, GROUP if grouped else 1),
     ):
-        assert sum(getattr(r, attr) for r in records) == delta[stat], attr
-    for out, scale in zip(outs, (2.0, 3.0)):
-        want = float16.quantize(
-            runtime.download(a, [ROWS, COLS], float16).astype(np.float64) * scale
+        # One call per launch under its own specialization (eager sites
+        # are keyed by spec, so equal-key launches share a record).
+        records = observed["records"]
+        assert sorted(r.spec for r in records for _ in range(r.calls)) == (
+            observed["specs"]
         )
-        assert np.array_equal(runtime.download(out, [ROWS, COLS], float16), want)
+        assert all((r.engine, r.group_size) == (tier, size) for r in records)
+        for attr, stat in (
+            ("blocks", "blocks_run"),
+            ("instructions", "instructions"),
+            ("global_bits_loaded", "global_bits_loaded"),
+            ("global_bits_stored", "global_bits_stored"),
+        ):
+            assert sum(getattr(r, attr) for r in records) == observed["stats"][stat]
+        assert observed["jit"] == jit
+        assert all(args["engine"] == tier for _, _, args in observed["spans"])
+    prefix, cat, _ = SPANS[entry]
+    if grouped:
+        assert outcome["spans"] == [
+            (prefix, cat, {"engine": group_tier, "launches": GROUP})
+        ]
+        assert outcome["counts"] == (GROUP, 1)
+    else:
+        assert outcome["spans"] == [
+            (prefix, cat, {"engine": single_tier, "launches": 1})
+        ] * GROUP
+        assert outcome["counts"] == (GROUP, GROUP)
+    # Replayed nodes keep one profile site each: the node index, on the
+    # stream the group executes on (its head's).
+    if entry in ("replay", "serial"):
+        assert sorted(r.ident for r in outcome["records"]) == list(range(GROUP))
+        assert {r.stream for r in outcome["records"]} == {0}
 
 
 def test_runtime_forced_compiled_stays_forced_through_replay_and_plans():

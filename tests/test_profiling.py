@@ -383,10 +383,12 @@ def handmade_profile(graph, costs: dict[int, float]) -> Profile:
 class TestLptPlacement:
     def test_skewed_costs_spread_over_streams(self):
         memory, _, pairs = device(8)
-        prog = work_program("lpt")
+        # One program per node: launches of one specialization would
+        # fuse into a single execution group whatever LPT decides.
+        progs = [work_program(f"lpt{i}") for i in range(8)]
         with StreamPool(memory, num_streams=4) as pool:
             with pool.capture() as graph:
-                for a, out in pairs:
+                for prog, (a, out) in zip(progs, pairs):
                     pool.submit(prog, [a, out])
             # Heuristic round-robin puts nodes 0 and 4 on stream 0; make
             # exactly those two expensive.

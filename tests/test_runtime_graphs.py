@@ -120,6 +120,74 @@ class TestCapture:
                 pool.submit(program, [addrs[1], addrs[2]], stream=pool.streams[0])
             assert graph.num_groups == 2
 
+    def test_groups_form_over_the_whole_dag_not_per_stream(self):
+        """Eight launches of one specialization captured on eight streams
+        are one group on the head's stream; the members' placement is
+        rewritten to it and survives a plan round trip and optimize()."""
+        from repro.runtime import GraphPlan
+
+        program = transform_program("fuse", 2.0, 1.0)
+        memory = GlobalMemory(1 << 22)
+        host, addrs = upload_buffers(memory, 16)
+        start = [host.download(a, [ROWS, COLS], float16) for a in addrs]
+        with StreamPool(memory, num_streams=8) as pool:
+            with pool.capture() as graph:
+                for i, stream in enumerate(pool.streams):
+                    pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]], stream=stream)
+            applied = graph.apply_plan(GraphPlan.from_json(graph.plan().to_json()))
+            for image in (graph, applied, graph.optimize()):
+                assert image.num_groups == 1
+                assert image.stream_indices == (image.nodes[0].stream_index,)
+            graph.replay()
+            assert (pool.launches, pool.executions) == (8, 1)
+            assert pool.streams[0].executions == 1
+        for i in range(8):
+            want = float16.quantize(start[2 * i].astype(np.float64) * 2 + 1)
+            got = host.download(addrs[2 * i + 1], [ROWS, COLS], float16)
+            assert np.array_equal(got, want)
+
+    def test_dependent_or_overlapping_nodes_do_not_fuse_across_streams(self):
+        program = transform_program("nofuse", 2.0, 0.0)
+        memory = GlobalMemory(1 << 22)
+        _, addrs = upload_buffers(memory, 5)
+        with StreamPool(memory, num_streams=4) as pool:
+            s = pool.streams
+            with pool.capture() as chain:  # 0 -> 1 -> 2: each reads its predecessor
+                pool.submit(program, [addrs[0], addrs[1]], stream=s[0])
+                pool.submit(program, [addrs[1], addrs[2]], stream=s[1])
+                pool.submit(program, [addrs[2], addrs[3]], stream=s[2])
+            assert chain.num_groups == 3
+            with pool.capture() as overlap:  # two writers of one buffer
+                pool.submit(program, [addrs[0], addrs[4]], stream=s[0])
+                pool.submit(program, [addrs[1], addrs[4]], stream=s[1])
+            assert overlap.num_groups == 2
+            with pool.capture() as mixed:
+                # 0 and 2 are independent and fuse past node 1, which
+                # reads what node 0 writes; node 3 depends on node 1,
+                # which is not before the group's head.
+                pool.submit(program, [addrs[0], addrs[1]], stream=s[0])
+                pool.submit(program, [addrs[1], addrs[2]], stream=s[1])
+                pool.submit(program, [addrs[0], addrs[3]], stream=s[2])
+                pool.submit(program, [addrs[2], addrs[4]], stream=s[3])
+            assert [g.node_indices for g in mixed._groups] == [[0, 2], [1], [3]]
+            assert mixed.nodes[2].stream_index == 0
+            mixed.replay()
+            mixed.replay(serial=True)
+
+    def test_the_stack_cap_still_splits_whole_dag_groups(self):
+        from repro.runtime.streams import Stream
+
+        program = transform_program("cap", 2.0, 0.0)  # 4 blocks a launch
+        memory = GlobalMemory(1 << 22)
+        _, addrs = upload_buffers(memory, 40)
+        with StreamPool(memory, num_streams=4) as pool:
+            with pool.capture() as graph:
+                for i in range(20):
+                    pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]])
+            per_group = Stream.MAX_MERGED_BLOCKS // 4
+            assert [len(g.node_indices) for g in graph._groups] == [per_group, 4]
+            graph.replay()
+
     def test_nested_capture_rejected(self):
         memory = GlobalMemory(1 << 20)
         with StreamPool(memory, num_streams=1) as pool:

@@ -536,6 +536,9 @@ class TestRuntimeIntegration:
             max_batch=4,
             decode_linear=linear,
             num_streams=4,
+            # Eager issue: a captured step fuses its same-specialization
+            # launches into one execution group on one stream.
+            use_graphs=False,
         )
         try:
             result = sim.run([Request(0.0, 32, 4) for _ in range(3)])

@@ -682,6 +682,45 @@ class TestEngineDegradation:
             r.request.rid: r.output_digest for r in cold.results
         }
 
+    def test_warm_boot_rehydrates_single_launch_kernels_only(self, tmp_path):
+        """A JIT-on simulator runs its decode steps as stacked compiled
+        kernels; the store keeps only the single-launch one (records are
+        keyed by specialization alone), so a warm boot rehydrates that
+        kernel, re-lowers the stacks, and serves the same digests."""
+        from repro.llm.batching import Request, uniform_trace
+        from repro.serving import WorkerSpec
+
+        spec = WorkerSpec(
+            linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
+            max_batch=4, num_streams=4, jit=True, jit_threshold_s=0.0,
+            store_path=str(tmp_path),
+        )
+        # One request outlives the others: steps run at batch 4
+        # (a stacked kernel) and then at batch 1 (the single-launch one).
+        trace = uniform_trace(3, 0.0, prompt_tokens=64, output_tokens=4)
+        trace.append(Request(0.0, 64, 12, rid=3))
+        cold_sim = spec.build_simulator()
+        cold = cold_sim.run(trace)
+        cold_jit = cold_sim.decode_linear.runtime.jit
+        stacks = {k.launches for k in cold_jit.cache._kernels.values()}
+        assert 1 in stacks and max(stacks) > 1
+        assert cold_sim.publish_store()["jit_kernels"] == 1
+        stored = TuningStore(str(tmp_path)).load_jit(spec.store_scope())
+        per_launch = next(
+            k.nblocks for k in cold_jit.cache._kernels.values() if k.launches == 1
+        )
+        assert [r["nblocks"] for r in stored["kernels"]] == [per_launch]
+
+        warm_sim = spec.build_simulator()
+        warm = warm_sim.run(trace)
+        warm_jit = warm_sim.decode_linear.runtime.jit
+        assert warm_jit.rehydrated == 1
+        assert warm_jit.compiled == cold_jit.compiled - 1  # stacks re-lowered
+        assert warm_jit.promotions == cold_jit.promotions == cold.kernel_launches
+        assert {r.request.rid: r.output_digest for r in warm.results} == {
+            r.request.rid: r.output_digest for r in cold.results
+        }
+
     def test_worker_serves_bit_exact_from_poisoned_store(self, tmp_path):
         """The acceptance property: a spawned worker whose store holds
         one corrupt entry per kind it consults still boots, serves, and

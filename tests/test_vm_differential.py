@@ -22,7 +22,7 @@ import pytest
 
 from repro.vm import select_engine
 from tests.harness import generate_case, run_differential
-from tests.harness.differential import MODES
+from tests.harness.differential import MODES, _run_engine
 
 #: Number of generated programs in the suite (acceptance floor: 250).
 NUM_CASES = 256
@@ -54,6 +54,13 @@ BASELINE_MODES = {
     "jit",
 }
 
+#: Replicated cases (one plan issued 5..8 times) whose ``jit`` mode ran
+#: at least one *stacked* compiled kernel — several launches of one
+#: specialization in one lowered call.  Pinned (the harness gates the
+#: streams, so coalescing is deterministic): CI fails if the stacked
+#: compiled path's coverage drops, the way the mode set is guarded.
+BASELINE_STACKED_COMPILED_CASES = 14
+
 
 @pytest.mark.parametrize("seed", range(NUM_CASES))
 def test_engines_agree_bit_exactly(seed):
@@ -67,6 +74,15 @@ def test_suite_meets_case_floor():
 
 def test_suite_covers_all_execution_modes():
     assert set(MODES) == BASELINE_MODES
+
+
+def test_jit_mode_executes_stacked_compiled_groups():
+    replicated = [
+        case for case in map(generate_case, range(NUM_CASES)) if case.copies > 1
+    ]
+    assert len(replicated) == NUM_CASES // 16
+    stacked = [case.seed for case in replicated if _run_engine(case, "jit")[2]]
+    assert len(stacked) == BASELINE_STACKED_COMPILED_CASES, stacked
 
 
 def test_generator_covers_all_families():
@@ -87,8 +103,9 @@ def test_generator_exercises_subbyte_dtypes():
 
 
 def test_splitk_cases_are_multi_launch():
-    # Every split-k case is a two-launch plan with a RAW dependency
-    # through the workspace buffer — the stream mode's hazard coverage.
+    # Every split-k case is a two-launch plan (per replicated copy) with
+    # a RAW dependency through the workspace buffer — the stream mode's
+    # hazard coverage.
     found = 0
     for seed in range(NUM_CASES):
         case = generate_case(seed)
@@ -96,8 +113,8 @@ def test_splitk_cases_are_multi_launch():
             continue
         found += 1
         plan = case.launch_plan()
-        assert len(plan) == 2
-        (_, partial_args), (_, reduce_args) = plan
+        assert len(plan) == 2 * case.copies
+        (_, partial_args), (_, reduce_args) = plan[:2]
         assert partial_args[-1] == reduce_args[0]  # shared workspace buffer
     assert found >= 10
 
