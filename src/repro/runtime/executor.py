@@ -117,12 +117,13 @@ class Site(NamedTuple):
     group: int | None = None
 
 
-def resolve_engine(requested: str, program: Program, grid: Sequence[int]) -> str:
-    """The interpreted engine a launch is frozen to: ``auto`` asks the
-    grid-size policy, ``compiled`` falls back to batched (the tier the
-    lowering pipeline is bit-exact with), an explicit engine is itself."""
+def resolve_engine(requested: str, program: Program) -> str:
+    """The interpreted engine a launch is frozen to: ``auto`` is batched
+    whenever the program can batch, ``compiled`` falls back to batched
+    (the tier the lowering pipeline is bit-exact with), an explicit
+    engine is itself."""
     if requested == "auto":
-        return select_engine(program, grid)
+        return select_engine(program)
     return "batched" if requested == "compiled" else requested
 
 

@@ -483,7 +483,7 @@ class ExecutionGraph:
             ranges=ranges,
             deps=deps,
             stream_index=stream_index,
-            engine=resolve_engine(engine, program, grid),
+            engine=resolve_engine(engine, program),
             grid=grid,
             key=specialization_key(program, args),
             requested="compiled" if engine == "compiled" else "auto",

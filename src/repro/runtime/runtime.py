@@ -20,8 +20,8 @@ Maintains the three pieces of state the paper describes:
 Execution is delegated to the launch executor
 (:mod:`repro.runtime.executor`), which every launch path shares: it
 picks one of the two VM engines — the sequential interpreter or the
-grid-vectorized batched executor (policy: batched for multi-block grids
-of batchable programs) — or the compiled tier, times the engine, records
+grid-vectorized batched executor (policy: batched for every batchable
+program, whatever its grid size) — or the compiled tier, times the engine, records
 the profile and emits the span.  Compilation is delegated to the
 compiler pipeline.
 
@@ -138,7 +138,8 @@ class Runtime:
     ``engine`` selects how kernels execute:
 
     - ``"auto"`` (default): the grid-vectorized batched executor for
-      multi-block grids, the sequential interpreter otherwise — and the
+      every program it can run (single-block grids included), the
+      sequential interpreter for block-varying view shapes — and the
       compiled tier for promoted-hot specializations once
       :meth:`enable_jit` is on;
     - ``"sequential"`` / ``"batched"``: force one engine for every launch;
@@ -411,7 +412,7 @@ class Runtime:
             )
             self.context.launches += 1
             return handle
-        frozen = resolve_engine(requested, program, program.grid_size(args))
+        frozen = resolve_engine(requested, program)
         try:
             execute(
                 self._lane, self.context, program, [args],

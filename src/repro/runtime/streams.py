@@ -685,9 +685,7 @@ class Stream:
                 first.program,
                 [handle.args for handle in group],
                 first.engine,
-                resolve_engine(
-                    first.engine, first.program, first.program.grid_size(first.args)
-                ),
+                resolve_engine(first.engine, first.program),
                 [handle.key for handle in group],
                 self._site,
             )

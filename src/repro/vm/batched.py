@@ -5,20 +5,31 @@ after another in a Python loop, so per-instruction Python overhead is paid
 once *per block*.  Thread blocks are independent by construction (paper
 Section 6), which makes the grid a perfect vectorization axis: this module
 executes **all blocks in lockstep**, representing every register tile as a
-``(num_blocks, num_threads, bits_per_thread)`` tensor and every memory
-transfer as one stacked gather/scatter, so per-instruction overhead is paid
-once *per launch*.
+``(num_blocks, num_threads, elements_per_thread)`` array of packed uint64
+bit patterns and every memory transfer as one stacked gather/scatter, so
+per-instruction overhead is paid once *per launch*.
+
+This module is a thin front-end: what a tile operation means on that
+representation — codecs, regrouping for ``View``, gather/scatter, index
+and bounds rules, the shared-memory allocator — is the table in
+:mod:`repro.vm.tileops`, which the kernels generated by
+:mod:`repro.compiler.lower` call too.  What lives here is the eager side:
+the block-vectorised scalar evaluator, the value classes that hold live
+arrays, the masked statement walk (:class:`LockstepWalk`, which lowering
+re-runs at compile time) and one handler per instruction.
 
 Engine selection
 ----------------
 :func:`select_engine` implements the policy used by
 :class:`repro.runtime.runtime.Runtime` with ``engine="auto"``:
 
-- **batched** is selected when the launch grid has more than one thread
-  block and every global view shape is block-invariant (built from
-  constants and parameters only);
-- **sequential** is selected otherwise — single-block launches gain
-  nothing from stacking, and per-block tensor shapes cannot be stacked.
+- **batched** is selected whenever the program can batch: every global
+  view shape is block-invariant (built from constants and parameters
+  only).  That includes single-block launches: a stack of one block is
+  still cheaper than the sequential engine's bit-plane registers, and
+  the stream runtime can coalesce it with its neighbours;
+- **sequential** is selected otherwise — per-block tensor shapes cannot
+  be stacked — and when a caller asks for it by name.
 
 ``PrintTensor`` batches too: output is buffered per block during lockstep
 execution and flushed in block order when the launch retires, which
@@ -63,6 +74,7 @@ through tensor outputs of well-formed programs):
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -94,17 +106,12 @@ from repro.ir.stmt import (
     WhileStmt,
 )
 from repro.ir.types import TensorVar
-from repro.utils.bits import regroup_patterns
-from repro.vm.dispatch import (
-    BATCHED,
-    bounds_mask,
-    decompose_linear,
-    layout_tile_coords,
-    pad_tile_indices,
-)
+from repro.vm import tileops
+from repro.vm.dispatch import BATCHED, bounds_mask, decompose_linear
 from repro.vm.interp import ExecutionStats
-from repro.vm.values import apply_elementwise
 from repro.vm.memory import GlobalMemory
+from repro.vm.tileops import BatchedSharedMemory
+from repro.vm.values import apply_elementwise
 
 
 # ---------------------------------------------------------------------------
@@ -258,134 +265,77 @@ def batched_evaluate(expr: Expr, env, active=None):
     raise IRError(f"cannot evaluate expression node {type(expr).__name__}")
 
 
-def _as_mask(value, nblocks: int) -> np.ndarray:
-    """Coerce a condition value into a (B,) boolean mask."""
-    return np.broadcast_to(np.asarray(value, dtype=bool), (nblocks,))
-
-
-def _as_col(value, nblocks: int) -> np.ndarray:
-    """Coerce a scalar-or-(B,) value into a (B, 1) int64 column."""
-    arr = np.asarray(value, dtype=np.int64)
-    if arr.ndim == 0:
-        return np.full((nblocks, 1), int(arr), dtype=np.int64)
-    return arr.reshape(nblocks, 1)
-
-
 # ---------------------------------------------------------------------------
 # Batched runtime values
 # ---------------------------------------------------------------------------
 
 
 class BatchedRegisterValue:
-    """All blocks' copies of one register tensor: bits of shape (B, T, W).
+    """All blocks' copies of one register tensor: ``(B, T, L)`` uint64 bit
+    patterns, one per (block, thread, local element) — the paper's packed
+    per-thread bits, and the representation compiled kernels carry.
 
     Mirrors :class:`repro.vm.values.RegisterValue` operation by operation
     (identical decode → numpy op → encode pipelines) so results are
     bit-exact with per-block execution.
     """
 
-    def __init__(self, dtype, layout, bits: np.ndarray) -> None:
-        expected = (bits.shape[0], layout.num_threads, layout.local_size * dtype.nbits)
-        if bits.shape != expected:
-            raise VMError(
-                f"batched register bits shape {bits.shape} does not match "
-                f"layout {layout.short_repr()} x {dtype} (expected {expected})"
-            )
+    def __init__(self, dtype, layout, patterns: np.ndarray) -> None:
+        patterns = np.asarray(patterns, dtype=np.uint64)
+        expected = (patterns.shape[0], layout.num_threads, layout.local_size)
+        if patterns.shape != expected:
+            raise VMError(f"pattern shape {patterns.shape} != {expected}")
         self.dtype = dtype
         self.layout = layout
-        self.bits = bits
+        self.patterns = patterns
 
     @property
     def nblocks(self) -> int:
-        return self.bits.shape[0]
+        return self.patterns.shape[0]
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def zeros(cls, dtype, layout, nblocks: int) -> "BatchedRegisterValue":
-        bits = np.zeros(
-            (nblocks, layout.num_threads, layout.local_size * dtype.nbits),
-            dtype=np.uint8,
-        )
-        return cls(dtype, layout, bits)
-
-    @classmethod
     def filled(cls, dtype, layout, value, nblocks: int) -> "BatchedRegisterValue":
-        values = np.full((nblocks, layout.num_threads, layout.local_size), value)
-        return cls.from_thread_values(dtype, layout, values)
-
-    @classmethod
-    def from_patterns(cls, dtype, layout, patterns: np.ndarray) -> "BatchedRegisterValue":
-        patterns = np.asarray(patterns, dtype=np.uint64)
-        nb = patterns.shape[0]
-        expected = (nb, layout.num_threads, layout.local_size)
-        if patterns.shape != expected:
-            raise VMError(f"pattern shape {patterns.shape} != {expected}")
-        return cls(
-            dtype, layout, regroup_patterns(patterns, dtype.nbits, 1).astype(np.uint8)
-        )
+        """``value`` in every element; all-zero bits when it is None."""
+        shape3 = (nblocks, layout.num_threads, layout.local_size)
+        return cls(dtype, layout, tileops.filled(dtype, shape3, value))
 
     @classmethod
     def from_thread_values(cls, dtype, layout, values: np.ndarray) -> "BatchedRegisterValue":
-        values = np.asarray(values)
-        nb = values.shape[0]
-        patterns = dtype.to_bits(values.reshape(-1)).reshape(
-            nb, layout.num_threads, layout.local_size
-        )
-        return cls.from_patterns(dtype, layout, patterns)
+        return cls(dtype, layout, tileops.encode(dtype, np.asarray(values)))
 
     @classmethod
     def from_logical(cls, dtype, layout, tensor: np.ndarray) -> "BatchedRegisterValue":
         tensor = np.asarray(tensor)
+        tileops.check_logical_shape(tensor.shape, layout)
         nb = tensor.shape[0]
-        if tensor.shape[1:] != layout.shape:
-            raise VMError(
-                f"logical shape {tensor.shape[1:]} != layout shape {layout.shape}"
-            )
-        coords = layout_tile_coords(layout)
-        bidx = np.arange(nb, dtype=np.int64)[:, None]
-        values = tensor[(bidx,) + tuple(c[None, :] for c in coords)]
+        values = tensor[tileops.logical_index(layout, nb)]
         return cls.from_thread_values(
             dtype, layout, values.reshape(nb, layout.num_threads, layout.local_size)
         )
 
     # -- accessors --------------------------------------------------------
-    @property
-    def bits_per_thread(self) -> int:
-        return self.bits.shape[2]
-
-    def thread_patterns(self) -> np.ndarray:
-        nbits = self.dtype.nbits
-        nb, t, width = self.bits.shape
-        grouped = self.bits.reshape(nb, t, width // nbits, nbits).astype(np.uint64)
-        weights = np.uint64(1) << np.arange(nbits, dtype=np.uint64)
-        return (grouped * weights).sum(axis=3, dtype=np.uint64)
-
     def thread_values(self) -> np.ndarray:
-        patterns = self.thread_patterns()
-        return self.dtype.from_bits(patterns.reshape(-1)).reshape(patterns.shape)
+        return tileops.decode(self.dtype, self.patterns)
 
     def to_logical(self) -> np.ndarray:
-        values = self.thread_values()
-        nb = self.nblocks
-        out = np.zeros((nb,) + self.layout.shape, dtype=values.dtype)
-        coords = layout_tile_coords(self.layout)
-        bidx = np.arange(nb, dtype=np.int64)[:, None]
-        out[(bidx,) + tuple(c[None, :] for c in coords)] = values.reshape(nb, -1)
-        return out
+        return tileops.to_logical(
+            self.thread_values(),
+            (self.nblocks,) + self.layout.shape,
+            tileops.logical_index(self.layout, self.nblocks),
+        )
+
+    def _patterns_as(self, nbits: int) -> np.ndarray:
+        """The same bits read as ``nbits``-wide elements (zero-cost when
+        the width is unchanged)."""
+        if nbits == self.dtype.nbits:
+            return self.patterns
+        return tileops.regroup(self.patterns, self.dtype.nbits, nbits)
 
     # -- operations -------------------------------------------------------
     def view(self, dtype, layout) -> "BatchedRegisterValue":
-        if layout.num_threads != self.layout.num_threads:
-            raise VMError(
-                f"view: thread count {self.layout.num_threads} -> "
-                f"{layout.num_threads} mismatch"
-            )
-        if layout.local_size * dtype.nbits != self.bits_per_thread:
-            raise VMError(
-                f"view: bits-per-thread mismatch: {self.bits_per_thread} -> "
-                f"{layout.local_size * dtype.nbits}"
-            )
-        return BatchedRegisterValue(dtype, layout, self.bits)
+        tileops.check_view(self.dtype, self.layout, dtype, layout)
+        return BatchedRegisterValue(dtype, layout, self._patterns_as(dtype.nbits))
 
     def cast(self, dtype) -> "BatchedRegisterValue":
         values = self.thread_values()
@@ -396,10 +346,7 @@ class BatchedRegisterValue:
     def binary(self, op: str, other) -> "BatchedRegisterValue":
         a = self.thread_values()
         if isinstance(other, BatchedRegisterValue):
-            if other.layout.num_threads != self.layout.num_threads or (
-                other.layout.local_size != self.layout.local_size
-            ):
-                raise VMError("elementwise operands must have matching layouts")
+            tileops.check_same_tiling(self.layout, other.layout)
             b = other.thread_values()
         elif isinstance(other, np.ndarray):
             b = other.reshape(-1, 1, 1)  # per-block scalar broadcast
@@ -414,9 +361,13 @@ class BatchedRegisterValue:
         )
 
     def merge_into(self, old: "BatchedRegisterValue", active: np.ndarray) -> "BatchedRegisterValue":
-        """Keep this value for active blocks, ``old`` elsewhere."""
-        bits = np.where(active[:, None, None], self.bits, old.bits)
-        return BatchedRegisterValue(self.dtype, self.layout, bits)
+        """Keep this value for active blocks, ``old`` (its bits regrouped
+        to this element width) elsewhere."""
+        tileops.check_view(old.dtype, old.layout, self.dtype, self.layout)
+        patterns = np.where(
+            active[:, None, None], self.patterns, old._patterns_as(self.dtype.nbits)
+        )
+        return BatchedRegisterValue(self.dtype, self.layout, patterns)
 
     def __repr__(self) -> str:
         return f"BatchedRegisterValue({self.dtype}, {self.layout.short_repr()}, B={self.nblocks})"
@@ -442,59 +393,23 @@ class BatchedView:
     def nblocks(self) -> int:
         return self.base_bits.shape[0]
 
-    def _oob(self, exc: IndexError) -> VMError:
-        return VMError(
-            f"batched tensor view [{self.dtype}{list(self.shape)}] addresses "
-            f"bytes outside its buffer ({len(self.buffer)} bytes): {exc}"
-        )
+    @cached_property
+    def _aligned(self) -> bool:
+        return self.dtype.nbits % 8 == 0 and not (self.base_bits % 8).any()
 
-    def _linear(self, indices: list) -> np.ndarray:
-        if len(indices) != len(self.shape):
-            raise VMError(
-                f"rank mismatch: {len(indices)} indices for shape {list(self.shape)}"
-            )
-        linear = np.zeros_like(np.asarray(indices[0], dtype=np.int64))
-        for idx, extent in zip(indices, self.shape):
-            idx = np.asarray(idx, dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= extent):
-                raise VMError(
-                    f"index out of bounds: [{idx.min()}, {idx.max()}] not within "
-                    f"[0, {extent}) for tensor {self.dtype}{list(self.shape)}"
-                )
-            linear = linear * extent + idx
-        return linear
+    @cached_property
+    def _oob(self) -> str:
+        return tileops.oob_message(self.dtype, self.shape, len(self.buffer))
 
     def gather_bits(self, indices: list, where=None, clip: bool = False) -> np.ndarray:
-        """Read bit patterns at per-block multi-indices of shape (B, n).
-
-        ``where`` (broadcastable to (B, n)) neutralizes unselected entries
-        to index 0 before bounds checking (their results are discarded by
-        the caller); ``clip`` clamps all indices into range instead of
-        checking (masked-load semantics).
-        """
-        if clip:
-            indices = [np.clip(i, 0, e - 1) for i, e in zip(indices, self.shape)]
-        elif where is not None:
-            indices = [np.where(where, i, 0) for i in indices]
-        linear = self._linear(indices)
+        """Read bit patterns at per-block multi-indices of shape (B, n);
+        ``where``/``clip`` as in :func:`repro.vm.tileops.linear_index`."""
+        linear = tileops.linear_index(self.shape, self.dtype, indices, where, clip)
         nbits = self.dtype.nbits
-        bit_addr = self.base_bits[:, None] + linear * nbits
-        try:
-            if nbits % 8 == 0 and (self.base_bits % 8 == 0).all():
-                byte_addr = bit_addr // 8
-                out = np.zeros(linear.shape, dtype=np.uint64)
-                for k in range(nbits // 8):
-                    out |= self.buffer[byte_addr + k].astype(np.uint64) << np.uint64(8 * k)
-                return out
-            byte_addr = bit_addr // 8
-            shift = (bit_addr % 8).astype(np.uint64)
-            window = np.zeros(linear.shape, dtype=np.uint64)
-            for k in range(8):
-                window |= self.buffer[byte_addr + k].astype(np.uint64) << np.uint64(8 * k)
-        except IndexError as exc:
-            raise self._oob(exc) from exc
-        mask = np.uint64((1 << nbits) - 1)
-        return (window >> shift) & mask
+        return tileops.gather(
+            self.buffer, self.base_bits[:, None] + linear * nbits, nbits,
+            self._aligned, self._oob,
+        )
 
     def scatter_bits(self, indices: list, patterns: np.ndarray, select=None) -> None:
         """Write bit patterns at per-block multi-indices of shape (B, n).
@@ -504,46 +419,17 @@ class BatchedView:
         block-major, so overlapping writes resolve in the same order as
         sequential per-block execution.
         """
-        shape2d = np.broadcast(np.asarray(indices[0]), self.base_bits[:, None]).shape
-        if select is None:
-            select = np.ones(shape2d, dtype=bool)
-        else:
-            select = np.broadcast_to(select, shape2d)
-        if not select.any():
+        selected = tileops.select_flat(indices, self.nblocks, select)
+        if selected is None:
             return
-        idx_flat = [np.broadcast_to(np.asarray(i, dtype=np.int64), shape2d)[select] for i in indices]
-        base_flat = np.broadcast_to(self.base_bits[:, None], shape2d)[select]
-        pat_flat = np.broadcast_to(np.asarray(patterns, dtype=np.uint64), shape2d)[select]
-        linear = self._linear(idx_flat)
+        flat, rows, select = selected
+        linear = tileops.linear_index(self.shape, self.dtype, flat)
+        patterns = np.broadcast_to(np.asarray(patterns, dtype=np.uint64), select.shape)
         nbits = self.dtype.nbits
-        bit_addr = base_flat + linear * nbits
-        try:
-            if nbits % 8 == 0 and (self.base_bits % 8 == 0).all():
-                byte_addr = bit_addr // 8
-                for k in range(nbits // 8):
-                    self.buffer[byte_addr + k] = (
-                        (pat_flat >> np.uint64(8 * k)) & np.uint64(0xFF)
-                    ).astype(np.uint8)
-                return
-            # Sub-byte path: per-bit read-modify-write.  Deduplicate to the
-            # *last* writer per bit position (block-major order), then a
-            # single unbuffered clear+set per bit is exact.
-            offsets = np.arange(nbits, dtype=np.int64)
-            pos = (bit_addr[:, None] + offsets).reshape(-1)
-            bit_vals = (
-                (pat_flat[:, None] >> offsets.astype(np.uint64)) & np.uint64(1)
-            ).astype(np.uint8).reshape(-1)
-            rev = pos[::-1]
-            _, first_in_rev = np.unique(rev, return_index=True)
-            keep = pos.shape[0] - 1 - first_in_rev
-            pos_u = pos[keep]
-            val_u = bit_vals[keep]
-            byte_idx = pos_u // 8
-            bit_in_byte = (pos_u % 8).astype(np.uint8)
-            np.bitwise_and.at(self.buffer, byte_idx, ~(np.uint8(1) << bit_in_byte))
-            np.bitwise_or.at(self.buffer, byte_idx, val_u << bit_in_byte)
-        except IndexError as exc:
-            raise self._oob(exc) from exc
+        tileops.scatter(
+            self.buffer, self.base_bits[rows] + linear * nbits, patterns[select],
+            nbits, self._aligned, self._oob,
+        )
 
     def merge_into(self, old: "BatchedView", active: np.ndarray) -> "BatchedView":
         if old.buffer is not self.buffer:
@@ -552,66 +438,176 @@ class BatchedView:
         return BatchedView(self.buffer, base, self.dtype, self.shape)
 
 
-class BatchedSharedMemory:
-    """Per-block shared memories packed as rows of one flat buffer.
+# ---------------------------------------------------------------------------
+# The masked statement walk
+# ---------------------------------------------------------------------------
 
-    Row ``b`` spans ``[b * row_bytes, (b + 1) * row_bytes)`` with an 8-byte
-    guard at the end of each row so sub-byte window reads never cross into
-    the next block's row.
+
+class LockstepWalk:
+    """SIMT-style execution of a statement tree over all blocks at once.
+
+    Every statement runs under a boolean *active mask* over blocks;
+    ``if``/``for``/``while`` split and re-converge it, ``break``/
+    ``continue``/``Exit`` subtract from it.  This is the one masked walk:
+    the batched engine runs it on live values (:class:`BatchedContext`)
+    and the lowering pipeline on compile-time ones, each supplying what
+    differs — :meth:`scalar`, :meth:`instruction`, the ``merge`` of
+    :meth:`bind`, and (lowering's trace budget) :meth:`step`.
     """
 
-    def __init__(self, nblocks: int, capacity_bytes: int = 228 * 1024) -> None:
+    def __init__(self, nblocks: int, env: dict) -> None:
         self.nblocks = nblocks
-        self.capacity = capacity_bytes
-        self.row_bytes = capacity_bytes + 8
-        # The backing buffer is created lazily on the first allocation:
-        # most kernels on the hot launch path never touch shared memory,
-        # and nblocks * 228KB of zeroed pages per launch is not free.
-        self.buffer: np.ndarray | None = None
-        self.row_base_bits = np.arange(nblocks, dtype=np.int64) * self.row_bytes * 8
-        self._next = np.zeros(nblocks, dtype=np.int64)
-        self.high_water = 0
-
-    def alloc(self, nbytes: int, active: np.ndarray) -> np.ndarray:
-        """Bump-allocate ``nbytes`` in every active block; returns (B,) byte
-        offsets within each block's row (stale for inactive blocks)."""
-        if self.buffer is None:
-            self.buffer = np.zeros(self.nblocks * self.row_bytes, dtype=np.uint8)
-        aligned = (int(nbytes) + 15) // 16 * 16
-        addr = self._next.copy()
-        grown = self._next + aligned
-        if bool((active & (grown > self.capacity)).any()):
-            free = self.capacity - int(self._next[active].max())
-            raise VMError(
-                f"shared memory exhausted: requested {nbytes} B, "
-                f"{free} B free of {self.capacity} B"
-            )
-        self._next = np.where(active, grown, self._next)
-        self.high_water = max(self.high_water, int(self._next.max()))
-        return addr
-
-
-class BatchedContext:
-    """Lockstep state of all thread blocks during one launch."""
-
-    def __init__(self, executor: "BatchedExecutor", nblocks: int, coords: tuple) -> None:
-        self.executor = executor
-        self.nblocks = nblocks
-        self.block_coords = coords  # one (B,) array per grid dimension
-        self.env: dict[Var, object] = dict(executor.launch_env)
-        self.shared = BatchedSharedMemory(nblocks, executor.shared_capacity)
+        self.env = env
         self.exited = np.zeros(nblocks, dtype=bool)
-        self.pending_copy_count = 0
-        self.committed_group_sizes: list[int] = []
-        #: Per-block buffered ``PrintTensor`` output, flushed in block
-        #: order when the launch retires (created on first print).
-        self.prints: list[list[str]] | None = None
+        self._breaks: list[np.ndarray] = []
+
+    def scalar(self, expr: Expr, active: np.ndarray, control: bool = False):
+        """Evaluate a scalar expression for the active blocks; ``control``
+        marks a branch condition or loop extent (must be a number)."""
+        raise NotImplementedError
+
+    def instruction(self, inst, active: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def bind_scalar(self, var: Var, value, active: np.ndarray) -> None:
+        self.bind(var, value, active, lambda new, old: np.where(active, new, old))
+
+    def step(self) -> None:
+        """Called once per statement visited."""
+
+    def bind(self, var, value, active: np.ndarray, merge) -> None:
+        """Bind ``var`` for the active blocks; where some are inactive and
+        hold an older value, keep theirs: ``merge(value, old)``."""
+        old = None if bool(active.all()) else self.env.get(var)
+        self.env[var] = value if old is None else merge(value, old)
 
     def lookup_tensor(self, var: TensorVar):
         value = self.env.get(var)
         if value is None:
             raise VMError(f"tensor {var.name} used before definition")
         return value
+
+    def numbers(self, exprs, active: np.ndarray) -> list:
+        """The values of index/offset expressions for the active blocks."""
+        return [self.scalar(e, active, control=True) for e in exprs]
+
+    def tile_indices(self, layout, offsets, active, broadcast_dims=frozenset()) -> list:
+        """Per-block (B, n) memory indices of a register tile at ``offsets``."""
+        return tileops.tile_indices(
+            layout, self.numbers(offsets, active), self.nblocks, broadcast_dims
+        )
+
+    def run_stmt(self, stmt: Stmt, active: np.ndarray) -> np.ndarray:
+        """Execute ``stmt`` under ``active``; returns the still-live mask."""
+        self.step()
+        if isinstance(stmt, SeqStmt):
+            live = active
+            for child in stmt.body:
+                if not live.any():
+                    break
+                live = self.run_stmt(child, live)
+            return live
+        if isinstance(stmt, InstructionStmt):
+            self.instruction(stmt.instruction, active)
+            return active & ~self.exited
+        if isinstance(stmt, AssignStmt):
+            self.bind_scalar(stmt.var, self.scalar(stmt.value, active), active)
+            return active
+        if isinstance(stmt, IfStmt):
+            cond = self.scalar(stmt.cond, active, control=True)
+            if not _is_arr(cond):
+                if cond:
+                    return self.run_stmt(stmt.then_body, active)
+                if stmt.else_body is not None:
+                    return self.run_stmt(stmt.else_body, active)
+                return active
+            cmask = tileops.as_mask(cond, self.nblocks)
+            then_mask = active & cmask
+            else_mask = active & ~cmask
+            then_live = (
+                self.run_stmt(stmt.then_body, then_mask) if then_mask.any() else then_mask
+            )
+            else_live = (
+                self.run_stmt(stmt.else_body, else_mask)
+                if stmt.else_body is not None and else_mask.any()
+                else else_mask
+            )
+            return then_live | else_live
+        if isinstance(stmt, ForStmt):
+            extent = self.scalar(stmt.extent, active, control=True)
+            extent = extent.astype(np.int64) if _is_arr(extent) else int(extent)
+            broken = np.zeros(self.nblocks, dtype=bool)
+            self._breaks.append(broken)
+            i = 0
+            while True:
+                iter_active = active & ~self.exited & ~broken & (i < extent)
+                if not iter_active.any():
+                    break
+                # Bind per block: a block whose extent is exhausted keeps
+                # its own last iteration value, exactly as sequential
+                # execution leaves the loop variable behind.
+                self.bind_scalar(stmt.var, i, iter_active)
+                self.run_stmt(stmt.body, iter_active)
+                i += 1
+            self._breaks.pop()
+            return active & ~self.exited
+        if isinstance(stmt, WhileStmt):
+            broken = np.zeros(self.nblocks, dtype=bool)
+            done = np.zeros(self.nblocks, dtype=bool)
+            self._breaks.append(broken)
+            while True:
+                base = active & ~self.exited & ~broken & ~done
+                if not base.any():
+                    break
+                cmask = tileops.as_mask(
+                    self.scalar(stmt.cond, base, control=True), self.nblocks
+                )
+                done |= base & ~cmask
+                iter_active = base & cmask
+                if not iter_active.any():
+                    break
+                self.run_stmt(stmt.body, iter_active)
+            self._breaks.pop()
+            return active & ~self.exited
+        if isinstance(stmt, BreakStmt):
+            if not self._breaks:
+                raise VMError("break outside of a loop")
+            self._breaks[-1] |= active
+            return np.zeros_like(active)
+        if isinstance(stmt, ContinueStmt):
+            # Continue just kills the rest of this iteration; the loop head
+            # recomputes the next iteration's mask from the loop-entry mask,
+            # so continued blocks rejoin automatically.
+            return np.zeros_like(active)
+        raise VMError(f"unknown statement {type(stmt).__name__}")
+
+
+class BatchedContext(LockstepWalk):
+    """Lockstep state of all thread blocks during one launch: the walk
+    over live values."""
+
+    def __init__(self, executor: "BatchedExecutor", nblocks: int, coords: tuple) -> None:
+        super().__init__(nblocks, dict(executor.launch_env))
+        self.executor = executor
+        self.block_coords = coords  # one (B,) array per grid dimension
+        self.shared = BatchedSharedMemory(nblocks, executor.shared_capacity)
+        self.pending_copy_count = 0
+        self.committed_group_sizes: list[int] = []
+        #: Per-block buffered ``PrintTensor`` output, flushed in block
+        #: order when the launch retires (created on first print).
+        self.prints: list[list[str]] | None = None
+
+    def scalar(self, expr: Expr, active: np.ndarray, control: bool = False):
+        return batched_evaluate(expr, self.env, active)
+
+    def instruction(self, inst, active: np.ndarray) -> None:
+        self.executor.stats.instructions += int(active.sum())
+        BATCHED.lookup(inst)(self.executor, inst, self, active)
+
+    def bind_tensor(self, var: TensorVar, value, active: np.ndarray) -> None:
+        """All environment updates merge per block, so an inactive block
+        observes no effect from instructions it did not execute."""
+        self.bind(var, value, active, lambda new, old: new.merge_into(old, active))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +634,6 @@ class BatchedExecutor:
         self.shared_capacity = shared_capacity
         self.stats = stats if stats is not None else ExecutionStats()
         self.launch_env: dict[Var, object] = {}
-        self._break_stack: list[np.ndarray] = []
         self._stdout = stdout
 
     # -- host-side helpers (same API as the sequential engine) -------------
@@ -660,15 +655,7 @@ class BatchedExecutor:
     # -- launch ------------------------------------------------------------
     def launch(self, program: Program, args: Sequence) -> ExecutionStats:
         """Run all thread blocks of ``program`` in lockstep."""
-        if len(args) != len(program.params):
-            raise VMError(
-                f"{program.name} expects {len(program.params)} args, got {len(args)}"
-            )
-        self.launch_env = {p: a for p, a in zip(program.params, args)}
-        grid = program.grid_size(args)
-        nblocks = int(np.prod(grid)) if grid else 1
-        coords = tuple(decompose_linear(tuple(grid)))
-        return self._execute(program, nblocks, coords)
+        return self.launch_many(program, [args])
 
     def launch_many(self, program: Program, args_list: Sequence[Sequence]) -> ExecutionStats:
         """Run several independent launches of one program as a single
@@ -685,8 +672,6 @@ class BatchedExecutor:
         """
         if not args_list:
             return self.stats
-        if len(args_list) == 1:
-            return self.launch(program, args_list[0])
         for args in args_list:
             if len(args) != len(program.params):
                 raise VMError(
@@ -703,7 +688,7 @@ class BatchedExecutor:
         env: dict[Var, object] = {}
         for i, p in enumerate(program.params):
             values = [args[i] for args in args_list]
-            if all(v == values[0] for v in values[1:]) or nlaunches == 1:
+            if all(v == values[0] for v in values[1:]):
                 env[p] = values[0]
             else:
                 stacked = np.asarray(
@@ -714,14 +699,10 @@ class BatchedExecutor:
         coords = tuple(
             np.tile(c, nlaunches) for c in decompose_linear(tuple(grid))
         )
-        return self._execute(program, per_launch * nlaunches, coords)
-
-    def _execute(self, program: Program, nblocks: int, coords: tuple) -> ExecutionStats:
+        nblocks = per_launch * nlaunches
         ctx = BatchedContext(self, nblocks, coords)
         self.stats.blocks_run += nblocks
-        active = np.ones(nblocks, dtype=bool)
-        self._break_stack = []
-        self._run_stmt(program.body, ctx, active)
+        ctx.run_stmt(program.body, np.ones(nblocks, dtype=bool))
         self._flush_prints(ctx)
         return self.stats
 
@@ -737,135 +718,10 @@ class BatchedExecutor:
                 else:
                     print(text)
 
-    # -- statement execution (SIMT reconvergence) ---------------------------
-    def _run_stmt(self, stmt: Stmt, ctx: BatchedContext, active: np.ndarray) -> np.ndarray:
-        """Execute ``stmt`` under ``active``; returns the still-live mask."""
-        if isinstance(stmt, SeqStmt):
-            live = active
-            for child in stmt.body:
-                if not live.any():
-                    break
-                live = self._run_stmt(child, ctx, live)
-            return live
-        if isinstance(stmt, InstructionStmt):
-            self.stats.instructions += int(active.sum())
-            BATCHED.lookup(stmt.instruction)(self, stmt.instruction, ctx, active)
-            return active & ~ctx.exited
-        if isinstance(stmt, AssignStmt):
-            value = batched_evaluate(stmt.value, ctx.env, active)
-            self._bind_scalar(ctx, stmt.var, value, active)
-            return active
-        if isinstance(stmt, IfStmt):
-            cond = batched_evaluate(stmt.cond, ctx.env, active)
-            if not _is_arr(cond):
-                if cond:
-                    return self._run_stmt(stmt.then_body, ctx, active)
-                if stmt.else_body is not None:
-                    return self._run_stmt(stmt.else_body, ctx, active)
-                return active
-            cmask = _as_mask(cond, ctx.nblocks)
-            then_mask = active & cmask
-            else_mask = active & ~cmask
-            then_live = (
-                self._run_stmt(stmt.then_body, ctx, then_mask)
-                if then_mask.any()
-                else then_mask
-            )
-            else_live = (
-                self._run_stmt(stmt.else_body, ctx, else_mask)
-                if stmt.else_body is not None and else_mask.any()
-                else else_mask
-            )
-            return then_live | else_live
-        if isinstance(stmt, ForStmt):
-            extent = batched_evaluate(stmt.extent, ctx.env, active)
-            if _is_arr(extent):
-                extent = extent.astype(np.int64)
-            else:
-                extent = int(extent)
-            broken = np.zeros(ctx.nblocks, dtype=bool)
-            self._break_stack.append(broken)
-            i = 0
-            while True:
-                iter_active = active & ~ctx.exited & ~broken & (i < extent)
-                if not iter_active.any():
-                    break
-                # Bind per block: a block whose extent is exhausted keeps
-                # its own last iteration value, exactly as sequential
-                # execution leaves the loop variable behind.
-                self._bind_scalar(ctx, stmt.var, i, iter_active)
-                self._run_stmt(stmt.body, ctx, iter_active)
-                i += 1
-            self._break_stack.pop()
-            return active & ~ctx.exited
-        if isinstance(stmt, WhileStmt):
-            broken = np.zeros(ctx.nblocks, dtype=bool)
-            done = np.zeros(ctx.nblocks, dtype=bool)
-            self._break_stack.append(broken)
-            while True:
-                base = active & ~ctx.exited & ~broken & ~done
-                if not base.any():
-                    break
-                cmask = _as_mask(batched_evaluate(stmt.cond, ctx.env, base), ctx.nblocks)
-                done |= base & ~cmask
-                iter_active = base & cmask
-                if not iter_active.any():
-                    break
-                self._run_stmt(stmt.body, ctx, iter_active)
-            self._break_stack.pop()
-            return active & ~ctx.exited
-        if isinstance(stmt, BreakStmt):
-            if not self._break_stack:
-                raise VMError("break outside of a loop")
-            self._break_stack[-1] |= active
-            return np.zeros_like(active)
-        if isinstance(stmt, ContinueStmt):
-            # Continue just kills the rest of this iteration; the loop head
-            # recomputes the next iteration's mask from the loop-entry mask,
-            # so continued blocks rejoin automatically.
-            return np.zeros_like(active)
-        raise VMError(f"unknown statement {type(stmt).__name__}")
-
-    # -- environment merging -----------------------------------------------
-    def _bind_scalar(self, ctx: BatchedContext, var: Var, value, active: np.ndarray) -> None:
-        if bool(active.all()):
-            ctx.env[var] = value
-            return
-        old = ctx.env.get(var)
-        if old is None:
-            ctx.env[var] = value
-            return
-        ctx.env[var] = np.where(active, value, old)
-
-    def _bind_tensor(self, ctx: BatchedContext, var: TensorVar, value, active: np.ndarray) -> None:
-        if bool(active.all()):
-            ctx.env[var] = value
-            return
-        old = ctx.env.get(var)
-        if old is None:
-            ctx.env[var] = value
-            return
-        ctx.env[var] = value.merge_into(old, active)
-
 
 # ---------------------------------------------------------------------------
 # Batched instruction handlers
 # ---------------------------------------------------------------------------
-
-
-def _tile_indices(
-    layout, offsets, ctx: BatchedContext, active, broadcast_dims=frozenset()
-) -> list:
-    """Per-block (B, n) memory indices touched by a register tile.
-
-    Padding/broadcast semantics come from the shared
-    :func:`repro.vm.dispatch.pad_tile_indices`; the only batched-specific
-    part is evaluating each offset into a (B, 1) column so the shared
-    helper broadcasts it against the (n,) tile coordinates.
-    """
-    coords = layout_tile_coords(layout)
-    origin = [_as_col(batched_evaluate(o, ctx.env, active), ctx.nblocks) for o in offsets]
-    return pad_tile_indices(coords, origin, broadcast_dims)
 
 
 @BATCHED.register(insts.BlockIndices)
@@ -881,64 +737,33 @@ def _bexec_block_indices(vm, inst: insts.BlockIndices, ctx: BatchedContext, acti
 
 @BATCHED.register(insts.ViewGlobal)
 def _bexec_view_global(vm, inst: insts.ViewGlobal, ctx: BatchedContext, active) -> None:
-    ptr = batched_evaluate(inst.ptr, ctx.env, active)
+    ptr = ctx.scalar(inst.ptr, active)
     ttype = inst.out.ttype
-    shape = []
-    for s in ttype.shape:
-        if hasattr(s, "dtype"):
-            v = batched_evaluate(s, ctx.env, active)
-            if _is_arr(v):
-                uniq = np.unique(v[active]) if active.any() else np.unique(v)
-                if uniq.size > 1:
-                    raise VMError(
-                        "batched engine requires uniform global view shapes; "
-                        f"got extents {uniq.tolist()} across blocks"
-                    )
-                v = int(uniq[0]) if uniq.size else 0
-            shape.append(int(v))
-        else:
-            shape.append(int(s))
-    shape = tuple(shape)
-    base = np.where(active, _as_col(ptr, ctx.nblocks).reshape(-1) * 8, 0)
+    shape = tileops.view_shape(ttype.shape, lambda s: ctx.scalar(s, active), active)
+    base = np.where(active, tileops.as_col(ptr, ctx.nblocks).reshape(-1) * 8, 0)
     size = int(np.prod(shape)) if shape else 1
     limit = (len(vm.memory.buffer) - 8) * 8
-    end = base + size * ttype.dtype.nbits
-    if bool((base < 0).any()):
-        raise VMError(
-            f"tensor view [{ttype.dtype}{list(shape)}] starts before the "
-            f"buffer: bit offset {int(base.min())} is negative"
-        )
-    if bool((end > limit).any()):
-        raise VMError(
-            f"tensor view [{ttype.dtype}{list(shape)}] at bit offset "
-            f"{int(base[end > limit][0])} exceeds its buffer: needs "
-            f"{int(end.max())} bits, buffer has {limit}"
-        )
-    view = BatchedView(vm.memory.buffer, base, ttype.dtype, shape)
-    vm._bind_tensor(ctx, inst.out, view, active)
+    tileops.check_view_global(
+        base, size * ttype.dtype.nbits, limit,
+        *tileops.view_global_messages(ttype.dtype, shape, limit),
+    )
+    ctx.bind_tensor(inst.out, BatchedView(vm.memory.buffer, base, ttype.dtype, shape), active)
 
 
 @BATCHED.register(insts.AllocateRegister)
 def _bexec_allocate_register(vm, inst: insts.AllocateRegister, ctx: BatchedContext, active) -> None:
     ttype = inst.out.ttype
-    if inst.init is not None:
-        value = BatchedRegisterValue.filled(ttype.dtype, ttype.layout, inst.init, ctx.nblocks)
-    else:
-        value = BatchedRegisterValue.zeros(ttype.dtype, ttype.layout, ctx.nblocks)
-    vm._bind_tensor(ctx, inst.out, value, active)
+    value = BatchedRegisterValue.filled(ttype.dtype, ttype.layout, inst.init, ctx.nblocks)
+    ctx.bind_tensor(inst.out, value, active)
 
 
 @BATCHED.register(insts.AllocateShared)
 def _bexec_allocate_shared(vm, inst: insts.AllocateShared, ctx: BatchedContext, active) -> None:
     ttype = inst.out.ttype
     shape = ttype.static_shape()
-    if shape is None:
-        raise VMError("shared tensors require static shapes")
-    nbytes = (int(np.prod(shape)) * ttype.dtype.nbits + 7) // 8
-    addr = ctx.shared.alloc(nbytes, active)
-    base_bits = ctx.shared.row_base_bits + addr * 8
+    base_bits = ctx.shared.alloc(tileops.tensor_nbytes(shape, ttype.dtype, "shared"), active)
     view = BatchedView(ctx.shared.buffer, base_bits, ttype.dtype, shape)
-    vm._bind_tensor(ctx, inst.out, view, active)
+    ctx.bind_tensor(inst.out, view, active)
 
 
 @BATCHED.register(insts.FreeShared)
@@ -950,9 +775,7 @@ def _bexec_free_shared(vm, inst: insts.FreeShared, ctx: BatchedContext, active) 
 def _bexec_allocate_global(vm, inst: insts.AllocateGlobal, ctx: BatchedContext, active) -> None:
     ttype = inst.out.ttype
     shape = ttype.static_shape()
-    if shape is None:
-        raise VMError("workspace tensors require static shapes")
-    nbytes = (int(np.prod(shape)) * ttype.dtype.nbits + 7) // 8
+    nbytes = tileops.tensor_nbytes(shape, ttype.dtype, "workspace")
     addrs = np.zeros(ctx.nblocks, dtype=np.int64)
     idx = np.flatnonzero(active)
     if idx.size:
@@ -961,69 +784,49 @@ def _bexec_allocate_global(vm, inst: insts.AllocateGlobal, ctx: BatchedContext, 
         # sequential engine's block loop) would assign.
         addrs[idx] = vm.memory.alloc_n(nbytes, idx.size)
     view = BatchedView(vm.memory.buffer, addrs * 8, ttype.dtype, shape)
-    vm._bind_tensor(ctx, inst.out, view, active)
+    ctx.bind_tensor(inst.out, view, active)
 
 
 # transfer ------------------------------------------------------------------
 
 
-def _load(vm, inst, ctx: BatchedContext, active, shared: bool) -> None:
+@BATCHED.register(insts.LoadGlobal, insts.LoadShared)
+def _bexec_load(vm, inst, ctx: BatchedContext, active) -> None:
     src: BatchedView = ctx.lookup_tensor(inst.src)
     layout = inst.out.ttype.layout
-    indices = _tile_indices(layout, inst.offset, ctx, active, inst.broadcast_dims)
+    indices = ctx.tile_indices(layout, inst.offset, active, inst.broadcast_dims)
     if getattr(inst, "masked", False):
         valid = bounds_mask(indices, src.shape)
-        patterns = src.gather_bits(indices, clip=True)
-        patterns = np.where(valid, patterns, np.uint64(0))
+        patterns = np.where(valid, src.gather_bits(indices, clip=True), np.uint64(0))
     else:
         patterns = src.gather_bits(indices, where=active[:, None])
     patterns = patterns.reshape(ctx.nblocks, layout.num_threads, layout.local_size)
-    count = int(active.sum())
-    if shared:
-        vm.stats.shared_bits_loaded += layout.size * src.dtype.nbits * count
+    bits = layout.size * src.dtype.nbits * int(active.sum())
+    if isinstance(inst, insts.LoadShared):
+        vm.stats.shared_bits_loaded += bits
     else:
-        vm.stats.global_bits_loaded += layout.size * src.dtype.nbits * count
-    value = BatchedRegisterValue.from_patterns(inst.out.ttype.dtype, layout, patterns)
-    vm._bind_tensor(ctx, inst.out, value, active)
+        vm.stats.global_bits_loaded += bits
+    value = BatchedRegisterValue(inst.out.ttype.dtype, layout, patterns)
+    ctx.bind_tensor(inst.out, value, active)
 
 
-@BATCHED.register(insts.LoadGlobal)
-def _bexec_load_global(vm, inst: insts.LoadGlobal, ctx: BatchedContext, active) -> None:
-    _load(vm, inst, ctx, active, shared=False)
-
-
-@BATCHED.register(insts.LoadShared)
-def _bexec_load_shared(vm, inst: insts.LoadShared, ctx: BatchedContext, active) -> None:
-    _load(vm, inst, ctx, active, shared=True)
-
-
-@BATCHED.register(insts.StoreGlobal)
-def _bexec_store_global(vm, inst: insts.StoreGlobal, ctx: BatchedContext, active) -> None:
+@BATCHED.register(insts.StoreGlobal, insts.StoreShared)
+def _bexec_store(vm, inst, ctx: BatchedContext, active) -> None:
     value: BatchedRegisterValue = ctx.lookup_tensor(inst.src)
     dst: BatchedView = ctx.lookup_tensor(inst.dst)
-    indices = _tile_indices(value.layout, inst.offset, ctx, active)
-    patterns = value.thread_patterns().reshape(ctx.nblocks, -1)
-    n = patterns.shape[1]
-    select = np.broadcast_to(active[:, None], (ctx.nblocks, n))
-    if inst.masked:
+    indices = ctx.tile_indices(value.layout, inst.offset, active)
+    select = active[:, None]
+    counted = active
+    if getattr(inst, "masked", False):
         valid = bounds_mask(indices, dst.shape)
         select = select & valid
-        counted = int((active & valid.any(axis=1)).sum())
+        counted = active & valid.any(axis=1)
+    dst.scatter_bits(indices, value.patterns.reshape(ctx.nblocks, -1), select=select)
+    bits = value.layout.size * dst.dtype.nbits * int(counted.sum())
+    if isinstance(inst, insts.StoreShared):
+        vm.stats.shared_bits_stored += bits
     else:
-        counted = int(active.sum())
-    dst.scatter_bits(indices, patterns, select=select)
-    vm.stats.global_bits_stored += value.layout.size * dst.dtype.nbits * counted
-
-
-@BATCHED.register(insts.StoreShared)
-def _bexec_store_shared(vm, inst: insts.StoreShared, ctx: BatchedContext, active) -> None:
-    value: BatchedRegisterValue = ctx.lookup_tensor(inst.src)
-    dst: BatchedView = ctx.lookup_tensor(inst.dst)
-    indices = _tile_indices(value.layout, inst.offset, ctx, active)
-    patterns = value.thread_patterns().reshape(ctx.nblocks, -1)
-    select = np.broadcast_to(active[:, None], (ctx.nblocks, patterns.shape[1]))
-    dst.scatter_bits(indices, patterns, select=select)
-    vm.stats.shared_bits_stored += value.layout.size * dst.dtype.nbits * int(active.sum())
+        vm.stats.global_bits_stored += bits
 
 
 @BATCHED.register(insts.CopyAsync)
@@ -1031,24 +834,20 @@ def _bexec_copy_async(vm, inst: insts.CopyAsync, ctx: BatchedContext, active) ->
     src: BatchedView = ctx.lookup_tensor(inst.src)
     dst: BatchedView = ctx.lookup_tensor(inst.dst)
     shape = inst.copy_shape()
-    size = int(np.prod(shape))
-    idx = decompose_linear(tuple(shape))
-    src_origin = [_as_col(batched_evaluate(o, ctx.env, active), ctx.nblocks) for o in inst.src_offset]
-    dst_origin = [_as_col(batched_evaluate(o, ctx.env, active), ctx.nblocks) for o in inst.dst_offset]
-    zero = np.zeros(size, dtype=np.int64)
-    src_full = [zero] * (len(src_origin) - len(idx)) + idx
-    dst_full = [zero] * (len(dst_origin) - len(idx)) + idx
-    src_idx = [f[None, :] + o for f, o in zip(src_full, src_origin)]
-    dst_idx = [f[None, :] + o for f, o in zip(dst_full, dst_origin)]
+    src_idx, dst_idx = tileops.copy_indices(
+        shape,
+        ctx.numbers(inst.src_offset, active),
+        ctx.numbers(inst.dst_offset, active),
+        ctx.nblocks,
+    )
     # cp.async zero-fills out-of-bounds source elements (zfill semantics).
     valid = bounds_mask(src_idx, src.shape)
     patterns = np.where(valid, src.gather_bits(src_idx, clip=True), np.uint64(0))
-    select = np.broadcast_to(active[:, None], (ctx.nblocks, size))
-    dst.scatter_bits(dst_idx, patterns, select=select)
+    dst.scatter_bits(dst_idx, patterns, select=active[:, None])
     count = int(active.sum())
     ctx.pending_copy_count += 1
     vm.stats.copy_async_issued += count
-    vm.stats.global_bits_loaded += size * src.dtype.nbits * count
+    vm.stats.global_bits_loaded += int(np.prod(shape)) * src.dtype.nbits * count
 
 
 @BATCHED.register(insts.CopyAsyncCommitGroup)
@@ -1072,28 +871,27 @@ def _bexec_elementwise_binary(vm, inst: insts.ElementwiseBinary, ctx: BatchedCon
     if isinstance(inst.b, TensorVar):
         b = ctx.lookup_tensor(inst.b)
     else:
-        b = batched_evaluate(inst.b, ctx.env, active)
-    vm._bind_tensor(ctx, inst.out, a.binary(inst.op, b), active)
+        b = ctx.scalar(inst.b, active)
+    ctx.bind_tensor(inst.out, a.binary(inst.op, b), active)
 
 
 @BATCHED.register(insts.Neg)
 def _bexec_neg(vm, inst: insts.Neg, ctx: BatchedContext, active) -> None:
-    vm._bind_tensor(ctx, inst.out, ctx.lookup_tensor(inst.a).neg(), active)
+    ctx.bind_tensor(inst.out, ctx.lookup_tensor(inst.a).neg(), active)
 
 
 @BATCHED.register(insts.Cast)
 def _bexec_cast(vm, inst: insts.Cast, ctx: BatchedContext, active) -> None:
-    vm._bind_tensor(ctx, inst.out, ctx.lookup_tensor(inst.a).cast(inst.dtype), active)
+    ctx.bind_tensor(inst.out, ctx.lookup_tensor(inst.a).cast(inst.dtype), active)
 
 
 @BATCHED.register(insts.ReduceSum)
 def _bexec_reduce_sum(vm, inst: insts.ReduceSum, ctx: BatchedContext, active) -> None:
     value: BatchedRegisterValue = ctx.lookup_tensor(inst.a)
-    logical = value.to_logical()
-    reduced = logical.sum(axis=inst.axis + 1, keepdims=True)
+    reduced = value.to_logical().sum(axis=inst.axis + 1, keepdims=True)
     out_t = inst.out.ttype
-    vm._bind_tensor(
-        ctx, inst.out, BatchedRegisterValue.from_logical(out_t.dtype, out_t.layout, reduced), active
+    ctx.bind_tensor(
+        inst.out, BatchedRegisterValue.from_logical(out_t.dtype, out_t.layout, reduced), active
     )
 
 
@@ -1102,32 +900,20 @@ def _bexec_lookup(vm, inst: insts.Lookup, ctx: BatchedContext, active) -> None:
     codes: BatchedRegisterValue = ctx.lookup_tensor(inst.codes)
     table = ctx.lookup_tensor(inst.table)
     indices = codes.thread_values().astype(np.int64)
-    flat = indices.reshape(ctx.nblocks, -1)
-    safe = np.where(active[:, None], flat, 0)
-    if isinstance(table, BatchedRegisterValue):
-        logical = table.to_logical()  # (B, extent)
-        extent = logical.shape[1]
-        act = safe[active]
-        if act.size and (act.min() < 0 or act.max() >= extent):
-            raise VMError(
-                f"lookup code {int(act.max())} exceeds table of {extent}"
-            )
+    safe = np.where(active[:, None], indices.reshape(ctx.nblocks, -1), 0)
+    is_register = isinstance(table, BatchedRegisterValue)
+    logical = table.to_logical() if is_register else None  # (B, extent)
+    extent = logical.shape[1] if is_register else table.shape[0]
+    tileops.check_lookup(safe[active], extent, tileops.lookup_message(extent))
+    if is_register:
         bidx = np.arange(ctx.nblocks, dtype=np.int64)[:, None]
         # Clipping only neutralizes inactive blocks' garbage codes; active
         # codes were just bounds-checked above.
         values = logical[bidx, np.clip(safe, 0, extent - 1)]
     else:
-        extent = table.shape[0]
-        act = safe[active]
-        if act.size and (act.min() < 0 or act.max() >= extent):
-            raise VMError(
-                f"lookup code {int(act.max())} exceeds table of {extent}"
-            )
-        bits = table.gather_bits([safe])
-        values = table.dtype.from_bits(bits.reshape(-1)).reshape(safe.shape)
+        values = tileops.decode(table.dtype, table.gather_bits([safe]))
     out_t = inst.out.ttype
-    vm._bind_tensor(
-        ctx,
+    ctx.bind_tensor(
         inst.out,
         BatchedRegisterValue.from_thread_values(
             out_t.dtype, out_t.layout, values.reshape(indices.shape)
@@ -1139,8 +925,8 @@ def _bexec_lookup(vm, inst: insts.Lookup, ctx: BatchedContext, active) -> None:
 @BATCHED.register(insts.View)
 def _bexec_view(vm, inst: insts.View, ctx: BatchedContext, active) -> None:
     out_t = inst.out.ttype
-    vm._bind_tensor(
-        ctx, inst.out, ctx.lookup_tensor(inst.a).view(out_t.dtype, out_t.layout), active
+    ctx.bind_tensor(
+        inst.out, ctx.lookup_tensor(inst.a).view(out_t.dtype, out_t.layout), active
     )
 
 
@@ -1151,8 +937,8 @@ def _bexec_dot(vm, inst: insts.Dot, ctx: BatchedContext, active) -> None:
     c = ctx.lookup_tensor(inst.c).to_logical()
     result = a.astype(np.float64) @ b.astype(np.float64) + c
     out_t = inst.out.ttype
-    vm._bind_tensor(
-        ctx, inst.out, BatchedRegisterValue.from_logical(out_t.dtype, out_t.layout, result), active
+    ctx.bind_tensor(
+        inst.out, BatchedRegisterValue.from_logical(out_t.dtype, out_t.layout, result), active
     )
     vm.stats.dot_ops += a.shape[1] * a.shape[2] * b.shape[2] * int(active.sum())
 
@@ -1235,10 +1021,7 @@ def supports_batched(program: Program) -> bool:
     return cached
 
 
-def select_engine(program: Program, grid: Sequence[int]) -> str:
-    """The ``engine="auto"`` policy: batched for multi-block grids of
-    batchable programs, sequential otherwise (see module docstring)."""
-    nblocks = int(np.prod(grid)) if len(tuple(grid)) else 1
-    if nblocks > 1 and supports_batched(program):
-        return "batched"
-    return "sequential"
+def select_engine(program: Program) -> str:
+    """The ``engine="auto"`` policy: batched for every batchable program,
+    sequential otherwise (see module docstring)."""
+    return "batched" if supports_batched(program) else "sequential"

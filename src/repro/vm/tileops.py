@@ -1,0 +1,404 @@
+"""The tile-semantics table: block-axis primitives of the vectorised tiers.
+
+Both block-vectorised tiers — the batched executor
+(:mod:`repro.vm.batched`) and the kernels the lowering pipeline generates
+(:mod:`repro.compiler.lower`) — carry a register tensor as ``(B, T, L)``
+uint64 bit *patterns* (blocks × threads × elements per thread) and a
+memory tensor as a per-block bit base into one flat byte buffer.  What a
+tile operation *means* on that representation is written here, once:
+codecs, logical assembly, width regrouping, byte and sub-byte
+gather/scatter (with the block-major last-writer rule), index
+linearisation and every bounds check, the shared-memory bump allocator.
+The batched engine calls these functions; lowering calls the same ones at
+compile time on whatever is concrete and puts :data:`KERNEL_NAMESPACE`
+into the generated kernels' globals for the rest.
+
+A new instruction or dtype rule is written here and called from the two
+front-ends.  The sequential oracle (``vm/interp.py``, ``vm/values.py``,
+``vm/memory.TensorView``) deliberately does not import this module: it
+states the same semantics independently and naively, and the differential
+harness holds the two against each other.
+
+Every function that can fail raises :class:`~repro.errors.VMError` with
+the one message all tiers report; ``msg`` parameters are ``str.format``
+templates so generated kernels can carry them as constants.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.errors import VMError
+from repro.utils.bits import regroup_patterns
+from repro.vm.dispatch import decompose_linear, layout_tile_coords, pad_tile_indices
+
+# ---------------------------------------------------------------------------
+# Registers: (B, T, L) uint64 patterns
+# ---------------------------------------------------------------------------
+
+
+def decode(dtype, patterns: np.ndarray) -> np.ndarray:
+    """Patterns -> decoded values of ``dtype``, same shape."""
+    return dtype.from_bits(patterns.reshape(-1)).reshape(patterns.shape)
+
+
+def encode(dtype, values: np.ndarray) -> np.ndarray:
+    """Values -> uint64 patterns of ``dtype``, same shape."""
+    return np.asarray(dtype.to_bits(values.reshape(-1)), dtype=np.uint64).reshape(
+        values.shape
+    )
+
+
+def filled(dtype, shape3: tuple, init) -> np.ndarray:
+    """Patterns of a fresh register: ``init`` everywhere, zero bits if None."""
+    if init is None:
+        return np.zeros(shape3, dtype=np.uint64)
+    return encode(dtype, np.full(shape3, init))
+
+
+def regroup(patterns: np.ndarray, old_nbits: int, new_nbits: int, new_l=None):
+    """Re-read each thread's bits under a new element width (register
+    ``View``).  ``new_l`` is implied by the row width; kernel sources
+    persisted in tuning stores pass it."""
+    return regroup_patterns(patterns, old_nbits, new_nbits)
+
+
+def check_view(old_dtype, old_layout, dtype, layout) -> None:
+    """A ``View`` keeps the thread count and the bits each thread holds."""
+    if layout.num_threads != old_layout.num_threads:
+        raise VMError(
+            f"view: thread count {old_layout.num_threads} -> "
+            f"{layout.num_threads} mismatch"
+        )
+    old_bits = old_layout.local_size * old_dtype.nbits
+    if layout.local_size * dtype.nbits != old_bits:
+        raise VMError(
+            f"view: bits-per-thread mismatch: {old_bits} -> "
+            f"{layout.local_size * dtype.nbits}"
+        )
+
+
+def check_same_tiling(a_layout, b_layout) -> None:
+    if b_layout.num_threads != a_layout.num_threads or (
+        b_layout.local_size != a_layout.local_size
+    ):
+        raise VMError("elementwise operands must have matching layouts")
+
+
+def logical_index(layout, nblocks: int) -> tuple:
+    """Fancy index ``(block,) + coords`` taking a ``(B,) + layout.shape``
+    logical tensor to/from ``(B, T*L)`` thread-major values."""
+    bidx = np.arange(nblocks, dtype=np.int64)[:, None]
+    return (bidx,) + tuple(c[None, :] for c in layout_tile_coords(layout))
+
+
+def check_logical_shape(shape: tuple, layout) -> None:
+    if tuple(shape[1:]) != tuple(layout.shape):
+        raise VMError(
+            f"logical shape {tuple(shape[1:])} != layout shape {layout.shape}"
+        )
+
+
+def to_logical(values: np.ndarray, shape: tuple, ix: tuple) -> np.ndarray:
+    """Register (B, T, L) values -> logical tensor of ``shape``; threads
+    replicating an element resolve last-writer-wins, like a store."""
+    out = np.zeros(shape, dtype=values.dtype)
+    out[ix] = values.reshape(shape[0], -1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Scalars on the block axis
+# ---------------------------------------------------------------------------
+
+
+def as_mask(value, nblocks: int) -> np.ndarray:
+    """Coerce a condition value into a (B,) boolean mask."""
+    return np.broadcast_to(np.asarray(value, dtype=bool), (nblocks,))
+
+
+def as_col(value, nblocks: int) -> np.ndarray:
+    """Coerce a scalar-or-(B,) value into a (B, 1) int64 column."""
+    arr = np.asarray(value, dtype=np.int64)
+    if arr.ndim == 0:
+        return np.full((nblocks, 1), int(arr), dtype=np.int64)
+    return arr.reshape(nblocks, 1)
+
+
+# ---------------------------------------------------------------------------
+# Index preparation
+# ---------------------------------------------------------------------------
+
+
+def tile_indices(layout, origin: list, nblocks: int, broadcast_dims=frozenset()) -> list:
+    """Per-block (B, n) memory indices touched by a register tile whose
+    origin is the evaluated (scalar or per-block) ``origin``."""
+    return pad_tile_indices(
+        layout_tile_coords(layout), [as_col(o, nblocks) for o in origin], broadcast_dims
+    )
+
+
+def copy_indices(shape: tuple, src_origin: list, dst_origin: list, nblocks: int):
+    """(B, n) source and destination indices of a ``CopyAsync`` region: it
+    addresses the trailing dimensions of either tensor, the leading ones
+    are fixed by the origins."""
+    idx = decompose_linear(tuple(shape))
+    zero = np.zeros(int(np.prod(shape)), dtype=np.int64)
+
+    def place(origin):
+        full = [zero] * (len(origin) - len(idx)) + idx
+        return [f[None, :] + as_col(o, nblocks) for f, o in zip(full, origin)]
+
+    return place(src_origin), place(dst_origin)
+
+
+def linear_index(shape: tuple, dtype, indices: list, where=None, clip=False) -> np.ndarray:
+    """Row-major linear index of multi-indices into a ``shape`` tensor,
+    bounds-checked.  ``where`` neutralises unselected entries to index 0
+    first (their results are discarded by the caller); ``clip`` clamps
+    every index into range instead (masked-load semantics)."""
+    if len(indices) != len(shape):
+        raise VMError(f"rank mismatch: {len(indices)} indices for shape {list(shape)}")
+    if clip:
+        indices = [np.clip(i, 0, e - 1) for i, e in zip(indices, shape)]
+    elif where is not None:
+        indices = [np.where(where, i, 0) for i in indices]
+    linear = np.zeros_like(np.asarray(indices[0], dtype=np.int64))
+    for idx, extent in zip(indices, shape):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= extent):
+            raise VMError(
+                f"index out of bounds: [{idx.min()}, {idx.max()}] not within "
+                f"[0, {extent}) for tensor {dtype}{list(shape)}"
+            )
+        linear = linear * extent + idx
+    return linear
+
+
+def select_flat(indices: list, nblocks: int, select=None):
+    """Flatten a scatter's (B, n) multi-indices under its ``select`` mask,
+    block-major — the order overlapping writes resolve in.  Returns
+    ``(flat indices, block of each, the (B, n) mask)`` or None when
+    nothing is selected."""
+    shape2d = np.broadcast(np.asarray(indices[0]), np.empty((nblocks, 1))).shape
+    if select is None:
+        select = np.ones(shape2d, dtype=bool)
+    else:
+        select = np.broadcast_to(select, shape2d)
+    if not select.any():
+        return None
+    flat = [np.broadcast_to(np.asarray(i, dtype=np.int64), shape2d)[select] for i in indices]
+    rows = np.broadcast_to(np.arange(nblocks, dtype=np.int64)[:, None], shape2d)[select]
+    return flat, rows, select
+
+
+# ---------------------------------------------------------------------------
+# Memory: bit-addressed gather / scatter on a flat byte buffer
+# ---------------------------------------------------------------------------
+
+
+def oob_message(dtype, shape: tuple, buflen: int) -> str:
+    return (
+        f"batched tensor view [{dtype}{list(shape)}] addresses "
+        f"bytes outside its buffer ({buflen} bytes): {{}}"
+    )
+
+
+def gather_bytes(buf, byte_addr, nbytes: int, msg: str) -> np.ndarray:
+    """Byte-aligned gather: assemble little-endian patterns from bytes."""
+    out = np.zeros(byte_addr.shape, dtype=np.uint64)
+    try:
+        for k in range(nbytes):
+            out |= buf[byte_addr + k].astype(np.uint64) << np.uint64(8 * k)
+    except IndexError as exc:
+        raise VMError(msg.format(exc)) from exc
+    return out
+
+
+def gather_subbyte(buf, byte_addr, shift, nbits: int, msg: str) -> np.ndarray:
+    """Sub-byte gather: 8-byte window read, then shift and mask."""
+    return (gather_bytes(buf, byte_addr, 8, msg) >> shift) & np.uint64((1 << nbits) - 1)
+
+
+def gather(buf, bit_addr, nbits: int, aligned: bool, msg: str) -> np.ndarray:
+    """Patterns of the ``nbits``-wide elements at ``bit_addr``; ``aligned``
+    says every address is a whole byte and ``nbits`` a whole byte count."""
+    if aligned:
+        return gather_bytes(buf, bit_addr // 8, nbits // 8, msg)
+    return gather_subbyte(buf, bit_addr // 8, (bit_addr % 8).astype(np.uint64), nbits, msg)
+
+
+def scatter_bytes(buf, byte_addr, pat, nbytes: int, msg: str) -> None:
+    """Byte-aligned scatter: one fancy assignment per byte lane, so of two
+    writers of one *element* the later (block-major) wins.  Elements that
+    overlap only partially — two blocks on different element grids, a
+    write race the SIMB contract leaves undefined — resolve lane by lane."""
+    try:
+        for k in range(nbytes):
+            buf[byte_addr + k] = ((pat >> np.uint64(8 * k)) & np.uint64(0xFF)).astype(
+                np.uint8
+            )
+    except IndexError as exc:
+        raise VMError(msg.format(exc)) from exc
+
+
+def pattern_bits(pat, nbits: int) -> np.ndarray:
+    """The single bits of flat patterns, LSB first, flattened."""
+    offsets = np.arange(nbits, dtype=np.uint64)
+    return ((pat[:, None] >> offsets) & np.uint64(1)).astype(np.uint8).reshape(-1)
+
+
+def last_writers(bit_addr, nbits: int):
+    """Deduplicate a sub-byte scatter to the *last* writer of every bit
+    position (flat, block-major order).  Returns ``(keep, byte_idx,
+    bit_in_byte)``: which of :func:`pattern_bits`' entries survive and
+    where they land."""
+    pos = (bit_addr[:, None] + np.arange(nbits, dtype=np.int64)).reshape(-1)
+    _, first_in_rev = np.unique(pos[::-1], return_index=True)
+    keep = pos.shape[0] - 1 - first_in_rev
+    pos_u = pos[keep]
+    return keep, pos_u // 8, (pos_u % 8).astype(np.uint8)
+
+
+def scatter_subbyte(buf, byte_idx, bit_in_byte, val_u, msg: str) -> None:
+    """Sub-byte scatter: unbuffered clear+set of pre-deduplicated bits."""
+    try:
+        np.bitwise_and.at(buf, byte_idx, ~(np.uint8(1) << bit_in_byte))
+        np.bitwise_or.at(buf, byte_idx, val_u << bit_in_byte)
+    except IndexError as exc:
+        raise VMError(msg.format(exc)) from exc
+
+
+def scatter(buf, bit_addr, pat, nbits: int, aligned: bool, msg: str) -> None:
+    """Write flat patterns at flat ``bit_addr``, later entries winning."""
+    if aligned:
+        scatter_bytes(buf, bit_addr // 8, pat, nbits // 8, msg)
+        return
+    keep, byte_idx, bit_in_byte = last_writers(bit_addr, nbits)
+    scatter_subbyte(buf, byte_idx, bit_in_byte, pattern_bits(pat, nbits)[keep], msg)
+
+
+# ---------------------------------------------------------------------------
+# Instruction-level checks
+# ---------------------------------------------------------------------------
+
+
+def view_shape(extents, evaluate, active) -> tuple:
+    """Concrete shape of a ``ViewGlobal``: expression extents go through
+    ``evaluate`` and must agree across the active blocks."""
+    shape = []
+    for s in extents:
+        if hasattr(s, "dtype"):
+            s = evaluate(s)
+            if isinstance(s, np.ndarray):
+                uniq = np.unique(s[active]) if active.any() else np.unique(s)
+                if uniq.size > 1:
+                    raise VMError(
+                        "batched engine requires uniform global view shapes; "
+                        f"got extents {uniq.tolist()} across blocks"
+                    )
+                s = uniq[0] if uniq.size else 0
+        shape.append(int(s))
+    return tuple(shape)
+
+
+def view_global_messages(dtype, shape: tuple, limit: int) -> tuple:
+    return (
+        f"tensor view [{dtype}{list(shape)}] starts before the "
+        f"buffer: bit offset {{}} is negative",
+        f"tensor view [{dtype}{list(shape)}] at bit offset "
+        f"{{}} exceeds its buffer: needs {{}} bits, buffer has {limit}",
+    )
+
+
+def check_view_global(base, size_bits: int, limit: int, msg_neg: str, msg_exc: str) -> None:
+    """A global view's (B,) bit bases must keep it inside the buffer."""
+    end = base + size_bits
+    if bool((base < 0).any()):
+        raise VMError(msg_neg.format(int(base.min())))
+    over = end > limit
+    if bool(over.any()):
+        raise VMError(msg_exc.format(int(base[over][0]), int(end.max())))
+
+
+def lookup_message(extent: int) -> str:
+    return f"lookup code {{}} exceeds table of {extent}"
+
+
+def check_lookup(act, extent: int, msg: str) -> None:
+    """Lookup codes of the active blocks must index the table."""
+    if act.size and (int(act.min()) < 0 or int(act.max()) >= extent):
+        raise VMError(msg.format(int(act.max())))
+
+
+# ---------------------------------------------------------------------------
+# Shared memory: one row per block in a flat buffer
+# ---------------------------------------------------------------------------
+
+
+class BatchedSharedMemory:
+    """Per-block shared memories packed as rows of one flat buffer.
+
+    Row ``b`` spans ``[b * row_bytes, (b + 1) * row_bytes)`` with an 8-byte
+    guard at the end of each row so sub-byte window reads never cross into
+    the next block's row.  The allocator is all lowering needs at compile
+    time; the buffer is created on first access (most kernels on the hot
+    launch path never touch shared memory, and ``nblocks`` x 228KB of
+    zeroed pages per launch is not free).
+    """
+
+    def __init__(self, nblocks: int, capacity_bytes: int = 228 * 1024) -> None:
+        self.capacity = capacity_bytes
+        self.row_bytes = capacity_bytes + 8
+        self.nbytes = nblocks * self.row_bytes
+        self.row_base_bits = np.arange(nblocks, dtype=np.int64) * self.row_bytes * 8
+        self.used = False
+        self._next = np.zeros(nblocks, dtype=np.int64)
+        self._buffer: np.ndarray | None = None
+
+    @property
+    def buffer(self) -> np.ndarray:
+        if self._buffer is None:
+            self._buffer = np.zeros(self.nbytes, dtype=np.uint8)
+        return self._buffer
+
+    def alloc(self, nbytes: int, active: np.ndarray) -> np.ndarray:
+        """Bump-allocate ``nbytes`` (16-byte granules) in every active
+        block; returns the (B,) absolute bit address of each block's
+        allocation (stale for inactive blocks)."""
+        grown = self._next + (int(nbytes) + 15) // 16 * 16
+        if bool((active & (grown > self.capacity)).any()):
+            free = self.capacity - int(self._next[active].max())
+            raise VMError(
+                f"shared memory exhausted: requested {nbytes} B, "
+                f"{free} B free of {self.capacity} B"
+            )
+        base_bits = self.row_base_bits + self._next * 8
+        self._next = np.where(active, grown, self._next)
+        self.used = True
+        return base_bits
+
+
+def tensor_nbytes(shape, dtype, what: str) -> int:
+    """Byte size of a statically shaped shared/workspace tensor."""
+    if shape is None:
+        raise VMError(f"{what} tensors require static shapes")
+    return (int(np.prod(shape)) * dtype.nbits + 7) // 8
+
+
+#: The names generated kernels — and kernel sources persisted in tuning
+#: stores — call the table by.  Signatures are part of the store format.
+KERNEL_NAMESPACE = {
+    "_dec": decode,
+    "_enc": encode,
+    "_gb": gather_bytes,
+    "_gsb": gather_subbyte,
+    "_gather": gather,
+    "_scb": scatter_bytes,
+    "_ssb": scatter_subbyte,
+    "_pbits": pattern_bits,
+    "_vg": check_view_global,
+    "_lk": check_lookup,
+    "_tolog": to_logical,
+    "_viewp": regroup,
+}

@@ -25,16 +25,19 @@ ROWS, COLS = 8, 4
 
 ENTRIES = ("sync", "stream", "replay", "serial")
 
-#: scenario -> (launch engine, JIT setup, expected tier).  The programs
-#: are single-block, so ``auto`` resolves to the sequential engine and a
-#: forced ``batched`` is distinguishable from it.  (``batched`` runs
-#: against a *cold* JIT: capture consumes an explicit interpreted engine
-#: into the node's frozen engine, so a hot one would promote at replay.)
+#: scenario -> (launch engine, JIT setup, expected tier).  ``auto``
+#: resolves to the batched engine whatever the grid size (the programs
+#: are single-block), so ``forced-sequential`` is the witness that an
+#: explicit interpreted engine is honoured on every path.  (The forced
+#: interpreted engines run against a *cold* JIT: capture consumes an
+#: explicit interpreted engine into the node's frozen engine, so a hot
+#: one would promote at replay.)
 SCENARIOS = {
-    "auto-cold": (None, "cold", "sequential"),
+    "auto-cold": (None, "cold", "batched"),
     "auto-hot": (None, "hot", "compiled"),
     "forced-compiled": ("compiled", None, "compiled"),
     "forced-batched": ("batched", "cold", "batched"),
+    "forced-sequential": ("sequential", "cold", "sequential"),
     "bailout": ("compiled", None, "batched"),
 }
 
@@ -145,6 +148,7 @@ JIT_COUNTERS = {
     "auto-hot": (1, 0, 1),
     "forced-compiled": (1, 0, 1),
     "forced-batched": (0, 0, 0),
+    "forced-sequential": (0, 0, 0),
     "bailout": (0, 1, 0),
 }
 
@@ -196,8 +200,8 @@ def drive_group(entry: str, scenario: str) -> dict:
     ``replay``/``serial`` capture them on ``GROUP`` different streams."""
     scales, engine, printing = GROUP_SCENARIOS[scenario]
     runtime, a, outs = fresh_runtime(num_outputs=GROUP)
-    # Two blocks: "auto" resolves to the batched engine on every path
-    # (capture only merges nodes frozen to it).
+    # "auto" resolves to the batched engine on every path (capture only
+    # merges nodes frozen to it).
     program = scale_program(
         "group_" + scenario.replace("-", "_"), blocks=2, printing=printing
     )

@@ -209,7 +209,7 @@ class TestRuntimeWiring:
         tile = pb.load_global(g, layout=spatial(4, 4), offset=[0, 0])
         pb.store_global(tile, g, offset=[0, 0])
         prog = pb.finish()
-        assert select_engine(prog, (2,)) == "sequential"
+        assert select_engine(prog) == "sequential"
         rt = Runtime()
         data = float16.quantize(np.random.default_rng(2).standard_normal((8, 4)))
         a = rt.upload(data, float16)

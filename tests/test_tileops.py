@@ -1,0 +1,226 @@
+"""The tile-semantics table (:mod:`repro.vm.tileops`) against the naive
+sequential oracle.
+
+The table is what both block-vectorised tiers call, so it is tested on
+its own, below any engine: its bit-addressed gather/scatter pair against
+:class:`repro.vm.memory.TensorView` run block by block (every element
+width, unaligned and overlapping per-block bases, duplicate indices, a
+partial ``select`` mask — block-major last-writer-wins), and the packed
+register ``View`` against :class:`repro.vm.values.RegisterValue`'s
+bit-plane reinterpretation.  The oracle stays worth comparing against
+only while it shares nothing with the table; the last test pins that.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.vm
+from repro.dtypes import uint
+from repro.errors import VMError
+from repro.layout import local
+from repro.vm import BatchedRegisterValue, RegisterValue, TensorView, tileops
+
+WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 32)
+BUFFER_BYTES = 512
+EXTENT = 24  # elements per 1-D view
+
+
+@st.composite
+def transfers(draw):
+    """A stacked scatter/gather: per-block views of one buffer (bases may
+    be unaligned and may overlap each other), (B, n) indices with
+    duplicates, patterns, and a partial select mask."""
+    nbits = draw(st.sampled_from(WIDTHS))
+    nblocks = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    aligned = draw(st.booleans())
+    span = (BUFFER_BYTES - 9) * 8 - EXTENT * nbits
+    # Blocks' windows a few bits, a few elements or anywhere apart.
+    spread = draw(st.sampled_from([7, 5 * nbits, span]))
+    first = draw(st.integers(0, span))
+    apart = draw(st.lists(st.integers(-spread, spread), min_size=nblocks, max_size=nblocks))
+    base = np.clip(first + np.array(apart, dtype=np.int64), 0, span)
+    if nbits % 8 == 0 and aligned:
+        # The byte path resolves writers of the *same* address; blocks
+        # whose multi-byte elements overlap partially (different element
+        # grids) are a write race the SIMB contract leaves undefined, so
+        # here all blocks share one grid.
+        base -= base % nbits
+    elif nbits % 8 == 0 and base[0] % 8 == 0:
+        base[0] += 1  # one sub-byte skew sends every block down the bit path
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(0, EXTENT, size=(nblocks, n))
+    patterns = rng.integers(0, 1 << nbits, size=(nblocks, n), dtype=np.uint64)
+    select = rng.random((nblocks, n)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    background = rng.integers(0, 256, size=BUFFER_BYTES, dtype=np.uint8)
+    return nbits, base, indices, patterns, select, background
+
+
+@settings(max_examples=150, deadline=None)
+@given(transfers())
+def test_scatter_then_gather_match_the_sequential_oracle(case):
+    nbits, base, indices, patterns, select, background = case
+    dtype = uint(nbits)
+    nblocks = base.shape[0]
+    aligned = nbits % 8 == 0 and not (base % 8).any()
+    msg = tileops.oob_message(dtype, (EXTENT,), BUFFER_BYTES)
+
+    # Oracle: one block after another, each through its own TensorView.
+    want = background.copy()
+    for b in range(nblocks):
+        if select[b].any():
+            TensorView(want, int(base[b]), dtype, (EXTENT,)).scatter_bits(
+                [indices[b][select[b]]], patterns[b][select[b]]
+            )
+
+    got = background.copy()
+    selected = tileops.select_flat([indices], nblocks, select)
+    assert (selected is None) == (not select.any())
+    if selected is not None:
+        flat, rows, mask = selected
+        linear = tileops.linear_index((EXTENT,), dtype, flat)
+        tileops.scatter(
+            got, base[rows] + linear * nbits, patterns[mask], nbits, aligned, msg
+        )
+    assert np.array_equal(got, want)
+
+    linear = tileops.linear_index((EXTENT,), dtype, [indices])
+    gathered = tileops.gather(got, base[:, None] + linear * nbits, nbits, aligned, msg)
+    for b in range(nblocks):
+        oracle = TensorView(want, int(base[b]), dtype, (EXTENT,)).gather_bits([indices[b]])
+        assert np.array_equal(gathered[b], oracle)
+
+
+def test_linear_index_checks_neutralises_and_clips():
+    dtype = uint(4)
+    idx = [np.array([[0, 5], [9, 1]])]
+    with pytest.raises(VMError, match=r"index out of bounds: \[0, 9\]"):
+        tileops.linear_index((8,), dtype, idx)
+    where = np.array([[True, True], [False, True]])
+    assert tileops.linear_index((8,), dtype, idx, where=where).tolist() == [[0, 5], [0, 1]]
+    assert tileops.linear_index((8,), dtype, idx, clip=True).tolist() == [[0, 5], [7, 1]]
+    with pytest.raises(VMError, match="rank mismatch"):
+        tileops.linear_index((8, 8), dtype, idx)
+
+
+def test_out_of_buffer_access_is_a_vm_error_not_an_index_error():
+    buf = np.zeros(16, dtype=np.uint8)
+    msg = tileops.oob_message(uint(8), (4,), len(buf))
+    addr = np.array([8 * 64], dtype=np.int64)
+    with pytest.raises(VMError, match="addresses bytes outside its buffer"):
+        tileops.gather(buf, addr, 8, True, msg)
+    with pytest.raises(VMError, match="addresses bytes outside its buffer"):
+        tileops.scatter(buf, addr, np.array([1], dtype=np.uint64), 3, False, msg)
+
+
+# ---------------------------------------------------------------------------
+# Register View: packed patterns vs the oracle's bit planes
+# ---------------------------------------------------------------------------
+
+VIEW_WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 16)
+THREADS, BLOCKS = 4, 3
+
+
+@pytest.mark.parametrize("old", VIEW_WIDTHS)
+def test_view_round_trips_every_width_pair(old):
+    rng = np.random.default_rng(old)
+    for new in VIEW_WIDTHS:
+        unit = math.lcm(old, new)
+        # One row that fits a 64-bit word when the pair allows it, and
+        # one that cannot (the expansion path).
+        for row_bits in {unit, unit * (64 // unit + 1)}:
+            old_layout = local(row_bits // old).spatial(THREADS)
+            new_layout = local(row_bits // new).spatial(THREADS)
+            patterns = rng.integers(
+                0, 1 << old, size=(BLOCKS, THREADS, row_bits // old), dtype=np.uint64
+            )
+            value = BatchedRegisterValue(uint(old), old_layout, patterns)
+            viewed = value.view(uint(new), new_layout)
+            assert viewed.patterns.shape == (BLOCKS, THREADS, row_bits // new)
+            for b in range(BLOCKS):
+                oracle = RegisterValue.from_patterns(uint(old), old_layout, patterns[b])
+                assert np.array_equal(
+                    viewed.patterns[b],
+                    oracle.view(uint(new), new_layout).thread_patterns(),
+                ), (old, new, row_bits)
+            back = viewed.view(uint(old), old_layout)
+            assert np.array_equal(back.patterns, patterns), (old, new, row_bits)
+
+
+def test_view_of_the_same_width_is_zero_cost():
+    patterns = np.arange(BLOCKS * THREADS * 2, dtype=np.uint64).reshape(BLOCKS, THREADS, 2)
+    value = BatchedRegisterValue(uint(8), local(2).spatial(THREADS), patterns)
+    assert value.view(uint(8), local(2).spatial(THREADS)).patterns is value.patterns
+
+
+def test_divergent_merge_regroups_the_old_value():
+    """Inactive blocks keep their old bits even when the variable was last
+    bound under another element width."""
+    rng = np.random.default_rng(0)
+    old = BatchedRegisterValue(
+        uint(4), local(4).spatial(THREADS),
+        rng.integers(0, 16, size=(BLOCKS, THREADS, 4), dtype=np.uint64),
+    )
+    new = BatchedRegisterValue(
+        uint(8), local(2).spatial(THREADS),
+        rng.integers(0, 256, size=(BLOCKS, THREADS, 2), dtype=np.uint64),
+    )
+    active = np.array([True, False, True])
+    merged = new.merge_into(old, active)
+    expected = np.where(
+        active[:, None, None], new.patterns, old.view(uint(8), new.layout).patterns
+    )
+    assert np.array_equal(merged.patterns, expected)
+    with pytest.raises(VMError, match="bits-per-thread mismatch"):
+        new.merge_into(
+            BatchedRegisterValue.filled(uint(8), local(3).spatial(THREADS), None, BLOCKS),
+            active,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Oracle independence
+# ---------------------------------------------------------------------------
+
+ORACLE = ("interp", "values", "memory")
+SHARED_TABLE = {"tileops", "batched"}
+
+
+def _vm_imports(module: str) -> set:
+    """Names of the ``repro.vm`` submodules ``module`` imports, anywhere
+    in its source (function-level imports included)."""
+    tree = ast.parse((Path(repro.vm.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            targets = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            if parts[:2] == ["repro", "vm"] and len(parts) > 2:
+                found.add(parts[2])
+    return {name for name in found if (Path(repro.vm.__file__).parent / f"{name}.py").exists()}
+
+
+def test_the_sequential_oracle_does_not_import_the_shared_table():
+    """``vm/interp.py``, ``vm/values.py`` and ``vm/memory.py`` — and
+    whatever of ``repro.vm`` they import — never reach ``vm/tileops.py``
+    or ``vm/batched.py``: the oracle states the semantics independently."""
+    reached, frontier = set(), list(ORACLE)
+    while frontier:
+        module = frontier.pop()
+        if module not in reached:
+            reached.add(module)
+            frontier.extend(_vm_imports(module))
+    assert not reached & SHARED_TABLE, sorted(reached)
+    assert {"tileops"} <= _vm_imports("batched")  # the helper does see imports

@@ -120,10 +120,7 @@ def test_splitk_cases_are_multi_launch():
 
 
 def test_generated_programs_select_batched_engine():
-    # The auto policy must route every multi-block generated program to the
-    # batched engine (none of them print).
+    # The auto policy must route every generated program to the batched
+    # engine (none of them has block-varying view shapes).
     case = generate_case(0)
-    grid = case.program.grid_size(
-        [0] * len(case.program.params)
-    )
-    assert select_engine(case.program, grid) == "batched"
+    assert select_engine(case.program) == "batched"

@@ -283,7 +283,7 @@ class TestBatchedDebug:
         # Debug programs batch: the auto policy no longer forces them
         # onto the sequential engine.
         prog, _ = self._print_program()
-        assert select_engine(prog, (2, 3)) == "batched"
+        assert select_engine(prog) == "batched"
 
 
 class TestBatchedAllocateGlobal:
