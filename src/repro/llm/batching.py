@@ -34,14 +34,26 @@ the measured costs feed ``graph.optimize`` for profile-guided stream
 re-balancing and ``Autotuner.tune_profiled`` for measurement-free
 re-tuning — serving traffic becomes the profile the optimizer consumes.
 
-``adaptive=True`` closes that loop **online**: decode graphs come under
+Engine state is not the simulator's: the adaptive policy, the compiled
+tier and the tuning store live on the operator's
+:class:`~repro.runtime.runtime.Runtime` (``decode_linear.runtime``), and
+the simulator reads them there.  With ``runtime.enable_adaptive()`` the
+decode graphs are captured under
 :class:`~repro.runtime.adaptive.AdaptivePolicy` management — after the
 policy's warmup window of profiled steps each live graph is atomically
 swapped for its profile-optimized image, with no explicit
 ``reoptimize()`` call anywhere — and *new* batch sizes capture
 profile-guided (``capture(profile=...)``): the costs earlier graphs
-measured pick stream placement, stream count and engine choice at
-capture time.  ``TraceResult.auto_reoptimizations`` counts the swaps.
+measured pick stream placement and stream count at capture time
+(``TraceResult.auto_reoptimizations`` counts the swaps).  With
+``runtime.enable_jit()`` hot decode specializations run compiled
+(``TraceResult.jit_compiled`` / ``jit_promotions``).  With
+``runtime.attach_store(...)`` the simulator boots from the store
+(``runtime.warm_start()`` once, ``runtime.stored_plan(graph)`` after
+each capture) and :meth:`ContinuousBatchingSimulator.publish_store`
+writes the converged state back.
+:meth:`repro.serving.spec.WorkerSpec.build_simulator` is where a recipe
+becomes such a configured runtime.
 """
 
 from __future__ import annotations
@@ -50,9 +62,12 @@ import hashlib
 import math
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
+from repro.compiler.pipeline import specialization_key
 from repro.llm.engine import ServingConfig, ServingSimulator
 from repro.llm.models import ModelConfig
+from repro.runtime.profiling import Profile, spec_string
 
 
 def _percentile(values: list[float], p: float) -> float:
@@ -140,11 +155,12 @@ class TraceResult:
     #: simulator was created with ``profile=True``; None otherwise.
     profile: object | None = None
     #: Automatic live-graph swaps the adaptive policy performed during
-    #: this trace (``adaptive=True``); zero otherwise.
+    #: this trace (an adaptive runtime); zero otherwise.
     auto_reoptimizations: int = 0
-    #: Compiled-tier counters (``jit=True``): hot specializations the JIT
-    #: lowered to straight-line compiled kernels during this trace, and
-    #: how many decode executions ran through them.  Zero otherwise.
+    #: Compiled-tier counters (a JIT-enabled runtime): hot
+    #: specializations the JIT lowered to straight-line compiled kernels
+    #: during this trace, and how many decode executions ran through
+    #: them.  Zero otherwise.
     jit_compiled: int = 0
     jit_promotions: int = 0
 
@@ -201,17 +217,8 @@ class ContinuousBatchingSimulator:
     in-flight set changes; set it False to eager-submit every step.
     ``profile=True`` records every decode kernel into a reusable
     :class:`~repro.runtime.profiling.Profile` on ``TraceResult.profile``.
-    ``adaptive`` (True, or an
-    :class:`~repro.runtime.adaptive.AdaptivePolicy` for knob control)
-    puts the decode graphs under online auto-reoptimization and makes
-    new batch sizes capture profile-guided; swaps are counted on
-    ``TraceResult.auto_reoptimizations``.
-    ``jit=True`` attaches the operator runtime's compiled tier
-    (:meth:`~repro.runtime.runtime.Runtime.enable_jit`): the decode
-    kernel's specialization accumulates profiled heat and, once hot,
-    executes as a flattened compiled kernel instead of re-entering the
-    interpreter every step — bit-exact, counted on
-    ``TraceResult.jit_compiled`` / ``jit_promotions``.
+    The adaptive policy, compiled tier and tuning store are read from
+    ``decode_linear.runtime`` (see the module docstring).
     """
 
     def __init__(
@@ -223,11 +230,6 @@ class ContinuousBatchingSimulator:
         num_streams: int = 4,
         use_graphs: bool = True,
         profile: bool = False,
-        adaptive=False,
-        jit: bool = False,
-        jit_threshold_s: float | None = None,
-        store=None,
-        store_scope: str = "serving",
     ) -> None:
         self.model = model
         self.config = config
@@ -239,77 +241,32 @@ class ContinuousBatchingSimulator:
         #: Record per-node execution profiles of the decode kernels onto
         #: the operator runtime (``TraceResult.profile`` carries them).
         self.profile = profile
-        #: The adaptive policy managing the decode graphs, or None.  One
-        #: policy per simulator: graphs are cached across runs, so their
-        #: management must be too.
-        if adaptive:
-            if not use_graphs:
-                raise ValueError(
-                    "adaptive=True requires use_graphs=True: the policy "
-                    "manages captured decode graphs, and eager per-step "
-                    "submission has nothing to swap"
-                )
-            from repro.runtime.adaptive import AdaptivePolicy
-
-            self._policy = (
-                adaptive
-                if isinstance(adaptive, AdaptivePolicy)
-                else AdaptivePolicy(warmup_replays=4, min_gain=0.05)
-            )
-        else:
-            self._policy = None
-        #: Whether the compiled tier is attached to the operator runtime.
-        self._jit = bool(jit) and decode_linear is not None
-        if self._jit:
-            decode_linear.runtime.enable_jit(threshold_s=jit_threshold_s)
         #: One captured decode-step graph per batch size, with the
         #: binding layout it was captured against.
         self._graphs: dict = {}
-        #: Persistent tuning store (see :mod:`repro.store`), or None.
-        #: A warm boot loads the previous generation's profile and JIT
-        #: state here; :meth:`publish_store` writes this generation's
-        #: back.  Every load failure degrades to a cold boot.
-        self._store_scope = store_scope
+        #: Every profiled run's records, merged (each run installs a
+        #: fresh per-trace profile): what a worker exports on
+        #: ``pull_state`` and what :meth:`publish_store` persists.
+        self.served_profile = Profile()
+        #: The previous generation's profile, loaded from the runtime's
+        #: tuning store at boot (None: no store, no entry, or a corrupt
+        #: one — the boot proceeds cold).
         self._warm_profile = None
-        #: Profiles accumulated across this simulator's runs, merged for
-        #: publication (each run installs a fresh per-trace profile).
-        self._store_profile = None
-        if store is not None:
-            from repro.store import TuningStore
+        if decode_linear is not None:
+            runtime = decode_linear.runtime
+            if runtime.adaptive is not None and not use_graphs:
+                raise ValueError(
+                    "an adaptive runtime requires use_graphs=True: the "
+                    "policy manages captured decode graphs, and eager "
+                    "per-step submission has nothing to swap"
+                )
+            self._warm_profile = runtime.warm_start()
 
-            if not isinstance(store, TuningStore):
-                store = TuningStore(store)
-        self._store = store
-        if self._store is not None and decode_linear is not None:
-            self._warm_boot(decode_linear.runtime)
-
-    def _warm_boot(self, runtime) -> None:
-        """Spend the store's persisted state: the stored profile arms
-        profile-guided capture (zero-swap convergence) and stored JIT
-        heat/kernels pre-promote the decode specialization.  Corrupt
-        entries are swallowed — the boot proceeds cold."""
-        from repro.errors import VMError
-
-        runtime.store = self._store
-        try:
-            self._warm_profile = self._store.load_profile(self._store_scope)
-        except VMError:
-            self._warm_profile = None
-        if self._jit:
-            try:
-                payload = self._store.load_jit(self._store_scope)
-            except VMError:
-                payload = None
-            if payload is not None:
-                heat = {
-                    spec: seconds
-                    for spec, seconds in payload["heat"].items()
-                    if isinstance(spec, str)
-                    and isinstance(seconds, (int, float))
-                    and not isinstance(seconds, bool)
-                }
-                runtime.jit.preheat(heat)
-                runtime.jit.stage_kernels(payload["kernels"])
+    @property
+    def graphs(self):
+        """Read-only view of the captured decode graphs by batch size
+        (adaptive facades under an adaptive runtime)."""
+        return MappingProxyType(self._graphs)
 
     def metrics(self) -> dict:
         """One flat snapshot of the simulator's counters under the
@@ -343,56 +300,48 @@ class ContinuousBatchingSimulator:
     def run(self, requests: list[Request]) -> TraceResult:
         """Simulate until every request finishes."""
         pending = sorted(requests, key=lambda r: r.arrival_s)
-        inflight: list[_Inflight] = []
         outcome = TraceResult()
-        # The adaptive policy is fed by profiled replays, and JIT
-        # promotion is driven by profiled heat, so both run profiled
-        # even when the caller did not ask to keep the profile
-        # (outcome.profile stays None unless profile=True).
+        if self.decode_linear is None:
+            return self._run_loop(pending, outcome)
+        runtime = self.decode_linear.runtime
+        policy, jit = runtime.adaptive, runtime.jit
+        # The adaptive policy is fed by profiled replays, JIT promotion
+        # is driven by profiled heat and the store publishes the
+        # profile, so all three run profiled even when the caller did
+        # not ask to keep it (outcome.profile stays None unless
+        # profile=True).
         profiling = (
             self.profile
-            or self._policy is not None
-            or self._jit
-            or self._store is not None
-        ) and self.decode_linear is not None
+            or policy is not None
+            or jit is not None
+            or runtime.store is not None
+        )
         if profiling:
             # Fresh profile per run so the trace's records are its own
             # (a caller-enabled profiler must not bleed in), restored on
             # exit so caller profiling survives the trace unchanged.
-            from repro.runtime.profiling import Profile
-
-            runtime = self.decode_linear.runtime
             prior = runtime.disable_profiling()
             fresh = runtime.enable_profiling(Profile())
             if self.profile:
                 outcome.profile = fresh
-        swaps_before = self._policy.swaps if self._policy is not None else 0
-        jit = self.decode_linear.runtime.jit if self._jit else None
+        swaps_before = policy.swaps if policy is not None else 0
         compiled_before = jit.compiled if jit is not None else 0
         promotions_before = jit.promotions if jit is not None else 0
         try:
-            return self._run_loop(pending, inflight, outcome)
+            return self._run_loop(pending, outcome)
         finally:
-            if self._policy is not None:
-                outcome.auto_reoptimizations = self._policy.swaps - swaps_before
+            if policy is not None:
+                outcome.auto_reoptimizations = policy.swaps - swaps_before
             if jit is not None:
                 outcome.jit_compiled = jit.compiled - compiled_before
                 outcome.jit_promotions = jit.promotions - promotions_before
             if profiling:
-                recorded = runtime.disable_profiling()
-                if self._store is not None and recorded is not None:
-                    if self._store_profile is None:
-                        self._store_profile = Profile()
-                    self._store_profile.merge(recorded)
+                self.served_profile.merge(runtime.disable_profiling())
                 if prior is not None:
                     runtime.enable_profiling(prior)
 
-    def _run_loop(
-        self,
-        pending: list[Request],
-        inflight: "list[_Inflight]",
-        outcome: TraceResult,
-    ) -> TraceResult:
+    def _run_loop(self, pending: list[Request], outcome: TraceResult) -> TraceResult:
+        inflight: list[_Inflight] = []
         now = 0.0
         queue_idx = 0
 
@@ -512,23 +461,21 @@ class ContinuousBatchingSimulator:
 
     def _capture_hint(self, program, args):
         """The prior profile to hand a fresh batch size's capture, or
-        None.  Only meaningful under the adaptive policy, and only when
-        the active profiler has already measured this decode kernel's
-        specialization key (earlier batch sizes' graphs record the same
-        ``program_for(1)`` spec) — an unrelated profile must not be
-        offered, since profile-guided capture rejects a profile that
-        matches nothing."""
-        if self._policy is None and self._warm_profile is None:
+        None.  Only meaningful under the adaptive policy or a
+        store-warm boot, and only when the profile has already measured
+        this decode kernel's specialization key (earlier batch sizes'
+        graphs record the same ``program_for(1)`` spec) — an unrelated
+        profile must not be offered, since profile-guided capture
+        rejects a profile that matches nothing."""
+        runtime = self.decode_linear.runtime
+        warm = self._warm_profile
+        if runtime.adaptive is None and warm is None:
             return None
-        from repro.compiler.pipeline import specialization_key
-        from repro.runtime.profiling import spec_string
-
         spec = spec_string(specialization_key(program, args))
-        if self._policy is not None:
-            profiler = self.decode_linear.runtime.profiler
+        if runtime.adaptive is not None:
+            profiler = runtime.profiler
             if profiler is not None and profiler.spec_seconds(spec) is not None:
                 return profiler
-        warm = self._warm_profile
         if warm is not None and warm.spec_seconds(spec) is not None:
             # Store-warm boot: a profile recorded by a previous process
             # stands in until this one has measured anything itself.
@@ -567,17 +514,16 @@ class ContinuousBatchingSimulator:
             for idx, flight in enumerate(inflight):
                 graph.bind(f"act{idx}", flight.act_addr, act_bytes)
                 graph.bind(f"out{idx}", flight.out_addr, out_bytes)
+            # A stored plan, or a capture guided by the stored profile,
+            # already sits on a converged placement: the policy's
+            # unconditional first swap is disabled, so a warm boot
+            # replays with zero adaptive swaps.
             warm_capture = hint is not None and hint is self._warm_profile
-            if self._store is not None:
-                applied = self._apply_stored_plan(graph)
-                if applied is not None:
-                    graph = applied
-                    warm_capture = True
-            if self._policy is not None:
-                # A warm capture already sits on a converged placement:
-                # the policy's unconditional first swap is disabled so a
-                # warm boot replays with zero adaptive swaps.
-                graph = self._policy.manage(graph, warm=warm_capture)
+            applied = runtime.stored_plan(graph)
+            if applied is not None:
+                graph = applied
+            elif warm_capture and runtime.adaptive is not None:
+                graph = runtime.adaptive.manage(graph, warm=True)
             self._graphs[batch] = graph
             outcome.graph_captures += 1
             graph.replay()  # identity bindings: captured from this step
@@ -594,57 +540,18 @@ class ContinuousBatchingSimulator:
         )
 
     # -- persistent tuning store ---------------------------------------------
-    def _apply_stored_plan(self, graph):
-        """This scope's stored placement for ``graph``'s signature
-        applied to it, or None (absent / corrupt / no longer applicable
-        — every miss degrades to the freshly captured placement)."""
-        from repro.errors import VMError
-
-        try:
-            plan = self._store.load_plan(self._store_scope, graph.signature)
-            if plan is None:
-                return None
-            return graph.apply_plan(plan)
-        except VMError:
-            return None
-
     def publish_store(self) -> dict:
-        """Persist this simulator's converged serving state — merged
-        profile (warm inheritance + every run served here), each decode
-        graph's live placement, and the JIT tier's heat and kernel
-        sources — so the next process boots converged.  Returns a
-        summary dict; publication is best-effort per artifact."""
-        summary = {"profile": False, "plans": 0, "jit_kernels": 0}
-        if self._store is None or self.decode_linear is None:
-            return summary
-        from repro.errors import VMError
-        from repro.runtime.profiling import Profile
-
+        """Persist this simulator's converged serving state through its
+        runtime's store (:meth:`~repro.runtime.runtime.Runtime.publish_store`):
+        the merged profile (warm inheritance + every run served here),
+        each decode graph's live placement, and the JIT tier's heat and
+        kernel sources — so the next process boots converged."""
         runtime = self.decode_linear.runtime
         merged = Profile()
-        if self._warm_profile is not None:
-            merged.merge(self._warm_profile)
-        if self._store_profile is not None:
-            merged.merge(self._store_profile)
-        if runtime.profiler is not None:
-            merged.merge(runtime.profiler)
-        if len(merged) > 0:
-            self._store.publish_profile(self._store_scope, merged)
-            summary["profile"] = True
-        for graph in self._graphs.values():
-            live = getattr(graph, "live", graph)
-            try:
-                self._store.publish_plan(
-                    self._store_scope, live.signature, live.plan()
-                )
-                summary["plans"] += 1
-            except VMError:
-                continue
-        if self._jit and runtime.jit is not None:
-            summary["jit_kernels"] = self._store.publish_jit(
-                self._store_scope, runtime.jit, merged
-            )
-        return summary
+        for part in (self._warm_profile, self.served_profile, runtime.profiler):
+            if part is not None:
+                merged.merge(part)
+        return runtime.publish_store(self._graphs.values(), merged)
 
 
 def uniform_trace(

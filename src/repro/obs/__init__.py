@@ -15,7 +15,7 @@ imports from the layers they observe):
   clock (see ``docs/observability.md``).
 
 - :mod:`repro.obs.metrics` — the frozen dot-namespaced key contracts
-  behind every ``metrics()`` snapshot (``Runtime``, ``LocalEngine``,
+  behind every ``metrics()`` snapshot (``Runtime``,
   ``ContinuousBatchingSimulator``, ``RouterResult``), subsuming the
   scattered per-subsystem counter dicts under one stable namespace.
 """

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from repro.errors import VMError
 
-#: ``Runtime.metrics()`` / ``LocalEngine.metrics()`` keys.
+#: ``Runtime.metrics()`` keys.
 RUNTIME_METRICS_KEYS = frozenset({
     "runtime.launches",
     "runtime.spec_cache.entries",

@@ -1,7 +1,6 @@
 """Runtime system (paper Section 8.1, step 4)."""
 
 from repro.runtime.adaptive import AdaptiveGraph, AdaptivePolicy
-from repro.runtime.engine import LocalEngine
 from repro.runtime.graphs import ExecutionGraph, GraphNode, GraphPlan
 from repro.runtime.jit import JitCache, JitManager
 from repro.runtime.profiling import NodeProfile, Profile
@@ -32,7 +31,6 @@ __all__ = [
     "GraphPlan",
     "JitCache",
     "JitManager",
-    "LocalEngine",
     "Stream",
     "StreamPool",
     "StreamTask",

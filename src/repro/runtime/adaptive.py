@@ -44,9 +44,10 @@ each other from flapping.
 Wired through :class:`~repro.ops.QuantizedLinear` (captured split-k
 graphs are managed automatically once ``runtime.enable_adaptive()`` is
 on — no more explicit ``reoptimize()``) and the
-:mod:`repro.llm.batching` decode loop (``adaptive=True``; swaps are
-counted on ``TraceResult.auto_reoptimizations``).  The policy's observed
-profile also feeds :meth:`repro.autotune.tuner.Autotuner.tune_profiled`
+:mod:`repro.llm.batching` decode loop (which captures on the decode
+linear's runtime; swaps are counted on
+``TraceResult.auto_reoptimizations``).  The policy's observed profile
+also feeds :meth:`repro.autotune.tuner.Autotuner.tune_profiled`
 directly — pass the policy where a profile is expected.
 """
 
@@ -371,13 +372,17 @@ class AdaptivePolicy:
         profile: the unconditional first-window swap is skipped, so a
         warm boot that is already converged performs **zero** swaps and
         only re-places if live measurements beat ``min_gain``.
-        Managing a graph this policy already manages returns it
-        unchanged; a facade bound to a *different* policy is re-homed —
-        its live image is wrapped under this policy, so the caller's
-        knobs and counters apply rather than silently staying with
-        whichever policy wrapped it first."""
+        Managing a graph this policy already manages (``capture()`` on
+        a pool with the policy attached returns one) returns the same
+        facade, marked warm when ``warm=True``; a facade bound to a
+        *different* policy is re-homed — its live image is wrapped
+        under this policy, so the caller's knobs and counters apply
+        rather than silently staying with whichever policy wrapped it
+        first."""
         if isinstance(graph, AdaptiveGraph):
             if graph.policy is self:
+                if warm:
+                    graph._warm = True
                 return graph
             graph = graph.live
         return AdaptiveGraph(self, graph, outputs=outputs, warm=warm)

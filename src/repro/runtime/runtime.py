@@ -32,6 +32,15 @@ specializations are lowered to flat numpy source by
 Promotion is profile-driven — a signature promotes once its accumulated
 interpreted wall time clears the manager's threshold — and bit-exact:
 signatures the pipeline cannot lower fall back to the batched engine.
+
+The runtime is the one owner of engine state: besides the execution
+context it holds the attached persistent tuning store
+(:meth:`Runtime.attach_store`, then :meth:`~Runtime.warm_start` /
+:meth:`~Runtime.stored_plan` / :meth:`~Runtime.publish_store` — the only
+code that spends or publishes stored profiles, plans and JIT state), and
+the layers above (:mod:`repro.ops`, :mod:`repro.llm.batching`,
+:mod:`repro.serving`) read ``runtime.adaptive`` / ``.jit`` / ``.store``
+instead of keeping copies.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.profiling import EAGER, HOST_STREAM, Profile
 from repro.runtime.streams import LaunchHandle, Stream, StreamPool
+from repro.store import TuningStore
 from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory
 
@@ -169,10 +179,10 @@ class Runtime:
         self._workspace_addr: int | None = None
         self._workspace_size = 0
         self._pool: StreamPool | None = None
-        #: Attached :class:`~repro.store.TuningStore` (wired by
-        #: :class:`~repro.runtime.engine.LocalEngine` or the serving
-        #: simulator), or None.  Only read for ``store.*`` metrics.
-        self.store = None
+        #: Attached :class:`~repro.store.TuningStore` and the scope its
+        #: entries are keyed under (see :meth:`attach_store`), or None.
+        self.store: TuningStore | None = None
+        self.store_scope = ""
         if engine == "compiled":
             self.enable_jit()
 
@@ -286,6 +296,106 @@ class Runtime:
         intact, so re-enabling resumes warm)."""
         manager, self.jit = self.jit, None
         return manager
+
+    # -- persistent tuning store ---------------------------------------------
+    def attach_store(self, store, scope: str) -> TuningStore:
+        """Attach a persistent :class:`~repro.store.TuningStore` (a live
+        store or its directory path); returns it.  ``scope`` keys every
+        entry this runtime reads and writes, so processes sharing a
+        scope share tuning state.  :meth:`warm_start` and
+        :meth:`stored_plan` spend what another process published,
+        :meth:`publish_store` persists this one's.  Every load degrades:
+        a corrupt entry raises ``VMError`` inside the store (counted as
+        a ``store.misses``) and the runtime proceeds cold."""
+        if not isinstance(store, TuningStore):
+            store = TuningStore(store)
+        self.store, self.store_scope = store, scope
+        return store
+
+    def warm_start(self) -> Profile | None:
+        """Spend the store's boot-time state: stored JIT heat and kernel
+        records pre-promote the attached compiled tier, and the stored
+        :class:`~repro.runtime.profiling.Profile` is returned for the
+        caller to spend (profile-guided capture, ``tune_profiled``).
+        None without a store, an entry, or a readable one — warm start
+        never fails; the worst outcome is a cold boot."""
+        if self.store is None:
+            return None
+        try:
+            profile = self.store.load_profile(self.store_scope)
+        except VMError:
+            profile = None
+        if self.jit is not None:
+            try:
+                payload = self.store.load_jit(self.store_scope)
+            except VMError:
+                payload = None
+            if payload is not None:
+                self.jit.preheat({
+                    spec: seconds
+                    for spec, seconds in payload["heat"].items()
+                    if isinstance(spec, str)
+                    and isinstance(seconds, (int, float))
+                    and not isinstance(seconds, bool)
+                })
+                self.jit.stage_kernels(payload["kernels"])
+        return profile
+
+    def stored_plan(self, graph):
+        """``graph`` re-placed under this scope's stored plan for its
+        signature, or None (store off / no entry / corrupt entry / plan
+        no longer applicable — every miss degrades to the captured
+        placement).  The plan applies to the live image; with an
+        adaptive policy attached the result comes back under management
+        and marked warm — a stored placement is already converged, so
+        the policy's free first swap is off."""
+        if self.store is None:
+            return None
+        live = getattr(graph, "live", graph)
+        try:
+            plan = self.store.load_plan(self.store_scope, live.signature)
+            if plan is None:
+                return None
+            placed = live.apply_plan(plan)
+        except VMError:
+            return None
+        if self.adaptive is not None:
+            return self.adaptive.manage(placed, warm=True)
+        return placed
+
+    def publish_store(self, graphs=(), profile: Profile | None = None) -> dict:
+        """Persist converged state for the next process: ``profile``
+        (default: the active profiler), each given graph's live
+        placement, and the attached compiled tier's heat and kernel
+        sources.  Best-effort per artifact — a failed publication
+        (``VMError`` / ``OSError``) is counted in ``errors`` and the
+        others still land.  Returns what was written:
+        ``{"profile", "plans", "jit_kernels", "errors"}``."""
+        summary = {"profile": False, "plans": 0, "jit_kernels": 0, "errors": 0}
+        store, scope = self.store, self.store_scope
+        if store is None:
+            return summary
+        if profile is None:
+            profile = self.profiler
+        if profile is not None and len(profile) > 0:
+            try:
+                store.publish_profile(scope, profile)
+                summary["profile"] = True
+            except (VMError, OSError):
+                summary["errors"] += 1
+        for graph in graphs:
+            live = getattr(graph, "live", graph)
+            try:
+                store.publish_plan(scope, live.signature, live.plan())
+                summary["plans"] += 1
+            except (VMError, OSError):
+                summary["errors"] += 1
+        if self.jit is not None:
+            try:
+                summary["jit_kernels"] = store.publish_jit(scope, self.jit, profile)
+            except (VMError, OSError):
+                summary["errors"] += 1
+        return summary
 
     # -- streams ------------------------------------------------------------
     def stream_pool(self, num_streams: int = 4) -> StreamPool:

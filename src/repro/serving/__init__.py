@@ -1,11 +1,14 @@
 """Multi-process sharded serving: the placement/transport layer.
 
-The runtime package is the **local engine** (one process's Runtime +
-spec cache + policy, behind :class:`~repro.runtime.engine.LocalEngine`);
-this package is everything *between* engines:
+The runtime package is the **local engine**: one process's
+:class:`~repro.runtime.runtime.Runtime` owns all engine state — spec
+cache, profiler, adaptive policy, compiled tier, attached tuning store.
+This package is everything *between* engines:
 
 - :mod:`~repro.serving.spec` — the deterministic rebuild recipe
   (:class:`WorkerSpec`) that replaces shipping live objects;
+  ``WorkerSpec.build_simulator`` is the one place its engine fields
+  become a configured runtime;
 - :mod:`~repro.serving.messages` — the versioned-JSON wire protocol
   (no pickle ever crosses a process boundary);
 - :mod:`~repro.serving.worker` — the shard process entry point;

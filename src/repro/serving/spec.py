@@ -49,7 +49,8 @@ class WorkerSpec:
     linear_dtype: str = "i6"
     linear_group: int = 32
     weight_seed: int = 0
-    #: Engine knobs, mirrored onto the simulator.
+    #: Engine knobs: :meth:`build_simulator` turns them into a configured
+    #: runtime and simulator.
     max_batch: int = 8
     num_streams: int = 4
     use_graphs: bool = True
@@ -143,6 +144,12 @@ class WorkerSpec:
         """Build this spec's kernel-in-the-loop
         :class:`~repro.llm.batching.ContinuousBatchingSimulator`.
 
+        This is the one place the recipe's engine fields become state:
+        they configure a fresh :class:`~repro.runtime.runtime.Runtime`
+        (adaptive policy, compiled tier, tuning store), the decode
+        linear is prepared on it, and the simulator reads them from
+        there.
+
         Bit-determinism contract: two processes building from equal
         specs produce simulators whose per-request decode outputs (and
         therefore :attr:`~repro.llm.batching.RequestResult.output_digest`
@@ -153,12 +160,23 @@ class WorkerSpec:
         from repro import ops
         from repro.dtypes.registry import dtype_from_name
         from repro.llm.batching import ContinuousBatchingSimulator
+        from repro.runtime import AdaptivePolicy, Runtime
 
+        runtime = Runtime()
+        if self.adaptive:
+            runtime.enable_adaptive(AdaptivePolicy(warmup_replays=4, min_gain=0.05))
+        if self.jit:
+            runtime.enable_jit(threshold_s=self.jit_threshold_s)
+        if self.store_path is not None:
+            runtime.attach_store(self.store_path, self.store_scope())
         weight = np.random.default_rng(self.weight_seed).standard_normal(
             (self.linear_k, self.linear_n)
         )
         linear = ops.prepare_linear(
-            weight, dtype_from_name(self.linear_dtype), group_size=self.linear_group
+            weight,
+            dtype_from_name(self.linear_dtype),
+            group_size=self.linear_group,
+            runtime=runtime,
         )
         return ContinuousBatchingSimulator(
             self.model_config(),
@@ -168,9 +186,4 @@ class WorkerSpec:
             num_streams=self.num_streams,
             use_graphs=self.use_graphs,
             profile=self.profile,
-            adaptive=self.adaptive,
-            jit=self.jit,
-            jit_threshold_s=self.jit_threshold_s,
-            store=self.store_path,
-            store_scope=self.store_scope(),
         )

@@ -48,20 +48,16 @@ from repro.serving.spec import WorkerSpec
 CRASH_EXIT_CODE = 17
 
 
-def _state_payload(sim, cumulative_profile) -> dict:
-    """Graph plans + cumulative profile as JSON strings."""
-    from repro.runtime.engine import LocalEngine
-    from repro.runtime.profiling import Profile
-
-    plans = {}
-    for batch, graph in sorted(sim._graphs.items()):
-        plans[str(batch)] = LocalEngine.plan_json(graph)
-    profile = cumulative_profile if cumulative_profile is not None else Profile()
+def _state_payload(sim) -> dict:
+    """Graph plans + the simulator's cumulative profile as JSON strings."""
     runtime = sim.decode_linear.runtime
     cache = runtime.cache
     payload = {
-        "plans": plans,
-        "profile": profile.to_json(),
+        "plans": {
+            str(batch): graph.plan().to_json()
+            for batch, graph in sorted(sim.graphs.items())
+        },
+        "profile": sim.served_profile.to_json(),
         "cache": {"hits": cache.hits, "misses": cache.misses},
     }
     if runtime.jit is not None:
@@ -71,13 +67,10 @@ def _state_payload(sim, cumulative_profile) -> dict:
 
 def worker_main(conn, spec_json: str) -> None:
     """Serve one shard over ``conn`` until ``shutdown`` (or ``crash``)."""
-    from repro.runtime.profiling import Profile
-
     spec = WorkerSpec.from_json(spec_json)
     sim = spec.build_simulator()
-    cumulative = Profile() if spec.profile else None
     tracer = obs_trace.install() if spec.trace else None
-    cache = sim.decode_linear.runtime.cache if sim.decode_linear is not None else None
+    cache = sim.decode_linear.runtime.cache
     send_msg(conn, "ready", pid=os.getpid())
     while True:
         msg = recv_msg(conn)
@@ -100,8 +93,7 @@ def worker_main(conn, spec_json: str) -> None:
         if kind == "run":
             try:
                 requests = [request_from_wire(r) for r in msg["requests"]]
-                hits0 = cache.hits if cache is not None else 0
-                misses0 = cache.misses if cache is not None else 0
+                hits0, misses0 = cache.hits, cache.misses
                 trace_start = tracer.now() if tracer is not None else 0.0
                 outcome = sim.run(requests)
                 if tracer is not None:
@@ -113,8 +105,6 @@ def worker_main(conn, spec_json: str) -> None:
                         tracer.now() - trace_start,
                         {"requests": len(requests)},
                     )
-                if cumulative is not None and outcome.profile is not None:
-                    cumulative.merge(outcome.profile)
                 send_msg(
                     conn,
                     "done",
@@ -131,10 +121,8 @@ def worker_main(conn, spec_json: str) -> None:
                         # Per-chunk specialization-cache deltas, so the
                         # router's per-worker breakdown sums correctly
                         # across chunks and respawns.
-                        "cache_hits": (cache.hits - hits0) if cache is not None else 0,
-                        "cache_misses": (
-                            (cache.misses - misses0) if cache is not None else 0
-                        ),
+                        "cache_hits": cache.hits - hits0,
+                        "cache_misses": cache.misses - misses0,
                     },
                 )
             except Exception as exc:  # noqa: BLE001 — forwarded to router
@@ -145,7 +133,7 @@ def worker_main(conn, spec_json: str) -> None:
                     traceback=traceback.format_exc(),
                 )
         elif kind == "pull_state":
-            send_msg(conn, "state", **_state_payload(sim, cumulative))
+            send_msg(conn, "state", **_state_payload(sim))
         elif kind == "pull_trace":
             # The fleet-trace frame: raw events (this process's
             # monotonic clock), the unified metrics snapshot, and the

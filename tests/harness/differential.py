@@ -72,6 +72,10 @@ Nine modes are locked together:
   reference — the compiled kernel is required to count blocks,
   instructions and global traffic exactly as if it had interpreted.
 
+The five graph-based modes (``graph-replay``, ``graph-optimized``,
+``adaptive``, ``plan-roundtrip``, ``warm-store``) are one driver,
+:func:`_run_graph_mode`, plus a per-mode entry in :data:`GRAPH_MODES`.
+
 The adaptive mode's swap dynamics (warmup windows, hysteresis,
 atomicity) are exercised separately by ``tests/test_adaptive.py`` —
 one differential execution replays each plan exactly once, so swaps
@@ -80,12 +84,16 @@ cannot fire here by construction.
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 
 from repro.runtime.adaptive import AdaptivePolicy
+from repro.runtime.graphs import GraphPlan
 from repro.runtime.jit import JitManager
 from repro.runtime.profiling import Profile
 from repro.runtime.streams import Event, StreamPool
+from repro.store import TuningStore
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, TensorView
 from repro.vm.dispatch import decompose_linear
 from repro.vm.interp import ExecutionStats
@@ -160,6 +168,70 @@ def _collect_profile(case: GeneratedCase) -> Profile:
         return pool.profiler
 
 
+def _stored_profile(case: GeneratedCase) -> Profile:
+    """The throwaway-image profile after a round trip through an on-disk
+    :class:`~repro.store.TuningStore`."""
+    profile = _collect_profile(case)
+    with tempfile.TemporaryDirectory() as root:
+        store = TuningStore(root)
+        store.publish_profile("diff", profile)
+        loaded = store.load_profile("diff")
+    assert loaded.stamp() == profile.stamp()
+    return loaded
+
+
+def _plan_roundtrip(graph, profile, pool):
+    applied = graph.apply_plan(GraphPlan.from_json(graph.plan().to_json()))
+    assert applied.signature == graph.signature
+    return applied
+
+
+def _managed(warm: bool):
+    def transform(graph, profile, pool):
+        pool.profiler = Profile()
+        # Warmup larger than the driver's single replay: the policy
+        # observes but never swaps mid-case (replaying the plan twice
+        # would double-execute it and break stat parity).
+        return AdaptivePolicy(warmup_replays=8, min_gain=0.5).manage(graph, warm=warm)
+
+    return transform
+
+
+#: The graph-based modes, as data for :func:`_run_graph_mode`:
+#: ``(profile source or None, capture guided by it?, transform)`` where
+#: ``transform(graph, profile, pool)`` turns the captured graph into the
+#: one that is replayed.
+GRAPH_MODES = {
+    "graph-replay": (None, False, lambda graph, profile, pool: graph),
+    "graph-optimized": (
+        _collect_profile, False, lambda graph, profile, pool: graph.optimize(profile)
+    ),
+    "adaptive": (_collect_profile, True, _managed(warm=False)),
+    "plan-roundtrip": (None, False, _plan_roundtrip),
+    "warm-store": (_stored_profile, True, _managed(warm=True)),
+}
+
+
+def _run_graph_mode(case: GeneratedCase, mode: str, memory, plan, buffers):
+    """The one driver of every graph-based mode: open a pool, capture
+    the plan (profile-guided when the mode says so), apply the mode's
+    transform, replay exactly once, synchronize, aggregate the stats."""
+    source, guided, transform = GRAPH_MODES[mode]
+    profile = source(case) if source is not None else None
+    with StreamPool(memory, num_streams=4) as pool:
+        graph = _capture_plan(
+            pool, plan, buffers, profile=profile if guided else None
+        )
+        assert len(graph) == len(plan)
+        replayed = transform(graph, profile, pool)
+        # No pointer bindings are registered, so all memory is presumed
+        # observable: no transform may drop a node.
+        assert len(replayed) == len(plan)
+        replayed.replay()
+        pool.synchronize()
+    return pool.aggregate_stats()
+
+
 def _run_engine(case: GeneratedCase, mode: str):
     """Execute ``case`` under ``mode`` on a fresh device image: output
     bit patterns, the stats snapshot, and how many stacked compiled
@@ -203,70 +275,8 @@ def _run_engine(case: GeneratedCase, mode: str):
                 kernel.launches > 1 for kernel in pool.jit.cache._kernels.values()
             )
         stats = pool.aggregate_stats()
-    elif mode == "graph-replay":
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, plan, buffers)
-            assert len(graph) == len(plan)
-            graph.replay()
-            pool.synchronize()
-        stats = pool.aggregate_stats()
-    elif mode == "graph-optimized":
-        profile = _collect_profile(case)
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, plan, buffers)
-            optimized = graph.optimize(profile)
-            # No pointer bindings are registered, so all memory is
-            # presumed observable: elimination must drop nothing.
-            assert optimized.num_nodes == len(plan)
-            optimized.replay()
-            pool.synchronize()
-        stats = pool.aggregate_stats()
-    elif mode == "adaptive":
-        profile = _collect_profile(case)
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, plan, buffers, profile=profile)
-            assert len(graph) == len(plan)
-            # Warmup larger than the single replay below: the policy
-            # observes but never swaps mid-case (replaying the plan
-            # twice would double-execute it and break stat parity).
-            managed = AdaptivePolicy(warmup_replays=8, min_gain=0.5).manage(graph)
-            pool.profiler = Profile()
-            managed.replay()
-            pool.synchronize()
-        stats = pool.aggregate_stats()
-    elif mode == "warm-store":
-        import tempfile
-
-        from repro.store import TuningStore
-
-        profile = _collect_profile(case)
-        with tempfile.TemporaryDirectory() as root:
-            store = TuningStore(root)
-            store.publish_profile("diff", profile)
-            loaded = store.load_profile("diff")
-        assert loaded.stamp() == profile.stamp()
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, plan, buffers, profile=loaded)
-            assert len(graph) == len(plan)
-            managed = AdaptivePolicy(warmup_replays=8, min_gain=0.5).manage(
-                graph, warm=True
-            )
-            pool.profiler = Profile()
-            managed.replay()
-            pool.synchronize()
-        stats = pool.aggregate_stats()
-    elif mode == "plan-roundtrip":
-        from repro.runtime.graphs import GraphPlan
-
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, plan, buffers)
-            wire = graph.plan().to_json()
-            applied = graph.apply_plan(GraphPlan.from_json(wire))
-            assert applied.signature == graph.signature
-            assert len(applied) == len(plan)
-            applied.replay()
-            pool.synchronize()
-        stats = pool.aggregate_stats()
+    elif mode in GRAPH_MODES:
+        stats = _run_graph_mode(case, mode, memory, plan, buffers)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     outputs = []

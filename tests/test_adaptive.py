@@ -346,6 +346,30 @@ class TestConvergenceSoak:
             assert rehomed.live is managed.live
 
 
+    def test_manage_marks_its_own_facade_warm(self):
+        """``capture()`` on a pool with the policy attached already
+        returns the facade, so ``manage(facade, warm=True)`` is how a
+        warm capture is declared: the flag must stick (it used to be
+        dropped with the facade returned unchanged) and turn off the
+        free first-window swap."""
+        memory, _, pairs = device(2)
+        programs = [work_program(f"warmfacade{i}") for i in range(2)]
+        with StreamPool(memory, num_streams=2) as pool:
+            # Relative gain never exceeds 1: past the free first swap,
+            # this policy cannot swap.
+            policy = pool.adaptive = AdaptivePolicy(warmup_replays=1, min_gain=2.0)
+            with pool.capture() as graph:
+                for program, (a, out) in zip(programs, pairs):
+                    pool.submit(program, [a, out], engine="batched")
+            assert policy.manage(graph, warm=True) is graph
+            pool.profiler = Profile()
+            for _ in range(3):
+                graph.replay()
+            pool.synchronize()
+            assert policy.evaluations == 3
+            assert policy.swaps == 0 and graph.swaps == 0
+
+
 # ---------------------------------------------------------------------------
 # Concurrency stress: atomic swaps under a replay storm
 # ---------------------------------------------------------------------------
@@ -770,13 +794,13 @@ class TestServingAdaptive:
         from repro.llm import GEMMA2_9B, ContinuousBatchingSimulator, ServingConfig
         from repro.perf import L40S
 
+        linear.runtime.enable_adaptive(policy)
         return ContinuousBatchingSimulator(
             GEMMA2_9B,
             ServingConfig("tilus", uint4, L40S),
             max_batch=4,
             decode_linear=linear,
             num_streams=2,
-            adaptive=policy,
         )
 
     def test_decode_reaches_optimized_graph_without_reoptimize(self):
@@ -790,6 +814,7 @@ class TestServingAdaptive:
         )
         policy = AdaptivePolicy(warmup_replays=2, min_gain=0.5)
         sim = self._simulator(linear, policy)
+        caller_profile = linear.runtime.profiler
         try:
             result = sim.run([Request(0.0, 16, 8), Request(0.0, 16, 8)])
             # The batch-2 decode graph replayed 8 times: the policy
@@ -797,14 +822,16 @@ class TestServingAdaptive:
             # the simulator never calls reoptimize()/optimize().
             assert result.auto_reoptimizations == 1
             assert policy.swaps == 1
-            assert sim._graphs and all(
-                isinstance(g, AdaptiveGraph) for g in sim._graphs.values()
+            assert sim.graphs and all(
+                isinstance(g, AdaptiveGraph) for g in sim.graphs.values()
             )
             assert result.graph_captures == 1
             assert result.graph_replays == 7
-            # Caller profiling state is untouched; the adaptive profile
-            # was the run's own.
-            assert linear.runtime.profiler is None
+            # Caller profiling state is untouched (the profiler
+            # enable_adaptive() installed is back, and empty); the
+            # adaptive profile was the run's own.
+            assert linear.runtime.profiler is caller_profile
+            assert len(caller_profile) == 0
             assert result.profile is None  # profile=True not requested
             # A later run keeps serving through the managed graphs.
             again = sim.run([Request(0.0, 16, 4), Request(0.0, 16, 4)])
@@ -821,13 +848,13 @@ class TestServingAdaptive:
         linear = ops.prepare_linear(
             np.random.default_rng(9).standard_normal((64, 16)), int6, group_size=32
         )
+        linear.runtime.enable_adaptive()
         with pytest.raises(ValueError, match="use_graphs"):
             ContinuousBatchingSimulator(
                 GEMMA2_9B,
                 ServingConfig("tilus", uint4, L40S),
                 decode_linear=linear,
                 use_graphs=False,
-                adaptive=True,
             )
 
     def test_new_batch_size_captures_profile_guided(self):
@@ -847,7 +874,7 @@ class TestServingAdaptive:
             # replays populated the profiler with the decode spec.
             result = sim.run([Request(0.0, 16, 8), Request(0.0, 16, 3)])
             assert result.graph_captures == 2
-            assert len(sim._graphs) == 2
+            assert len(sim.graphs) == 2
         finally:
             linear.runtime.stream_pool().shutdown()
 

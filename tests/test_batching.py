@@ -19,6 +19,18 @@ def make_sim(system="tilus", dtype=uint4, max_batch=16):
     )
 
 
+def test_constructor_carries_no_engine_knobs():
+    """Engine state (adaptive policy, compiled tier, tuning store) lives
+    on ``decode_linear.runtime``; the simulator's own options are these
+    seven and a new one must be argued for, not slipped in."""
+    import inspect
+
+    assert list(inspect.signature(ContinuousBatchingSimulator.__init__).parameters) == [
+        "self", "model", "config", "max_batch", "decode_linear",
+        "num_streams", "use_graphs", "profile",
+    ]
+
+
 class TestTraceMechanics:
     def test_single_request_completes(self):
         sim = make_sim()

@@ -7,8 +7,8 @@ unloweable programs), the runtime tier (bounded LRU kernel cache,
 bailout memo, heat-threshold promotion policy, stickiness across
 profiler resets), and every execution path that can promote — the
 synchronous launch, the eager stream, the captured graph replay — plus
-the serving integration (``jit`` knobs on LocalEngine /
-ContinuousBatchingSimulator / WorkerSpec, counters through the sharded
+the serving integration (the ``WorkerSpec.jit`` knob becoming
+``runtime.enable_jit()``, counters through the simulator and the sharded
 router).  The exhaustive bit-exactness sweep lives in the differential
 harness (``jit`` is its 8th locked mode); these tests pin the policy
 and the plumbing.
@@ -27,7 +27,7 @@ from repro.dtypes import float16
 from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
-from repro.runtime import JitCache, JitManager, LocalEngine, Profile, Runtime
+from repro.runtime import JitCache, JitManager, Profile, Runtime
 from repro.runtime.profiling import COMPILED, spec_string
 from repro.vm import GlobalMemory, Interpreter
 
@@ -563,12 +563,6 @@ class TestRuntimeTier:
 
 
 class TestServingTier:
-    def test_local_engine_jit_knob(self):
-        engine = LocalEngine(jit=True)
-        assert engine.jit is not None
-        assert "jit=on" in repr(engine)
-        assert LocalEngine().jit is None
-
     def test_simulator_jit_digests_match_and_promote(self):
         from repro.llm.batching import uniform_trace
         from repro.serving import WorkerSpec
@@ -605,14 +599,14 @@ class TestServingTier:
                           jit=True)
         sim = spec.build_simulator()
         sim.run(uniform_trace(6, 0.001, prompt_tokens=32, output_tokens=32))
-        payload = _state_payload(sim, None)
+        payload = _state_payload(sim)
         assert payload["jit"]["compiled"] >= 1
         assert payload["jit"]["promotions"] >= 1
         plain = WorkerSpec(linear_k=64, linear_n=16, linear_dtype="i6",
                            linear_group=32, max_batch=4, num_streams=2)
         sim2 = plain.build_simulator()
         sim2.run(uniform_trace(2, 0.001, prompt_tokens=32, output_tokens=2))
-        assert "jit" not in _state_payload(sim2, None)
+        assert "jit" not in _state_payload(sim2)
 
     def test_router_aggregates_jit_counters_bit_exactly(self):
         """Spawned jit workers promote identically: digests match the

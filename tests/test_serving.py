@@ -409,7 +409,7 @@ class TestPoolServing:
 
 class TestCrossProcessState:
     def test_plans_and_profile_round_trip_through_worker(self):
-        from repro.runtime.engine import LocalEngine
+        from repro.runtime import Runtime
         from repro.runtime.graphs import GraphPlan
         from repro.runtime.profiling import Profile, spec_string
 
@@ -439,16 +439,16 @@ class TestCrossProcessState:
         # 2. Graph plans: the worker captured one graph per batch size;
         #    signature, placement, engines and hazard edges all match
         #    the parent's captures, field for field, through JSON.
-        assert set(state["plans"]) == {str(b) for b in sim._graphs}
-        for batch, graph in sim._graphs.items():
+        assert set(state["plans"]) == {str(b) for b in sim.graphs}
+        for batch, graph in sim.graphs.items():
             worker_plan = json.loads(state["plans"][str(batch)])
-            parent_plan = json.loads(LocalEngine.plan_json(graph))
+            parent_plan = json.loads(graph.plan().to_json())
             assert worker_plan == parent_plan
 
         # 3. The worker's plan applies onto the parent's graph: node-level
         #    validation passes and the re-placed graph replays.
-        batch = max(sim._graphs)
-        live = getattr(sim._graphs[batch], "live", sim._graphs[batch])
+        batch = max(sim.graphs)
+        live = sim.graphs[batch]
         applied = live.apply_plan(GraphPlan.from_json(state["plans"][str(batch)]))
         assert applied.signature == live.signature
         assert [n.stream_index for n in applied.nodes] == [
@@ -458,14 +458,13 @@ class TestCrossProcessState:
         sim.decode_linear.runtime.synchronize()
 
         # 4. The worker's profile parses, carries the parent graph's
-        #    signature and the decode kernel's spec, and absorbs into a
-        #    fresh local engine (the fleet warm-start path).
+        #    signature and the decode kernel's spec, and merges into a
+        #    fresh runtime's profiler (the fleet warm-start path).
         worker_profile = Profile.from_json(state["profile"])
         assert worker_profile.graph_nodes(live.signature)
         decode_spec = spec_string(live.nodes[0].key)
         assert worker_profile.spec_seconds(decode_spec) is not None
-        engine = LocalEngine()
-        absorbed = engine.absorb_profile_json(state["profile"])
+        absorbed = Runtime().enable_profiling().merge(worker_profile)
         assert absorbed.spec_seconds(decode_spec) is not None
 
         # 5. Cache counters crossed as plain JSON numbers.

@@ -587,29 +587,30 @@ class TestKernelCodec:
 
 class TestEngineDegradation:
     def test_engine_warm_start_degrades_on_corrupt_entries(self, tmp_path):
-        from repro.runtime.engine import LocalEngine
+        from repro.runtime import Runtime
 
         store = TuningStore(str(tmp_path))
         store.publish("profile", "shard", {"version": "junk"})
         _rewrite(store, "profile", "shard", lambda b: "truncated{")
-        engine = LocalEngine(store=str(tmp_path), store_scope="shard")
-        summary = engine.warm_start()
-        assert summary["errors"] == 1 and summary["profile"] is False
-        # The engine is alive and its metrics carry the counted miss.
-        snapshot = engine.metrics()
+        runtime = Runtime()
+        runtime.attach_store(str(tmp_path), "shard")
+        assert runtime.warm_start() is None
+        # The runtime is alive and its metrics carry the counted miss.
+        snapshot = runtime.metrics()
         assert snapshot["store.enabled"] == 1
         assert snapshot["store.misses"] == 1
 
     def test_engine_publish_then_warm_start_roundtrip(self, tmp_path):
-        from repro.runtime.engine import LocalEngine
+        from repro.runtime import Runtime
 
-        first = LocalEngine(store=str(tmp_path), store_scope="shard", profile=True)
-        first.runtime.profiler.merge(_sample_profile())
+        first = Runtime()
+        first.attach_store(str(tmp_path), "shard")
+        first.enable_profiling().merge(_sample_profile())
         assert first.publish_store()["profile"] is True
-        second = LocalEngine(store=str(tmp_path), store_scope="shard")
-        summary = second.warm_start()
-        assert summary["profile"] is True
-        assert second.profiler.spec_heat("spec-a") == pytest.approx(1.0)
+        second = Runtime()
+        second.attach_store(str(tmp_path), "shard")
+        assert second.profiler is None  # the caller spends the profile
+        assert second.warm_start().spec_heat("spec-a") == pytest.approx(1.0)
 
     def test_jit_rehydrates_without_compiling(self, tmp_path):
         from repro.runtime.jit import JitManager
@@ -719,6 +720,132 @@ class TestEngineDegradation:
         assert warm_jit.promotions == cold_jit.promotions == cold.kernel_launches
         assert {r.request.rid: r.output_digest for r in warm.results} == {
             r.request.rid: r.output_digest for r in cold.results
+        }
+
+    @pytest.mark.parametrize("failure", [VMError, OSError])
+    def test_publish_is_best_effort_per_artifact(self, tmp_path, failure):
+        """One artifact failing to publish (the store's own "swept 16
+        times" VMError, or any OSError) must not cost the others: the
+        plans and the kernel still land, and still load."""
+        from repro.llm.batching import Request, uniform_trace
+        from repro.serving import WorkerSpec
+
+        spec = WorkerSpec(
+            linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
+            max_batch=4, num_streams=4, jit=True, jit_threshold_s=0.0,
+            store_path=str(tmp_path),
+        )
+        trace = uniform_trace(3, 0.0, prompt_tokens=64, output_tokens=4)
+        trace.append(Request(0.0, 64, 8, rid=3))  # a batch-1 tail
+        cold_sim = spec.build_simulator()
+        cold = cold_sim.run(trace)
+
+        def broken_publish(scope, profile):
+            raise failure("injected: profile publication failed")
+
+        cold_sim.decode_linear.runtime.store.publish_profile = broken_publish
+        summary = cold_sim.publish_store()
+        assert summary["profile"] is False and summary["errors"] == 1
+        assert summary["plans"] == len(cold_sim.graphs) >= 2
+        assert summary["jit_kernels"] == 1
+
+        store = TuningStore(str(tmp_path))
+        scope = spec.store_scope()
+        assert store.load_profile(scope) is None
+        for graph in cold_sim.graphs.values():
+            assert store.load_plan(scope, graph.signature) is not None
+        warm_sim = spec.build_simulator()
+        warm = warm_sim.run(trace)
+        assert warm_sim.decode_linear.runtime.jit.rehydrated == 1
+        assert {r.request.rid: r.output_digest for r in warm.results} == {
+            r.request.rid: r.output_digest for r in cold.results
+        }
+
+    def test_stored_plan_keeps_adaptive_management(self, tmp_path):
+        """A stored plan applied on an adaptive runtime comes back as a
+        managed, warm facade — zero swaps over a warmup window — not as
+        a bare graph that silently left the policy's care."""
+        from repro import ops
+        from repro.dtypes.registry import dtype_from_name
+        from repro.runtime import AdaptiveGraph, AdaptivePolicy, ExecutionGraph, Runtime
+
+        def capture_step(runtime):
+            weight = np.random.default_rng(0).standard_normal((64, 16))
+            linear = ops.prepare_linear(
+                weight, dtype_from_name("i6"), group_size=32, runtime=runtime
+            )
+            act = linear.act_dtype.quantize(np.zeros((1, 64)))
+            with runtime.capture(2) as graph:
+                for _ in range(2):
+                    runtime.launch(linear.program_for(1), [
+                        runtime.upload(act, linear.act_dtype),
+                        linear.b_addr,
+                        linear.s_addr,
+                        runtime.empty([1, linear.n], linear.act_dtype),
+                    ])
+            return graph
+
+        plain = Runtime()
+        plain.attach_store(str(tmp_path), "shard")
+        graph = capture_step(plain)
+        assert plain.stored_plan(graph) is None  # nothing published yet
+        assert plain.publish_store([graph])["plans"] == 1
+        assert type(plain.stored_plan(graph)) is ExecutionGraph
+
+        runtime = Runtime()
+        # Relative gain never exceeds 1: only the free first swap —
+        # which a warm graph must not get — could fire.
+        policy = runtime.enable_adaptive(AdaptivePolicy(warmup_replays=2, min_gain=2.0))
+        runtime.attach_store(str(tmp_path), "shard")
+        try:
+            captured = capture_step(runtime)
+            assert isinstance(captured, AdaptiveGraph)
+            managed = runtime.stored_plan(captured)
+            assert isinstance(managed, AdaptiveGraph) and managed.policy is policy
+            assert managed.signature == graph.signature
+            for _ in range(policy.warmup_replays):
+                managed.replay()
+            runtime.synchronize()
+            assert policy.evaluations == 1 and policy.swaps == 0
+            runtime.store_scope = "elsewhere"
+            assert runtime.stored_plan(captured) is None
+        finally:
+            runtime.stream_pool().shutdown()
+            plain.stream_pool().shutdown()
+
+    def test_runtime_published_state_warm_boots_a_spec_simulator(self, tmp_path):
+        """The cross-path case: state published through
+        ``Runtime.publish_store`` directly (no simulator involved in the
+        publication) warm-boots a ``WorkerSpec``-built simulator."""
+        from repro.llm.batching import Request, uniform_trace
+        from repro.serving import WorkerSpec
+
+        shape = dict(
+            linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
+            max_batch=4, num_streams=4,
+        )
+        trace = uniform_trace(8, 0.001, output_tokens=16)
+        # A batch-1 tail: only single-launch kernels are persisted.
+        trace.append(Request(0.0, 64, 24, rid=99))
+        oracle = WorkerSpec(**shape).build_simulator().run(trace)
+        tuned = WorkerSpec(**shape, adaptive=True, jit=True, jit_threshold_s=0.0)
+        donor = tuned.build_simulator()
+        assert donor.run(trace).auto_reoptimizations >= 1
+        runtime = donor.decode_linear.runtime
+        runtime.attach_store(str(tmp_path), tuned.store_scope())
+        summary = runtime.publish_store(donor.graphs.values(), donor.served_profile)
+        assert summary["profile"] is True and summary["errors"] == 0
+        assert summary["plans"] >= 1 and summary["jit_kernels"] == 1
+
+        warm_sim = WorkerSpec(
+            **shape, adaptive=True, jit=True, jit_threshold_s=0.0,
+            store_path=str(tmp_path),
+        ).build_simulator()
+        warm = warm_sim.run(trace)
+        assert warm_sim.decode_linear.runtime.jit.rehydrated >= 1
+        assert warm.auto_reoptimizations == 0
+        assert {r.request.rid: r.output_digest for r in warm.results} == {
+            r.request.rid: r.output_digest for r in oracle.results
         }
 
     def test_worker_serves_bit_exact_from_poisoned_store(self, tmp_path):

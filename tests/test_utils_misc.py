@@ -161,3 +161,31 @@ class TestTensorTypeCorners:
 
         with pytest.raises(IRError):
             TensorType(MemoryScope.REGISTER, float16, (8, 4), None)
+
+
+def test_code_lines_counts_code_not_comments_or_docstrings():
+    """``tools/code_lines.py``'s rule: a line counts when it carries a
+    token other than a comment and is not part of a docstring."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    source = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # trailing comments do not uncount a line\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        '    text = """a string that is data,\n'
+        '    not a docstring"""\n'
+        "    return (\n"
+        "        x\n"
+        "    )\n"
+    )
+    assert module.code_lines(source) == 7
