@@ -9,7 +9,7 @@ pointer arguments and the tensor *data* is a compile-time constant: grid
 coordinates, divergence masks, loop trip counts, tile indices, shared-memory
 addresses and every ``ExecutionStats`` delta.
 
-This module exploits that with a three-pass pipeline (the xdsl-style
+This module exploits that with a four-pass pipeline (the xdsl-style
 progressive dialect lowering named in the ROADMAP):
 
 1. **const-fold** (:class:`SpecializeConstants`): bind const scalars, grid
@@ -18,24 +18,36 @@ progressive dialect lowering named in the ROADMAP):
 2. **unroll** (:class:`UnrollAndTrace`): run the batched engine's own
    statement walk (:class:`repro.vm.batched.LockstepWalk`) at compile time
    — loops unroll, ``if``/``while`` masks fold to concrete block sets —
-   emitting one vectorized numpy statement per surviving instruction, with
-   all index/mask/shift arrays precomputed.
-3. **flatten** (:class:`FlattenToSource`): assemble the trace into a flat
+   recording one vectorized numpy statement per surviving instruction,
+   with all index/mask/shift arrays precomputed.  Values are *forwarded*
+   as they are recorded: a register is a :class:`_Reg` of lazily emitted
+   twins (packed bits, decoded values, logical tensor), every consumer
+   reads the twin it computes on, and equal expressions — a gather of the
+   same addresses with no store in between included — share a temporary.
+3. **forward** (:class:`ForwardValues`): one backward liveness walk over
+   the finished trace drops what nothing reads and releases every
+   temporary after its last reader.
+4. **flatten** (:class:`FlattenToSource`): assemble the trace into a flat
    Python function, ``compile()`` it, and wrap it as a
    :class:`LoweredKernel`.
 
 Bit-exactness contract: lowering is the second front-end of the
 tile-semantics table :mod:`repro.vm.tileops`.  It defines no runtime
 helper of its own: whatever is concrete (indices, bounds checks, the
-last-writer dedup, shared-memory addresses) it computes at compile time by
-calling the table, and what depends on tensor data it emits as calls into
-the same table (:data:`repro.vm.tileops.KERNEL_NAMESPACE`), plus the shared
-codecs (``dtype.to_bits``/``from_bits``) and
+last-writer dedup, shared-memory addresses, constant registers) it
+computes at compile time by calling the table, and what depends on tensor
+data it emits as calls into the same table
+(:data:`repro.vm.tileops.KERNEL_NAMESPACE`), plus the shared codecs
+(``dtype.to_bits``/``from_bits``) and
 :func:`repro.vm.values.apply_elementwise`; compile-time scalar folding goes
-through the real :func:`repro.vm.batched.batched_evaluate`.  Registers are
-``(B, T, L)`` uint64 pattern arrays — the batched engine's representation.
-What stays lowering's own is emit granularity: which table calls a handler
-emits, what it folds into constants, and the decode CSE cache.
+through the real :func:`repro.vm.batched.batched_evaluate`.  The batched
+engine packs every instruction's result to ``(B, T, L)`` uint64 patterns
+and unpacks it for the next one; a kernel instead keeps the decoded values
+rounded to the register's type (``tileops.requantize``, by definition the
+pack-unpack round trip) and packs where bits are read: a register
+``View``, a store, a divergent merge.  What stays lowering's own is emit
+granularity: which table calls a handler emits, what it folds into
+constants, which twin it asks for.
 
 Anything the trace cannot prove flat raises :class:`LoweringBailout` and
 the caller falls back to the batched engine: the instructions in
@@ -48,6 +60,7 @@ mismatches) — the fallback then reproduces the identical runtime error.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -76,7 +89,7 @@ __all__ = [
 ]
 
 #: The pass pipeline, in application order.
-PASS_NAMES = ("const-fold", "unroll", "flatten")
+PASS_NAMES = ("const-fold", "unroll", "forward", "flatten")
 
 #: Instructions the pipeline declines by design (a launch containing one
 #: stays on the batched engine): a workspace allocation moves the device
@@ -164,11 +177,23 @@ def _affine_where(active: np.ndarray, new, old) -> object:
 
 @dataclass
 class _Reg:
-    """Compile-time register descriptor: runtime name holds (B, T, L) u64."""
+    """Compile-time register descriptor: up to three runtime twins of one
+    value, each the name of a runtime array and each emitted the first
+    time an instruction asks for it (``_Tracer._bits`` / ``_vals`` /
+    ``_logical``).  A register is born with whichever twin its producer
+    computes — a load has bits, arithmetic has values, ``Dot`` has the
+    logical tensor — and a consumer that wants that same twin reads it
+    with no conversion emitted.
+    """
 
     dtype: object
     layout: object
-    name: str
+    #: (B, T, L) uint64 patterns.
+    bits: Optional[str] = None
+    #: (B, T, L) decoded values, exactly ``_dec(dtype, bits)``.
+    vals: Optional[str] = None
+    #: ``(B,) + layout.shape`` decoded values, exactly ``_tolog`` of ``vals``.
+    logical: Optional[str] = None
 
 
 @dataclass
@@ -207,26 +232,64 @@ class _View:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _Stmt:
+    """One traced statement: ``target = expr``, or a bare ``expr`` (a
+    check or a store) when ``target`` is None.  ``checked`` marks an
+    assignment that can raise (a gather's bounds check): it is kept even
+    when nothing reads the result."""
+
+    target: Optional[str]
+    expr: str
+    checked: bool = False
+
+
+_TEMP_NAME = re.compile(r"\bt\d+\b")
+_CONST_NAME = re.compile(r"\bC\d+\b")
+
+
 class _Emitter:
-    """Accumulates generated statements and the constant pool."""
+    """Accumulates the traced statements and the constant pool.
+
+    Every temporary is assigned once and never mutated, so an expression
+    string over temporaries and constants names one value for the whole
+    kernel: :meth:`value` hands back the temporary already holding it
+    instead of emitting it again.  An expression that reads ``mem`` or
+    ``sm`` is that value only until the next store to the buffer
+    (:meth:`clobber`).
+    """
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self.stmts: list[_Stmt] = []
         self.consts: dict[str, object] = {}
         self._const_keys: dict = {}
-        self._n = 0
+        self._values: dict = {}
+        self._stores = {"mem": 0, "sm": 0}
 
-    def tmp(self) -> str:
-        name = f"t{self._n}"
-        self._n += 1
-        return name
-
-    def emit(self, line: str) -> None:
-        if len(self.lines) >= _TRACE_LINE_LIMIT:
+    def _push(self, stmt: _Stmt) -> None:
+        if len(self.stmts) >= _TRACE_LINE_LIMIT:
             raise LoweringBailout(
                 f"generated source exceeds {_TRACE_LINE_LIMIT} statements"
             )
-        self.lines.append(line)
+        self.stmts.append(stmt)
+
+    def effect(self, expr: str) -> None:
+        """A statement run for what it does: a check or a store."""
+        self._push(_Stmt(None, expr))
+
+    def value(self, expr: str, reads: Optional[str] = None) -> str:
+        """The temporary holding ``expr``; ``reads`` names the buffer a
+        gather reads (it is also what makes the statement ``checked``)."""
+        key = expr if reads is None else (expr, self._stores[reads])
+        name = self._values.get(key)
+        if name is None:
+            name = self._values[key] = f"t{len(self._values)}"
+            self._push(_Stmt(name, expr, checked=reads is not None))
+        return name
+
+    def clobber(self, buf: str) -> None:
+        """A store to ``buf`` was emitted: earlier gathers from it are stale."""
+        self._stores[buf] += 1
 
     def const(self, obj) -> str:
         key = self._const_key(obj)
@@ -249,7 +312,9 @@ class _Emitter:
             return ("s", obj)
         if isinstance(obj, (int, float, bool)):
             return ("n", type(obj).__name__, obj)
-        # dtype objects, tuples of arrays, etc: dedupe by identity.
+        if isinstance(obj, tuple):
+            return ("t",) + tuple(_Emitter._const_key(e) for e in obj)
+        # dtype objects: dedupe by identity.
         return ("i", id(obj))
 
 
@@ -398,7 +463,6 @@ class _Tracer(LockstepWalk):
         self.tally = {f: 0 for f in _STAT_FIELDS}
         self.shared = BatchedSharedMemory(state.nblocks, state.shared_capacity)
         self.steps = 0
-        self._dec_cache: dict[tuple, str] = {}
 
     # -- entry --------------------------------------------------------------
     def trace(self) -> None:
@@ -475,12 +539,13 @@ class _Tracer(LockstepWalk):
         act = self.em.const(active)
         if isinstance(value, _Reg) and isinstance(old, _Reg):
             tileops.check_view(old.dtype, old.layout, value.dtype, value.layout)
-            old_name = self._regrouped(old, value.dtype.nbits, value.layout.local_size)
-            name = self.em.tmp()
-            self.em.emit(
-                f"{name} = np.where({act}[:, None, None], {value.name}, {old_name})"
+            # Merged as bits: the old value may be of another type, and a
+            # loaded pattern need not be the one its value encodes to.
+            old_bits = self._regrouped(old, value.dtype.nbits, value.layout.local_size)
+            merged = self.em.value(
+                f"np.where({act}[:, None, None], {self._bits(value)}, {old_bits})"
             )
-            return _Reg(value.dtype, value.layout, name)
+            return _Reg(value.dtype, value.layout, bits=merged)
         if isinstance(value, _View) and isinstance(old, _View):
             if value.buf != old.buf:
                 raise VMError("cannot merge views over different buffers")
@@ -490,10 +555,8 @@ class _Tracer(LockstepWalk):
                 for idx in set(value.coeffs) | set(old.coeffs)
             }
             conc = np.where(active, value.conc_bits, old.conc_bits)
-            name = self.em.tmp()
-            self.em.emit(f"{name} = np.where({act}, {value.name}, {old.name})")
-            byte_name = self.em.tmp()
-            self.em.emit(f"{byte_name} = {name} // 8")
+            name = self.em.value(f"np.where({act}, {value.name}, {old.name})")
+            byte_name = self.em.value(f"{name} // 8")
             return _View(
                 value.buf, value.dtype, value.shape, coeffs, conc, name, byte_name,
                 value.buflen,
@@ -512,30 +575,75 @@ class _Tracer(LockstepWalk):
     def _dtype_const(self, dtype) -> str:
         return self.em.const(dtype)
 
-    def _decode(self, reg: _Reg) -> str:
-        key = (reg.name, id(reg.dtype))
-        cached = self._dec_cache.get(key)
-        if cached is not None:
-            return cached
-        name = self.em.tmp()
-        self.em.emit(f"{name} = _dec({self._dtype_const(reg.dtype)}, {reg.name})")
-        self._dec_cache[key] = name
-        return name
+    def _bits(self, reg: _Reg) -> str:
+        """Runtime name of ``reg``'s patterns: where a value is packed."""
+        if reg.bits is None:
+            reg.bits = self.em.value(
+                f"_enc({self._dtype_const(reg.dtype)}, {self._vals(reg)})"
+            )
+        return reg.bits
+
+    def _vals(self, reg: _Reg) -> str:
+        """Runtime name of ``reg``'s decoded values; a constant register's
+        are decoded here, at compile time."""
+        if reg.vals is None:
+            consts = self.em.consts
+            if reg.bits is None:
+                reg.vals = self.em.value(
+                    f"{reg.logical}[{self._logical_ix(reg.layout)}]"
+                    f".reshape({self._shape3(reg.layout)!r})"
+                )
+            elif reg.bits in consts:
+                reg.vals = self.em.const(tileops.decode(reg.dtype, consts[reg.bits]))
+            else:
+                reg.vals = self.em.value(
+                    f"_dec({self._dtype_const(reg.dtype)}, {reg.bits})"
+                )
+        return reg.vals
+
+    def _logical(self, var: TensorVar, what: str) -> tuple[str, tuple]:
+        """Runtime name and shape of a register operand's logical tensor."""
+        reg = self._operand(var, _Reg, what)
+        shape = (self.nblocks,) + reg.layout.shape
+        if reg.logical is None:
+            inverse = tileops.logical_inverse(reg.layout)
+            vals, consts = self._vals(reg), self.em.consts
+            if vals in consts:
+                reg.logical = self.em.const(
+                    tileops.gather_logical(consts[vals], shape, inverse)
+                )
+            else:
+                reg.logical = self.em.value(
+                    f"_tolg({vals}, {shape!r}, {self.em.const(inverse)})"
+                )
+        return reg.logical, shape
 
     def _encode(self, dtype, layout, values_expr: str) -> _Reg:
-        name = self.em.tmp()
-        self.em.emit(f"{name} = _enc({self._dtype_const(dtype)}, {values_expr})")
-        return _Reg(dtype, layout, name)
+        """A register of ``dtype`` holding ``values_expr`` rounded to it."""
+        return _Reg(
+            dtype, layout,
+            vals=self.em.value(f"_rq({self._dtype_const(dtype)}, {values_expr})"),
+        )
+
+    def _from_logical(self, out: TensorVar, tensor_expr: str, tensor_shape: tuple) -> _Reg:
+        """The register a logical-tensor result lands in.  Rounding is
+        elementwise, so it is applied to the tensor and the register is
+        born logical: reading it back as a logical tensor (the next
+        ``Dot`` of an accumulator chain) is the rounded tensor itself."""
+        dtype, layout = out.ttype.dtype, out.ttype.layout
+        tileops.check_logical_shape(tensor_shape, layout)
+        tileops.logical_inverse(layout)  # the claim needs every element held
+        return _Reg(
+            dtype, layout,
+            logical=self.em.value(f"_rq({self._dtype_const(dtype)}, {tensor_expr})"),
+        )
 
     def _regrouped(self, reg: _Reg, nbits: int, local_size: int) -> str:
         """Runtime name of ``reg``'s bits read as ``nbits``-wide elements."""
+        bits = self._bits(reg)
         if reg.dtype.nbits == nbits:
-            return reg.name
-        name = self.em.tmp()
-        self.em.emit(
-            f"{name} = _viewp({reg.name}, {reg.dtype.nbits}, {nbits}, {local_size})"
-        )
-        return name
+            return bits
+        return self.em.value(f"_viewp({bits}, {reg.dtype.nbits}, {nbits}, {local_size})")
 
     def _shape3(self, layout) -> tuple:
         return (self.nblocks, layout.num_threads, layout.local_size)
@@ -543,49 +651,32 @@ class _Tracer(LockstepWalk):
     def _logical_ix(self, layout) -> str:
         return self.em.const(tileops.logical_index(layout, self.nblocks))
 
-    def _to_logical(self, var: TensorVar, what: str) -> tuple[str, tuple]:
-        reg = self._operand(var, _Reg, what)
-        values = self._decode(reg)
-        shape = (self.nblocks,) + reg.layout.shape
-        name = self.em.tmp()
-        self.em.emit(
-            f"{name} = _tolog({values}, {shape!r}, {self._logical_ix(reg.layout)})"
-        )
-        return name, shape
-
-    def _from_logical(self, out: TensorVar, tensor_expr: str, tensor_shape: tuple) -> _Reg:
-        dtype, layout = out.ttype.dtype, out.ttype.layout
-        tileops.check_logical_shape(tensor_shape, layout)
-        expr = (
-            f"{tensor_expr}[{self._logical_ix(layout)}].reshape({self._shape3(layout)!r})"
-        )
-        return self._encode(dtype, layout, expr)
-
     # -- view addressing ----------------------------------------------------
     def _byte_addr(self, view: _View, byte_off: np.ndarray) -> str:
         """Runtime name of ``view``'s per-block byte base plus (B, n)
         compile-time byte offsets."""
         if view.is_concrete():
             return self.em.const(view.conc_bits[:, None] // 8 + byte_off)
-        addr = self.em.tmp()
-        self.em.emit(f"{addr} = {view.byte_name}[:, None] + {self.em.const(byte_off)}")
-        return addr
+        return self.em.value(f"{view.byte_name}[:, None] + {self.em.const(byte_off)}")
 
     def _emit_gather(self, view: _View, linear: np.ndarray) -> str:
         """Gather patterns at compile-time linear indices; returns a runtime
         name holding a uint64 array of ``linear.shape``.  View bases are
-        whole bytes (pointers and 16-byte shared granules)."""
+        whole bytes (pointers and 16-byte shared granules).  The same
+        addresses of the same view gather once between two stores to its
+        buffer: an unrolled loop re-reading one scale row reads it once."""
         nbits = view.dtype.nbits
         bit_off = linear * nbits
         msg = self.em.const(view.oob_msg())
-        out = self.em.tmp()
         addr = self._byte_addr(view, bit_off // 8)
         if nbits % 8 == 0:
-            self.em.emit(f"{out} = _gb({view.buf}, {addr}, {nbits // 8}, {msg})")
-        else:
-            shift = self.em.const((bit_off % 8).astype(np.uint64))
-            self.em.emit(f"{out} = _gsb({view.buf}, {addr}, {shift}, {nbits}, {msg})")
-        return out
+            return self.em.value(
+                f"_gb({view.buf}, {addr}, {nbits // 8}, {msg})", reads=view.buf
+            )
+        shift = self.em.const((bit_off % 8).astype(np.uint64))
+        return self.em.value(
+            f"_gsb({view.buf}, {addr}, {shift}, {nbits}, {msg})", reads=view.buf
+        )
 
     def _emit_zfill_gather(self, view: _View, indices: list) -> str:
         """Gather with out-of-bounds elements reading as zero bits (masked
@@ -593,14 +684,9 @@ class _Tracer(LockstepWalk):
         valid = bounds_mask(indices, view.shape)
         linear = tileops.linear_index(view.shape, view.dtype, indices, clip=True)
         raw = self._emit_gather(view, linear)
-        pat = self.em.tmp()
         if bool(valid.all()):
-            self.em.emit(f"{pat} = {raw}")
-        else:
-            self.em.emit(
-                f"{pat} = np.where({self.em.const(valid)}, {raw}, np.uint64(0))"
-            )
-        return pat
+            return raw
+        return self.em.value(f"np.where({self.em.const(valid)}, {raw}, np.uint64(0))")
 
     def _emit_scatter(self, view: _View, indices: list, patterns_name: str,
                       select: np.ndarray) -> None:
@@ -610,16 +696,15 @@ class _Tracer(LockstepWalk):
         if selected is None:
             return
         flat, rows, select = selected
+        self.em.clobber(view.buf)
         linear = tileops.linear_index(view.shape, view.dtype, flat)
         nbits = view.dtype.nbits
         msg = self.em.const(view.oob_msg())
-        pf = self.em.tmp()
         if bool(select.all()):
-            self.em.emit(f"{pf} = {patterns_name}.reshape(-1)")
+            pf = self.em.value(f"{patterns_name}.reshape(-1)")
         else:
-            self.em.emit(
-                f"{pf} = {patterns_name}.reshape({select.shape!r})"
-                f"[{self.em.const(select)}]"
+            pf = self.em.value(
+                f"{patterns_name}.reshape({select.shape!r})[{self.em.const(select)}]"
             )
         bit_addr = view.conc_bits[rows] + linear * nbits
         # The runtime part of the address: the pointer terms of the
@@ -633,9 +718,8 @@ class _Tracer(LockstepWalk):
                 terms = [
                     f"p{self.st.ptr_slots[idx]}{at} * {self.em.const(c)}" for idx, c in coeffs
                 ]
-                const_addr, addr = addr, self.em.tmp()
-                self.em.emit(f"{addr} = {' + '.join(terms + [const_addr])}")
-            self.em.emit(f"_scb({view.buf}, {addr}, {pf}, {nbits // 8}, {msg})")
+                addr = self.em.value(" + ".join(terms + [addr]))
+            self.em.effect(f"_scb({view.buf}, {addr}, {pf}, {nbits // 8}, {msg})")
             return
         # Sub-byte scatter: the last-writer dedup is precomputed from the
         # concrete part of the bit positions.  Valid when every pointer
@@ -650,16 +734,12 @@ class _Tracer(LockstepWalk):
             # The dedup below needs one pointer for all selected rows.
             raise LoweringBailout("sub-byte scatter through a per-launch pointer")
         keep, byte_idx, bit_in_byte = tileops.last_writers(bit_addr, nbits)
-        bv = self.em.tmp()
-        self.em.emit(f"{bv} = _pbits({pf}, {nbits})")
-        vu = self.em.tmp()
-        self.em.emit(f"{vu} = {bv}[{self.em.const(keep)}]")
+        vu = self.em.value(f"_pbits({pf}, {nbits})[{self.em.const(keep)}]")
         addr = self.em.const(byte_idx)
         if coeffs:
             parts = [f"p{self.st.ptr_slots[idx]} * {int(c[0])}" for idx, c in coeffs]
-            const_addr, addr = addr, self.em.tmp()
-            self.em.emit(f"{addr} = {' + '.join(parts)} + {const_addr}")
-        self.em.emit(
+            addr = self.em.value(" + ".join(parts + [addr]))
+        self.em.effect(
             f"_ssb({view.buf}, {addr}, {self.em.const(bit_in_byte)}, {vu}, {msg})"
         )
 
@@ -700,23 +780,21 @@ class _Tracer(LockstepWalk):
             name = self.em.const(conc_bits)
             byte_name = self.em.const(conc_bits // 8)
         else:
-            name = self.em.tmp()
-            self.em.emit(
-                f"{name} = {' + '.join(terms)} + {self.em.const(conc_bits)}"
-            )
-            self.em.emit(
+            name = self.em.value(" + ".join(terms + [self.em.const(conc_bits)]))
+            self.em.effect(
                 f"_vg({name}, {size_bits}, {limit}, "
                 f"{self.em.const(msgs[0])}, {self.em.const(msgs[1])})"
             )
-            byte_name = self.em.tmp()
-            self.em.emit(f"{byte_name} = {name} // 8")
+            byte_name = self.em.value(f"{name} // 8")
         view = _View("mem", ttype.dtype, shape, coeffs, conc_bits, name, byte_name, buflen)
         self._bind_tensor(inst.out, view, active)
 
     def _h_allocate_register(self, inst: insts.AllocateRegister, active) -> None:
         dtype, layout = inst.out.ttype.dtype, inst.out.ttype.layout
         patterns = tileops.filled(dtype, self._shape3(layout), inst.init)
-        self._bind_tensor(inst.out, _Reg(dtype, layout, self.em.const(patterns)), active)
+        self._bind_tensor(
+            inst.out, _Reg(dtype, layout, bits=self.em.const(patterns)), active
+        )
 
     def _h_allocate_shared(self, inst: insts.AllocateShared, active) -> None:
         ttype = inst.out.ttype
@@ -745,13 +823,14 @@ class _Tracer(LockstepWalk):
                 src.shape, src.dtype, indices, where=active[:, None]
             )
             pat = self._emit_gather(src, linear)
-        shaped = self.em.tmp()
-        self.em.emit(f"{shaped} = {pat}.reshape({self._shape3(layout)!r})")
+        shaped = self.em.value(f"{pat}.reshape({self._shape3(layout)!r})")
         shared = isinstance(inst, insts.LoadShared)
         self.tally["shared_bits_loaded" if shared else "global_bits_loaded"] += (
             layout.size * src.dtype.nbits * int(active.sum())
         )
-        self._bind_tensor(inst.out, _Reg(inst.out.ttype.dtype, layout, shaped), active)
+        self._bind_tensor(
+            inst.out, _Reg(inst.out.ttype.dtype, layout, bits=shaped), active
+        )
 
     def _h_store(self, inst, active) -> None:
         value = self._operand(inst.src, _Reg, "store source")
@@ -763,7 +842,7 @@ class _Tracer(LockstepWalk):
             valid = bounds_mask(indices, dst.shape)
             select = select & valid
             counted = active & valid.any(axis=1)
-        self._emit_scatter(dst, indices, value.name, select)
+        self._emit_scatter(dst, indices, self._bits(value), select)
         shared = isinstance(inst, insts.StoreShared)
         self.tally["shared_bits_stored" if shared else "global_bits_stored"] += (
             value.layout.size * dst.dtype.nbits * int(counted.sum())
@@ -791,88 +870,76 @@ class _Tracer(LockstepWalk):
     # computation -----------------------------------------------------------
     def _h_binary(self, inst: insts.ElementwiseBinary, active) -> None:
         a = self._operand(inst.a, _Reg, "binary operand")
-        av = self._decode(a)
+        av = self._vals(a)
         if isinstance(inst.b, TensorVar):
             b = self._operand(inst.b, _Reg, "binary operand")
             tileops.check_same_tiling(a.layout, b.layout)
-            b_expr = self._decode(b)
+            b_expr = self._vals(b)
         else:
             value = self.scalar(inst.b, active, control=True)
             if isinstance(value, np.ndarray):
                 b_expr = f"{self.em.const(value)}.reshape(-1, 1, 1)"
             else:
                 b_expr = _lit(value)
-        res = self.em.tmp()
-        self.em.emit(
-            f"{res} = _ew({self._dtype_const(a.dtype)}, {inst.op!r}, {av}, {b_expr})"
-        )
+        res = f"_ew({self._dtype_const(a.dtype)}, {inst.op!r}, {av}, {b_expr})"
         self._bind_tensor(inst.out, self._encode(a.dtype, a.layout, res), active)
 
     def _h_neg(self, inst: insts.Neg, active) -> None:
         a = self._operand(inst.a, _Reg, "neg operand")
-        av = self._decode(a)
         self._bind_tensor(
-            inst.out, self._encode(a.dtype, a.layout, f"-{av}"), active
+            inst.out, self._encode(a.dtype, a.layout, f"-{self._vals(a)}"), active
         )
 
     def _h_cast(self, inst: insts.Cast, active) -> None:
         a = self._operand(inst.a, _Reg, "cast operand")
-        av = self._decode(a)
+        av = self._vals(a)
         if inst.dtype.is_integer and a.dtype.is_float:
-            truncated = self.em.tmp()
-            self.em.emit(f"{truncated} = np.trunc({av})")
-            av = truncated
+            av = f"np.trunc({av})"
         self._bind_tensor(
             inst.out, self._encode(inst.dtype, a.layout, av), active
         )
 
     def _h_reduce_sum(self, inst: insts.ReduceSum, active) -> None:
-        logical, lshape = self._to_logical(inst.a, "reduce operand")
-        reduced = self.em.tmp()
-        self.em.emit(
-            f"{reduced} = {logical}.sum(axis={inst.axis + 1}, keepdims=True)"
-        )
+        logical, lshape = self._logical(inst.a, "reduce operand")
         rshape = tuple(
             1 if d == inst.axis + 1 else e for d, e in enumerate(lshape)
         )
+        reduced = f"{logical}.sum(axis={inst.axis + 1}, keepdims=True)"
         self._bind_tensor(inst.out, self._from_logical(inst.out, reduced, rshape), active)
 
     def _h_lookup(self, inst: insts.Lookup, active) -> None:
         codes = self._operand(inst.codes, _Reg, "lookup codes")
         table = self.lookup_tensor(inst.table)
-        cv = self._decode(codes)
-        flat = self.em.tmp()
-        self.em.emit(f"{flat} = {cv}.astype(np.int64).reshape({self.nblocks}, -1)")
-        safe = self.em.tmp()
-        if bool(active.all()):
-            self.em.emit(f"{safe} = {flat}")
-        else:
-            self.em.emit(
-                f"{safe} = np.where({self.em.const(active)}[:, None], {flat}, 0)"
+        safe = self.em.value(
+            f"{self._vals(codes)}.astype(np.int64).reshape({self.nblocks}, -1)"
+        )
+        if not bool(active.all()):
+            safe = self.em.value(
+                f"np.where({self.em.const(active)}[:, None], {safe}, 0)"
             )
         act_rows = self.em.const(active)
         if isinstance(table, _Reg):
-            logical, lshape = self._to_logical(inst.table, "lookup table")
+            logical, lshape = self._logical(inst.table, "lookup table")
             extent = lshape[1]
         elif isinstance(table, _View):
             extent = table.shape[0]
         else:
             raise LoweringBailout("lookup table is neither register nor view")
         msg = self.em.const(tileops.lookup_message(extent))
-        self.em.emit(f"_lk({safe}[{act_rows}], {extent}, {msg})")
-        values = self.em.tmp()
+        self.em.effect(f"_lk({safe}[{act_rows}], {extent}, {msg})")
         if isinstance(table, _Reg):
             bidx = self.em.const(np.arange(self.nblocks, dtype=np.int64)[:, None])
-            self.em.emit(
-                f"{values} = {logical}[{bidx}, np.clip({safe}, 0, {extent - 1})]"
+            values = self.em.value(
+                f"{logical}[{bidx}, np.clip({safe}, 0, {extent - 1})]"
             )
         else:
             # Data-dependent addresses: the whole gather runs in the kernel.
-            self.em.emit(
-                f"{values} = _dec({self._dtype_const(table.dtype)}, _gather("
+            values = self.em.value(
+                f"_dec({self._dtype_const(table.dtype)}, _gather("
                 f"{table.buf}, {table.name}[:, None] + {safe} * {table.dtype.nbits}, "
                 f"{table.dtype.nbits}, {table.dtype.nbits % 8 == 0}, "
-                f"{self.em.const(table.oob_msg())}))"
+                f"{self.em.const(table.oob_msg())}))",
+                reads=table.buf,
             )
         out_t = inst.out.ttype
         reg = self._encode(
@@ -884,17 +951,18 @@ class _Tracer(LockstepWalk):
         a = self._operand(inst.a, _Reg, "view operand")
         out_t = inst.out.ttype
         tileops.check_view(a.dtype, a.layout, out_t.dtype, out_t.layout)
-        name = self._regrouped(a, out_t.dtype.nbits, out_t.layout.local_size)
-        self._bind_tensor(inst.out, _Reg(out_t.dtype, out_t.layout, name), active)
+        bits = self._regrouped(a, out_t.dtype.nbits, out_t.layout.local_size)
+        self._bind_tensor(inst.out, _Reg(out_t.dtype, out_t.layout, bits=bits), active)
 
     def _h_dot(self, inst: insts.Dot, active) -> None:
-        al, ashape = self._to_logical(inst.a, "dot operand")
-        bl, bshape = self._to_logical(inst.b, "dot operand")
-        cl, _ = self._to_logical(inst.c, "dot operand")
-        res = self.em.tmp()
-        self.em.emit(
-            f"{res} = {al}.astype(np.float64) @ {bl}.astype(np.float64) + {cl}"
-        )
+        al, ashape = self._logical(inst.a, "dot operand")
+        bl, bshape = self._logical(inst.b, "dot operand")
+        cl, _ = self._logical(inst.c, "dot operand")
+
+        def f64(name: str, var: TensorVar) -> str:  # decoded floats already are
+            return name if var.ttype.dtype.is_float else f"{name}.astype(np.float64)"
+
+        res = f"{f64(al, inst.a)} @ {f64(bl, inst.b)} + {cl}"
         rshape = (self.nblocks, ashape[1], bshape[2])
         self._bind_tensor(inst.out, self._from_logical(inst.out, res, rshape), active)
         self.tally["dot_ops"] += (
@@ -935,7 +1003,48 @@ _Tracer.handlers = {
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: flatten to source
+# Pass 3: forward values
+# ---------------------------------------------------------------------------
+
+
+class ForwardValues:
+    """Pass 3: keep what the kernel reads.
+
+    Forwarding has two halves.  While the trace is recorded, a register
+    is a :class:`_Reg` of lazily emitted twins and every consumer takes
+    the twin it computes on, so a conversion nobody asks for is never
+    written; equal expressions share one temporary.  This pass is the
+    half that needs the whole trace, one backward liveness walk: a
+    statement survives if it is a check or a store, a gather (its bounds
+    check is an effect), or is read by a survivor — view bases only
+    folded addresses used, merges of values never read again and dead
+    program code all go — and every temporary is released after its last
+    reader, so the kernel's working set is the live values and numpy
+    reuses their (cache-warm) memory instead of growing by one array per
+    statement until the function returns.
+    """
+
+    name = PASS_NAMES[2]
+
+    @staticmethod
+    def run(state: _LoweringState) -> list[_Stmt]:
+        needed: set = set()
+        kept = []  # built last statement first
+        for stmt in reversed(state.emitter.stmts):
+            if stmt.target is None or stmt.checked or stmt.target in needed:
+                reads = dict.fromkeys(_TEMP_NAME.findall(stmt.expr))
+                last = [name for name in reads if name not in needed]
+                if last:
+                    kept.append(_Stmt(None, "del " + ", ".join(last)))
+                needed.update(reads)
+                if stmt.target is not None and stmt.target not in needed:
+                    stmt = _Stmt(None, stmt.expr)  # gathered for its check only
+                kept.append(stmt)
+        return kept[::-1]
+
+
+# ---------------------------------------------------------------------------
+# Pass 4: flatten to source
 # ---------------------------------------------------------------------------
 
 
@@ -1011,19 +1120,21 @@ class LoweredKernel:
 
 
 class FlattenToSource:
-    """Pass 3: assemble, ``compile()`` and wrap the trace."""
+    """Pass 4: assemble, ``compile()`` and wrap the trace."""
 
-    name = PASS_NAMES[2]
+    name = PASS_NAMES[3]
 
     @staticmethod
-    def run(state: _LoweringState, tracer: _Tracer) -> LoweredKernel:
-        em = state.emitter
+    def run(state: _LoweringState, tracer: _Tracer, stmts: list[_Stmt]) -> LoweredKernel:
         body: list[str] = []
         for slot in range(len(state.ptr_indices)):
             body.append(f"p{slot} = ptrs[{slot}]")
         if tracer.shared.used:
             body.append(f"sm = np.zeros({tracer.shared.nbytes}, dtype=np.uint8)")
-        body.extend(em.lines)
+        body.extend(
+            stmt.expr if stmt.target is None else f"{stmt.target} = {stmt.expr}"
+            for stmt in stmts
+        )
         for fname in _STAT_FIELDS:
             delta = tracer.tally[fname]
             if delta:
@@ -1033,9 +1144,13 @@ class FlattenToSource:
         source = "def _jit_kernel(mem, ptrs, stats):\n" + "\n".join(
             "    " + line for line in body
         )
+        # The pool a kernel carries (and the store persists) is what its
+        # source names: constants folded away at compile time stay behind.
+        pool = state.emitter.consts
+        consts = {name: pool[name] for name in _CONST_NAME.findall(source)}
         code = compile(source, f"<jit:{state.program.name}>", "exec")
         namespace = dict(_HELPERS)
-        namespace.update(em.consts)
+        namespace.update(consts)
         exec(code, namespace)  # noqa: S102 - the source is generated above
         return LoweredKernel(
             program_name=state.program.name,
@@ -1047,10 +1162,10 @@ class FlattenToSource:
             passes=PASS_NAMES,
             buffer_len=len(state.memory.buffer),
             shared_used=tracer.shared.used,
-            num_consts=len(em.consts),
+            num_consts=len(consts),
             num_params=len(state.program.params),
             _fn=namespace["_jit_kernel"],
-            consts=dict(em.consts),
+            consts=consts,
             launches=state.launches,
         )
 
@@ -1079,7 +1194,7 @@ def lower_program(
     ``launches=G`` lowers ``G`` hazard-independent launches of this one
     specialization as a single stacked grid (the compiled twin of
     :meth:`~repro.vm.batched.BatchedExecutor.launch_many`): the same
-    three passes over ``G`` times the blocks, pointers bound per block.
+    passes over ``G`` times the blocks, pointers bound per block.
     """
     recorder = obs_trace.ACTIVE
     start = recorder.now() if recorder is not None else 0.0
@@ -1087,7 +1202,7 @@ def lower_program(
         program, args, memory, shared_capacity, launches
     )
     tracer = UnrollAndTrace.run(state)
-    kernel = FlattenToSource.run(state, tracer)
+    kernel = FlattenToSource.run(state, tracer, ForwardValues.run(state))
     if recorder is not None:
         recorder.complete(
             f"jit.lower:{program.name}",

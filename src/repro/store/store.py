@@ -206,6 +206,14 @@ def decode_kernel(record: dict, memory, key: tuple):
         raise VMError(f"malformed stored kernel record: {exc}") from exc
     if not isinstance(source, str) or "_jit_kernel" not in source:
         raise VMError("stored kernel source is not a _jit_kernel definition")
+    if record.get("passes") != list(PASS_NAMES):
+        # The source still runs (KERNEL_NAMESPACE only grows), but it is
+        # what an older pipeline emitted: serving it would pin this
+        # process to that pipeline's speed for as long as the store lives.
+        raise VMError(
+            f"stored kernel for {program_name} was lowered by passes "
+            f"{record.get('passes')!r}, this pipeline runs {list(PASS_NAMES)!r}"
+        )
     if buffer_len != len(memory.buffer):
         raise VMError(
             f"stored kernel for {program_name} was lowered against a "

@@ -319,10 +319,10 @@ class BatchedRegisterValue:
         return tileops.decode(self.dtype, self.patterns)
 
     def to_logical(self) -> np.ndarray:
-        return tileops.to_logical(
+        return tileops.gather_logical(
             self.thread_values(),
             (self.nblocks,) + self.layout.shape,
-            tileops.logical_index(self.layout, self.nblocks),
+            tileops.logical_inverse(self.layout),
         )
 
     def _patterns_as(self, nbits: int) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Both block-vectorised tiers — the batched executor
 (:mod:`repro.vm.batched`) and the kernels the lowering pipeline generates
-(:mod:`repro.compiler.lower`) — carry a register tensor as ``(B, T, L)``
+(:mod:`repro.compiler.lower`) — define a register tensor as ``(B, T, L)``
 uint64 bit *patterns* (blocks × threads × elements per thread) and a
 memory tensor as a per-block bit base into one flat byte buffer.  What a
 tile operation *means* on that representation is written here, once:
-codecs, logical assembly, width regrouping, byte and sub-byte
+codecs (and the rounding that stands in for a pack-unpack round trip in
+kernels that keep registers decoded), logical assembly, width
+regrouping, byte and sub-byte
 gather/scatter (with the block-major last-writer rule), index
 linearisation and every bounds check, the shared-memory bump allocator.
 The batched engine calls these functions; lowering calls the same ones at
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dtypes.floats import float16, float32, float64
+from repro.dtypes.integers import IntType, UIntType
 from repro.errors import VMError
 from repro.utils.bits import regroup_patterns
 from repro.vm.dispatch import decompose_linear, layout_tile_coords, pad_tile_indices
@@ -47,6 +51,30 @@ def encode(dtype, values: np.ndarray) -> np.ndarray:
     return np.asarray(dtype.to_bits(values.reshape(-1)), dtype=np.uint64).reshape(
         values.shape
     )
+
+
+#: The floats numpy stores natively: their codec is a dtype conversion.
+_NUMPY_FLOATS = {float16: np.float16, float32: np.float32, float64: np.float64}
+
+
+def requantize(dtype, values: np.ndarray) -> np.ndarray:
+    """Values -> the values a ``dtype`` register holds for them, same
+    shape: by definition ``decode(dtype, encode(dtype, values))``.  This
+    is what lets a compiled kernel keep a register decoded between
+    instructions and pack it only when its bits are read.  Native floats
+    and integers under 64 bits skip the packing (a conversion, or round
+    and saturate — ``tests/test_tileops.py`` holds them bit-identical to
+    the definition, NaN payloads included); every other type is the
+    definition."""
+    native = _NUMPY_FLOATS.get(dtype)
+    if native is not None:
+        return np.asarray(values, dtype=native).astype(np.float64)
+    if isinstance(dtype, (IntType, UIntType)) and dtype.nbits < 64:
+        values = np.asarray(values)
+        if values.dtype.kind == "f":
+            values = np.rint(values)
+        return np.clip(values.astype(np.int64), dtype.min_value, dtype.max_value)
+    return decode(dtype, encode(dtype, values))
 
 
 def filled(dtype, shape3: tuple, init) -> np.ndarray:
@@ -101,10 +129,40 @@ def check_logical_shape(shape: tuple, layout) -> None:
 
 def to_logical(values: np.ndarray, shape: tuple, ix: tuple) -> np.ndarray:
     """Register (B, T, L) values -> logical tensor of ``shape``; threads
-    replicating an element resolve last-writer-wins, like a store."""
+    replicating an element resolve last-writer-wins, like a store.  The
+    scatter form: the definition :func:`gather_logical` is held to."""
     out = np.zeros(shape, dtype=values.dtype)
     out[ix] = values.reshape(shape[0], -1)
     return out
+
+
+_INVERSE_ATTR = "_vm_logical_inverse"
+
+
+def logical_inverse(layout) -> np.ndarray:
+    """For every logical element (row-major), the thread-major slot
+    ``t * L + i`` whose value :func:`to_logical` keeps — the last writer.
+    Computed once per layout and cached on it.  A layout's modes tile its
+    whole shape, so every element has a writer; one that did not could
+    not be gathered (the scatter form zero-fills it) and is refused."""
+    inverse = getattr(layout, _INVERSE_ATTR, None)
+    if inverse is None:
+        slots = np.ravel_multi_index(tuple(layout_tile_coords(layout)), layout.shape)
+        inverse = np.full(layout.size, -1, dtype=np.int64)
+        inverse[slots] = np.arange(slots.size, dtype=np.int64)
+        if inverse.min() < 0:
+            raise VMError(f"layout {layout.short_repr()} leaves logical elements unheld")
+        inverse.setflags(write=False)
+        try:
+            setattr(layout, _INVERSE_ATTR, inverse)
+        except AttributeError:
+            pass  # layouts with __slots__ simply skip the cache
+    return inverse
+
+
+def gather_logical(values: np.ndarray, shape: tuple, inverse: np.ndarray) -> np.ndarray:
+    """:func:`to_logical` as one gather through :func:`logical_inverse`."""
+    return values.reshape(shape[0], -1).take(inverse, axis=1).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +445,9 @@ def tensor_nbytes(shape, dtype, what: str) -> int:
 
 
 #: The names generated kernels — and kernel sources persisted in tuning
-#: stores — call the table by.  Signatures are part of the store format.
+#: stores — call the table by.  Signatures are part of the store format
+#: and the set only grows; which of them a pipeline emits is recorded per
+#: kernel as its pass list (``_tolog`` is no longer emitted).
 KERNEL_NAMESPACE = {
     "_dec": decode,
     "_enc": encode,
@@ -401,4 +461,6 @@ KERNEL_NAMESPACE = {
     "_lk": check_lookup,
     "_tolog": to_logical,
     "_viewp": regroup,
+    "_rq": requantize,
+    "_tolg": gather_logical,
 }

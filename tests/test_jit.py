@@ -14,6 +14,8 @@ harness (``jit`` is its 8th locked mode); these tests pin the policy
 and the plumbing.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.compiler.lower import (
 )
 from repro.compiler.pipeline import specialization_key
 from repro.dtypes import float16
+from repro.dtypes.registry import all_weight_dtypes
 from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
@@ -290,6 +293,211 @@ class TestStackedLowering:
         assert manager.bailout_reason(program, [a, outs[0]]) is None
         with pytest.raises(LoweringBailout, match="per-launch pointer"):
             lower_program(program, [a, outs[0]], memory, launches=2)
+
+
+# ---------------------------------------------------------------------------
+# Forwarding: what the emitted source may and may not contain
+# ---------------------------------------------------------------------------
+
+_ASSIGN = re.compile(r"^(t\d+) = (.*)$")
+_STORE_CALLS = ("_scb(", "_ssb(")
+
+
+def _statements(kernel):
+    """``[(target or None, expression), ...]`` of a kernel's body."""
+    out = []
+    for line in kernel.source.splitlines()[1:]:
+        match = _ASSIGN.match(line.strip())
+        out.append(match.groups() if match else (None, line.strip()))
+    return out
+
+
+def _calls(kernel, name: str) -> int:
+    return kernel.source.count(name + "(")
+
+
+def decode_linear_kernel(launches: int):
+    """The serving decode linear (``WorkerSpec``'s i6 x f16, k=64, n=16)
+    lowered as ``launches`` stacked launches, as ``decode_jit`` runs it."""
+    from repro.serving import WorkerSpec
+
+    linear = WorkerSpec(jit=True, num_streams=8).build_simulator().decode_linear
+    runtime, program = linear.runtime, linear.program_for(1)
+    args = [
+        runtime.upload(np.zeros((1, linear.k)), linear.act_dtype),
+        linear.b_addr,
+        linear.s_addr,
+        runtime.empty([1, linear.n], linear.act_dtype),
+    ]
+    return lower_program(program, args, runtime.memory, launches=launches)
+
+
+def reload_program(name: str, store_between: bool):
+    """Reads one tile twice; with ``store_between`` the tile is rewritten
+    in place first, so the second read must see the new bytes."""
+    pb = ProgramBuilder(name, grid=[2, 2])
+    a_ptr = pb.param("a", pointer(float16))
+    out_ptr = pb.param("out", pointer(float16))
+    bi, bj = pb.block_indices()
+    g_a = pb.view_global(a_ptr, dtype=float16, shape=[ROWS, COLS])
+    g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
+    first = pb.load_global(g_a, layout=spatial(8, 4), offset=[bi * 8, bj * 4])
+    if store_between:
+        pb.store_global(pb.add(first, 1.0), g_a, offset=[bi * 8, bj * 4])
+    again = pb.load_global(g_a, layout=spatial(8, 4), offset=[bi * 8, bj * 4])
+    pb.store_global(pb.add(first, again), g_out, offset=[bi * 8, bj * 4])
+    return pb.finish()
+
+
+def dead_load_program(name: str = "dead_load"):
+    """Loads a tile nobody reads, then stores a constant."""
+    pb = ProgramBuilder(name, grid=[1])
+    a_ptr = pb.param("a", pointer(float16))
+    out_ptr = pb.param("out", pointer(float16))
+    g_a = pb.view_global(a_ptr, dtype=float16, shape=[ROWS, COLS])
+    g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
+    pb.load_global(g_a, layout=spatial(8, 4), offset=[0, 0])
+    ones = pb.allocate_register("f16", layout=spatial(8, 4), init=1.0)
+    pb.store_global(ones, g_out, offset=[0, 0])
+    return pb.finish()
+
+
+class TestForwarding:
+    def test_decode_kernel_never_round_trips_a_register(self):
+        """The structural contract of the forwarded trace, on the kernel
+        a served token costs: counts of the emitted source, which repeat
+        exactly (the lowering is deterministic)."""
+        kernel = decode_linear_kernel(launches=8)
+        statements = _statements(kernel)
+        produced = {target: expr for target, expr in statements if target}
+        # No value is unpacked from bits this kernel packed itself.
+        for _, expr in statements:
+            for dtype, operand in re.findall(r"_dec\((C\d+), (t\d+)\)", expr):
+                assert not produced[operand].startswith(f"_enc({dtype},"), expr
+        # Bits exist where they are read: one packing per stored tensor.
+        stores = sum(kernel.source.count(call) for call in _STORE_CALLS)
+        assert stores == 1 and _calls(kernel, "_enc") <= stores
+        # One gather per distinct (view base, address constant, width)
+        # between two stores: the k-loop reads each scale row once.
+        seen = set()
+        for _, expr in statements:
+            if expr.startswith(_STORE_CALLS):
+                seen.clear()
+            for buf, addr, rest in re.findall(r"_gs?b\((mem|sm), (\w+), ([^)]*)\)", expr):
+                key = (buf, produced.get(addr, addr), rest)
+                assert key not in seen, f"gathered twice: {expr}"
+                seen.add(key)
+        assert _calls(kernel, "_tolog") == 0  # the zero-fill + scatter form
+        # 4 unrolled k-steps: A and B tiles 4x, 2 distinct scale rows.
+        assert {
+            name: _calls(kernel, name)
+            for name in ("_gb", "_dec", "_enc", "_rq", "_tolg", "_viewp", "_vg", "_scb")
+        } == {
+            "_gb": 10, "_dec": 10, "_enc": 1, "_rq": 13, "_tolg": 8,
+            "_viewp": 4, "_vg": 4, "_scb": 1,
+        }  # fmt: skip
+        assert decode_linear_kernel(launches=8).source == kernel.source
+
+    def test_constant_registers_fold_and_values_pack_once(self):
+        """``acc = 0`` is decoded at compile time, the add chain stays
+        decoded, and the one ``_enc`` is the stored tensor's."""
+        memory, host, a, out = device()
+        kernel = lower_program(work_program("fold", steps=3), [a, out], memory)
+        assert (_calls(kernel, "_dec"), _calls(kernel, "_enc")) == (1, 1)
+
+    def test_every_temporary_is_released_after_its_last_reader(self):
+        kernel = decode_linear_kernel(launches=2)
+        assigned, released = [], []
+        for target, expr in _statements(kernel):
+            if target:
+                assigned.append(target)
+            elif expr.startswith("del "):
+                released.extend(expr[4:].split(", "))
+            for name in re.findall(r"\bt\d+\b", expr):
+                assert name not in released or expr.startswith("del "), expr
+        assert sorted(assigned) == sorted(released)
+        # ... and the constant pool is exactly what the source names.
+        assert set(kernel.consts) == set(re.findall(r"\bC\d+\b", kernel.source))
+
+    @pytest.mark.parametrize("store_between", [False, True])
+    def test_load_cse_ends_at_a_store_to_the_buffer(self, store_between):
+        program = reload_program(f"reload{int(store_between)}", store_between)
+        memory1, host1, a1, out1 = device()
+        host1.launch(program, [a1, out1])
+        memory2, host2, a2, out2 = device()
+        kernel = lower_program(program, [a2, out2], memory2)
+        kernel.run(memory2, [a2, out2], host2.stats)
+        assert np.array_equal(memory1.buffer, memory2.buffer)
+        assert host1.stats.snapshot() == host2.stats.snapshot()
+        assert _calls(kernel, "_gb") == (2 if store_between else 1)
+
+    def test_a_dead_load_keeps_its_bounds_check(self):
+        memory, host, a, out = device()
+        kernel = lower_program(dead_load_program(), [a, out], memory)
+        gathers = [expr for target, expr in _statements(kernel) if "_gb(" in expr]
+        assert len(gathers) == 1 and _calls(kernel, "_dec") == 0
+        stats = kernel.run(memory, [a, out])
+        assert stats.global_bits_loaded == 8 * 4 * 16
+        assert np.all(host.download(out, [ROWS, COLS], float16)[:8, :4] == 1.0)
+
+
+# Compiled-tier coverage of the data-type spectrum: forwarding must be
+# exact on every codec, not only the i6 x f16 decode kernel.
+SPECTRUM_K, SPECTRUM_N, SPECTRUM_M = 64, 32, 3
+
+
+@pytest.mark.parametrize("stages", [1, 2], ids=["direct", "staged"])
+@pytest.mark.parametrize("dtype", all_weight_dtypes(), ids=str)
+def test_compiled_tier_is_exact_across_the_weight_spectrum(dtype, stages):
+    """``ops.prepare_linear`` on ``engine="compiled"`` — launch by launch
+    and as one stacked kernel — against ``Runtime(engine="sequential")``:
+    equal output bits, equal ``ExecutionStats``."""
+    import dataclasses
+
+    from repro import ops
+    from repro.vm.interp import ExecutionStats
+
+    rng = np.random.default_rng(dtype.nbits * 2 + stages)
+    weight = rng.standard_normal((SPECTRUM_K, SPECTRUM_N))
+    acts = [rng.standard_normal((SPECTRUM_M, SPECTRUM_K)) for _ in range(STACK)]
+    config = dataclasses.replace(ops._default_config(dtype), num_stages=stages)
+
+    def linear(engine):
+        return ops.prepare_linear(
+            weight, dtype, group_size=32, config=config, runtime=Runtime(engine=engine)
+        )
+
+    oracle = linear("sequential")
+    want = [oracle(a) for a in acts]
+    want_stats = oracle.runtime.stats().snapshot()
+
+    single = linear("compiled")
+    for a, expected in zip(acts, want):
+        assert np.array_equal(single(a), expected)
+    jit = single.runtime.jit
+    assert (jit.promotions, jit.bailouts) == (STACK, 0)
+    assert single.runtime.stats().snapshot() == want_stats
+
+    stacked = linear("compiled")
+    runtime, act = stacked.runtime, stacked.act_dtype
+    args_list = [
+        [
+            runtime.upload(act.quantize(a), act),
+            stacked.b_addr,
+            stacked.s_addr,
+            runtime.empty([SPECTRUM_M, SPECTRUM_N], act),
+        ]
+        for a in acts
+    ]
+    kernel = runtime.jit.maybe_compile(
+        stacked.program_for(SPECTRUM_M), args_list[0], forced=True, launches=STACK
+    )
+    assert kernel is not None and kernel.launches == STACK
+    stats = runtime.jit.run(kernel, args_list, ExecutionStats())
+    for args, expected in zip(args_list, want):
+        got = runtime.download(args[3], [SPECTRUM_M, SPECTRUM_N], act)
+        assert np.array_equal(got, expected)
+    assert stats.snapshot() == want_stats
 
 
 # ---------------------------------------------------------------------------

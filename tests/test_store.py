@@ -571,6 +571,22 @@ class TestKernelCodec:
         with pytest.raises(VMError, match="_jit_kernel"):
             decode_kernel(hostile, runtime.memory, key)
 
+    def test_decode_rejects_another_pipelines_kernel(self):
+        """A record whose ``passes`` is not this pipeline's — a store an
+        older commit published — is refused even though its source still
+        runs: rehydrating it would keep serving that pipeline's kernel."""
+        from repro.compiler.lower import PASS_NAMES
+
+        _, runtime, _, _, _, kernel, key = _linear_fixture()
+        record = encode_kernel(kernel)
+        assert record["passes"] == list(PASS_NAMES)
+        older = dict(record, passes=["const-fold", "unroll", "flatten"])  # PR 15's
+        with pytest.raises(VMError, match="lowered by passes"):
+            decode_kernel(older, runtime.memory, key)
+        unsigned = {k: v for k, v in record.items() if k != "passes"}
+        with pytest.raises(VMError, match="lowered by passes"):
+            decode_kernel(unsigned, runtime.memory, key)
+
     def test_decode_rejects_foreign_buffer_length(self):
         from repro.vm import GlobalMemory
 
@@ -660,6 +676,33 @@ class TestEngineDegradation:
         assert counters["compiled"] == 1 and counters["rehydrated"] == 0
         got.run(runtime.memory, args)
         kernel.run(runtime.memory, args)  # reference lowered pre-corruption
+
+    def test_jit_relowers_over_another_pipelines_kernel(self, tmp_path):
+        """The soft path of a stale pass list: counted as a compile, not
+        a rehydration, and the republished record is the new pipeline's."""
+        from repro.compiler.lower import PASS_NAMES
+        from repro.runtime.jit import JitManager
+        from repro.runtime.profiling import spec_string
+
+        linear, runtime, program, args, out_addr, kernel, key = _linear_fixture()
+        stale = dict(encode_kernel(kernel), passes=["const-fold", "unroll", "flatten"])
+        fresh = JitManager(runtime.memory, threshold_s=0.0)
+        fresh.preheat({spec_string(key): 1.0})
+        assert fresh.stage_kernels([stale]) == 1
+        got = fresh.maybe_compile(program, args, profiler=None, key=key)
+        counters = fresh.counters()
+        assert counters["compiled"] == 1 and counters["rehydrated"] == 0
+        assert got.passes == PASS_NAMES
+        kernel.run(runtime.memory, args)
+        reference = runtime.download(out_addr, [1, linear.n], linear.act_dtype)
+        got.run(runtime.memory, args)
+        assert np.array_equal(
+            reference, runtime.download(out_addr, [1, linear.n], linear.act_dtype)
+        )
+        store = TuningStore(str(tmp_path))
+        assert store.publish_jit("shard", fresh, None) == 1
+        (republished,) = store.load_jit("shard")["kernels"]
+        assert republished["passes"] == list(PASS_NAMES)
 
     def test_simulator_warm_boot_zero_swaps_bit_exact(self, tmp_path):
         from repro.llm.batching import uniform_trace

@@ -21,9 +21,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.vm
-from repro.dtypes import uint
+from repro.dtypes import bfloat16, float16, float32, uint
+from repro.dtypes.registry import (
+    all_weight_dtypes,
+    int16,
+    int32,
+    int64,
+    uint16,
+    uint32,
+    uint64,
+)
 from repro.errors import VMError
-from repro.layout import local
+from repro.layout import local, mma_m16n8k16, spatial
+from repro.layout.core import replicate
 from repro.vm import BatchedRegisterValue, RegisterValue, TensorView, tileops
 
 WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 32)
@@ -183,6 +193,126 @@ def test_divergent_merge_regroups_the_old_value():
             BatchedRegisterValue.filled(uint(8), local(3).spatial(THREADS), None, BLOCKS),
             active,
         )
+
+
+# ---------------------------------------------------------------------------
+# requantize: the rounding a forwarded register keeps instead of packing
+# ---------------------------------------------------------------------------
+
+CODECS = all_weight_dtypes() + [
+    float16, bfloat16, float32,
+    int16, int32, int64, uint16, uint32, uint64,
+]  # fmt: skip
+
+#: What a codec must get right however it is written: signed zeros,
+#: infinities, NaNs (quiet, signalling, payload in the low and the high
+#: mantissa bits), subnormals of f64 / f32 / f16, ties and the first value
+#: past every narrow type's range.
+_F64_PATTERNS = [
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001, 0x7FF4000000000000,
+    0x7FFFFFFFFFFFFFFF, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+]  # fmt: skip
+_F64_VALUES = [
+    1e-46, -1.4e-45, 5.9e-8, 6e-8, -2.98e-8, 0.5, 1.5, 2.5, -3.5, 448.0, 464.0,
+    65504.0, 65519.9, 65520.0, -65536.0, 3.4028235e38, 3.5e38, -1e300, 2.0**63, -(2.0**63),
+]  # fmt: skip
+SPECIALS = np.concatenate(
+    [np.array(_F64_PATTERNS, dtype=np.uint64).view(np.float64), np.array(_F64_VALUES)]
+)
+
+
+def _bit_identical(got: np.ndarray, want: np.ndarray) -> bool:
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    )
+
+
+@pytest.mark.parametrize("dtype", CODECS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(
+    raw=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=24),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=24),
+)
+def test_requantize_is_bit_identical_to_the_codec_round_trip(dtype, raw, ints):
+    """``requantize(d, x)`` is ``d.from_bits(d.to_bits(x))`` to the bit —
+    values (NaN payloads and the sign of zero included) *and* numpy dtype
+    — for float inputs drawn as raw 64-bit patterns, every special value,
+    and integer-typed inputs; and packing the rounded values gives the
+    patterns of the unrounded ones (what lets a compiled kernel pack a
+    forwarded register late)."""
+    floats = np.concatenate([np.array(raw, dtype=np.uint64).view(np.float64), SPECIALS])
+    small = np.arange(-(1 << 9), 1 << 9, 37, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for values in (floats, np.concatenate([np.array(ints, dtype=np.int64), small])):
+            values = values.reshape(1, -1, 1)  # any shape, like a register's
+            want = dtype.from_bits(dtype.to_bits(values.reshape(-1))).reshape(values.shape)
+            got = tileops.requantize(dtype, values)
+            assert _bit_identical(got, want), dtype
+            assert _bit_identical(got, tileops.decode(dtype, tileops.encode(dtype, values)))
+            assert np.array_equal(
+                tileops.encode(dtype, got), tileops.encode(dtype, values)
+            ), dtype
+
+
+# ---------------------------------------------------------------------------
+# to_logical: one gather through the last-writer inverse
+# ---------------------------------------------------------------------------
+
+
+def _warp_shared(wm: int, wn: int):
+    """``test_layout_replicate``'s A operand, shared across warp columns."""
+    return (
+        spatial(wm, 1).compose(replicate(wn, rank=2)).compose(local(1, 1))
+        .compose(mma_m16n8k16().a_layout)
+    )  # fmt: skip
+
+
+REPLICATED = {
+    "origin-only": replicate(6, rank=1),
+    "origin-only-2d": replicate(4, rank=2),
+    "replica-left": replicate(2, rank=1).compose(spatial(4)),
+    "replica-right": spatial(4).compose(replicate(2, rank=1)),
+    "fluent": spatial(2, 1).replicate(3),
+    "warp-shared-2x2": _warp_shared(2, 2),
+    "warp-shared-1x4": _warp_shared(1, 4),
+    "bijective": local(2, 2).spatial(4, 8),
+}
+
+
+@pytest.mark.parametrize("name", REPLICATED)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nblocks=st.integers(1, 3))
+def test_gather_form_to_logical_is_the_scatter_form(name, seed, nblocks):
+    """Every replica holds a *different* value, so the two forms agree
+    only if the gather reads, element by element, the slot whose write
+    the scatter keeps — the last writer in thread-major order."""
+    layout = REPLICATED[name]
+    shape3 = (nblocks, layout.num_threads, layout.local_size)
+    values = np.random.default_rng(seed).permutation(int(np.prod(shape3))).reshape(shape3)
+    shape = (nblocks,) + tuple(layout.shape)
+    scatter = tileops.to_logical(values, shape, tileops.logical_index(layout, nblocks))
+    inverse = tileops.logical_inverse(layout)
+    assert inverse is tileops.logical_inverse(layout)  # computed once per layout
+    gathered = tileops.gather_logical(values, shape, inverse)
+    assert gathered.dtype == scatter.dtype and np.array_equal(gathered, scatter)
+    # ... and it is what the sequential oracle assembles, block by block.
+    for b in range(nblocks):
+        oracle = RegisterValue.from_patterns(uint(32), layout, values[b].astype(np.uint64))
+        assert np.array_equal(oracle.to_logical(), scatter[b])
+
+
+def test_kernel_namespace_only_grows():
+    """Every name a kernel lowered by an earlier pipeline calls is still
+    bound (a pass-list mismatch, not a NameError, retires old records)."""
+    through_pr_15 = {
+        "_dec", "_enc", "_gb", "_gsb", "_gather", "_scb", "_ssb", "_pbits",
+        "_vg", "_lk", "_tolog", "_viewp",
+    }  # fmt: skip
+    assert through_pr_15 <= set(tileops.KERNEL_NAMESPACE)
+    assert tileops.KERNEL_NAMESPACE["_tolog"] is tileops.to_logical  # scatter form
 
 
 # ---------------------------------------------------------------------------
