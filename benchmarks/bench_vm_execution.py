@@ -218,10 +218,14 @@ def stream_report(
     """Measure 8-stream asynchronous issue against serial issue.
 
     Serial issue runs every launch to completion before issuing the next
-    (the synchronous ``Runtime.launch`` pattern); streamed issue enqueues
-    all launches round-robin across the streams and synchronizes once.
-    Asserts the >= ``min_speedup`` target and that streamed outputs are
-    bit-identical to the serial replay's.
+    (the synchronous ``Runtime.launch`` pattern: one engine invocation
+    per launch); streamed issue queues all launches round-robin across
+    the streams and synchronizes once — the drain point, where the pool
+    coalesces hazard-independent launches into stacked groups and runs
+    them inline.  What is measured is that coalescing (plus the
+    per-launch submit cost), not thread overlap: there are no stream
+    threads.  Asserts the >= ``min_speedup`` target and that streamed
+    outputs are bit-identical to the serial replay's.
     """
     prog, (rows, cols), mem_serial, host_serial, args_serial = _stream_workload(
         num_streams, per_stream
@@ -331,9 +335,9 @@ def graph_report(
     """Measure execution-graph replay against per-step eager submission.
 
     Eager issue re-submits the step's launch DAG every step — paying
-    scheduling, hazard-range analysis and coalescing probes per launch;
-    graph replay captures the DAG once and drives the per-stream engines
-    directly.  Asserts the >= ``min_speedup`` target and that replayed
+    range resolution, the hazard scan and placement per launch and group
+    formation per drain; graph replay captures the DAG once and runs the
+    frozen groups through the same inline group loop.  Asserts the >= ``min_speedup`` target and that replayed
     device memory is bit-identical to the eager run's after the same
     number of steps.
     """
@@ -474,9 +478,9 @@ def pgo_report(min_speedup: float = 1.2) -> dict:
 
         # Serial oracle first: the bit-exactness reference (the kernels
         # are out = f(a), so repeated replays are idempotent) and, one
-        # node at a time on one thread, the exact per-node profile — a
-        # streamed replay's walls include the wait for the other seven
-        # stream threads' turns at the interpreter lock.
+        # invocation per node, the exact per-node profile — a grouped
+        # replay's walls are one stacked call split evenly over its
+        # members.
         graph.replay(serial=True)  # warm every program before timing it
         profile = Profile()
         pool.profiler = profile

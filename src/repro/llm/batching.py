@@ -13,11 +13,11 @@ Kernel-in-the-loop mode: pass a ``decode_linear``
 (:class:`~repro.ops.QuantizedLinear`) and every simulated decode step
 *actually executes* one quantized-linear kernel per in-flight request on
 the VM, each request issued on its own stream of the operator runtime's
-pool — the concurrent decode/prefill kernel execution pattern the serving
-loop produces on real hardware.  Per-request output buffers are private,
-so the hazard tracker lets all of a step's decode kernels overlap; the
-step barrier is ``pool.synchronize()``.  Latency accounting stays
-analytical (the VM is functional, not a timing model).
+pool — the decode/prefill launch pattern the serving loop produces on
+real hardware.  Per-request output buffers are private, so the hazard
+tracker finds a step's decode kernels independent and the step barrier,
+``pool.synchronize()``, runs them as one stacked group.  Latency
+accounting stays analytical (the VM is functional, not a timing model).
 
 Because the decode loop re-submits an *identical* launch DAG every step,
 the kernel-in-the-loop path **graph-captures** it (``use_graphs``, on by
@@ -145,7 +145,6 @@ class TraceResult:
     total_tokens: int = 0
     #: Kernel-in-the-loop counters (zero in purely analytical runs).
     kernel_launches: int = 0
-    max_concurrent_streams: int = 0
     #: Execution-graph counters: decode steps that recorded a fresh graph
     #: vs. steps that replayed one (captures + replays = decode steps).
     graph_captures: int = 0
@@ -438,26 +437,19 @@ class ContinuousBatchingSimulator:
                     [flight.act_addr, linear.b_addr, linear.s_addr, flight.out_addr],
                 )
             outcome.kernel_launches += len(inflight)
-            outcome.max_concurrent_streams = max(outcome.max_concurrent_streams, 1)
             return
         pool = runtime.stream_pool(self.num_streams)
         if self.use_graphs:
             self._decode_step_graphed(pool, inflight, outcome)
             return
-        streams_used = set()
         for idx, flight in enumerate(inflight):
-            stream = pool.streams[idx % len(pool.streams)]
             runtime.launch(
                 program,
                 [flight.act_addr, linear.b_addr, linear.s_addr, flight.out_addr],
-                stream=stream,
+                stream=pool.streams[idx % len(pool.streams)],
             )
-            streams_used.add(stream.index)
         pool.synchronize()
         outcome.kernel_launches += len(inflight)
-        outcome.max_concurrent_streams = max(
-            outcome.max_concurrent_streams, len(streams_used)
-        )
 
     def _capture_hint(self, program, args):
         """The prior profile to hand a fresh batch size's capture, or
@@ -535,9 +527,6 @@ class ContinuousBatchingSimulator:
             graph.replay(bindings)
             outcome.graph_replays += 1
         outcome.kernel_launches += batch
-        outcome.max_concurrent_streams = max(
-            outcome.max_concurrent_streams, len(graph.stream_indices)
-        )
 
     # -- persistent tuning store ---------------------------------------------
     def publish_store(self) -> dict:

@@ -15,7 +15,6 @@ from repro.runtime.streams import (
     LaunchHandle,
     Stream,
     StreamPool,
-    StreamTask,
     launch_ranges,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "JitManager",
     "Stream",
     "StreamPool",
-    "StreamTask",
     "Event",
     "LaunchHandle",
     "NodeProfile",

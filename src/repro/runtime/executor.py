@@ -1,10 +1,11 @@
 """The launch executor: the one seam every kernel launch goes through.
 
-Four call sites issue launches — the synchronous ``Runtime.launch``,
-the eager stream worker, a graph replay's group task and the serial
-replay oracle — and each keeps only what is its own (argument checks
-and the specialization cache; dependency waits and merge probing; the
-error latch; the in-order loop).  What they share lives here, once:
+Two call sites issue launches — the synchronous ``Runtime.launch`` and
+the stream pool's group loop (``StreamPool.run_group``: eager drains,
+graph replays and the serial replay oracle) — and each keeps only what
+is its own (argument checks and the specialization cache; group
+formation, error marking and the tally).  What they share lives here,
+once:
 
 - :func:`resolve_engine` — the tier decision.  A launch carries two
   facts: the *requested* tier (``auto | sequential | batched |
@@ -12,7 +13,8 @@ error latch; the in-order loop).  What they share lives here, once:
   compiled tier does not take it (``sequential | batched``).
 - :func:`execute` — consult the JIT, run the engine, time it, record
   the profile, emit the span; returns the tier that ran.
-- :class:`Lane` — the engines one thread of execution owns, and
+- :class:`Lane` — the engines and statistics of one logical queue (the
+  host's own launches, or one stream), and
   :class:`ExecutionContext` — the profiler / JIT manager / adaptive
   policy a runtime and its stream pool share.
 """
@@ -54,7 +56,7 @@ class ExecutionContext:
         self, memory: GlobalMemory, shared_capacity: int, **knobs
     ) -> JitManager:
         """The attached JIT manager, created on first use (under a lock:
-        racing stream workers forcing ``engine="compiled"`` must end up
+        host threads racing to force ``engine="compiled"`` must end up
         sharing one manager)."""
         with self._lock:
             if self.jit is None:
@@ -78,11 +80,12 @@ class ContextAttr:
 
 
 class Lane:
-    """The engines one thread of execution drives: a sequential
-    interpreter and a batched executor over one memory, sharing one
+    """The engines of one logical queue: a sequential interpreter and a
+    batched executor over one memory, sharing one
     :class:`~repro.vm.interp.ExecutionStats`, plus the trace lane
     (``tid``) their spans land on.  The runtime owns the host lane,
-    every stream owns one."""
+    every stream owns one — a lane is where work is accounted, not a
+    thread: every lane is driven by whichever host thread drains."""
 
     __slots__ = ("interpreter", "batched", "stats", "tid")
 
@@ -107,8 +110,7 @@ class Site(NamedTuple):
     span: str
     cat: str
     #: Profile scope and stream: ``EAGER`` or a graph signature; the
-    #: stream the launch was placed on (not necessarily the lane that
-    #: runs it — the serial oracle borrows stream 0's).
+    #: stream whose lane runs the launch (a group's head's).
     scope: str
     stream: int
     #: Graph replays: the node index of each launch and the coalescing

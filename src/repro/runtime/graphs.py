@@ -33,33 +33,34 @@ are inert: ``wait()`` is a no-op, so code written for eager streams
 (e.g. ``ops.QuantizedLinear``'s split-k path) captures unchanged.
 
 On exit the graph **instantiates**: nodes are partitioned into
-*execution groups*, one engine invocation each at replay.  Groups form
-over the whole DAG, first fit in submission order, whatever stream each
-node was captured on: a node joins a group when both run the same
-program on the batched engine with one grid shape, identical
-shape-contributing scalars, pairwise-disjoint ranges, and no dependency
-on or after the group head.  A node's dependencies are *all* earlier
-nodes it conflicts with, so a member conflicts with nothing it is
-hoisted over, and every group edge points at a group with an earlier
-head: head order is a topological order and hoisting the members' waits
-to the head cannot deadlock.  The group runs on its head's stream (its
-members' placement is rewritten to it), on whatever tier its
-specialization key has reached — a stacked compiled kernel or
-:meth:`~repro.vm.batched.BatchedExecutor.launch_many`.  Cross-stream
-group edges are the only synchronization replay performs.
+*execution groups*, one engine invocation each at replay, by
+:func:`~repro.runtime.streams.form_groups` — the same first-fit rule
+the eager drain applies to pending launches.  Groups form over the whole
+DAG in submission order, whatever stream each node was captured on: a
+node joins a group when both run the same program on the batched engine
+with one grid shape, identical shape-contributing scalars,
+pairwise-disjoint ranges, and no dependency on or after the group head.
+A node's dependencies are *all* earlier nodes it conflicts with, so a
+member conflicts with nothing it is hoisted over, and every group edge
+points at a group with an earlier head: head order is a topological
+order.  The group runs on its head's stream (its members' placement is
+rewritten to it), on whatever tier its specialization key has reached —
+a stacked compiled kernel or
+:meth:`~repro.vm.batched.BatchedExecutor.launch_many`.
 
 Replay
 ------
-:meth:`ExecutionGraph.replay` enqueues one :class:`~repro.runtime.
-streams.StreamTask` per group onto the captured streams and blocks
-until the whole graph retires.  Each task waits on its precomputed
-cross-stream dependency events, then runs the group on the stream's lane
-through the launch executor (:mod:`repro.runtime.executor`)
-— no ``analyze_access``, no ``launch_ranges``, no ``ranges_conflict``,
-no scheduler, no mergeability probing.  Replay is bit-exact with eager
-stream submission of the same launches and with a serial replay
-(``replay(serial=True)`` runs the nodes one at a time in submission
-order — the debugging oracle).
+:meth:`ExecutionGraph.replay` is the pool's inline group loop over the
+frozen groups: under the pool lock, on the calling thread, it retires
+whatever eager work is still pending (program order), rebinds the
+arguments, and runs each group in head order on its stream's lane
+through the launch executor (:mod:`repro.runtime.executor`) — no
+``analyze_access``, no ``launch_ranges``, no ``ranges_conflict``, no
+scheduler, no mergeability probing, no thread hand-off.  Replay is
+bit-exact with eager stream submission of the same launches and with
+``replay(serial=True)`` — the *same loop* over singleton groups, each
+node on its own captured stream: the ungrouped debugging oracle and the
+exact (not group-amortized) per-node profile collector.
 
 Rebinding
 ---------
@@ -73,15 +74,16 @@ validated against its capture-time **specialization key** — pointer
 swaps keep the key (kernels are address-agnostic), while any scalar
 change that would alter shapes or the compiled kernel is rejected.
 Rebinding carries the CUDA-graph contract: new buffers must preserve
-the capture-time aliasing relationships (disjoint stays disjoint);
-hazard analysis is *not* re-run — that is the point.
+the capture-time aliasing relationships (disjoint stays disjoint).
+Hazard analysis is *not* re-run — that is the point — but the one case
+it rests on is checked: two rebound pointer spans that overlap raise
+:class:`VMError`, as :meth:`~ExecutionGraph.bind` does at capture.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from typing import Iterable, Mapping, Sequence
 
 from repro.compiler.pipeline import specialization_key
@@ -95,15 +97,14 @@ from repro.runtime.adaptive import (
     guided_placement,
     lpt_placement,
 )
-from repro.runtime.executor import Site, execute, resolve_engine
+from repro.runtime.executor import Site, resolve_engine
 from repro.runtime.profiling import Profile, spec_string
 from repro.runtime.streams import (
     Stream,
     StreamPool,
-    StreamTask,
+    form_groups,
     launch_ranges,
     ranges_conflict,
-    stackable_with_group,
 )
 
 _SIDE_EFFECT_ATTR = "_graph_has_side_effects"
@@ -311,69 +312,23 @@ class GraphPlan:
 class _Group:
     """An execution group: one engine invocation at replay, on one stream."""
 
-    __slots__ = ("stream_index", "node_indices", "dep_groups", "engine",
-                 "program", "requested", "keys", "site")
+    __slots__ = ("stream_index", "node_indices", "engine", "program",
+                 "requested", "keys", "site")
 
-    def __init__(self, stream_index, nodes: list[GraphNode]) -> None:
+    def __init__(self, stream_index, nodes: list[GraphNode], signature: str,
+                 index: int | None = None) -> None:
         self.stream_index = stream_index
         self.node_indices = [n.index for n in nodes]
-        self.dep_groups: tuple[int, ...] = ()
         self.engine = nodes[0].engine
         self.program = nodes[0].program
         self.requested = nodes[0].requested
         self.keys = [n.key for n in nodes]
-        self.site: Site | None = None  # set once the group order is final
-
-
-class _ReplayState:
-    """Shared error latch for one replay's tasks (first error wins;
-    later groups observe it and retire without executing)."""
-
-    __slots__ = ("error", "_lock")
-
-    def __init__(self) -> None:
-        self.error: BaseException | None = None
-        self._lock = threading.Lock()
-
-    def fail(self, exc: BaseException) -> None:
-        with self._lock:
-            if self.error is None:
-                self.error = exc
-
-
-class _GroupTask(StreamTask):
-    """Replays one execution group on its stream's worker: wait the
-    precomputed cross-stream dependency events, run the group through
-    the launch executor, signal completion.  No analysis of any kind
-    happens here (dependency waits stay outside the executor's timing)."""
-
-    __slots__ = ("group", "args_list", "dep_events", "done_event", "state")
-
-    def __init__(self, group: _Group, args_list, dep_events, done_event,
-                 state) -> None:
-        self.group = group
-        self.args_list = args_list
-        self.dep_events = dep_events
-        self.done_event = done_event
-        self.state = state
-
-    def run(self, stream: Stream) -> None:
-        try:
-            for event in self.dep_events:
-                event.wait()
-            if self.state.error is None:
-                group = self.group
-                execute(
-                    stream.lane, stream.pool.context, group.program,
-                    self.args_list, group.requested, group.engine,
-                    group.keys, group.site,
-                )
-                stream.launches += len(self.args_list)
-                stream.executions += 1
-        except BaseException as exc:  # noqa: BLE001 — surfaced by replay()
-            self.state.fail(exc)
-        finally:
-            self.done_event.set()
+        # Lane-level execution spans carry cat "stream" (like eager
+        # groups); "graph" is the lifecycle lane.  Nodes record under the
+        # group's stream, so every node keeps one profile site.
+        self.site = Site(
+            "replay", "stream", signature, stream_index, self.node_indices, index
+        )
 
 
 def _group_costs(stacks, node_costs: Mapping[int, float]) -> dict[int, float]:
@@ -409,8 +364,8 @@ class ExecutionGraph:
         self._bindings: dict[str, _Binding] = {}
         self._groups: list[_Group] = []
         self._slot_map: dict[str, list[tuple]] | None = None
+        # Rebinding cache; read and written under the pool lock only.
         self._bound_args: list[tuple] | None = None
-        self._group_args: list[list[tuple]] | None = None
         self._last_values: dict | None = None
         self._signature: str | None = None
 
@@ -492,37 +447,11 @@ class ExecutionGraph:
         return CapturedLaunchHandle(program, args, node, self)
 
     # -- instantiation ------------------------------------------------------
-    def _mergeable(self, group: list[GraphNode], node: GraphNode) -> bool:
-        first = group[0]
-        if node.program is not first.program or node.engine != first.engine:
-            return False
-        if first.engine != "batched" or node.requested != first.requested:
-            return False
-        if first.requested == "compiled" and node.key != first.key:
-            # A mixed-key stack runs on the batched engine: a forced-
-            # compiled node must not be silently demoted by merging (the
-            # eager worker refuses the same merge).
-            return False
-        if not stackable_with_group(
-            first.program, first.grid, first.args, node.grid, node.args, len(group)
-        ):
-            return False
-        # Dependency waits hoist to the group head, which is safe (and
-        # deadlock-free) only when every dependency strictly precedes it.
-        if any(dep >= first.index for dep in node.deps):
-            return False
-        # Coalesced launches interleave: members must be pairwise disjoint.
-        return all(
-            not ranges_conflict(node.ranges, member.ranges) for member in group
-        )
-
     def _instantiate(self, costs: Mapping[int, float] | None = None) -> None:
-        """Freeze the execution groups, the stream each runs on and
-        their cross-stream dependency edges.
+        """Freeze the execution groups and the stream each runs on.
 
-        Groups form over the whole DAG, first fit in submission order: a
-        node joins the earliest group it is :meth:`_mergeable` with,
-        whichever stream either was captured on.  The group is the unit
+        Groups form over the whole DAG by
+        :func:`~repro.runtime.streams.form_groups`.  The group is the unit
         of placement: it runs on its head node's stream, unless measured
         per-node ``costs`` (:meth:`optimize`) or a capture profile
         (:meth:`_apply_capture_profile`) re-place the groups by LPT.
@@ -530,17 +459,10 @@ class ExecutionGraph:
         stream, so every node keeps one profile site and ``plan()`` /
         ``apply_plan()`` / ``optimize()`` reproduce groups and placement.
         """
-        stacks: list[list[GraphNode]] = []
-        for node in self.nodes:
-            for stack in stacks:
-                if self._mergeable(stack, node):
-                    stack.append(node)
-                    break
-            else:
-                stacks.append([node])
+        stacks = form_groups(self.nodes, lambda node: node.deps)
         # Creation order is head-node order, and every dependency of a
         # group precedes its head: group edges point backwards, so replay
-        # enqueues a group's dependencies before its dependents.
+        # runs a group's dependencies before its dependents.
         node_group = {
             node.index: gi for gi, stack in enumerate(stacks) for node in stack
         }
@@ -563,21 +485,7 @@ class ExecutionGraph:
         for gi, stack in enumerate(stacks):
             for node in stack:
                 node.stream_index = placement[gi]
-            group = _Group(placement[gi], stack)
-            # Lane-level execution spans carry cat "stream" (like live
-            # stream groups); "graph" is the lifecycle lane.  Nodes
-            # record under the group's stream, so every node keeps one
-            # profile site whichever thread executes it.
-            group.site = Site(
-                "replay", "stream", self.signature, group.stream_index,
-                group.node_indices, gi,
-            )
-            # Same-stream edges are implied by FIFO order; only
-            # cross-stream edges need an event wait at replay.
-            group.dep_groups = tuple(
-                d for d in group_deps[gi] if placement[d] != placement[gi]
-            )
-            groups.append(group)
+            groups.append(_Group(placement[gi], stack, self.signature, gi))
         self._groups = groups
         tracer = obs_trace.ACTIVE
         if tracer is not None:
@@ -711,6 +619,19 @@ class ExecutionGraph:
         }
         if values == self._last_values and self._bound_args is not None:
             return  # identity with the previous replay: nothing to rebind
+        # The aliasing contract's checkable half (bind() enforces the same
+        # on the captured spans): frozen hazard edges and groups assume
+        # distinct bindings stay disjoint.
+        spans = sorted(
+            (values[name], values[name] + b.nbytes, name)
+            for name, b in self._bindings.items() if b.is_pointer
+        )
+        for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
+            if start < end:
+                raise VMError(
+                    f"rebinding makes binding {name!r} overlap binding {other!r}: "
+                    "replayed buffers must stay disjoint, as captured"
+                )
         new_args = [list(node.args) for node in self.nodes]
         for name, entries in self._slot_map.items():
             base = values[name]
@@ -730,36 +651,54 @@ class ExecutionGraph:
                     "must keep the capture-time shapes and scalars"
                 )
         self._bound_args = bound
-        self._group_args = [
-            [bound[i] for i in group.node_indices] for group in self._groups
-        ]
         self._last_values = dict(values)
 
     # -- replay -------------------------------------------------------------
     def replay(
         self, bindings: Mapping | None = None, *, serial: bool = False
     ) -> None:
-        """Execute the captured DAG once; blocks until it fully retires.
+        """Execute the captured DAG once, on the calling thread.
 
         ``bindings`` rebinds designated slots (see :meth:`bind`); omitted
         names keep their capture-time values.  ``serial=True`` runs the
-        nodes one at a time in submission order on the calling thread —
-        the bit-exactness oracle for the streamed replay.  Raises
-        :class:`VMError` if any node fails (remaining groups retire
-        without executing, like dependency poisoning in the live runtime).
+        same loop over singleton groups — one engine invocation per node
+        in submission order, each on its own captured stream: the
+        bit-exactness oracle for the grouped replay and the exact
+        per-node profile collector.  Raises :class:`VMError` at the first
+        failing group (the remaining groups do not execute).
+
+        Rebinding and execution happen under the pool lock, so host
+        threads replaying one graph with different ``bindings`` each run
+        their own arguments, and eager launches issued before the replay
+        retire first (program order).
         """
         if self._phase != "ready":
             raise VMError(
                 f"graph is not replayable (phase {self._phase!r}); "
                 "capture must have completed without error"
             )
-        self._apply_bindings(bindings or {})
         tracer = obs_trace.ACTIVE
         trace_start = tracer.now() if tracer is not None else 0.0
-        if serial:
-            self._replay_serial()
-        else:
-            self._replay_streamed()
+        pool = self.pool
+        with pool._lock:
+            pool.drain()
+            self._apply_bindings(bindings or {})
+            bound = self._bound_args
+            groups = self._groups
+            if serial:
+                groups = [
+                    _Group(node.stream_index, [node], self.signature)
+                    for node in self.nodes
+                ]
+            try:
+                for group in groups:
+                    pool.run_group(
+                        pool.streams[group.stream_index], group.program,
+                        [bound[i] for i in group.node_indices],
+                        group.requested, group.engine, group.keys, group.site,
+                    )
+            except Exception as exc:
+                raise VMError(f"graph replay failed: {exc}") from exc
         if tracer is not None:
             tracer.complete(
                 "graph.replay",
@@ -774,44 +713,6 @@ class ExecutionGraph:
                 },
             )
         self.replays += 1
-
-    def _replay_streamed(self) -> None:
-        state = _ReplayState()
-        events = [threading.Event() for _ in self._groups]
-        for gi, group in enumerate(self._groups):
-            task = _GroupTask(
-                group,
-                self._group_args[gi],
-                [events[d] for d in group.dep_groups],
-                events[gi],
-                state,
-            )
-            self.pool.streams[group.stream_index].enqueue_task(task)
-        for event in events:
-            event.wait()
-        if state.error is not None:
-            raise VMError(f"graph replay failed: {state.error}") from state.error
-
-    def _replay_serial(self) -> None:
-        # The serial oracle runs on the calling thread: drain the pool
-        # first so it cannot race in-flight stream work, then borrow
-        # stream 0's lane, so aggregate stats/counters stay comparable
-        # with a streamed replay's.  One engine invocation per node also
-        # makes it the cheapest exact (not group-amortized) profile
-        # collector.
-        pool = self.pool
-        pool.synchronize()
-        stream0 = pool.streams[0]
-        for node in self.nodes:
-            execute(
-                stream0.lane, pool.context, node.program,
-                [self._bound_args[node.index]], node.requested, node.engine,
-                [node.key],
-                Site("replay", "stream", self.signature, node.stream_index,
-                     [node.index]),
-            )
-        stream0.launches += len(self.nodes)
-        stream0.executions += len(self.nodes)
 
     # -- profile-guided optimization ----------------------------------------
     @property

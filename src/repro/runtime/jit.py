@@ -117,8 +117,8 @@ class JitManager:
     ``enable_jit()``; shared with its stream pool as ``pool.jit``), so
     every execution path — synchronous launches, eager streams, graph
     replays — consults the same cache and the same heat policy.
-    Thread-safe: stream workers and graph-replay tasks call into it
-    concurrently; compilation runs under the lock so one hot signature
+    Thread-safe: host threads (synchronous launches beside a draining
+    pool) may call into it concurrently; compilation runs under the lock so one hot signature
     compiles exactly once.
     """
 

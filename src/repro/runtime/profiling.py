@@ -25,8 +25,8 @@ gathered in one process (a serving run) can be saved, loaded elsewhere,
 and fed to ``graph.optimize``/``tune_profiled`` — the classic
 profile-guided-optimization workflow (cf. Liu et al. in PAPERS.md).
 
-Recording is thread-safe (stream workers record concurrently) and
-costs nothing when disabled: the engines' hot paths check a single
+Recording is thread-safe (host threads sharing a runtime may record
+concurrently) and costs nothing when disabled: the engines' hot paths check a single
 ``profiler is None`` before doing any bookkeeping.
 """
 
@@ -223,9 +223,9 @@ class Profile:
     """A set of :class:`NodeProfile` records with aggregation and JSON.
 
     One ``Profile`` can absorb launches from every execution mode at
-    once — the synchronous engines, the stream workers and graph replays
+    once — synchronous launches, eager stream groups and graph replays
     all record into the runtime's active profiler — and is safe to share
-    across worker threads.
+    across host threads.
     """
 
     def __init__(self) -> None:

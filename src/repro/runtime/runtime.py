@@ -8,10 +8,11 @@ Maintains the three pieces of state the paper describes:
    policy every launch path consults, plus the launch counter), shared
    with a lazily created
    **stream pool** (:mod:`repro.runtime.streams`) for asynchronous
-   launches: ``launch(..., stream=...)`` enqueues and returns a handle,
-   independent streams execute concurrently on per-stream engines, and
-   cross-stream hazards on global-memory ranges are ordered
-   automatically;
+   launches: ``launch(..., stream=...)`` queues and returns a handle,
+   hazards on global-memory ranges are ordered automatically, and the
+   next drain point — a ``wait``, a ``synchronize``, a graph replay, or
+   this runtime's own synchronous ``launch`` / ``download`` — runs the
+   pending launches grouped, on the calling thread;
 3. a **kernel specialization cache** keyed on (program hash, const-bound
    scalar params, dtype set), so structurally identical programs —
    including fresh re-instantiations of the same template — compile once
@@ -415,7 +416,8 @@ class Runtime:
         return self._pool
 
     def synchronize(self) -> None:
-        """Wait for all asynchronously launched kernels to retire."""
+        """Retire all asynchronously launched kernels; re-raise their
+        first error."""
         if self._pool is not None:
             self._pool.synchronize()
 
@@ -450,7 +452,10 @@ class Runtime:
         return self.interpreter.alloc_output(shape, dtype)
 
     def download(self, addr: int, shape: Sequence[int], dtype: DataType) -> np.ndarray:
-        """Copy a device tensor back to the host."""
+        """Copy a device tensor back to the host (pending asynchronous
+        launches retire first: program order)."""
+        if self._pool is not None:
+            self._pool.drain()
         return self.interpreter.download(addr, shape, dtype)
 
     def ensure_workspace(self, nbytes: int) -> int:
@@ -482,9 +487,10 @@ class Runtime:
         scheduler place it.  Async launches return a
         :class:`~repro.runtime.streams.LaunchHandle` instead of the
         kernel; ``handle.wait()`` / ``stream.synchronize()`` /
-        :meth:`synchronize` drain them.  Cross-stream ordering on
+        :meth:`synchronize` drain them, and so does a later synchronous
+        launch or :meth:`download` (program order).  Ordering on
         overlapping global-memory ranges is enforced automatically
-        (writes serialize, reads share), so out-of-order completion stays
+        (writes serialize, reads share), so grouped execution stays
         bit-exact with serial issue.
         """
         if engine is not None and engine not in (
@@ -522,6 +528,8 @@ class Runtime:
             )
             self.context.launches += 1
             return handle
+        if self._pool is not None:
+            self._pool.drain()  # program order: earlier async launches first
         frozen = resolve_engine(requested, program)
         try:
             execute(

@@ -1,21 +1,40 @@
 """Multi-stream runtime: asynchronous kernel launches with hazard tracking.
 
-Real devices overlap many independent kernel launches; the synchronous
-``Runtime.launch`` path executes one grid at a time, so orchestration
-overhead — not kernel math — dominates once kernels are fast (the SPEC
-CPU2026 observation in PAPERS.md).  This module adds the CUDA-shaped
-stream vocabulary on top of the VM engines:
+Once kernels are fast, orchestration overhead — not kernel math —
+dominates (the SPEC CPU2026 observation in PAPERS.md), and on this
+interpreter-hosted device the one orchestration cost worth removing is
+the per-launch engine invocation.  This module keeps the CUDA-shaped
+stream vocabulary, as a **schedule** rather than as threads:
 
-- :class:`Stream` — a FIFO queue of launches executed by a dedicated
-  worker thread on its own :class:`~repro.runtime.executor.Lane` (a
-  sequential interpreter + grid-vectorized batched executor pair with
-  their own :class:`~repro.vm.interp.ExecutionStats`);
-- :class:`Event` — a marker recorded on a stream; ``event.wait()`` blocks
-  the host, ``stream.wait_event(event)`` orders one stream behind another;
-- :class:`StreamPool` — owns the streams, schedules launches that don't
-  name a stream (round-robin, steered memory-aware: a launch that
-  conflicts with outstanding work lands on the conflicting stream so FIFO
-  order replaces a cross-stream wait), and tracks cross-stream hazards.
+- :class:`Stream` — a logical launch queue: a placement label, a
+  statistics lane and a profile site, with its own
+  :class:`~repro.runtime.executor.Lane` (a sequential interpreter +
+  grid-vectorized batched executor pair sharing one
+  :class:`~repro.vm.interp.ExecutionStats`);
+- :class:`Event` — a marker recorded on a stream; ``event.wait()``
+  drains the pool, ``stream.wait_event(event)`` orders one stream's
+  later submissions behind another's tail;
+- :class:`StreamPool` — owns the streams, places launches that don't
+  name one (round-robin, steered memory-aware: a launch that conflicts
+  with pending work lands on the conflicting launch's stream), tracks
+  hazards, and **runs** everything at the drain points.
+
+Execution model
+---------------
+``submit`` checks the arguments, resolves the launch's byte ranges,
+computes its hazard dependencies against the pending launches, places it
+and appends its handle to the pool's pending list — nothing executes.
+The **drain points** — :meth:`LaunchHandle.wait`, :meth:`Event.wait`,
+:meth:`Stream.synchronize`, :meth:`StreamPool.synchronize` / ``drain`` /
+``shutdown`` / ``__exit__``, a graph replay, and the owning runtime's
+synchronous ``launch`` / ``download`` / ``synchronize`` — form execution
+groups over the *whole* pending DAG (:func:`form_groups`, the rule
+execution-graph instantiation uses too) and run them in head order on
+the calling thread, each on its head launch's stream, under the pool's
+one re-entrant lock.  Host threads may submit, wait and replay
+concurrently; the lock is the only synchronization.  Program order is
+the only order: whatever the host issued before a drain point has
+retired when the drain point returns.
 
 Correctness model
 -----------------
@@ -25,33 +44,35 @@ ranges derived from the program's ``ViewGlobal`` instructions (reads from
 ``StoreGlobal``/``CopyAsync``).  The ranges are **offset-granular**
 along the leading dimension: an access whose leading offset is a
 parameter-only expression charges just the row slice it touches, so
-slice-disjoint writers through one shared view stay concurrent; only
+slice-disjoint writers through one shared view stay independent; only
 block-varying offsets (and whole-tensor reads) fall back to charging
 the whole view.  Writes serialize, reads share: a launch depends on
-every earlier outstanding launch whose ranges overlap with at least one
+every earlier pending launch whose ranges overlap with at least one
 side writing.  A program whose views cannot be resolved at submit time
 (pointer arithmetic, block-varying shapes) is treated as writing all of
-memory — always correct, never concurrent.  Because dependencies only
-ever point at earlier submissions, execution is deadlock-free and
-results are bit-exact with serial replay in submission order.
+memory — always correct, never grouped.  Dependencies only ever point
+at earlier submissions and a launch joins a group only when all of its
+dependencies precede the group's head, so head order is a topological
+order and results are bit-exact with serial issue in submission order
+(independent launches commute; conflicting ones keep their order).
 
 Throughput model
 ----------------
-Streams execute concurrently on worker threads (numpy releases the GIL on
-large array ops, so multi-block grids overlap on multi-core hosts), and
-each stream **coalesces** queued launches: consecutive launches of the
-same program whose dependencies are met and whose access ranges are
-pairwise disjoint execute as one stacked grid
+What streams deliver is **grouping**: hazard-independent pending
+launches of one program whose access ranges are pairwise disjoint
+execute as one stacked grid
 (:meth:`~repro.vm.batched.BatchedExecutor.launch_many`, or the stacked
 compiled kernel once the launches' shared specialization is hot),
 paying the per-instruction Python dispatch cost once per group instead
 of once per launch.  That is exactly the paper's launch-overhead
 argument transposed to the simulator: batching the orchestration, not
-the math.
+the math.  (Worker threads were measured to add a wake-up per group and
+GIL contention to every per-node wall time, and to overlap nothing;
+docs/streams.md keeps the numbers.)
 
 Workloads that re-submit an identical launch DAG every iteration can
 additionally freeze all of the above — hazard edges, stream placement,
-coalescing groups — into a replayable :class:`~repro.runtime.graphs.
+groups — into a replayable :class:`~repro.runtime.graphs.
 ExecutionGraph` via :meth:`StreamPool.capture` (see
 :mod:`repro.runtime.graphs`).
 """
@@ -60,7 +81,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -310,12 +330,10 @@ def stackable_with_group(
     nxt_args: Sequence,
     group_len: int,
 ) -> bool:
-    """Static core of launch-coalescing eligibility, shared by the live
-    stream worker and execution-graph instantiation (so the two can
-    never drift): a batchable program, one grid shape within the
-    stacked-block cap, and identical shape-contributing scalars.
-    Callers remain responsible for the dynamic side — program/engine
-    identity, dependency readiness, and pairwise range disjointness.
+    """Static core of launch-coalescing eligibility: a batchable
+    program, one grid shape within the stacked-block cap, and identical
+    shape-contributing scalars.  :func:`form_groups` adds program/tier
+    identity, dependency order and pairwise range disjointness.
     """
     if not supports_batched(program):
         return False
@@ -350,6 +368,62 @@ def ranges_conflict(a: list[tuple], b: list[tuple]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Group formation
+# ---------------------------------------------------------------------------
+
+
+def form_groups(launches: Sequence, dep_indices) -> list[list]:
+    """Partition ``launches`` (in submission order) into execution
+    groups, one engine invocation each — the one rule behind the eager
+    drain and execution-graph instantiation, so the two cannot drift.
+
+    First fit: a launch joins the earliest group it is mergeable with,
+    whichever stream either was placed on.  Launches are
+    :class:`LaunchHandle` or :class:`~repro.runtime.graphs.GraphNode`
+    objects (``program`` / ``requested`` tier / frozen ``engine`` /
+    ``key`` / ``grid`` / ``args`` / ``ranges`` / ``index``);
+    ``dep_indices(launch)`` gives the ``index`` of each of its
+    dependencies.  A launch's dependencies are *all* earlier launches it
+    conflicts with, so a member conflicts with nothing it is hoisted
+    over, and every edge out of a group points at a group with an
+    earlier head: creation order is a topological order.
+    """
+    groups: list[list] = []
+    for nxt in launches:
+        deps = tuple(dep_indices(nxt))
+        for group in groups:
+            if _mergeable(group, nxt, deps):
+                group.append(nxt)
+                break
+        else:
+            groups.append([nxt])
+    return groups
+
+
+def _mergeable(group: list, nxt, deps: tuple) -> bool:
+    first = group[0]
+    if nxt.program is not first.program or nxt.requested != first.requested:
+        return False
+    if first.engine != "batched" or nxt.engine != "batched":
+        return False  # only the batched engine interprets a stack
+    if first.requested == "compiled" and nxt.key != first.key:
+        # A mixed-key stack runs on the batched engine; a forced-compiled
+        # launch must not be silently demoted by merging.
+        return False
+    if not stackable_with_group(
+        first.program, first.grid, first.args, nxt.grid, nxt.args, len(group)
+    ):
+        return False
+    # The group runs where its head stood in submission order, which is
+    # safe only when every dependency strictly precedes the head.
+    if any(dep >= first.index for dep in deps):
+        return False
+    # Coalesced launches interleave, so any write overlap (even RAW
+    # within the group) forbids merging: members are pairwise disjoint.
+    return all(not ranges_conflict(nxt.ranges, member.ranges) for member in group)
+
+
+# ---------------------------------------------------------------------------
 # Handles and events
 # ---------------------------------------------------------------------------
 
@@ -357,31 +431,31 @@ def ranges_conflict(a: list[tuple], b: list[tuple]) -> bool:
 class LaunchHandle:
     """An asynchronously issued kernel launch.
 
-    ``wait()`` blocks until the launch retires and re-raises any
-    execution error on the host thread (the same error every later
-    ``wait``/``synchronize`` call observes).
+    ``wait()`` drains the pool — the launch, and everything else
+    pending, retires on the calling thread — and re-raises any
+    execution error (the same error every later ``wait`` /
+    ``synchronize`` call observes).
     """
 
     def __init__(self, program: Program, args: tuple, stream: "Stream",
-                 seq: int, ranges: list[tuple], engine: str) -> None:
+                 index: int, ranges: list[tuple], requested: str) -> None:
         self.program = program
         self.args = args
         self.stream = stream
-        self.seq = seq
+        self.index = index  # position in the pool's submission order
         self.ranges = ranges
-        self.engine = engine  # the requested tier
+        self.requested = requested  # the tier asked for
+        self.engine = resolve_engine(requested, program)  # frozen interpreted engine
+        self.grid = program.grid_size(args)
         #: Specialization key, computed once here at submit.
         self.key = specialization_key(program, args)
         self.deps: tuple[LaunchHandle, ...] = ()
         self.error: BaseException | None = None
-        self._done = threading.Event()
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
+        self.done = False
 
     def wait(self) -> None:
-        self._done.wait()
+        if not self.done:
+            self.stream.pool.drain()
         if self.error is not None:
             raise VMError(
                 f"async launch of {self.program.name!r} on {self.stream} failed: "
@@ -390,93 +464,24 @@ class LaunchHandle:
 
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
-        return f"LaunchHandle({self.program.name}, seq={self.seq}, {state})"
+        return f"LaunchHandle({self.program.name}, seq={self.index}, {state})"
 
 
 class Event:
-    """A stream-ordering marker.
+    """A stream-ordering marker: the tail launch of a stream at the
+    moment of :meth:`Stream.record_event`.  An event recorded on a
+    stream with nothing pending is already signaled."""
 
-    Recorded from a stream (:meth:`Stream.record_event`), it captures the
-    stream's current tail launch: completion of the tail implies
-    completion of everything enqueued before the record (streams retire
-    launches in order), and an event recorded on an idle stream is
-    already signaled.
-
-    :meth:`Event.manual` creates a *host-controlled* event instead: it
-    stays unsignaled until :meth:`set` is called, so the host can gate a
-    stream (``stream.wait_event(gate)``) while it builds up the stream's
-    queue — the stream-level analogue of launching into a paused capture.
-    """
-
-    def __init__(self, handle: LaunchHandle | None, gate: threading.Event | None = None) -> None:
+    def __init__(self, handle: LaunchHandle | None) -> None:
         self._handle = handle
-        self._gate = gate
-
-    @classmethod
-    def manual(cls) -> "Event":
-        """An event the host signals explicitly with :meth:`set`."""
-        return cls(None, gate=threading.Event())
-
-    def set(self) -> None:
-        """Signal a manual event (no-op question for recorded events)."""
-        if self._gate is None:
-            raise VMError("only Event.manual() events can be set by the host")
-        self._gate.set()
 
     def query(self) -> bool:
-        if self._gate is not None:
-            return self._gate.is_set()
         return self._handle is None or self._handle.done
 
-    def wait(self, timeout: float | None = None) -> None:
-        """Block the host until the event signals; with ``timeout`` (in
-        seconds), raise :class:`VMError` instead of waiting forever on an
-        event that is never signaled."""
-        if self._gate is not None:
-            if not self._gate.wait(timeout):
-                raise VMError(
-                    f"timed out after {timeout}s waiting for a manual event "
-                    "that was never set"
-                )
-        elif self._handle is not None:
-            if not self._handle._done.wait(timeout):
-                raise VMError(
-                    f"timed out after {timeout}s waiting for {self._handle}"
-                )
-            self._handle.wait()  # re-raise any launch error
-
-    def _wait_signal(self, timeout: float | None = None) -> bool:
-        """Worker-side wait: blocks without re-raising launch errors.
-        Returns False when ``timeout`` expires before the signal."""
-        if self._gate is not None:
-            return self._gate.wait(timeout)
+    def wait(self) -> None:
+        """Drain until the event signals; re-raises its launch's error."""
         if self._handle is not None:
-            return self._handle._done.wait(timeout)
-        return True
-
-
-class _EventWait:
-    """Queue marker: the worker blocks on the event before continuing."""
-
-    __slots__ = ("event", "timeout")
-
-    def __init__(self, event: Event, timeout: float | None = None) -> None:
-        self.event = event
-        self.timeout = timeout
-
-
-class StreamTask:
-    """An opaque unit of work executed on a stream's worker thread.
-
-    Tasks participate in FIFO order and ``synchronize`` accounting like
-    launches, but are *not* hazard-tracked, scheduled, or coalesced — the
-    graph-replay subsystem (:mod:`repro.runtime.graphs`) uses them to
-    drive the per-stream engines with all of those decisions precomputed.
-    An exception escaping :meth:`run` becomes the stream's sticky error.
-    """
-
-    def run(self, stream: "Stream") -> None:
-        raise NotImplementedError
+            self._handle.wait()
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +490,9 @@ class StreamTask:
 
 
 class Stream:
-    """A FIFO launch queue with its own executors and statistics.
-
-    Launches retire strictly in enqueue order.  The worker thread starts
-    lazily on the first enqueue and coalesces eligible neighbours into
-    one stacked batched execution (see module docstring).
-    """
+    """A logical launch queue: where a launch is placed, tallied and
+    profiled.  Nothing executes until a drain point (module docstring);
+    a group runs on its head launch's stream."""
 
     #: Upper bound on blocks in one coalesced execution.  Small grids are
     #: where coalescing pays (per-instruction dispatch overhead dominates);
@@ -501,213 +503,44 @@ class Stream:
     def __init__(self, pool: "StreamPool", index: int) -> None:
         self.pool = pool
         self.index = index
-        #: Trace lane ``index + 1`` (lane 0 is the host thread).
+        #: Trace lane ``index + 1`` (lane 0 is the host's own launches).
         self.lane = Lane(pool.memory, pool.shared_capacity, index + 1, pool.stdout)
         self.stats = self.lane.stats
         self._site = Site("exec", "stream", EAGER, index)
         self.launches = 0          # individual launches retired
         self.executions = 0        # engine invocations (after coalescing)
-        self._queue: deque = deque()
-        self._cond = threading.Condition()
-        self._inflight = 0
-        self._closing = False
-        self._worker: threading.Thread | None = None
         self._tail: LaunchHandle | None = None
+        #: Event tails later submissions on this stream are ordered behind.
+        self._waits: list[LaunchHandle] = []
         self._error: BaseException | None = None  # sticky, CUDA-style
-        #: Set when an event wait times out: the ordering the wait was
-        #: enforcing is unknown, so queued launches are poisoned rather
-        #: than run as if the wait had succeeded.
-        self._timed_out = False
 
-    # -- host API ----------------------------------------------------------
     def synchronize(self) -> None:
-        """Block until every launch enqueued so far has retired; re-raise
-        the stream's first execution error (sticky, like a CUDA device
-        error — it stays raised on every later synchronize)."""
-        with self._cond:
-            while self._inflight > 0:
-                self._cond.wait()
-            error = self._error
-        if error is not None:
-            raise VMError(f"{self} launch failed: {error}") from error
+        """Drain the pool; re-raise this stream's first execution error
+        (sticky, like a CUDA device error — it stays raised on every
+        later synchronize)."""
+        self.pool.drain()
+        if self._error is not None:
+            raise VMError(f"{self} launch failed: {self._error}") from self._error
 
     def record_event(self) -> Event:
         """Capture this stream's current tail as an :class:`Event`."""
-        with self._cond:
-            tail = self._tail if self._tail is not None and not self._tail.done else None
-            return Event(tail)
+        tail = self._tail
+        return Event(tail if tail is not None and not tail.done else None)
 
-    def wait_event(self, event: Event, timeout: float | None = None) -> None:
-        """Order all future work on this stream after ``event``.
-
-        With ``timeout`` (seconds), a wait on an event that never signals
-        becomes the stream's sticky error — surfaced by the next
-        ``synchronize`` — instead of hanging the worker forever.  A
-        timed-out wait *poisons* the stream: launches queued behind it
-        retire with an error instead of executing, because running them
-        would silently drop the ordering the wait was enforcing.
-        """
-        if event.query():
+    def wait_event(self, event: Event) -> None:
+        """Order all future work on this stream after ``event``: its
+        launch becomes a dependency of every later submission here."""
+        handle = event._handle
+        if handle is None or handle.done:
             return
-        with self._cond:
-            self._queue.append(_EventWait(event, timeout))
-            self._cond.notify()
-        self._ensure_worker()
-
-    def enqueue_task(self, task: StreamTask) -> None:
-        """Enqueue a :class:`StreamTask`, FIFO-ordered against launches
-        and counted by ``synchronize`` until it retires."""
-        with self._cond:
-            self._queue.append(task)
-            self._inflight += 1
-            self._cond.notify()
-        self._ensure_worker()
+        if handle.stream.pool is not self.pool:
+            handle.stream.pool.drain()  # another pool's work: retire it now
+            return
+        with self.pool._lock:
+            self._waits.append(handle)
 
     def __repr__(self) -> str:
         return f"Stream({self.index})"
-
-    # -- pool-side enqueue (caller holds the pool lock) ---------------------
-    def _enqueue(self, handle: LaunchHandle) -> None:
-        with self._cond:
-            self._queue.append(handle)
-            self._inflight += 1
-            self._tail = handle
-            self._cond.notify()
-
-    def _ensure_worker(self) -> None:
-        # Under the lock: concurrent submitters must not double-spawn a
-        # worker (two workers draining one queue would break FIFO).
-        with self._cond:
-            if self._worker is None or not self._worker.is_alive():
-                self._worker = threading.Thread(
-                    target=self._run, name=f"repro-stream-{self.index}", daemon=True
-                )
-                self._worker.start()
-
-    def _close(self) -> None:
-        with self._cond:
-            self._closing = True
-            self._cond.notify()
-        if self._worker is not None:
-            self._worker.join(timeout=30.0)
-
-    # -- worker ------------------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._closing:
-                    self._cond.wait()
-                if not self._queue:
-                    return  # closing and drained
-                item = self._queue.popleft()
-            if isinstance(item, _EventWait):
-                if not item.event._wait_signal(item.timeout):
-                    with self._cond:
-                        self._timed_out = True
-                        if self._error is None:
-                            self._error = VMError(
-                                f"timed out after {item.timeout}s waiting for "
-                                f"an event on {self} that was never signaled"
-                            )
-                continue
-            if isinstance(item, StreamTask):
-                try:
-                    item.run(self)
-                except BaseException as exc:  # noqa: BLE001 — sticky, like launches
-                    with self._cond:
-                        if self._error is None:
-                            self._error = exc
-                finally:
-                    with self._cond:
-                        self._inflight -= 1
-                        self._cond.notify_all()
-                continue
-            if self._timed_out:
-                # A timed-out event wait upstream: the ordering it was
-                # enforcing is gone, so this launch must not run.
-                item.error = VMError(
-                    f"{self} is poisoned by a timed-out event wait"
-                )
-                self._finish_group([item], executed=False)
-                continue
-            for dep in item.deps:
-                dep._done.wait()
-            failed = next((d for d in item.deps if d.error is not None), None)
-            if failed is not None:
-                # Poisoned input: retire without executing.
-                item.error = VMError(
-                    f"dependency {failed.program.name!r} (seq={failed.seq}) failed: "
-                    f"{failed.error}"
-                )
-                self._finish_group([item], executed=False)
-                continue
-            group = [item]
-            with self._cond:
-                while self._queue and self._mergeable(item, self._queue[0], group):
-                    group.append(self._queue.popleft())
-            self._execute_group(group)
-
-    def _mergeable(self, first: LaunchHandle, nxt, group: list) -> bool:
-        if not isinstance(nxt, LaunchHandle):
-            return False
-        if nxt.program is not first.program or nxt.engine != first.engine:
-            return False
-        if first.engine == "sequential":
-            return False
-        if first.engine == "compiled" and nxt.key != first.key:
-            # A mixed-key stack runs on the batched engine; an explicit
-            # compiled launch must not be silently demoted by merging.
-            return False
-        if any(not dep.done or dep.error is not None for dep in nxt.deps):
-            return False
-        if not stackable_with_group(
-            first.program,
-            first.program.grid_size(first.args),
-            first.args,
-            nxt.program.grid_size(nxt.args),
-            nxt.args,
-            len(group),
-        ):
-            return False
-        # Pairwise disjointness: coalesced launches interleave, so any
-        # write overlap (even RAW within the group) forbids merging.
-        return all(not ranges_conflict(nxt.ranges, member.ranges) for member in group)
-
-    def _execute_group(self, group: list[LaunchHandle]) -> None:
-        first = group[0]
-        try:
-            # Eager sites are keyed by specialization-key string, so
-            # launches that coalesced with different scalar bindings
-            # still record under their own tunable identity.
-            execute(
-                self.lane,
-                self.pool.context,
-                first.program,
-                [handle.args for handle in group],
-                first.engine,
-                resolve_engine(first.engine, first.program),
-                [handle.key for handle in group],
-                self._site,
-            )
-            self.executions += 1
-        except BaseException as exc:  # noqa: BLE001 — propagated to waiters
-            for handle in group:
-                handle.error = exc
-        finally:
-            self._finish_group(group, executed=True)
-
-    def _finish_group(self, group: list[LaunchHandle], executed: bool) -> None:
-        if executed:
-            self.launches += len(group)
-        for handle in group:
-            handle._done.set()
-        self.pool._retire(group)
-        with self._cond:
-            for handle in group:
-                if handle.error is not None and self._error is None:
-                    self._error = handle.error
-            self._inflight -= len(group)
-            self._cond.notify_all()
 
 
 # ---------------------------------------------------------------------------
@@ -716,12 +549,11 @@ class Stream:
 
 
 class StreamPool:
-    """A fixed set of streams over one device memory, with scheduling and
-    cross-stream hazard tracking (see module docstring).
+    """A fixed set of streams over one device memory, with scheduling,
+    hazard tracking and the inline group loop that executes eager
+    launches and graph replays alike (see module docstring).
 
-    Usable as a context manager; ``shutdown()`` drains and joins the
-    worker threads (they are daemons, so leaking a pool cannot hang
-    interpreter exit).
+    Usable as a context manager: leaving the block synchronizes.
     """
 
     def __init__(
@@ -737,8 +569,11 @@ class StreamPool:
         self.shared_capacity = shared_capacity
         self.stdout = stdout
         self.streams = [Stream(self, i) for i in range(num_streams)]
-        self._lock = threading.Lock()
-        self._outstanding: deque[LaunchHandle] = deque()
+        #: Guards the pending list, placement state and — held across a
+        #: whole drain or replay — the streams' lanes: the one
+        #: synchronization between host threads sharing this pool.
+        self._lock = threading.RLock()
+        self._pending: list[LaunchHandle] = []
         self._rr = itertools.count()
         self._seq = itertools.count()
         self._capture = None  # active ExecutionGraph recording, if any
@@ -757,9 +592,9 @@ class StreamPool:
     #: :mod:`repro.runtime.adaptive`.
     adaptive = ContextAttr()
     #: Attached :class:`~repro.runtime.jit.JitManager`, or None.  When
-    #: set, executions on every stream (eager groups and graph-replay
-    #: tasks alike) promote hot specializations to their compiled
-    #: kernels.  See :mod:`repro.runtime.jit`.
+    #: set, every execution (eager groups and graph replays alike)
+    #: promotes hot specializations to their compiled kernels.  See
+    #: :mod:`repro.runtime.jit`.
     jit = ContextAttr()
 
     # -- graph capture ------------------------------------------------------
@@ -800,15 +635,16 @@ class StreamPool:
         stream: Stream | None = None,
         engine: str = "auto",
     ) -> LaunchHandle:
-        """Enqueue a launch; returns immediately with its handle.
+        """Queue a launch; returns its handle without executing anything
+        (the next drain point runs it).
 
         ``stream=None`` lets the scheduler place the launch: round-robin
-        across streams, except that a launch conflicting with outstanding
-        work goes to the most recent conflicting launch's stream, where
-        FIFO order replaces a cross-stream wait (memory-aware placement).
+        across streams, except that a launch conflicting with pending
+        work goes to the most recent conflicting launch's stream
+        (memory-aware placement).
 
         During an active :meth:`capture`, the launch is recorded into the
-        graph (nothing executes) and a no-op handle is returned.
+        graph and an inert handle is returned.
         """
         if self._capture is not None:
             return self._capture._record(program, args, stream=stream, engine=engine)
@@ -819,41 +655,91 @@ class StreamPool:
         args = tuple(args)
         ranges = launch_ranges(program, args)
         with self._lock:
-            while self._outstanding and self._outstanding[0].done:
-                self._outstanding.popleft()
-            deps = tuple(
-                h
-                for h in self._outstanding
-                if not h.done and ranges_conflict(h.ranges, ranges)
-            )
+            deps = [h for h in self._pending if ranges_conflict(h.ranges, ranges)]
             if stream is None:
                 stream = self._pick_stream(deps)
             handle = LaunchHandle(
                 program, args, stream, next(self._seq), ranges, engine
             )
-            handle.deps = deps
-            self._outstanding.append(handle)
-            # Enqueue under the pool lock: if a concurrent submitter could
-            # interleave here, a dependent launch might enter its stream's
-            # FIFO *ahead* of a dependency placed on the same stream, and
-            # the worker would deadlock waiting on work queued behind it.
-            stream._enqueue(handle)
-        stream._ensure_worker()
+            if stream._waits:
+                stream._waits = [h for h in stream._waits if not h.done]
+                deps.extend(h for h in stream._waits if h not in deps)
+            handle.deps = tuple(deps)
+            self._pending.append(handle)
+            stream._tail = handle
         return handle
 
-    def _pick_stream(self, deps: tuple[LaunchHandle, ...]) -> Stream:
+    def _pick_stream(self, deps: list[LaunchHandle]) -> Stream:
         if deps:
             return deps[-1].stream
         return self.streams[next(self._rr) % len(self.streams)]
 
-    def _retire(self, group: list[LaunchHandle]) -> None:
+    # -- execution ----------------------------------------------------------
+    def drain(self) -> None:
+        """Run every pending launch, grouped, on the calling thread.
+        Never raises for a failing launch: errors land on the handles and
+        (sticky) on their streams, for ``wait`` / ``synchronize``."""
         with self._lock:
-            while self._outstanding and self._outstanding[0].done:
-                self._outstanding.popleft()
+            if not self._pending:
+                return
+            pending, self._pending = self._pending, []
+            try:
+                for group in form_groups(
+                    pending, lambda h: (dep.index for dep in h.deps)
+                ):
+                    self._run_eager(group)
+            finally:
+                # Only an interrupt leaves launches unretired: requeue them.
+                self._pending[:0] = [h for h in pending if not h.done]
+
+    def _run_eager(self, group: list[LaunchHandle]) -> None:
+        head = group[0]
+        runnable = []
+        for handle in group:
+            failed = next((d for d in handle.deps if d.error is not None), None)
+            if failed is None:
+                runnable.append(handle)
+            else:
+                # Poisoned input: retire without executing.
+                handle.error = VMError(
+                    f"dependency {failed.program.name!r} (seq={failed.index}) "
+                    f"failed: {failed.error}"
+                )
+        if runnable:
+            try:
+                # Eager sites are keyed by specialization-key string, so
+                # launches that coalesced with different scalar bindings
+                # still record under their own tunable identity.
+                self.run_group(
+                    head.stream, head.program, [h.args for h in runnable],
+                    head.requested, head.engine, [h.key for h in runnable],
+                    head.stream._site,
+                )
+            except Exception as exc:  # noqa: BLE001 — propagated to waiters
+                for handle in runnable:
+                    handle.error = exc
+        for handle in group:
+            if handle.error is not None:
+                for stream in (head.stream, handle.stream):
+                    if stream._error is None:
+                        stream._error = handle.error
+            handle.done = True
+
+    def run_group(self, stream: Stream, program: Program, args_list, requested: str,
+                  engine: str, keys, site: Site) -> None:
+        """One engine invocation on ``stream``'s lane, tallied there: the
+        body of the group loop, for eager drains and graph replays.  The
+        caller holds the pool lock."""
+        execute(
+            stream.lane, self.context, program, args_list, requested, engine,
+            keys, site,
+        )
+        stream.launches += len(args_list)
+        stream.executions += 1
 
     # -- host-side synchronization ------------------------------------------
     def synchronize(self) -> None:
-        """Wait for every stream to drain; re-raise the first error."""
+        """Drain; re-raise the first stream's sticky error, if any."""
         for stream in self.streams:
             stream.synchronize()
 
@@ -874,10 +760,9 @@ class StreamPool:
         return sum(s.executions for s in self.streams)
 
     def shutdown(self) -> None:
-        """Stop the worker threads after draining every queue.  Never
-        raises; use :meth:`synchronize` to surface execution errors."""
-        for stream in self.streams:
-            stream._close()
+        """Drain what is pending.  Never raises; use :meth:`synchronize`
+        to surface execution errors."""
+        self.drain()
 
     def __enter__(self) -> "StreamPool":
         return self

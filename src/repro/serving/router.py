@@ -44,6 +44,7 @@ import heapq
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 
 from repro.errors import VMError
 from repro.llm.batching import Request, _percentile
@@ -518,12 +519,16 @@ class Router:
                 if on_dispatch is not None:
                     if on_dispatch(handle.index, dispatch_count) == "kill":
                         handle.process.kill()
-            # Collect answers / detect deaths.
+            # Collect answers / detect deaths.  One wait over every busy
+            # worker's pipe: polling them one after another held a worker
+            # that had answered idle behind a busy one's ``poll_s``.
             progressed = False
+            pipes = [self.pool.handles[index].conn for index in busy]
+            ready = mp_connection.wait(pipes, poll_s) if pipes else []
             for index in list(busy):
                 handle = self.pool.handles[index]
                 crashed = False
-                if handle.conn.poll(poll_s):
+                if handle.conn in ready:
                     try:
                         msg = recv_msg(handle.conn)
                     except (EOFError, OSError):

@@ -26,9 +26,9 @@ _ALIGN = 256  # allocation alignment in bytes (cudaMalloc-like)
 class GlobalMemory:
     """A device DRAM simulation: one byte buffer with a bump allocator.
 
-    The allocator is thread-safe: the multi-stream runtime executes
-    kernels on worker threads, and ``AllocateGlobal`` allocates from
-    inside a launch.  Buffer *contents* are not locked — disjoint-range
+    The allocator is thread-safe: host threads may upload while another
+    drains a stream pool, and ``AllocateGlobal`` allocates from inside a
+    launch.  Buffer *contents* are not locked — disjoint-range
     access is the kernels' contract (enforced by the stream runtime's
     hazard tracking).
     """

@@ -17,12 +17,12 @@ Nine modes are locked together:
 - ``stream``       — the multi-stream runtime: launches are issued
   round-robin across the streams of a :class:`~repro.runtime.streams.
   StreamPool`, so multi-launch cases (split-k partial → reduce) rely on
-  cross-stream hazard tracking for their ordering, and out-of-order
-  retirement must still produce serial-replay results;
+  hazard tracking for their ordering, and the grouped drain (launches
+  hoisted into earlier groups) must still produce serial-issue results;
 - ``graph-replay`` — the execution-graph subsystem: the case's launch
   plan is *captured* (scheduling, hazard edges and coalescing groups
-  frozen once, nothing executed), then replayed through the per-stream
-  engines with all per-launch analysis skipped — and must still match
+  frozen once, nothing executed), then replayed through the pool's
+  group loop with all per-launch analysis skipped — and must still match
   the sequential reference bit-for-bit with stat parity;
 - ``graph-optimized`` — the profile-guided pass: the plan is captured
   and replayed once on a *throwaway* device image with profiling on
@@ -62,11 +62,11 @@ Nine modes are locked together:
   flatten to straight-line vectorized source) and the ``compile()``-d
   kernel executes instead of the interpreter; launches the pipeline
   bails out on (data-dependent control flow, unsupported ops) take the
-  executor's fallback to the batched engine.  The streams are held
-  behind a gate until every launch is queued, so which launches
-  coalesce does not depend on timing: the replicated cases
+  executor's fallback to the batched engine.  Every launch is pending
+  until the pool's drain point, so which launches coalesce is a
+  function of the plan alone: the replicated cases
   (:meth:`~tests.harness.generator.GeneratedCase.replicated`) queue
-  same-specialization neighbours, which run as *stacked* compiled
+  same-specialization launches, which run as *stacked* compiled
   kernels (or, on a stacked bailout, as one ``launch_many``).
   Bit patterns *and* execution statistics must match the sequential
   reference — the compiled kernel is required to count blocks,
@@ -92,7 +92,7 @@ from repro.runtime.adaptive import AdaptivePolicy
 from repro.runtime.graphs import GraphPlan
 from repro.runtime.jit import JitManager
 from repro.runtime.profiling import Profile
-from repro.runtime.streams import Event, StreamPool
+from repro.runtime.streams import StreamPool
 from repro.store import TuningStore
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, TensorView
 from repro.vm.dispatch import decompose_linear
@@ -256,9 +256,6 @@ def _run_engine(case: GeneratedCase, mode: str):
         with StreamPool(memory, num_streams=4) as pool:
             if mode == "jit":
                 pool.jit = JitManager(memory)
-                gate = Event.manual()
-                for stream in pool.streams:
-                    stream.wait_event(gate)
             for i, (program, spec) in enumerate(plan):
                 pool.submit(
                     program,
@@ -266,8 +263,6 @@ def _run_engine(case: GeneratedCase, mode: str):
                     stream=pool.streams[i % len(pool.streams)],
                     engine="compiled" if mode == "jit" else "auto",
                 )
-            if mode == "jit":
-                gate.set()
             pool.synchronize()
         if mode == "jit":
             # A kernel is lowered by the execution that then runs it.

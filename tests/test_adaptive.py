@@ -15,6 +15,7 @@ loop reach optimized graphs with no explicit ``reoptimize()`` call).
 """
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -471,6 +472,63 @@ class TestConcurrentSwap:
             # The old image had 8 sites, the optimized one only 6.
             assert sorted(profiler.graph_nodes(old_signature)) == list(range(8))
             assert sorted(profiler.graph_nodes(new_signature)) == list(range(6))
+
+    RACING_REPLAYS = 6000
+
+    def test_racing_rebinds_each_execute_their_own_arguments(self):
+        """Two host threads replay ONE graph with different bindings, a
+        fresh output buffer per replay: rebinding and execution share
+        the pool lock, so no replay runs the other thread's arguments —
+        every output is written, from its own thread's input."""
+        memory = GlobalMemory(1 << 22)
+        host = Interpreter(memory)
+        rng = np.random.default_rng(3)
+        program = work_program("racing")
+        per_thread = self.RACING_REPLAYS // 2
+        inputs = [
+            host.upload(float16.quantize(rng.standard_normal((ROWS, COLS))), float16)
+            for _ in range(2)
+        ]
+        outputs = [
+            [host.alloc_output([ROWS, COLS], float16) for _ in range(per_thread)]
+            for _ in range(2)
+        ]
+        with StreamPool(memory, num_streams=2) as pool:
+            with pool.capture() as graph:
+                pool.submit(program, [inputs[0], outputs[0][0]])
+            graph.bind("a", inputs[0], OUT_BYTES)
+            graph.bind("out", outputs[0][0], OUT_BYTES)
+            errors: list[BaseException] = []
+
+            def racer(which):
+                try:
+                    for out in outputs[which]:
+                        graph.replay({"a": inputs[which], "out": out})
+                except BaseException as exc:  # noqa: BLE001 — surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=racer, args=(i,)) for i in range(2)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=300.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors
+            assert graph.replays == self.RACING_REPLAYS
+        for which in range(2):
+            graph.replay({"a": inputs[which], "out": outputs[which][0]}, serial=True)
+            want = host.download(outputs[which][0], [ROWS, COLS], float16)
+            assert want.any()
+            wrong = [
+                out for out in outputs[which]
+                if not np.array_equal(host.download(out, [ROWS, COLS], float16), want)
+            ]
+            assert not wrong, f"{len(wrong)} outputs of thread {which} never written"
 
 
 # ---------------------------------------------------------------------------

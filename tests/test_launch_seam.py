@@ -1,7 +1,7 @@
 """The launch seam (:mod:`repro.runtime.executor`): one launch must be
 decided, executed, measured and recorded the same way whichever of the
 four entry points issues it — the synchronous ``Runtime.launch``, an
-eager stream, a streamed graph replay, or the serial replay oracle.
+eager stream, a grouped graph replay, or the serial replay oracle.
 
 Each case builds a fresh runtime, drives exactly one execution of one
 launch through one entry point, and reduces what the runtime observed
@@ -10,16 +10,19 @@ delta, the profile record and the span.  All four entry points must
 produce the same outcome for every tier scenario.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.runtime
 from repro.compiler.pipeline import specialization_key
 from repro.dtypes import float16
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import Runtime
 from repro.runtime.profiling import spec_string
-from repro.runtime.streams import Event
 
 ROWS, COLS = 8, 4
 
@@ -196,8 +199,9 @@ GROUP_SCENARIOS = {
 
 def drive_group(entry: str, scenario: str) -> dict:
     """``GROUP`` launches through ``entry``: ``sync`` issues them one by
-    one (the reference), ``stream`` queues them on one gated stream,
-    ``replay``/``serial`` capture them on ``GROUP`` different streams."""
+    one (the reference), ``stream`` queues them on one stream (pending
+    until ``synchronize``), ``replay``/``serial`` capture them on
+    ``GROUP`` different streams."""
     scales, engine, printing = GROUP_SCENARIOS[scenario]
     runtime, a, outs = fresh_runtime(num_outputs=GROUP)
     # "auto" resolves to the batched engine on every path (capture only
@@ -226,11 +230,11 @@ def drive_group(entry: str, scenario: str) -> dict:
             for args in launches:
                 runtime.launch(program, args, engine=engine)
         elif entry == "stream":
-            gate = Event.manual()
-            pool.streams[0].wait_event(gate)  # hold the worker: the group queues up
-            for args in launches:
+            handles = [
                 runtime.launch(program, args, engine=engine, stream=pool.streams[0])
-            gate.set()
+                for args in launches
+            ]
+            assert not any(handle.done for handle in handles)
         else:
             graph.replay(serial=entry == "serial")
         runtime.synchronize()
@@ -347,3 +351,77 @@ def test_runtime_forced_compiled_stays_forced_through_replay_and_plans():
         assert (jit.compiled, jit.promotions) == (1, 3)
     finally:
         runtime.stream_pool().shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Structure: streams are a schedule, not threads
+# ---------------------------------------------------------------------------
+
+
+RUNTIME_DIR = Path(repro.runtime.__file__).parent
+
+
+def _calls(path):
+    """``(enclosing function, callee name, module prefix)`` of every
+    call in a source file."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    found.append((scope, func.id, None))
+                elif isinstance(func, ast.Attribute):
+                    base = func.value.id if isinstance(func.value, ast.Name) else None
+                    found.append((scope, func.attr, base))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_streams_and_graphs_hold_one_lock_and_start_no_thread():
+    """``runtime/streams.py`` + ``graphs.py`` construct no thread,
+    condition or OS event — execution is inline on the draining thread —
+    and the pool's re-entrant lock is the only lock between them."""
+    constructed = []
+    for name in ("streams.py", "graphs.py"):
+        tree = ast.parse((RUNTIME_DIR / name).read_text())
+        imported = {
+            alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        } | {
+            (node.module or "").split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        }
+        # Any primitive must be spelled ``threading.X(...)`` to be seen.
+        assert not imported & {"concurrent", "multiprocessing", "queue", "asyncio"}
+        assert not any(
+            isinstance(node, ast.ImportFrom) and node.module == "threading"
+            for node in ast.walk(tree)
+        )
+        constructed += [
+            (name, scope, callee)
+            for scope, callee, base in _calls(RUNTIME_DIR / name)
+            if base == "threading"
+        ]
+    assert constructed == [("streams.py", "StreamPool.__init__", "RLock")]
+
+
+def test_execute_has_two_call_sites_in_the_runtime():
+    """Every launch reaches the executor from the synchronous
+    ``Runtime.launch`` or from the pool's group loop (eager drains,
+    graph replays and the serial oracle alike)."""
+    sites = sorted(
+        (path.name, scope)
+        for path in RUNTIME_DIR.glob("*.py")
+        for scope, callee, _ in _calls(path) if callee == "execute"
+    )
+    assert sites == [
+        ("runtime.py", "Runtime.launch"), ("streams.py", "StreamPool.run_group"),
+    ]

@@ -100,12 +100,18 @@ class TestRecording:
             pool.profiler = Profile()
             for i, (a, out) in enumerate(pairs):
                 pool.submit(prog, [a, out], stream=pool.streams[i % 2])
+            chained = pool.submit(prog, [pairs[0][1], pairs[1][1]], stream=pool.streams[1])
             pool.synchronize()
             profile = pool.profiler
-        assert {node.stream for node in profile.nodes.values()} == {0, 1}
-        assert sum(node.calls for node in profile.nodes.values()) == 4
+            assert (pool.launches, pool.executions) == (5, 2)
+        # Eager groups form over the whole pending DAG, as graph groups
+        # do: the four independent launches stack into one invocation
+        # that records under its head's stream, whatever stream each
+        # member was placed on; the dependent launch runs alone on its own.
+        assert chained.deps
         per_stream = profile.per_stream()
-        assert per_stream[0]["calls"] == 2 and per_stream[1]["calls"] == 2
+        assert per_stream[0]["calls"] == 4 and per_stream[1]["calls"] == 1
+        assert sum(node.calls for node in profile.nodes.values()) == 5
 
     def test_graph_replay_records_one_site_per_node(self):
         memory, _, pairs = device(3)

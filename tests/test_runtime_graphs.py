@@ -228,7 +228,7 @@ class TestReplayBitExactness:
             eager_stats = pool.aggregate_stats().snapshot()
         eager = [host_eager.download(a, [ROWS, COLS], float16) for a in addrs_eager]
 
-        # Graph capture + streamed replay (twice over: second replay
+        # Graph capture + grouped replay (twice over: second replay
         # continues from the first's memory state, like a decode loop).
         mem_graph = GlobalMemory(1 << 22)
         host_graph, addrs_graph = upload_buffers(mem_graph, num_buffers)
@@ -375,6 +375,42 @@ class TestRebinding:
                 graph.bind("alias", addrs[0] + 4, BUF_BYTES)
             with pytest.raises(VMError, match="unknown bindings"):
                 graph.replay({"nope": 0})
+
+    def test_rebound_spans_must_stay_disjoint(self):
+        # The frozen groups assume distinct bindings stay disjoint: two
+        # stacked launches rebound onto one output would interleave
+        # silently.  Overlap raises (naming both bindings) and executes
+        # nothing; adjacency is legal; an identity replay skips the
+        # check's path altogether.
+        program = transform_program("alias", 2.0, 1.0)
+        memory = GlobalMemory(1 << 22)
+        host, addrs = upload_buffers(memory, 6)
+        with StreamPool(memory, num_streams=2) as pool:
+            with pool.capture() as graph:
+                pool.submit(program, [addrs[0], addrs[1]])
+                pool.submit(program, [addrs[2], addrs[3]])
+            assert graph.num_groups == 1
+            graph.bind("out0", addrs[1], BUF_BYTES)
+            graph.bind("out1", addrs[3], BUF_BYTES)
+            graph.replay()  # identity
+            before = host.download(addrs[5], [ROWS, COLS], float16)
+            for alias in (addrs[5], addrs[5] + 2, addrs[5] - BUF_BYTES + 2):
+                with pytest.raises(VMError, match="'out0'.*'out1'|'out1'.*'out0'"):
+                    graph.replay({"out0": addrs[5], "out1": alias})
+            assert graph.replays == 1
+            assert np.array_equal(
+                host.download(addrs[5], [ROWS, COLS], float16), before
+            )
+            # Back-to-back spans touch but do not overlap.
+            assert addrs[5] == addrs[4] + BUF_BYTES
+            graph.replay({"out0": addrs[4], "out1": addrs[5]})
+            graph.replay({"out0": addrs[5], "out1": addrs[4]})
+            graph.replay()  # identity again: the captured spans
+            assert graph.replays == 4
+        for src, dst in ((2, 4), (0, 5)):
+            data = host.download(addrs[src], [ROWS, COLS], float16)
+            want = float16.quantize(data.astype(np.float64) * 2 + 1)
+            assert np.array_equal(host.download(addrs[dst], [ROWS, COLS], float16), want)
 
 
 class TestErrorPropagation:

@@ -1,5 +1,10 @@
 """The multi-stream runtime: hazard ordering, scheduling, coalescing,
-events, error propagation, and the 64-launch interleaving stress test.
+events, error propagation, program order, and the 64-launch
+interleaving stress test.
+
+The pool is lazy: ``submit`` only queues, so every launch of a test is
+pending — and its hazard dependencies are computed against pending
+work — until the test reaches a drain point.
 
 The stress test is the subsystem's acceptance gate: 64 launches with
 randomized read/write hazards over a small set of shared buffers are
@@ -22,7 +27,7 @@ from repro.kernels import (
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.quant import QuantScheme, quantize_weight, transform_weight
-from repro.runtime import Event, Runtime, StreamPool
+from repro.runtime import Runtime, StreamPool
 from repro.runtime.streams import launch_ranges, ranges_conflict
 from repro.vm import GlobalMemory, Interpreter
 
@@ -143,13 +148,9 @@ class TestStressInterleaved:
         memory = GlobalMemory(1 << 22)
         _, addrs = upload_buffers(memory, 4)
         with StreamPool(memory, num_streams=4) as pool:
-            # Gate stream 0 so the chain is still outstanding while the
-            # later launches are submitted (deterministic dependencies).
-            gate = Event.manual()
-            pool.streams[0].wait_event(gate)
             writer = pool.submit(program, [addrs[0], addrs[1]])  # round-robin: stream 0
             reader = pool.submit(program, [addrs[1], addrs[2]])
-            gate.set()
+            assert not writer.done  # pending until the drain point
             pool.synchronize()
             assert writer in reader.deps
             assert writer.stream is pool.streams[0]
@@ -163,13 +164,12 @@ class TestHazardTracking:
         host, addrs = upload_buffers(memory, 3)
         start = snapshot_buffers(host, addrs)
         with StreamPool(memory, num_streams=3) as pool:
-            gate = Event.manual()
-            pool.streams[0].wait_event(gate)
             h1 = pool.submit(program, [addrs[0], addrs[1]], stream=pool.streams[0])
             h2 = pool.submit(program, [addrs[1], addrs[2]], stream=pool.streams[1])
             assert h1 in h2.deps
-            gate.set()
+            assert not h1.done and not h2.done
             h2.wait()
+            assert h1.done
             doubled = float16.quantize(start[0].astype(np.float64) * 2)
             quadrupled = float16.quantize(doubled.astype(np.float64) * 2)
             assert np.array_equal(host.download(addrs[2], [ROWS, COLS], float16), quadrupled)
@@ -179,11 +179,6 @@ class TestHazardTracking:
         memory = GlobalMemory(1 << 22)
         _, addrs = upload_buffers(memory, 4)
         with StreamPool(memory, num_streams=4) as pool:
-            # Gate every stream so all dependency computation happens
-            # against outstanding (not yet retired) launches.
-            gate = Event.manual()
-            for stream in pool.streams:
-                stream.wait_event(gate)
             writer = pool.submit(program, [addrs[0], addrs[1]], stream=pool.streams[0])
             # Readers of addrs[0] do not depend on the writer's *read* of
             # addrs[0] — only overlapping writes order launches.
@@ -195,7 +190,7 @@ class TestHazardTracking:
             war = pool.submit(program, [addrs[1], addrs[0]])
             assert writer in war.deps
             assert r1 in war.deps and r2 in war.deps  # WAR on their source
-            gate.set()
+            assert not war.done
             pool.synchronize()
 
     def test_launch_ranges_and_conflicts(self):
@@ -257,15 +252,13 @@ class TestHazardTracking:
         a_bot = host.upload(bot_src, float16)
         shared = host.alloc_output([ROWS, W], float16)
         with StreamPool(memory, num_streams=2) as pool:
-            gate = Event.manual()
-            for stream in pool.streams:
-                stream.wait_event(gate)
             top = pool.submit(program, [a_top, shared, 0])
             bottom = pool.submit(program, [a_bot, shared, 8])
             assert top not in bottom.deps              # disjoint: no edge
             assert bottom.stream is not top.stream     # round-robin spread
-            gate.set()
             pool.synchronize()
+            # Independent, so the drain ran them as one stacked group.
+            assert (pool.launches, pool.executions) == (2, 1)
         got = host.download(shared, [ROWS, W], float16)
         assert np.array_equal(got[:8], float16.quantize(top_src.astype(np.float64) * 2))
         assert np.array_equal(got[8:], float16.quantize(bot_src.astype(np.float64) * 2))
@@ -277,85 +270,59 @@ class TestStreamSemantics:
         memory = GlobalMemory(1 << 22)
         _, addrs = upload_buffers(memory, 4)
         with StreamPool(memory, num_streams=2) as pool:
-            pool.submit(program, [addrs[0], addrs[1]], stream=pool.streams[0])
+            head = pool.submit(program, [addrs[0], addrs[1]], stream=pool.streams[0])
             event = pool.streams[0].record_event()
+            assert not event.query()
             pool.streams[1].wait_event(event)
             tail = pool.submit(program, [addrs[2], addrs[3]], stream=pool.streams[1])
+            # No memory hazard between the two: the event is the edge.
+            assert tail.deps == (head,)
             tail.wait()
             assert event.query()
             event.wait()  # already signaled: returns immediately
+            # The edge kept two otherwise-stackable launches apart.
+            assert pool.executions == 2
 
     def test_manual_event_set_after_work_is_queued(self):
-        # The gate pattern under load: the waiting stream has already
-        # queued launches behind the event when the host finally sets it
-        # — everything queued must then run, in order, to completion.
+        # The pool holds a stream's queue until a drain point: an event
+        # recorded behind queued work stays unsignaled, nothing has run,
+        # and the drain then runs everything queued, in order, to
+        # completion.
         program = transform_program("late_gate", 2.0, 1.0)
         memory = GlobalMemory(1 << 22)
         host, addrs = upload_buffers(memory, 6)
         start = snapshot_buffers(host, addrs)
         with StreamPool(memory, num_streams=1) as pool:
             stream = pool.streams[0]
-            gate = Event.manual()
-            assert not gate.query()
-            stream.wait_event(gate)
             handles = [
                 pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]], stream=stream)
                 for i in range(3)
             ]
-            assert not any(h.done for h in handles)  # genuinely gated
-            gate.set()
-            assert gate.query()
-            pool.synchronize()
+            event = stream.record_event()
+            assert not event.query()
+            assert not any(h.done for h in handles)  # genuinely held
+            assert np.array_equal(
+                host.download(addrs[1], [ROWS, COLS], float16), start[1]
+            )
+            event.wait()
+            assert event.query() and all(h.done for h in handles)
         for i in range(3):
             want = float16.quantize(start[2 * i].astype(np.float64) * 2 + 1)
             got = host.download(addrs[2 * i + 1], [ROWS, COLS], float16)
             assert np.array_equal(got, want)
 
-    def test_never_set_event_times_out_instead_of_hanging(self):
-        # A worker-side wait on an event nobody ever sets must surface as
-        # a timeout error on synchronize, not hang the stream forever —
-        # and the launch queued behind the wait must be poisoned rather
-        # than run as if the ordering had been enforced.
-        program = transform_program("stuck", 2.0, 0.0)
-        memory = GlobalMemory(1 << 22)
-        host, addrs = upload_buffers(memory, 2)
-        before = host.download(addrs[1], [ROWS, COLS], float16)
-        pool = StreamPool(memory, num_streams=1)
-        try:
-            stream = pool.streams[0]
-            stream.wait_event(Event.manual(), timeout=0.05)
-            handle = pool.submit(program, [addrs[0], addrs[1]], stream=stream)
-            with pytest.raises(VMError, match="timed out"):
-                stream.synchronize()
-            with pytest.raises(VMError, match="poisoned"):
-                handle.wait()
-            assert np.array_equal(
-                host.download(addrs[1], [ROWS, COLS], float16), before
-            )
-        finally:
-            pool.shutdown()
-
-    def test_host_event_wait_timeout(self):
-        never = Event.manual()
-        with pytest.raises(VMError, match="timed out"):
-            never.wait(timeout=0.01)
-        never.set()
-        never.wait(timeout=0.01)  # signaled: returns immediately
-
     def test_stream_coalesces_independent_launches(self):
-        # Gate the stream while five independent same-program launches
-        # queue up; on release they must execute as ONE stacked grid.
+        # Five independent same-program launches queue up; the drain
+        # must execute them as ONE stacked grid.
         program = transform_program("small", 2.0, 1.0)
         memory = GlobalMemory(1 << 22)
         host, addrs = upload_buffers(memory, 10)
         start = snapshot_buffers(host, addrs)
         with StreamPool(memory, num_streams=1) as pool:
             stream = pool.streams[0]
-            gate = Event.manual()
-            stream.wait_event(gate)
             for i in range(5):
                 pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]], stream=stream)
-            gate.set()
+            assert stream.launches == 0  # nothing runs before the drain
             pool.synchronize()
             assert stream.launches == 5
             assert stream.executions == 1  # coalesced into one stacked grid
@@ -390,11 +357,8 @@ class TestStreamSemantics:
         o_big = host.alloc_output([32, 4], float16)
         with StreamPool(memory, num_streams=1) as pool:
             stream = pool.streams[0]
-            gate = Event.manual()
-            stream.wait_event(gate)
             h1 = pool.submit(prog, [a_small, o_small, 16], stream=stream)
             h2 = pool.submit(prog, [a_big, o_big, 32], stream=stream)
-            gate.set()
             h1.wait()
             h2.wait()  # must not be poisoned by an illegal merge
             assert stream.executions == 2
@@ -420,12 +384,9 @@ class TestStreamSemantics:
         _, addrs = upload_buffers(memory, 3)
         pool = StreamPool(memory, num_streams=2)
         try:
-            gate = Event.manual()
-            pool.streams[0].wait_event(gate)
             failing = pool.submit(bad, [addrs[0], addrs[1]])  # round-robin: stream 0
             dependent = pool.submit(good, [addrs[1], addrs[2]])
             assert failing in dependent.deps
-            gate.set()
             with pytest.raises(VMError, match="out of bounds"):
                 failing.wait()
             with pytest.raises(VMError, match="dependency"):
@@ -453,12 +414,9 @@ class TestStreamSemantics:
         memory = GlobalMemory(1 << 22)
         _, addrs = upload_buffers(memory, 4)
         with StreamPool(memory, num_streams=2) as pool:
-            gate = Event.manual()
-            pool.streams[0].wait_event(gate)
             first = pool.submit(clear, [addrs[0], addrs[1]])  # round-robin: stream 0
             blocked = pool.submit(opaque, [addrs[2], addrs[3]])
             assert first in blocked.deps
-            gate.set()
             pool.synchronize()
 
 
@@ -478,6 +436,29 @@ class TestRuntimeIntegration:
         assert rt.stats().blocks_run == 4
         assert rt.cache.misses == 1
         rt.stream_pool().shutdown()
+
+    def test_program_order_across_sync_launch_and_download(self):
+        """Un-synchronized streamed launches are visible to a following
+        synchronous launch and to ``download``: both are drain points."""
+        rt = Runtime(dram_bytes=1 << 22)
+        program = transform_program("order", 2.0, 1.0)
+        rng = np.random.default_rng(6)
+        data = float16.quantize(rng.standard_normal((ROWS, COLS)))
+        src = rt.upload(data, float16)
+        mid, dst, other = (rt.empty([ROWS, COLS], float16) for _ in range(3))
+        once = float16.quantize(data.astype(np.float64) * 2 + 1)
+        twice = float16.quantize(once.astype(np.float64) * 2 + 1)
+
+        streamed = rt.launch(program, [src, mid], stream="auto")
+        assert not streamed.done
+        rt.launch(program, [mid, dst])  # synchronous: reads the streamed output
+        assert streamed.done
+        assert np.array_equal(rt.download(dst, [ROWS, COLS], float16), twice)
+
+        pending = rt.launch(program, [src, other], stream="auto")
+        assert not pending.done
+        assert np.array_equal(rt.download(other, [ROWS, COLS], float16), once)
+        assert pending.done
 
     def test_streamed_splitk_matches_single_launch_pair(self):
         """ops.QuantizedLinear's one-stream-per-slice split-k path must be
@@ -543,7 +524,11 @@ class TestRuntimeIntegration:
         try:
             result = sim.run([Request(0.0, 32, 4) for _ in range(3)])
             assert result.kernel_launches > 0
-            assert result.max_concurrent_streams >= 2
+            pool = linear.runtime.stream_pool()
+            assert pool.launches == result.kernel_launches
+            # A step's launches are placed on distinct streams and run
+            # as one stacked group on the head's.
+            assert pool.executions < pool.launches
             # The analytical accounting is unchanged by kernel issue.
             assert result.total_tokens == 3 * (32 + 4)
         finally:

@@ -401,6 +401,66 @@ class TestPoolServing:
             pool.shutdown()
 
 
+class TestDispatchLoop:
+    def test_answered_worker_is_not_held_behind_a_busy_one(self):
+        """The dispatch loop waits on every busy pipe at once.  Scripted
+        workers on threads: worker 0 holds its first chunk until worker 1
+        has *received* a second one, which a loop polling worker 0 first
+        for ``poll_s`` only hands out after that poll times out — here
+        past ``timeout_s``."""
+        import threading
+        import types
+
+        pool = WorkerPool(TINY, 2)
+        pool._started = True
+        second_chunk_on_1 = threading.Event()
+
+        def worker(index, conn):
+            received = 0
+            while True:
+                try:
+                    msg = recv_msg(conn)
+                except (EOFError, OSError):
+                    return
+                received += 1
+                if index == 1 and received == 2:
+                    second_chunk_on_1.set()
+                if index == 0 and received == 1:
+                    second_chunk_on_1.wait(30.0)
+                send_msg(
+                    conn, "done", counters={},
+                    results=[
+                        {"rid": r["rid"], "ttft_s": 0.0, "latency_s": 0.0, "digest": None}
+                        for r in msg["requests"]
+                    ],
+                )
+
+        threads = []
+        for handle in pool.handles:
+            handle.conn, child = mp.Pipe()
+            handle.process = types.SimpleNamespace(is_alive=lambda: True)
+            threads.append(
+                threading.Thread(target=worker, args=(handle.index, child), daemon=True)
+            )
+            threads[-1].start()
+        dispatched = []
+        try:
+            result = Router(pool, chunk_size=1).serve(
+                [Request(0.0, 8, 1, rid=i) for i in range(3)],
+                timeout_s=2.0,
+                poll_s=5.0,
+                on_dispatch=lambda index, count: dispatched.append(index),
+            )
+        finally:
+            second_chunk_on_1.set()
+            for handle in pool.handles:
+                handle.conn.close()
+            for thread in threads:
+                thread.join(30.0)
+        assert dispatched == [0, 1, 1]
+        assert result.num_completed == 3 and result.respawns == 0
+
+
 # ---------------------------------------------------------------------------
 # Cross-process state transfer: graph plans + profiles through a real
 # spawned worker (the ExecutionGraph/Profile JSON round-trip acceptance)
