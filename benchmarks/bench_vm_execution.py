@@ -14,30 +14,24 @@ speedup of 8 streams of independent launches over serial issue (asserting
 the >= 1.5x target *and* bit-exactness versus a serial replay), the
 execution-graph replay speedup over per-step eager stream submission on
 the kernel-in-the-loop decode workload (asserting the >= 1.3x target and
-bit-exactness), the profile-guided graph-optimization speedup on a
-skewed-cost 8-stream workload (measured-cost LPT placement + dead-node
-elimination vs the capture-time heuristic, asserting the >= 1.2x target
-and bit-exactness vs the serial oracle), the adaptive runtime's
-cold -> warmup -> converged serving loop (the policy swaps the live
-graph automatically after its warmup window — no explicit reoptimize
-call — asserting the >= 1.15x converged-over-cold target and
-bit-exactness vs the serial oracle), the multi-process sharded-serving
-stack (4 spawned worker processes behind the router's admission + SLO
-scheduling serving an open-loop Poisson burst — asserting the >= 2.5x
-simulated-throughput target over the single-process simulator,
-bit-exact output digests vs the serial oracle, and the p50/p99 latency
-gates), the tiered JIT (the pass-pipeline-lowered compiled kernel vs
-the batched engine on the quantized-matmul template family — asserting
-the >= 3x target and bit-exactness, with the one-time lowering cost
-reported), the persistent tuning store's warm boot (a fresh device
-image starting from the store's published profile + placement must
-reach converged throughput with zero adaptive swaps, >= 1.3x faster
-time-to-converged than a cold start, bit-exact vs the serial oracle),
-and reports the specialization cache hit rate of a repeated-launch
-scenario.  ``--section
-engine|streams|graphs|pgo|adaptive|coldstart|serving|jit|obs|all``
-selects which quick checks run (the CI matrix runs them as separate
-jobs); an unknown section is rejected with the list of valid ones.
+bit-exactness), the ``graph.optimize()`` speedup on a skewed-cost
+8-stream workload carrying dead launches (dead-node elimination +
+regrouping vs the captured graph, asserting the >= 1.2x target, the
+node count and bit-exactness vs the serial oracle), the multi-process
+sharded-serving stack (4 spawned worker processes behind the router's
+admission + SLO scheduling serving an open-loop Poisson burst —
+asserting the >= 2.5x simulated-throughput target over the
+single-process simulator, bit-exact output digests vs the serial
+oracle, and the p50/p99 latency gates), the tiered JIT (the
+pass-pipeline-lowered compiled kernel vs the batched engine on the
+quantized-matmul template family — asserting the >= 2x target and
+bit-exactness, with the one-time lowering cost reported), the
+observability layer (a traced 2-worker serving burst: merged fleet
+trace and frozen ``metrics()`` contracts validated), and reports the
+specialization cache hit rate of a repeated-launch scenario.
+``--section engine|streams|graphs|optimize|serving|jit|obs|all`` selects
+which quick checks run (the CI matrix runs them as separate jobs); an
+unknown section is rejected with the list of valid ones.
 """
 
 import time
@@ -54,7 +48,7 @@ from repro.compiler import compile_program
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import local, mma_m16n8k16, spatial
 from repro.quant import QuantScheme, quantize_weight, transform_weight
-from repro.runtime import Profile, Runtime, StreamPool
+from repro.runtime import Runtime, StreamPool
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter
 
 
@@ -406,434 +400,110 @@ def graph_report(
 
 
 # ---------------------------------------------------------------------------
-# Profile-guided graph optimization vs heuristic placement
+# Graph optimization: dead-node elimination + regrouping vs the capture
 # ---------------------------------------------------------------------------
 
-#: The PGO workload: a *skewed-cost* launch mix on 8 streams.  Four
-#: heavy kernels land on one stream under the capture-time round-robin
-#: heuristic — their submission positions are congruent mod the stream
-#: count — while 28 cheap kernels fill the rest, and 8 more heavy
-#: launches write scratch buffers nothing ever reads.  Every launch is
-#: its own program, hence its own specialization: launches sharing one
-#: would fuse into a single execution group wherever they were placed
-#: (the ``graphs`` section measures that), and this section measures
-#: placement.  A profiled replay records the real per-node costs;
-#: ``graph.optimize(profile)`` then spreads the heavies by
-#: longest-processing-time placement and eliminates the dead nodes.
-PGO_STREAMS = 8
-PGO_LIVE = 32
-PGO_DEAD = 8
-PGO_HEAVY_STEPS = 48
-PGO_LIGHT_STEPS = 2
+#: The optimize workload: a *skewed-cost* launch mix on 8 streams — four
+#: heavy kernels among 28 cheap ones, plus 8 more heavy launches writing
+#: scratch buffers nothing ever reads.  Every launch is its own program,
+#: hence its own specialization: launches sharing one would fuse into a
+#: single execution group (the ``graphs`` section measures that), and
+#: this section measures what ``graph.optimize()`` removes — the dead
+#: work.  (Until PR 18 the same workload also asserted that LPT placement
+#: spread the heavies; measured, placement contributed nothing —
+#: docs/profiling.md keeps the table.)
+OPTIMIZE_STREAMS = 8
+OPTIMIZE_LIVE = 32
+OPTIMIZE_DEAD = 8
+OPTIMIZE_HEAVY_STEPS = 48
+OPTIMIZE_LIGHT_STEPS = 2
 
 
-def _pgo_workload():
+def _optimize_workload():
     def program(kind: str, i: int, steps: int):
-        return _multiblock_program(gb=4, gw=4, steps=steps, name=f"pgo_{kind}{i}")
+        return _multiblock_program(gb=4, gw=4, steps=steps, name=f"opt_{kind}{i}")
 
-    # All heavies hit one heuristic stream.
-    heavy = [i % PGO_STREAMS == 0 for i in range(PGO_LIVE)]
     live = [
-        program("heavy", i, PGO_HEAVY_STEPS) if h else program("light", i, PGO_LIGHT_STEPS)
-        for i, h in enumerate(heavy)
+        program("heavy", i, OPTIMIZE_HEAVY_STEPS)
+        if i % OPTIMIZE_STREAMS == 0
+        else program("light", i, OPTIMIZE_LIGHT_STEPS)
+        for i in range(OPTIMIZE_LIVE)
     ]
     rows, cols = live[0][1]
     memory = GlobalMemory(1 << 24)
     host = Interpreter(memory)
     rng = np.random.default_rng(0)
-    launches = []  # (program, a_addr, out_addr, is_heavy)
-    for (prog, _), h in zip(live, heavy):
+
+    def buffers():
         a = host.upload(float16.quantize(rng.standard_normal((rows, cols))), float16)
-        out = host.alloc_output([rows, cols], float16)
-        launches.append((prog, a, out, h))
-    dead = []  # scratch writers: outputs never read, never bound
-    for i in range(PGO_DEAD):
-        a = host.upload(float16.quantize(rng.standard_normal((rows, cols))), float16)
-        scratch = host.alloc_output([rows, cols], float16)
-        dead.append((program("dead", i, PGO_HEAVY_STEPS)[0], a, scratch))
+        return a, host.alloc_output([rows, cols], float16)
+
+    launches = [(prog, *buffers()) for prog, _ in live]
+    # Scratch writers: outputs never read, never bound.
+    dead = [
+        (program("dead", i, OPTIMIZE_HEAVY_STEPS)[0], *buffers())
+        for i in range(OPTIMIZE_DEAD)
+    ]
     return (rows, cols), host, launches, dead
 
 
-def pgo_report(min_speedup: float = 1.2) -> dict:
-    """Measure profile-optimized replay against heuristic-placement replay.
+def optimize_report(min_speedup: float = 1.2) -> dict:
+    """Measure ``graph.optimize()`` replay against the captured graph's.
 
     Captures the skewed workload with scheduler placement, binds the live
-    output buffers, collects a per-node profile from one serial replay,
-    and optimizes.  Asserts that the heavies spread to distinct streams, that
-    the dead nodes are eliminated, that the optimized replay is >=
-    ``min_speedup`` faster, and that its outputs match the serial oracle
-    bit-for-bit.
+    output buffers and optimizes.  Asserts that the dead nodes are
+    eliminated, that the optimized replay is >= ``min_speedup`` faster,
+    and that its outputs match the serial oracle bit-for-bit.
     """
-    (rows, cols), host, launches, dead = _pgo_workload()
-    pool = StreamPool(host.memory, num_streams=PGO_STREAMS)
+    (rows, cols), host, launches, dead = _optimize_workload()
+    pool = StreamPool(host.memory, num_streams=OPTIMIZE_STREAMS)
     try:
         with pool.capture() as graph:
-            for program, a, out, _ in launches:
+            for program, a, out in launches + dead:
                 pool.submit(program, [a, out], engine="batched")
-            for program, a, scratch in dead:
-                pool.submit(program, [a, scratch], engine="batched")
         out_bytes = rows * cols * 2
-        for i, (_, _, out, _) in enumerate(launches):
+        for i, (_, _, out) in enumerate(launches):
             graph.bind(f"out{i}", out, out_bytes)
 
         # Serial oracle first: the bit-exactness reference (the kernels
-        # are out = f(a), so repeated replays are idempotent) and, one
-        # invocation per node, the exact per-node profile — a grouped
-        # replay's walls are one stacked call split evenly over its
-        # members.
-        graph.replay(serial=True)  # warm every program before timing it
-        profile = Profile()
-        pool.profiler = profile
+        # are out = f(a), so repeated replays are idempotent); it also
+        # warms every program before anything is timed.
         graph.replay(serial=True)
-        pool.profiler = None
-        want = [host.download(out, [rows, cols], float16) for _, _, out, _ in launches]
+        want = [host.download(out, [rows, cols], float16) for _, _, out in launches]
 
-        optimized = graph.optimize(profile)
-        assert optimized.num_nodes == PGO_LIVE, (
+        optimized = graph.optimize()
+        assert optimized.num_nodes == OPTIMIZE_LIVE, (
             f"dead-node elimination kept {optimized.num_nodes} of "
-            f"{graph.num_nodes} nodes, expected {PGO_LIVE}"
-        )
-        heavy_indices = [i for i, (_, _, _, heavy) in enumerate(launches) if heavy]
-        heuristic_streams = {graph.nodes[i].stream_index for i in heavy_indices}
-        optimized_streams = {optimized.nodes[i].stream_index for i in heavy_indices}
-        assert len(heuristic_streams) == 1, "workload no longer skews the heuristic"
-        assert len(optimized_streams) == len(heavy_indices), (
-            f"LPT left heavy nodes sharing streams: {sorted(optimized_streams)}"
+            f"{graph.num_nodes} nodes, expected {OPTIMIZE_LIVE}"
         )
 
         optimized.replay()
         pool.synchronize()
-        t_heur = _time_best(lambda: graph.replay())
+        t_captured = _time_best(lambda: graph.replay())
         t_opt = _time_best(lambda: optimized.replay())
         pool.synchronize()
 
-        got = [host.download(out, [rows, cols], float16) for _, _, out, _ in launches]
+        got = [host.download(out, [rows, cols], float16) for _, _, out in launches]
         for w, g in zip(want, got):
             assert np.array_equal(g, w), "optimized replay diverges from serial oracle"
     finally:
         pool.shutdown()
-    speedup = t_heur / t_opt
+    speedup = t_captured / t_opt
     report = {
-        "heuristic_ms": t_heur * 1e3,
+        "captured_ms": t_captured * 1e3,
         "optimized_ms": t_opt * 1e3,
-        "pgo_speedup": speedup,
+        "optimize_speedup": speedup,
         "nodes_before": graph.num_nodes,
         "nodes_after": optimized.num_nodes,
-        "heavy_streams": sorted(optimized_streams),
     }
     print(
-        f"skewed {PGO_STREAMS}-stream DAG ({graph.num_nodes} nodes, "
-        f"{len(heavy_indices)} heavy on 1 stream, {PGO_DEAD} dead): heuristic "
-        f"replay {report['heuristic_ms']:.2f} ms, profile-optimized "
-        f"{report['optimized_ms']:.2f} ms -> {speedup:.1f}x speedup (bit-exact); "
-        f"heavies spread over streams {report['heavy_streams']}, "
-        f"{PGO_DEAD} dead nodes eliminated"
+        f"skewed {OPTIMIZE_STREAMS}-stream DAG ({graph.num_nodes} nodes, "
+        f"{OPTIMIZE_DEAD} dead): captured replay {report['captured_ms']:.2f} ms, "
+        f"optimize() {report['optimized_ms']:.2f} ms -> {speedup:.1f}x speedup "
+        f"(bit-exact); {OPTIMIZE_DEAD} dead nodes eliminated"
     )
     assert speedup >= min_speedup, (
-        f"profile-guided speedup {speedup:.2f}x below the {min_speedup:.1f}x target"
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Adaptive runtime: cold -> warmup -> converged serving loop
-# ---------------------------------------------------------------------------
-
-#: Profiled replays per adaptive-policy window.  The cold phase is
-#: exactly one window: its last replay triggers the automatic swap, so
-#: every converged-phase replay runs the optimized image.
-ADAPTIVE_WARMUP = 4
-
-
-def adaptive_report(min_speedup: float = 1.15) -> dict:
-    """Measure the adaptive runtime's converged-over-cold throughput.
-
-    The skewed-cost PGO workload is captured with the heuristic
-    placement (heavies piled on one stream, dead scratch writers kept)
-    and put under an :class:`~repro.runtime.AdaptivePolicy` — *nothing*
-    ever calls ``optimize``/``reoptimize`` explicitly.  The serving loop
-    then replays it: the **cold** window runs the heuristic image while
-    the policy accumulates its profile; at the window boundary the
-    policy atomically swaps in the profile-optimized image (heavies
-    spread by measured-cost LPT, dead nodes eliminated), and the
-    **converged** phase replays that.  Asserts exactly one automatic
-    swap, the >= ``min_speedup`` converged-over-cold throughput target,
-    and bit-exactness of the converged outputs against the serial
-    oracle.
-    """
-    from repro.runtime import AdaptivePolicy
-
-    (rows, cols), host, launches, dead = _pgo_workload()
-    pool = StreamPool(host.memory, num_streams=PGO_STREAMS)
-    try:
-        with pool.capture() as graph:
-            for program, a, out, _ in launches:
-                pool.submit(program, [a, out], engine="batched")
-            for program, a, scratch in dead:
-                pool.submit(program, [a, scratch], engine="batched")
-        out_bytes = rows * cols * 2
-        for i, (_, _, out, _) in enumerate(launches):
-            graph.bind(f"out{i}", out, out_bytes)
-
-        # Serial oracle first (the kernels are out = f(a), so replays
-        # are idempotent and the reference stays valid throughout).
-        graph.replay(serial=True)
-        want = [host.download(out, [rows, cols], float16) for _, _, out, _ in launches]
-
-        # min_gain well above the ~10% window-to-window measurement noise
-        # of 4-replay windows, far below the ~60% real skew gain: the
-        # first (unconditional) swap captures the skew, hysteresis holds
-        # through the noisy steady state.
-        policy = AdaptivePolicy(warmup_replays=ADAPTIVE_WARMUP, min_gain=0.30)
-        managed = policy.manage(graph)
-        pool.profiler = Profile()
-
-        # Cold: one full warmup window on the heuristic image.  The
-        # window's last replay pays the evaluation + swap as well —
-        # honest cold-phase accounting.
-        start = time.perf_counter()
-        for _ in range(ADAPTIVE_WARMUP):
-            managed.replay()
-        t_cold = (time.perf_counter() - start) / ADAPTIVE_WARMUP
-        assert policy.swaps == 1, (
-            f"expected exactly one automatic swap after the warmup window, "
-            f"got {policy.swaps}"
-        )
-        assert managed.live.num_nodes == PGO_LIVE, (
-            f"swap kept {managed.live.num_nodes} nodes, expected the "
-            f"{PGO_LIVE} live ones"
-        )
-
-        # Converged: two more windows on the auto-swapped image (steady
-        # costs: re-evaluations fire, further swaps must not).
-        steps = 2 * ADAPTIVE_WARMUP
-        start = time.perf_counter()
-        for _ in range(steps):
-            managed.replay()
-        t_converged = (time.perf_counter() - start) / steps
-        pool.synchronize()
-        assert policy.swaps == 1, (
-            f"steady costs re-swapped the graph ({policy.swaps} swaps): "
-            "hysteresis failed"
-        )
-
-        got = [host.download(out, [rows, cols], float16) for _, _, out, _ in launches]
-        for w, g in zip(want, got):
-            assert np.array_equal(g, w), "adaptive replay diverges from serial oracle"
-    finally:
-        pool.shutdown()
-    speedup = t_cold / t_converged
-    report = {
-        "cold_ms": t_cold * 1e3,
-        "converged_ms": t_converged * 1e3,
-        "adaptive_speedup": speedup,
-        "auto_swaps": policy.swaps,
-        "evaluations": policy.evaluations,
-    }
-    print(
-        f"adaptive serving loop ({graph.num_nodes}-node skewed DAG, "
-        f"{PGO_STREAMS} streams, warmup {ADAPTIVE_WARMUP}): cold "
-        f"{report['cold_ms']:.2f} ms/step, converged "
-        f"{report['converged_ms']:.2f} ms/step -> {speedup:.1f}x "
-        f"converged-over-cold (bit-exact, {policy.swaps} automatic swap, "
-        f"{policy.evaluations} evaluations, no explicit reoptimize call)"
-    )
-    assert speedup >= min_speedup, (
-        f"adaptive converged-over-cold speedup {speedup:.2f}x below the "
-        f"{min_speedup:.2f}x target"
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Warm-store boot vs cold start: the persistent tuning store's payoff
-# ---------------------------------------------------------------------------
-
-
-#: Cold/warm pairs the ``coldstart`` gate may take before it fails.  One
-#: pair is a single sample of two wall-clock quantities — a 4-replay
-#: window, and the swap decision that window's noisy per-node costs feed
-#: — so a miss escalates (two more pairs at a time, the count stays odd)
-#: and the gate reads the median ratio and the majority swap count.
-COLDSTART_MAX_PAIRS = 9
-
-
-def _coldstart_pair() -> dict:
-    """One cold process and the warm process that boots from what it
-    published (a fresh store each pair).  Bit-exactness and the cold
-    side's single swap are asserted here; the two timing-dependent
-    outcomes — the window ratio and the warm swap count — are returned
-    for :func:`coldstart_report` to gate."""
-    import tempfile
-
-    from repro.runtime import AdaptivePolicy
-    from repro.store import TuningStore
-
-    with tempfile.TemporaryDirectory() as root:
-        store = TuningStore(root)
-
-        # -- cold process: heuristic capture, warmup window, swap -----------
-        (rows, cols), host, launches, dead = _pgo_workload()
-        pool = StreamPool(host.memory, num_streams=PGO_STREAMS)
-        try:
-            with pool.capture() as graph:
-                for program, a, out, _ in launches:
-                    pool.submit(program, [a, out], engine="batched")
-                for program, a, scratch in dead:
-                    pool.submit(program, [a, scratch], engine="batched")
-            out_bytes = rows * cols * 2
-            for i, (_, _, out, _) in enumerate(launches):
-                graph.bind(f"out{i}", out, out_bytes)
-            graph.replay(serial=True)
-            want = [
-                host.download(out, [rows, cols], float16)
-                for _, _, out, _ in launches
-            ]
-            policy = AdaptivePolicy(warmup_replays=ADAPTIVE_WARMUP, min_gain=0.30)
-            managed = policy.manage(graph)
-            pool.profiler = Profile()
-            start = time.perf_counter()
-            for _ in range(ADAPTIVE_WARMUP):
-                managed.replay()
-            pool.synchronize()
-            t_cold = time.perf_counter() - start
-            assert policy.swaps == 1, (
-                f"cold start should swap exactly once, got {policy.swaps}"
-            )
-            # Shutdown publication: profile + the live (post-swap) plan.
-            store.publish_profile("coldstart", pool.profiler)
-            store.publish_plan(
-                "coldstart", managed.live.signature, managed.live.plan()
-            )
-        finally:
-            pool.shutdown()
-
-        # -- warm process: fresh image boots from the store -----------------
-        (rows, cols), host2, launches2, dead2 = _pgo_workload()
-        pool2 = StreamPool(host2.memory, num_streams=PGO_STREAMS)
-        try:
-            loaded = store.load_profile("coldstart")
-            assert loaded is not None, "cold process published no profile"
-            with pool2.capture() as graph2:
-                for program, a, out, _ in launches2:
-                    pool2.submit(program, [a, out], engine="batched")
-                for program, a, scratch in dead2:
-                    pool2.submit(program, [a, scratch], engine="batched")
-            for i, (_, _, out, _) in enumerate(launches2):
-                graph2.bind(f"out{i}", out, out_bytes)
-            # The stored profile optimizes the capture at boot —
-            # measured-cost LPT placement and dead-node elimination,
-            # paid for by the *cold* process — and the stored placement
-            # (same signature: identical live node set) re-applies on
-            # top when it validates.
-            graph2 = graph2.optimize(loaded)
-            try:
-                plan = store.load_plan("coldstart", graph2.signature)
-                if plan is not None:
-                    graph2 = graph2.apply_plan(plan)
-            except Exception:
-                pass
-            policy2 = AdaptivePolicy(
-                warmup_replays=ADAPTIVE_WARMUP, min_gain=0.30
-            )
-            managed2 = policy2.manage(graph2, warm=True)
-            pool2.profiler = Profile()
-            start = time.perf_counter()
-            for _ in range(ADAPTIVE_WARMUP):
-                managed2.replay()
-            pool2.synchronize()
-            t_warm = time.perf_counter() - start
-            got = [
-                host2.download(out, [rows, cols], float16)
-                for _, _, out, _ in launches2
-            ]
-            for w, g in zip(want, got):
-                assert np.array_equal(g, w), (
-                    "warm-store replay diverges from serial oracle"
-                )
-        finally:
-            pool2.shutdown()
-        return {
-            "cold_s": t_cold,
-            "warm_s": t_warm,
-            "warm_swaps": policy2.swaps,
-            "store": store.counters(),
-        }
-
-
-def coldstart_report(min_speedup: float = 1.3) -> dict:
-    """Measure warm-store startup against a cold start.
-
-    The **cold** process is the adaptive serving loop's warmup story on
-    the skewed PGO workload: heuristic capture (heavies piled on one
-    stream, dead scratch writers kept), a full
-    :class:`~repro.runtime.AdaptivePolicy` warmup window on that image,
-    and the automatic swap at the window boundary — its
-    time-to-converged is the whole window.  The cold process then
-    publishes its recorded profile and live placement to an on-disk
-    :class:`~repro.store.TuningStore`, exactly as a serving worker does
-    on shutdown.
-
-    The **warm** process is a fresh device image (identical uploads —
-    the respawned-worker model) booting *from the store*: the loaded
-    profile optimizes the capture at boot (measured-cost LPT placement,
-    dead-node elimination — convergence paid for once, by the cold
-    process), the stored placement re-applies when it validates, and
-    the graph runs under ``manage(warm=True)``.  Its
-    first window must already be converged: **zero adaptive swaps**,
-    >= ``min_speedup`` faster than the cold window, and bit-exact
-    against the serial oracle.  The report carries the store's
-    hit/miss/publish counters.
-
-    The gate never rests on one sample: a pair that misses escalates to
-    up to :data:`COLDSTART_MAX_PAIRS` pairs, and what is gated is the
-    *median* window ratio and the *majority* warm swap count (every
-    pair's readings are in the report).
-    """
-    import statistics
-
-    pairs = [_coldstart_pair()]
-    while True:
-        ratios = [pair["cold_s"] / pair["warm_s"] for pair in pairs]
-        warm_swaps = [pair["warm_swaps"] for pair in pairs]
-        speedup = statistics.median(ratios)
-        converged = 2 * warm_swaps.count(0) > len(pairs)
-        if (converged and speedup >= min_speedup) or len(pairs) >= COLDSTART_MAX_PAIRS:
-            break
-        pairs += [_coldstart_pair(), _coldstart_pair()]
-
-    counters = pairs[0]["store"]  # the same three calls every pair
-    report = {
-        "cold_window_ms": statistics.median(pair["cold_s"] for pair in pairs) * 1e3,
-        "warm_window_ms": statistics.median(pair["warm_s"] for pair in pairs) * 1e3,
-        "coldstart_speedup": speedup,
-        "cold_swaps": 1,  # asserted per pair
-        "warm_swaps": statistics.median(warm_swaps),
-        "pairs": len(pairs),
-        "pair_speedups": ratios,
-        "pair_warm_swaps": warm_swaps,
-        "store_hits": counters["hits"],
-        "store_misses": counters["misses"],
-        "store_publishes": counters["publishes"],
-    }
-    print(
-        f"warm-store boot (skewed {PGO_STREAMS}-stream DAG, warmup "
-        f"{ADAPTIVE_WARMUP}, {len(pairs)} cold/warm pair(s)): cold window "
-        f"{report['cold_window_ms']:.2f} ms (1 swap), warm window "
-        f"{report['warm_window_ms']:.2f} ms (warm swaps per pair "
-        f"{warm_swaps}) -> median {speedup:.1f}x "
-        f"time-to-converged (per pair "
-        f"{[round(r, 2) for r in ratios]}; bit-exact; store: "
-        f"{counters['hits']} hits, {counters['misses']} misses, "
-        f"{counters['publishes']} publishes)"
-    )
-    assert converged, (
-        f"warm boot swapped in {warm_swaps} of {len(pairs)} pairs — it "
-        "should start converged"
-    )
-    assert speedup >= min_speedup, (
-        f"warm-store time-to-converged speedup {speedup:.2f}x (median of "
-        f"{len(pairs)} pairs) below the {min_speedup:.1f}x target"
+        f"optimize() speedup {speedup:.2f}x below the {min_speedup:.1f}x target"
     )
     return report
 
@@ -1197,9 +867,7 @@ SECTIONS = (
     "engine",
     "streams",
     "graphs",
-    "pgo",
-    "adaptive",
-    "coldstart",
+    "optimize",
     "serving",
     "jit",
     "obs",
@@ -1229,22 +897,10 @@ def main() -> None:
         help="graph replay vs per-step eager-submission speedup floor",
     )
     parser.add_argument(
-        "--min-pgo-speedup",
+        "--min-optimize-speedup",
         type=float,
         default=1.2,
-        help="profile-optimized vs heuristic-placement replay speedup floor",
-    )
-    parser.add_argument(
-        "--min-adaptive-speedup",
-        type=float,
-        default=1.15,
-        help="adaptive serving loop converged-over-cold throughput floor",
-    )
-    parser.add_argument(
-        "--min-coldstart-speedup",
-        type=float,
-        default=1.3,
-        help="warm-store boot vs cold start time-to-converged floor",
+        help="optimize() vs captured-graph replay speedup floor",
     )
     parser.add_argument(
         "--min-serving-speedup",
@@ -1291,15 +947,9 @@ def main() -> None:
             sections["streams"] = stream_report(min_speedup=args.min_stream_speedup)
         if args.section in ("graphs", "all"):
             sections["graphs"] = graph_report(min_speedup=args.min_graph_speedup)
-        if args.section in ("pgo", "all"):
-            sections["pgo"] = pgo_report(min_speedup=args.min_pgo_speedup)
-        if args.section in ("adaptive", "all"):
-            sections["adaptive"] = adaptive_report(
-                min_speedup=args.min_adaptive_speedup
-            )
-        if args.section in ("coldstart", "all"):
-            sections["coldstart"] = coldstart_report(
-                min_speedup=args.min_coldstart_speedup
+        if args.section in ("optimize", "all"):
+            sections["optimize"] = optimize_report(
+                min_speedup=args.min_optimize_speedup
             )
         if args.section in ("serving", "all"):
             sections["serving"] = serving_report(
@@ -1321,9 +971,7 @@ def main() -> None:
                     "min_speedup": args.min_speedup,
                     "min_stream_speedup": args.min_stream_speedup,
                     "min_graph_speedup": args.min_graph_speedup,
-                    "min_pgo_speedup": args.min_pgo_speedup,
-                    "min_adaptive_speedup": args.min_adaptive_speedup,
-                    "min_coldstart_speedup": args.min_coldstart_speedup,
+                    "min_optimize_speedup": args.min_optimize_speedup,
                     "min_serving_speedup": args.min_serving_speedup,
                     "min_jit_speedup": args.min_jit_speedup,
                     "max_serving_p99": args.max_serving_p99,

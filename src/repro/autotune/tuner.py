@@ -403,9 +403,7 @@ class Autotuner:
         For each trial configuration the template is instantiated and its
         **specialization key** computed; if ``profile`` (a
         :class:`~repro.runtime.profiling.Profile`, e.g. recorded by a
-        profiled serving run and loaded from JSON — or an
-        :class:`~repro.runtime.adaptive.AdaptivePolicy`, whose observed
-        serving profile is consulted directly) holds launches of that
+        profiled serving run and loaded from JSON) holds launches of that
         key, their mean recorded wall time is used directly and *nothing
         executes*.  Only candidates the profile has never seen fall back
         to real measurement (on the given or a lazily created runtime).
@@ -429,12 +427,8 @@ class Autotuner:
         import numpy as np
 
         from repro.compiler.pipeline import specialization_key
-        from repro.runtime.profiling import Profile, spec_string
+        from repro.runtime.profiling import spec_string
 
-        if profile is not None and not isinstance(profile, Profile):
-            # An AdaptivePolicy (or anything carrying a .profile): the
-            # serving loop's policy is the natural handle to pass here.
-            profile = getattr(profile, "profile", profile)
         key = self._key(workload) + ("profiled",)
         stamp = profile.stamp() if profile is not None else None
         cached = self._cache_get(key)

@@ -30,28 +30,19 @@ scheduling, hazard analysis, and coalescing decisions entirely.
 With ``profile=True`` the run records a reusable per-node
 :class:`~repro.runtime.profiling.Profile` of every decode kernel
 (attached to the returned :class:`TraceResult` and saveable as JSON):
-the measured costs feed ``graph.optimize`` for profile-guided stream
-re-balancing and ``Autotuner.tune_profiled`` for measurement-free
-re-tuning — serving traffic becomes the profile the optimizer consumes.
+the measured costs feed JIT promotion and ``Autotuner.tune_profiled``
+for measurement-free re-tuning — serving traffic becomes the profile the
+tuner consumes.
 
-Engine state is not the simulator's: the adaptive policy, the compiled
-tier and the tuning store live on the operator's
-:class:`~repro.runtime.runtime.Runtime` (``decode_linear.runtime``), and
-the simulator reads them there.  With ``runtime.enable_adaptive()`` the
-decode graphs are captured under
-:class:`~repro.runtime.adaptive.AdaptivePolicy` management — after the
-policy's warmup window of profiled steps each live graph is atomically
-swapped for its profile-optimized image, with no explicit
-``reoptimize()`` call anywhere — and *new* batch sizes capture
-profile-guided (``capture(profile=...)``): the costs earlier graphs
-measured pick stream placement and stream count at capture time
-(``TraceResult.auto_reoptimizations`` counts the swaps).  With
+Engine state is not the simulator's: the compiled tier and the tuning
+store live on the operator's :class:`~repro.runtime.runtime.Runtime`
+(``decode_linear.runtime``), and the simulator reads them there.  With
 ``runtime.enable_jit()`` hot decode specializations run compiled
 (``TraceResult.jit_compiled`` / ``jit_promotions``).  With
 ``runtime.attach_store(...)`` the simulator boots from the store
-(``runtime.warm_start()`` once, ``runtime.stored_plan(graph)`` after
-each capture) and :meth:`ContinuousBatchingSimulator.publish_store`
-writes the converged state back.
+(``runtime.warm_start()``, once) and
+:meth:`ContinuousBatchingSimulator.publish_store` writes the converged
+state back.
 :meth:`repro.serving.spec.WorkerSpec.build_simulator` is where a recipe
 becomes such a configured runtime.
 """
@@ -64,10 +55,9 @@ import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from repro.compiler.pipeline import specialization_key
 from repro.llm.engine import ServingConfig, ServingSimulator
 from repro.llm.models import ModelConfig
-from repro.runtime.profiling import Profile, spec_string
+from repro.runtime.profiling import Profile
 
 
 def _percentile(values: list[float], p: float) -> float:
@@ -153,9 +143,6 @@ class TraceResult:
     #: :class:`~repro.runtime.profiling.Profile`), populated when the
     #: simulator was created with ``profile=True``; None otherwise.
     profile: object | None = None
-    #: Automatic live-graph swaps the adaptive policy performed during
-    #: this trace (an adaptive runtime); zero otherwise.
-    auto_reoptimizations: int = 0
     #: Compiled-tier counters (a JIT-enabled runtime): hot
     #: specializations the JIT lowered to straight-line compiled kernels
     #: during this trace, and how many decode executions ran through
@@ -216,7 +203,7 @@ class ContinuousBatchingSimulator:
     in-flight set changes; set it False to eager-submit every step.
     ``profile=True`` records every decode kernel into a reusable
     :class:`~repro.runtime.profiling.Profile` on ``TraceResult.profile``.
-    The adaptive policy, compiled tier and tuning store are read from
+    The compiled tier and tuning store are read from
     ``decode_linear.runtime`` (see the module docstring).
     """
 
@@ -248,23 +235,16 @@ class ContinuousBatchingSimulator:
         #: ``pull_state`` and what :meth:`publish_store` persists.
         self.served_profile = Profile()
         #: The previous generation's profile, loaded from the runtime's
-        #: tuning store at boot (None: no store, no entry, or a corrupt
-        #: one — the boot proceeds cold).
+        #: tuning store at boot and inherited into the next publication
+        #: (None: no store, no entry, or a corrupt one — the boot
+        #: proceeds cold).
         self._warm_profile = None
         if decode_linear is not None:
-            runtime = decode_linear.runtime
-            if runtime.adaptive is not None and not use_graphs:
-                raise ValueError(
-                    "an adaptive runtime requires use_graphs=True: the "
-                    "policy manages captured decode graphs, and eager "
-                    "per-step submission has nothing to swap"
-                )
-            self._warm_profile = runtime.warm_start()
+            self._warm_profile = decode_linear.runtime.warm_start()
 
     @property
     def graphs(self):
-        """Read-only view of the captured decode graphs by batch size
-        (adaptive facades under an adaptive runtime)."""
+        """Read-only view of the captured decode graphs by batch size."""
         return MappingProxyType(self._graphs)
 
     def metrics(self) -> dict:
@@ -272,7 +252,7 @@ class ContinuousBatchingSimulator:
         frozen dot-namespaced contract
         (:data:`repro.obs.metrics.SIMULATOR_METRICS_KEYS`): the
         kernel-in-the-loop runtime's full ``runtime.*``/``jit.*``/
-        ``adaptive.*`` snapshot (zeros when decode runs analytically,
+        ``store.*`` snapshot (zeros when decode runs analytically,
         with no kernel in the loop) plus the ``batching.*`` graph
         census.  This is what workers ship on ``pull_trace`` next to
         their event buffers."""
@@ -303,18 +283,12 @@ class ContinuousBatchingSimulator:
         if self.decode_linear is None:
             return self._run_loop(pending, outcome)
         runtime = self.decode_linear.runtime
-        policy, jit = runtime.adaptive, runtime.jit
-        # The adaptive policy is fed by profiled replays, JIT promotion
-        # is driven by profiled heat and the store publishes the
-        # profile, so all three run profiled even when the caller did
-        # not ask to keep it (outcome.profile stays None unless
-        # profile=True).
-        profiling = (
-            self.profile
-            or policy is not None
-            or jit is not None
-            or runtime.store is not None
-        )
+        jit = runtime.jit
+        # JIT promotion is driven by profiled heat and the store
+        # publishes the profile, so both run profiled even when the
+        # caller did not ask to keep it (outcome.profile stays None
+        # unless profile=True).
+        profiling = self.profile or jit is not None or runtime.store is not None
         if profiling:
             # Fresh profile per run so the trace's records are its own
             # (a caller-enabled profiler must not bleed in), restored on
@@ -323,14 +297,11 @@ class ContinuousBatchingSimulator:
             fresh = runtime.enable_profiling(Profile())
             if self.profile:
                 outcome.profile = fresh
-        swaps_before = policy.swaps if policy is not None else 0
         compiled_before = jit.compiled if jit is not None else 0
         promotions_before = jit.promotions if jit is not None else 0
         try:
             return self._run_loop(pending, outcome)
         finally:
-            if policy is not None:
-                outcome.auto_reoptimizations = policy.swaps - swaps_before
             if jit is not None:
                 outcome.jit_compiled = jit.compiled - compiled_before
                 outcome.jit_promotions = jit.promotions - promotions_before
@@ -451,38 +422,11 @@ class ContinuousBatchingSimulator:
         pool.synchronize()
         outcome.kernel_launches += len(inflight)
 
-    def _capture_hint(self, program, args):
-        """The prior profile to hand a fresh batch size's capture, or
-        None.  Only meaningful under the adaptive policy or a
-        store-warm boot, and only when the profile has already measured
-        this decode kernel's specialization key (earlier batch sizes'
-        graphs record the same ``program_for(1)`` spec) — an unrelated
-        profile must not be offered, since profile-guided capture
-        rejects a profile that matches nothing."""
-        runtime = self.decode_linear.runtime
-        warm = self._warm_profile
-        if runtime.adaptive is None and warm is None:
-            return None
-        spec = spec_string(specialization_key(program, args))
-        if runtime.adaptive is not None:
-            profiler = runtime.profiler
-            if profiler is not None and profiler.spec_seconds(spec) is not None:
-                return profiler
-        if warm is not None and warm.spec_seconds(spec) is not None:
-            # Store-warm boot: a profile recorded by a previous process
-            # stands in until this one has measured anything itself.
-            return warm
-        return None
-
     def _decode_step_graphed(self, pool, inflight, outcome: TraceResult) -> None:
         """One decode step through the graph subsystem: capture the
         launch DAG on the first step at this batch size, replay it on
         every later one (rebinding each request slot's activation and
-        output buffers to the current in-flight set).  Under the
-        adaptive policy the capture is profile-guided once earlier
-        graphs have measured the decode kernel, and the graph comes
-        under management — the policy swaps it for its optimized image
-        after the warmup window, automatically."""
+        output buffers to the current in-flight set)."""
         linear = self.decode_linear
         runtime = linear.runtime
         program = linear.program_for(1)
@@ -491,12 +435,7 @@ class ContinuousBatchingSimulator:
         out_bytes = (linear.n * linear.act_dtype.nbits + 7) // 8
         graph = self._graphs.get(batch)
         if graph is None:
-            first = inflight[0]
-            hint = self._capture_hint(
-                program,
-                [first.act_addr, linear.b_addr, linear.s_addr, first.out_addr],
-            )
-            with runtime.capture(self.num_streams, profile=hint) as graph:
+            with runtime.capture(self.num_streams) as graph:
                 for idx, flight in enumerate(inflight):
                     runtime.launch(
                         program,
@@ -506,16 +445,6 @@ class ContinuousBatchingSimulator:
             for idx, flight in enumerate(inflight):
                 graph.bind(f"act{idx}", flight.act_addr, act_bytes)
                 graph.bind(f"out{idx}", flight.out_addr, out_bytes)
-            # A stored plan, or a capture guided by the stored profile,
-            # already sits on a converged placement: the policy's
-            # unconditional first swap is disabled, so a warm boot
-            # replays with zero adaptive swaps.
-            warm_capture = hint is not None and hint is self._warm_profile
-            applied = runtime.stored_plan(graph)
-            if applied is not None:
-                graph = applied
-            elif warm_capture and runtime.adaptive is not None:
-                graph = runtime.adaptive.manage(graph, warm=True)
             self._graphs[batch] = graph
             outcome.graph_captures += 1
             graph.replay()  # identity bindings: captured from this step
@@ -532,15 +461,15 @@ class ContinuousBatchingSimulator:
     def publish_store(self) -> dict:
         """Persist this simulator's converged serving state through its
         runtime's store (:meth:`~repro.runtime.runtime.Runtime.publish_store`):
-        the merged profile (warm inheritance + every run served here),
-        each decode graph's live placement, and the JIT tier's heat and
-        kernel sources — so the next process boots converged."""
+        the merged profile (warm inheritance + every run served here)
+        and the JIT tier's heat and kernel sources — so the next process
+        boots converged."""
         runtime = self.decode_linear.runtime
         merged = Profile()
         for part in (self._warm_profile, self.served_profile, runtime.profiler):
             if part is not None:
                 merged.merge(part)
-        return runtime.publish_store(self._graphs.values(), merged)
+        return runtime.publish_store(merged)
 
 
 def uniform_trace(

@@ -6,7 +6,7 @@ imports from the layers they observe):
 - :mod:`repro.obs.trace` — a thread-safe, ring-buffered span/instant
   recorder with near-zero cost when disabled.  Every layer of the stack
   carries emit points (runtime launches, stream group execution, graph
-  capture/replay, adaptive swaps, JIT lowering, router dispatch, worker
+  capture/replay, JIT lowering, router dispatch, worker
   chunks) that fire only while a tracer is installed; the buffer exports
   as Chrome trace-event JSON loadable in Perfetto, with pid mapped to
   process (router/worker) and tid to stream.  Worker processes ship

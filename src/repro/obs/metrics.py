@@ -2,7 +2,7 @@
 
 Before this module, every subsystem invented its own counter shape —
 ``ExecutionStats`` attributes, ``SpecializationCache.hits``,
-``JitManager.counters()``, ``AdaptivePolicy.swaps``, the ad-hoc
+``JitManager.counters()``, the ad-hoc
 ``counters`` dict on serving's ``done`` frames.  The registry replaces
 none of those *mechanisms* (they stay the cheap in-band counters they
 are) but gives them one read-side contract: a ``metrics()`` method
@@ -14,7 +14,6 @@ Namespaces:
 - ``runtime.*``   — launches, the specialization cache, engine stats
 - ``streams.*``   — pool width, launches, post-coalescing executions
 - ``jit.*``       — compiled tier: promotion/bailout/cache counters
-- ``adaptive.*``  — online reoptimization: swaps, evaluations
 - ``store.*``     — persistent tuning store: hit/miss/publish/gc
 - ``batching.*``  — the continuous-batching simulator's graph census
 - ``router.*``    — fleet aggregates (``router.shed`` is the admission
@@ -58,9 +57,6 @@ RUNTIME_METRICS_KEYS = frozenset({
     "jit.cache.hits",
     "jit.cache.misses",
     "jit.cache.evictions",
-    "adaptive.enabled",
-    "adaptive.swaps",
-    "adaptive.evaluations",
     "store.enabled",
     "store.hits",
     "store.misses",
@@ -87,7 +83,6 @@ ROUTER_METRICS_KEYS = frozenset({
     "router.kernel_launches",
     "router.graph_captures",
     "router.graph_replays",
-    "router.auto_reoptimizations",
     "router.jit_compiled",
     "router.jit_promotions",
     "router.slo_attainment",

@@ -23,8 +23,8 @@ JSON Perfetto and ``chrome://tracing`` load natively):
 - **span** (phase ``"X"``, a *complete* event): a named duration on one
   thread lane — an engine invocation, a graph replay, a router admit
   sweep.  Carries ``ts`` + ``dur``.
-- **instant** (phase ``"i"``): a point event — a JIT promotion, an
-  adaptive swap, a chunk dispatch.
+- **instant** (phase ``"i"``): a point event — a JIT promotion, a graph
+  capture, a chunk dispatch.
 
 ``tid`` maps execution lanes: :data:`HOST_TID` (0) is the host/calling
 thread; stream ``i`` records on lane ``i + 1``.  ``pid`` is assigned at

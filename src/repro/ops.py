@@ -66,20 +66,6 @@ class QuantizedLinear:
     every later call replays it with the activation, workspace and
     output pointers rebound — per-call scheduling, hazard analysis and
     coalescing decisions are all skipped.
-
-    With the runtime's profiler enabled (``runtime.enable_profiling()``)
-    every call records per-node costs; :meth:`reoptimize` then replaces
-    each captured graph with its profile-guided
-    :meth:`~repro.runtime.graphs.ExecutionGraph.optimize` image —
-    measured-cost stream placement instead of the capture-time
-    heuristic — and later calls replay the optimized DAGs.
-
-    With ``runtime.enable_adaptive()`` that loop closes by itself:
-    freshly captured graphs come under
-    :class:`~repro.runtime.adaptive.AdaptivePolicy` management, and
-    after the policy's warmup window of profiled calls each live graph
-    is atomically swapped for its optimized image — no explicit
-    :meth:`reoptimize` call anywhere.
     """
 
     runtime: Runtime
@@ -192,11 +178,6 @@ class QuantizedLinear:
                 g.bind("a", a_addr, a_bytes)
                 g.bind("p", p_addr, sk * slice_bytes)
                 g.bind("c", c_addr, c_bytes)
-                # Under runtime.enable_adaptive() the pool's capture()
-                # already returned the graph under policy management:
-                # after the warmup window of profiled replays it is
-                # atomically swapped for its profile-optimized image —
-                # no explicit reoptimize() call.
                 self._graphs[m] = g
                 while len(self._graphs) > self.MAX_PROGRAMS:
                     self._graphs.pop(next(iter(self._graphs)))
@@ -214,32 +195,6 @@ class QuantizedLinear:
                     ],
                 )
             self.runtime.launch(reduce_prog, [p_addr, c_addr])
-
-    def reoptimize(self, profile=None) -> int:
-        """Re-instantiate every captured split-k graph with profile-guided
-        placement (:meth:`~repro.runtime.graphs.ExecutionGraph.optimize`).
-
-        ``profile`` defaults to the runtime's active profiler.  Returns
-        the number of graphs optimized; later calls at those row counts
-        replay the optimized DAGs (bindings carry over, so rebinding
-        works unchanged).  A no-op when nothing was captured yet.
-
-        With ``runtime.enable_adaptive()`` this call is unnecessary —
-        the attached policy swaps the graphs automatically after its
-        warmup window — but remains valid: managed graphs swap their
-        live image in place and stay under management.
-
-        Graphs the profile has never described (e.g. row counts whose
-        traffic predates profiling) re-balance with uniform costs
-        instead of aborting the loop — ``optimize``'s loud
-        wrong-profile contract is for direct calls, not for batch
-        re-optimization over mixed-age graphs.
-        """
-        profile = profile if profile is not None else self.runtime.profiler
-        for m, graph in list(self._graphs.items()):
-            matched = profile if graph.profile_matches(profile) else None
-            self._graphs[m] = graph.optimize(matched)
-        return len(self._graphs)
 
 
 def _default_config(weight_dtype: DataType) -> MatmulConfig:

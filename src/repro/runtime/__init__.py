@@ -1,7 +1,6 @@
 """Runtime system (paper Section 8.1, step 4)."""
 
-from repro.runtime.adaptive import AdaptiveGraph, AdaptivePolicy
-from repro.runtime.graphs import ExecutionGraph, GraphNode, GraphPlan
+from repro.runtime.graphs import ExecutionGraph, GraphNode
 from repro.runtime.jit import JitCache, JitManager
 from repro.runtime.profiling import NodeProfile, Profile
 from repro.runtime.runtime import (
@@ -19,15 +18,12 @@ from repro.runtime.streams import (
 )
 
 __all__ = [
-    "AdaptiveGraph",
-    "AdaptivePolicy",
     "Runtime",
     "KernelCache",
     "SpecializationCache",
     "ExecutionContext",
     "ExecutionGraph",
     "GraphNode",
-    "GraphPlan",
     "JitCache",
     "JitManager",
     "Stream",

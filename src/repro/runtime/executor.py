@@ -15,8 +15,8 @@ once:
   the profile, emit the span; returns the tier that ran.
 - :class:`Lane` — the engines and statistics of one logical queue (the
   host's own launches, or one stream), and
-  :class:`ExecutionContext` — the profiler / JIT manager / adaptive
-  policy a runtime and its stream pool share.
+  :class:`ExecutionContext` — the profiler and JIT manager a runtime
+  and its stream pool share.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import NamedTuple, Sequence
 
 from repro.ir.program import Program
 from repro.obs import trace as obs_trace
-from repro.runtime.adaptive import AdaptivePolicy
 from repro.runtime.jit import JitManager
 from repro.runtime.profiling import Profile, StatsTimer, spec_string
 from repro.vm.batched import BatchedExecutor, select_engine
@@ -39,14 +38,13 @@ from repro.vm.memory import GlobalMemory
 @dataclass
 class ExecutionContext:
     """What every launch path of one runtime consults: the active
-    profiler, the compiled tier and the adaptive policy (each None when
-    off), plus the runtime's launch counter.  A ``Runtime`` creates one
+    profiler and the compiled tier (each None when off), plus the
+    runtime's launch counter.  A ``Runtime`` creates one
     and hands the same object to its ``StreamPool``; a pool built
     standalone creates its own."""
 
     profiler: Profile | None = None
     jit: JitManager | None = None
-    adaptive: AdaptivePolicy | None = None
     launches: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False

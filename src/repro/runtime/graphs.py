@@ -25,9 +25,9 @@ Inside the ``with`` block nothing executes: every launch is recorded as
 a :class:`GraphNode` holding the program, its arguments, its resolved
 global byte ranges, its hazard dependencies (computed against every
 earlier recorded node — writes serialize, reads share, exactly the live
-semantics), its frozen stream assignment (the caller's stream, or the
-same round-robin + memory-aware placement the live scheduler would
-pick), and its tier decision (the interpreted engine it is frozen to,
+semantics), its stream label (the caller's stream, or the same
+round-robin + memory-aware pick the live scheduler would make), and its
+tier decision (the interpreted engine it is frozen to,
 and whether the compiled tier was forced).  Handles returned during capture
 are inert: ``wait()`` is a no-op, so code written for eager streams
 (e.g. ``ops.QuantizedLinear``'s split-k path) captures unchanged.
@@ -43,8 +43,10 @@ pairwise-disjoint ranges, and no dependency on or after the group head.
 A node's dependencies are *all* earlier nodes it conflicts with, so a
 member conflicts with nothing it is hoisted over, and every group edge
 points at a group with an earlier head: head order is a topological
-order.  The group runs on its head's stream (its members' placement is
-rewritten to it), on whatever tier its specialization key has reached —
+order.  The group runs on its head's captured stream — a label: which
+statistics lane, trace lane and profile site the invocation lands on,
+never an ordering (its members' ``stream_index`` is rewritten to it) —
+on whatever tier its specialization key has reached —
 a stacked compiled kernel or
 :meth:`~repro.vm.batched.BatchedExecutor.launch_many`.
 
@@ -83,7 +85,6 @@ it rests on is checked: two rebound pointer spans that overlap raise
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Iterable, Mapping, Sequence
 
 from repro.compiler.pipeline import specialization_key
@@ -91,14 +92,8 @@ from repro.errors import VMError
 from repro.ir import instructions as insts
 from repro.obs import trace as obs_trace
 from repro.ir.program import Program
-from repro.runtime.adaptive import (
-    STREAM_CAP_SLACK,
-    estimated_makespan,
-    guided_placement,
-    lpt_placement,
-)
 from repro.runtime.executor import Site, resolve_engine
-from repro.runtime.profiling import Profile, spec_string
+from repro.runtime.profiling import spec_string
 from repro.runtime.streams import (
     Stream,
     StreamPool,
@@ -124,10 +119,6 @@ def _has_side_effects(program: Program) -> bool:
     return cached
 
 
-def _intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
-
-
 class GraphNode:
     """One captured launch: everything the live runtime decides per
     submission, frozen at capture time."""
@@ -148,13 +139,14 @@ class GraphNode:
         self.key = key              # capture-time specialization key
         #: Tier asked of each replay: "compiled" stays forced; anything
         #: else was consumed into ``engine`` and replays as "auto"
-        #: (promotable on heat).  Not part of the plan or the signature.
+        #: (promotable on heat).  Not part of the signature.
         self.requested = requested
 
-    def placed(self, index, deps, stream_index, engine) -> "GraphNode":
-        """This launch under another schedule (optimize / apply_plan)."""
+    def renumbered(self, index, deps) -> "GraphNode":
+        """This launch at another position of a node sequence (optimize)."""
         return GraphNode(index, self.program, self.args, self.ranges, deps,
-                         stream_index, engine, self.grid, self.key, self.requested)
+                         self.stream_index, self.engine, self.grid, self.key,
+                         self.requested)
 
     def __repr__(self) -> str:
         return (
@@ -205,110 +197,6 @@ class _Binding:
         return self.nbytes is not None
 
 
-#: Wire-format version of the serialized graph plan (bump on any change
-#: to the schema below; readers reject unknown versions loudly).
-PLAN_JSON_VERSION = 1
-
-
-class GraphPlan:
-    """The transportable half of an :class:`ExecutionGraph`: every
-    *decision* the capture froze — per-node stream placement, engine
-    choice, specialization identity, grid shape and hazard edges — with
-    none of the process-local state (programs, device addresses).
-
-    This is what ships across a process boundary in the sharded-serving
-    stack: a worker (or the router) serializes a captured graph's plan as
-    versioned JSON, and the receiving process — which holds an
-    *isomorphic* capture of the same launch DAG, because specialization
-    keys and graph signatures are deterministic across processes — applies
-    it with :meth:`ExecutionGraph.apply_plan`.  Live objects never cross
-    the wire: no pickle, no addresses, no compiled kernels.
-
-    Per-node ``spec`` strings are the cross-process identity check: a plan
-    only applies to a graph whose node sequence carries the same
-    specialization keys and grids in the same order.
-    """
-
-    __slots__ = ("signature", "num_streams", "nodes")
-
-    def __init__(self, signature: str, num_streams: int, nodes: list[dict]) -> None:
-        self.signature = signature
-        self.num_streams = num_streams
-        #: One dict per node: ``index``, ``program`` (name), ``spec``
-        #: (specialization-key string), ``engine``, ``stream``, ``grid``,
-        #: ``deps`` — all JSON-native types.
-        self.nodes = nodes
-
-    @classmethod
-    def from_graph(cls, graph: "ExecutionGraph") -> "GraphPlan":
-        nodes = [
-            {
-                "index": node.index,
-                "program": node.program.name,
-                "spec": spec_string(node.key),
-                "engine": node.engine,
-                "stream": node.stream_index,
-                "grid": list(node.grid),
-                "deps": list(node.deps),
-            }
-            for node in graph.nodes
-        ]
-        return cls(graph.signature, len(graph.pool.streams), nodes)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": PLAN_JSON_VERSION,
-                "kind": "execution-graph-plan",
-                "signature": self.signature,
-                "num_streams": self.num_streams,
-                "nodes": self.nodes,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GraphPlan":
-        """Parse a plan written by :meth:`to_json`.  Malformed input —
-        truncated JSON, wrong kind, unknown version, mangled node list —
-        raises :class:`VMError` naming the problem, never a silently
-        unusable plan: a worker about to re-place its graph from this
-        data must not mistake garbage for a schedule."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise VMError(f"graph plan JSON is truncated or malformed: {exc}") from exc
-        if not isinstance(data, dict) or data.get("kind") != "execution-graph-plan":
-            raise VMError("graph plan JSON is not an execution-graph-plan object")
-        version = data.get("version")
-        if version != PLAN_JSON_VERSION:
-            raise VMError(
-                f"unsupported graph-plan version {version!r} "
-                f"(this build reads version {PLAN_JSON_VERSION})"
-            )
-        nodes = data.get("nodes")
-        if not isinstance(nodes, list):
-            raise VMError("graph plan JSON is missing its 'nodes' list")
-        required = {"index", "program", "spec", "engine", "stream", "grid", "deps"}
-        for record in nodes:
-            if not isinstance(record, dict) or not required.issubset(record):
-                raise VMError(
-                    f"malformed graph-plan node record: {record!r} "
-                    f"(need keys {sorted(required)})"
-                )
-        return cls(data["signature"], int(data["num_streams"]), nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __repr__(self) -> str:
-        streams = sorted({n["stream"] for n in self.nodes})
-        return (
-            f"GraphPlan({self.signature}, {len(self.nodes)} nodes over "
-            f"streams {streams})"
-        )
-
-
 class _Group:
     """An execution group: one engine invocation at replay, on one stream."""
 
@@ -331,16 +219,6 @@ class _Group:
         )
 
 
-def _group_costs(stacks, node_costs: Mapping[int, float]) -> dict[int, float]:
-    """Cost of each execution group as a unit of placement: a stacked
-    invocation's time is recorded split evenly over its members, so the
-    members' costs sum back to it."""
-    return {
-        gi: sum(node_costs[node.index] for node in stack)
-        for gi, stack in enumerate(stacks)
-    }
-
-
 class ExecutionGraph:
     """A captured launch DAG over a :class:`~repro.runtime.streams.
     StreamPool`, replayable without scheduling or hazard analysis.
@@ -352,11 +230,8 @@ class ExecutionGraph:
     docstring for semantics.
     """
 
-    def __init__(self, pool: StreamPool, profile: Profile | None = None) -> None:
+    def __init__(self, pool: StreamPool) -> None:
         self.pool = pool
-        #: Prior profile consulted at capture/instantiate time
-        #: (profile-guided capture; see :mod:`repro.runtime.adaptive`).
-        self._capture_profile = profile
         self.nodes: list[GraphNode] = []
         self.replays = 0
         self._phase = "idle"  # idle -> capturing -> ready (or aborted)
@@ -381,18 +256,10 @@ class ExecutionGraph:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.pool._capture = None
+        self._phase = "aborted"  # unless instantiation completes
         if exc_type is None:
-            try:
-                self._instantiate()
-            except BaseException:
-                # A failed instantiation (e.g. a capture profile that
-                # matches nothing) must not leave the graph looking like
-                # an active capture: later use should say "aborted".
-                self._phase = "aborted"
-                raise
+            self._instantiate()
             self._phase = "ready"
-        else:
-            self._phase = "aborted"
 
     def _record(
         self,
@@ -421,16 +288,16 @@ class ExecutionGraph:
                 raise VMError("stream belongs to a different pool")
             stream_index = stream.index
         elif deps:
-            # Memory-aware placement, like the live scheduler: FIFO order
-            # on the conflicting stream replaces a cross-stream wait.
+            # Memory-aware labelling, like the live scheduler: a launch
+            # joins the stream of the latest launch it conflicts with.
             stream_index = self.nodes[deps[-1]].stream_index
         else:
             stream_index = self._rr % len(self.pool.streams)
             self._rr += 1
         grid = program.grid_size(args)
-        # Captured nodes only ever freeze an interpreted engine (plans
-        # stay portable to processes without a JIT manager); the compiled
-        # tier is decided at each replay, forced when it was forced here.
+        # Captured nodes only ever freeze an interpreted engine; the
+        # compiled tier is decided at each replay, forced when it was
+        # forced here.
         node = GraphNode(
             index=len(self.nodes),
             program=program,
@@ -447,45 +314,25 @@ class ExecutionGraph:
         return CapturedLaunchHandle(program, args, node, self)
 
     # -- instantiation ------------------------------------------------------
-    def _instantiate(self, costs: Mapping[int, float] | None = None) -> None:
-        """Freeze the execution groups and the stream each runs on.
+    def _instantiate(self) -> None:
+        """Freeze the execution groups.
 
         Groups form over the whole DAG by
-        :func:`~repro.runtime.streams.form_groups`.  The group is the unit
-        of placement: it runs on its head node's stream, unless measured
-        per-node ``costs`` (:meth:`optimize`) or a capture profile
-        (:meth:`_apply_capture_profile`) re-place the groups by LPT.
-        The members' ``stream_index`` is rewritten to the group's
-        stream, so every node keeps one profile site and ``plan()`` /
-        ``apply_plan()`` / ``optimize()`` reproduce groups and placement.
+        :func:`~repro.runtime.streams.form_groups`; creation order is
+        head-node order, and every dependency of a group precedes its
+        head, so replay runs a group's dependencies before its
+        dependents.  A group runs on its head node's captured stream —
+        a label: the stats lane, trace lane and profile site of the
+        invocation — and its members' ``stream_index`` is rewritten to
+        it, so every node keeps one profile site.
         """
         stacks = form_groups(self.nodes, lambda node: node.deps)
-        # Creation order is head-node order, and every dependency of a
-        # group precedes its head: group edges point backwards, so replay
-        # runs a group's dependencies before its dependents.
-        node_group = {
-            node.index: gi for gi, stack in enumerate(stacks) for node in stack
-        }
-        group_deps = {
-            gi: tuple(sorted(
-                {node_group[dep] for node in stack for dep in node.deps} - {gi}
-            ))
-            for gi, stack in enumerate(stacks)
-        }
-        placement = {gi: stack[0].stream_index for gi, stack in enumerate(stacks)}
-        if costs is not None:
-            placement = lpt_placement(
-                len(self.pool.streams), _group_costs(stacks, costs), group_deps
-            )
-        elif self._capture_profile is not None and self.nodes:
-            placement = self._apply_capture_profile(
-                self._capture_profile, stacks, group_deps, placement
-            )
         groups: list[_Group] = []
         for gi, stack in enumerate(stacks):
+            stream_index = stack[0].stream_index
             for node in stack:
-                node.stream_index = placement[gi]
-            groups.append(_Group(placement[gi], stack, self.signature, gi))
+                node.stream_index = stream_index
+            groups.append(_Group(stream_index, stack, self.signature, gi))
         self._groups = groups
         tracer = obs_trace.ACTIVE
         if tracer is not None:
@@ -499,59 +346,6 @@ class ExecutionGraph:
                     "groups": len(groups),
                 },
             )
-
-    def _apply_capture_profile(
-        self,
-        profile: Profile,
-        stacks: list[list[GraphNode]],
-        group_deps: Mapping[int, tuple],
-        heuristic: dict[int, int],
-    ) -> dict[int, int]:
-        """Profile-guided group placement at capture time.
-
-        Measured per-node costs (this graph's signature, falling back to
-        specialization-key means for nodes the signature scope missed)
-        drive a guided LPT placement of the execution groups over the
-        hazard DAG, and the **stream count is capped to the measured
-        parallelism**: the smallest count whose estimated makespan is within
-        :data:`~repro.runtime.adaptive.STREAM_CAP_SLACK` of the best
-        over all counts wins.  The re-placement is applied only when its
-        estimated makespan stays within that same slack of the heuristic
-        placement's — profile-guided capture never regresses the
-        estimate beyond the slack it deliberately trades for fewer
-        streams (the estimate ignores per-stream replay overhead, which
-        is exactly what fewer streams save).  An empty profile changes
-        nothing (cold start); a
-        non-empty profile matching *no* node is rejected with
-        :class:`VMError` — a wrong profile file must not silently
-        misoptimize.
-        """
-        if len(profile) == 0:
-            return heuristic  # cold start: nothing measured yet
-        node_costs, matched = self._profiled_costs(profile)
-        if matched == 0:
-            raise VMError(
-                f"capture profile ({len(profile)} sites) matches no node of "
-                f"this graph (signature {self.signature}): neither the "
-                "signature nor any node's specialization key was ever "
-                "recorded — wrong profile?  Capture without profile= to "
-                "use the heuristic placement."
-            )
-        costs = _group_costs(stacks, node_costs)
-        heuristic_span = estimated_makespan(heuristic, costs, group_deps)
-        candidates = []
-        for k in range(1, len(self.pool.streams) + 1):
-            placement = guided_placement(k, costs, group_deps)
-            candidates.append(
-                (placement, estimated_makespan(placement, costs, group_deps))
-            )
-        best_span = min(span for _, span in candidates)
-        for placement, span in candidates:  # ascending stream count
-            if span <= best_span * (1.0 + STREAM_CAP_SLACK):
-                break
-        if span <= heuristic_span * (1.0 + STREAM_CAP_SLACK):
-            return placement
-        return heuristic
 
     # -- rebinding ----------------------------------------------------------
     def bind(self, name: str, value, nbytes: int | None = None) -> None:
@@ -714,16 +508,17 @@ class ExecutionGraph:
             )
         self.replays += 1
 
-    # -- profile-guided optimization ----------------------------------------
+    # -- identity and optimization ------------------------------------------
     @property
     def signature(self) -> str:
         """Stable identity of the captured DAG: a hash over the node
         sequence's specialization keys, engines and grids.  Pointer
         arguments are excluded (the keys are address-agnostic), so the
-        same plan captured against fresh buffers — or in another process
-        — produces the same signature, which is how a serialized
-        :class:`~repro.runtime.profiling.Profile` finds this graph's
-        per-node records again."""
+        same launches captured against fresh buffers — or in another
+        process — produce the same signature: the scope a
+        :class:`~repro.runtime.profiling.Profile` records this graph's
+        per-node sites under, and what a serving worker exports per
+        captured batch size."""
         if self._signature is None:
             tokens = [
                 f"{spec_string(node.key)}|{node.engine}|{node.grid}"
@@ -736,25 +531,28 @@ class ExecutionGraph:
     def _live_indices(self, outputs: Iterable[str] | None) -> list[int]:
         """Indices of nodes that must survive dead-node elimination.
 
-        A node is **live** when any of:
+        A graph is replayed repeatedly, so node order is cyclic: what a
+        node writes on one replay is read by *earlier* nodes on the
+        next.  A node is **live** when any of:
 
         - its write ranges intersect a bound output span (``outputs``
           names a subset of the pointer bindings; ``None`` means every
           pointer binding is an observable output);
-        - a later live node *reads* bytes it writes (RAW reachability —
-          WAW alone does not resurrect a node: an unread, un-bound write
-          is unobservable even if overwritten);
-        - its ranges are conservative (whole-memory: static analysis
-          failed, so everything it does may be observed);
+        - *any* live node — later in this replay, or earlier on the next
+          one (loop-carried state) — *reads* bytes it writes (WAW alone
+          does not resurrect a node: an unread, un-bound write is
+          unobservable even if overwritten);
         - it has side effects beyond memory (``PrintTensor``), or it
           writes nothing that analysis resolved (pure/opaque nodes are
           kept rather than guessed at).
 
-        When the graph has no pointer bindings and ``outputs`` is None,
-        *all of device memory* is presumed observable (the host can
-        download any buffer), so nothing is eliminated.  Passing an
-        explicit — possibly empty — ``outputs`` asserts the bound spans
-        are the only externally read memory.
+        Nothing is eliminated when any node's ranges are conservative
+        (whole-memory: static analysis failed, so it may read anything
+        any other node writes), or when the graph has no pointer
+        bindings and ``outputs`` is None — *all of device memory* is
+        presumed observable (the host can download any buffer).  Passing
+        an explicit — possibly empty — ``outputs`` asserts the bound
+        spans are the only externally read memory.
         """
         pointer_bindings = {
             name: b for name, b in self._bindings.items() if b.is_pointer
@@ -762,12 +560,9 @@ class ExecutionGraph:
         if outputs is None:
             if not pointer_bindings:
                 return list(range(len(self.nodes)))
-            spans = [
-                (float(b.base), float(b.base + b.nbytes))
-                for b in pointer_bindings.values()
-            ]
+            observable = list(pointer_bindings.values())
         else:
-            spans = []
+            observable = []
             for name in outputs:
                 binding = pointer_bindings.get(name)
                 if binding is None:
@@ -776,121 +571,55 @@ class ExecutionGraph:
                         f"binding of this graph (registered: "
                         f"{sorted(pointer_bindings)})"
                     )
-                spans.append((float(binding.base), float(binding.base + binding.nbytes)))
-        live = [False] * len(self.nodes)
-        later_reads: list[tuple[float, float]] = []
-        later_conservative = False
-        for i in reversed(range(len(self.nodes))):
-            node = self.nodes[i]
-            conservative = any(end == float("inf") for _, end, _ in node.ranges)
-            writes = [
-                (float(s), float(e)) for s, e, w in node.ranges if w and s < e
-            ]
-            reads = [
-                (float(s), float(e)) for s, e, w in node.ranges if not w and s < e
-            ]
-            keep = (
-                conservative
-                or _has_side_effects(node.program)
-                or not writes  # pure/opaque nodes are kept, not guessed at
-                or later_conservative  # an opaque later node may read anything
-                or any(_intervals_overlap(w, span) for w in writes for span in spans)
-                or any(_intervals_overlap(w, r) for w in writes for r in later_reads)
-            )
-            if keep:
-                live[i] = True
-                later_reads.extend(reads)
-                later_conservative = later_conservative or conservative
-        return [i for i in range(len(self.nodes)) if live[i]]
+                observable.append(binding)
+        if any(end == float("inf") for node in self.nodes for _, end, _ in node.ranges):
+            return list(range(len(self.nodes)))
+        # As launch ranges, so that "a write someone reads" is the hazard
+        # tracker's own overlap test: the host reads every observable span.
+        spans = [(b.base, b.base + b.nbytes, False) for b in observable]
+        writes = [[r for r in node.ranges if r[2]] for node in self.nodes]
+        reads = [[r for r in node.ranges if not r[2]] for node in self.nodes]
+        live = {
+            i for i, node in enumerate(self.nodes)
+            if _has_side_effects(node.program)
+            or not any(start < end for start, end, _ in writes[i])
+            or ranges_conflict(writes[i], spans)
+        }
+        # Fixed point over the cyclic order: each live node's reads keep
+        # their writers alive, wherever those sit in the sequence.
+        frontier = sorted(live)
+        while frontier:
+            readers = reads[frontier.pop()]
+            for i in range(len(self.nodes)):
+                if i not in live and ranges_conflict(writes[i], readers):
+                    live.add(i)
+                    frontier.append(i)
+        return sorted(live)
 
-    def _profiled_costs(self, profile: Profile) -> tuple[dict[int, float], int]:
-        """Per-node cost estimates from a profile, with the match count.
-
-        Each node takes its measured mean wall seconds under this graph's
-        signature; nodes the signature scope never recorded fall back to
-        the profile-wide mean of their **specialization key** (so a
-        profile gathered from a *different* capture of the same kernels —
-        another batch size, eager traffic — still informs placement).
-        Nodes matched by neither cost the mean of the matched ones (or
-        1.0 when nothing matched), so unprofiled nodes neither dominate
-        nor vanish from the balance.  ``matched`` is how many nodes got a
-        real measurement — zero means the profile knows nothing about
-        this graph.
-        """
-        recorded = profile.graph_nodes(self.signature)
-        costs: dict[int, float | None] = {}
-        known: list[float] = []
-        matched = 0
-        for node in self.nodes:
-            rec = recorded.get(node.index)
-            mean: float | None = None
-            if rec is not None and rec.calls and rec.mean_wall_s > 0.0:
-                mean = rec.mean_wall_s
-            else:
-                spec_mean = profile.spec_seconds(spec_string(node.key))
-                if spec_mean is not None and spec_mean > 0.0:
-                    mean = spec_mean
-            if mean is not None:
-                matched += 1
-                known.append(mean)
-            costs[node.index] = mean
-        default = sum(known) / len(known) if known else 1.0
-        return (
-            {i: (default if mean is None else mean) for i, mean in costs.items()},
-            matched,
-        )
-
-    def profile_matches(self, profile: Profile | None) -> bool:
-        """True when ``profile`` holds at least one record describing
-        this graph — a signature or specialization-key match — i.e. the
-        condition under which :meth:`optimize` will consume it rather
-        than raise.  Batch re-optimizers (``QuantizedLinear.reoptimize``)
-        use this to degrade unmatched graphs to uniform-cost
-        re-balancing instead of aborting mid-loop."""
-        if profile is None or not len(profile):
-            return False
-        return self._profiled_costs(profile)[1] > 0
-
-    def optimize(
-        self,
-        profile: Profile | None = None,
-        outputs: Iterable[str] | None = None,
-    ) -> "ExecutionGraph":
-        """Profile-guided re-instantiation: a new, independently
+    def optimize(self, outputs: Iterable[str] | None = None) -> "ExecutionGraph":
+        """Re-instantiation without dead work: a new, independently
         replayable graph over the same pool with
 
-        - **dead nodes eliminated** — nodes whose writes are never read
-          by a later live node and never alias a bound output span (see
-          :meth:`_live_indices`; with no pointer bindings and ``outputs``
-          unset, nothing is dropped — all memory is presumed observable);
+        - **dead nodes eliminated** — nodes whose writes no live node
+          ever reads and that never alias a bound output span.  The
+          graph is a loop body: a write counts as read when *any* live
+          node reads it, an earlier one included (it observes the write
+          on the next replay), so loop-carried state keeps its writer
+          (see :meth:`_live_indices`; with no pointer bindings and
+          ``outputs`` unset, nothing is dropped — all memory is presumed
+          observable);
         - **execution groups re-derived** over the surviving nodes (the
           instantiate pass runs again: nodes an eliminated launch kept
-          apart may now stack into one execution);
-        - **group placement re-balanced** by longest-processing-time
-          list scheduling over the groups' hazard DAG, a group costing
-          the sum of its members' measured per-node costs from
-          ``profile`` (collected under this graph's :attr:`signature` by
-          any profiled replay, falling back to specialization-key means
-          for nodes the signature scope missed) instead of the
-          capture-time round-robin/memory-aware heuristic — unprofiled
-          nodes cost the profiled mean, ``profile=None`` degrades to
-          uniform costs (pure re-balancing), and a non-empty profile
-          that matches *nothing* in this graph raises :class:`VMError`
-          instead of silently misoptimizing.
+          apart may now stack into one execution).
 
-        Hazard edges are *not* recomputed — they came from capture and
-        remain valid for any placement (cross-stream edges become event
-        waits at replay).  Pointer/scalar bindings carry over; the
+        A pure function of the graph and its bindings.  Hazard edges are
+        *not* recomputed — they came from capture and stay valid for the
+        surviving subsequence.  Pointer/scalar bindings carry over; the
         original graph stays replayable and the two share no mutable
-        state.  Replaying the optimized graph is bit-exact with the
-        original up to the eliminated (unobservable) writes.
-
-        Note on signatures: pure re-placement preserves the node
-        sequence, so the optimized graph keeps the original's
-        :attr:`signature` and existing profiles keep matching; once
-        elimination drops nodes the sequence — and therefore the
-        signature — changes, and further refinement needs a profile
-        recorded from the optimized graph itself.
+        state.  Replaying the optimized graph any number of times is
+        bit-exact with replaying the original as often, up to the
+        eliminated (unobservable) writes.  Dropping nodes changes the
+        node sequence and therefore the :attr:`signature`.
         """
         if self._phase != "ready":
             raise VMError(
@@ -898,111 +627,21 @@ class ExecutionGraph:
                 "capture must have completed without error"
             )
         live = self._live_indices(outputs)
-        if profile is not None and len(profile):
-            costs, matched = self._profiled_costs(profile)
-            if matched == 0:
-                raise VMError(
-                    f"profile ({len(profile)} sites) contains no record "
-                    f"matching this graph (signature {self.signature}): "
-                    "neither the signature nor any node's specialization "
-                    "key was ever recorded — wrong profile?  Pass "
-                    "profile=None for uniform-cost re-balancing."
-                )
-        else:
-            costs = {node.index: 1.0 for node in self.nodes}
         remap = {old: new for new, old in enumerate(live)}
         optimized = ExecutionGraph(self.pool)
         for old in live:
             node = self.nodes[old]
             optimized.nodes.append(
-                node.placed(
-                    remap[old],
-                    tuple(remap[d] for d in node.deps if d in remap),
-                    node.stream_index,
-                    node.engine,
+                node.renumbered(
+                    remap[old], tuple(remap[d] for d in node.deps if d in remap)
                 )
             )
-        optimized._instantiate({remap[old]: costs[old] for old in live})
+        optimized._instantiate()
         # Bindings carry over; the slot map is rebuilt lazily against the
         # remapped node indices on the first replay.
         optimized._bindings = dict(self._bindings)
         optimized._phase = "ready"
         return optimized
-
-    # -- plan transport -----------------------------------------------------
-    def plan(self) -> GraphPlan:
-        """This graph's transportable schedule: placement, engines,
-        specialization identities and hazard edges as a
-        :class:`GraphPlan` (versioned JSON via ``plan().to_json()``).
-        Programs and device addresses stay behind — the receiving
-        process applies the plan to its own isomorphic capture with
-        :meth:`apply_plan`."""
-        if self._phase != "ready":
-            raise VMError(
-                f"cannot export the plan of a graph in phase {self._phase!r}; "
-                "capture must have completed without error"
-            )
-        return GraphPlan.from_graph(self)
-
-    def apply_plan(self, plan: GraphPlan) -> "ExecutionGraph":
-        """Re-instantiate this graph under a :class:`GraphPlan` recorded
-        elsewhere — the receiving half of cross-process placement
-        transfer.
-
-        The plan must describe *this* DAG: node counts, per-node
-        specialization-key strings, grids and hazard edges are all
-        validated (they are deterministic across processes, so a capture
-        of the same launch sequence in another process matches exactly);
-        any mismatch raises :class:`VMError` — a plan for a different
-        graph must not silently misplace this one.  Stream placement
-        *and* engine choices come from the plan (a profile-guided
-        placement decided in one process lands unchanged in another);
-        the resulting graph is new and independently replayable, with
-        pointer/scalar bindings carried over, exactly like
-        :meth:`optimize`.
-        """
-        if self._phase != "ready":
-            raise VMError(
-                f"cannot apply a plan to a graph in phase {self._phase!r}; "
-                "capture must have completed without error"
-            )
-        if len(plan.nodes) != len(self.nodes):
-            raise VMError(
-                f"plan describes {len(plan.nodes)} nodes but this graph has "
-                f"{len(self.nodes)} — not the same DAG"
-            )
-        num_streams = len(self.pool.streams)
-        applied = ExecutionGraph(self.pool)
-        for node, record in zip(self.nodes, plan.nodes):
-            spec = spec_string(node.key)
-            if record["spec"] != spec or tuple(record["grid"]) != tuple(node.grid):
-                raise VMError(
-                    f"plan node {node.index} does not describe this graph's "
-                    f"node {node.index} ({node.program.name}): specialization "
-                    "key or grid differs — wrong plan?"
-                )
-            if tuple(record["deps"]) != tuple(node.deps):
-                raise VMError(
-                    f"plan node {node.index} carries different hazard edges "
-                    f"({record['deps']} vs {list(node.deps)}): the captures "
-                    "are not isomorphic"
-                )
-            if record["engine"] not in ("sequential", "batched"):
-                raise VMError(f"plan node {node.index}: unknown engine "
-                              f"{record['engine']!r}")
-            stream = int(record["stream"])
-            if not 0 <= stream < num_streams:
-                raise VMError(
-                    f"plan places node {node.index} on stream {stream}, but "
-                    f"this pool has {num_streams} streams"
-                )
-            applied.nodes.append(
-                node.placed(node.index, node.deps, stream, record["engine"])
-            )
-        applied._instantiate()
-        applied._bindings = dict(self._bindings)
-        applied._phase = "ready"
-        return applied
 
     # -- introspection ------------------------------------------------------
     @property

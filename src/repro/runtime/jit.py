@@ -20,17 +20,16 @@ source.  This module is the *runtime* half of the tier:
   remembered so a hot-but-unloweable signature does not re-attempt the
   whole pass pipeline on every launch.
 
-Promotion is profile-driven, closing the tiered-PGO loop: the adaptive
-runtime already records per-specialization wall time
-(:meth:`~repro.runtime.profiling.Profile.spec_heat`, fed by the same
-profiled replays that drive :class:`~repro.runtime.adaptive.
-AdaptivePolicy`); once a signature's accumulated interpreted time
-clears ``threshold_s``, the next launch compiles it and every launch
-after that runs the cached callable — interpret → batched → compiled,
-with no API change at any call site.  Cold signatures never pay a
-compile; promoted signatures stay promoted for the manager's lifetime
-(the cache hit short-circuits the heat check, so a profiler reset — the
-serving loop installs a fresh profile per trace — cannot demote them).
+Promotion is profile-driven, closing the tiered-PGO loop: the active
+profiler records per-specialization wall time
+(:meth:`~repro.runtime.profiling.Profile.spec_heat`); once a signature's
+accumulated interpreted time clears ``threshold_s``, the next launch
+compiles it and every launch after that runs the cached callable —
+interpret → batched → compiled, with no API change at any call site.
+Cold signatures never pay a compile; promoted signatures stay promoted
+for the manager's lifetime (the cache hit short-circuits the heat check,
+so a profiler reset — the serving loop installs a fresh profile per
+trace — cannot demote them).
 
 Execution stays bit-exact: lowering either reproduces the batched
 engine's results (and error behaviour, and statistics) exactly, or

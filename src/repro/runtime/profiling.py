@@ -1,17 +1,12 @@
 """Per-node execution profiling: the measurement half of the PGO loop.
 
-The execution-graph subsystem (:mod:`repro.runtime.graphs`) freezes all
-scheduling decisions at capture time — which is exactly when they are
-cheapest to get *wrong*: the round-robin + memory-aware policy places
-launches without knowing what they cost.  This module records what every
-launch actually cost — wall time, instruction count, bits moved, engine
-used, coalescing-group membership — as a :class:`NodeProfile`, keyed so
-the numbers can be found again:
+This module records what every launch actually cost — wall time,
+instruction count, bits moved, engine used, coalescing-group membership
+— as a :class:`NodeProfile`, keyed so the numbers can be found again:
 
 - a launch replayed from an execution graph records under the graph's
   stable :attr:`~repro.runtime.graphs.ExecutionGraph.signature` and its
-  node index, which is what :meth:`~repro.runtime.graphs.ExecutionGraph.
-  optimize` consumes to re-place nodes by measured cost;
+  node index — per-site observability of a replayed DAG;
 - an eager launch (synchronous or streamed) records under its
   **specialization-key string** and stream — one site per distinct
   kernel specialization, the identity
@@ -22,7 +17,7 @@ the numbers can be found again:
 A :class:`Profile` is a bag of those records with per-stream and
 per-graph aggregation and a versioned JSON serialization, so a profile
 gathered in one process (a serving run) can be saved, loaded elsewhere,
-and fed to ``graph.optimize``/``tune_profiled`` — the classic
+and fed to ``tune_profiled`` or a next process's JIT heat — the classic
 profile-guided-optimization workflow (cf. Liu et al. in PAPERS.md).
 
 Recording is thread-safe (host threads sharing a runtime may record
@@ -332,33 +327,6 @@ class Profile:
                 agg["calls"] += node.calls
                 agg["wall_s"] += node.wall_s
         return out
-
-    def graph_nodes(self, signature: str) -> dict[int, NodeProfile]:
-        """The recorded per-node profiles of one captured graph.
-
-        A node index may have been recorded under several streams — a
-        purely re-placed optimized graph (no nodes eliminated) keeps the
-        original's signature while placing nodes elsewhere — so sites
-        with the same ident are *merged* (counters summed) rather than
-        arbitrarily picking one.  (Elimination changes the node sequence
-        and therefore the signature: profile the optimized graph itself
-        to refine it further.)  Returned records are copies; mutating
-        them does not touch the profile.
-        """
-        merged: dict[int, NodeProfile] = {}
-        with self._lock:
-            for node in self.nodes.values():
-                if node.scope != signature:
-                    continue
-                agg = merged.get(node.ident)
-                if agg is None:
-                    merged[node.ident] = NodeProfile.from_dict(node.to_dict())
-                    continue
-                agg.calls += node.calls
-                agg.wall_s += node.wall_s
-                for attr, _ in _STAT_FIELDS:
-                    setattr(agg, attr, getattr(agg, attr) + getattr(node, attr))
-        return merged
 
     def spec_heat(self, spec: str) -> float:
         """Total wall seconds this specialization-key string has spent in

@@ -4,9 +4,8 @@ Maintains the three pieces of state the paper describes:
 
 1. a **workspace** in global memory that kernels request through
    ``AllocateGlobal``;
-2. an **execution context** (the profiler, JIT manager and adaptive
-   policy every launch path consults, plus the launch counter), shared
-   with a lazily created
+2. an **execution context** (the profiler and JIT manager every launch
+   path consults, plus the launch counter), shared with a lazily created
    **stream pool** (:mod:`repro.runtime.streams`) for asynchronous
    launches: ``launch(..., stream=...)`` queues and returns a handle,
    hazards on global-memory ranges are ordered automatically, and the
@@ -37,11 +36,10 @@ signatures the pipeline cannot lower fall back to the batched engine.
 The runtime is the one owner of engine state: besides the execution
 context it holds the attached persistent tuning store
 (:meth:`Runtime.attach_store`, then :meth:`~Runtime.warm_start` /
-:meth:`~Runtime.stored_plan` / :meth:`~Runtime.publish_store` — the only
-code that spends or publishes stored profiles, plans and JIT state), and
-the layers above (:mod:`repro.ops`, :mod:`repro.llm.batching`,
-:mod:`repro.serving`) read ``runtime.adaptive`` / ``.jit`` / ``.store``
-instead of keeping copies.
+:meth:`~Runtime.publish_store` — the only code that spends or publishes
+stored profiles and JIT state), and the layers above (:mod:`repro.ops`,
+:mod:`repro.llm.batching`, :mod:`repro.serving`) read ``runtime.jit`` /
+``.store`` instead of keeping copies.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from repro.dtypes import DataType
 from repro.errors import VMError
 from repro.ir.program import Program
 from repro.obs import trace as obs_trace
-from repro.runtime.adaptive import AdaptivePolicy
 from repro.runtime.executor import (
     ContextAttr,
     ExecutionContext,
@@ -189,8 +186,6 @@ class Runtime:
 
     #: Active profiler (see :meth:`enable_profiling`), or None.
     profiler = ContextAttr()
-    #: Attached adaptive policy (see :meth:`enable_adaptive`), or None.
-    adaptive = ContextAttr()
     #: Attached :class:`~repro.runtime.jit.JitManager` (see
     #: :meth:`enable_jit`), or None.
     jit = ContextAttr()
@@ -203,8 +198,8 @@ class Runtime:
         the given ``profile`` (installed, replacing any active one), the
         already-active one, or a fresh one.  Every later launch —
         synchronous, streamed, or graph-replayed through this runtime's
-        pool — records a per-node cost into it.  The profile feeds
-        :meth:`~repro.runtime.graphs.ExecutionGraph.optimize` and
+        pool — records a per-node cost into it.  The profile feeds JIT
+        promotion (:meth:`enable_jit`) and
         :meth:`~repro.autotune.tuner.Autotuner.tune_profiled`, and
         serializes to JSON (``profile.save(path)``) for reuse across
         processes.
@@ -227,8 +222,8 @@ class Runtime:
         trace's pid axis is the process, and one ring buffer collects
         the host thread plus every stream lane — so this delegates to
         :func:`repro.obs.trace.install`; the emit points across the
-        stack (launches, stream groups, graph replays, JIT promotions,
-        adaptive swaps) fire only while a tracer is installed and cost
+        stack (launches, stream groups, graph replays, JIT promotions)
+        fire only while a tracer is installed and cost
         one ``is None`` test otherwise."""
         return obs_trace.install(tracer, capacity=capacity)
 
@@ -236,34 +231,6 @@ class Runtime:
         """Uninstall and return the process tracer (buffer intact), or
         None if tracing was off."""
         return obs_trace.uninstall()
-
-    # -- adaptive reoptimization ---------------------------------------------
-    def enable_adaptive(self, policy=None):
-        """Attach an :class:`~repro.runtime.adaptive.AdaptivePolicy` and
-        turn on profiling (the policy is driven by profiled replays).
-
-        Returns the active policy: the given one, the already-attached
-        one, or a fresh default.  From here on, graphs captured by the
-        serving layers (``ops.QuantizedLinear``'s split-k fan-out, the
-        ``llm.batching`` decode loop) come under management: after the
-        policy's warmup window of profiled replays each live graph is
-        atomically swapped for its profile-optimized image — no explicit
-        :meth:`~repro.ops.QuantizedLinear.reoptimize` call needed.
-        Graphs captured *before* this call stay unmanaged.
-        """
-        if policy is None:
-            policy = self.adaptive if self.adaptive is not None else AdaptivePolicy()
-        self.adaptive = policy
-        self.enable_profiling()
-        return policy
-
-    def disable_adaptive(self):
-        """Detach the adaptive policy; returns it.  No *new* captures
-        come under management afterwards; graphs already managed keep
-        their facade and continue evaluating while profiling stays on —
-        call :meth:`disable_profiling` too for a full stop."""
-        policy, self.adaptive = self.adaptive, None
-        return policy
 
     # -- tiered JIT ----------------------------------------------------------
     def enable_jit(self, threshold_s: float | None = None, max_entries: int | None = None):
@@ -275,8 +242,8 @@ class Runtime:
         synchronous launches, eager streams, graph replays — promotes a
         hot specialization to its compiled kernel once the profiler's
         accumulated interpreted time for it clears ``threshold_s``
-        (promotion needs an active profiler: :meth:`enable_profiling` or
-        :meth:`enable_adaptive`; without one, only explicit
+        (promotion needs an active profiler: :meth:`enable_profiling`;
+        without one, only explicit
         ``engine="compiled"`` launches compile).  Specializations the
         lowering pipeline declines fall back to the batched engine,
         bit-exactly.
@@ -303,11 +270,11 @@ class Runtime:
         """Attach a persistent :class:`~repro.store.TuningStore` (a live
         store or its directory path); returns it.  ``scope`` keys every
         entry this runtime reads and writes, so processes sharing a
-        scope share tuning state.  :meth:`warm_start` and
-        :meth:`stored_plan` spend what another process published,
-        :meth:`publish_store` persists this one's.  Every load degrades:
-        a corrupt entry raises ``VMError`` inside the store (counted as
-        a ``store.misses``) and the runtime proceeds cold."""
+        scope share tuning state.  :meth:`warm_start` spends what another
+        process published, :meth:`publish_store` persists this one's.
+        Every load degrades: a corrupt entry raises ``VMError`` inside
+        the store (counted as a ``store.misses``) and the runtime
+        proceeds cold."""
         if not isinstance(store, TuningStore):
             store = TuningStore(store)
         self.store, self.store_scope = store, scope
@@ -317,7 +284,8 @@ class Runtime:
         """Spend the store's boot-time state: stored JIT heat and kernel
         records pre-promote the attached compiled tier, and the stored
         :class:`~repro.runtime.profiling.Profile` is returned for the
-        caller to spend (profile-guided capture, ``tune_profiled``).
+        caller to spend (``tune_profiled``, inheritance into the next
+        publication).
         None without a store, an entry, or a readable one — warm start
         never fails; the worst outcome is a cold boot."""
         if self.store is None:
@@ -342,37 +310,14 @@ class Runtime:
                 self.jit.stage_kernels(payload["kernels"])
         return profile
 
-    def stored_plan(self, graph):
-        """``graph`` re-placed under this scope's stored plan for its
-        signature, or None (store off / no entry / corrupt entry / plan
-        no longer applicable — every miss degrades to the captured
-        placement).  The plan applies to the live image; with an
-        adaptive policy attached the result comes back under management
-        and marked warm — a stored placement is already converged, so
-        the policy's free first swap is off."""
-        if self.store is None:
-            return None
-        live = getattr(graph, "live", graph)
-        try:
-            plan = self.store.load_plan(self.store_scope, live.signature)
-            if plan is None:
-                return None
-            placed = live.apply_plan(plan)
-        except VMError:
-            return None
-        if self.adaptive is not None:
-            return self.adaptive.manage(placed, warm=True)
-        return placed
-
-    def publish_store(self, graphs=(), profile: Profile | None = None) -> dict:
+    def publish_store(self, profile: Profile | None = None) -> dict:
         """Persist converged state for the next process: ``profile``
-        (default: the active profiler), each given graph's live
-        placement, and the attached compiled tier's heat and kernel
-        sources.  Best-effort per artifact — a failed publication
-        (``VMError`` / ``OSError``) is counted in ``errors`` and the
-        others still land.  Returns what was written:
-        ``{"profile", "plans", "jit_kernels", "errors"}``."""
-        summary = {"profile": False, "plans": 0, "jit_kernels": 0, "errors": 0}
+        (default: the active profiler) and the attached compiled tier's
+        heat and kernel sources.  Best-effort per artifact — a failed
+        publication (``VMError`` / ``OSError``) is counted in ``errors``
+        and the other still lands.  Returns what was written:
+        ``{"profile", "jit_kernels", "errors"}``."""
+        summary = {"profile": False, "jit_kernels": 0, "errors": 0}
         store, scope = self.store, self.store_scope
         if store is None:
             return summary
@@ -382,13 +327,6 @@ class Runtime:
             try:
                 store.publish_profile(scope, profile)
                 summary["profile"] = True
-            except (VMError, OSError):
-                summary["errors"] += 1
-        for graph in graphs:
-            live = getattr(graph, "live", graph)
-            try:
-                store.publish_plan(scope, live.signature, live.plan())
-                summary["plans"] += 1
             except (VMError, OSError):
                 summary["errors"] += 1
         if self.jit is not None:
@@ -422,7 +360,7 @@ class Runtime:
             self._pool.synchronize()
 
     def capture(
-        self, num_streams: int = 4, profile: Profile | None = None
+        self, num_streams: int = 4
     ) -> "repro.runtime.graphs.ExecutionGraph":  # noqa: F821
         """Begin an execution-graph capture on the runtime's stream pool.
 
@@ -434,13 +372,8 @@ class Runtime:
         block, ``graph.replay(bindings)`` re-executes the frozen launch
         DAG without re-running scheduling, hazard analysis, or
         coalescing decisions.  See :mod:`repro.runtime.graphs`.
-
-        ``profile`` turns on profile-guided capture: measured costs pick
-        the per-launch stream placement and the stream count, with
-        heuristic fallback for anything unseen (see
-        :mod:`repro.runtime.adaptive`).
         """
-        return self.stream_pool(num_streams).capture(profile=profile)
+        return self.stream_pool(num_streams).capture()
 
     # -- memory -------------------------------------------------------------
     def upload(self, values: np.ndarray, dtype: DataType) -> int:
@@ -557,7 +490,7 @@ class Runtime:
         (:data:`repro.obs.metrics.RUNTIME_METRICS_KEYS`).  Subsumes the
         per-subsystem counter objects — the specialization cache, the
         merged :class:`~repro.vm.interp.ExecutionStats`, the stream
-        pool, the JIT manager, the adaptive policy — without replacing
+        pool, the JIT manager, the tuning store — without replacing
         them; absent subsystems report zeros so the key set never
         varies."""
         from repro.obs.metrics import RUNTIME_METRICS_KEYS, validate_metrics
@@ -565,7 +498,6 @@ class Runtime:
         stats = self.stats()
         pool = self._pool
         jit = self.jit
-        adaptive = self.adaptive
         store = self.store
         snapshot = {
             "runtime.launches": self.context.launches,
@@ -592,11 +524,6 @@ class Runtime:
             "jit.cache.hits": jit.cache.hits if jit is not None else 0,
             "jit.cache.misses": jit.cache.misses if jit is not None else 0,
             "jit.cache.evictions": jit.cache.evictions if jit is not None else 0,
-            "adaptive.enabled": int(adaptive is not None),
-            "adaptive.swaps": adaptive.swaps if adaptive is not None else 0,
-            "adaptive.evaluations": (
-                adaptive.evaluations if adaptive is not None else 0
-            ),
             "store.enabled": int(store is not None),
             "store.hits": store.hits if store is not None else 0,
             "store.misses": store.misses if store is not None else 0,

@@ -585,12 +585,6 @@ class StreamPool:
     #: set, every engine invocation — eager group or graph replay —
     #: records a per-node cost into it.
     profiler = ContextAttr()
-    #: Attached :class:`~repro.runtime.adaptive.AdaptivePolicy`, or None.
-    #: When set, :meth:`capture` returns the graph already under
-    #: management (an ``AdaptiveGraph``), so every captured DAG
-    #: auto-reoptimizes after the policy's warmup window.  See
-    #: :mod:`repro.runtime.adaptive`.
-    adaptive = ContextAttr()
     #: Attached :class:`~repro.runtime.jit.JitManager`, or None.  When
     #: set, every execution (eager groups and graph replays alike)
     #: promotes hot specializations to their compiled kernels.  See
@@ -603,29 +597,17 @@ class StreamPool:
         """True while an execution-graph capture is recording submissions."""
         return self._capture is not None
 
-    def capture(self, profile=None) -> "repro.runtime.graphs.ExecutionGraph":  # noqa: F821
+    def capture(self) -> "repro.runtime.graphs.ExecutionGraph":  # noqa: F821
         """Begin capturing an execution graph: used as a context manager,
         every ``submit`` inside the block is *recorded* (scheduling,
         hazard analysis and coalescing run once, at capture time) instead
         of executed, and the resulting graph replays the frozen launch
         DAG without any of that per-launch work.  See
         :mod:`repro.runtime.graphs`.
-
-        ``profile`` (a prior :class:`~repro.runtime.profiling.Profile`)
-        turns on **profile-guided capture**: per-launch
-        stream placement and the stream count are derived from measured
-        costs instead of the heuristics, falling back to the heuristics
-        for anything the profile never saw.  With an :attr:`adaptive`
-        policy attached, the returned graph is already under management
-        (replays through it count toward the policy's warmup window).
-        See :mod:`repro.runtime.adaptive`.
         """
         from repro.runtime.graphs import ExecutionGraph
 
-        graph = ExecutionGraph(self, profile=profile)
-        if self.adaptive is not None:
-            return self.adaptive.manage(graph)
-        return graph
+        return ExecutionGraph(self)
 
     # -- submission ---------------------------------------------------------
     def submit(

@@ -1,13 +1,12 @@
 """The serving wire protocol: versioned JSON envelopes over pipes.
 
 Router and workers exchange **only JSON text** — no pickled live
-objects ever crosses a process boundary.  Graphs travel as
-:class:`~repro.runtime.graphs.GraphPlan` JSON, profiles as
-:class:`~repro.runtime.profiling.Profile` JSON, and requests/results as
-the flat dictionaries below.  Keeping the wire format inspectable and
-version-stamped means a router and worker from different builds fail
-loudly (a :class:`~repro.errors.VMError` naming the version mismatch)
-instead of silently mis-decoding each other.
+objects ever crosses a process boundary.  Graphs travel as their
+signatures, profiles as :class:`~repro.runtime.profiling.Profile` JSON,
+and requests/results as the flat dictionaries below.  Keeping the wire
+format inspectable and version-stamped means a router and worker from
+different builds fail loudly (a :class:`~repro.errors.VMError` naming
+the version mismatch) instead of silently mis-decoding each other.
 
 Message envelope::
 
@@ -15,8 +14,8 @@ Message envelope::
 
 Types: ``ready`` (worker → router, once after boot), ``run`` (router →
 worker, a chunk of requests), ``done`` (worker → router, per-request
-results + counters), ``pull_state`` / ``state`` (graph plans + profile
-export), ``pull_trace`` / ``trace`` (the worker's buffered trace
+results + counters), ``pull_state`` / ``state`` (graph signatures +
+profile export), ``pull_trace`` / ``trace`` (the worker's buffered trace
 events + metrics snapshot + its monotonic-clock reading, its own
 ``trace_v`` version stamp inside the envelope — the fleet-trace merge
 frame, see :mod:`repro.obs.trace`), ``crash`` (router → worker, fault

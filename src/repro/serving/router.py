@@ -158,7 +158,7 @@ class WorkerPool:
                 pass
 
     def pull_state(self, index: int, timeout_s: float = 60.0) -> dict:
-        """One worker's graph plans + cumulative profile + cache
+        """One worker's graph signatures + cumulative profile + cache
         counters, as JSON-decoded payload."""
         handle = self.handles[index]
         send_msg(handle.conn, "pull_state")
@@ -235,7 +235,6 @@ class RouterResult:
     kernel_launches: int = 0
     graph_captures: int = 0
     graph_replays: int = 0
-    auto_reoptimizations: int = 0
     #: Compiled-tier counters summed over worker chunks (``jit=True``
     #: specs): specializations compiled and compiled executions run.
     jit_compiled: int = 0
@@ -323,7 +322,6 @@ class RouterResult:
             "router.kernel_launches": self.kernel_launches,
             "router.graph_captures": self.graph_captures,
             "router.graph_replays": self.graph_replays,
-            "router.auto_reoptimizations": self.auto_reoptimizations,
             "router.jit_compiled": self.jit_compiled,
             "router.jit_promotions": self.jit_promotions,
             "router.slo_attainment": self.slo_attainment,
@@ -601,7 +599,6 @@ class Router:
         outcome.kernel_launches += counters.get("kernel_launches", 0)
         outcome.graph_captures += counters.get("graph_captures", 0)
         outcome.graph_replays += counters.get("graph_replays", 0)
-        outcome.auto_reoptimizations += counters.get("auto_reoptimizations", 0)
         outcome.jit_compiled += counters.get("jit_compiled", 0)
         outcome.jit_promotions += counters.get("jit_promotions", 0)
 

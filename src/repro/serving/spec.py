@@ -12,9 +12,8 @@ rebuilds the same state from it deterministically:
   :data:`~repro.perf.gpus.GPUS`,
   :func:`~repro.dtypes.registry.dtype_from_name`);
 - specialization keys and graph signatures are structural sha256
-  hashes, so graphs captured from a spec-built simulator in one process
-  validate against plans captured in another (see
-  :meth:`~repro.runtime.graphs.ExecutionGraph.apply_plan`).
+  hashes, so a graph captured from a spec-built simulator in one process
+  carries the signature of the same capture in another.
 
 This is what makes the JSON-only wire protocol sufficient: identity
 lives in the recipe, not in any live object.
@@ -27,7 +26,9 @@ from dataclasses import asdict, dataclass
 
 from repro.errors import VMError
 
-SPEC_JSON_VERSION = 1
+#: Version 2 dropped the ``adaptive`` field (specs are an ephemeral
+#: router → worker recipe; :meth:`WorkerSpec.store_scope` never hashed it).
+SPEC_JSON_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class WorkerSpec:
     max_batch: int = 8
     num_streams: int = 4
     use_graphs: bool = True
-    adaptive: bool = False
     profile: bool = False
     #: Attach the compiled tier: hot decode specializations promote out
     #: of the interpreter (see :mod:`repro.runtime.jit`).
@@ -69,11 +69,10 @@ class WorkerSpec:
     #: and ships them on ``pull_trace`` for the router's fleet merge.
     trace: bool = False
     #: Directory of a persistent :class:`~repro.store.TuningStore`.
-    #: A worker built from a spec with a path boots *converged*:
-    #: profile-guided capture from the stored profile (zero adaptive
-    #: swaps), staged JIT kernels, and it publishes its own converged
-    #: state back on shutdown.  None (the default — old specs parse
-    #: unchanged) serves cold.
+    #: A worker built from a spec with a path boots *converged*: stored
+    #: JIT heat and staged kernels, the stored profile inherited, and it
+    #: publishes its own converged state back on shutdown.  None (the
+    #: default) serves cold.
     store_path: str | None = None
 
     # -- JSON round-trip -----------------------------------------------------
@@ -146,7 +145,7 @@ class WorkerSpec:
 
         This is the one place the recipe's engine fields become state:
         they configure a fresh :class:`~repro.runtime.runtime.Runtime`
-        (adaptive policy, compiled tier, tuning store), the decode
+        (compiled tier, tuning store), the decode
         linear is prepared on it, and the simulator reads them from
         there.
 
@@ -160,11 +159,9 @@ class WorkerSpec:
         from repro import ops
         from repro.dtypes.registry import dtype_from_name
         from repro.llm.batching import ContinuousBatchingSimulator
-        from repro.runtime import AdaptivePolicy, Runtime
+        from repro.runtime import Runtime
 
         runtime = Runtime()
-        if self.adaptive:
-            runtime.enable_adaptive(AdaptivePolicy(warmup_replays=4, min_gain=0.05))
         if self.jit:
             runtime.enable_jit(threshold_s=self.jit_threshold_s)
         if self.store_path is not None:

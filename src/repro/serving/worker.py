@@ -9,10 +9,11 @@ exception while serving a chunk the worker answers ``error`` with the
 message text instead of dying silently, so the router can surface it.
 
 State export (``pull_state``) returns the worker's cumulative decode
-:class:`~repro.runtime.profiling.Profile` and one
-:class:`~repro.runtime.graphs.GraphPlan` per captured batch size —
-the JSON the router uses for cross-shard warm-starts and for checking
-a shard's placement decisions against its own.
+:class:`~repro.runtime.profiling.Profile` and the
+:attr:`~repro.runtime.graphs.ExecutionGraph.signature` of the graph
+captured per batch size — a hash over every node's specialization key,
+engine and grid, so equal signatures mean two shards replay the same
+launch DAG.
 
 Trace export (``pull_trace``) is the observability half: with
 ``spec.trace`` the worker installs a process tracer at boot
@@ -49,12 +50,12 @@ CRASH_EXIT_CODE = 17
 
 
 def _state_payload(sim) -> dict:
-    """Graph plans + the simulator's cumulative profile as JSON strings."""
+    """Graph signatures + the simulator's cumulative profile (JSON)."""
     runtime = sim.decode_linear.runtime
     cache = runtime.cache
     payload = {
-        "plans": {
-            str(batch): graph.plan().to_json()
+        "graphs": {
+            str(batch): graph.signature
             for batch, graph in sorted(sim.graphs.items())
         },
         "profile": sim.served_profile.to_json(),
@@ -115,7 +116,6 @@ def worker_main(conn, spec_json: str) -> None:
                         "kernel_launches": outcome.kernel_launches,
                         "graph_captures": outcome.graph_captures,
                         "graph_replays": outcome.graph_replays,
-                        "auto_reoptimizations": outcome.auto_reoptimizations,
                         "jit_compiled": outcome.jit_compiled,
                         "jit_promotions": outcome.jit_promotions,
                         # Per-chunk specialization-cache deltas, so the

@@ -10,10 +10,8 @@ content-addressed on-disk store keyed by what the artifacts *are*
 (program fingerprints inside specialization-key strings, dtype sets,
 profile content stamps), not where they came from:
 
-- serialized :class:`~repro.runtime.profiling.Profile` s (the
-  profile-guided capture and JIT-heat input);
-- optimized :class:`~repro.runtime.graphs.GraphPlan` placements, keyed
-  by graph signature;
+- serialized :class:`~repro.runtime.profiling.Profile` s (the JIT-heat
+  and ``tune_profiled`` input);
 - JIT state: per-specialization heat plus lowered-kernel **sources**
   (:class:`~repro.compiler.lower.LoweredKernel`), rehydratable in a
   fresh process without re-running the pass pipeline;
@@ -68,7 +66,7 @@ __all__ = [
 STORE_JSON_VERSION = 1
 
 #: Entry kinds the typed wrappers publish.
-KINDS = ("profile", "plan", "rankings", "jit")
+KINDS = ("profile", "rankings", "jit")
 
 #: Default entry-count cap.
 DEFAULT_MAX_ENTRIES = 256
@@ -547,28 +545,6 @@ class TuningStore:
         if payload is None:
             return None
         return Profile.from_json(json.dumps(payload))
-
-    def publish_plan(self, scope: str, signature: str, plan) -> str:
-        """Persist a :class:`~repro.runtime.graphs.GraphPlan` under
-        ``scope`` + its graph signature."""
-        payload = json.loads(plan.to_json())
-        return self.publish("plan", f"{scope}:{signature}", payload)
-
-    def load_plan(self, scope: str, signature: str):
-        """The stored plan for this scope + graph signature as a live
-        :class:`~repro.runtime.graphs.GraphPlan`, or None."""
-        from repro.runtime.graphs import GraphPlan
-
-        payload = self.load("plan", f"{scope}:{signature}")
-        if payload is None:
-            return None
-        plan = GraphPlan.from_json(json.dumps(payload))
-        if plan.signature != signature:
-            raise VMError(
-                f"stored plan carries signature {plan.signature}, "
-                f"expected {signature}"
-            )
-        return plan
 
     def publish_rankings(self, scope: str, workload_key: str, payload, stamp) -> str:
         """Persist one ``tune_profiled`` ranking, keyed by workload and

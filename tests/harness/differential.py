@@ -10,7 +10,7 @@ negative zeros and sub-byte padding must all agree.  Execution
 statistics are compared as well: every mode is required to count work
 exactly as if blocks had run one at a time.
 
-Nine modes are locked together:
+Six modes are locked together:
 
 - ``sequential``   — the block-loop interpreter, the semantic reference;
 - ``batched``      — the grid-vectorized executor, forced for every launch;
@@ -24,36 +24,10 @@ Nine modes are locked together:
   frozen once, nothing executed), then replayed through the pool's
   group loop with all per-launch analysis skipped — and must still match
   the sequential reference bit-for-bit with stat parity;
-- ``graph-optimized`` — the profile-guided pass: the plan is captured
-  and replayed once on a *throwaway* device image with profiling on
-  (collecting real per-node costs under the graph's signature), then a
-  fresh image's capture is rebuilt by ``graph.optimize(profile)`` —
-  measured-cost LPT stream placement, re-derived coalescing groups —
-  and replayed; moving every node to a profile-chosen stream must
-  change nothing observable.
-- ``adaptive``     — the adaptive runtime: the same throwaway-image
-  profile drives **profile-guided capture** (``capture(profile=...)``:
-  measured-cost placement and stream-count capping decided at
-  instantiate time, overriding the plan's explicit stream hints), and
-  the resulting graph is replayed through an
-  :class:`~repro.runtime.adaptive.AdaptivePolicy`-managed facade with
-  the pool's profiler recording — letting the capture pick everything
-  from measured costs must change nothing observable either.
-- ``plan-roundtrip`` — the cross-process placement-transfer path used
-  by sharded serving: the captured graph's :class:`~repro.runtime.
-  graphs.GraphPlan` is serialized to versioned JSON, parsed back, and
-  re-applied (``apply_plan``) — validated node-by-node against the
-  capture's specialization keys, grids and hazard edges — and the
-  re-instantiated graph is replayed; a schedule surviving the wire
-  must change nothing observable.
-- ``warm-store``   — the fleet-warm-boot path used by the persistent
-  tuning store: the throwaway-image profile is *published to* and
-  *loaded back from* an on-disk :class:`~repro.store.TuningStore`
-  (versioned JSON, checksummed, atomically renamed), the loaded copy
-  drives profile-guided capture exactly as ``adaptive`` does, and the
-  graph is replayed under ``manage(warm=True)`` — a profile surviving
-  the disk round-trip, and the zero-first-swap warm policy, must
-  change nothing observable.
+- ``graph-optimized`` — the captured graph rebuilt by
+  ``graph.optimize()`` (liveness scan, node renumbering, re-derived
+  coalescing groups) and replayed; no pointer bindings are registered,
+  so all memory is presumed observable and no node may be dropped.
 - ``jit``          — the compiled tier, through the launch executor:
   the ``stream`` mode's submissions, issued with ``engine="compiled"``
   on a pool with a :class:`~repro.runtime.jit.JitManager` attached, so
@@ -72,31 +46,23 @@ Nine modes are locked together:
   reference — the compiled kernel is required to count blocks,
   instructions and global traffic exactly as if it had interpreted.
 
-The five graph-based modes (``graph-replay``, ``graph-optimized``,
-``adaptive``, ``plan-roundtrip``, ``warm-store``) are one driver,
-:func:`_run_graph_mode`, plus a per-mode entry in :data:`GRAPH_MODES`.
-
-The adaptive mode's swap dynamics (warmup windows, hysteresis,
-atomicity) are exercised separately by ``tests/test_adaptive.py`` —
-one differential execution replays each plan exactly once, so swaps
-cannot fire here by construction.
+Two properties ride on the same generated cases
+(:func:`check_labels_decide_nothing`, :func:`check_optimize_replays_twice`):
+a stream is a label — capturing the plan under a different stream
+labelling changes neither the group partition, nor one output bit, nor
+the aggregate statistics — and ``optimize()`` of a *bound* graph stays
+equal to the original over repeated replays (a graph is a loop body:
+elimination must keep loop-carried writers).
 """
 
 from __future__ import annotations
 
-import tempfile
-
 import numpy as np
 
-from repro.runtime.adaptive import AdaptivePolicy
-from repro.runtime.graphs import GraphPlan
 from repro.runtime.jit import JitManager
-from repro.runtime.profiling import Profile
 from repro.runtime.streams import StreamPool
-from repro.store import TuningStore
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, TensorView
 from repro.vm.dispatch import decompose_linear
-from repro.vm.interp import ExecutionStats
 
 from tests.harness.generator import GeneratedCase
 
@@ -107,9 +73,6 @@ MODES = (
     "stream",
     "graph-replay",
     "graph-optimized",
-    "adaptive",
-    "plan-roundtrip",
-    "warm-store",
     "jit",
 )
 
@@ -131,117 +94,50 @@ def _resolve_args(spec, buffers):
     return args
 
 
-def _capture_plan(pool: StreamPool, plan, buffers, profile=None):
-    """Capture the case's launch plan round-robin across the pool's
-    streams.  The one shared entry point for every graph-based mode (and
-    the profile-collection pass): plan order and stream assignment must
-    stay byte-identical between them, because the profile lookup keys on
-    the resulting graph signature.  ``profile`` switches the capture to
-    profile-guided mode (the adaptive path)."""
-    with pool.capture(profile=profile) as graph:
+def _device_image(case: GeneratedCase):
+    """A fresh device image for ``case``: the same uploads in the same
+    order (so identical addresses) and zero-initialized outputs.
+    Returns ``(memory, host interpreter, buffer addresses, output
+    addresses)``."""
+    memory = GlobalMemory(1 << 24)
+    host = Interpreter(memory)
+    buffers = [host.upload(data, dtype) for data, dtype in case.inputs]
+    out_addrs = [host.alloc_output(shape, dtype) for shape, dtype in case.outputs]
+    buffers.extend(out_addrs)
+    return memory, host, buffers, out_addrs
+
+
+def _output_bits(case: GeneratedCase, memory, out_addrs) -> list:
+    outputs = []
+    for addr, (shape, dtype) in zip(out_addrs, case.outputs):
+        view = TensorView(memory.buffer, addr * 8, dtype, tuple(shape))
+        outputs.append(view.gather_bits(decompose_linear(tuple(shape))).copy())
+    return outputs
+
+
+def _round_robin(i: int, n: int, streams: int) -> int:
+    return i % streams
+
+
+def _capture_plan(pool: StreamPool, plan, buffers, label=_round_robin):
+    """Capture the case's launch plan, launch ``i`` of ``n`` on stream
+    ``label(i, n, num_streams)`` (round-robin unless told otherwise)."""
+    with pool.capture() as graph:
         for i, (program, spec) in enumerate(plan):
             pool.submit(
                 program,
                 _resolve_args(spec, buffers),
-                stream=pool.streams[i % len(pool.streams)],
+                stream=pool.streams[label(i, len(plan), len(pool.streams))],
             )
     return graph
-
-
-def _collect_profile(case: GeneratedCase) -> Profile:
-    """Execute the case's captured graph once on a *throwaway* device
-    image with profiling enabled: the recorded per-node costs carry the
-    graph's signature, so the real image's capture (identical plan,
-    identical upload order ⇒ identical specialization keys) can be
-    optimized against them."""
-    memory = GlobalMemory(1 << 24)
-    host = Interpreter(memory)
-    buffers = [host.upload(data, dtype) for data, dtype in case.inputs]
-    buffers.extend(
-        host.alloc_output(shape, dtype) for shape, dtype in case.outputs
-    )
-    with StreamPool(memory, num_streams=4) as pool:
-        graph = _capture_plan(pool, case.launch_plan(), buffers)
-        pool.profiler = Profile()
-        graph.replay()
-        pool.synchronize()
-        return pool.profiler
-
-
-def _stored_profile(case: GeneratedCase) -> Profile:
-    """The throwaway-image profile after a round trip through an on-disk
-    :class:`~repro.store.TuningStore`."""
-    profile = _collect_profile(case)
-    with tempfile.TemporaryDirectory() as root:
-        store = TuningStore(root)
-        store.publish_profile("diff", profile)
-        loaded = store.load_profile("diff")
-    assert loaded.stamp() == profile.stamp()
-    return loaded
-
-
-def _plan_roundtrip(graph, profile, pool):
-    applied = graph.apply_plan(GraphPlan.from_json(graph.plan().to_json()))
-    assert applied.signature == graph.signature
-    return applied
-
-
-def _managed(warm: bool):
-    def transform(graph, profile, pool):
-        pool.profiler = Profile()
-        # Warmup larger than the driver's single replay: the policy
-        # observes but never swaps mid-case (replaying the plan twice
-        # would double-execute it and break stat parity).
-        return AdaptivePolicy(warmup_replays=8, min_gain=0.5).manage(graph, warm=warm)
-
-    return transform
-
-
-#: The graph-based modes, as data for :func:`_run_graph_mode`:
-#: ``(profile source or None, capture guided by it?, transform)`` where
-#: ``transform(graph, profile, pool)`` turns the captured graph into the
-#: one that is replayed.
-GRAPH_MODES = {
-    "graph-replay": (None, False, lambda graph, profile, pool: graph),
-    "graph-optimized": (
-        _collect_profile, False, lambda graph, profile, pool: graph.optimize(profile)
-    ),
-    "adaptive": (_collect_profile, True, _managed(warm=False)),
-    "plan-roundtrip": (None, False, _plan_roundtrip),
-    "warm-store": (_stored_profile, True, _managed(warm=True)),
-}
-
-
-def _run_graph_mode(case: GeneratedCase, mode: str, memory, plan, buffers):
-    """The one driver of every graph-based mode: open a pool, capture
-    the plan (profile-guided when the mode says so), apply the mode's
-    transform, replay exactly once, synchronize, aggregate the stats."""
-    source, guided, transform = GRAPH_MODES[mode]
-    profile = source(case) if source is not None else None
-    with StreamPool(memory, num_streams=4) as pool:
-        graph = _capture_plan(
-            pool, plan, buffers, profile=profile if guided else None
-        )
-        assert len(graph) == len(plan)
-        replayed = transform(graph, profile, pool)
-        # No pointer bindings are registered, so all memory is presumed
-        # observable: no transform may drop a node.
-        assert len(replayed) == len(plan)
-        replayed.replay()
-        pool.synchronize()
-    return pool.aggregate_stats()
 
 
 def _run_engine(case: GeneratedCase, mode: str):
     """Execute ``case`` under ``mode`` on a fresh device image: output
     bit patterns, the stats snapshot, and how many stacked compiled
     kernels (several launches in one lowered call) ran."""
-    memory = GlobalMemory(1 << 24)
+    memory, host, buffers, out_addrs = _device_image(case)
     stacked_compiled = 0
-    host = Interpreter(memory)
-    buffers = [host.upload(data, dtype) for data, dtype in case.inputs]
-    out_addrs = [host.alloc_output(shape, dtype) for shape, dtype in case.outputs]
-    buffers.extend(out_addrs)
     plan = case.launch_plan()
     if mode == "sequential":
         for program, spec in plan:
@@ -270,16 +166,20 @@ def _run_engine(case: GeneratedCase, mode: str):
                 kernel.launches > 1 for kernel in pool.jit.cache._kernels.values()
             )
         stats = pool.aggregate_stats()
-    elif mode in GRAPH_MODES:
-        stats = _run_graph_mode(case, mode, memory, plan, buffers)
+    elif mode in ("graph-replay", "graph-optimized"):
+        with StreamPool(memory, num_streams=4) as pool:
+            graph = _capture_plan(pool, plan, buffers)
+            if mode == "graph-optimized":
+                graph = graph.optimize()
+            # No pointer bindings are registered, so all memory is
+            # presumed observable: optimize() may not drop a node.
+            assert len(graph) == len(plan)
+            graph.replay()
+            pool.synchronize()
+        stats = pool.aggregate_stats()
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    outputs = []
-    for addr, (shape, dtype) in zip(out_addrs, case.outputs):
-        view = TensorView(memory.buffer, addr * 8, dtype, tuple(shape))
-        bits = view.gather_bits(decompose_linear(tuple(shape)))
-        outputs.append(bits.copy())
-    return outputs, stats.snapshot(), stacked_compiled
+    return _output_bits(case, memory, out_addrs), stats.snapshot(), stacked_compiled
 
 
 def run_differential(case: GeneratedCase) -> None:
@@ -309,3 +209,72 @@ def run_differential(case: GeneratedCase) -> None:
                 f"execution stats diverge ({reference_mode}, {mode}): "
                 f"{delta}\n{case.describe()}"
             )
+
+
+# ---------------------------------------------------------------------------
+# Properties of the graph subsystem over the generated cases
+# ---------------------------------------------------------------------------
+
+#: Stream labellings a capture must be indifferent to.
+LABELLINGS = {
+    "round-robin": _round_robin,
+    "all-on-one": lambda i, n, streams: 0,
+    "reversed": lambda i, n, streams: (n - 1 - i) % streams,
+}
+
+
+def check_labels_decide_nothing(case: GeneratedCase) -> None:
+    """Capture and replay ``case`` under every labelling in
+    :data:`LABELLINGS`: the group partition (``node_indices`` per
+    group), every output bit and the aggregate statistics must be the
+    same — a stream is where a launch is tallied, never when it runs."""
+    seen = {}
+    for name, label in LABELLINGS.items():
+        memory, _, buffers, out_addrs = _device_image(case)
+        with StreamPool(memory, num_streams=4) as pool:
+            graph = _capture_plan(pool, case.launch_plan(), buffers, label)
+            partition = [group.node_indices for group in graph._groups]
+            graph.replay()
+            pool.synchronize()
+        outs = [bits.tolist() for bits in _output_bits(case, memory, out_addrs)]
+        seen[name] = (partition, outs, pool.aggregate_stats().snapshot())
+    reference = seen.pop("round-robin")
+    for name, got in seen.items():
+        for what, ref, other in zip(("groups", "output bits", "stats"), reference, got):
+            if ref != other:
+                raise DifferentialMismatch(
+                    f"{what} differ between the round-robin and {name} "
+                    f"labellings\n{case.describe()}"
+                )
+
+
+def check_optimize_replays_twice(case: GeneratedCase) -> None:
+    """Bind every output of ``case``, then replay twice (a) the captured
+    graph, (b) its ``optimize()`` image and (c) ``optimize(outputs=
+    [one output])``: (b) must equal (a) on every output and (c) on the
+    one output it was told is observable — what elimination drops is
+    unobservable on the first replay *and* on the next."""
+    keep = case.seed % len(case.outputs)
+
+    def twice(transform):
+        memory, _, buffers, out_addrs = _device_image(case)
+        with StreamPool(memory, num_streams=4) as pool:
+            graph = _capture_plan(pool, case.launch_plan(), buffers)
+            for i, (addr, (shape, dtype)) in enumerate(zip(out_addrs, case.outputs)):
+                nbytes = (int(np.prod(shape)) * dtype.nbits + 7) // 8
+                graph.bind(f"out{i}", addr, nbytes)
+            graph = transform(graph)
+            graph.replay()
+            graph.replay()
+            pool.synchronize()
+        return _output_bits(case, memory, out_addrs)
+
+    original = twice(lambda graph: graph)
+    optimized = twice(lambda graph: graph.optimize())
+    narrowed = twice(lambda graph: graph.optimize(outputs=[f"out{keep}"]))
+    equal_all = all(map(np.array_equal, original, optimized))
+    if not equal_all or not np.array_equal(original[keep], narrowed[keep]):
+        raise DifferentialMismatch(
+            "optimize() of the bound graph diverges from the captured "
+            f"graph over two replays\n{case.describe()}"
+        )

@@ -20,7 +20,7 @@ def make_sim(system="tilus", dtype=uint4, max_batch=16):
 
 
 def test_constructor_carries_no_engine_knobs():
-    """Engine state (adaptive policy, compiled tier, tuning store) lives
+    """Engine state (compiled tier, tuning store) lives
     on ``decode_linear.runtime``; the simulator's own options are these
     seven and a new one must be argued for, not slipped in."""
     import inspect

@@ -328,13 +328,11 @@ def test_a_group_is_its_launches_issued_one_by_one(entry, scenario):
         assert {r.stream for r in outcome["records"]} == {0}
 
 
-def test_runtime_forced_compiled_stays_forced_through_replay_and_plans():
+def test_runtime_forced_compiled_stays_forced_through_replay_and_optimize():
     """``Runtime(engine="compiled")`` captures nodes that stay forced:
-    the first replay compiles (no heat needed), the serial oracle and a
-    plan round trip run the same kernel — while the plan itself carries
-    the interpreted engine only."""
-    from repro.runtime import GraphPlan
-
+    the first replay compiles (no heat needed), the serial oracle and
+    the ``optimize()`` image run the same kernel — while the node itself
+    freezes the interpreted engine only."""
     runtime, a, (out,) = fresh_runtime(engine="compiled")
     try:
         with runtime.capture(num_streams=2) as graph:
@@ -345,9 +343,8 @@ def test_runtime_forced_compiled_stays_forced_through_replay_and_plans():
         assert (jit.compiled, jit.promotions) == (1, 1)
         graph.replay(serial=True)
         assert (jit.compiled, jit.promotions) == (1, 2)
-        plan = graph.plan()
-        assert [node["engine"] for node in plan.nodes] == ["batched"]
-        graph.apply_plan(GraphPlan.from_json(plan.to_json())).replay()
+        assert [node.engine for node in graph.nodes] == ["batched"]
+        graph.optimize().replay()
         assert (jit.compiled, jit.promotions) == (1, 3)
     finally:
         runtime.stream_pool().shutdown()

@@ -185,9 +185,6 @@ BASELINE_RUNTIME_KEYS = {
     "jit.cache.hits",
     "jit.cache.misses",
     "jit.cache.evictions",
-    "adaptive.enabled",
-    "adaptive.swaps",
-    "adaptive.evaluations",
     "store.enabled",
     "store.hits",
     "store.misses",
@@ -210,7 +207,6 @@ BASELINE_ROUTER_KEYS = {
     "router.kernel_launches",
     "router.graph_captures",
     "router.graph_replays",
-    "router.auto_reoptimizations",
     "router.jit_compiled",
     "router.jit_promotions",
     "router.slo_attainment",

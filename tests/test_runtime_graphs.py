@@ -9,6 +9,9 @@ must succeed even when the hazard-analysis entry points are made to
 blow up, because it never calls them.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -122,10 +125,8 @@ class TestCapture:
 
     def test_groups_form_over_the_whole_dag_not_per_stream(self):
         """Eight launches of one specialization captured on eight streams
-        are one group on the head's stream; the members' placement is
-        rewritten to it and survives a plan round trip and optimize()."""
-        from repro.runtime import GraphPlan
-
+        are one group on the head's stream; the members' label is
+        rewritten to it and survives optimize()."""
         program = transform_program("fuse", 2.0, 1.0)
         memory = GlobalMemory(1 << 22)
         host, addrs = upload_buffers(memory, 16)
@@ -134,8 +135,7 @@ class TestCapture:
             with pool.capture() as graph:
                 for i, stream in enumerate(pool.streams):
                     pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]], stream=stream)
-            applied = graph.apply_plan(GraphPlan.from_json(graph.plan().to_json()))
-            for image in (graph, applied, graph.optimize()):
+            for image in (graph, graph.optimize()):
                 assert image.num_groups == 1
                 assert image.stream_indices == (image.nodes[0].stream_index,)
             graph.replay()
@@ -413,6 +413,64 @@ class TestRebinding:
             assert np.array_equal(host.download(addrs[dst], [ROWS, COLS], float16), want)
 
 
+    RACING_REPLAYS = 6000
+
+    def test_racing_rebinds_each_execute_their_own_arguments(self):
+        """Two host threads replay ONE graph with different bindings, a
+        fresh output buffer per replay: rebinding and execution share
+        the pool lock, so no replay runs the other thread's arguments —
+        every output is written, from its own thread's input."""
+        memory = GlobalMemory(1 << 22)
+        host = Interpreter(memory)
+        rng = np.random.default_rng(3)
+        program = transform_program("racing", 2.0, 1.0)
+        per_thread = self.RACING_REPLAYS // 2
+        inputs = [
+            host.upload(float16.quantize(rng.standard_normal((ROWS, COLS))), float16)
+            for _ in range(2)
+        ]
+        outputs = [
+            [host.alloc_output([ROWS, COLS], float16) for _ in range(per_thread)]
+            for _ in range(2)
+        ]
+        with StreamPool(memory, num_streams=2) as pool:
+            with pool.capture() as graph:
+                pool.submit(program, [inputs[0], outputs[0][0]])
+            graph.bind("a", inputs[0], BUF_BYTES)
+            graph.bind("out", outputs[0][0], BUF_BYTES)
+            errors: list[BaseException] = []
+
+            def racer(which):
+                try:
+                    for out in outputs[which]:
+                        graph.replay({"a": inputs[which], "out": out})
+                except BaseException as exc:  # noqa: BLE001 — surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=racer, args=(i,)) for i in range(2)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=300.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors
+            assert graph.replays == self.RACING_REPLAYS
+        for which in range(2):
+            graph.replay({"a": inputs[which], "out": outputs[which][0]}, serial=True)
+            want = host.download(outputs[which][0], [ROWS, COLS], float16)
+            assert want.any()
+            wrong = [
+                out for out in outputs[which]
+                if not np.array_equal(host.download(out, [ROWS, COLS], float16), want)
+            ]
+            assert not wrong, f"{len(wrong)} outputs of thread {which} never written"
+
+
 class TestErrorPropagation:
     def test_failing_node_poisons_replay(self):
         pb = ProgramBuilder("oob", grid=[2, 2])
@@ -473,157 +531,5 @@ class TestRuntimeCapture:
             hits = rt.cache.hits
             graph.replay()
             assert rt.cache.hits == hits
-        finally:
-            pool.shutdown()
-
-
-class TestGraphPlan:
-    """Plan-level serialization: the transportable half of a captured
-    graph (placement, engines, spec identities, hazard edges) as
-    versioned JSON, and its validated re-application."""
-
-    @staticmethod
-    def _captured(memory=None):
-        memory = memory or GlobalMemory(1 << 22)
-        host, addrs = upload_buffers(memory, 3)
-        pool = StreamPool(memory, num_streams=2)
-        p1 = transform_program("plan_a", 2.0, 1.0)
-        p2 = transform_program("plan_b", 3.0, 0.0)
-        with pool.capture() as graph:
-            pool.submit(p1, [addrs[0], addrs[1]], stream=pool.streams[0])
-            pool.submit(p2, [addrs[1], addrs[2]], stream=pool.streams[1])
-        return pool, graph, host, addrs
-
-    def test_json_round_trip_preserves_everything(self):
-        from repro.runtime import GraphPlan
-
-        pool, graph, _, _ = self._captured()
-        try:
-            plan = graph.plan()
-            back = GraphPlan.from_json(plan.to_json())
-            assert back.signature == plan.signature == graph.signature
-            assert back.num_streams == plan.num_streams == 2
-            assert back.nodes == plan.nodes
-            assert len(back) == len(graph)
-        finally:
-            pool.shutdown()
-
-    def test_plan_has_no_process_local_state(self):
-        import json as json_mod
-
-        pool, graph, _, addrs = self._captured()
-        try:
-            wire = json_mod.loads(graph.plan().to_json())
-            assert wire["kind"] == "execution-graph-plan"
-            for node in wire["nodes"]:
-                assert set(node) == {
-                    "index", "program", "spec", "engine", "stream",
-                    "grid", "deps",
-                }
-                # No argument/address field exists to leak device
-                # pointers through (the key set above is exhaustive),
-                # and the program travels by name only.
-                assert isinstance(node["program"], str)
-        finally:
-            pool.shutdown()
-
-    def test_apply_plan_replays_bit_exactly(self):
-        pool, graph, host, addrs = self._captured()
-        try:
-            from repro.runtime import GraphPlan
-
-            graph.replay(serial=True)
-            want = [host.download(a, [ROWS, COLS], float16) for a in addrs]
-            applied = graph.apply_plan(GraphPlan.from_json(graph.plan().to_json()))
-            assert applied.signature == graph.signature
-            assert [n.stream_index for n in applied.nodes] == [
-                n.stream_index for n in graph.nodes
-            ]
-            applied.replay(serial=True)
-            got = [host.download(a, [ROWS, COLS], float16) for a in addrs]
-            for w, g in zip(want, got):
-                assert np.array_equal(w, g)
-        finally:
-            pool.shutdown()
-
-    def test_plan_respects_foreign_placement(self):
-        """A plan whose placement differs from the capture's (a decision
-        made elsewhere) lands on the local graph."""
-        from repro.runtime import GraphPlan
-
-        pool, graph, _, _ = self._captured()
-        try:
-            plan = GraphPlan.from_json(graph.plan().to_json())
-            for node in plan.nodes:
-                node["stream"] = 0  # re-place everything on stream 0
-            applied = graph.apply_plan(plan)
-            assert {n.stream_index for n in applied.nodes} == {0}
-            applied.replay()
-            pool.synchronize()
-        finally:
-            pool.shutdown()
-
-    def test_unready_graph_refuses_plan_export(self):
-        memory = GlobalMemory(1 << 22)
-        pool = StreamPool(memory, num_streams=2)
-        try:
-            with pool.capture() as graph:
-                with pytest.raises(VMError, match="phase"):
-                    graph.plan()
-        finally:
-            pool.shutdown()
-
-    def test_malformed_json_rejected(self):
-        from repro.runtime import GraphPlan
-
-        with pytest.raises(VMError, match="truncated or malformed"):
-            GraphPlan.from_json("{not json")
-        with pytest.raises(VMError, match="not an execution-graph-plan"):
-            GraphPlan.from_json('{"kind": "something-else"}')
-        with pytest.raises(VMError, match="version"):
-            GraphPlan.from_json(
-                '{"kind": "execution-graph-plan", "version": 99, "nodes": []}'
-            )
-        with pytest.raises(VMError, match="nodes"):
-            GraphPlan.from_json(
-                '{"kind": "execution-graph-plan", "version": 1, '
-                '"signature": "x", "num_streams": 2}'
-            )
-        with pytest.raises(VMError, match="malformed graph-plan node"):
-            GraphPlan.from_json(
-                '{"kind": "execution-graph-plan", "version": 1, '
-                '"signature": "x", "num_streams": 2, "nodes": [{"index": 0}]}'
-            )
-
-    def test_mismatched_plan_rejected(self):
-        from repro.runtime import GraphPlan
-
-        pool, graph, _, _ = self._captured()
-        try:
-            # Wrong node count.
-            plan = GraphPlan.from_json(graph.plan().to_json())
-            short = GraphPlan(plan.signature, plan.num_streams, plan.nodes[:1])
-            with pytest.raises(VMError, match="not the same DAG"):
-                graph.apply_plan(short)
-            # Wrong specialization identity.
-            tampered = GraphPlan.from_json(graph.plan().to_json())
-            tampered.nodes[0]["spec"] = "spec-of-some-other-kernel"
-            with pytest.raises(VMError, match="specialization|wrong plan"):
-                graph.apply_plan(tampered)
-            # Wrong hazard edges.
-            edges = GraphPlan.from_json(graph.plan().to_json())
-            edges.nodes[1]["deps"] = []
-            with pytest.raises(VMError, match="hazard edges"):
-                graph.apply_plan(edges)
-            # Stream outside this pool.
-            far = GraphPlan.from_json(graph.plan().to_json())
-            far.nodes[0]["stream"] = 7
-            with pytest.raises(VMError, match="stream"):
-                graph.apply_plan(far)
-            # Unknown engine.
-            eng = GraphPlan.from_json(graph.plan().to_json())
-            eng.nodes[0]["engine"] = "warp"
-            with pytest.raises(VMError, match="engine"):
-                graph.apply_plan(eng)
         finally:
             pool.shutdown()

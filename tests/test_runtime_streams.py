@@ -496,6 +496,30 @@ class TestRuntimeIntegration:
         classic = rt.download(args[4], [m, n], float16)
         assert np.array_equal(streamed, classic)
 
+    def test_streamed_splitk_replays_its_graph_with_buffers_rebound(self):
+        """Later calls at one row count replay the captured fan-out with
+        the a/p/c buffers rebound: bit-exact with eager issue of the
+        same calls (``use_graphs=False``)."""
+        from repro import ops
+
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((64, 16))
+        cfg = MatmulConfig(16, 8, 16, split_k=2)
+        calls = [rng.standard_normal((8, 64)) for _ in range(3)]
+        outs = {}
+        for use_graphs in (True, False):
+            linear = ops.prepare_linear(w, int6, group_size=32, config=cfg, streams=2)
+            linear.use_graphs = use_graphs
+            try:
+                outs[use_graphs] = [linear(a) for a in calls]
+                if use_graphs:
+                    assert linear._graphs[8].replays == len(calls)
+            finally:
+                linear.runtime.stream_pool().shutdown()
+        for graphed, eager in zip(outs[True], outs[False]):
+            assert np.array_equal(graphed, eager)
+        assert not np.array_equal(outs[True][0], outs[True][1])
+
     def test_batching_simulator_issues_decode_kernels_on_streams(self):
         """llm.batching wiring: every decode step launches one kernel per
         in-flight request, spread over distinct streams."""

@@ -474,57 +474,6 @@ class TestRoundTripProperties:
         for spec in ("spec-a", "spec-b", "spec-c"):
             assert loaded.spec_heat(spec) == profile.spec_heat(spec)
 
-    def test_plan_roundtrip_through_store(self, tmp_path):
-        from repro.runtime.streams import StreamPool
-        from repro.vm import GlobalMemory, Interpreter
-
-        from tests.harness.differential import _capture_plan
-        from tests.harness.generator import generate_case
-
-        case = generate_case(0)
-        memory = GlobalMemory(1 << 24)
-        host = Interpreter(memory)
-        buffers = [host.upload(data, dtype) for data, dtype in case.inputs]
-        buffers.extend(
-            host.alloc_output(shape, dtype) for shape, dtype in case.outputs
-        )
-        store = TuningStore(str(tmp_path))
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, case.launch_plan(), buffers)
-            plan = graph.plan()
-            store.publish_plan("diff", graph.signature, plan)
-            loaded = store.load_plan("diff", graph.signature)
-            assert json.loads(loaded.to_json()) == json.loads(plan.to_json())
-            applied = graph.apply_plan(loaded)
-            assert applied.signature == graph.signature
-            applied.replay()
-            pool.synchronize()
-
-    def test_load_plan_rejects_signature_mismatch(self, tmp_path):
-        # A plan filed under the wrong signature (relocated entry, hash
-        # collision) is rejected even though its own JSON is valid.
-        from repro.runtime.graphs import GraphPlan
-
-        from tests.harness.differential import _capture_plan
-        from tests.harness.generator import generate_case
-        from repro.runtime.streams import StreamPool
-        from repro.vm import GlobalMemory, Interpreter
-
-        case = generate_case(0)
-        memory = GlobalMemory(1 << 24)
-        host = Interpreter(memory)
-        buffers = [host.upload(data, dtype) for data, dtype in case.inputs]
-        buffers.extend(
-            host.alloc_output(shape, dtype) for shape, dtype in case.outputs
-        )
-        store = TuningStore(str(tmp_path))
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, case.launch_plan(), buffers)
-            store.publish("plan", "diff:bogus-signature",
-                          json.loads(graph.plan().to_json()))
-        with pytest.raises(VMError, match="signature"):
-            store.load_plan("diff", "bogus-signature")
-
 
 # ---------------------------------------------------------------------------
 # Kernel codec: lowered kernels survive the disk, or degrade
@@ -704,28 +653,6 @@ class TestEngineDegradation:
         (republished,) = store.load_jit("shard")["kernels"]
         assert republished["passes"] == list(PASS_NAMES)
 
-    def test_simulator_warm_boot_zero_swaps_bit_exact(self, tmp_path):
-        from repro.llm.batching import uniform_trace
-        from repro.serving import WorkerSpec
-
-        spec = WorkerSpec(
-            linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=4, adaptive=True,
-            store_path=str(tmp_path),
-        )
-        # output_tokens must clear the policy's warmup window (8
-        # replays) or the cold run never reaches its first swap.
-        trace = uniform_trace(8, 0.001, output_tokens=16)
-        cold_sim = spec.build_simulator()
-        cold = cold_sim.run(trace)
-        assert cold.auto_reoptimizations >= 1  # paid the warmup swap
-        assert cold_sim.publish_store()["profile"] is True
-        warm = spec.build_simulator().run(trace)
-        assert warm.auto_reoptimizations == 0  # booted converged
-        assert {r.request.rid: r.output_digest for r in warm.results} == {
-            r.request.rid: r.output_digest for r in cold.results
-        }
-
     def test_warm_boot_rehydrates_single_launch_kernels_only(self, tmp_path):
         """A JIT-on simulator runs its decode steps as stacked compiled
         kernels; the store keeps only the single-launch one (records are
@@ -769,7 +696,7 @@ class TestEngineDegradation:
     def test_publish_is_best_effort_per_artifact(self, tmp_path, failure):
         """One artifact failing to publish (the store's own "swept 16
         times" VMError, or any OSError) must not cost the others: the
-        plans and the kernel still land, and still load."""
+        kernel still lands, and still loads."""
         from repro.llm.batching import Request, uniform_trace
         from repro.serving import WorkerSpec
 
@@ -789,72 +716,17 @@ class TestEngineDegradation:
         cold_sim.decode_linear.runtime.store.publish_profile = broken_publish
         summary = cold_sim.publish_store()
         assert summary["profile"] is False and summary["errors"] == 1
-        assert summary["plans"] == len(cold_sim.graphs) >= 2
         assert summary["jit_kernels"] == 1
 
         store = TuningStore(str(tmp_path))
         scope = spec.store_scope()
         assert store.load_profile(scope) is None
-        for graph in cold_sim.graphs.values():
-            assert store.load_plan(scope, graph.signature) is not None
         warm_sim = spec.build_simulator()
         warm = warm_sim.run(trace)
         assert warm_sim.decode_linear.runtime.jit.rehydrated == 1
         assert {r.request.rid: r.output_digest for r in warm.results} == {
             r.request.rid: r.output_digest for r in cold.results
         }
-
-    def test_stored_plan_keeps_adaptive_management(self, tmp_path):
-        """A stored plan applied on an adaptive runtime comes back as a
-        managed, warm facade — zero swaps over a warmup window — not as
-        a bare graph that silently left the policy's care."""
-        from repro import ops
-        from repro.dtypes.registry import dtype_from_name
-        from repro.runtime import AdaptiveGraph, AdaptivePolicy, ExecutionGraph, Runtime
-
-        def capture_step(runtime):
-            weight = np.random.default_rng(0).standard_normal((64, 16))
-            linear = ops.prepare_linear(
-                weight, dtype_from_name("i6"), group_size=32, runtime=runtime
-            )
-            act = linear.act_dtype.quantize(np.zeros((1, 64)))
-            with runtime.capture(2) as graph:
-                for _ in range(2):
-                    runtime.launch(linear.program_for(1), [
-                        runtime.upload(act, linear.act_dtype),
-                        linear.b_addr,
-                        linear.s_addr,
-                        runtime.empty([1, linear.n], linear.act_dtype),
-                    ])
-            return graph
-
-        plain = Runtime()
-        plain.attach_store(str(tmp_path), "shard")
-        graph = capture_step(plain)
-        assert plain.stored_plan(graph) is None  # nothing published yet
-        assert plain.publish_store([graph])["plans"] == 1
-        assert type(plain.stored_plan(graph)) is ExecutionGraph
-
-        runtime = Runtime()
-        # Relative gain never exceeds 1: only the free first swap —
-        # which a warm graph must not get — could fire.
-        policy = runtime.enable_adaptive(AdaptivePolicy(warmup_replays=2, min_gain=2.0))
-        runtime.attach_store(str(tmp_path), "shard")
-        try:
-            captured = capture_step(runtime)
-            assert isinstance(captured, AdaptiveGraph)
-            managed = runtime.stored_plan(captured)
-            assert isinstance(managed, AdaptiveGraph) and managed.policy is policy
-            assert managed.signature == graph.signature
-            for _ in range(policy.warmup_replays):
-                managed.replay()
-            runtime.synchronize()
-            assert policy.evaluations == 1 and policy.swaps == 0
-            runtime.store_scope = "elsewhere"
-            assert runtime.stored_plan(captured) is None
-        finally:
-            runtime.stream_pool().shutdown()
-            plain.stream_pool().shutdown()
 
     def test_runtime_published_state_warm_boots_a_spec_simulator(self, tmp_path):
         """The cross-path case: state published through
@@ -871,25 +743,74 @@ class TestEngineDegradation:
         # A batch-1 tail: only single-launch kernels are persisted.
         trace.append(Request(0.0, 64, 24, rid=99))
         oracle = WorkerSpec(**shape).build_simulator().run(trace)
-        tuned = WorkerSpec(**shape, adaptive=True, jit=True, jit_threshold_s=0.0)
+        tuned = WorkerSpec(**shape, jit=True, jit_threshold_s=0.0)
         donor = tuned.build_simulator()
-        assert donor.run(trace).auto_reoptimizations >= 1
+        donor.run(trace)
         runtime = donor.decode_linear.runtime
         runtime.attach_store(str(tmp_path), tuned.store_scope())
-        summary = runtime.publish_store(donor.graphs.values(), donor.served_profile)
-        assert summary["profile"] is True and summary["errors"] == 0
-        assert summary["plans"] >= 1 and summary["jit_kernels"] == 1
+        summary = runtime.publish_store(donor.served_profile)
+        assert summary == {"profile": True, "jit_kernels": 1, "errors": 0}
 
         warm_sim = WorkerSpec(
-            **shape, adaptive=True, jit=True, jit_threshold_s=0.0,
-            store_path=str(tmp_path),
+            **shape, jit=True, jit_threshold_s=0.0, store_path=str(tmp_path),
         ).build_simulator()
         warm = warm_sim.run(trace)
         assert warm_sim.decode_linear.runtime.jit.rehydrated >= 1
-        assert warm.auto_reoptimizations == 0
         assert {r.request.rid: r.output_digest for r in warm.results} == {
             r.request.rid: r.output_digest for r in oracle.results
         }
+
+    def test_store_holding_stale_plan_records_still_warm_boots(self, tmp_path):
+        """A directory published before placement went — profile + jit
+        + one ``plan`` record per captured graph — warm-boots: the
+        kernel rehydrates, digests equal the oracle's, and the plan
+        files are never opened (a load would refresh their mtime and
+        count a hit or a miss); they age out through ``gc()``."""
+        from repro.llm.batching import Request, uniform_trace
+        from repro.serving import WorkerSpec
+
+        shape = dict(
+            linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
+            max_batch=4, num_streams=4,
+        )
+        spec = WorkerSpec(
+            **shape, jit=True, jit_threshold_s=0.0, store_path=str(tmp_path)
+        )
+        trace = uniform_trace(3, 0.0, prompt_tokens=64, output_tokens=4)
+        trace.append(Request(0.0, 64, 12, rid=3))  # a batch-1 tail
+        oracle = WorkerSpec(**shape).build_simulator().run(trace)
+        donor = spec.build_simulator()
+        donor.run(trace)
+        assert donor.publish_store() == {
+            "profile": True, "jit_kernels": 1, "errors": 0,
+        }
+        store = TuningStore(str(tmp_path))
+        plans = [
+            store.publish(
+                "plan",
+                f"{spec.store_scope()}:{graph.signature}",
+                {"version": 1, "kind": "execution-graph-plan",
+                 "signature": graph.signature, "num_streams": 4, "nodes": []},
+            )
+            for graph in donor.graphs.values()
+        ]
+        assert len(plans) >= 2
+
+        def fingerprint(path):
+            with open(path, "rb") as handle:
+                return handle.read(), os.stat(path).st_mtime_ns
+
+        before = [fingerprint(path) for path in plans]
+        warm_sim = spec.build_simulator()
+        warm = warm_sim.run(trace)
+        runtime = warm_sim.decode_linear.runtime
+        assert runtime.jit.rehydrated >= 1
+        assert {r.request.rid: r.output_digest for r in warm.results} == {
+            r.request.rid: r.output_digest for r in oracle.results
+        }
+        # Exactly the profile and the jit record were read.
+        assert (runtime.store.hits, runtime.store.misses) == (2, 0)
+        assert [fingerprint(path) for path in plans] == before
 
     def test_worker_serves_bit_exact_from_poisoned_store(self, tmp_path):
         """The acceptance property: a spawned worker whose store holds
@@ -899,7 +820,7 @@ class TestEngineDegradation:
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=2, adaptive=True, jit=True,
+            max_batch=4, num_streams=2, jit=True,
             jit_threshold_s=0.0, store_path=str(tmp_path),
         )
         scope = spec.store_scope()
@@ -912,8 +833,7 @@ class TestEngineDegradation:
             result = Router(pool, chunk_size=4).serve(trace, timeout_s=180.0)
         oracle = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=2, adaptive=True, jit=True,
-            jit_threshold_s=0.0,
+            max_batch=4, num_streams=2, jit=True, jit_threshold_s=0.0,
         ).build_simulator().run(trace)
         assert result.digests() == {
             r.request.rid: r.output_digest for r in oracle.results
@@ -921,26 +841,32 @@ class TestEngineDegradation:
 
     def test_respawned_worker_boots_converged(self, tmp_path):
         """Generation 1 serves cold and publishes on shutdown; a fresh
-        pool from the same spec boots warm: zero adaptive swaps, same
-        digests — warmup paid once per fleet, not once per process."""
+        pool from the same spec boots warm: the decode kernel comes off
+        disk instead of through the pass pipeline, same digests — warmup
+        paid once per fleet, not once per process."""
+        from repro.llm.batching import Request
         from repro.serving import Router, WorkerPool, WorkerSpec, poisson_trace
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=4, adaptive=True,
+            max_batch=4, num_streams=4, jit=True, jit_threshold_s=0.0,
             store_path=str(tmp_path),
         )
         trace = poisson_trace(
             8, rate_rps=500.0, prompt_tokens=64, output_tokens=16
         )
+        # A batch-1 tail: only single-launch kernels are persisted.
+        trace.append(Request(trace[-1].arrival_s, 64, 40, rid=len(trace)))
         with WorkerPool(spec, 1) as pool:
-            gen1 = Router(pool, chunk_size=8).serve(trace, timeout_s=180.0)
+            gen1 = Router(pool, chunk_size=9).serve(trace, timeout_s=180.0)
+            cold = pool.pull_state(0)["jit"]
         assert TuningStore(str(tmp_path)).entry_count() >= 1  # shutdown published
         with WorkerPool(spec, 1) as pool:
-            gen2 = Router(pool, chunk_size=8).serve(trace, timeout_s=180.0)
+            gen2 = Router(pool, chunk_size=9).serve(trace, timeout_s=180.0)
+            warm = pool.pull_state(0)["jit"]
         assert gen2.digests() == gen1.digests()
-        assert gen1.metrics()["router.auto_reoptimizations"] >= 1
-        assert gen2.metrics()["router.auto_reoptimizations"] == 0
+        assert (cold["rehydrated"], warm["rehydrated"]) == (0, 1)
+        assert warm["compiled"] == cold["compiled"] - 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ tensor-core tiles) — or a full kernel-template instantiation
 (software-pipelined matmul, split-k partial/reduce pair) — executed by
 the sequential interpreter, the grid-vectorized batched executor, the
 multi-stream runtime, the execution-graph capture-and-replay path, the
-profile-guided optimized-graph path (measured-cost LPT placement), and
-the adaptive runtime's profile-guided capture under policy management,
-and the JIT compiled tier (pass-pipeline lowering to straight-line
+optimized-graph path (``optimize()``: elimination + regrouping), and
+the JIT compiled tier (pass-pipeline lowering to straight-line
 compiled kernels, with batched fallback on bailout), and compared
 **bit-for-bit**, plus execution-stat parity.  This is the safety net
 behind the batched executor, the stream subsystem, the graph subsystem,
-the PGO pass, the adaptive runtime, the compiled tier, and any future
-refactor of any engine.
+the compiled tier, and any future refactor of any engine.  The same
+cases carry the graph subsystem's two properties: stream labels decide
+nothing, and ``optimize()`` survives repeated replay.
 """
 
 from collections import Counter
@@ -22,7 +22,12 @@ import pytest
 
 from repro.vm import select_engine
 from tests.harness import generate_case, run_differential
-from tests.harness.differential import MODES, _run_engine
+from tests.harness.differential import (
+    MODES,
+    _run_engine,
+    check_labels_decide_nothing,
+    check_optimize_replays_twice,
+)
 
 #: Number of generated programs in the suite (acceptance floor: 250).
 NUM_CASES = 256
@@ -48,9 +53,6 @@ BASELINE_MODES = {
     "stream",
     "graph-replay",
     "graph-optimized",
-    "adaptive",
-    "plan-roundtrip",
-    "warm-store",
     "jit",
 }
 
@@ -66,6 +68,31 @@ BASELINE_STACKED_COMPILED_CASES = 14
 def test_engines_agree_bit_exactly(seed):
     case = generate_case(seed)
     run_differential(case)
+
+
+#: The generated cases whose plan issues more than one launch (split-k
+#: pairs and the replicated plans): the ones where stream labels can
+#: differ at all and where a graph has groups to form and nodes to drop.
+MULTI_LAUNCH_SEEDS = [
+    seed for seed in range(NUM_CASES) if len(generate_case(seed).launch_plan()) > 1
+]
+
+
+@pytest.mark.parametrize("seed", MULTI_LAUNCH_SEEDS)
+def test_stream_labels_decide_nothing(seed):
+    check_labels_decide_nothing(generate_case(seed))
+
+
+@pytest.mark.parametrize("seed", MULTI_LAUNCH_SEEDS)
+def test_optimized_bound_graph_replays_twice_like_the_original(seed):
+    check_optimize_replays_twice(generate_case(seed))
+
+
+def test_the_graph_properties_see_every_multi_launch_family():
+    assert len(MULTI_LAUNCH_SEEDS) >= NUM_CASES // 8
+    assert {generate_case(seed).family for seed in MULTI_LAUNCH_SEEDS} >= {
+        "splitk", "pipelined_matmul", "dot",
+    }
 
 
 def test_suite_meets_case_floor():
