@@ -9,21 +9,29 @@ pointer arguments and the tensor *data* is a compile-time constant: grid
 coordinates, divergence masks, loop trip counts, tile indices, shared-memory
 addresses and every ``ExecutionStats`` delta.
 
-This module exploits that with a four-pass pipeline (the xdsl-style
+Lowering is therefore not a second front-end: it is the engine's own walk
+(:class:`repro.vm.batched.TileWalk`, one handler per instruction) run once
+with three things left symbolic — the device buffer ``mem``, the shared
+buffer ``sm`` and the pointer arguments ``p<i>``.  Whatever a handler
+computes from concrete values it computes, here, at compile time; whatever
+touches a symbolic leaf becomes an expression (:class:`_Sym`, or
+:class:`_Affine` while it is still pointer arithmetic), and a table call
+on one is recorded instead of made (:class:`_TraceOps`).  The recorded
+statements are the kernel.  A four-pass pipeline (the xdsl-style
 progressive dialect lowering named in the ROADMAP):
 
 1. **const-fold** (:class:`SpecializeConstants`): bind const scalars, grid
-   coordinates and symbolic (affine) pointer parameters into a concrete
+   coordinates and symbolic (affine) pointer parameters into a
    compile-time environment.
-2. **unroll** (:class:`UnrollAndTrace`): run the batched engine's own
-   statement walk (:class:`repro.vm.batched.LockstepWalk`) at compile time
-   — loops unroll, ``if``/``while`` masks fold to concrete block sets —
-   recording one vectorized numpy statement per surviving instruction,
-   with all index/mask/shift arrays precomputed.  Values are *forwarded*
-   as they are recorded: a register is a :class:`_Reg` of lazily emitted
-   twins (packed bits, decoded values, logical tensor), every consumer
-   reads the twin it computes on, and equal expressions — a gather of the
-   same addresses with no store in between included — share a temporary.
+2. **unroll** (:class:`UnrollAndTrace`): run the walk — loops unroll,
+   ``if``/``while`` masks fold to concrete block sets — leaving one
+   vectorized numpy statement per surviving table call, with all
+   index/mask/shift arrays precomputed.  Values are *forwarded* exactly
+   as the engine forwards them: a register is a
+   :class:`~repro.vm.batched.Register` of lazily computed twins (packed
+   bits, decoded values, logical tensor), every consumer reads the twin
+   it computes on, and equal expressions — a gather of the same addresses
+   with no store in between included — share a temporary.
 3. **forward** (:class:`ForwardValues`): one backward liveness walk over
    the finished trace drops what nothing reads and releases every
    temporary after its last reader.
@@ -31,23 +39,13 @@ progressive dialect lowering named in the ROADMAP):
    Python function, ``compile()`` it, and wrap it as a
    :class:`LoweredKernel`.
 
-Bit-exactness contract: lowering is the second front-end of the
-tile-semantics table :mod:`repro.vm.tileops`.  It defines no runtime
-helper of its own: whatever is concrete (indices, bounds checks, the
-last-writer dedup, shared-memory addresses, constant registers) it
-computes at compile time by calling the table, and what depends on tensor
-data it emits as calls into the same table
-(:data:`repro.vm.tileops.KERNEL_NAMESPACE`), plus the shared codecs
-(``dtype.to_bits``/``from_bits``) and
-:func:`repro.vm.values.apply_elementwise`; compile-time scalar folding goes
-through the real :func:`repro.vm.batched.batched_evaluate`.  The batched
-engine packs every instruction's result to ``(B, T, L)`` uint64 patterns
-and unpacks it for the next one; a kernel instead keeps the decoded values
-rounded to the register's type (``tileops.requantize``, by definition the
-pack-unpack round trip) and packs where bits are read: a register
-``View``, a store, a divergent merge.  What stays lowering's own is emit
-granularity: which table calls a handler emits, what it folds into
-constants, which twin it asks for.
+Bit-exactness is by construction: the kernel is what the batched engine's
+handlers did, and it defines no runtime helper of its own — its globals
+are ``np``, ``VMError`` and :data:`repro.vm.tileops.KERNEL_NAMESPACE`.
+What stays lowering's own is what only a trace has: the constant pool,
+common-subexpression reuse (ended by a store to the buffer read), the
+step and line budgets, and the two preconditions of a precomputed
+sub-byte scatter (:meth:`_TraceOps.last_writers`).
 
 Anything the trace cannot prove flat raises :class:`LoweringBailout` and
 the caller falls back to the batched engine: the instructions in
@@ -69,16 +67,13 @@ import numpy as np
 from repro.compiler.pipeline import specialization_key
 from repro.errors import IRError, VMError
 from repro.ir import instructions as insts
-from repro.ir.expr import Binary, CastExpr, Expr, Var
+from repro.ir.expr import Expr, Var
 from repro.obs import trace as obs_trace
 from repro.ir.program import Program
-from repro.ir.types import TensorVar
 from repro.vm import tileops
-from repro.vm.batched import BatchedSharedMemory, LockstepWalk, batched_evaluate
-from repro.vm.dispatch import bounds_mask, decompose_linear
+from repro.vm.batched import BatchedSharedMemory, TileWalk, stacked_grid
 from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory
-from repro.vm.values import apply_elementwise
 
 __all__ = [
     "LoweredKernel",
@@ -93,9 +88,9 @@ PASS_NAMES = ("const-fold", "unroll", "forward", "flatten")
 
 #: Instructions the pipeline declines by design (a launch containing one
 #: stays on the batched engine): a workspace allocation moves the device
-#: allocator, a print has no flat form.  Every other instruction has a
-#: lowering handler — ``tests/test_instruction_coverage.py`` holds the two
-#: sets to exactly the instruction set.
+#: allocator, a print has no flat form.  Their handlers say so themselves
+#: (``tileops.host_effect``); ``tests/test_instruction_coverage.py`` holds
+#: this set to exactly the instructions that do.
 UNLOWERABLE = frozenset({insts.AllocateGlobal, insts.PrintTensor})
 
 #: Unrolled-trace budget: statement-walk steps before lowering gives up.
@@ -113,118 +108,174 @@ class LoweringBailout(Exception):
 
 #: Globals of every generated kernel: the tile-semantics table under the
 #: names kernel sources (including ones persisted in tuning stores) use.
-_HELPERS = {
-    "np": np,
-    "VMError": VMError,
-    "_ew": apply_elementwise,
-    **tileops.KERNEL_NAMESPACE,
-}
+_HELPERS = {"np": np, "VMError": VMError, **tileops.KERNEL_NAMESPACE}
 
 
 # ---------------------------------------------------------------------------
-# Compile-time value domain
+# What stays symbolic: names for runtime arrays, pointers kept affine
 # ---------------------------------------------------------------------------
+
+#: Operator precedence of an emitted expression (higher binds tighter).
+_ADD, _MUL, _UNARY, _ATOM = 1, 2, 3, 4
+
+
+class _Sym:
+    """A runtime array the trace knows only by the expression computing
+    it.  It speaks enough numpy — the operators, methods and protocols the
+    handlers in :mod:`repro.vm.batched` use on register twins and
+    addresses — to turn each into source text; temporaries are assigned
+    once and never mutated, so the text names one value for the whole
+    kernel.  ``scalar`` marks a leaf that is a number at runtime (a
+    pointer of an unstacked launch): indexing it is the identity.
+    """
+
+    __slots__ = ("em", "expr", "prec", "scalar")
+
+    def __init__(self, em: "_Emitter", expr: str, prec: int = _ATOM, scalar: bool = False):
+        self.em = em
+        self.expr = expr
+        self.prec = prec
+        self.scalar = scalar
+
+    def _infix(self, op: str, prec: int, other) -> "_Sym":
+        lhs, rhs = self.em.operand(self, prec), self.em.operand(other, prec + 1)
+        return _Sym(self.em, f"{lhs} {op} {rhs}", prec)
+
+    def __add__(self, other):
+        return self._infix("+", _ADD, other)
+
+    def __mul__(self, other):
+        return self._infix("*", _MUL, other)
+
+    def __matmul__(self, other):
+        return self._infix("@", _MUL, other)
+
+    def __neg__(self):
+        return _Sym(self.em, "-" + self.em.operand(self, _UNARY), _UNARY)
+
+    def __getitem__(self, key):
+        if self.scalar:
+            return self
+        return _Sym(self.em, f"{self.em.operand(self, _ATOM)}[{self.em.key(key)}]")
+
+    def _method(name: str):  # noqa: N805 - builds the three methods below
+        def call(self, *args, **kwargs):
+            recv = self.em.operand(self, _ATOM)
+            return _Sym(self.em, f"{recv}.{name}({self.em.args(args, kwargs)})")
+
+        return call
+
+    reshape, astype, sum = _method("reshape"), _method("astype"), _method("sum")
+    del _method
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__":
+            raise LoweringBailout(f"np.{ufunc.__name__}.{method} has no flat form")
+        return _Sym(self.em, f"np.{ufunc.__name__}({self.em.args(inputs, kwargs)})")
+
+    def __array_function__(self, func, types, args, kwargs):
+        return _Sym(self.em, f"np.{func.__name__}({self.em.args(args, kwargs)})")
 
 
 class _Affine:
-    """A scalar affine in the runtime pointer parameters.
+    """An integer — a scalar, or an array over blocks — affine in the
+    runtime pointer arguments: ``sum(leaf * coeff) + conc``, each leaf a
+    :class:`_Sym` pointer (``p0``, or ``p0[rows]`` once indexed), each
+    coefficient and the concrete part numbers or arrays.
 
-    ``value = sum(ptr[i] * coeffs[i]) + conc`` where each coefficient and
-    the concrete part are Python/numpy ints or (B,) int64 arrays.
+    It supports exactly the arithmetic that keeps it affine — ``+``,
+    ``-``, ``*`` by a number, indexing, ``np.where``, ``np.broadcast_to``
+    — so the scalar evaluator and the handlers carry a pointer through
+    address math unchanged and every concrete part still folds at compile
+    time.  Anything else (a branch on it, a division, an index made of
+    it) raises :class:`LoweringBailout`.
     """
 
-    __slots__ = ("coeffs", "conc")
+    __slots__ = ("terms", "conc")
+    __array_ufunc__ = None  # ndarray operators defer to the reflected ones
 
-    def __init__(self, coeffs: dict, conc) -> None:
-        self.coeffs = coeffs
+    def __init__(self, terms: dict, conc) -> None:
+        self.terms = terms
         self.conc = conc
 
-    def add(self, other: "_Affine") -> "_Affine":
-        coeffs = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            coeffs[idx] = coeffs[idx] + c if idx in coeffs else c
-        return _Affine(coeffs, self.conc + other.conc)
+    @staticmethod
+    def of(terms: dict, conc):
+        """The affine value, or plainly ``conc`` when no pointer is left."""
+        terms = {leaf: c for leaf, c in terms.items() if np.any(c)}
+        return _Affine(terms, conc) if terms else conc
 
-    def neg(self) -> "_Affine":
-        return _Affine({i: -c for i, c in self.coeffs.items()}, -self.conc)
+    def __add__(self, other):
+        if isinstance(other, _Sym):
+            return self.sym() + other
+        terms = dict(self.terms)
+        if isinstance(other, _Affine):
+            for leaf, c in other.terms.items():
+                terms[leaf] = terms[leaf] + c if leaf in terms else c
+            other = other.conc
+        return _Affine.of(terms, self.conc + other)
 
-    def scale(self, factor) -> "_Affine":
-        return _Affine(
-            {i: c * factor for i, c in self.coeffs.items()}, self.conc * factor
-        )
+    __radd__ = __add__
 
-    def is_concrete(self) -> bool:
-        return all(not np.any(c) for c in self.coeffs.values())
+    def __neg__(self):
+        return _Affine({leaf: -c for leaf, c in self.terms.items()}, -self.conc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, factor):
+        if isinstance(factor, (_Affine, _Sym)):
+            raise LoweringBailout("non-affine pointer arithmetic")
+        return _Affine.of({leaf: c * factor for leaf, c in self.terms.items()}, self.conc * factor)
+
+    __rmul__ = __mul__
+
+    def __getitem__(self, key):
+        return _Affine.of({leaf[key]: c[key] for leaf, c in self.terms.items()}, self.conc[key])
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.broadcast_to:
+            shape = args[1]
+            return _Affine(
+                {leaf: np.broadcast_to(c, shape) for leaf, c in self.terms.items()},
+                np.broadcast_to(self.conc, shape),
+            )
+        if func is np.where:  # per-block merge; either side may be affine
+            mask, new, old = args
+            new = new if isinstance(new, _Affine) else _Affine({}, new)
+            old = old if isinstance(old, _Affine) else _Affine({}, old)
+            terms = {
+                leaf: np.where(mask, new.terms.get(leaf, 0), old.terms.get(leaf, 0))
+                for leaf in {**new.terms, **old.terms}
+            }
+            return _Affine.of(terms, np.where(mask, new.conc, old.conc))
+        raise LoweringBailout("non-affine pointer arithmetic")
+
+    def sym(self) -> _Sym:
+        """The expression computing it in the kernel."""
+        total = None
+        for leaf, coeff in self.terms.items():
+            term = leaf if np.all(coeff == 1) else leaf * coeff
+            total = term if total is None else total + term
+        return total + self.conc
+
+    def _not_affine(self, *args, **kwargs):
+        raise LoweringBailout("non-affine pointer arithmetic")
+
+    def _not_a_number(self, *args, **kwargs):
+        raise LoweringBailout("pointer-valued scalar where a number is needed")
 
 
-def _as_affine(value) -> _Affine:
-    if isinstance(value, _Affine):
-        return value
-    return _Affine({}, value)
-
-
-def _affine_where(active: np.ndarray, new, old) -> object:
-    """Per-block merge of two scalar values, either of which may be affine."""
-    a, b = _as_affine(new), _as_affine(old)
-    coeffs = {}
-    for idx in set(a.coeffs) | set(b.coeffs):
-        coeffs[idx] = np.where(active, a.coeffs.get(idx, 0), b.coeffs.get(idx, 0))
-    merged = _Affine(coeffs, np.where(active, a.conc, b.conc))
-    if merged.is_concrete():
-        return merged.conc
-    return merged
-
-
-@dataclass
-class _Reg:
-    """Compile-time register descriptor: up to three runtime twins of one
-    value, each the name of a runtime array and each emitted the first
-    time an instruction asks for it (``_Tracer._bits`` / ``_vals`` /
-    ``_logical``).  A register is born with whichever twin its producer
-    computes — a load has bits, arithmetic has values, ``Dot`` has the
-    logical tensor — and a consumer that wants that same twin reads it
-    with no conversion emitted.
-    """
-
-    dtype: object
-    layout: object
-    #: (B, T, L) uint64 patterns.
-    bits: Optional[str] = None
-    #: (B, T, L) decoded values, exactly ``_dec(dtype, bits)``.
-    vals: Optional[str] = None
-    #: ``(B,) + layout.shape`` decoded values, exactly ``_tolog`` of ``vals``.
-    logical: Optional[str] = None
-
-
-@dataclass
-class _View:
-    """Compile-time tensor-view descriptor.
-
-    ``coeffs``/``conc_bits`` describe the per-block bit base as an affine
-    form over runtime pointer slots (all arrays are (B,) int64, already
-    masked by the creating instruction's active set and scaled to bits).
-    ``name``/``byte_name`` are the runtime variables holding the bit and
-    byte base arrays (constants for pointer-free views).
-    """
-
-    buf: str  # "mem" or "sm"
-    dtype: object
-    shape: tuple
-    coeffs: dict  # ptr slot -> (B,) int64 bit coefficients
-    conc_bits: np.ndarray  # (B,) int64
-    name: str
-    byte_name: str
-    buflen: int
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
-
-    def is_concrete(self) -> bool:
-        return all(not np.any(c) for c in self.coeffs.values())
-
-    def oob_msg(self) -> str:
-        return tileops.oob_message(self.dtype, self.shape, self.buflen)
+for _name in ("truediv", "floordiv", "mod", "pow", "and", "or", "xor", "lshift", "rshift"):
+    setattr(_Affine, f"__{_name}__", _Affine._not_affine)
+    setattr(_Affine, f"__r{_name}__", _Affine._not_affine)
+for _name in ("abs", "invert", "eq", "ne", "lt", "le", "gt", "ge"):
+    setattr(_Affine, f"__{_name}__", _Affine._not_affine)
+for _name in ("bool", "int", "float", "index", "array"):
+    setattr(_Affine, f"__{_name}__", _Affine._not_a_number)
+del _name
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +316,8 @@ class _Emitter:
         self._const_keys: dict = {}
         self._values: dict = {}
         self._stores = {"mem": 0, "sm": 0}
+        #: The kernel's names for the device buffer and the shared buffer.
+        self.mem, self.sm = _Sym(self, "mem"), _Sym(self, "sm")
 
     def _push(self, stmt: _Stmt) -> None:
         if len(self.stmts) >= _TRACE_LINE_LIMIT:
@@ -273,11 +326,7 @@ class _Emitter:
             )
         self.stmts.append(stmt)
 
-    def effect(self, expr: str) -> None:
-        """A statement run for what it does: a check or a store."""
-        self._push(_Stmt(None, expr))
-
-    def value(self, expr: str, reads: Optional[str] = None) -> str:
+    def value(self, expr: str, reads: Optional[str] = None) -> _Sym:
         """The temporary holding ``expr``; ``reads`` names the buffer a
         gather reads (it is also what makes the statement ``checked``)."""
         key = expr if reads is None else (expr, self._stores[reads])
@@ -285,11 +334,73 @@ class _Emitter:
         if name is None:
             name = self._values[key] = f"t{len(self._values)}"
             self._push(_Stmt(name, expr, checked=reads is not None))
-        return name
+        return _Sym(self, name)
 
-    def clobber(self, buf: str) -> None:
-        """A store to ``buf`` was emitted: earlier gathers from it are stale."""
-        self._stores[buf] += 1
+    def hold(self, value):
+        """``value`` under a name: a symbolic one is bound to a temporary
+        (once per expression), a concrete one is itself."""
+        if isinstance(value, _Affine):
+            value = value.sym()
+        if isinstance(value, _Sym) and not value.expr.isidentifier():
+            return self.value(value.expr)
+        return value
+
+    def call(self, name: str, args: tuple):
+        """Record the table call ``name(*args)``.  A pure function of
+        temporaries stays an expression until something holds it; a check
+        or a store is a statement where it stands, and so is a gather —
+        what it reads is there only until the next store to the buffer
+        (:attr:`_stores` counts them)."""
+        effect = name in tileops.KERNEL_EFFECTS
+        reads = next(
+            (a.expr for a in args if isinstance(a, _Sym) and a.expr in self._stores), None
+        )
+        if not effect and reads is None:
+            return _Sym(self, f"{name}({self.args(args)})")
+        expr = f"{name}({self.args([self.hold(a) for a in args])})"
+        if not effect:
+            return self.value(expr, reads)
+        if reads is not None:
+            self._stores[reads] += 1  # earlier gathers from it are stale
+        self._push(_Stmt(None, expr))
+        return None
+
+    # -- formatting -----------------------------------------------------------
+    def fmt(self, obj) -> str:
+        """``obj`` as source text: expressions as they are, numbers as
+        literals, everything else a pooled constant."""
+        if isinstance(obj, _Sym):
+            return obj.expr
+        if isinstance(obj, _Affine):
+            return obj.sym().expr
+        if obj is None:
+            return "None"
+        if isinstance(obj, (bool, int, float, np.generic)):
+            return _lit(obj)
+        if isinstance(obj, type):
+            return f"np.{obj.__name__}"  # a numpy scalar type
+        if isinstance(obj, tuple) and not all(isinstance(e, np.ndarray) for e in obj):
+            return f"({self.args(obj)}{',' if len(obj) == 1 else ''})"
+        return self.const(obj)
+
+    def operand(self, obj, prec: int) -> str:
+        """``obj`` as an operand of an operator of precedence ``prec``."""
+        if isinstance(obj, _Affine):
+            obj = obj.sym()
+        text = self.fmt(obj)
+        return f"({text})" if isinstance(obj, _Sym) and obj.prec < prec else text
+
+    def args(self, args, kwargs=None) -> str:
+        parts = [self.fmt(a) for a in args]
+        parts += [f"{k}={self.fmt(v)}" for k, v in (kwargs or {}).items()]
+        return ", ".join(parts)
+
+    def key(self, key) -> str:
+        """A subscript: an index tuple of arrays is one constant, anything
+        with a slice or ``None`` in it is spelled out."""
+        if isinstance(key, tuple) and not all(isinstance(k, np.ndarray) for k in key):
+            return ", ".join(":" if isinstance(k, slice) else self.fmt(k) for k in key)
+        return self.fmt(key)
 
     def const(self, obj) -> str:
         key = self._const_key(obj)
@@ -310,8 +421,6 @@ class _Emitter:
             return ("a", obj.dtype.str, obj.shape, hashlib.sha1(obj.tobytes()).digest())
         if isinstance(obj, str):
             return ("s", obj)
-        if isinstance(obj, (int, float, bool)):
-            return ("n", type(obj).__name__, obj)
         if isinstance(obj, tuple):
             return ("t",) + tuple(_Emitter._const_key(e) for e in obj)
         # dtype objects: dedupe by identity.
@@ -329,6 +438,58 @@ def _lit(value) -> str:
     raise LoweringBailout(f"cannot embed scalar of type {type(value).__name__}")
 
 
+class _TraceOps:
+    """The tile-semantics table as the lowering trace calls it: ``ops.f``
+    is ``tileops.f`` whenever every argument is concrete — that is the
+    compile-time folding — and otherwise records the call under the name
+    kernels know ``f`` by.  The batched engine's ``ops`` is the table
+    itself, so this is the whole difference between executing an
+    instruction and lowering it.
+    """
+
+    _NAMES = {fn: name for name, fn in tileops.KERNEL_NAMESPACE.items()}
+
+    def __init__(self, em: _Emitter) -> None:
+        self.em = em
+        self.hold = em.hold
+
+    def __getattr__(self, name: str):
+        fn = getattr(tileops, name)
+
+        def staged(*args):
+            if not any(isinstance(a, (_Sym, _Affine)) for a in args):
+                return fn(*args)
+            if fn not in self._NAMES:
+                raise LoweringBailout(f"tileops.{name} cannot run in a kernel")
+            return self.em.call(self._NAMES[fn], args)
+
+        setattr(self, name, staged)
+        return staged
+
+    def host_effect(self, inst) -> None:
+        raise LoweringBailout(f"instruction {type(inst).__name__} cannot be lowered")
+
+    def last_writers(self, bit_addr, nbits: int):
+        """The sub-byte scatter's last-writer dedup, precomputed from the
+        concrete part of the bit positions.  Valid when every pointer
+        shifts all positions equally (one coefficient, one runtime value
+        for all rows): equality classes and sorted order are preserved,
+        and the pointer only moves the byte each bit lands in."""
+        if not isinstance(bit_addr, _Affine):
+            return tileops.last_writers(bit_addr, nbits)
+        shift = {}
+        for leaf, coeff in bit_addr.terms.items():
+            if coeff.min() != coeff.max():
+                raise LoweringBailout(
+                    "sub-byte scatter through a block-varying pointer base"
+                )
+            if not leaf.scalar:  # a stack's pointers are per-block arrays
+                raise LoweringBailout("sub-byte scatter through a per-launch pointer")
+            shift[leaf] = int(coeff.flat[0]) // 8
+        keep, byte_idx, bit_in_byte = tileops.last_writers(bit_addr.conc, nbits)
+        return keep, _Affine(shift, byte_idx), bit_in_byte
+
+
 # ---------------------------------------------------------------------------
 # Pass 1: const-fold / specialize
 # ---------------------------------------------------------------------------
@@ -344,12 +505,11 @@ class _LoweringState:
     nblocks: int
     coords: tuple
     env: dict
-    ptr_slots: dict  # param index -> ptrs[] slot
     ptr_indices: tuple
     #: Launches stacked launch-major on the block axis; with more than
-    #: one, every pointer slot is a per-block array at runtime.
-    launches: int = 1
-    emitter: _Emitter = field(default_factory=_Emitter)
+    #: one, every pointer is a per-block array at runtime.
+    launches: int
+    emitter: _Emitter
 
 
 class SpecializeConstants:
@@ -378,17 +538,15 @@ class SpecializeConstants:
             raise LoweringBailout(f"cannot evaluate launch grid: {exc}") from exc
         # Launch-major stacking, like BatchedExecutor.launch_many: block
         # order, memory effects and counters match back-to-back launches.
-        nblocks = launches * (int(np.prod(grid)) if grid else 1)
-        coords = tuple(np.tile(c, launches) for c in decompose_linear(tuple(grid)))
+        nblocks, coords = stacked_grid(grid, launches)
+        emitter = _Emitter()
         env: dict = {}
-        ptr_slots: dict = {}
         ptr_indices = []
         for i, (p, a) in enumerate(zip(program.params, args)):
             if p.dtype.is_pointer:
-                slot = len(ptr_indices)
-                ptr_slots[i] = slot
+                leaf = _Sym(emitter, f"p{len(ptr_indices)}", scalar=launches == 1)
                 ptr_indices.append(i)
-                env[p] = _Affine({i: 1}, 0)
+                env[p] = _Affine({leaf: 1}, 0)
             elif p.dtype.is_float:
                 env[p] = float(a)
             else:
@@ -402,9 +560,9 @@ class SpecializeConstants:
             nblocks=nblocks,
             coords=coords,
             env=env,
-            ptr_slots=ptr_slots,
             ptr_indices=tuple(ptr_indices),
             launches=launches,
+            emitter=emitter,
         )
 
 
@@ -413,63 +571,11 @@ class SpecializeConstants:
 # ---------------------------------------------------------------------------
 
 
-class UnrollAndTrace:
-    """Pass 2: symbolic lockstep execution emitting the flat trace."""
+class _BudgetedWalk(TileWalk):
+    """The engine's walk, counted against the trace budget."""
 
-    name = PASS_NAMES[1]
+    steps = 0
 
-    @staticmethod
-    def run(state: _LoweringState) -> "_Tracer":
-        tracer = _Tracer(state)
-        try:
-            tracer.trace()
-        except (VMError, IRError) as exc:
-            # A table check raised at compile time what the batched engine
-            # would raise deterministically at runtime; the fallback engine
-            # reproduces it, so lowering just declines.
-            raise LoweringBailout(f"deterministic runtime error: {exc}") from exc
-        return tracer
-
-
-_STAT_FIELDS = (
-    "blocks_run",
-    "instructions",
-    "global_bits_loaded",
-    "global_bits_stored",
-    "shared_bits_loaded",
-    "shared_bits_stored",
-    "copy_async_issued",
-    "dot_ops",
-    "synchronizations",
-)
-
-
-class _Tracer(LockstepWalk):
-    """The lockstep statement walk at compile time.
-
-    Scalars, masks and addresses are concrete; registers and views are
-    symbolic SSA names bound to runtime arrays.  Every instruction handler
-    is the emitting twin of the ``@BATCHED.register`` handler in
-    :mod:`repro.vm.batched`, over the same :mod:`repro.vm.tileops` table.
-    """
-
-    #: instruction class -> handler(self, inst, active); filled below.
-    handlers: dict[type, Callable] = {}
-
-    def __init__(self, state: _LoweringState) -> None:
-        super().__init__(state.nblocks, state.env)
-        self.st = state
-        self.em = state.emitter
-        self.tally = {f: 0 for f in _STAT_FIELDS}
-        self.shared = BatchedSharedMemory(state.nblocks, state.shared_capacity)
-        self.steps = 0
-
-    # -- entry --------------------------------------------------------------
-    def trace(self) -> None:
-        self.tally["blocks_run"] += self.nblocks
-        self.run_stmt(self.st.program.body, np.ones(self.nblocks, dtype=bool))
-
-    # -- what the walk asks of a front-end ----------------------------------
     def step(self) -> None:
         self.steps += 1
         if self.steps > _TRACE_STEP_LIMIT:
@@ -477,529 +583,31 @@ class _Tracer(LockstepWalk):
                 f"unrolled trace exceeds {_TRACE_STEP_LIMIT} steps"
             )
 
-    def scalar(self, expr: Expr, active, control: bool = False):
-        """Concrete via the real batched evaluator, pointer-touching via
-        the affine grammar; a ``control`` value must be a number."""
-        value = self._peval(expr, active)
-        if control and isinstance(value, _Affine):
-            if value.is_concrete():
-                return value.conc
-            raise LoweringBailout("pointer-valued scalar where a number is needed")
-        return value
 
-    def instruction(self, inst, active) -> None:
-        handler = self.handlers.get(type(inst))
-        if handler is None:
-            raise LoweringBailout(
-                f"instruction {type(inst).__name__} cannot be lowered"
-            )
-        self.tally["instructions"] += int(active.sum())
-        handler(self, inst, active)
+class UnrollAndTrace:
+    """Pass 2: the batched engine's walk with ``mem``, ``sm`` and the
+    pointers left symbolic; what its handlers compute is the flat trace,
+    what they tally is the kernel's ``ExecutionStats`` delta."""
 
-    def bind_scalar(self, var: Var, value, active: np.ndarray) -> None:
-        self.bind(var, value, active, lambda new, old: _affine_where(active, new, old))
+    name = PASS_NAMES[1]
 
-    # -- scalar evaluation --------------------------------------------------
-    def _has_ptr(self, expr: Expr) -> bool:
-        for node in expr.walk():
-            if isinstance(node, Var) and isinstance(self.env.get(node), _Affine):
-                return True
-        return False
-
-    def _peval(self, expr: Expr, active):
-        if not self._has_ptr(expr):
-            return batched_evaluate(expr, self.env, active)
-        if isinstance(expr, Var):
-            return self.env[expr]
-        if isinstance(expr, CastExpr) and not expr.dtype.is_float:
-            inner = self._peval(expr.operand, active)
-            if isinstance(inner, _Affine):
-                return inner
-        if isinstance(expr, Binary):
-            a = self._peval(expr.lhs, active)
-            b = self._peval(expr.rhs, active)
-            if expr.op == "+":
-                return _as_affine(a).add(_as_affine(b))
-            if expr.op == "-":
-                return _as_affine(a).add(_as_affine(b).neg())
-            if expr.op == "*":
-                if isinstance(a, _Affine) and not isinstance(b, _Affine):
-                    return a.scale(b)
-                if isinstance(b, _Affine) and not isinstance(a, _Affine):
-                    return b.scale(a)
-        raise LoweringBailout(
-            f"non-affine pointer arithmetic in {type(expr).__name__}"
+    @staticmethod
+    def run(state: _LoweringState) -> TileWalk:
+        em = state.emitter
+        walk = _BudgetedWalk(
+            state.nblocks, state.env, state.coords, _TraceOps(em), state.memory, em.mem,
+            BatchedSharedMemory(state.nblocks, state.shared_capacity, buffer=em.sm),
+            ExecutionStats(),
         )
-
-    # -- environment merging ------------------------------------------------
-    def _bind_tensor(self, var: TensorVar, value, active: np.ndarray) -> None:
-        self.bind(var, value, active, lambda new, old: self._merge(new, old, active))
-
-    def _merge(self, value, old, active: np.ndarray):
-        act = self.em.const(active)
-        if isinstance(value, _Reg) and isinstance(old, _Reg):
-            tileops.check_view(old.dtype, old.layout, value.dtype, value.layout)
-            # Merged as bits: the old value may be of another type, and a
-            # loaded pattern need not be the one its value encodes to.
-            old_bits = self._regrouped(old, value.dtype.nbits, value.layout.local_size)
-            merged = self.em.value(
-                f"np.where({act}[:, None, None], {self._bits(value)}, {old_bits})"
-            )
-            return _Reg(value.dtype, value.layout, bits=merged)
-        if isinstance(value, _View) and isinstance(old, _View):
-            if value.buf != old.buf:
-                raise VMError("cannot merge views over different buffers")
-            zero = np.zeros(self.nblocks, dtype=np.int64)
-            coeffs = {
-                idx: np.where(active, value.coeffs.get(idx, zero), old.coeffs.get(idx, zero))
-                for idx in set(value.coeffs) | set(old.coeffs)
-            }
-            conc = np.where(active, value.conc_bits, old.conc_bits)
-            name = self.em.value(f"np.where({act}, {value.name}, {old.name})")
-            byte_name = self.em.value(f"{name} // 8")
-            return _View(
-                value.buf, value.dtype, value.shape, coeffs, conc, name, byte_name,
-                value.buflen,
-            )
-        raise LoweringBailout("divergent merge of incompatible tensor kinds")
-
-    def _operand(self, var: TensorVar, kind: type, what: str):
-        value = self.lookup_tensor(var)
-        if not isinstance(value, kind):
-            raise LoweringBailout(
-                f"{what} is not a {'register' if kind is _Reg else 'memory view'}"
-            )
-        return value
-
-    # -- register plumbing --------------------------------------------------
-    def _dtype_const(self, dtype) -> str:
-        return self.em.const(dtype)
-
-    def _bits(self, reg: _Reg) -> str:
-        """Runtime name of ``reg``'s patterns: where a value is packed."""
-        if reg.bits is None:
-            reg.bits = self.em.value(
-                f"_enc({self._dtype_const(reg.dtype)}, {self._vals(reg)})"
-            )
-        return reg.bits
-
-    def _vals(self, reg: _Reg) -> str:
-        """Runtime name of ``reg``'s decoded values; a constant register's
-        are decoded here, at compile time."""
-        if reg.vals is None:
-            consts = self.em.consts
-            if reg.bits is None:
-                reg.vals = self.em.value(
-                    f"{reg.logical}[{self._logical_ix(reg.layout)}]"
-                    f".reshape({self._shape3(reg.layout)!r})"
-                )
-            elif reg.bits in consts:
-                reg.vals = self.em.const(tileops.decode(reg.dtype, consts[reg.bits]))
-            else:
-                reg.vals = self.em.value(
-                    f"_dec({self._dtype_const(reg.dtype)}, {reg.bits})"
-                )
-        return reg.vals
-
-    def _logical(self, var: TensorVar, what: str) -> tuple[str, tuple]:
-        """Runtime name and shape of a register operand's logical tensor."""
-        reg = self._operand(var, _Reg, what)
-        shape = (self.nblocks,) + reg.layout.shape
-        if reg.logical is None:
-            inverse = tileops.logical_inverse(reg.layout)
-            vals, consts = self._vals(reg), self.em.consts
-            if vals in consts:
-                reg.logical = self.em.const(
-                    tileops.gather_logical(consts[vals], shape, inverse)
-                )
-            else:
-                reg.logical = self.em.value(
-                    f"_tolg({vals}, {shape!r}, {self.em.const(inverse)})"
-                )
-        return reg.logical, shape
-
-    def _encode(self, dtype, layout, values_expr: str) -> _Reg:
-        """A register of ``dtype`` holding ``values_expr`` rounded to it."""
-        return _Reg(
-            dtype, layout,
-            vals=self.em.value(f"_rq({self._dtype_const(dtype)}, {values_expr})"),
-        )
-
-    def _from_logical(self, out: TensorVar, tensor_expr: str, tensor_shape: tuple) -> _Reg:
-        """The register a logical-tensor result lands in.  Rounding is
-        elementwise, so it is applied to the tensor and the register is
-        born logical: reading it back as a logical tensor (the next
-        ``Dot`` of an accumulator chain) is the rounded tensor itself."""
-        dtype, layout = out.ttype.dtype, out.ttype.layout
-        tileops.check_logical_shape(tensor_shape, layout)
-        tileops.logical_inverse(layout)  # the claim needs every element held
-        return _Reg(
-            dtype, layout,
-            logical=self.em.value(f"_rq({self._dtype_const(dtype)}, {tensor_expr})"),
-        )
-
-    def _regrouped(self, reg: _Reg, nbits: int, local_size: int) -> str:
-        """Runtime name of ``reg``'s bits read as ``nbits``-wide elements."""
-        bits = self._bits(reg)
-        if reg.dtype.nbits == nbits:
-            return bits
-        return self.em.value(f"_viewp({bits}, {reg.dtype.nbits}, {nbits}, {local_size})")
-
-    def _shape3(self, layout) -> tuple:
-        return (self.nblocks, layout.num_threads, layout.local_size)
-
-    def _logical_ix(self, layout) -> str:
-        return self.em.const(tileops.logical_index(layout, self.nblocks))
-
-    # -- view addressing ----------------------------------------------------
-    def _byte_addr(self, view: _View, byte_off: np.ndarray) -> str:
-        """Runtime name of ``view``'s per-block byte base plus (B, n)
-        compile-time byte offsets."""
-        if view.is_concrete():
-            return self.em.const(view.conc_bits[:, None] // 8 + byte_off)
-        return self.em.value(f"{view.byte_name}[:, None] + {self.em.const(byte_off)}")
-
-    def _emit_gather(self, view: _View, linear: np.ndarray) -> str:
-        """Gather patterns at compile-time linear indices; returns a runtime
-        name holding a uint64 array of ``linear.shape``.  View bases are
-        whole bytes (pointers and 16-byte shared granules).  The same
-        addresses of the same view gather once between two stores to its
-        buffer: an unrolled loop re-reading one scale row reads it once."""
-        nbits = view.dtype.nbits
-        bit_off = linear * nbits
-        msg = self.em.const(view.oob_msg())
-        addr = self._byte_addr(view, bit_off // 8)
-        if nbits % 8 == 0:
-            return self.em.value(
-                f"_gb({view.buf}, {addr}, {nbits // 8}, {msg})", reads=view.buf
-            )
-        shift = self.em.const((bit_off % 8).astype(np.uint64))
-        return self.em.value(
-            f"_gsb({view.buf}, {addr}, {shift}, {nbits}, {msg})", reads=view.buf
-        )
-
-    def _emit_zfill_gather(self, view: _View, indices: list) -> str:
-        """Gather with out-of-bounds elements reading as zero bits (masked
-        loads, ``cp.async`` zfill)."""
-        valid = bounds_mask(indices, view.shape)
-        linear = tileops.linear_index(view.shape, view.dtype, indices, clip=True)
-        raw = self._emit_gather(view, linear)
-        if bool(valid.all()):
-            return raw
-        return self.em.value(f"np.where({self.em.const(valid)}, {raw}, np.uint64(0))")
-
-    def _emit_scatter(self, view: _View, indices: list, patterns_name: str,
-                      select: np.ndarray) -> None:
-        """Scatter runtime patterns (named (B, T, L) or (B, n) array) at
-        compile-time indices under a concrete select mask."""
-        selected = tileops.select_flat(indices, self.nblocks, select)
-        if selected is None:
-            return
-        flat, rows, select = selected
-        self.em.clobber(view.buf)
-        linear = tileops.linear_index(view.shape, view.dtype, flat)
-        nbits = view.dtype.nbits
-        msg = self.em.const(view.oob_msg())
-        if bool(select.all()):
-            pf = self.em.value(f"{patterns_name}.reshape(-1)")
-        else:
-            pf = self.em.value(
-                f"{patterns_name}.reshape({select.shape!r})[{self.em.const(select)}]"
-            )
-        bit_addr = view.conc_bits[rows] + linear * nbits
-        # The runtime part of the address: the pointer terms of the
-        # selected rows, in bytes.  A stack's pointers are per-block
-        # arrays: pick each row's.
-        coeffs = [(idx, c[rows] // 8) for idx, c in view.coeffs.items() if np.any(c[rows])]
-        at = f"[{self.em.const(rows)}]" if coeffs and self.st.launches > 1 else ""
-        if nbits % 8 == 0:
-            addr = self.em.const(bit_addr // 8)
-            if coeffs:
-                terms = [
-                    f"p{self.st.ptr_slots[idx]}{at} * {self.em.const(c)}" for idx, c in coeffs
-                ]
-                addr = self.em.value(" + ".join(terms + [addr]))
-            self.em.effect(f"_scb({view.buf}, {addr}, {pf}, {nbits // 8}, {msg})")
-            return
-        # Sub-byte scatter: the last-writer dedup is precomputed from the
-        # concrete part of the bit positions.  Valid when every pointer
-        # coefficient is uniform across the selected rows (the runtime
-        # pointer then shifts all positions equally, preserving equality
-        # classes and sorted order).
-        if any(c.min() != c.max() for _, c in coeffs):
-            raise LoweringBailout(
-                "sub-byte scatter through a block-varying pointer base"
-            )
-        if coeffs and self.st.launches > 1:
-            # The dedup below needs one pointer for all selected rows.
-            raise LoweringBailout("sub-byte scatter through a per-launch pointer")
-        keep, byte_idx, bit_in_byte = tileops.last_writers(bit_addr, nbits)
-        vu = self.em.value(f"_pbits({pf}, {nbits})[{self.em.const(keep)}]")
-        addr = self.em.const(byte_idx)
-        if coeffs:
-            parts = [f"p{self.st.ptr_slots[idx]} * {int(c[0])}" for idx, c in coeffs]
-            addr = self.em.value(" + ".join(parts + [addr]))
-        self.em.effect(
-            f"_ssb({view.buf}, {addr}, {self.em.const(bit_in_byte)}, {vu}, {msg})"
-        )
-
-    # -- instruction handlers (emitting twins of vm/batched.py's) -----------
-    def _h_block_indices(self, inst: insts.BlockIndices, active) -> None:
-        if len(inst.out_vars) != len(self.st.coords):
-            raise VMError(
-                f"BlockIndices unpacks {len(inst.out_vars)} values but the grid "
-                f"has rank {len(self.st.coords)}"
-            )
-        for var, arr in zip(inst.out_vars, self.st.coords):
-            self.env[var] = arr
-
-    def _h_view_global(self, inst: insts.ViewGlobal, active) -> None:
-        aff = _as_affine(self._peval(inst.ptr, active))
-        ttype = inst.out.ttype
-        shape = tileops.view_shape(
-            ttype.shape, lambda s: self.scalar(s, active, control=True), active
-        )
-
-        def masked_bits(c):  # (B,) bit quantity, zero for inactive blocks
-            arr = np.broadcast_to(np.asarray(c, dtype=np.int64), (self.nblocks,))
-            return np.where(active, arr, 0) * 8
-
-        coeffs = {idx: masked_bits(c) for idx, c in aff.coeffs.items()}
-        conc_bits = masked_bits(aff.conc)
-        buflen = len(self.st.memory.buffer)
-        limit = (buflen - 8) * 8
-        size_bits = (int(np.prod(shape)) if shape else 1) * ttype.dtype.nbits
-        msgs = tileops.view_global_messages(ttype.dtype, shape, limit)
-        terms = [
-            f"p{self.st.ptr_slots[idx]} * {self.em.const(c)}"
-            for idx, c in coeffs.items()
-            if np.any(c)
-        ]
-        if not terms:
-            tileops.check_view_global(conc_bits, size_bits, limit, *msgs)
-            name = self.em.const(conc_bits)
-            byte_name = self.em.const(conc_bits // 8)
-        else:
-            name = self.em.value(" + ".join(terms + [self.em.const(conc_bits)]))
-            self.em.effect(
-                f"_vg({name}, {size_bits}, {limit}, "
-                f"{self.em.const(msgs[0])}, {self.em.const(msgs[1])})"
-            )
-            byte_name = self.em.value(f"{name} // 8")
-        view = _View("mem", ttype.dtype, shape, coeffs, conc_bits, name, byte_name, buflen)
-        self._bind_tensor(inst.out, view, active)
-
-    def _h_allocate_register(self, inst: insts.AllocateRegister, active) -> None:
-        dtype, layout = inst.out.ttype.dtype, inst.out.ttype.layout
-        patterns = tileops.filled(dtype, self._shape3(layout), inst.init)
-        self._bind_tensor(
-            inst.out, _Reg(dtype, layout, bits=self.em.const(patterns)), active
-        )
-
-    def _h_allocate_shared(self, inst: insts.AllocateShared, active) -> None:
-        ttype = inst.out.ttype
-        shape = ttype.static_shape()
-        base_bits = self.shared.alloc(
-            tileops.tensor_nbytes(shape, ttype.dtype, "shared"), active
-        )
-        view = _View(
-            "sm", ttype.dtype, tuple(shape), {}, base_bits,
-            self.em.const(base_bits), self.em.const(base_bits // 8), self.shared.nbytes,
-        )
-        self._bind_tensor(inst.out, view, active)
-
-    def _h_free_shared(self, inst: insts.FreeShared, active) -> None:
-        self.env.pop(inst.tensor, None)
-
-    # transfer --------------------------------------------------------------
-    def _h_load(self, inst, active) -> None:
-        src = self._operand(inst.src, _View, "load source")
-        layout = inst.out.ttype.layout
-        indices = self.tile_indices(layout, inst.offset, active, inst.broadcast_dims)
-        if getattr(inst, "masked", False):
-            pat = self._emit_zfill_gather(src, indices)
-        else:
-            linear = tileops.linear_index(
-                src.shape, src.dtype, indices, where=active[:, None]
-            )
-            pat = self._emit_gather(src, linear)
-        shaped = self.em.value(f"{pat}.reshape({self._shape3(layout)!r})")
-        shared = isinstance(inst, insts.LoadShared)
-        self.tally["shared_bits_loaded" if shared else "global_bits_loaded"] += (
-            layout.size * src.dtype.nbits * int(active.sum())
-        )
-        self._bind_tensor(
-            inst.out, _Reg(inst.out.ttype.dtype, layout, bits=shaped), active
-        )
-
-    def _h_store(self, inst, active) -> None:
-        value = self._operand(inst.src, _Reg, "store source")
-        dst = self._operand(inst.dst, _View, "store destination")
-        indices = self.tile_indices(value.layout, inst.offset, active)
-        select = active[:, None]
-        counted = active
-        if getattr(inst, "masked", False):
-            valid = bounds_mask(indices, dst.shape)
-            select = select & valid
-            counted = active & valid.any(axis=1)
-        self._emit_scatter(dst, indices, self._bits(value), select)
-        shared = isinstance(inst, insts.StoreShared)
-        self.tally["shared_bits_stored" if shared else "global_bits_stored"] += (
-            value.layout.size * dst.dtype.nbits * int(counted.sum())
-        )
-
-    def _h_copy_async(self, inst: insts.CopyAsync, active) -> None:
-        src = self._operand(inst.src, _View, "copy_async source")
-        dst = self._operand(inst.dst, _View, "copy_async destination")
-        shape = inst.copy_shape()
-        src_idx, dst_idx = tileops.copy_indices(
-            shape,
-            self.numbers(inst.src_offset, active),
-            self.numbers(inst.dst_offset, active),
-            self.nblocks,
-        )
-        pat = self._emit_zfill_gather(src, src_idx)
-        self._emit_scatter(dst, dst_idx, pat, active[:, None])
-        count = int(active.sum())
-        self.tally["copy_async_issued"] += count
-        self.tally["global_bits_loaded"] += int(np.prod(shape)) * src.dtype.nbits * count
-
-    def _h_nothing(self, inst, active) -> None:
-        """Commit/wait group bookkeeping has no effect on a flat trace."""
-
-    # computation -----------------------------------------------------------
-    def _h_binary(self, inst: insts.ElementwiseBinary, active) -> None:
-        a = self._operand(inst.a, _Reg, "binary operand")
-        av = self._vals(a)
-        if isinstance(inst.b, TensorVar):
-            b = self._operand(inst.b, _Reg, "binary operand")
-            tileops.check_same_tiling(a.layout, b.layout)
-            b_expr = self._vals(b)
-        else:
-            value = self.scalar(inst.b, active, control=True)
-            if isinstance(value, np.ndarray):
-                b_expr = f"{self.em.const(value)}.reshape(-1, 1, 1)"
-            else:
-                b_expr = _lit(value)
-        res = f"_ew({self._dtype_const(a.dtype)}, {inst.op!r}, {av}, {b_expr})"
-        self._bind_tensor(inst.out, self._encode(a.dtype, a.layout, res), active)
-
-    def _h_neg(self, inst: insts.Neg, active) -> None:
-        a = self._operand(inst.a, _Reg, "neg operand")
-        self._bind_tensor(
-            inst.out, self._encode(a.dtype, a.layout, f"-{self._vals(a)}"), active
-        )
-
-    def _h_cast(self, inst: insts.Cast, active) -> None:
-        a = self._operand(inst.a, _Reg, "cast operand")
-        av = self._vals(a)
-        if inst.dtype.is_integer and a.dtype.is_float:
-            av = f"np.trunc({av})"
-        self._bind_tensor(
-            inst.out, self._encode(inst.dtype, a.layout, av), active
-        )
-
-    def _h_reduce_sum(self, inst: insts.ReduceSum, active) -> None:
-        logical, lshape = self._logical(inst.a, "reduce operand")
-        rshape = tuple(
-            1 if d == inst.axis + 1 else e for d, e in enumerate(lshape)
-        )
-        reduced = f"{logical}.sum(axis={inst.axis + 1}, keepdims=True)"
-        self._bind_tensor(inst.out, self._from_logical(inst.out, reduced, rshape), active)
-
-    def _h_lookup(self, inst: insts.Lookup, active) -> None:
-        codes = self._operand(inst.codes, _Reg, "lookup codes")
-        table = self.lookup_tensor(inst.table)
-        safe = self.em.value(
-            f"{self._vals(codes)}.astype(np.int64).reshape({self.nblocks}, -1)"
-        )
-        if not bool(active.all()):
-            safe = self.em.value(
-                f"np.where({self.em.const(active)}[:, None], {safe}, 0)"
-            )
-        act_rows = self.em.const(active)
-        if isinstance(table, _Reg):
-            logical, lshape = self._logical(inst.table, "lookup table")
-            extent = lshape[1]
-        elif isinstance(table, _View):
-            extent = table.shape[0]
-        else:
-            raise LoweringBailout("lookup table is neither register nor view")
-        msg = self.em.const(tileops.lookup_message(extent))
-        self.em.effect(f"_lk({safe}[{act_rows}], {extent}, {msg})")
-        if isinstance(table, _Reg):
-            bidx = self.em.const(np.arange(self.nblocks, dtype=np.int64)[:, None])
-            values = self.em.value(
-                f"{logical}[{bidx}, np.clip({safe}, 0, {extent - 1})]"
-            )
-        else:
-            # Data-dependent addresses: the whole gather runs in the kernel.
-            values = self.em.value(
-                f"_dec({self._dtype_const(table.dtype)}, _gather("
-                f"{table.buf}, {table.name}[:, None] + {safe} * {table.dtype.nbits}, "
-                f"{table.dtype.nbits}, {table.dtype.nbits % 8 == 0}, "
-                f"{self.em.const(table.oob_msg())}))",
-                reads=table.buf,
-            )
-        out_t = inst.out.ttype
-        reg = self._encode(
-            out_t.dtype, out_t.layout, f"{values}.reshape({self._shape3(out_t.layout)!r})"
-        )
-        self._bind_tensor(inst.out, reg, active)
-
-    def _h_view(self, inst: insts.View, active) -> None:
-        a = self._operand(inst.a, _Reg, "view operand")
-        out_t = inst.out.ttype
-        tileops.check_view(a.dtype, a.layout, out_t.dtype, out_t.layout)
-        bits = self._regrouped(a, out_t.dtype.nbits, out_t.layout.local_size)
-        self._bind_tensor(inst.out, _Reg(out_t.dtype, out_t.layout, bits=bits), active)
-
-    def _h_dot(self, inst: insts.Dot, active) -> None:
-        al, ashape = self._logical(inst.a, "dot operand")
-        bl, bshape = self._logical(inst.b, "dot operand")
-        cl, _ = self._logical(inst.c, "dot operand")
-
-        def f64(name: str, var: TensorVar) -> str:  # decoded floats already are
-            return name if var.ttype.dtype.is_float else f"{name}.astype(np.float64)"
-
-        res = f"{f64(al, inst.a)} @ {f64(bl, inst.b)} + {cl}"
-        rshape = (self.nblocks, ashape[1], bshape[2])
-        self._bind_tensor(inst.out, self._from_logical(inst.out, res, rshape), active)
-        self.tally["dot_ops"] += (
-            ashape[1] * ashape[2] * bshape[2] * int(active.sum())
-        )
-
-    # misc ------------------------------------------------------------------
-    def _h_synchronize(self, inst, active) -> None:
-        self.tally["synchronizations"] += int(active.sum())
-
-    def _h_exit(self, inst, active) -> None:
-        self.exited |= active
-
-
-_Tracer.handlers = {
-    insts.BlockIndices: _Tracer._h_block_indices,
-    insts.ViewGlobal: _Tracer._h_view_global,
-    insts.AllocateRegister: _Tracer._h_allocate_register,
-    insts.AllocateShared: _Tracer._h_allocate_shared,
-    insts.FreeShared: _Tracer._h_free_shared,
-    insts.LoadGlobal: _Tracer._h_load,
-    insts.LoadShared: _Tracer._h_load,
-    insts.StoreGlobal: _Tracer._h_store,
-    insts.StoreShared: _Tracer._h_store,
-    insts.CopyAsync: _Tracer._h_copy_async,
-    insts.CopyAsyncCommitGroup: _Tracer._h_nothing,
-    insts.CopyAsyncWaitGroup: _Tracer._h_nothing,
-    insts.ElementwiseBinary: _Tracer._h_binary,
-    insts.Neg: _Tracer._h_neg,
-    insts.Cast: _Tracer._h_cast,
-    insts.ReduceSum: _Tracer._h_reduce_sum,
-    insts.Lookup: _Tracer._h_lookup,
-    insts.View: _Tracer._h_view,
-    insts.Dot: _Tracer._h_dot,
-    insts.Synchronize: _Tracer._h_synchronize,
-    insts.Exit: _Tracer._h_exit,
-}
+        walk.stats.blocks_run += state.nblocks
+        try:
+            walk.run_stmt(state.program.body, np.ones(state.nblocks, dtype=bool))
+        except (VMError, IRError) as exc:
+            # A table check raised at compile time what the batched engine
+            # would raise deterministically at runtime; the fallback engine
+            # reproduces it, so lowering just declines.
+            raise LoweringBailout(f"deterministic runtime error: {exc}") from exc
+        return walk
 
 
 # ---------------------------------------------------------------------------
@@ -1011,9 +619,10 @@ class ForwardValues:
     """Pass 3: keep what the kernel reads.
 
     Forwarding has two halves.  While the trace is recorded, a register
-    is a :class:`_Reg` of lazily emitted twins and every consumer takes
-    the twin it computes on, so a conversion nobody asks for is never
-    written; equal expressions share one temporary.  This pass is the
+    is a :class:`~repro.vm.batched.Register` of lazily computed twins and
+    every consumer takes the twin it computes on, so a conversion nobody
+    asks for is never written; equal expressions share one temporary.
+    This pass is the
     half that needs the whole trace, one backward liveness walk: a
     statement survives if it is a check or a store, a gather (its bounds
     check is an effect), or is read by a survivor — view bases only
@@ -1125,18 +734,17 @@ class FlattenToSource:
     name = PASS_NAMES[3]
 
     @staticmethod
-    def run(state: _LoweringState, tracer: _Tracer, stmts: list[_Stmt]) -> LoweredKernel:
+    def run(state: _LoweringState, walk: TileWalk, stmts: list[_Stmt]) -> LoweredKernel:
         body: list[str] = []
         for slot in range(len(state.ptr_indices)):
             body.append(f"p{slot} = ptrs[{slot}]")
-        if tracer.shared.used:
-            body.append(f"sm = np.zeros({tracer.shared.nbytes}, dtype=np.uint8)")
+        if walk.shared.used:
+            body.append(f"sm = np.zeros({walk.shared.nbytes}, dtype=np.uint8)")
         body.extend(
             stmt.expr if stmt.target is None else f"{stmt.target} = {stmt.expr}"
             for stmt in stmts
         )
-        for fname in _STAT_FIELDS:
-            delta = tracer.tally[fname]
+        for fname, delta in walk.stats.snapshot().items():
             if delta:
                 body.append(f"stats.{fname} += {delta}")
         if not body:
@@ -1161,7 +769,7 @@ class FlattenToSource:
             source=source,
             passes=PASS_NAMES,
             buffer_len=len(state.memory.buffer),
-            shared_used=tracer.shared.used,
+            shared_used=walk.shared.used,
             num_consts=len(consts),
             num_params=len(state.program.params),
             _fn=namespace["_jit_kernel"],
@@ -1201,8 +809,8 @@ def lower_program(
     state = SpecializeConstants.run(
         program, args, memory, shared_capacity, launches
     )
-    tracer = UnrollAndTrace.run(state)
-    kernel = FlattenToSource.run(state, tracer, ForwardValues.run(state))
+    walk = UnrollAndTrace.run(state)
+    kernel = FlattenToSource.run(state, walk, ForwardValues.run(state))
     if recorder is not None:
         recorder.complete(
             f"jit.lower:{program.name}",

@@ -5,9 +5,10 @@ The two interpreted engines — the sequential interpreter and the
 grid-vectorized batched executor — both pay per-statement Python
 dispatch on every launch.  The lowering pipeline
 (:mod:`repro.compiler.lower`) removes that cost for an
-already-specialized launch by partially evaluating the batched engine's
-statement walk at compile time and emitting flat, straight-line numpy
-source.  This module is the *runtime* half of the tier:
+already-specialized launch by running the batched engine's walk — its
+statement walk and its instruction handlers — once at compile time with
+the pointers left symbolic, and emitting what it did as flat,
+straight-line numpy source.  This module is the *runtime* half of the tier:
 
 - :class:`JitCache` — a bounded LRU of
   :class:`~repro.compiler.lower.LoweredKernel` objects keyed by
@@ -32,9 +33,10 @@ so a profiler reset — the serving loop installs a fresh profile per
 trace — cannot demote them).
 
 Execution stays bit-exact: lowering either reproduces the batched
-engine's results (and error behaviour, and statistics) exactly, or
-bails out and the launch falls back to the batched engine.  The
-differential harness locks the tier in as its 8th mode.
+engine's results (and error behaviour, and statistics) exactly — the
+kernel is what that engine's handlers did — or bails out and the launch
+falls back to the batched engine.  The differential harness locks the
+tier in as one of its six modes.
 """
 
 from __future__ import annotations

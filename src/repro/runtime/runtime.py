@@ -378,18 +378,18 @@ class Runtime:
     # -- memory -------------------------------------------------------------
     def upload(self, values: np.ndarray, dtype: DataType) -> int:
         """Copy a host array into device memory; returns its address."""
-        return self.interpreter.upload(values, dtype)
+        return self.memory.upload(values, dtype)
 
     def empty(self, shape: Sequence[int], dtype: DataType) -> int:
         """Allocate uninitialized device memory for an output tensor."""
-        return self.interpreter.alloc_output(shape, dtype)
+        return self.memory.alloc_output(shape, dtype)
 
     def download(self, addr: int, shape: Sequence[int], dtype: DataType) -> np.ndarray:
         """Copy a device tensor back to the host (pending asynchronous
         launches retire first: program order)."""
         if self._pool is not None:
             self._pool.drain()
-        return self.interpreter.download(addr, shape, dtype)
+        return self.memory.download(addr, shape, dtype)
 
     def ensure_workspace(self, nbytes: int) -> int:
         """Grow-on-demand workspace shared by kernels (never shrinks)."""

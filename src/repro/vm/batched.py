@@ -5,18 +5,24 @@ after another in a Python loop, so per-instruction Python overhead is paid
 once *per block*.  Thread blocks are independent by construction (paper
 Section 6), which makes the grid a perfect vectorization axis: this module
 executes **all blocks in lockstep**, representing every register tile as a
-``(num_blocks, num_threads, elements_per_thread)`` array of packed uint64
-bit patterns and every memory transfer as one stacked gather/scatter, so
-per-instruction overhead is paid once *per launch*.
+``(num_blocks, num_threads, elements_per_thread)`` array and every memory
+transfer as one stacked gather/scatter, so per-instruction overhead is
+paid once *per launch*.
 
-This module is a thin front-end: what a tile operation means on that
-representation — codecs, regrouping for ``View``, gather/scatter, index
-and bounds rules, the shared-memory allocator — is the table in
-:mod:`repro.vm.tileops`, which the kernels generated by
-:mod:`repro.compiler.lower` call too.  What lives here is the eager side:
-the block-vectorised scalar evaluator, the value classes that hold live
-arrays, the masked statement walk (:class:`LockstepWalk`, which lowering
-re-runs at compile time) and one handler per instruction.
+This module holds the one handler set of the block-vectorised tiers.
+What a tile operation means on that representation — codecs, regrouping
+for ``View``, gather/scatter, index and bounds rules, the shared-memory
+allocator — is the table in :mod:`repro.vm.tileops`.  What lives here is
+what an *instruction* does with it: the block-vectorised scalar evaluator,
+the two tensor value types (:class:`Register`, :class:`View`), the masked
+statement walk (:class:`LockstepWalk`) and one handler per instruction
+(:class:`TileWalk`), each written once as plain numpy plus table calls.
+:class:`BatchedExecutor` runs that walk on arrays; the lowering pipeline
+(:mod:`repro.compiler.lower`) runs the same walk with the device buffer,
+the shared buffer and the pointer arguments left symbolic, and what the
+handlers then compute *is* the kernel.  So the interpreted tier, the
+compiled tier and their error behaviour cannot disagree: a new
+instruction, dtype rule or counter is one edit.
 
 Engine selection
 ----------------
@@ -74,7 +80,6 @@ through tensor outputs of well-formed programs):
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -107,11 +112,10 @@ from repro.ir.stmt import (
 )
 from repro.ir.types import TensorVar
 from repro.vm import tileops
-from repro.vm.dispatch import BATCHED, bounds_mask, decompose_linear
+from repro.vm.dispatch import LOCKSTEP, bounds_mask, decompose_linear
 from repro.vm.interp import ExecutionStats
-from repro.vm.memory import GlobalMemory
+from repro.vm.memory import GlobalMemory, TensorView
 from repro.vm.tileops import BatchedSharedMemory
-from repro.vm.values import apply_elementwise
 
 
 # ---------------------------------------------------------------------------
@@ -266,176 +270,61 @@ def batched_evaluate(expr: Expr, env, active=None):
 
 
 # ---------------------------------------------------------------------------
-# Batched runtime values
+# Tensor values
 # ---------------------------------------------------------------------------
 
 
-class BatchedRegisterValue:
-    """All blocks' copies of one register tensor: ``(B, T, L)`` uint64 bit
-    patterns, one per (block, thread, local element) — the paper's packed
-    per-thread bits, and the representation compiled kernels carry.
+class Register:
+    """All blocks' copies of one register tensor, as up to three twins of
+    one value: ``bits`` — ``(B, T, L)`` uint64 patterns, the paper's
+    packed per-thread bits; ``vals`` — the same shape decoded, exactly
+    ``decode(dtype, bits)``; ``logical`` — ``(B,) + layout.shape``,
+    exactly ``gather_logical`` of ``vals``.
 
-    Mirrors :class:`repro.vm.values.RegisterValue` operation by operation
-    (identical decode → numpy op → encode pipelines) so results are
-    bit-exact with per-block execution.
+    A register is born with the twin its producer computes (a load has
+    bits, arithmetic has values, ``Dot`` the logical tensor) and the
+    others appear the first time an instruction reads them
+    (:meth:`TileWalk.bits` / ``vals`` / ``logical``): a value stays
+    decoded between instructions and is packed only where bits are read —
+    a ``View``, a store, a divergent merge.  Each twin is an array, or
+    under a lowering trace the kernel's name for one.
     """
 
-    def __init__(self, dtype, layout, patterns: np.ndarray) -> None:
-        patterns = np.asarray(patterns, dtype=np.uint64)
-        expected = (patterns.shape[0], layout.num_threads, layout.local_size)
-        if patterns.shape != expected:
-            raise VMError(f"pattern shape {patterns.shape} != {expected}")
+    __slots__ = ("dtype", "layout", "bits", "vals", "logical")
+
+    def __init__(self, dtype, layout, bits=None, vals=None, logical=None) -> None:
         self.dtype = dtype
         self.layout = layout
-        self.patterns = patterns
-
-    @property
-    def nblocks(self) -> int:
-        return self.patterns.shape[0]
-
-    # -- constructors -----------------------------------------------------
-    @classmethod
-    def filled(cls, dtype, layout, value, nblocks: int) -> "BatchedRegisterValue":
-        """``value`` in every element; all-zero bits when it is None."""
-        shape3 = (nblocks, layout.num_threads, layout.local_size)
-        return cls(dtype, layout, tileops.filled(dtype, shape3, value))
-
-    @classmethod
-    def from_thread_values(cls, dtype, layout, values: np.ndarray) -> "BatchedRegisterValue":
-        return cls(dtype, layout, tileops.encode(dtype, np.asarray(values)))
-
-    @classmethod
-    def from_logical(cls, dtype, layout, tensor: np.ndarray) -> "BatchedRegisterValue":
-        tensor = np.asarray(tensor)
-        tileops.check_logical_shape(tensor.shape, layout)
-        nb = tensor.shape[0]
-        values = tensor[tileops.logical_index(layout, nb)]
-        return cls.from_thread_values(
-            dtype, layout, values.reshape(nb, layout.num_threads, layout.local_size)
-        )
-
-    # -- accessors --------------------------------------------------------
-    def thread_values(self) -> np.ndarray:
-        return tileops.decode(self.dtype, self.patterns)
-
-    def to_logical(self) -> np.ndarray:
-        return tileops.gather_logical(
-            self.thread_values(),
-            (self.nblocks,) + self.layout.shape,
-            tileops.logical_inverse(self.layout),
-        )
-
-    def _patterns_as(self, nbits: int) -> np.ndarray:
-        """The same bits read as ``nbits``-wide elements (zero-cost when
-        the width is unchanged)."""
-        if nbits == self.dtype.nbits:
-            return self.patterns
-        return tileops.regroup(self.patterns, self.dtype.nbits, nbits)
-
-    # -- operations -------------------------------------------------------
-    def view(self, dtype, layout) -> "BatchedRegisterValue":
-        tileops.check_view(self.dtype, self.layout, dtype, layout)
-        return BatchedRegisterValue(dtype, layout, self._patterns_as(dtype.nbits))
-
-    def cast(self, dtype) -> "BatchedRegisterValue":
-        values = self.thread_values()
-        if dtype.is_integer and self.dtype.is_float:
-            values = np.trunc(values)
-        return BatchedRegisterValue.from_thread_values(dtype, self.layout, values)
-
-    def binary(self, op: str, other) -> "BatchedRegisterValue":
-        a = self.thread_values()
-        if isinstance(other, BatchedRegisterValue):
-            tileops.check_same_tiling(self.layout, other.layout)
-            b = other.thread_values()
-        elif isinstance(other, np.ndarray):
-            b = other.reshape(-1, 1, 1)  # per-block scalar broadcast
-        else:
-            b = other
-        result = apply_elementwise(self.dtype, op, a, b)
-        return BatchedRegisterValue.from_thread_values(self.dtype, self.layout, result)
-
-    def neg(self) -> "BatchedRegisterValue":
-        return BatchedRegisterValue.from_thread_values(
-            self.dtype, self.layout, -self.thread_values()
-        )
-
-    def merge_into(self, old: "BatchedRegisterValue", active: np.ndarray) -> "BatchedRegisterValue":
-        """Keep this value for active blocks, ``old`` (its bits regrouped
-        to this element width) elsewhere."""
-        tileops.check_view(old.dtype, old.layout, self.dtype, self.layout)
-        patterns = np.where(
-            active[:, None, None], self.patterns, old._patterns_as(self.dtype.nbits)
-        )
-        return BatchedRegisterValue(self.dtype, self.layout, patterns)
+        self.bits = bits
+        self.vals = vals
+        self.logical = logical
 
     def __repr__(self) -> str:
-        return f"BatchedRegisterValue({self.dtype}, {self.layout.short_repr()}, B={self.nblocks})"
+        return f"Register({self.dtype}, {self.layout.short_repr()})"
 
 
-class BatchedView:
-    """Per-block typed windows into one flat byte buffer (bit addressing).
+class View:
+    """Per-block typed windows into one flat byte buffer.
 
-    ``base_bits[b]`` is the absolute bit address of element 0 for block
-    ``b``.  Global views share the device buffer with uniform (or per-block)
-    bases; shared views use one row per block inside a flat
-    :class:`BatchedSharedMemory` buffer.
+    ``base[b]`` is the byte address of element 0 for block ``b`` (bases
+    are whole bytes: pointers and 16-byte shared granules); element ``k``
+    of an ``nbits``-wide tensor occupies bits ``[8 * base + k * nbits,
+    ...)``.  Global views share the device buffer, shared views use one
+    row per block of a flat :class:`BatchedSharedMemory` buffer.  Under a
+    lowering trace ``buf`` is the kernel's name for the buffer and
+    ``base`` stays affine in its pointer arguments.
     """
 
-    def __init__(self, buffer: np.ndarray, base_bits, dtype, shape: tuple[int, ...]) -> None:
-        self.buffer = buffer
-        self.base_bits = np.asarray(base_bits, dtype=np.int64).reshape(-1)
+    __slots__ = ("buf", "base", "dtype", "shape", "buflen", "oob")
+
+    def __init__(self, buf, base, dtype, shape: tuple, buflen: int) -> None:
+        self.buf = buf
+        self.base = base
         self.dtype = dtype
         self.shape = tuple(int(s) for s in shape)
-        self.size = int(np.prod(self.shape)) if self.shape else 1
-
-    @property
-    def nblocks(self) -> int:
-        return self.base_bits.shape[0]
-
-    @cached_property
-    def _aligned(self) -> bool:
-        return self.dtype.nbits % 8 == 0 and not (self.base_bits % 8).any()
-
-    @cached_property
-    def _oob(self) -> str:
-        return tileops.oob_message(self.dtype, self.shape, len(self.buffer))
-
-    def gather_bits(self, indices: list, where=None, clip: bool = False) -> np.ndarray:
-        """Read bit patterns at per-block multi-indices of shape (B, n);
-        ``where``/``clip`` as in :func:`repro.vm.tileops.linear_index`."""
-        linear = tileops.linear_index(self.shape, self.dtype, indices, where, clip)
-        nbits = self.dtype.nbits
-        return tileops.gather(
-            self.buffer, self.base_bits[:, None] + linear * nbits, nbits,
-            self._aligned, self._oob,
-        )
-
-    def scatter_bits(self, indices: list, patterns: np.ndarray, select=None) -> None:
-        """Write bit patterns at per-block multi-indices of shape (B, n).
-
-        ``select`` is a boolean (B, n) mask choosing which elements are
-        written (inactive blocks, masked-out lanes).  Flattening is
-        block-major, so overlapping writes resolve in the same order as
-        sequential per-block execution.
-        """
-        selected = tileops.select_flat(indices, self.nblocks, select)
-        if selected is None:
-            return
-        flat, rows, select = selected
-        linear = tileops.linear_index(self.shape, self.dtype, flat)
-        patterns = np.broadcast_to(np.asarray(patterns, dtype=np.uint64), select.shape)
-        nbits = self.dtype.nbits
-        tileops.scatter(
-            self.buffer, self.base_bits[rows] + linear * nbits, patterns[select],
-            nbits, self._aligned, self._oob,
-        )
-
-    def merge_into(self, old: "BatchedView", active: np.ndarray) -> "BatchedView":
-        if old.buffer is not self.buffer:
-            raise VMError("cannot merge views over different buffers")
-        base = np.where(active, self.base_bits, old.base_bits)
-        return BatchedView(self.buffer, base, self.dtype, self.shape)
+        self.buflen = buflen
+        #: The message of an access outside the buffer.
+        self.oob = tileops.oob_message(dtype, self.shape, buflen)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +337,9 @@ class LockstepWalk:
 
     Every statement runs under a boolean *active mask* over blocks;
     ``if``/``for``/``while`` split and re-converge it, ``break``/
-    ``continue``/``Exit`` subtract from it.  This is the one masked walk:
-    the batched engine runs it on live values (:class:`BatchedContext`)
-    and the lowering pipeline on compile-time ones, each supplying what
-    differs — :meth:`scalar`, :meth:`instruction`, the ``merge`` of
-    :meth:`bind`, and (lowering's trace budget) :meth:`step`.
+    ``continue``/``Exit`` subtract from it.  Scalars are whatever
+    :func:`batched_evaluate` computes on the environment's values;
+    :class:`TileWalk` says what an instruction does.
     """
 
     def __init__(self, nblocks: int, env: dict) -> None:
@@ -461,25 +348,25 @@ class LockstepWalk:
         self.exited = np.zeros(nblocks, dtype=bool)
         self._breaks: list[np.ndarray] = []
 
-    def scalar(self, expr: Expr, active: np.ndarray, control: bool = False):
-        """Evaluate a scalar expression for the active blocks; ``control``
-        marks a branch condition or loop extent (must be a number)."""
-        raise NotImplementedError
+    def scalar(self, expr: Expr, active: np.ndarray):
+        """Evaluate a scalar expression for the active blocks."""
+        return batched_evaluate(expr, self.env, active)
 
     def instruction(self, inst, active: np.ndarray) -> None:
         raise NotImplementedError
 
-    def bind_scalar(self, var: Var, value, active: np.ndarray) -> None:
-        self.bind(var, value, active, lambda new, old: np.where(active, new, old))
-
     def step(self) -> None:
-        """Called once per statement visited."""
+        """Called once per statement visited (a lowering trace counts
+        them against its budget)."""
 
     def bind(self, var, value, active: np.ndarray, merge) -> None:
         """Bind ``var`` for the active blocks; where some are inactive and
         hold an older value, keep theirs: ``merge(value, old)``."""
         old = None if bool(active.all()) else self.env.get(var)
         self.env[var] = value if old is None else merge(value, old)
+
+    def bind_scalar(self, var: Var, value, active: np.ndarray) -> None:
+        self.bind(var, value, active, lambda new, old: np.where(active, new, old))
 
     def lookup_tensor(self, var: TensorVar):
         value = self.env.get(var)
@@ -489,7 +376,7 @@ class LockstepWalk:
 
     def numbers(self, exprs, active: np.ndarray) -> list:
         """The values of index/offset expressions for the active blocks."""
-        return [self.scalar(e, active, control=True) for e in exprs]
+        return [self.scalar(e, active) for e in exprs]
 
     def tile_indices(self, layout, offsets, active, broadcast_dims=frozenset()) -> list:
         """Per-block (B, n) memory indices of a register tile at ``offsets``."""
@@ -514,7 +401,7 @@ class LockstepWalk:
             self.bind_scalar(stmt.var, self.scalar(stmt.value, active), active)
             return active
         if isinstance(stmt, IfStmt):
-            cond = self.scalar(stmt.cond, active, control=True)
+            cond = self.scalar(stmt.cond, active)
             if not _is_arr(cond):
                 if cond:
                     return self.run_stmt(stmt.then_body, active)
@@ -534,7 +421,7 @@ class LockstepWalk:
             )
             return then_live | else_live
         if isinstance(stmt, ForStmt):
-            extent = self.scalar(stmt.extent, active, control=True)
+            extent = self.scalar(stmt.extent, active)
             extent = extent.astype(np.int64) if _is_arr(extent) else int(extent)
             broken = np.zeros(self.nblocks, dtype=bool)
             self._breaks.append(broken)
@@ -559,9 +446,7 @@ class LockstepWalk:
                 base = active & ~self.exited & ~broken & ~done
                 if not base.any():
                     break
-                cmask = tileops.as_mask(
-                    self.scalar(stmt.cond, base, control=True), self.nblocks
-                )
+                cmask = tileops.as_mask(self.scalar(stmt.cond, base), self.nblocks)
                 done |= base & ~cmask
                 iter_active = base & cmask
                 if not iter_active.any():
@@ -582,37 +467,409 @@ class LockstepWalk:
         raise VMError(f"unknown statement {type(stmt).__name__}")
 
 
-class BatchedContext(LockstepWalk):
-    """Lockstep state of all thread blocks during one launch: the walk
-    over live values."""
+# ---------------------------------------------------------------------------
+# What an instruction does
+# ---------------------------------------------------------------------------
 
-    def __init__(self, executor: "BatchedExecutor", nblocks: int, coords: tuple) -> None:
-        super().__init__(nblocks, dict(executor.launch_env))
-        self.executor = executor
+
+class TileWalk(LockstepWalk):
+    """The lockstep walk with the instruction set on it: one handler per
+    instruction, written once as numpy over register twins and view bases
+    plus calls into the tile-semantics table through ``ops``.
+
+    Executing, ``ops`` *is* :mod:`repro.vm.tileops`, ``mem`` the device
+    buffer, pointers are numbers and every twin an array: the handlers
+    compute (:class:`BatchedExecutor`).  Lowering runs the same handlers
+    with ``mem``, the shared buffer and the pointer arguments left as
+    names and an ``ops`` that calls the table when every argument is
+    concrete and otherwise records the call: they write the kernel
+    (:mod:`repro.compiler.lower`).  ``stats`` advances exactly as if the
+    blocks had run one at a time.
+    """
+
+    def __init__(self, nblocks: int, env: dict, coords: tuple, ops,
+                 memory: GlobalMemory, mem, shared: BatchedSharedMemory,
+                 stats: ExecutionStats) -> None:
+        super().__init__(nblocks, env)
         self.block_coords = coords  # one (B,) array per grid dimension
-        self.shared = BatchedSharedMemory(nblocks, executor.shared_capacity)
-        self.pending_copy_count = 0
-        self.committed_group_sizes: list[int] = []
+        self.ops = ops
+        self.memory = memory
+        self.mem = mem
+        self.shared = shared
+        self.stats = stats
         #: Per-block buffered ``PrintTensor`` output, flushed in block
         #: order when the launch retires (created on first print).
         self.prints: list[list[str]] | None = None
 
-    def scalar(self, expr: Expr, active: np.ndarray, control: bool = False):
-        return batched_evaluate(expr, self.env, active)
-
     def instruction(self, inst, active: np.ndarray) -> None:
-        self.executor.stats.instructions += int(active.sum())
-        BATCHED.lookup(inst)(self.executor, inst, self, active)
+        self.stats.instructions += int(active.sum())
+        LOCKSTEP.lookup(inst)(self, inst, active)
 
     def bind_tensor(self, var: TensorVar, value, active: np.ndarray) -> None:
         """All environment updates merge per block, so an inactive block
         observes no effect from instructions it did not execute."""
-        self.bind(var, value, active, lambda new, old: new.merge_into(old, active))
+        self.bind(var, value, active, lambda new, old: self._merge(new, old, active))
+
+    def _merge(self, new, old, active: np.ndarray):
+        if isinstance(new, Register) and isinstance(old, Register):
+            tileops.check_view(old.dtype, old.layout, new.dtype, new.layout)
+            # Merged as bits: the old value may be of another type, and a
+            # loaded pattern need not be the one its value encodes to.
+            bits = np.where(
+                active[:, None, None], self.bits(new), self.regrouped(old, new.dtype.nbits)
+            )
+            return Register(new.dtype, new.layout, bits=self.ops.hold(bits))
+        if isinstance(new, View) and isinstance(old, View):
+            if new.buf is not old.buf:
+                raise VMError("cannot merge views over different buffers")
+            base = np.where(active, new.base, old.base)
+            return View(new.buf, base, new.dtype, new.shape, new.buflen)
+        raise VMError("divergent merge of incompatible tensor kinds")
+
+    # -- register twins -----------------------------------------------------
+    def shape3(self, layout) -> tuple:
+        return (self.nblocks, layout.num_threads, layout.local_size)
+
+    def bits(self, reg: Register):
+        """``reg``'s patterns: where a value is packed."""
+        if reg.bits is None:
+            reg.bits = self.ops.hold(self.ops.encode(reg.dtype, self.vals(reg)))
+        return reg.bits
+
+    def vals(self, reg: Register):
+        """``reg``'s decoded values."""
+        if reg.vals is None:
+            if reg.bits is not None:
+                vals = self.ops.decode(reg.dtype, reg.bits)
+            else:
+                index = tileops.logical_index(reg.layout, self.nblocks)
+                vals = reg.logical[index].reshape(self.shape3(reg.layout))
+            reg.vals = self.ops.hold(vals)
+        return reg.vals
+
+    def logical(self, reg: Register):
+        """``reg`` as a ``(B,) + layout.shape`` tensor of decoded values."""
+        if reg.logical is None:
+            reg.logical = self.ops.hold(self.ops.gather_logical(
+                self.vals(reg),
+                (self.nblocks,) + tuple(reg.layout.shape),
+                tileops.logical_inverse(reg.layout),
+            ))
+        return reg.logical
+
+    def regrouped(self, reg: Register, nbits: int):
+        """``reg``'s bits read as ``nbits``-wide elements (zero-cost when
+        the width is unchanged)."""
+        bits = self.bits(reg)
+        if reg.dtype.nbits == nbits:
+            return bits
+        return self.ops.hold(self.ops.regroup(bits, reg.dtype.nbits, nbits))
+
+    def rounded(self, dtype, layout, values) -> Register:
+        """A register of ``dtype`` holding ``values`` rounded to it."""
+        return Register(dtype, layout, vals=self.ops.hold(self.ops.requantize(dtype, values)))
+
+    def from_logical(self, ttype, tensor, shape: tuple) -> Register:
+        """The register a logical-tensor result of ``shape`` lands in.
+        Rounding is elementwise, so it is applied to the tensor and the
+        register is born logical: reading it back as a logical tensor
+        (the next ``Dot`` of an accumulator chain) is the rounded tensor
+        itself."""
+        tileops.check_logical_shape(shape, ttype.layout)
+        tileops.logical_inverse(ttype.layout)  # the claim needs every element held
+        return Register(
+            ttype.dtype, ttype.layout,
+            logical=self.ops.hold(self.ops.requantize(ttype.dtype, tensor)),
+        )
+
+    # -- view addressing ----------------------------------------------------
+    def gather(self, view: View, linear: np.ndarray):
+        """Patterns of ``view``'s elements at (B, n) linear indices."""
+        nbits = view.dtype.nbits
+        bit_off = linear * nbits
+        addr = view.base[:, None] + bit_off // 8
+        if nbits % 8 == 0:
+            return self.ops.gather_bytes(view.buf, addr, nbits // 8, view.oob)
+        shift = (bit_off % 8).astype(np.uint64)
+        return self.ops.gather_subbyte(view.buf, addr, shift, nbits, view.oob)
+
+    def gather_zfill(self, view: View, indices: list):
+        """Gather with out-of-bounds elements reading as zero bits (masked
+        loads, ``cp.async`` zfill)."""
+        valid = bounds_mask(indices, view.shape)
+        raw = self.gather(view, tileops.linear_index(view.shape, view.dtype, indices, clip=True))
+        return raw if bool(valid.all()) else np.where(valid, raw, np.uint64(0))
+
+    def scatter(self, view: View, indices: list, patterns, select: np.ndarray) -> None:
+        """Write patterns (one per index) at per-block (B, n) multi-indices
+        where ``select`` holds (inactive blocks, masked-out lanes are
+        skipped).  Flattening is block-major, so overlapping writes
+        resolve in the same order as sequential per-block execution."""
+        selected = tileops.select_flat(indices, self.nblocks, select)
+        if selected is None:
+            return
+        flat, rows, select = selected
+        linear = tileops.linear_index(view.shape, view.dtype, flat)
+        nbits = view.dtype.nbits
+        if bool(select.all()):
+            patterns = patterns.reshape(-1)
+        else:
+            patterns = patterns.reshape(select.shape)[select]
+        if nbits % 8 == 0:
+            addr = view.base[rows] + linear * (nbits // 8)
+            self.ops.scatter_bytes(view.buf, addr, patterns, nbits // 8, view.oob)
+            return
+        keep, byte_idx, bit_in_byte = self.ops.last_writers(
+            view.base[rows] * 8 + linear * nbits, nbits
+        )
+        self.ops.scatter_subbyte(
+            view.buf, byte_idx, bit_in_byte, self.ops.pattern_bits(patterns, nbits)[keep],
+            view.oob,
+        )
+
+    # -- allocation and views -----------------------------------------------
+    @LOCKSTEP.register(insts.BlockIndices)
+    def _h_block_indices(self, inst: insts.BlockIndices, active) -> None:
+        if len(inst.out_vars) != len(self.block_coords):
+            raise VMError(
+                f"BlockIndices unpacks {len(inst.out_vars)} values but the grid "
+                f"has rank {len(self.block_coords)}"
+            )
+        for var, arr in zip(inst.out_vars, self.block_coords):
+            self.env[var] = arr
+
+    @LOCKSTEP.register(insts.ViewGlobal)
+    def _h_view_global(self, inst: insts.ViewGlobal, active) -> None:
+        ttype = inst.out.ttype
+        shape = tileops.view_shape(ttype.shape, lambda s: self.scalar(s, active), active)
+        ptr = np.broadcast_to(self.scalar(inst.ptr, active), (self.nblocks,))
+        base = np.where(active, ptr, 0)
+        buflen = len(self.memory.buffer)
+        limit = (buflen - 8) * 8
+        size = int(np.prod(shape)) if shape else 1
+        self.ops.check_view_global(
+            base * 8, size * ttype.dtype.nbits, limit,
+            *tileops.view_global_messages(ttype.dtype, shape, limit),
+        )
+        self.bind_tensor(inst.out, View(self.mem, base, ttype.dtype, shape, buflen), active)
+
+    @LOCKSTEP.register(insts.AllocateRegister)
+    def _h_allocate_register(self, inst: insts.AllocateRegister, active) -> None:
+        dtype, layout = inst.out.ttype.dtype, inst.out.ttype.layout
+        bits = tileops.filled(dtype, self.shape3(layout), inst.init)
+        self.bind_tensor(inst.out, Register(dtype, layout, bits=bits), active)
+
+    @LOCKSTEP.register(insts.AllocateShared)
+    def _h_allocate_shared(self, inst: insts.AllocateShared, active) -> None:
+        ttype = inst.out.ttype
+        shape = ttype.static_shape()
+        base_bits = self.shared.alloc(tileops.tensor_nbytes(shape, ttype.dtype, "shared"), active)
+        view = View(self.shared.buffer, base_bits // 8, ttype.dtype, shape, self.shared.nbytes)
+        self.bind_tensor(inst.out, view, active)
+
+    @LOCKSTEP.register(insts.FreeShared)
+    def _h_free_shared(self, inst: insts.FreeShared, active) -> None:
+        self.env.pop(inst.tensor, None)
+
+    @LOCKSTEP.register(insts.AllocateGlobal)
+    def _h_allocate_global(self, inst: insts.AllocateGlobal, active) -> None:
+        self.ops.host_effect(inst)
+        ttype = inst.out.ttype
+        shape = ttype.static_shape()
+        nbytes = tileops.tensor_nbytes(shape, ttype.dtype, "workspace")
+        addrs = np.zeros(self.nblocks, dtype=np.int64)
+        idx = np.flatnonzero(active)
+        if idx.size:
+            # One vectorized reservation covering every active block, in block
+            # order — the same addresses a per-block alloc loop (and the
+            # sequential engine's block loop) would assign.
+            addrs[idx] = self.memory.alloc_n(nbytes, idx.size)
+        view = View(self.mem, addrs, ttype.dtype, shape, len(self.memory.buffer))
+        self.bind_tensor(inst.out, view, active)
+
+    # -- transfer -----------------------------------------------------------
+    @LOCKSTEP.register(insts.LoadGlobal, insts.LoadShared)
+    def _h_load(self, inst, active) -> None:
+        src: View = self.lookup_tensor(inst.src)
+        ttype = inst.out.ttype
+        indices = self.tile_indices(ttype.layout, inst.offset, active, inst.broadcast_dims)
+        if getattr(inst, "masked", False):
+            bits = self.gather_zfill(src, indices)
+        else:
+            bits = self.gather(src, tileops.linear_index(
+                src.shape, src.dtype, indices, where=active[:, None]
+            ))
+        loaded = ttype.layout.size * src.dtype.nbits * int(active.sum())
+        if isinstance(inst, insts.LoadShared):
+            self.stats.shared_bits_loaded += loaded
+        else:
+            self.stats.global_bits_loaded += loaded
+        bits = self.ops.hold(bits.reshape(self.shape3(ttype.layout)))
+        self.bind_tensor(inst.out, Register(ttype.dtype, ttype.layout, bits=bits), active)
+
+    @LOCKSTEP.register(insts.StoreGlobal, insts.StoreShared)
+    def _h_store(self, inst, active) -> None:
+        value: Register = self.lookup_tensor(inst.src)
+        dst: View = self.lookup_tensor(inst.dst)
+        indices = self.tile_indices(value.layout, inst.offset, active)
+        select = active[:, None]
+        counted = active
+        if getattr(inst, "masked", False):
+            valid = bounds_mask(indices, dst.shape)
+            select = select & valid
+            counted = active & valid.any(axis=1)
+        self.scatter(dst, indices, self.bits(value), select)
+        stored = value.layout.size * dst.dtype.nbits * int(counted.sum())
+        if isinstance(inst, insts.StoreShared):
+            self.stats.shared_bits_stored += stored
+        else:
+            self.stats.global_bits_stored += stored
+
+    @LOCKSTEP.register(insts.CopyAsync)
+    def _h_copy_async(self, inst: insts.CopyAsync, active) -> None:
+        src: View = self.lookup_tensor(inst.src)
+        dst: View = self.lookup_tensor(inst.dst)
+        shape = inst.copy_shape()
+        src_idx, dst_idx = tileops.copy_indices(
+            shape,
+            self.numbers(inst.src_offset, active),
+            self.numbers(inst.dst_offset, active),
+            self.nblocks,
+        )
+        self.scatter(dst, dst_idx, self.gather_zfill(src, src_idx), active[:, None])
+        count = int(active.sum())
+        self.stats.copy_async_issued += count
+        self.stats.global_bits_loaded += int(np.prod(shape)) * src.dtype.nbits * count
+
+    @LOCKSTEP.register(insts.CopyAsyncCommitGroup, insts.CopyAsyncWaitGroup)
+    def _h_nothing(self, inst, active) -> None:
+        """Copies land when issued: group bookkeeping has nothing to order."""
+
+    # -- computation --------------------------------------------------------
+    @LOCKSTEP.register(insts.ElementwiseBinary)
+    def _h_binary(self, inst: insts.ElementwiseBinary, active) -> None:
+        a: Register = self.lookup_tensor(inst.a)
+        if isinstance(inst.b, TensorVar):
+            other: Register = self.lookup_tensor(inst.b)
+            tileops.check_same_tiling(a.layout, other.layout)
+            b = self.vals(other)
+        else:
+            b = self.scalar(inst.b, active)
+            if np.ndim(b):
+                b = b.reshape(-1, 1, 1)  # per-block scalar broadcast
+        result = self.ops.apply_elementwise(a.dtype, inst.op, self.vals(a), b)
+        self.bind_tensor(inst.out, self.rounded(a.dtype, a.layout, result), active)
+
+    @LOCKSTEP.register(insts.Neg)
+    def _h_neg(self, inst: insts.Neg, active) -> None:
+        a: Register = self.lookup_tensor(inst.a)
+        self.bind_tensor(inst.out, self.rounded(a.dtype, a.layout, -self.vals(a)), active)
+
+    @LOCKSTEP.register(insts.Cast)
+    def _h_cast(self, inst: insts.Cast, active) -> None:
+        a: Register = self.lookup_tensor(inst.a)
+        values = self.vals(a)
+        if inst.dtype.is_integer and a.dtype.is_float:
+            values = np.trunc(values)
+        self.bind_tensor(inst.out, self.rounded(inst.dtype, a.layout, values), active)
+
+    @LOCKSTEP.register(insts.ReduceSum)
+    def _h_reduce_sum(self, inst: insts.ReduceSum, active) -> None:
+        a: Register = self.lookup_tensor(inst.a)
+        axis = inst.axis + 1
+        reduced = self.logical(a).sum(axis=axis, keepdims=True)
+        shape = tuple(
+            1 if d == axis else e for d, e in enumerate((self.nblocks,) + tuple(a.layout.shape))
+        )
+        self.bind_tensor(inst.out, self.from_logical(inst.out.ttype, reduced, shape), active)
+
+    @LOCKSTEP.register(insts.Lookup)
+    def _h_lookup(self, inst: insts.Lookup, active) -> None:
+        codes: Register = self.lookup_tensor(inst.codes)
+        table = self.lookup_tensor(inst.table)
+        safe = self.vals(codes).astype(np.int64).reshape(self.nblocks, -1)
+        if not bool(active.all()):
+            safe = np.where(active[:, None], safe, 0)
+        safe = self.ops.hold(safe)
+        is_register = isinstance(table, Register)
+        extent = table.layout.shape[0] if is_register else table.shape[0]
+        self.ops.check_lookup(safe[active], extent, tileops.lookup_message(extent))
+        if is_register:
+            # Clipping only neutralizes inactive blocks' garbage codes; active
+            # codes were just bounds-checked above.
+            values = np.take_along_axis(
+                self.logical(table), np.clip(safe, 0, extent - 1), axis=1
+            )
+        else:
+            nbits = table.dtype.nbits
+            values = self.ops.decode(table.dtype, self.ops.gather(
+                table.buf, table.base[:, None] * 8 + safe * nbits, nbits, nbits % 8 == 0,
+                table.oob,
+            ))
+        out_t = inst.out.ttype
+        values = values.reshape(self.shape3(out_t.layout))
+        self.bind_tensor(inst.out, self.rounded(out_t.dtype, out_t.layout, values), active)
+
+    @LOCKSTEP.register(insts.View)
+    def _h_view(self, inst: insts.View, active) -> None:
+        a: Register = self.lookup_tensor(inst.a)
+        out_t = inst.out.ttype
+        tileops.check_view(a.dtype, a.layout, out_t.dtype, out_t.layout)
+        bits = self.regrouped(a, out_t.dtype.nbits)
+        self.bind_tensor(inst.out, Register(out_t.dtype, out_t.layout, bits=bits), active)
+
+    @LOCKSTEP.register(insts.Dot)
+    def _h_dot(self, inst: insts.Dot, active) -> None:
+        a, b, c = (self.lookup_tensor(var) for var in (inst.a, inst.b, inst.c))
+
+        def f64(reg: Register):  # decoded floats already are
+            tensor = self.logical(reg)
+            return tensor if reg.dtype.is_float else tensor.astype(np.float64)
+
+        result = f64(a) @ f64(b) + self.logical(c)
+        (m, k), n = a.layout.shape, b.layout.shape[1]
+        out = self.from_logical(inst.out.ttype, result, (self.nblocks, m, n))
+        self.bind_tensor(inst.out, out, active)
+        self.stats.dot_ops += m * k * n * int(active.sum())
+
+    # -- misc ---------------------------------------------------------------
+    @LOCKSTEP.register(insts.Synchronize)
+    def _h_synchronize(self, inst, active) -> None:
+        self.stats.synchronizations += int(active.sum())
+
+    @LOCKSTEP.register(insts.Exit)
+    def _h_exit(self, inst, active) -> None:
+        self.exited |= active
+
+    @LOCKSTEP.register(insts.PrintTensor)
+    def _h_print_tensor(self, inst: insts.PrintTensor, active) -> None:
+        # Rendered now (per-block state at this lockstep point), flushed in
+        # block order at launch retire — see BatchedExecutor._flush_prints.
+        self.ops.host_effect(inst)
+        if self.prints is None:
+            self.prints = [[] for _ in range(self.nblocks)]
+        value = self.lookup_tensor(inst.tensor)
+        prefix = f"{inst.message}: " if inst.message else ""
+        for b in np.flatnonzero(active):
+            if isinstance(value, Register):
+                shown = self.logical(value)[b]
+            else:
+                shown = TensorView(
+                    value.buf, int(value.base[b]) * 8, value.dtype, value.shape
+                ).read_all()
+            self.prints[b].append(f"{prefix}{inst.tensor.name} =\n{shown}")
 
 
 # ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
+
+
+def stacked_grid(grid: tuple, launches: int) -> tuple:
+    """``launches`` grids stacked launch-major on the block axis: the
+    block count and one (B,) coordinate array per grid dimension."""
+    coords = tuple(np.tile(c, launches) for c in decompose_linear(tuple(grid)))
+    return launches * (int(np.prod(grid)) if grid else 1), coords
 
 
 class BatchedExecutor:
@@ -633,24 +890,17 @@ class BatchedExecutor:
         self.memory = memory if memory is not None else GlobalMemory()
         self.shared_capacity = shared_capacity
         self.stats = stats if stats is not None else ExecutionStats()
-        self.launch_env: dict[Var, object] = {}
         self._stdout = stdout
 
     # -- host-side helpers (same API as the sequential engine) -------------
     def upload(self, values: np.ndarray, dtype) -> int:
-        from repro.vm.interp import Interpreter
-
-        return Interpreter.upload(self, values, dtype)  # type: ignore[arg-type]
+        return self.memory.upload(values, dtype)
 
     def alloc_output(self, shape: Sequence[int], dtype) -> int:
-        from repro.vm.interp import Interpreter
-
-        return Interpreter.alloc_output(self, shape, dtype)  # type: ignore[arg-type]
+        return self.memory.alloc_output(shape, dtype)
 
     def download(self, addr: int, shape: Sequence[int], dtype) -> np.ndarray:
-        from repro.vm.interp import Interpreter
-
-        return Interpreter.download(self, addr, shape, dtype)  # type: ignore[arg-type]
+        return self.memory.download(addr, shape, dtype)
 
     # -- launch ------------------------------------------------------------
     def launch(self, program: Program, args: Sequence) -> ExecutionStats:
@@ -682,9 +932,8 @@ class BatchedExecutor:
             raise VMError(
                 f"launch_many requires one grid shape, got {sorted(grids)}"
             )
-        grid = next(iter(grids))
-        per_launch = int(np.prod(grid)) if grid else 1
-        nlaunches = len(args_list)
+        nblocks, coords = stacked_grid(next(iter(grids)), len(args_list))
+        per_launch = nblocks // len(args_list)
         env: dict[Var, object] = {}
         for i, p in enumerate(program.params):
             values = [args[i] for args in args_list]
@@ -695,287 +944,24 @@ class BatchedExecutor:
                     values, dtype=np.float64 if p.dtype.is_float else np.int64
                 )
                 env[p] = np.repeat(stacked, per_launch)
-        self.launch_env = env
-        coords = tuple(
-            np.tile(c, nlaunches) for c in decompose_linear(tuple(grid))
+        walk = TileWalk(
+            nblocks, env, coords, tileops, self.memory, self.memory.buffer,
+            BatchedSharedMemory(nblocks, self.shared_capacity), self.stats,
         )
-        nblocks = per_launch * nlaunches
-        ctx = BatchedContext(self, nblocks, coords)
         self.stats.blocks_run += nblocks
-        ctx.run_stmt(program.body, np.ones(nblocks, dtype=bool))
-        self._flush_prints(ctx)
+        walk.run_stmt(program.body, np.ones(nblocks, dtype=bool))
+        self._flush_prints(walk.prints)
         return self.stats
 
-    def _flush_prints(self, ctx: "BatchedContext") -> None:
+    def _flush_prints(self, prints) -> None:
         """Emit buffered per-block print output in block order (block
         retire order), matching the sequential engine's interleaving."""
-        if ctx.prints is None:
-            return
-        for texts in ctx.prints:
+        for texts in prints or ():
             for text in texts:
                 if self._stdout is not None:
                     self._stdout.write(text + "\n")
                 else:
                     print(text)
-
-
-# ---------------------------------------------------------------------------
-# Batched instruction handlers
-# ---------------------------------------------------------------------------
-
-
-@BATCHED.register(insts.BlockIndices)
-def _bexec_block_indices(vm, inst: insts.BlockIndices, ctx: BatchedContext, active) -> None:
-    if len(inst.out_vars) != len(ctx.block_coords):
-        raise VMError(
-            f"BlockIndices unpacks {len(inst.out_vars)} values but the grid "
-            f"has rank {len(ctx.block_coords)}"
-        )
-    for var, arr in zip(inst.out_vars, ctx.block_coords):
-        ctx.env[var] = arr
-
-
-@BATCHED.register(insts.ViewGlobal)
-def _bexec_view_global(vm, inst: insts.ViewGlobal, ctx: BatchedContext, active) -> None:
-    ptr = ctx.scalar(inst.ptr, active)
-    ttype = inst.out.ttype
-    shape = tileops.view_shape(ttype.shape, lambda s: ctx.scalar(s, active), active)
-    base = np.where(active, tileops.as_col(ptr, ctx.nblocks).reshape(-1) * 8, 0)
-    size = int(np.prod(shape)) if shape else 1
-    limit = (len(vm.memory.buffer) - 8) * 8
-    tileops.check_view_global(
-        base, size * ttype.dtype.nbits, limit,
-        *tileops.view_global_messages(ttype.dtype, shape, limit),
-    )
-    ctx.bind_tensor(inst.out, BatchedView(vm.memory.buffer, base, ttype.dtype, shape), active)
-
-
-@BATCHED.register(insts.AllocateRegister)
-def _bexec_allocate_register(vm, inst: insts.AllocateRegister, ctx: BatchedContext, active) -> None:
-    ttype = inst.out.ttype
-    value = BatchedRegisterValue.filled(ttype.dtype, ttype.layout, inst.init, ctx.nblocks)
-    ctx.bind_tensor(inst.out, value, active)
-
-
-@BATCHED.register(insts.AllocateShared)
-def _bexec_allocate_shared(vm, inst: insts.AllocateShared, ctx: BatchedContext, active) -> None:
-    ttype = inst.out.ttype
-    shape = ttype.static_shape()
-    base_bits = ctx.shared.alloc(tileops.tensor_nbytes(shape, ttype.dtype, "shared"), active)
-    view = BatchedView(ctx.shared.buffer, base_bits, ttype.dtype, shape)
-    ctx.bind_tensor(inst.out, view, active)
-
-
-@BATCHED.register(insts.FreeShared)
-def _bexec_free_shared(vm, inst: insts.FreeShared, ctx: BatchedContext, active) -> None:
-    ctx.env.pop(inst.tensor, None)
-
-
-@BATCHED.register(insts.AllocateGlobal)
-def _bexec_allocate_global(vm, inst: insts.AllocateGlobal, ctx: BatchedContext, active) -> None:
-    ttype = inst.out.ttype
-    shape = ttype.static_shape()
-    nbytes = tileops.tensor_nbytes(shape, ttype.dtype, "workspace")
-    addrs = np.zeros(ctx.nblocks, dtype=np.int64)
-    idx = np.flatnonzero(active)
-    if idx.size:
-        # One vectorized reservation covering every active block, in block
-        # order — the same addresses a per-block alloc loop (and the
-        # sequential engine's block loop) would assign.
-        addrs[idx] = vm.memory.alloc_n(nbytes, idx.size)
-    view = BatchedView(vm.memory.buffer, addrs * 8, ttype.dtype, shape)
-    ctx.bind_tensor(inst.out, view, active)
-
-
-# transfer ------------------------------------------------------------------
-
-
-@BATCHED.register(insts.LoadGlobal, insts.LoadShared)
-def _bexec_load(vm, inst, ctx: BatchedContext, active) -> None:
-    src: BatchedView = ctx.lookup_tensor(inst.src)
-    layout = inst.out.ttype.layout
-    indices = ctx.tile_indices(layout, inst.offset, active, inst.broadcast_dims)
-    if getattr(inst, "masked", False):
-        valid = bounds_mask(indices, src.shape)
-        patterns = np.where(valid, src.gather_bits(indices, clip=True), np.uint64(0))
-    else:
-        patterns = src.gather_bits(indices, where=active[:, None])
-    patterns = patterns.reshape(ctx.nblocks, layout.num_threads, layout.local_size)
-    bits = layout.size * src.dtype.nbits * int(active.sum())
-    if isinstance(inst, insts.LoadShared):
-        vm.stats.shared_bits_loaded += bits
-    else:
-        vm.stats.global_bits_loaded += bits
-    value = BatchedRegisterValue(inst.out.ttype.dtype, layout, patterns)
-    ctx.bind_tensor(inst.out, value, active)
-
-
-@BATCHED.register(insts.StoreGlobal, insts.StoreShared)
-def _bexec_store(vm, inst, ctx: BatchedContext, active) -> None:
-    value: BatchedRegisterValue = ctx.lookup_tensor(inst.src)
-    dst: BatchedView = ctx.lookup_tensor(inst.dst)
-    indices = ctx.tile_indices(value.layout, inst.offset, active)
-    select = active[:, None]
-    counted = active
-    if getattr(inst, "masked", False):
-        valid = bounds_mask(indices, dst.shape)
-        select = select & valid
-        counted = active & valid.any(axis=1)
-    dst.scatter_bits(indices, value.patterns.reshape(ctx.nblocks, -1), select=select)
-    bits = value.layout.size * dst.dtype.nbits * int(counted.sum())
-    if isinstance(inst, insts.StoreShared):
-        vm.stats.shared_bits_stored += bits
-    else:
-        vm.stats.global_bits_stored += bits
-
-
-@BATCHED.register(insts.CopyAsync)
-def _bexec_copy_async(vm, inst: insts.CopyAsync, ctx: BatchedContext, active) -> None:
-    src: BatchedView = ctx.lookup_tensor(inst.src)
-    dst: BatchedView = ctx.lookup_tensor(inst.dst)
-    shape = inst.copy_shape()
-    src_idx, dst_idx = tileops.copy_indices(
-        shape,
-        ctx.numbers(inst.src_offset, active),
-        ctx.numbers(inst.dst_offset, active),
-        ctx.nblocks,
-    )
-    # cp.async zero-fills out-of-bounds source elements (zfill semantics).
-    valid = bounds_mask(src_idx, src.shape)
-    patterns = np.where(valid, src.gather_bits(src_idx, clip=True), np.uint64(0))
-    dst.scatter_bits(dst_idx, patterns, select=active[:, None])
-    count = int(active.sum())
-    ctx.pending_copy_count += 1
-    vm.stats.copy_async_issued += count
-    vm.stats.global_bits_loaded += int(np.prod(shape)) * src.dtype.nbits * count
-
-
-@BATCHED.register(insts.CopyAsyncCommitGroup)
-def _bexec_copy_async_commit(vm, inst, ctx: BatchedContext, active) -> None:
-    ctx.committed_group_sizes.append(ctx.pending_copy_count)
-    ctx.pending_copy_count = 0
-
-
-@BATCHED.register(insts.CopyAsyncWaitGroup)
-def _bexec_copy_async_wait(vm, inst: insts.CopyAsyncWaitGroup, ctx: BatchedContext, active) -> None:
-    while len(ctx.committed_group_sizes) > inst.n:
-        ctx.committed_group_sizes.pop(0)
-
-
-# computation ---------------------------------------------------------------
-
-
-@BATCHED.register(insts.ElementwiseBinary)
-def _bexec_elementwise_binary(vm, inst: insts.ElementwiseBinary, ctx: BatchedContext, active) -> None:
-    a: BatchedRegisterValue = ctx.lookup_tensor(inst.a)
-    if isinstance(inst.b, TensorVar):
-        b = ctx.lookup_tensor(inst.b)
-    else:
-        b = ctx.scalar(inst.b, active)
-    ctx.bind_tensor(inst.out, a.binary(inst.op, b), active)
-
-
-@BATCHED.register(insts.Neg)
-def _bexec_neg(vm, inst: insts.Neg, ctx: BatchedContext, active) -> None:
-    ctx.bind_tensor(inst.out, ctx.lookup_tensor(inst.a).neg(), active)
-
-
-@BATCHED.register(insts.Cast)
-def _bexec_cast(vm, inst: insts.Cast, ctx: BatchedContext, active) -> None:
-    ctx.bind_tensor(inst.out, ctx.lookup_tensor(inst.a).cast(inst.dtype), active)
-
-
-@BATCHED.register(insts.ReduceSum)
-def _bexec_reduce_sum(vm, inst: insts.ReduceSum, ctx: BatchedContext, active) -> None:
-    value: BatchedRegisterValue = ctx.lookup_tensor(inst.a)
-    reduced = value.to_logical().sum(axis=inst.axis + 1, keepdims=True)
-    out_t = inst.out.ttype
-    ctx.bind_tensor(
-        inst.out, BatchedRegisterValue.from_logical(out_t.dtype, out_t.layout, reduced), active
-    )
-
-
-@BATCHED.register(insts.Lookup)
-def _bexec_lookup(vm, inst: insts.Lookup, ctx: BatchedContext, active) -> None:
-    codes: BatchedRegisterValue = ctx.lookup_tensor(inst.codes)
-    table = ctx.lookup_tensor(inst.table)
-    indices = codes.thread_values().astype(np.int64)
-    safe = np.where(active[:, None], indices.reshape(ctx.nblocks, -1), 0)
-    is_register = isinstance(table, BatchedRegisterValue)
-    logical = table.to_logical() if is_register else None  # (B, extent)
-    extent = logical.shape[1] if is_register else table.shape[0]
-    tileops.check_lookup(safe[active], extent, tileops.lookup_message(extent))
-    if is_register:
-        bidx = np.arange(ctx.nblocks, dtype=np.int64)[:, None]
-        # Clipping only neutralizes inactive blocks' garbage codes; active
-        # codes were just bounds-checked above.
-        values = logical[bidx, np.clip(safe, 0, extent - 1)]
-    else:
-        values = tileops.decode(table.dtype, table.gather_bits([safe]))
-    out_t = inst.out.ttype
-    ctx.bind_tensor(
-        inst.out,
-        BatchedRegisterValue.from_thread_values(
-            out_t.dtype, out_t.layout, values.reshape(indices.shape)
-        ),
-        active,
-    )
-
-
-@BATCHED.register(insts.View)
-def _bexec_view(vm, inst: insts.View, ctx: BatchedContext, active) -> None:
-    out_t = inst.out.ttype
-    ctx.bind_tensor(
-        inst.out, ctx.lookup_tensor(inst.a).view(out_t.dtype, out_t.layout), active
-    )
-
-
-@BATCHED.register(insts.Dot)
-def _bexec_dot(vm, inst: insts.Dot, ctx: BatchedContext, active) -> None:
-    a = ctx.lookup_tensor(inst.a).to_logical()
-    b = ctx.lookup_tensor(inst.b).to_logical()
-    c = ctx.lookup_tensor(inst.c).to_logical()
-    result = a.astype(np.float64) @ b.astype(np.float64) + c
-    out_t = inst.out.ttype
-    ctx.bind_tensor(
-        inst.out, BatchedRegisterValue.from_logical(out_t.dtype, out_t.layout, result), active
-    )
-    vm.stats.dot_ops += a.shape[1] * a.shape[2] * b.shape[2] * int(active.sum())
-
-
-# misc ----------------------------------------------------------------------
-
-
-@BATCHED.register(insts.Synchronize)
-def _bexec_synchronize(vm, inst, ctx: BatchedContext, active) -> None:
-    vm.stats.synchronizations += int(active.sum())
-
-
-@BATCHED.register(insts.Exit)
-def _bexec_exit(vm, inst, ctx: BatchedContext, active) -> None:
-    ctx.exited |= active
-
-
-@BATCHED.register(insts.PrintTensor)
-def _bexec_print_tensor(vm, inst: insts.PrintTensor, ctx: BatchedContext, active) -> None:
-    # Rendered now (per-block state at this lockstep point), flushed in
-    # block order at launch retire — see BatchedExecutor._flush_prints.
-    from repro.vm.memory import TensorView
-
-    if ctx.prints is None:
-        ctx.prints = [[] for _ in range(ctx.nblocks)]
-    value = ctx.lookup_tensor(inst.tensor)
-    prefix = f"{inst.message}: " if inst.message else ""
-    if isinstance(value, BatchedRegisterValue):
-        logical = value.to_logical()
-        for b in np.flatnonzero(active):
-            ctx.prints[b].append(f"{prefix}{inst.tensor.name} =\n{logical[b]}")
-    else:
-        for b in np.flatnonzero(active):
-            view = TensorView(
-                value.buffer, int(value.base_bits[b]), value.dtype, value.shape
-            )
-            ctx.prints[b].append(f"{prefix}{inst.tensor.name} =\n{view.read_all()}")
 
 
 # ---------------------------------------------------------------------------
@@ -1008,16 +994,13 @@ def _uniform_view_shapes(program: Program) -> bool:
 
 
 def supports_batched(program: Program) -> bool:
-    """True when the batched engine can execute ``program``: every
-    instruction has a batched handler and all global view shapes are
-    block-invariant (memoized — this sits on the launch path).
-    ``PrintTensor`` programs batch too (per-block buffered output)."""
+    """True when the batched engine can execute ``program``: all global
+    view shapes are block-invariant (memoized — this sits on the launch
+    path).  Every instruction has a handler, ``PrintTensor`` included
+    (per-block buffered output)."""
     cached = program.__dict__.get(_BATCHABLE_ATTR)
     if cached is None:
-        cached = all(
-            BATCHED.supports(i) for i in program.body.instructions()
-        ) and _uniform_view_shapes(program)
-        program.__dict__[_BATCHABLE_ATTR] = cached
+        cached = program.__dict__[_BATCHABLE_ATTR] = _uniform_view_shapes(program)
     return cached
 
 

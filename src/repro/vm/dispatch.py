@@ -1,24 +1,29 @@
 """Handler-table dispatch for VM execution engines.
 
-Both execution engines — the sequential :class:`~repro.vm.interp.Interpreter`
-and the grid-vectorized :class:`~repro.vm.batched.BatchedExecutor` — execute
-the same thread-block-level instruction set (paper Table 1) but with very
-different inner loops.  Instead of a per-instruction ``if``/``elif`` chain
-(or reflective ``getattr`` lookups) inside each engine, every engine owns a
-:class:`DispatchTable` mapping instruction classes to handler functions.
-Handlers are plain module-level functions registered with a decorator::
+The instruction set (paper Table 1) is stated twice, and each statement is
+one :class:`DispatchTable` mapping instruction classes to handlers instead
+of a per-instruction ``if``/``elif`` chain (or reflective ``getattr``
+lookups) inside an engine:
 
-    SEQUENTIAL = DispatchTable("sequential")
+- :data:`SEQUENTIAL` — the naive oracle, module-level functions in
+  :mod:`repro.vm.interp`::
 
-    @SEQUENTIAL.register(insts.LoadGlobal)
-    def _exec_load_global(vm, inst, ctx):
-        ...
+      @SEQUENTIAL.register(insts.LoadGlobal)
+      def _exec_load_global(vm, inst, ctx):
+          ...
+
+- :data:`LOCKSTEP` — the block-vectorised tiers, methods of
+  :class:`repro.vm.batched.TileWalk`.  There is one such set, not one per
+  tier: :class:`~repro.vm.batched.BatchedExecutor` runs the handlers on
+  arrays, the lowering pipeline (:mod:`repro.compiler.lower`) runs the
+  same handlers on names, and what they then compute is the kernel.
 
 This keeps the instruction set open for extension (a new instruction brings
-its own handlers) and makes "which engine supports what" a first-class,
-inspectable property instead of an accident of method naming.
+its handlers) and makes "which statement covers what" a first-class,
+inspectable property instead of an accident of method naming
+(``tests/test_instruction_coverage.py``).
 
-The module also holds the index-math helpers shared by both engines:
+The module also holds the index-math helpers both statements share:
 per-layout tile coordinates (cached per layout instance, since the mapping
 is launch-invariant) and row-major linear-index decomposition.
 """
@@ -42,7 +47,7 @@ class DispatchTable:
     """Maps instruction classes to handler callables for one engine.
 
     Handlers take ``(vm, inst, ctx)`` for the sequential engine and
-    ``(vm, inst, ctx, active)`` for the batched engine; the table itself is
+    ``(walk, inst, active)`` for the lockstep walk; the table itself is
     agnostic — it only stores and looks up callables.
     """
 
@@ -75,9 +80,6 @@ class DispatchTable:
             )
         return handler
 
-    def supports(self, inst: insts.Instruction) -> bool:
-        return type(inst) in self._handlers
-
     def instruction_classes(self) -> Iterable[type]:
         return self._handlers.keys()
 
@@ -91,9 +93,10 @@ class DispatchTable:
 #: Dispatch table of the sequential interpreter (populated by repro.vm.interp).
 SEQUENTIAL = DispatchTable("sequential")
 
-#: Dispatch table of the grid-vectorized executor (populated by
-#: repro.vm.batched).
-BATCHED = DispatchTable("batched")
+#: The one handler set of the block-vectorised tiers (populated by
+#: repro.vm.batched): the batched executor runs it on arrays, the
+#: lowering pipeline runs the same handlers on names to write a kernel.
+LOCKSTEP = DispatchTable("batched")
 
 
 # ---------------------------------------------------------------------------

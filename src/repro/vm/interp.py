@@ -138,25 +138,13 @@ class Interpreter:
 
     # -- host-side helpers ---------------------------------------------------
     def upload(self, values: np.ndarray, dtype) -> int:
-        """Encode a numpy array into device memory; returns the byte address."""
-        values = np.asarray(values)
-        nbytes = (values.size * dtype.nbits + 7) // 8
-        addr = self.memory.alloc(nbytes)
-        view = TensorView(self.memory.buffer, addr * 8, dtype, values.shape)
-        view.write_all(values)
-        return addr
+        return self.memory.upload(values, dtype)
 
     def alloc_output(self, shape: Sequence[int], dtype) -> int:
-        """Allocate uninitialized device memory for an output tensor."""
-        from repro.utils.indexmath import prod
-
-        nbytes = (prod(shape) * dtype.nbits + 7) // 8
-        return self.memory.alloc(nbytes)
+        return self.memory.alloc_output(shape, dtype)
 
     def download(self, addr: int, shape: Sequence[int], dtype) -> np.ndarray:
-        """Decode a device tensor back into a numpy array."""
-        view = TensorView(self.memory.buffer, addr * 8, dtype, tuple(shape))
-        return view.read_all()
+        return self.memory.download(addr, shape, dtype)
 
     # -- launch ------------------------------------------------------------------
     def launch(self, program: Program, args: Sequence) -> ExecutionStats:

@@ -84,6 +84,22 @@ class GlobalMemory:
             self._allocations.update((int(a), nbytes) for a in addrs)
         return addrs
 
+    # -- host-side helpers (what every engine's upload / download is) -----
+    def upload(self, values: np.ndarray, dtype: DataType) -> int:
+        """Encode a numpy array into device memory; returns the byte address."""
+        values = np.asarray(values)
+        addr = self.alloc_output(values.shape, dtype)
+        TensorView(self.buffer, addr * 8, dtype, values.shape).write_all(values)
+        return addr
+
+    def alloc_output(self, shape, dtype: DataType) -> int:
+        """Allocate uninitialized device memory for an output tensor."""
+        return self.alloc((prod(shape) * dtype.nbits + 7) // 8)
+
+    def download(self, addr: int, shape, dtype: DataType) -> np.ndarray:
+        """Decode a device tensor back into a numpy array."""
+        return TensorView(self.buffer, addr * 8, dtype, tuple(shape)).read_all()
+
     def free_all(self) -> None:
         """Reset the allocator (buffers become invalid)."""
         with self._lock:

@@ -1,25 +1,31 @@
 """The tile-semantics table: block-axis primitives of the vectorised tiers.
 
-Both block-vectorised tiers — the batched executor
-(:mod:`repro.vm.batched`) and the kernels the lowering pipeline generates
-(:mod:`repro.compiler.lower`) — define a register tensor as ``(B, T, L)``
+The block-vectorised tiers — the batched executor and the kernels the
+lowering pipeline generates — define a register tensor as ``(B, T, L)``
 uint64 bit *patterns* (blocks × threads × elements per thread) and a
-memory tensor as a per-block bit base into one flat byte buffer.  What a
+memory tensor as a per-block byte base into one flat byte buffer.  What a
 tile operation *means* on that representation is written here, once:
-codecs (and the rounding that stands in for a pack-unpack round trip in
-kernels that keep registers decoded), logical assembly, width
-regrouping, byte and sub-byte
-gather/scatter (with the block-major last-writer rule), index
-linearisation and every bounds check, the shared-memory bump allocator.
-The batched engine calls these functions; lowering calls the same ones at
-compile time on whatever is concrete and puts :data:`KERNEL_NAMESPACE`
-into the generated kernels' globals for the rest.
+codecs (and the rounding that stands in for a pack-unpack round trip
+while a register stays decoded), logical assembly, width regrouping, byte
+and sub-byte gather/scatter (with the block-major last-writer rule),
+index linearisation and every bounds check, the shared-memory bump
+allocator, and the one elementwise rule (shared with the oracle).
 
-A new instruction or dtype rule is written here and called from the two
-front-ends.  The sequential oracle (``vm/interp.py``, ``vm/values.py``,
-``vm/memory.TensorView``) deliberately does not import this module: it
-states the same semantics independently and naively, and the differential
-harness holds the two against each other.
+It has one caller: the handler set in :mod:`repro.vm.batched`, one handler
+per instruction.  The batched engine runs those handlers with this module
+as their ``ops``, on arrays.  The lowering pipeline
+(:mod:`repro.compiler.lower`) runs the same handlers with a stand-in that
+calls through whenever every argument is concrete and otherwise records
+the call under its :data:`KERNEL_NAMESPACE` name — so a generated kernel
+is a sequence of calls into this table, and :func:`hold` /
+:func:`host_effect` are the two places a handler tells that stand-in
+something an array would not need to be told.
+
+A new dtype rule, addressing rule or bounds check is written here and
+reached from the one handler.  The sequential oracle (``vm/interp.py``,
+``vm/values.py``, ``vm/memory.TensorView``) deliberately does not import
+this module: it states the same semantics independently and naively, and
+the differential harness holds the two against each other.
 
 Every function that can fail raises :class:`~repro.errors.VMError` with
 the one message all tiers report; ``msg`` parameters are ``str.format``
@@ -35,6 +41,7 @@ from repro.dtypes.integers import IntType, UIntType
 from repro.errors import VMError
 from repro.utils.bits import regroup_patterns
 from repro.vm.dispatch import decompose_linear, layout_tile_coords, pad_tile_indices
+from repro.vm.values import apply_elementwise  # noqa: F401 - the one elementwise rule, a table entry
 
 # ---------------------------------------------------------------------------
 # Registers: (B, T, L) uint64 patterns
@@ -405,14 +412,15 @@ class BatchedSharedMemory:
     zeroed pages per launch is not free).
     """
 
-    def __init__(self, nblocks: int, capacity_bytes: int = 228 * 1024) -> None:
+    def __init__(self, nblocks: int, capacity_bytes: int = 228 * 1024, buffer=None) -> None:
         self.capacity = capacity_bytes
         self.row_bytes = capacity_bytes + 8
         self.nbytes = nblocks * self.row_bytes
         self.row_base_bits = np.arange(nblocks, dtype=np.int64) * self.row_bytes * 8
         self.used = False
         self._next = np.zeros(nblocks, dtype=np.int64)
-        self._buffer: np.ndarray | None = None
+        #: A lowering trace passes the kernel's name for the buffer.
+        self._buffer = buffer
 
     @property
     def buffer(self) -> np.ndarray:
@@ -444,6 +452,24 @@ def tensor_nbytes(shape, dtype, what: str) -> int:
     return (int(np.prod(shape)) * dtype.nbits + 7) // 8
 
 
+# ---------------------------------------------------------------------------
+# Running the table on names instead of arrays
+# ---------------------------------------------------------------------------
+
+
+def hold(value):
+    """A value with more than one reader (a register twin).  An array is
+    just that; a lowering trace binds the expression to a name here, so
+    its readers share one computation."""
+    return value
+
+
+def host_effect(inst) -> None:
+    """What ``inst`` does next acts on the host (it moves the device
+    allocator, it prints).  Executing is free to; a lowering trace has
+    no flat form for it and declines here."""
+
+
 #: The names generated kernels — and kernel sources persisted in tuning
 #: stores — call the table by.  Signatures are part of the store format
 #: and the set only grows; which of them a pipeline emits is recorded per
@@ -463,4 +489,9 @@ KERNEL_NAMESPACE = {
     "_viewp": regroup,
     "_rq": requantize,
     "_tolg": gather_logical,
+    "_ew": apply_elementwise,
 }
+
+#: Of those, the ones called for what they do — write a buffer, raise —
+#: not for a value: a kernel keeps them as statements, in order.
+KERNEL_EFFECTS = frozenset({"_scb", "_ssb", "_vg", "_lk"})

@@ -10,7 +10,7 @@ synchronous launch, the eager stream, the captured graph replay — plus
 the serving integration (the ``WorkerSpec.jit`` knob becoming
 ``runtime.enable_jit()``, counters through the simulator and the sharded
 router).  The exhaustive bit-exactness sweep lives in the differential
-harness (``jit`` is its 8th locked mode); these tests pin the policy
+harness (``jit`` is one of its six locked modes); these tests pin the policy
 and the plumbing.
 """
 
@@ -131,6 +131,65 @@ class TestLowering:
         memory, host, a, out = device()
         with pytest.raises(LoweringBailout):
             lower_program(print_program(), [a], memory)
+
+
+def const_table_lookup_program():
+    """Runtime codes into a lookup table that is a constant register."""
+    from repro.dtypes import uint4
+    from repro.layout import local
+
+    pb = ProgramBuilder("const_table", grid=[2])
+    c_ptr = pb.param("codes", pointer(uint4))
+    out_ptr = pb.param("out", pointer(float16))
+    (bi,) = pb.block_indices()
+    g_codes = pb.view_global(c_ptr, dtype=uint4, shape=[ROWS, COLS])
+    g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
+    table = pb.allocate_register(float16, layout=local(16), init=1.5)
+    codes = pb.load_global(g_codes, layout=spatial(8, 4), offset=[bi * 8, 0])
+    pb.store_global(pb.lookup(codes, table), g_out, offset=[bi * 8, 0])
+    data = np.arange(ROWS * COLS).reshape(ROWS, COLS) % 16
+    return pb.finish(), (data, uint4), ([ROWS, COLS], float16)
+
+
+def const_operand_dot_program():
+    """``Dot`` of a constant A and accumulator with a loaded B."""
+    from repro.dtypes import float32
+    from repro.layout import mma_m16n8k16
+
+    mma = mma_m16n8k16()
+    pb = ProgramBuilder("const_a", grid=[2])
+    b_ptr = pb.param("b", pointer(float16))
+    out_ptr = pb.param("out", pointer(float32))
+    (bi,) = pb.block_indices()
+    g_b = pb.view_global(b_ptr, dtype=float16, shape=[16, 16])
+    g_out = pb.view_global(out_ptr, dtype=float32, shape=[32, 8])
+    a = pb.allocate_register(float16, layout=mma.a_layout, init=0.5)
+    b = pb.load_global(g_b, layout=mma.b_layout, offset=[0, bi * 8])
+    c = pb.allocate_register(float32, layout=mma.c_layout, init=1.0)
+    pb.store_global(pb.dot(a, b, c), g_out, offset=[bi * 16, 0])
+    data = np.random.default_rng(0).standard_normal((16, 16))
+    return pb.finish(), (data, float16), ([32, 8], float32)
+
+
+@pytest.mark.parametrize("build", [const_table_lookup_program, const_operand_dot_program])
+def test_a_constant_operand_folds_beside_a_runtime_one(build):
+    """One handler, mixed operands: the constant side is computed at
+    compile time (it reaches the kernel as a pooled constant), the other
+    is recorded — and the kernel is still the interpreter, bit for bit."""
+    program, (data, in_dtype), (out_shape, out_dtype) = build()
+    images = []
+    for _ in range(2):
+        memory = GlobalMemory(1 << 16)
+        host = Interpreter(memory)
+        images.append((memory, host, [host.upload(data, in_dtype),
+                                      host.alloc_output(out_shape, out_dtype)]))
+    (memory1, host1, args1), (memory2, host2, args2) = images
+    host1.launch(program, args1)
+    kernel = lower_program(program, args2, memory2)
+    kernel.run(memory2, args2, host2.stats)
+    assert np.array_equal(memory1.buffer, memory2.buffer)
+    assert host1.stats.snapshot() == host2.stats.snapshot()
+    assert _calls(kernel, "_dec") == 1  # the loaded operand's only
 
 
 # ---------------------------------------------------------------------------

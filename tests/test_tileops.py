@@ -6,8 +6,9 @@ its own, below any engine: its bit-addressed gather/scatter pair against
 :class:`repro.vm.memory.TensorView` run block by block (every element
 width, unaligned and overlapping per-block bases, duplicate indices, a
 partial ``select`` mask — block-major last-writer-wins), and the packed
-register ``View`` against :class:`repro.vm.values.RegisterValue`'s
-bit-plane reinterpretation.  The oracle stays worth comparing against
+register ``View`` (the regrouped bits of the engines' one register type,
+:class:`repro.vm.batched.Register`) against
+:class:`repro.vm.values.RegisterValue`'s bit-plane reinterpretation.  The oracle stays worth comparing against
 only while it shares nothing with the table; the last test pins that.
 """
 
@@ -34,7 +35,8 @@ from repro.dtypes.registry import (
 from repro.errors import VMError
 from repro.layout import local, mma_m16n8k16, spatial
 from repro.layout.core import replicate
-from repro.vm import BatchedRegisterValue, RegisterValue, TensorView, tileops
+from repro.vm import RegisterValue, TensorView, tileops
+from repro.vm.batched import Register, TileWalk
 
 WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 32)
 BUFFER_BYTES = 512
@@ -138,9 +140,16 @@ VIEW_WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 16)
 THREADS, BLOCKS = 4, 3
 
 
+def _walk() -> TileWalk:
+    """The engine's walk over ``BLOCKS`` blocks, executing (its ``ops``
+    is the table): all a register's twins need of it."""
+    return TileWalk(BLOCKS, {}, (), tileops, None, None, None, None)
+
+
 @pytest.mark.parametrize("old", VIEW_WIDTHS)
 def test_view_round_trips_every_width_pair(old):
     rng = np.random.default_rng(old)
+    walk = _walk()
     for new in VIEW_WIDTHS:
         unit = math.lcm(old, new)
         # One row that fits a 64-bit word when the pair allows it, and
@@ -151,48 +160,51 @@ def test_view_round_trips_every_width_pair(old):
             patterns = rng.integers(
                 0, 1 << old, size=(BLOCKS, THREADS, row_bits // old), dtype=np.uint64
             )
-            value = BatchedRegisterValue(uint(old), old_layout, patterns)
-            viewed = value.view(uint(new), new_layout)
-            assert viewed.patterns.shape == (BLOCKS, THREADS, row_bits // new)
+            value = Register(uint(old), old_layout, bits=patterns)
+            tileops.check_view(value.dtype, value.layout, uint(new), new_layout)
+            viewed = Register(uint(new), new_layout, bits=walk.regrouped(value, new))
+            assert viewed.bits.shape == (BLOCKS, THREADS, row_bits // new)
             for b in range(BLOCKS):
                 oracle = RegisterValue.from_patterns(uint(old), old_layout, patterns[b])
                 assert np.array_equal(
-                    viewed.patterns[b],
+                    viewed.bits[b],
                     oracle.view(uint(new), new_layout).thread_patterns(),
                 ), (old, new, row_bits)
-            back = viewed.view(uint(old), old_layout)
-            assert np.array_equal(back.patterns, patterns), (old, new, row_bits)
+            assert np.array_equal(walk.regrouped(viewed, old), patterns), (old, new, row_bits)
 
 
 def test_view_of_the_same_width_is_zero_cost():
     patterns = np.arange(BLOCKS * THREADS * 2, dtype=np.uint64).reshape(BLOCKS, THREADS, 2)
-    value = BatchedRegisterValue(uint(8), local(2).spatial(THREADS), patterns)
-    assert value.view(uint(8), local(2).spatial(THREADS)).patterns is value.patterns
+    value = Register(uint(8), local(2).spatial(THREADS), bits=patterns)
+    assert _walk().regrouped(value, 8) is patterns
 
 
 def test_divergent_merge_regroups_the_old_value():
     """Inactive blocks keep their old bits even when the variable was last
     bound under another element width."""
     rng = np.random.default_rng(0)
-    old = BatchedRegisterValue(
+    walk = _walk()
+    old = Register(
         uint(4), local(4).spatial(THREADS),
-        rng.integers(0, 16, size=(BLOCKS, THREADS, 4), dtype=np.uint64),
+        bits=rng.integers(0, 16, size=(BLOCKS, THREADS, 4), dtype=np.uint64),
     )
-    new = BatchedRegisterValue(
+    new = Register(
         uint(8), local(2).spatial(THREADS),
-        rng.integers(0, 256, size=(BLOCKS, THREADS, 2), dtype=np.uint64),
+        bits=rng.integers(0, 256, size=(BLOCKS, THREADS, 2), dtype=np.uint64),
     )
     active = np.array([True, False, True])
-    merged = new.merge_into(old, active)
-    expected = np.where(
-        active[:, None, None], new.patterns, old.view(uint(8), new.layout).patterns
+    walk.bind_tensor("r", old, np.ones(BLOCKS, dtype=bool))
+    walk.bind_tensor("r", new, active)
+    expected = np.where(active[:, None, None], new.bits, walk.regrouped(old, 8))
+    assert np.array_equal(walk.env["r"].bits, expected)
+    unset = Register(
+        uint(8), local(3).spatial(THREADS),
+        bits=tileops.filled(uint(8), (BLOCKS, THREADS, 3), None),
     )
-    assert np.array_equal(merged.patterns, expected)
+    assert not unset.bits.any()
+    walk.bind_tensor("r", unset, np.ones(BLOCKS, dtype=bool))
     with pytest.raises(VMError, match="bits-per-thread mismatch"):
-        new.merge_into(
-            BatchedRegisterValue.filled(uint(8), local(3).spatial(THREADS), None, BLOCKS),
-            active,
-        )
+        walk.bind_tensor("r", new, active)
 
 
 # ---------------------------------------------------------------------------
