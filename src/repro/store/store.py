@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.errors import VMError
 from repro.obs import trace as obs_trace
+from repro.vm.tileops import KERNEL_NAMESPACE_STAMP
 
 __all__ = [
     "STORE_JSON_VERSION",
@@ -172,7 +173,7 @@ def encode_kernel(kernel) -> dict | None:
         "nblocks": kernel.nblocks,
         "ptr_indices": list(kernel.ptr_indices),
         "source": kernel.source,
-        "passes": list(kernel.passes),
+        "passes": list(kernel.passes) + [KERNEL_NAMESPACE_STAMP],
         "buffer_len": kernel.buffer_len,
         "shared_used": bool(kernel.shared_used),
         "num_params": kernel.num_params,
@@ -204,13 +205,16 @@ def decode_kernel(record: dict, memory, key: tuple):
         raise VMError(f"malformed stored kernel record: {exc}") from exc
     if not isinstance(source, str) or "_jit_kernel" not in source:
         raise VMError("stored kernel source is not a _jit_kernel definition")
-    if record.get("passes") != list(PASS_NAMES):
+    stamp = list(PASS_NAMES) + [KERNEL_NAMESPACE_STAMP]
+    if record.get("passes") != stamp:
         # The source still runs (KERNEL_NAMESPACE only grows), but it is
-        # what an older pipeline emitted: serving it would pin this
-        # process to that pipeline's speed for as long as the store lives.
+        # what an older pipeline — other passes, or the same passes over a
+        # table with fewer forms to pick from — emitted: serving it would
+        # pin this process to that pipeline's speed for as long as the
+        # store lives.
         raise VMError(
             f"stored kernel for {program_name} was lowered by passes "
-            f"{record.get('passes')!r}, this pipeline runs {list(PASS_NAMES)!r}"
+            f"{record.get('passes')!r}, this pipeline runs {stamp!r}"
         )
     if buffer_len != len(memory.buffer):
         raise VMError(

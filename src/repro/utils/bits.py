@@ -122,7 +122,9 @@ def regroup_patterns(patterns: np.ndarray, old_nbits: int, new_nbits: int) -> np
     bits, LSB first and back to back; the result holds the same
     ``old_l * old_nbits`` bits as ``new_l`` patterns of ``new_nbits``.
     Rows of at most 64 bits pack into one ``uint64`` word and the new
-    fields are shifted and masked out of it.  Wider rows go through
+    fields are shifted and masked out of it; when the old elements are
+    bytes (packed weights viewed as a sub-byte type) the word is their
+    reinterpretation, no arithmetic at all.  Wider rows go through
     :func:`expand_regroup`, and so does ``new_nbits == 1`` — the single
     bits the interpreters store registers as *are* the expansion.
     """
@@ -135,12 +137,19 @@ def regroup_patterns(patterns: np.ndarray, old_nbits: int, new_nbits: int) -> np
         )
     if row_bits > 64 or new_nbits == 1:
         return expand_regroup(patterns, old_nbits, new_nbits)
-    starts = np.arange(patterns.shape[-1], dtype=np.uint64) * np.uint64(old_nbits)
-    # Masked like the expansion path, which never reads past old_nbits.
-    kept = patterns & np.uint64(bit_mask(old_nbits))
-    word = np.bitwise_or.reduce(kept << starts, axis=-1)
+    if old_nbits == 8:
+        # A row of bytes *is* its word, little-endian: narrowing each
+        # pattern to uint8 is the mask, viewing eight of them the shifts.
+        raw = np.zeros(patterns.shape[:-1] + (8,), dtype=np.uint8)
+        raw[..., : patterns.shape[-1]] = patterns
+        word = raw.view("<u8")
+    else:
+        starts = np.arange(patterns.shape[-1], dtype=np.uint64) * np.uint64(old_nbits)
+        # Masked like the expansion path, which never reads past old_nbits.
+        kept = patterns & np.uint64(bit_mask(old_nbits))
+        word = np.bitwise_or.reduce(kept << starts, axis=-1, keepdims=True)
     fields = np.arange(row_bits // new_nbits, dtype=np.uint64) * np.uint64(new_nbits)
-    return (word[..., None] >> fields) & np.uint64(bit_mask(new_nbits))
+    return (word >> fields) & np.uint64(bit_mask(new_nbits))
 
 
 def extract_bits(data: np.ndarray, bit_offset: int, nbits: int) -> int:

@@ -583,11 +583,12 @@ class TileWalk(LockstepWalk):
         )
 
     # -- view addressing ----------------------------------------------------
-    def gather(self, view: View, linear: np.ndarray):
-        """Patterns of ``view``'s elements at (B, n) linear indices."""
+    def gather(self, view: View, linear: np.ndarray, rows=None):
+        """Patterns of ``view``'s elements at (B, n) linear indices — or
+        at flat ones, ``rows`` naming the block of each."""
         nbits = view.dtype.nbits
         bit_off = linear * nbits
-        addr = view.base[:, None] + bit_off // 8
+        addr = (view.base[:, None] if rows is None else view.base[rows]) + bit_off // 8
         if nbits % 8 == 0:
             return self.ops.gather_bytes(view.buf, addr, nbits // 8, view.oob)
         shift = (bit_off % 8).astype(np.uint64)
@@ -595,10 +596,18 @@ class TileWalk(LockstepWalk):
 
     def gather_zfill(self, view: View, indices: list):
         """Gather with out-of-bounds elements reading as zero bits (masked
-        loads, ``cp.async`` zfill)."""
+        loads, ``cp.async`` zfill).  Only the in-bounds lanes are gathered
+        — selected like a scatter's — and placed into zeros; a tile wholly
+        out of bounds touches no memory."""
         valid = bounds_mask(indices, view.shape)
-        raw = self.gather(view, tileops.linear_index(view.shape, view.dtype, indices, clip=True))
-        return raw if bool(valid.all()) else np.where(valid, raw, np.uint64(0))
+        if bool(valid.all()):
+            return self.gather(view, tileops.linear_index(view.shape, view.dtype, indices))
+        selected = tileops.select_flat(indices, self.nblocks, valid)
+        if selected is None:
+            return np.zeros((self.nblocks, valid.shape[-1]), dtype=np.uint64)
+        flat, rows, valid = selected
+        linear = tileops.linear_index(view.shape, view.dtype, flat)
+        return self.ops.place(valid, self.gather(view, linear, rows))
 
     def scatter(self, view: View, indices: list, patterns, select: np.ndarray) -> None:
         """Write patterns (one per index) at per-block (B, n) multi-indices
@@ -768,10 +777,18 @@ class TileWalk(LockstepWalk):
     @LOCKSTEP.register(insts.Cast)
     def _h_cast(self, inst: insts.Cast, active) -> None:
         a: Register = self.lookup_tensor(inst.a)
-        values = self.vals(a)
-        if inst.dtype.is_integer and a.dtype.is_float:
-            values = np.trunc(values)
-        self.bind_tensor(inst.out, self.rounded(inst.dtype, a.layout, values), active)
+        if a.vals is None and a.bits is not None and a.dtype.nbits <= 8:
+            # Still packed and narrow: the cast is a lookup, not arithmetic.
+            table = tileops.cast_table(a.dtype, inst.dtype)
+            out = Register(
+                inst.dtype, a.layout, vals=self.ops.hold(self.ops.take_table(table, a.bits))
+            )
+        else:
+            values = self.vals(a)
+            if inst.dtype.is_integer and a.dtype.is_float:
+                values = np.trunc(values)
+            out = self.rounded(inst.dtype, a.layout, values)
+        self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.ReduceSum)
     def _h_reduce_sum(self, inst: insts.ReduceSum, active) -> None:

@@ -9,7 +9,12 @@ codecs (and the rounding that stands in for a pack-unpack round trip
 while a register stays decoded), logical assembly, width regrouping, byte
 and sub-byte gather/scatter (with the block-major last-writer rule),
 index linearisation and every bounds check, the shared-memory bump
-allocator, and the one elementwise rule (shared with the oracle).
+allocator, and the one elementwise rule (shared with the oracle).  A
+cheaper form of one of these — the cast of a narrow type as a table
+lookup (:func:`cast_table`), a masked gather's live lanes placed into
+zeros (:func:`place`) — is an entry like any other: the handler picks it
+from what the launch's constants decide, so both tiers get it, and
+``tests/test_tileops.py`` holds it to the definition it replaces.
 
 It has one caller: the handler set in :mod:`repro.vm.batched`, one handler
 per instruction.  The batched engine runs those handlers with this module
@@ -33,6 +38,8 @@ templates so generated kernels can carry them as constants.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -82,6 +89,27 @@ def requantize(dtype, values: np.ndarray) -> np.ndarray:
             values = np.rint(values)
         return np.clip(values.astype(np.int64), dtype.min_value, dtype.max_value)
     return decode(dtype, encode(dtype, values))
+
+
+@functools.lru_cache(maxsize=None)
+def cast_table(src, dst) -> np.ndarray:
+    """What ``Cast`` makes of every pattern of a ``src`` of at most 8
+    bits: entry ``p`` is ``requantize(dst, decode(src, p))`` (truncated
+    first when a float becomes an integer) — the arithmetic cast itself,
+    run once over all ``2**nbits`` patterns and kept per ``(src, dst)``,
+    so a lookup through it is bit-exact by construction."""
+    values = decode(src, np.arange(1 << src.nbits, dtype=np.uint64))
+    if dst.is_integer and src.is_float:
+        values = np.trunc(values)
+    table = requantize(dst, values)
+    table.setflags(write=False)
+    return table
+
+
+def take_table(table: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """A function of a narrow operand as one lookup: ``table[p]`` for
+    every pattern (register patterns carry no bits above their width)."""
+    return table.take(patterns.view(np.int64))
 
 
 def filled(dtype, shape3: tuple, init) -> np.ndarray:
@@ -270,10 +298,11 @@ def oob_message(dtype, shape: tuple, buflen: int) -> str:
 
 
 def gather_bytes(buf, byte_addr, nbytes: int, msg: str) -> np.ndarray:
-    """Byte-aligned gather: assemble little-endian patterns from bytes."""
-    out = np.zeros(byte_addr.shape, dtype=np.uint64)
+    """Byte-aligned gather: assemble little-endian patterns from bytes,
+    starting from the first byte lane (it needs no shift and no ``|=``)."""
     try:
-        for k in range(nbytes):
+        out = buf[byte_addr].astype(np.uint64)
+        for k in range(1, nbytes):
             out |= buf[byte_addr + k].astype(np.uint64) << np.uint64(8 * k)
     except IndexError as exc:
         raise VMError(msg.format(exc)) from exc
@@ -291,6 +320,15 @@ def gather(buf, bit_addr, nbits: int, aligned: bool, msg: str) -> np.ndarray:
     if aligned:
         return gather_bytes(buf, bit_addr // 8, nbits // 8, msg)
     return gather_subbyte(buf, bit_addr // 8, (bit_addr % 8).astype(np.uint64), nbits, msg)
+
+
+def place(valid: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """The zero-filled result of a masked gather: ``patterns`` — one per
+    True of ``valid``, in row-major order — where ``valid`` holds, zero
+    bits elsewhere."""
+    out = np.zeros(valid.shape, dtype=np.uint64)
+    out[valid] = patterns
+    return out
 
 
 def scatter_bytes(buf, byte_addr, pat, nbytes: int, msg: str) -> None:
@@ -472,8 +510,8 @@ def host_effect(inst) -> None:
 
 #: The names generated kernels — and kernel sources persisted in tuning
 #: stores — call the table by.  Signatures are part of the store format
-#: and the set only grows; which of them a pipeline emits is recorded per
-#: kernel as its pass list (``_tolog`` is no longer emitted).
+#: and the set only grows (``_tolog`` is no longer emitted; ``_place`` and
+#: ``_tab`` are the cheap forms of a masked gather and a narrow cast).
 KERNEL_NAMESPACE = {
     "_dec": decode,
     "_enc": encode,
@@ -490,7 +528,15 @@ KERNEL_NAMESPACE = {
     "_rq": requantize,
     "_tolg": gather_logical,
     "_ew": apply_elementwise,
+    "_place": place,
+    "_tab": take_table,
 }
+
+#: The table's generation, as a stored kernel record carries it beside
+#: its pass list: a new name is a new emitted form, so a record stamped
+#: with fewer names is what an older walk emitted — it still runs, and a
+#: store re-lowers it rather than serve that walk's speed.
+KERNEL_NAMESPACE_STAMP = "table:" + ",".join(sorted(KERNEL_NAMESPACE))
 
 #: Of those, the ones called for what they do — write a buffer, raise —
 #: not for a value: a kernel keeps them as statements, in order.

@@ -12,19 +12,26 @@ which raises it at the launch that trips it.  One case per check.  (The
 sequential oracle words the index errors per block — ``[8, 15]`` where
 the stacked tiers report ``[0, 15]`` — the documented difference; it is
 not part of this assertion.)
+
+The cheap forms instruction selection picks (``docs/jit.md``) sit in the
+same handlers, so they are held to the same rule at the end of the file:
+a masked load gathers only its in-bounds lanes — a valid lane behind a
+bad pointer still fails alike on both tiers, a masked-out one fails on
+neither — and a narrow ``Cast`` that became a table lookup reads a
+divergently merged register exactly as the oracle does.
 """
 
 import numpy as np
 import pytest
 
 from repro.compiler.lower import LoweringBailout, lower_program
-from repro.dtypes import float16, int64, uint4, uint8
+from repro.dtypes import float16, int4, int64, uint4, uint8
 from repro.errors import VMError
 from repro.ir import instructions as insts
 from repro.ir.types import MemoryScope, TensorType
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import local, spatial
-from repro.vm import BatchedExecutor, GlobalMemory
+from repro.vm import BatchedExecutor, GlobalMemory, Interpreter
 
 ROWS, COLS = 8, 4
 SHARED_CAPACITY = 1024
@@ -148,3 +155,97 @@ def test_a_deterministic_error_reads_the_same_on_both_tiers(case):
         assert str(lowered.value) == "deterministic runtime error: " + message
         assert isinstance(lowered.value.__cause__, VMError)
     assert np.array_equal(memory.buffer, before)  # neither tier wrote a byte
+
+
+# ---------------------------------------------------------------------------
+# Instruction selection keeps the checks and the values
+# ---------------------------------------------------------------------------
+
+
+def _masked_load(pb, bi, g_a, g_out):
+    # Rows 4..11 of an 8-row tensor: the upper half of the tile is masked
+    # out and reads as zero.
+    tile = pb.load_global(g_a, layout=spatial(ROWS, COLS), offset=[4, 0], masked=True)
+    pb.store_global(tile, g_out, offset=[0, 0])
+
+
+def test_a_masked_load_fails_on_its_valid_lanes_only():
+    program = _tile_program("masked_load", _masked_load)
+    memory, a, out = _image()
+    tile_bytes = ROWS * COLS * 2
+    # ``a`` as the last tensor of the device: its masked-out rows would
+    # address past the buffer, its valid rows do not.
+    last = memory.capacity - tile_bytes
+    memory.buffer[last : last + tile_bytes] = memory.buffer[a : a + tile_bytes]
+    kernel = lower_program(program, [a, out], memory)
+    want = np.zeros((ROWS, COLS))
+    want[:4] = np.arange(ROWS * COLS).reshape(ROWS, COLS)[4:]
+    for run in (BatchedExecutor(memory).launch, lambda p, args: kernel.run(memory, args)):
+        memory.buffer[out : out + tile_bytes] = 0xFF
+        run(program, [last, out])
+        assert np.array_equal(memory.download(out, [ROWS, COLS], float16), want)
+    # One row further and the view — valid lanes included — leaves the
+    # buffer: the same error from both tiers, nothing written.
+    before = memory.buffer.copy()
+    message = (
+        "tensor view [f16[8, 4]] at bit offset 523840 exceeds its buffer: "
+        "needs 524352 bits, buffer has 524288"
+    )
+    for run in (BatchedExecutor(memory).launch, lambda p, args: kernel.run(memory, args)):
+        with pytest.raises(VMError) as raised:
+            run(program, [last + COLS * 2, out])
+        assert str(raised.value) == message
+        assert np.array_equal(memory.buffer, before)
+
+
+def _merged_cast_program(rebind: str):
+    """Two blocks; block 0 rebinds an ``i4`` register under ``if``, so
+    what ``Cast`` reads is a divergent merge — packed bits only, in the
+    ``view`` variant block 0's being a ``u8`` tile's patterns regrouped."""
+    pb = ProgramBuilder(f"merged_cast_{rebind}", grid=[2])
+    codes_ptr = pb.param("codes", pointer(int4))
+    bytes_ptr = pb.param("bytes", pointer(uint8))
+    out_ptr = pb.param("out", pointer(float16))
+    (bi,) = pb.block_indices()
+    g_codes = pb.view_global(codes_ptr, dtype=int4, shape=[ROWS, 2 * COLS])
+    g_bytes = pb.view_global(bytes_ptr, dtype=uint8, shape=[ROWS, COLS])
+    g_out = pb.view_global(out_ptr, dtype=float16, shape=[2 * ROWS, 2 * COLS])
+    pairs = local(1, 2).spatial(ROWS, COLS)  # 8 bits per thread, like a u8 tile
+    codes = pb.load_global(g_codes, layout=pairs, offset=[0, 0])
+    merged = pb.add(codes, 1)
+    with pb.if_then(bi.equals(0)):
+        if rebind == "view":
+            raw = pb.load_global(g_bytes, layout=spatial(ROWS, COLS), offset=[0, 0])
+            pb._emit(insts.View(raw, merged))
+        else:
+            pb.sub(codes, 2, out=merged)
+    pb.store_global(pb.cast(merged, float16), g_out, offset=[bi * ROWS, 0])
+    return pb.finish()
+
+
+@pytest.mark.parametrize("rebind", ["arithmetic", "view"])
+def test_a_table_cast_reads_a_divergent_merge_like_the_oracle(rebind):
+    program = _merged_cast_program(rebind)
+    rng = np.random.default_rng(7)
+    results = []
+    for tier in ("sequential", "batched", "compiled"):
+        memory = GlobalMemory(1 << 16)
+        args = [
+            memory.upload(rng.integers(-8, 8, size=(ROWS, 2 * COLS)), int4),
+            memory.upload(rng.integers(0, 256, size=(ROWS, COLS)), uint8),
+            memory.alloc_output([2 * ROWS, 2 * COLS], float16),
+        ]
+        rng = np.random.default_rng(7)  # every tier sees the same image
+        if tier == "sequential":
+            stats = Interpreter(memory).launch(program, args)
+        elif tier == "batched":
+            stats = BatchedExecutor(memory).launch(program, args)
+        else:
+            kernel = lower_program(program, args, memory)
+            assert "_tab(" in kernel.source  # the cast is the lookup
+            stats = kernel.run(memory, args)
+        results.append((memory.buffer.copy(), stats.snapshot()))
+    for buffer, stats in results[1:]:
+        assert np.array_equal(buffer, results[0][0])
+        assert stats == results[0][1]
+    assert results[0][0].any()

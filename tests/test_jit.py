@@ -447,15 +447,52 @@ class TestForwarding:
                 assert key not in seen, f"gathered twice: {expr}"
                 seen.add(key)
         assert _calls(kernel, "_tolog") == 0  # the zero-fill + scatter form
-        # 4 unrolled k-steps: A and B tiles 4x, 2 distinct scale rows.
+        # 4 unrolled k-steps: A and B tiles 4x, 2 distinct scale rows.  The
+        # i6 -> f16 cast of each B tile is one table lookup (PR 21: it was
+        # a ``_dec`` and a ``_rq``, so those read 10 and 13), each masked A
+        # tile one ``_place`` of its live lanes.
         assert {
             name: _calls(kernel, name)
-            for name in ("_gb", "_dec", "_enc", "_rq", "_tolg", "_viewp", "_vg", "_scb")
+            for name in (
+                "_gb", "_dec", "_enc", "_rq", "_tolg", "_viewp", "_vg", "_scb", "_tab", "_place",
+            )
         } == {
-            "_gb": 10, "_dec": 10, "_enc": 1, "_rq": 13, "_tolg": 8,
-            "_viewp": 4, "_vg": 4, "_scb": 1,
+            "_gb": 10, "_dec": 6, "_enc": 1, "_rq": 9, "_tolg": 8,
+            "_viewp": 4, "_vg": 4, "_scb": 1, "_tab": 4, "_place": 4,
         }  # fmt: skip
         assert decode_linear_kernel(launches=8).source == kernel.source
+
+    def test_decode_kernel_takes_the_cheap_form_of_each_chain_step(self):
+        """Instruction selection on the served G = 8 kernel, read off its
+        source and constants (they repeat exactly)."""
+        kernel = decode_linear_kernel(launches=8)
+        statements = _statements(kernel)
+        produced = {target: expr for target, expr in statements if target}
+        # A masked A tile (M = 1 row of an m16 tile, 16 blocks) gathers its
+        # 256 live lanes of 4096: the address constant is that long.
+        placed = re.findall(r"_place\((C\d+), (t\d+)\)", kernel.source)
+        assert len(placed) == 4
+        for valid, gathered in placed:
+            valid = kernel.consts[valid]
+            address = re.fullmatch(r"_gb\(mem, (t\d+), 2, C\d+\)", produced[gathered]).group(1)
+            rows, offsets = re.fullmatch(r"p0\[(C\d+)\] \+ (C\d+)", produced[address]).groups()
+            assert valid.shape == (16, 256) and valid.dtype == bool
+            assert kernel.consts[offsets].shape == (int(valid.sum()),) == (256,)
+            assert kernel.consts[rows].shape == (256,)
+        # A narrow source is never decoded and then rounded: that pair is
+        # the table lookup.
+        for _, expr in statements:
+            for operand in re.findall(r"_rq\(C\d+, (t\d+)\)", expr):
+                decoded = re.match(r"_dec\((C\d+),", produced[operand])
+                assert decoded is None or kernel.consts[decoded.group(1)].nbits > 8, expr
+            assert "_rq(" not in expr or "_dec(" not in expr, expr
+        for table, _ in re.findall(r"_tab\((C\d+), (t\d+)\)", kernel.source):
+            assert kernel.consts[table].shape == (64,)  # every i6 pattern, as f16
+        # 150 statements before PR 21; the count does not depend on the stack.
+        for launches in (1, 2, 8):
+            lowered = decode_linear_kernel(launches)
+            assert len(_statements(lowered)) <= 142
+            assert decode_linear_kernel(launches).source == lowered.source
 
     def test_constant_registers_fold_and_values_pack_once(self):
         """``acc = 0`` is decoded at compile time, the add chain stays

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.errors import VMError
 from repro.runtime.profiling import Profile
 from repro.store import STORE_JSON_VERSION, TuningStore, decode_kernel, encode_kernel
+from repro.vm.tileops import KERNEL_NAMESPACE, KERNEL_NAMESPACE_STAMP
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -528,10 +529,19 @@ class TestKernelCodec:
 
         _, runtime, _, _, _, kernel, key = _linear_fixture()
         record = encode_kernel(kernel)
-        assert record["passes"] == list(PASS_NAMES)
+        # The stamp is the pass list plus the table's generation: the
+        # same passes over a table with fewer forms emit a slower kernel.
+        assert record["passes"] == list(PASS_NAMES) + [KERNEL_NAMESPACE_STAMP]
+        assert all(name in KERNEL_NAMESPACE_STAMP for name in KERNEL_NAMESPACE)
         older = dict(record, passes=["const-fold", "unroll", "flatten"])  # PR 15's
         with pytest.raises(VMError, match="lowered by passes"):
             decode_kernel(older, runtime.memory, key)
+        parent = dict(record, passes=list(PASS_NAMES))  # PRs 16-20: no stamp
+        with pytest.raises(VMError, match="lowered by passes"):
+            decode_kernel(parent, runtime.memory, key)
+        smaller = "table:" + ",".join(sorted(set(KERNEL_NAMESPACE) - {"_tab", "_place"}))
+        with pytest.raises(VMError, match="lowered by passes"):
+            decode_kernel(dict(record, passes=list(PASS_NAMES) + [smaller]), runtime.memory, key)
         unsigned = {k: v for k, v in record.items() if k != "passes"}
         with pytest.raises(VMError, match="lowered by passes"):
             decode_kernel(unsigned, runtime.memory, key)
@@ -651,7 +661,7 @@ class TestEngineDegradation:
         store = TuningStore(str(tmp_path))
         assert store.publish_jit("shard", fresh, None) == 1
         (republished,) = store.load_jit("shard")["kernels"]
-        assert republished["passes"] == list(PASS_NAMES)
+        assert republished["passes"] == list(PASS_NAMES) + [KERNEL_NAMESPACE_STAMP]
 
     def test_warm_boot_rehydrates_single_launch_kernels_only(self, tmp_path):
         """A JIT-on simulator runs its decode steps as stacked compiled

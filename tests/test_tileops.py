@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.vm
-from repro.dtypes import bfloat16, float16, float32, uint
+from repro.dtypes import bfloat16, float16, float32, float64, tfloat32, uint
 from repro.dtypes.registry import (
     all_weight_dtypes,
     int16,
@@ -35,8 +35,10 @@ from repro.dtypes.registry import (
 from repro.errors import VMError
 from repro.layout import local, mma_m16n8k16, spatial
 from repro.layout.core import replicate
+from repro.utils.bits import expand_regroup, regroup_patterns
 from repro.vm import RegisterValue, TensorView, tileops
-from repro.vm.batched import Register, TileWalk
+from repro.vm.batched import Register, TileWalk, View
+from repro.vm.dispatch import bounds_mask
 
 WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 32)
 BUFFER_BYTES = 512
@@ -316,6 +318,118 @@ def test_gather_form_to_logical_is_the_scatter_form(name, seed, nblocks):
         assert np.array_equal(oracle.to_logical(), scatter[b])
 
 
+# ---------------------------------------------------------------------------
+# Instruction selection: each cheap form against the definition it replaces
+# ---------------------------------------------------------------------------
+
+NARROW = all_weight_dtypes()  # every registry dtype of at most 8 bits
+DESTINATIONS = CODECS + [float64, tfloat32]
+
+
+def _arithmetic_cast(src, dst, patterns: np.ndarray) -> np.ndarray:
+    """``Cast`` as the handler computes it on a decoded register."""
+    values = tileops.decode(src, patterns)
+    if dst.is_integer and src.is_float:
+        values = np.trunc(values)
+    return tileops.requantize(dst, values)
+
+
+@pytest.mark.parametrize("src", NARROW, ids=str)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(1, 4)] * 3))
+def test_cast_table_is_the_arithmetic_cast_on_every_pattern(src, seed, shape):
+    """One ``take`` through ``cast_table(src, dst)`` is ``requantize(dst,
+    trunc?(decode(src, bits)))`` — on all ``2**nbits`` patterns and on a
+    register-shaped draw, for every destination, bit for bit on the
+    result's 64-bit image (NaN payloads, the sign of zero) and in dtype."""
+    assert src.nbits <= 8
+    every = np.arange(1 << src.nbits, dtype=np.uint64)
+    drawn = np.random.default_rng(seed).integers(0, 1 << src.nbits, size=shape, dtype=np.uint64)
+    with np.errstate(all="ignore"):
+        for dst in DESTINATIONS:
+            table = tileops.cast_table(src, dst)
+            assert table is tileops.cast_table(src, dst)  # built once per pair
+            assert table.shape == (1 << src.nbits,) and not table.flags.writeable
+            for patterns in (every, drawn):
+                got = tileops.take_table(table, patterns)
+                assert _bit_identical(got, _arithmetic_cast(src, dst, patterns)), (src, dst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    old_l=st.integers(1, 8),
+    new=st.integers(1, 8),
+    lead=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_byte_rows_regroup_by_reinterpretation_like_the_expansion(old_l, new, lead, seed):
+    """``regroup_patterns`` from 8-bit elements (the word is the bytes,
+    viewed) equals ``expand_regroup``, whatever sits above bit 7."""
+    if (old_l * 8) % new:
+        return
+    rng = np.random.default_rng(seed)
+    patterns = rng.integers(0, 256, size=lead + (old_l,), dtype=np.uint64)
+    garbage = rng.integers(0, 1 << 56, size=patterns.shape, dtype=np.uint64) << np.uint64(8)
+    got = regroup_patterns(patterns | garbage, 8, new)
+    want = expand_regroup(patterns, 8, new)
+    assert got.dtype == np.uint64 and got.shape == want.shape and np.array_equal(got, want)
+
+
+@st.composite
+def masked_tiles(draw):
+    """A masked load's operands: per-block views of one buffer and (B, n)
+    — or (1, n), broadcast over blocks — 2-D indices straying out of the
+    view on every side; some blocks' bases are 0 (inactive blocks)."""
+    nbits = draw(st.sampled_from(WIDTHS))
+    nblocks = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    rows = 1 if draw(st.booleans()) else nblocks
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (3, 5)
+    low, high = draw(st.sampled_from([(0, 3), (-2, 7), (5, 9)]))  # all valid / mixed / none
+    indices = [rng.integers(low, high, size=(rows, n)), rng.integers(low, high, size=(rows, n))]
+    room = BUFFER_BYTES - 8 - math.prod(shape) * 4  # the widest view plus a sub-byte window
+    base = rng.integers(0, room, size=nblocks) * (rng.random(nblocks) < 0.7)
+    background = rng.integers(0, 256, size=BUFFER_BYTES, dtype=np.uint8)
+    return uint(nbits), nblocks, shape, indices, base.astype(np.int64), background
+
+
+@settings(max_examples=150, deadline=None)
+@given(masked_tiles())
+def test_live_lane_zfill_gather_is_the_clipped_gather_masked(case):
+    """``gather_zfill`` gathers only the in-bounds lanes and places them
+    into zeros; it must read what gathering every clipped lane and
+    ``where``-ing the strays away read — and no memory at all when the
+    whole tile is out of bounds."""
+    dtype, nblocks, shape, indices, base, background = case
+    walk = TileWalk(nblocks, {}, (), tileops, None, None, None, None)
+    view = View(background, base, dtype, shape, BUFFER_BYTES)
+    valid = bounds_mask(indices, shape)
+    clipped = walk.gather(view, tileops.linear_index(shape, dtype, indices, clip=True))
+    want = np.where(valid, clipped, np.uint64(0))
+    got = walk.gather_zfill(view, indices)
+    assert got.dtype == np.uint64 and got.shape == want.shape == (nblocks, valid.shape[1])
+    assert np.array_equal(got, want)
+    if not valid.any():
+        unreadable = View(None, base, dtype, shape, BUFFER_BYTES)
+        assert not walk.gather_zfill(unreadable, indices).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nbytes=st.integers(1, 8), n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_gather_bytes_from_the_first_lane_is_the_zero_seeded_loop(nbytes, n, seed):
+    rng = np.random.default_rng(seed)
+    buf = rng.integers(0, 256, size=BUFFER_BYTES, dtype=np.uint8)
+    addr = rng.integers(0, BUFFER_BYTES - 8, size=(2, n))
+    want = np.zeros(addr.shape, dtype=np.uint64)
+    for k in range(nbytes):
+        want |= buf[addr + k].astype(np.uint64) << np.uint64(8 * k)
+    got = tileops.gather_bytes(buf, addr, nbytes, "{}")
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    with pytest.raises(VMError, match="out of bounds"):
+        tileops.gather_bytes(buf, addr + BUFFER_BYTES, nbytes, "{}")
+
+
 def test_kernel_namespace_only_grows():
     """Every name a kernel lowered by an earlier pipeline calls is still
     bound (a pass-list mismatch, not a NameError, retires old records)."""
@@ -323,7 +437,10 @@ def test_kernel_namespace_only_grows():
         "_dec", "_enc", "_gb", "_gsb", "_gather", "_scb", "_ssb", "_pbits",
         "_vg", "_lk", "_tolog", "_viewp",
     }  # fmt: skip
-    assert through_pr_15 <= set(tileops.KERNEL_NAMESPACE)
+    through_pr_20 = through_pr_15 | {"_rq", "_tolg", "_ew"}
+    assert through_pr_20 <= set(tileops.KERNEL_NAMESPACE)
+    # ... and a grown table restamps the store's records by itself.
+    assert tileops.KERNEL_NAMESPACE_STAMP == "table:" + ",".join(sorted(tileops.KERNEL_NAMESPACE))
     assert tileops.KERNEL_NAMESPACE["_tolog"] is tileops.to_logical  # scatter form
 
 
