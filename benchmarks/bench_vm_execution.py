@@ -699,7 +699,7 @@ def jit_report(min_speedup: float = 2.0) -> dict:
     flatten) and the compiled kernel is raced against the batched
     executor on the same device image; outputs must agree byte for
     byte.  The one-time lowering cost is reported separately — it is
-    what the runtime's heat threshold amortizes."""
+    what the JIT's ``PROMOTE_AFTER`` interpreted invocations amortize."""
     from repro.compiler.lower import lower_program
 
     report: dict = {}
@@ -774,9 +774,10 @@ def obs_report(num_workers: int = 2, num_requests: int = 16) -> dict:
     # -- traced fleet run ---------------------------------------------------
     spec = WorkerSpec(
         linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-        max_batch=1, num_streams=2, profile=True, jit=True,
-        jit_threshold_s=0.0, trace=True,
+        max_batch=1, num_streams=2, profile=True, jit=True, trace=True,
     )
+    # A chunk is 2 requests x 8 tokens at max_batch=1: sixteen launches
+    # of one key per worker run, past the JIT's promotion constant.
     trace_requests = poisson_trace(
         num_requests, rate_rps=10_000.0, prompt_tokens=128,
         output_tokens=8, seed=11, slo_s=60.0,

@@ -30,7 +30,7 @@ scheduling, hazard analysis, and coalescing decisions entirely.
 With ``profile=True`` the run records a reusable per-node
 :class:`~repro.runtime.profiling.Profile` of every decode kernel
 (attached to the returned :class:`TraceResult` and saveable as JSON):
-the measured costs feed JIT promotion and ``Autotuner.tune_profiled``
+the measured costs feed ``Autotuner.tune_profiled``
 for measurement-free re-tuning — serving traffic becomes the profile the
 tuner consumes.
 
@@ -38,7 +38,9 @@ Engine state is not the simulator's: the compiled tier and the tuning
 store live on the operator's :class:`~repro.runtime.runtime.Runtime`
 (``decode_linear.runtime``), and the simulator reads them there.  With
 ``runtime.enable_jit()`` hot decode specializations run compiled
-(``TraceResult.jit_compiled`` / ``jit_promotions``).  With
+(``TraceResult.jit_compiled`` / ``jit_promotions``) — promotion is the
+manager's invocation count, kept across runs, so a JIT run is profiled
+only when asked (``profile=True``) or when a store is attached.  With
 ``runtime.attach_store(...)`` the simulator boots from the store
 (``runtime.warm_start()``, once) and
 :meth:`ContinuousBatchingSimulator.publish_store` writes the converged
@@ -284,11 +286,10 @@ class ContinuousBatchingSimulator:
             return self._run_loop(pending, outcome)
         runtime = self.decode_linear.runtime
         jit = runtime.jit
-        # JIT promotion is driven by profiled heat and the store
-        # publishes the profile, so both run profiled even when the
-        # caller did not ask to keep it (outcome.profile stays None
-        # unless profile=True).
-        profiling = self.profile or jit is not None or runtime.store is not None
+        # The store publishes the profile, so a run with one attached is
+        # profiled even when the caller did not ask to keep it
+        # (outcome.profile stays None unless profile=True).
+        profiling = self.profile or runtime.store is not None
         if profiling:
             # Fresh profile per run so the trace's records are its own
             # (a caller-enabled profiler must not bleed in), restored on
@@ -462,7 +463,7 @@ class ContinuousBatchingSimulator:
         """Persist this simulator's converged serving state through its
         runtime's store (:meth:`~repro.runtime.runtime.Runtime.publish_store`):
         the merged profile (warm inheritance + every run served here)
-        and the JIT tier's heat and kernel sources — so the next process
+        and the JIT tier's kernel sources — so the next process
         boots converged."""
         runtime = self.decode_linear.runtime
         merged = Profile()

@@ -151,9 +151,10 @@ def execute(
     if requested in ("auto", "compiled") and keys.count(keys[0]) == len(keys):
         # One specialization, one invocation, on whatever tier that key
         # has reached: a group of launches sharing a key asks for the
-        # kernel stacking that many.  Forcing skips the heat check and
-        # needs no prior enable_jit(); "auto" promotes on heat once a
-        # manager is attached; explicit sequential/batched are honored.
+        # kernel stacking that many.  Forcing skips the count and
+        # needs no prior enable_jit(); "auto" promotes on the manager's
+        # invocation count once one is attached; explicit
+        # sequential/batched are honored.
         # A bailout (None) leaves the launch on its frozen engine —
         # batched, when forced.
         forced = requested == "compiled"
@@ -164,7 +165,7 @@ def execute(
             )
         if jit is not None:
             kernel = jit.maybe_compile(
-                program, args_list[0], profiler, forced=forced, key=keys[0],
+                program, args_list[0], forced=forced, key=keys[0],
                 launches=len(args_list),
             )
     if kernel is not None:
@@ -185,7 +186,7 @@ def execute(
     if timer is not None:
         # One invocation, split evenly over its launches (integer
         # counters remainder-exactly).  Compiled time records under its
-        # own engine so it never feeds the interpreted tiers' heat.
+        # own engine, apart from the interpreted tiers' records.
         specs = [spec_string(key) for key in keys]
         profiler.record_group(
             site.scope,

@@ -139,7 +139,7 @@ class GraphNode:
         self.key = key              # capture-time specialization key
         #: Tier asked of each replay: "compiled" stays forced; anything
         #: else was consumed into ``engine`` and replays as "auto"
-        #: (promotable on heat).  Not part of the signature.
+        #: (promotable by count).  Not part of the signature.
         self.requested = requested
 
     def renumbered(self, index, deps) -> "GraphNode":

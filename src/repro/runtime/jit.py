@@ -1,4 +1,4 @@
-"""The compiled execution tier: profile-driven promotion of hot
+"""The compiled execution tier: counted promotion of hot
 specializations out of the interpreters.
 
 The two interpreted engines — the sequential interpreter and the
@@ -21,16 +21,15 @@ straight-line numpy source.  This module is the *runtime* half of the tier:
   remembered so a hot-but-unloweable signature does not re-attempt the
   whole pass pipeline on every launch.
 
-Promotion is profile-driven, closing the tiered-PGO loop: the active
-profiler records per-specialization wall time
-(:meth:`~repro.runtime.profiling.Profile.spec_heat`); once a signature's
-accumulated interpreted time clears ``threshold_s``, the next launch
-compiles it and every launch after that runs the cached callable —
-interpret → batched → compiled, with no API change at any call site.
-Cold signatures never pay a compile; promoted signatures stay promoted
-for the manager's lifetime (the cache hit short-circuits the heat check,
-so a profiler reset — the serving loop installs a fresh profile per
-trace — cannot demote them).
+Promotion is counted, not timed: the manager keeps, per
+specialization, the number of invocations it left interpreted; the
+invocation after :data:`PROMOTE_AFTER` of them compiles, and every
+launch after that runs the cached callable — interpret → batched →
+compiled, with no API change at any call site.  The decision is a pure
+function of the launch sequence (no clock, no profiler), so the tier a
+launch runs on repeats run to run.  Cold signatures never pay a
+compile; a hot specialization is hot at every group size and stays hot
+for the manager's lifetime.
 
 Execution stays bit-exact: lowering either reproduces the batched
 engine's results (and error behaviour, and statistics) exactly — the
@@ -48,12 +47,19 @@ from typing import Optional, Sequence
 from repro.compiler.lower import LoweredKernel, LoweringBailout, lower_program
 from repro.compiler.pipeline import specialization_key
 from repro.obs import trace as obs_trace
-from repro.runtime.profiling import Profile, spec_string
+from repro.runtime.profiling import spec_string
 from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory
 
-#: Accumulated interpreted seconds per specialization before it promotes.
-DEFAULT_THRESHOLD_S = 0.02
+#: Invocations of one specialization left interpreted before the next
+#: one compiles.  Lowering is the batched engine's own walk, so its cost
+#: scales with the launch it replaces: over 32 (program, group size)
+#: points — the served decode linear and 15 harness programs, lowering
+#: 0.9-7.5 ms — ``lower_ms / (batched_ms - compiled_ms)`` reads 2.2-4.6
+#: invocations, median 3.0 (``tools/jit_breakeven.py``; table in
+#: docs/jit.md).  After 4 a specialization has cost what compiling it
+#: would have, whatever it costs — so no cost model weighs the count.
+PROMOTE_AFTER = 4
 
 #: Compiled kernels kept per manager (LRU beyond this).
 DEFAULT_MAX_ENTRIES = 64
@@ -112,12 +118,12 @@ class JitCache:
 
 class JitManager:
     """Owns one memory's compiled tier: cache, bailout memo, promotion
-    policy, counters.
+    count, counters.
 
     One manager per :class:`~repro.runtime.runtime.Runtime` (attached by
     ``enable_jit()``; shared with its stream pool as ``pool.jit``), so
     every execution path — synchronous launches, eager streams, graph
-    replays — consults the same cache and the same heat policy.
+    replays — consults the same cache and the same count.
     Thread-safe: host threads (synchronous launches beside a draining
     pool) may call into it concurrently; compilation runs under the lock so one hot signature
     compiles exactly once.
@@ -127,19 +133,18 @@ class JitManager:
         self,
         memory: GlobalMemory,
         shared_capacity: int = 228 * 1024,
-        threshold_s: float = DEFAULT_THRESHOLD_S,
         max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
-        if threshold_s < 0.0:
-            raise ValueError(f"threshold_s must be non-negative, got {threshold_s}")
         self.memory = memory
         self.shared_capacity = shared_capacity
-        self.threshold_s = threshold_s
         self.cache = JitCache(max_entries)
         #: Specializations the pipeline declined, with the bailout reason
         #: — bounded like the cache so unloweable traffic cannot grow it.
         self._bailed: OrderedDict[tuple, str] = OrderedDict()
-        self._max_bailed = 4 * max_entries
+        #: Invocations left interpreted, per spec string — LRU under the
+        #: same bound, so key churn that never promotes cannot grow it.
+        self._seen: OrderedDict[str, int] = OrderedDict()
+        self._max_memo = 4 * max_entries
         self._lock = threading.Lock()
         #: Successful compilations (pass pipeline ran to the end).
         self.compiled = 0
@@ -150,20 +155,23 @@ class JitManager:
         self.promotions = 0
         #: Kernels restored from a tuning store (no pass pipeline run).
         self.rehydrated = 0
-        #: Store-loaded heat per spec string — counts toward the
-        #: promotion threshold alongside live profiler heat, so a fresh
-        #: process promotes hot specializations on first launch.
-        self._preheat: dict[str, float] = {}
         #: Store-loaded kernel records per spec string, decoded lazily
         #: at promotion time (a corrupt record degrades to a compile).
         self._stored: dict[str, dict] = {}
 
     # -- policy --------------------------------------------------------------
+    def _count(self, spec: str, seen: int) -> None:
+        """Record ``seen`` declined invocations of ``spec`` (caller
+        holds the lock)."""
+        self._seen[spec] = seen
+        self._seen.move_to_end(spec)
+        while len(self._seen) > self._max_memo:
+            self._seen.popitem(last=False)
+
     def maybe_compile(
         self,
         program,
         args: Sequence,
-        profiler: Optional[Profile] = None,
         forced: bool = False,
         key: Optional[tuple] = None,
         launches: int = 1,
@@ -172,19 +180,16 @@ class JitManager:
         interpreted.  ``launches > 1`` asks for the kernel that runs a
         group of that many hazard-independent launches of this one
         specialization as a single stacked grid: kernels (and bailouts)
-        are cached per ``(key, launches)``, heat is per specialization,
-        so a hot key is hot at every group size.
+        are cached per ``(key, launches)``, the count is per
+        specialization, so a hot key is hot at every group size.
 
-        ``forced=True`` (an explicit ``engine="compiled"``) skips the
-        heat check and compiles immediately; otherwise the launch
-        promotes only when the accumulated interpreted time for its
-        specialization — live profiler heat plus any store-seeded
-        :meth:`preheat` — has reached ``threshold_s`` (no profiler and
-        no preheat → never promote).  Either way a known bailed-out
-        specialization
-        answers None from the memo without re-running the pipeline, and
-        an already-compiled one answers from the cache without
-        consulting the heat at all — promotion is sticky.
+        ``forced=True`` (an explicit ``engine="compiled"``) compiles
+        immediately and leaves the count alone; otherwise the first
+        :data:`PROMOTE_AFTER` invocations of a specialization that find
+        no kernel stay interpreted and the next one compiles.  Either
+        way a known bailed-out specialization answers None from the memo
+        without re-running the pipeline, and an already-compiled one
+        answers from the cache without touching the count.
         """
         if key is None:
             key = specialization_key(program, args)
@@ -197,19 +202,15 @@ class JitManager:
             if reason is not None:
                 self._bailed.move_to_end(entry)
                 return None
-        if not forced:
-            spec = spec_string(key)
-            pre = self._preheat.get(spec)
-            if profiler is None and pre is None:
-                return None
-            heat = pre or 0.0
-            if profiler is not None:
-                heat += profiler.spec_heat(spec)
-            if heat < self.threshold_s:
-                return None
+            if not forced:
+                spec = spec_string(key)
+                seen = self._seen.get(spec, 0) + 1
+                self._count(spec, seen)
+                if seen <= PROMOTE_AFTER:
+                    return None
         with self._lock:
             # Re-check under the lock: a racing launch may have compiled
-            # (or bailed) this key while the heat check ran.
+            # (or bailed) this key since the count was taken.
             kernel = self.cache.lookup(entry)
             if kernel is not None:
                 return kernel
@@ -247,7 +248,7 @@ class JitManager:
             except LoweringBailout as exc:
                 self.bailouts += 1
                 self._bailed[entry] = str(exc)
-                while len(self._bailed) > self._max_bailed:
+                while len(self._bailed) > self._max_memo:
                     self._bailed.popitem(last=False)
                 if tracer is not None:
                     tracer.instant(
@@ -282,21 +283,14 @@ class JitManager:
         return kernel.run_many(self.memory, args_list, stats)
 
     # -- store warm-start ----------------------------------------------------
-    def preheat(self, heats: dict) -> None:
-        """Seed per-spec heat from a tuning store: a fresh process
-        promotes store-hot specializations on their first launch instead
-        of re-paying interpreted warmup.  Adds to (never replaces) any
-        previously seeded heat."""
-        with self._lock:
-            for spec, seconds in heats.items():
-                self._preheat[spec] = self._preheat.get(spec, 0.0) + float(seconds)
-
     def stage_kernels(self, records: list) -> int:
-        """Stage store-loaded kernel records for lazy rehydration: when a
-        staged specialization promotes, its kernel is decoded from the
-        record instead of re-lowered.  Malformed list entries are
-        skipped; a record that later fails to decode degrades to a cold
-        compile.  Returns the number staged."""
+        """Stage store-loaded kernel records for lazy rehydration.  A
+        staged record is the heat — another process already promoted
+        this specialization — so its next invocation, at any group size,
+        compiles: the single-launch kernel decoded from the record
+        instead of re-lowered.  Malformed list entries are skipped; a
+        record that later fails to decode degrades to a cold compile.
+        Returns the number staged."""
         staged = 0
         with self._lock:
             for record in records:
@@ -304,6 +298,7 @@ class JitManager:
                 if not isinstance(spec, str):
                     continue
                 self._stored[spec] = record
+                self._count(spec, PROMOTE_AFTER)
                 staged += 1
         return staged
 
@@ -333,7 +328,7 @@ class JitManager:
 
     def __repr__(self) -> str:
         return (
-            f"JitManager(threshold_s={self.threshold_s}, {self.cache!r}, "
+            f"JitManager({self.cache!r}, "
             f"{self.compiled} compiled, {self.bailouts} bailouts, "
             f"{self.promotions} promotions)"
         )

@@ -17,8 +17,10 @@ instruction count, bits moved, engine used, coalescing-group membership
 A :class:`Profile` is a bag of those records with per-stream and
 per-graph aggregation and a versioned JSON serialization, so a profile
 gathered in one process (a serving run) can be saved, loaded elsewhere,
-and fed to ``tune_profiled`` or a next process's JIT heat — the classic
-profile-guided-optimization workflow (cf. Liu et al. in PAPERS.md).
+and fed to ``tune_profiled`` — the classic
+profile-guided-optimization workflow (cf. Liu et al. in PAPERS.md).  A
+profile observes; nothing in the runtime reads it to decide how a launch
+executes (JIT promotion is the manager's own invocation count).
 
 Recording is thread-safe (host threads sharing a runtime may record
 concurrently) and costs nothing when disabled: the engines' hot paths check a single
@@ -64,7 +66,7 @@ class NodeProfile:
     The engine is part of the identity because one launch site can
     execute under different tiers over its lifetime — the compiled tier
     promotes a hot site mid-run, and its costs must not accumulate into
-    (or poison the heat of) the interpreted record.  All
+    the interpreted record.  All
     counters accumulate across calls; divide by :attr:`calls` for
     per-launch means.  ``group``/``group_size`` describe the coalescing
     membership of the *most recent* recorded execution (grouping can
@@ -327,20 +329,6 @@ class Profile:
                 agg["calls"] += node.calls
                 agg["wall_s"] += node.wall_s
         return out
-
-    def spec_heat(self, spec: str) -> float:
-        """Total wall seconds this specialization-key string has spent in
-        the *interpreted* tiers (every engine except ``compiled``) — the
-        promotion heat the tiered JIT consults.  Monotone while traffic
-        keeps landing on the interpreted tiers, and unchanged by compiled
-        executions, so a signature that clears the promotion threshold
-        stays cleared."""
-        heat = 0.0
-        with self._lock:
-            for node in self.nodes.values():
-                if node.spec == spec and node.engine != COMPILED:
-                    heat += node.wall_s
-        return heat
 
     def spec_seconds(self, spec: str) -> float | None:
         """Mean wall seconds per launch across every site with this

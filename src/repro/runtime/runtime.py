@@ -29,9 +29,10 @@ A third, **compiled** tier sits above both (:mod:`repro.runtime.jit`):
 with :meth:`Runtime.enable_jit` (or ``engine="compiled"``), hot
 specializations are lowered to flat numpy source by
 :mod:`repro.compiler.lower` and executed as cached callables.
-Promotion is profile-driven — a signature promotes once its accumulated
-interpreted wall time clears the manager's threshold — and bit-exact:
-signatures the pipeline cannot lower fall back to the batched engine.
+Promotion is counted — a signature promotes once the manager has left
+``PROMOTE_AFTER`` invocations of it interpreted; no clock or profiler
+is read — and bit-exact: signatures the pipeline cannot lower fall back
+to the batched engine.
 
 The runtime is the one owner of engine state: besides the execution
 context it holds the attached persistent tuning store
@@ -198,9 +199,8 @@ class Runtime:
         the given ``profile`` (installed, replacing any active one), the
         already-active one, or a fresh one.  Every later launch —
         synchronous, streamed, or graph-replayed through this runtime's
-        pool — records a per-node cost into it.  The profile feeds JIT
-        promotion (:meth:`enable_jit`) and
-        :meth:`~repro.autotune.tuner.Autotuner.tune_profiled`, and
+        pool — records a per-node cost into it.  The profile feeds
+        :meth:`~repro.autotune.tuner.Autotuner.tune_profiled` and
         serializes to JSON (``profile.save(path)``) for reuse across
         processes.
         """
@@ -233,30 +233,34 @@ class Runtime:
         return obs_trace.uninstall()
 
     # -- tiered JIT ----------------------------------------------------------
-    def enable_jit(self, threshold_s: float | None = None, max_entries: int | None = None):
+    def enable_jit(self, max_entries: int | None = None):
         """Attach the compiled execution tier (:mod:`repro.runtime.jit`).
 
         Returns the active :class:`~repro.runtime.jit.JitManager`: the
-        already-attached one (knobs updated when given), or a fresh one.
+        already-attached one, or a fresh one holding at most
+        ``max_entries`` kernels (default
+        :data:`~repro.runtime.jit.DEFAULT_MAX_ENTRIES`).  A manager's
+        capacity is fixed when it is built: asking for a different
+        ``max_entries`` than the attached manager has raises
+        ``ValueError``.
         From here on every execution path through this runtime —
         synchronous launches, eager streams, graph replays — promotes a
-        hot specialization to its compiled kernel once the profiler's
-        accumulated interpreted time for it clears ``threshold_s``
-        (promotion needs an active profiler: :meth:`enable_profiling`;
-        without one, only explicit
-        ``engine="compiled"`` launches compile).  Specializations the
-        lowering pipeline declines fall back to the batched engine,
-        bit-exactly.
+        specialization to its compiled kernel once the manager has left
+        :data:`~repro.runtime.jit.PROMOTE_AFTER` invocations of it
+        interpreted (explicit ``engine="compiled"`` launches compile at
+        once).  Specializations the lowering pipeline declines fall back
+        to the batched engine, bit-exactly.
         """
         if self.jit is None:
-            knobs = {"threshold_s": threshold_s, "max_entries": max_entries}
+            knobs = {} if max_entries is None else {"max_entries": max_entries}
             self.context.attach_jit(
-                self.memory,
-                self.interpreter.shared_capacity,
-                **{name: value for name, value in knobs.items() if value is not None},
+                self.memory, self.interpreter.shared_capacity, **knobs
             )
-        elif threshold_s is not None:
-            self.jit.threshold_s = threshold_s
+        elif max_entries is not None and max_entries != self.jit.cache.max_entries:
+            raise ValueError(
+                f"enable_jit(max_entries={max_entries}) on a runtime whose "
+                f"attached manager holds {self.jit.cache.max_entries}"
+            )
         return self.jit
 
     def disable_jit(self):
@@ -281,8 +285,9 @@ class Runtime:
         return store
 
     def warm_start(self) -> Profile | None:
-        """Spend the store's boot-time state: stored JIT heat and kernel
-        records pre-promote the attached compiled tier, and the stored
+        """Spend the store's boot-time state: stored kernel records are
+        staged on the attached compiled tier (a staged specialization is
+        hot at boot), and the stored
         :class:`~repro.runtime.profiling.Profile` is returned for the
         caller to spend (``tune_profiled``, inheritance into the next
         publication).
@@ -300,20 +305,13 @@ class Runtime:
             except VMError:
                 payload = None
             if payload is not None:
-                self.jit.preheat({
-                    spec: seconds
-                    for spec, seconds in payload["heat"].items()
-                    if isinstance(spec, str)
-                    and isinstance(seconds, (int, float))
-                    and not isinstance(seconds, bool)
-                })
                 self.jit.stage_kernels(payload["kernels"])
         return profile
 
     def publish_store(self, profile: Profile | None = None) -> dict:
         """Persist converged state for the next process: ``profile``
         (default: the active profiler) and the attached compiled tier's
-        heat and kernel sources.  Best-effort per artifact — a failed
+        kernel sources.  Best-effort per artifact — a failed
         publication (``VMError`` / ``OSError``) is counted in ``errors``
         and the other still lands.  Returns what was written:
         ``{"profile", "jit_kernels", "errors"}``."""
@@ -331,7 +329,7 @@ class Runtime:
                 summary["errors"] += 1
         if self.jit is not None:
             try:
-                summary["jit_kernels"] = store.publish_jit(scope, self.jit, profile)
+                summary["jit_kernels"] = store.publish_jit(scope, self.jit)
             except (VMError, OSError):
                 summary["errors"] += 1
         return summary

@@ -26,9 +26,10 @@ from dataclasses import asdict, dataclass
 
 from repro.errors import VMError
 
-#: Version 2 dropped the ``adaptive`` field (specs are an ephemeral
-#: router → worker recipe; :meth:`WorkerSpec.store_scope` never hashed it).
-SPEC_JSON_VERSION = 2
+#: Version 2 dropped the ``adaptive`` field, version 3 the JIT
+#: promotion-threshold override (specs are an ephemeral router → worker
+#: recipe; :meth:`WorkerSpec.store_scope` hashed neither).
+SPEC_JSON_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -59,18 +60,13 @@ class WorkerSpec:
     #: Attach the compiled tier: hot decode specializations promote out
     #: of the interpreter (see :mod:`repro.runtime.jit`).
     jit: bool = False
-    #: Promotion threshold override (accumulated interpreted seconds);
-    #: None keeps the manager default.  ``0.0`` promotes on first
-    #: profiled sight — what trace smoke tests use to guarantee a JIT
-    #: event in a short run.
-    jit_threshold_s: float | None = None
     #: Install a process tracer in the worker (see
     #: :mod:`repro.obs.trace`): the worker buffers span/instant events
     #: and ships them on ``pull_trace`` for the router's fleet merge.
     trace: bool = False
     #: Directory of a persistent :class:`~repro.store.TuningStore`.
     #: A worker built from a spec with a path boots *converged*: stored
-    #: JIT heat and staged kernels, the stored profile inherited, and it
+    #: kernels staged (hot at boot), the stored profile inherited, and it
     #: publishes its own converged state back on shutdown.  None (the
     #: default) serves cold.
     store_path: str | None = None
@@ -163,7 +159,7 @@ class WorkerSpec:
 
         runtime = Runtime()
         if self.jit:
-            runtime.enable_jit(threshold_s=self.jit_threshold_s)
+            runtime.enable_jit()
         if self.store_path is not None:
             runtime.attach_store(self.store_path, self.store_scope())
         weight = np.random.default_rng(self.weight_seed).standard_normal(

@@ -2,7 +2,7 @@
 
 Every other subsystem in the runtime learns *per process*: the
 specialization cache, recorded :class:`~repro.runtime.profiling.Profile`
-records, JIT heat and compiled kernels, and ``tune_profiled`` rankings
+records, compiled kernels, and ``tune_profiled`` rankings
 all die with the process that paid for them, so each spawned worker
 (:mod:`repro.serving`) re-pays a warmup another worker already paid.
 :class:`TuningStore` is the durable half of that loop — a
@@ -10,11 +10,12 @@ content-addressed on-disk store keyed by what the artifacts *are*
 (program fingerprints inside specialization-key strings, dtype sets,
 profile content stamps), not where they came from:
 
-- serialized :class:`~repro.runtime.profiling.Profile` s (the JIT-heat
-  and ``tune_profiled`` input);
-- JIT state: per-specialization heat plus lowered-kernel **sources**
+- serialized :class:`~repro.runtime.profiling.Profile` s (the
+  ``tune_profiled`` input);
+- JIT state: lowered-kernel **sources**
   (:class:`~repro.compiler.lower.LoweredKernel`), rehydratable in a
-  fresh process without re-running the pass pipeline;
+  fresh process without re-running the pass pipeline — a stored kernel
+  is also the promotion heat: its specialization is hot at boot;
 - ``tune_profiled`` rankings, keyed by workload and profile stamp.
 
 Durability contract (what the fault-injection suite pins):
@@ -564,14 +565,12 @@ class TuningStore:
         current profile might not pick."""
         return self.load("rankings", f"{scope}:{workload_key}", expect_stamp)
 
-    def publish_jit(self, scope: str, manager, profile) -> int:
+    def publish_jit(self, scope: str, manager) -> int:
         """Persist a :class:`~repro.runtime.jit.JitManager`'s warm state:
-        per-specialization heat from ``profile`` plus every cached
-        single-launch kernel's source and constant pool.  Returns the
-        number of kernels persisted (unpersistable ones are skipped, and
-        so are stacked ones — the record is keyed by specialization
-        alone, and both only cost a re-lowering)."""
-        heat = {}
+        every cached single-launch kernel's source and constant pool.
+        Returns the number of kernels persisted (unpersistable ones are
+        skipped, and so are stacked ones — the record is keyed by
+        specialization alone, and both only cost a re-lowering)."""
         kernels = []
         with manager._lock:
             cached = list(manager.cache._kernels.values())
@@ -582,33 +581,18 @@ class TuningStore:
             if record is None:
                 continue
             kernels.append(record)
-        if profile is not None:
-            for spec in {r["spec"] for r in kernels}:
-                seconds = profile.spec_heat(spec)
-                if seconds > 0.0:
-                    heat[spec] = seconds
-            # Heat for hot-but-not-yet-compiled (or unpersistable)
-            # specializations still pre-promotes the next process.
-            with profile._lock:
-                specs = {node.spec for node in profile.nodes.values()}
-            for spec in specs:
-                seconds = profile.spec_heat(spec)
-                if seconds > 0.0:
-                    heat.setdefault(spec, seconds)
-        payload = {"heat": heat, "kernels": kernels}
-        self.publish("jit", scope, payload)
+        self.publish("jit", scope, {"kernels": kernels})
         return len(kernels)
 
     def load_jit(self, scope: str):
-        """The stored JIT payload (``{"heat": {...}, "kernels": [...]}``)
-        for ``scope``, or None."""
+        """The stored JIT payload (``{"kernels": [...]}``) for ``scope``,
+        or None.  Other keys are ignored: records published before
+        promotion was counted also carry a ``heat`` dict."""
         payload = self.load("jit", scope)
         if payload is None:
             return None
-        if (
-            not isinstance(payload, dict)
-            or not isinstance(payload.get("heat"), dict)
-            or not isinstance(payload.get("kernels"), list)
+        if not isinstance(payload, dict) or not isinstance(
+            payload.get("kernels"), list
         ):
             raise VMError(f"store entry jit:{scope} payload is not a JIT snapshot")
         return payload

@@ -1,11 +1,12 @@
 """The tiered JIT: pass-pipeline lowering (:mod:`repro.compiler.lower`)
-and profile-driven promotion (:mod:`repro.runtime.jit`).
+and counted promotion (:mod:`repro.runtime.jit`).
 
 Covers the lowering contract (bit-exact outputs *and* execution-stat
 parity against the interpreter, argument/buffer validation, bailout on
 unloweable programs), the runtime tier (bounded LRU kernel cache,
-bailout memo, heat-threshold promotion policy, stickiness across
-profiler resets), and every execution path that can promote — the
+bailout memo, invocation-count promotion policy held to a reference
+model, stickiness across profiler resets), and every execution path that
+can promote — the
 synchronous launch, the eager stream, the captured graph replay — plus
 the serving integration (the ``WorkerSpec.jit`` knob becoming
 ``runtime.enable_jit()``, counters through the simulator and the sharded
@@ -15,9 +16,12 @@ and the plumbing.
 """
 
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler.lower import (
     PASS_NAMES,
@@ -31,6 +35,7 @@ from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import JitCache, JitManager, Profile, Runtime
+from repro.runtime.jit import PROMOTE_AFTER
 from repro.runtime.profiling import COMPILED, spec_string
 from repro.vm import GlobalMemory, Interpreter
 
@@ -622,58 +627,69 @@ class TestJitCache:
 
 class TestJitManager:
     def test_cold_specialization_never_compiles(self):
-        """No profiler, no forced engine: the launch stays interpreted
-        and never pays a compile."""
+        """Fewer invocations than the constant, no forced engine: the
+        launch stays interpreted and never pays a compile."""
         memory, host, a, out = device()
         manager = JitManager(memory)
         program = work_program("cold")
-        for _ in range(3):
+        for _ in range(PROMOTE_AFTER):
             assert manager.maybe_compile(program, [a, out]) is None
         assert manager.compiled == 0
 
     def test_heat_threshold_gates_promotion(self):
+        """Heat is the number of invocations the manager left
+        interpreted: ``PROMOTE_AFTER`` of them stay interpreted whatever
+        group size they had, the next one compiles."""
         memory, host, a, out = device()
-        manager = JitManager(memory, threshold_s=0.01)
+        manager = JitManager(memory)
         program = work_program("heat")
-        profiler = Profile()
-        key = specialization_key(program, [a, out])
-        spec = spec_string(key)
-        profiler.record("s", 0, program.name, spec, "batched", 0, 0.005)
-        assert manager.maybe_compile(program, [a, out], profiler) is None
-        profiler.record("s", 1, program.name, spec, "batched", 0, 0.006)
-        kernel = manager.maybe_compile(program, [a, out], profiler)
+        for launches in (1, 2, 1, 3)[:PROMOTE_AFTER]:
+            assert manager.maybe_compile(
+                program, [a, out], launches=launches) is None
+        assert manager.compiled == 0
+        kernel = manager.maybe_compile(program, [a, out])
         assert kernel is not None and manager.compiled == 1
+        # A hot key is hot at every group size: first sight compiles.
+        stacked = manager.maybe_compile(program, [a, out], launches=2)
+        assert stacked is not None and stacked.launches == 2
+        assert manager.compiled == 2
 
     def test_compiled_time_is_not_heat(self):
-        """Wall time already spent on the compiled tier must not count
-        toward the interpreted-heat threshold — otherwise every promoted
-        spec looks eternally hot and a cache eviction immediately
-        recompiles it even when its interpreted traffic never justified
-        the first compile."""
-        profiler = Profile()
-        profiler.record("s", 0, "p", "spec", COMPILED, 0, 5.0)
-        assert profiler.spec_heat("spec") == 0.0
-        profiler.record("s", 1, "p", "spec", "batched", 0, 0.25)
-        assert profiler.spec_heat("spec") == 0.25
+        """Invocations served on the compiled tier must not count toward
+        promotion — otherwise every promoted spec looks eternally hot
+        and a cache eviction immediately recompiles it even when its
+        interpreted traffic never justified the first compile."""
+        memory, host, a, out = device()
+        manager = JitManager(memory, max_entries=1)
+        program, other = work_program("served"), work_program("evictor")
+        kernel = manager.maybe_compile(program, [a, out], forced=True)
+        for _ in range(3 * PROMOTE_AFTER):  # cache hits
+            assert manager.maybe_compile(program, [a, out]) is kernel
+        assert not manager._seen, "compiled invocations were counted"
+        assert manager.maybe_compile(other, [a, out], forced=True) is not None
+        assert manager.cache.evictions == 1
+        for _ in range(PROMOTE_AFTER):  # evicted: earns its compile again
+            assert manager.maybe_compile(program, [a, out]) is None
+        assert manager.compiled == 2
 
     def test_promotion_is_sticky_across_profiler_resets(self):
-        """Once compiled, the cache answers before the heat check — a
-        fresh (empty) profiler cannot demote the specialization.  The
-        serving loop installs a fresh profile per trace, so without
-        stickiness every trace would restart the warmup."""
-        memory, host, a, out = device()
-        manager = JitManager(memory, threshold_s=0.0)
-        program = work_program("sticky")
-        hot = Profile()
-        hot.record("s", 0, program.name,
-                   spec_string(specialization_key(program, [a, out])),
-                   "batched", 0, 1.0)
-        kernel = manager.maybe_compile(program, [a, out], hot)
-        assert kernel is not None
-        cold = Profile()  # knows nothing about this spec
-        assert manager.maybe_compile(program, [a, out], cold) is kernel
-        assert manager.maybe_compile(program, [a, out], None) is kernel
-        assert manager.compiled == 1  # never recompiled
+        """Promotion never consults a profiler: installing, replacing
+        or removing one between launches — the serving loop installs a
+        fresh profile per profiled trace — neither delays nor demotes a
+        specialization."""
+        linear, runtime, a = _linear_fixture()
+        runtime.enable_jit()
+        program = linear.program_for(1)
+        out = runtime.empty([1, linear.n], linear.act_dtype)
+        args = [a, linear.b_addr, linear.s_addr, out]
+        for step in range(PROMOTE_AFTER + 4):
+            if step % 2:
+                runtime.enable_profiling(Profile())  # knows nothing
+            else:
+                runtime.disable_profiling()
+            runtime.launch(program, args)
+        assert runtime.jit.compiled == 1  # never recompiled
+        assert runtime.jit.promotions == 4
 
     def test_bailout_memo_bounds_reattempts(self):
         memory, host, a, out = device()
@@ -688,9 +704,96 @@ class TestJitManager:
         counters = manager.counters()
         assert counters["bailouts"] == 1 and counters["compiled"] == 0
 
+    #: The property test's world: keys 0-1 belong to a program the
+    #: (stubbed) pipeline lowers, keys 2-3 to one it declines.
+    BAILING = (2, 3)
+
+    @staticmethod
+    def _reference_model(calls, staged):
+        """What ``maybe_compile`` answers (a kernel?) for each call."""
+        seen = dict.fromkeys(staged, PROMOTE_AFTER)  # staged: hot at boot
+        cached, bailed, answers = set(), set(), []
+        for k, launches, forced in calls:
+            if (k, launches) not in cached | bailed:
+                if not forced:  # forced compiles at once, uncounted
+                    seen[k] = seen.get(k, 0) + 1
+                if forced or seen[k] > PROMOTE_AFTER:
+                    which = bailed if k in TestJitManager.BAILING else cached
+                    which.add((k, launches))
+            answers.append((k, launches) in cached)
+        return answers
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 3), st.booleans()),
+            max_size=60,
+        ),
+        staged=st.sets(st.integers(0, 3)),
+    )
+    def test_promotion_matches_reference_model(self, calls, staged):
+        """Promotion is a pure function of the call sequence: count per
+        key, promote after ``PROMOTE_AFTER``, forced immediately and
+        uncounted, bailout memo per ``(key, G)``, staged key hot at boot
+        (its undecodable record degrading to a compile)."""
+        programs = [SimpleNamespace(name="lowers"), SimpleNamespace(name="bails")]
+
+        def fake_lower(program, args, memory, shared_capacity, launches):
+            if program.name == "bails":
+                raise LoweringBailout("stub declines")
+            return SimpleNamespace(launches=launches)
+
+        manager = JitManager(GlobalMemory(1 << 12))
+        manager.stage_kernels(
+            [{"spec": spec_string(("key", k))} for k in sorted(staged)]
+        )
+        with mock.patch("repro.runtime.jit.lower_program", fake_lower):
+            answers = [
+                manager.maybe_compile(
+                    programs[k in self.BAILING], [], forced=forced,
+                    key=("key", k), launches=launches,
+                )
+                for k, launches, forced in calls
+            ]
+        assert [a is not None for a in answers] == self._reference_model(
+            calls, staged
+        )
+        assert all(a is None or a.launches == c[1] for a, c in zip(answers, calls))
+        assert manager.rehydrated == 0
+        assert manager.compiled == len(manager.cache)
+        assert manager.bailouts == len(manager._bailed)
+
+    def test_seen_map_is_bounded_lru(self):
+        """Key churn that never promotes cannot grow the count map: it
+        is bounded like the bailout memo (4 x ``max_entries``), and
+        least-recently-*counted* keys go first, so a key that keeps
+        arriving still promotes through the churn."""
+        manager = JitManager(GlobalMemory(1 << 12), max_entries=2)
+        cap = manager._max_memo
+        assert cap == 8
+        program = SimpleNamespace(name="churn")
+        lowered = SimpleNamespace(launches=1)
+        answers = []
+        with mock.patch("repro.runtime.jit.lower_program",
+                        lambda *args: lowered):
+            for i in range(10 * cap):
+                assert manager.maybe_compile(program, [], key=("cold", i)) is None
+                assert len(manager._seen) <= cap
+                if i % (cap - 1) == 0:  # recurs inside every window
+                    answers.append(manager.maybe_compile(program, [], key=("warm",)))
+        assert len(manager._seen) == cap
+        assert spec_string(("cold", 10 * cap - 1)) in manager._seen
+        assert spec_string(("cold", 0)) not in manager._seen
+        assert answers[:PROMOTE_AFTER] == [None] * PROMOTE_AFTER
+        assert all(a is lowered for a in answers[PROMOTE_AFTER:])
+        assert manager.compiled == 1
+
     def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError, match="threshold_s"):
-            JitManager(GlobalMemory(1 << 16), threshold_s=-1.0)
+        """The promotion threshold is a module constant, not an
+        argument: the one bound a manager takes is its capacity."""
+        assert isinstance(PROMOTE_AFTER, int) and PROMOTE_AFTER >= 1
+        with pytest.raises(ValueError, match="max_entries"):
+            JitManager(GlobalMemory(1 << 16), max_entries=0)
 
 
 # ---------------------------------------------------------------------------
@@ -747,18 +850,17 @@ class TestRuntimeTier:
     def test_cold_auto_launches_stay_interpreted(self):
         linear, runtime, a = _linear_fixture()
         runtime.enable_profiling()
-        runtime.enable_jit(threshold_s=1e9)  # unreachable heat
+        runtime.enable_jit()
         program = linear.program_for(1)
         out = runtime.empty([1, linear.n], linear.act_dtype)
-        for _ in range(5):
+        for _ in range(PROMOTE_AFTER):
             runtime.launch(program, [a, linear.b_addr, linear.s_addr, out])
         assert runtime.jit.compiled == 0 and runtime.jit.promotions == 0
 
     def test_hot_auto_launches_promote_bit_exactly_across_the_boundary(self):
-        """The promotion path end to end: launches below the heat
-        threshold stay interpreted, the launch that clears it compiles,
-        and outputs are bit-identical before, at, and after the
-        boundary."""
+        """The promotion path end to end: the first ``PROMOTE_AFTER``
+        launches stay interpreted, the next one compiles, and outputs
+        are bit-identical before, at, and after the boundary."""
         linear, runtime, a = _linear_fixture()
         program = linear.program_for(1)
         out = runtime.empty([1, linear.n], linear.act_dtype)
@@ -766,16 +868,16 @@ class TestRuntimeTier:
                        engine="batched")
         want = runtime.download(out, [1, linear.n], linear.act_dtype).copy()
         profiler = runtime.enable_profiling()
-        runtime.enable_jit(threshold_s=1e-4)
-        interpreted_first = None
-        for step in range(50):
+        runtime.enable_jit()
+        compiled_at = None
+        for step in range(PROMOTE_AFTER + 3):
             runtime.launch(program, [a, linear.b_addr, linear.s_addr, out])
             got = runtime.download(out, [1, linear.n], linear.act_dtype)
             assert np.array_equal(want, got), f"step {step} diverged"
-            if interpreted_first is None and runtime.jit.compiled:
-                interpreted_first = step
-        assert runtime.jit.compiled == 1, "heat never cleared the threshold"
-        assert runtime.jit.promotions >= 1
+            if compiled_at is None and runtime.jit.compiled:
+                compiled_at = step
+        assert compiled_at == PROMOTE_AFTER
+        assert runtime.jit.compiled == 1 and runtime.jit.promotions == 3
         # The profiler kept the tiers apart: compiled wall time recorded
         # under its own engine, not folded into the interpreted site.
         spec = spec_string(specialization_key(
@@ -787,20 +889,33 @@ class TestRuntimeTier:
         assert COMPILED in engines
         assert engines - {COMPILED}, "interpreted records vanished"
 
+    def test_enable_jit_rejects_a_different_capacity_on_an_attached_manager(self):
+        """A manager's capacity is fixed when it is built: asking the
+        attached one for another used to be silently ignored."""
+        runtime = Runtime()
+        manager = runtime.enable_jit(max_entries=8)
+        assert manager.cache.max_entries == 8
+        assert runtime.enable_jit() is manager
+        assert runtime.enable_jit(max_entries=8) is manager
+        with pytest.raises(ValueError, match=r"max_entries=16\b.*holds 8\b"):
+            runtime.enable_jit(max_entries=16)
+        assert runtime.jit is manager and manager.cache.max_entries == 8
+
     def test_explicit_interpreted_engines_never_promote(self):
         linear, runtime, a = _linear_fixture()
         runtime.enable_profiling()
-        runtime.enable_jit(threshold_s=0.0)  # promote at the first chance
+        runtime.enable_jit()
         program = linear.program_for(1)
         out = runtime.empty([1, linear.n], linear.act_dtype)
         for engine in ("batched", "sequential"):
-            for _ in range(3):
+            for _ in range(PROMOTE_AFTER + 2):
                 runtime.launch(program,
                                [a, linear.b_addr, linear.s_addr, out],
                                engine=engine)
         assert runtime.jit.compiled == 0, (
             "an explicit engine choice must be honored"
         )
+        assert not runtime.jit._seen, "and it earns no promotion either"
 
     def test_stream_submission_promotes(self):
         linear, runtime, a = _linear_fixture()
@@ -822,7 +937,8 @@ class TestRuntimeTier:
 
     def test_graph_replay_promotes_bit_exactly(self):
         """The captured-graph path: replays of a graph whose nodes grew
-        hot run the compiled tier, bit-exactly vs. the serial oracle."""
+        hot — replayed past the constant — run the compiled tier,
+        bit-exactly vs. the serial oracle."""
         from repro.runtime import StreamPool
 
         memory, host, a, out = device()
@@ -844,17 +960,19 @@ class TestRuntimeTier:
                     output_bits(memory, host, out_b))
 
             profiler = pool.profiler = Profile()
-            jit = JitManager(memory, threshold_s=0.0)
+            jit = JitManager(memory)
             pool.jit = jit
-            for _ in range(3):
+            for replay in range(PROMOTE_AFTER + 3):
                 graph.replay()
                 pool.synchronize()
                 got = (output_bits(memory, host, out),
                        output_bits(memory, host, out_b))
                 for w, g in zip(want, got):
                     assert np.array_equal(w, g)
+                # Each node's launches are counted replay by replay.
+                assert jit.compiled == (2 if replay >= PROMOTE_AFTER else 0)
         assert jit.compiled == 2  # one kernel per distinct node
-        assert jit.promotions >= 2
+        assert jit.promotions == 2 * 3
         # Promoted replays recorded under the compiled engine, at the
         # same graph sites.
         engines = {node.engine for node in profiler.nodes.values()}
@@ -885,6 +1003,73 @@ class TestServingTier:
         want = {r.request.rid: r.output_digest for r in plain.results}
         got = {r.request.rid: r.output_digest for r in jitted.results}
         assert want == got, "the compiled tier changed decode bits"
+
+    SHAPE = dict(linear_k=64, linear_n=16, linear_dtype="i6",
+                 linear_group=32, max_batch=4, num_streams=4, jit=True)
+
+    def test_hot_key_lowers_a_new_group_size_on_first_sight_in_a_later_run(self):
+        """The count lives on the manager, not in a per-run profile: a
+        key promoted in one ``run()`` is still hot in the next, so a
+        group size that run sees for the first time lowers on its first
+        invocation and no launch of the run is interpreted."""
+        from repro.llm.batching import uniform_trace
+        from repro.serving import WorkerSpec
+
+        sim = WorkerSpec(**self.SHAPE).build_simulator()
+        first = sim.run(uniform_trace(2, 0.0, prompt_tokens=32, output_tokens=12))
+        jit = sim.decode_linear.runtime.jit
+        assert first.jit_compiled >= 1
+        assert first.jit_promotions < first.kernel_launches  # earned it
+        seen = {k.launches for k in jit.cache._kernels.values()}
+        assert max(seen) == 2
+        second = sim.run(uniform_trace(4, 0.0, prompt_tokens=32, output_tokens=6))
+        assert {k.launches for k in jit.cache._kernels.values()} - seen == {4}
+        assert second.jit_compiled >= 1
+        assert second.jit_promotions == second.kernel_launches
+
+    def test_equal_specs_and_traces_promote_identically_whatever_the_clock(self):
+        """Promotion is a pure function of the launch sequence: two
+        simulators built from equal specs and fed equal traces end with
+        equal JIT counters, run by run — though one of them runs
+        profiled, with every interpreted invocation slowed past the old
+        0.02 s wall threshold and a pause between its runs."""
+        import time
+
+        from repro.llm.batching import uniform_trace
+        from repro.serving import WorkerSpec
+        from repro.vm import BatchedExecutor
+
+        traces = [
+            uniform_trace(2, 0.0, prompt_tokens=32, output_tokens=12),
+            uniform_trace(4, 0.0, prompt_tokens=32, output_tokens=6),
+        ]
+        spec = WorkerSpec(**self.SHAPE)
+        plain = spec.build_simulator()
+        per_run = [
+            (r.jit_compiled, r.jit_promotions, r.kernel_launches)
+            for r in map(plain.run, traces)
+        ]
+
+        launch_many = BatchedExecutor.launch_many
+
+        def slow_launch_many(self, program, args_list):
+            time.sleep(0.025)
+            return launch_many(self, program, args_list)
+
+        disturbed = spec.build_simulator()
+        disturbed.decode_linear.runtime.enable_profiling()
+        with mock.patch.object(BatchedExecutor, "launch_many", slow_launch_many):
+            disturbed_runs = []
+            for trace in traces:
+                outcome = disturbed.run(trace)
+                disturbed_runs.append(
+                    (outcome.jit_compiled, outcome.jit_promotions,
+                     outcome.kernel_launches)
+                )
+                time.sleep(0.03)
+        assert disturbed_runs == per_run
+        assert (disturbed.decode_linear.runtime.jit.counters()
+                == plain.decode_linear.runtime.jit.counters())
 
     def test_spec_jit_knob_round_trips_and_defaults_off(self):
         from repro.serving import WorkerSpec

@@ -22,6 +22,7 @@ from repro.dtypes import float16
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import Runtime
+from repro.runtime.jit import PROMOTE_AFTER
 from repro.runtime.profiling import spec_string
 
 ROWS, COLS = 8, 4
@@ -75,6 +76,15 @@ def fresh_runtime(num_outputs: int = 1, engine: str = "auto"):
     return runtime, a, outs
 
 
+def make_hot(runtime, program, args) -> None:
+    """Attach the JIT and bring one specialization to the promotion
+    boundary without executing anything: the ``PROMOTE_AFTER``
+    invocations the manager declines are what make a key hot."""
+    jit = runtime.enable_jit()
+    for _ in range(PROMOTE_AFTER):
+        assert jit.maybe_compile(program, args) is None
+
+
 def drive(entry: str, scenario: str) -> dict:
     """One execution of one launch through ``entry``; what was observed."""
     engine, jit_setup, _ = SCENARIOS[scenario]
@@ -88,10 +98,10 @@ def drive(entry: str, scenario: str) -> dict:
     program = runtime.cache.get(program, args).program
     spec = spec_string(specialization_key(program, args))
     profiler = runtime.enable_profiling()
-    if jit_setup is not None:
-        runtime.enable_jit(threshold_s=1.0)
-        if jit_setup == "hot":
-            runtime.jit.preheat({spec: 2.0})
+    if jit_setup == "cold":
+        runtime.enable_jit()
+    elif jit_setup == "hot":
+        make_hot(runtime, program, args)
     tracer = runtime.enable_tracing()
     try:
         graph = None
@@ -214,8 +224,8 @@ def drive_group(entry: str, scenario: str) -> dict:
     specs = [spec_string(specialization_key(program, args)) for args in launches]
     profiler = runtime.enable_profiling()
     if engine is None:
-        runtime.enable_jit(threshold_s=1.0)
-        runtime.jit.preheat({spec: 2.0 for spec in specs})
+        for args in dict(zip(specs, launches)).values():  # once per key
+            make_hot(runtime, program, args)
     tracer = runtime.enable_tracing()
     pool = runtime.stream_pool(GROUP)
     try:
@@ -421,4 +431,41 @@ def test_execute_has_two_call_sites_in_the_runtime():
     )
     assert sites == [
         ("runtime.py", "Runtime.launch"), ("streams.py", "StreamPool.run_group"),
+    ]
+
+
+def test_no_clock_and_no_profile_reaches_the_tier_decision():
+    """JIT promotion is a count the manager keeps: under
+    ``src/repro/runtime/`` only ``profiling.py`` (the ``StatsTimer``
+    that *reports* wall time) names ``time``, ``jit.py`` references no
+    ``Profile`` and no ``wall_s`` / ``spec_heat`` attribute, and
+    ``maybe_compile`` takes no profiler."""
+    clocks = {"time", "timeit", "datetime"}
+    for path in sorted(RUNTIME_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {
+            alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        } | {
+            (node.module or "").split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        } | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert bool(named & clocks) == (path.name == "profiling.py"), path.name
+    tree = ast.parse((RUNTIME_DIR / "jit.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "Profile" not in names
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attrs & {"wall_s", "spec_heat", "profiler"}
+    (maybe_compile,) = (
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "maybe_compile"
+    )
+    params = maybe_compile.args
+    assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == [
+        "self", "program", "args", "forced", "key", "launches",
     ]

@@ -35,6 +35,7 @@ from repro.obs import (
 from repro.obs import trace as obs_trace
 from repro.obs.trace import load_trace, summarize_trace
 from repro.runtime import Runtime
+from repro.runtime.jit import PROMOTE_AFTER
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter
 
 
@@ -255,7 +256,7 @@ class TestMetricsContracts:
         linear = ops.prepare_linear(
             rng.standard_normal((64, 16)), int6, group_size=32
         )
-        linear.runtime.enable_jit(threshold_s=0.0)
+        linear.runtime.enable_jit()
         before = linear.runtime.metrics()
         linear(rng.standard_normal((4, 64)))
         after = linear.runtime.metrics()
@@ -279,19 +280,25 @@ class TestRuntimeEmitPoints:
             rng.standard_normal((64, 16)), int6, group_size=32
         )
         runtime = linear.runtime
-        runtime.enable_jit(threshold_s=0.0)
-        runtime.enable_profiling()
+        runtime.enable_jit()
         tracer = runtime.enable_tracing()
+        act = rng.standard_normal((2, 64))
         try:
-            linear(rng.standard_normal((2, 64)))
+            for _ in range(PROMOTE_AFTER + 1):  # launch past the constant
+                linear(act)
         finally:
             runtime.disable_tracing()
-            runtime.disable_profiling()
         cats = {e["cat"] for e in tracer.events()}
         assert "runtime" in cats
         assert "jit" in cats
-        names = {e["name"].split(":")[0] for e in tracer.events()}
-        assert "launch" in names
+        names = [e["name"].split(":")[0] for e in tracer.events()]
+        assert names.count("launch") == PROMOTE_AFTER + 1
+        # One promotion, after exactly PROMOTE_AFTER interpreted
+        # launches and before the launch span it fed.
+        assert names.count("jit.promote") == 1
+        assert names[:PROMOTE_AFTER] == ["launch"] * PROMOTE_AFTER
+        assert names.index("jit.promote") < len(names) - 1
+        assert names[-1] == "launch"
 
     def test_no_events_recorded_when_disabled(self):
         from repro import ops
@@ -389,13 +396,12 @@ class TestFleetTrace:
     def fleet(self):
         from repro.serving import Router, WorkerPool, WorkerSpec, poisson_trace
 
-        # max_batch=1 keeps every replay group single-launch so the
-        # compiled tier engages; jit_threshold_s=0.0 promotes on first
-        # profiled sight — both guarantee JIT events in a short run.
+        # A chunk is 2 requests x 4 tokens at max_batch=1: eight
+        # replays of one key in one run, past the promotion constant —
+        # which guarantees JIT events in a short run.
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=1, num_streams=2, profile=True, jit=True,
-            jit_threshold_s=0.0, trace=True,
+            max_batch=1, num_streams=2, profile=True, jit=True, trace=True,
         )
         requests = poisson_trace(
             self.NUM_REQUESTS, rate_rps=10_000.0, prompt_tokens=64,
@@ -500,13 +506,16 @@ class TestWorkerSpecObsKnobs:
     def test_trace_and_threshold_round_trip(self):
         from repro.serving import WorkerSpec
 
-        spec = WorkerSpec(trace=True, jit=True, jit_threshold_s=0.0)
+        """``trace`` round-trips; the promotion threshold is no longer
+        a field of the recipe (promotion is a constant of the JIT)."""
+        spec = WorkerSpec(trace=True, jit=True)
+        assert "threshold" not in spec.to_json()
         again = WorkerSpec.from_json(spec.to_json())
         assert again == spec
-        assert again.trace is True and again.jit_threshold_s == 0.0
+        assert again.trace is True and again.jit is True
 
     def test_defaults_stay_off(self):
         from repro.serving import WorkerSpec
 
         spec = WorkerSpec()
-        assert spec.trace is False and spec.jit_threshold_s is None
+        assert spec.trace is False and spec.jit is False

@@ -159,6 +159,13 @@ class TestWorkerSpec:
             jit=True, profile=True,
         )
         assert WorkerSpec.from_json(spec.to_json()) == spec
+        # The recipe is JSON v3; a v2 document (which could carry the
+        # removed promotion threshold) fails on its version stamp.
+        body = json.loads(spec.to_json())
+        assert body["version"] == 3
+        v2 = dict(body, version=2, jit_threshold_s=0.0)
+        with pytest.raises(VMError, match="version mismatch: got 2, expected 3"):
+            WorkerSpec.from_json(json.dumps(v2))
 
     def test_wrong_kind_and_version_rejected(self):
         with pytest.raises(VMError, match="not a worker-spec"):
@@ -168,7 +175,7 @@ class TestWorkerSpec:
         with pytest.raises(VMError, match="version mismatch"):
             WorkerSpec.from_json(json.dumps(body))
         with pytest.raises(VMError, match="malformed worker spec"):
-            WorkerSpec.from_json(json.dumps({"kind": "worker-spec", "version": 2,
+            WorkerSpec.from_json(json.dumps({"kind": "worker-spec", "version": 3,
                                              "no_such_field": 1}))
 
     def test_v1_spec_json_is_rejected_by_version(self):
@@ -176,9 +183,9 @@ class TestWorkerSpec:
         version 1) fails on its version stamp, not on the stray field:
         router and worker from different builds disagree loudly."""
         body = json.loads(WorkerSpec().to_json())
-        assert body["version"] == 2 and "adaptive" not in body
+        assert body["version"] == 3 and "adaptive" not in body
         v1 = dict(body, version=1, adaptive=False)
-        with pytest.raises(VMError, match="version mismatch: got 1, expected 2"):
+        with pytest.raises(VMError, match="version mismatch: got 1, expected 3"):
             WorkerSpec.from_json(json.dumps(v1))
 
     def test_unknown_model_rejected(self):

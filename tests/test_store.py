@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VMError
+from repro.runtime.jit import PROMOTE_AFTER
 from repro.runtime.profiling import Profile
 from repro.store import STORE_JSON_VERSION, TuningStore, decode_kernel, encode_kernel
 from repro.vm.tileops import KERNEL_NAMESPACE, KERNEL_NAMESPACE_STAMP
@@ -473,7 +474,7 @@ class TestRoundTripProperties:
         assert loaded.to_json() == profile.to_json()
         assert loaded.stamp() == profile.stamp()
         for spec in ("spec-a", "spec-b", "spec-c"):
-            assert loaded.spec_heat(spec) == profile.spec_heat(spec)
+            assert loaded.spec_seconds(spec) == profile.spec_seconds(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -585,29 +586,25 @@ class TestEngineDegradation:
         second = Runtime()
         second.attach_store(str(tmp_path), "shard")
         assert second.profiler is None  # the caller spends the profile
-        assert second.warm_start().spec_heat("spec-a") == pytest.approx(1.0)
+        assert second.warm_start().spec_seconds("spec-a") == pytest.approx(0.5)
 
     def test_jit_rehydrates_without_compiling(self, tmp_path):
         from repro.runtime.jit import JitManager
 
         linear, runtime, program, args, out_addr, _, key = _linear_fixture()
         store = TuningStore(str(tmp_path))
-        donor = JitManager(runtime.memory, threshold_s=0.0)
+        donor = JitManager(runtime.memory)
         compiled = donor.maybe_compile(program, args, forced=True, key=key)
         assert compiled is not None
-        profile = Profile()
-        from repro.runtime.profiling import spec_string
+        assert store.publish_jit("shard", donor) == 1
 
-        profile.record("s", 0, program.name, spec_string(key), "batched", 0, 1.0)
-        assert store.publish_jit("shard", donor, profile) == 1
-
-        fresh = JitManager(runtime.memory, threshold_s=0.02)
+        fresh = JitManager(runtime.memory)
         payload = store.load_jit("shard")
-        fresh.preheat(payload["heat"])
+        assert set(payload) == {"kernels"}
         assert fresh.stage_kernels(payload["kernels"]) == 1
-        # Stored heat alone promotes on first sight — no live profiler —
+        # The staged record is the heat: the key promotes on first sight
         # and the kernel comes off disk, not through the pass pipeline.
-        kernel = fresh.maybe_compile(program, args, profiler=None, key=key)
+        kernel = fresh.maybe_compile(program, args, key=key)
         assert kernel is not None
         counters = fresh.counters()
         assert counters["rehydrated"] == 1 and counters["compiled"] == 0
@@ -619,6 +616,34 @@ class TestEngineDegradation:
             runtime.download(out_addr, [1, linear.n], linear.act_dtype),
         )
 
+    def test_parent_format_jit_record_still_stages_its_kernels(self, tmp_path):
+        """A ``jit`` record published while promotion was timed carries a
+        ``heat`` dict of seconds beside ``kernels``: it loads, the heat
+        is ignored, and the kernel stages — hot at boot — and
+        rehydrates."""
+        from repro.runtime import Runtime
+        from repro.runtime.profiling import spec_string
+
+        linear, runtime, program, args, out_addr, kernel, key = _linear_fixture()
+        store = TuningStore(str(tmp_path))
+        store.publish("jit", "shard", {
+            "heat": {spec_string(key): 0.31, "spec-never-compiled": 2.0},
+            "kernels": [encode_kernel(kernel)],
+        })
+        assert list(store.load_jit("shard")["kernels"]) == [encode_kernel(kernel)]
+        runtime.attach_store(str(tmp_path), "shard")
+        runtime.enable_jit()
+        runtime.warm_start()
+        assert set(runtime.jit._stored) == {spec_string(key)}
+        runtime.launch(program, args)  # engine="auto", first sight
+        counters = runtime.jit.counters()
+        assert (counters["rehydrated"], counters["compiled"]) == (1, 0)
+        assert counters["promotions"] == 1
+        # A heat-only record (no kernels) is still not a snapshot.
+        store.publish("jit", "bare", {"heat": {}})
+        with pytest.raises(VMError, match="not a JIT snapshot"):
+            store.load_jit("bare")
+
     def test_jit_corrupt_record_degrades_to_cold_compile(self, tmp_path):
         from repro.runtime.jit import JitManager
         from repro.runtime.profiling import spec_string
@@ -626,10 +651,9 @@ class TestEngineDegradation:
         linear, runtime, program, args, out_addr, kernel, key = _linear_fixture()
         record = encode_kernel(kernel)
         record["source"] = "garbage("  # bit-rot on disk
-        fresh = JitManager(runtime.memory, threshold_s=0.0)
-        fresh.preheat({spec_string(key): 1.0})
+        fresh = JitManager(runtime.memory)
         assert fresh.stage_kernels([record]) == 1
-        got = fresh.maybe_compile(program, args, profiler=None, key=key)
+        got = fresh.maybe_compile(program, args, key=key)
         assert got is not None  # compiled cold, not crashed
         counters = fresh.counters()
         assert counters["compiled"] == 1 and counters["rehydrated"] == 0
@@ -645,10 +669,9 @@ class TestEngineDegradation:
 
         linear, runtime, program, args, out_addr, kernel, key = _linear_fixture()
         stale = dict(encode_kernel(kernel), passes=["const-fold", "unroll", "flatten"])
-        fresh = JitManager(runtime.memory, threshold_s=0.0)
-        fresh.preheat({spec_string(key): 1.0})
+        fresh = JitManager(runtime.memory)
         assert fresh.stage_kernels([stale]) == 1
-        got = fresh.maybe_compile(program, args, profiler=None, key=key)
+        got = fresh.maybe_compile(program, args, key=key)
         counters = fresh.counters()
         assert counters["compiled"] == 1 and counters["rehydrated"] == 0
         assert got.passes == PASS_NAMES
@@ -659,7 +682,7 @@ class TestEngineDegradation:
             reference, runtime.download(out_addr, [1, linear.n], linear.act_dtype)
         )
         store = TuningStore(str(tmp_path))
-        assert store.publish_jit("shard", fresh, None) == 1
+        assert store.publish_jit("shard", fresh) == 1
         (republished,) = store.load_jit("shard")["kernels"]
         assert republished["passes"] == list(PASS_NAMES) + [KERNEL_NAMESPACE_STAMP]
 
@@ -667,19 +690,23 @@ class TestEngineDegradation:
         """A JIT-on simulator runs its decode steps as stacked compiled
         kernels; the store keeps only the single-launch one (records are
         keyed by specialization alone), so a warm boot rehydrates that
-        kernel, re-lowers the stacks, and serves the same digests."""
+        kernel, re-lowers the stacks, and serves the same digests.  The
+        cold boot interprets the key's first ``PROMOTE_AFTER``
+        invocations; the warm boot none — the staged record is the
+        heat."""
         from repro.llm.batching import Request, uniform_trace
         from repro.serving import WorkerSpec
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=4, jit=True, jit_threshold_s=0.0,
+            max_batch=4, num_streams=4, jit=True,
             store_path=str(tmp_path),
         )
-        # One request outlives the others: steps run at batch 4
-        # (a stacked kernel) and then at batch 1 (the single-launch one).
-        trace = uniform_trace(3, 0.0, prompt_tokens=64, output_tokens=4)
-        trace.append(Request(0.0, 64, 12, rid=3))
+        # One request outlives the others: steps run at batch 4 (a
+        # stacked kernel, once the key has been launched past the
+        # constant) and then at batch 1 (the single-launch one).
+        trace = uniform_trace(3, 0.0, prompt_tokens=64, output_tokens=8)
+        trace.append(Request(0.0, 64, 16, rid=3))
         cold_sim = spec.build_simulator()
         cold = cold_sim.run(trace)
         cold_jit = cold_sim.decode_linear.runtime.jit
@@ -696,8 +723,13 @@ class TestEngineDegradation:
         warm = warm_sim.run(trace)
         warm_jit = warm_sim.decode_linear.runtime.jit
         assert warm_jit.rehydrated == 1
-        assert warm_jit.compiled == cold_jit.compiled - 1  # stacks re-lowered
-        assert warm_jit.promotions == cold_jit.promotions == cold.kernel_launches
+        # Every group size lowers on first sight, the stacks again.
+        warm_stacks = {k.launches for k in warm_jit.cache._kernels.values()}
+        assert warm_stacks >= stacks
+        assert warm_jit.compiled == len(warm_stacks) - 1
+        interpreted = PROMOTE_AFTER * spec.max_batch  # four batch-4 steps
+        assert cold_jit.promotions == cold.kernel_launches - interpreted
+        assert warm_jit.promotions == warm.kernel_launches == cold.kernel_launches
         assert {r.request.rid: r.output_digest for r in warm.results} == {
             r.request.rid: r.output_digest for r in cold.results
         }
@@ -712,7 +744,7 @@ class TestEngineDegradation:
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=4, jit=True, jit_threshold_s=0.0,
+            max_batch=4, num_streams=4, jit=True,
             store_path=str(tmp_path),
         )
         trace = uniform_trace(3, 0.0, prompt_tokens=64, output_tokens=4)
@@ -753,7 +785,8 @@ class TestEngineDegradation:
         # A batch-1 tail: only single-launch kernels are persisted.
         trace.append(Request(0.0, 64, 24, rid=99))
         oracle = WorkerSpec(**shape).build_simulator().run(trace)
-        tuned = WorkerSpec(**shape, jit=True, jit_threshold_s=0.0)
+        # Without a store a JIT run is profiled only when asked to be.
+        tuned = WorkerSpec(**shape, jit=True, profile=True)
         donor = tuned.build_simulator()
         donor.run(trace)
         runtime = donor.decode_linear.runtime
@@ -762,10 +795,12 @@ class TestEngineDegradation:
         assert summary == {"profile": True, "jit_kernels": 1, "errors": 0}
 
         warm_sim = WorkerSpec(
-            **shape, jit=True, jit_threshold_s=0.0, store_path=str(tmp_path),
+            **shape, jit=True, store_path=str(tmp_path),
         ).build_simulator()
         warm = warm_sim.run(trace)
         assert warm_sim.decode_linear.runtime.jit.rehydrated >= 1
+        # Hot at boot: no launch of the warm run was interpreted.
+        assert warm.jit_promotions == warm.kernel_launches
         assert {r.request.rid: r.output_digest for r in warm.results} == {
             r.request.rid: r.output_digest for r in oracle.results
         }
@@ -784,7 +819,7 @@ class TestEngineDegradation:
             max_batch=4, num_streams=4,
         )
         spec = WorkerSpec(
-            **shape, jit=True, jit_threshold_s=0.0, store_path=str(tmp_path)
+            **shape, jit=True, store_path=str(tmp_path)
         )
         trace = uniform_trace(3, 0.0, prompt_tokens=64, output_tokens=4)
         trace.append(Request(0.0, 64, 12, rid=3))  # a batch-1 tail
@@ -830,8 +865,7 @@ class TestEngineDegradation:
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=2, jit=True,
-            jit_threshold_s=0.0, store_path=str(tmp_path),
+            max_batch=4, num_streams=2, jit=True, store_path=str(tmp_path),
         )
         scope = spec.store_scope()
         store = TuningStore(str(tmp_path))
@@ -843,7 +877,7 @@ class TestEngineDegradation:
             result = Router(pool, chunk_size=4).serve(trace, timeout_s=180.0)
         oracle = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=2, jit=True, jit_threshold_s=0.0,
+            max_batch=4, num_streams=2, jit=True,
         ).build_simulator().run(trace)
         assert result.digests() == {
             r.request.rid: r.output_digest for r in oracle.results
@@ -859,7 +893,7 @@ class TestEngineDegradation:
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=4, jit=True, jit_threshold_s=0.0,
+            max_batch=4, num_streams=4, jit=True,
             store_path=str(tmp_path),
         )
         trace = poisson_trace(
