@@ -47,6 +47,18 @@ common-subexpression reuse (ended by a store to the buffer read), the
 step and line budgets, and the two preconditions of a precomputed
 sub-byte scatter (:meth:`_TraceOps.last_writers`).
 
+``launches=G`` traces ``G`` launches of one specialization stacked on
+the block axis.  Each pointer is then a per-block array at run time —
+except the ones the caller names in ``shared``: the whole stack passes
+one value there, so the leaf stays the number it is for a single launch,
+and the walk's own rule (a load through a base that repeats launch by
+launch is made on one launch's rows, :meth:`TileWalk.one_launch`) finds
+it: :meth:`_TraceOps.launch_rows` answers "does this base repeat?" from
+the affine form — every leaf one number, coefficients and concrete part
+repeating — which is reuse across launches read off the address algebra,
+not off a trace of addresses.  :meth:`LoweredKernel.run_many` refuses
+argument lists that differ where the kernel was told they agree.
+
 Anything the trace cannot prove flat raises :class:`LoweringBailout` and
 the caller falls back to the batched engine: the instructions in
 :data:`UNLOWERABLE`, non-affine pointer arithmetic, pointer-dependent
@@ -126,7 +138,8 @@ class _Sym:
     addresses — to turn each into source text; temporaries are assigned
     once and never mutated, so the text names one value for the whole
     kernel.  ``scalar`` marks a leaf that is a number at runtime (a
-    pointer of an unstacked launch): indexing it is the identity.
+    pointer of an unstacked launch, or one the whole stack shares):
+    indexing it is the identity.
     """
 
     __slots__ = ("em", "expr", "prec", "scalar")
@@ -489,6 +502,21 @@ class _TraceOps:
         keep, byte_idx, bit_in_byte = tileops.last_writers(bit_addr.conc, nbits)
         return keep, _Affine(shift, byte_idx), bit_in_byte
 
+    def launch_rows(self, base, launches: int):
+        """The first launch's rows of a view base when every launch of
+        the stack holds the same ones: each pointer in it is one number
+        for the whole stack, and its coefficients and the concrete part
+        repeat launch by launch."""
+        if not isinstance(base, _Affine):
+            return tileops.launch_rows(base, launches)
+        if not all(leaf.scalar for leaf in base.terms):
+            return None
+        terms = {leaf: tileops.launch_rows(c, launches) for leaf, c in base.terms.items()}
+        conc = tileops.launch_rows(base.conc, launches)
+        if conc is None or any(c is None for c in terms.values()):
+            return None
+        return _Affine(terms, conc)
+
 
 # ---------------------------------------------------------------------------
 # Pass 1: const-fold / specialize
@@ -507,8 +535,11 @@ class _LoweringState:
     env: dict
     ptr_indices: tuple
     #: Launches stacked launch-major on the block axis; with more than
-    #: one, every pointer is a per-block array at runtime.
+    #: one, a pointer is a per-block array at runtime unless its
+    #: parameter index is in ``shared`` — the whole stack passes one
+    #: value there, and it stays the number it is for a single launch.
     launches: int
+    shared: tuple
     emitter: _Emitter
 
 
@@ -519,7 +550,7 @@ class SpecializeConstants:
 
     @staticmethod
     def run(program: Program, args: Sequence, memory: GlobalMemory,
-            shared_capacity: int, launches: int = 1) -> _LoweringState:
+            shared_capacity: int, launches: int = 1, shared: tuple = ()) -> _LoweringState:
         if len(args) != len(program.params):
             raise LoweringBailout(
                 f"{program.name} expects {len(program.params)} args, got {len(args)}"
@@ -544,7 +575,8 @@ class SpecializeConstants:
         ptr_indices = []
         for i, (p, a) in enumerate(zip(program.params, args)):
             if p.dtype.is_pointer:
-                leaf = _Sym(emitter, f"p{len(ptr_indices)}", scalar=launches == 1)
+                scalar = launches == 1 or i in shared
+                leaf = _Sym(emitter, f"p{len(ptr_indices)}", scalar=scalar)
                 ptr_indices.append(i)
                 env[p] = _Affine({leaf: 1}, 0)
             elif p.dtype.is_float:
@@ -562,6 +594,7 @@ class SpecializeConstants:
             env=env,
             ptr_indices=tuple(ptr_indices),
             launches=launches,
+            shared=tuple(i for i in ptr_indices if launches > 1 and i in shared),
             emitter=emitter,
         )
 
@@ -597,7 +630,7 @@ class UnrollAndTrace:
         walk = _BudgetedWalk(
             state.nblocks, state.env, state.coords, _TraceOps(em), state.memory, em.mem,
             BatchedSharedMemory(state.nblocks, state.shared_capacity, buffer=em.sm),
-            ExecutionStats(),
+            ExecutionStats(), launches=state.launches,
         )
         walk.stats.blocks_run += state.nblocks
         try:
@@ -665,7 +698,10 @@ class LoweredKernel:
     length is baked into bounds checks and error strings).  A kernel
     lowered with ``launches=G`` is ``G`` launches of one specialization
     stacked launch-major on the block axis: ``nblocks`` is ``G`` grids,
-    and :meth:`run_many` takes the ``G`` argument lists.
+    and :meth:`run_many` takes the ``G`` argument lists.  ``shared`` are
+    the parameter indices of the pointers it was lowered to receive one
+    value for from the whole stack; what it loads through them it loads
+    once, so it is valid only for argument lists that agree there.
     """
 
     program_name: str
@@ -685,6 +721,7 @@ class LoweredKernel:
     #: rehydrate it in a fresh process without re-running the passes.
     consts: dict = field(repr=False, default=None)
     launches: int = 1
+    shared: tuple = ()
 
     def run(self, memory: GlobalMemory, args: Sequence,
             stats: Optional[ExecutionStats] = None) -> ExecutionStats:
@@ -713,17 +750,21 @@ class LoweredKernel:
             )
         if stats is None:
             stats = ExecutionStats()
-        if self.launches == 1:
-            ptrs = [int(args_list[0][i]) for i in self.ptr_indices]
-        else:
-            per_launch = self.nblocks // self.launches
-            ptrs = [
-                np.repeat(
-                    np.array([args[i] for args in args_list], dtype=np.int64),
-                    per_launch,
+        first = args_list[0]
+        for i in self.shared:
+            if any(args[i] != first[i] for args in args_list):
+                raise VMError(
+                    f"compiled kernel for {self.program_name} shares argument {i} "
+                    f"across its launches, got {[args[i] for args in args_list]}"
                 )
-                for i in self.ptr_indices
-            ]
+        per_launch = self.nblocks // self.launches
+        ptrs = [
+            int(first[i]) if self.launches == 1 or i in self.shared
+            else np.repeat(
+                np.array([args[i] for args in args_list], dtype=np.int64), per_launch
+            )
+            for i in self.ptr_indices
+        ]
         self._fn(memory.buffer, ptrs, stats)
         return stats
 
@@ -775,6 +816,7 @@ class FlattenToSource:
             _fn=namespace["_jit_kernel"],
             consts=consts,
             launches=state.launches,
+            shared=state.shared,
         )
 
 
@@ -789,6 +831,7 @@ def lower_program(
     memory: GlobalMemory,
     shared_capacity: int = 228 * 1024,
     launches: int = 1,
+    shared: tuple = (),
 ) -> LoweredKernel:
     """Lower a specialized launch to a :class:`LoweredKernel`.
 
@@ -802,12 +845,17 @@ def lower_program(
     ``launches=G`` lowers ``G`` hazard-independent launches of this one
     specialization as a single stacked grid (the compiled twin of
     :meth:`~repro.vm.batched.BatchedExecutor.launch_many`): the same
-    passes over ``G`` times the blocks, pointers bound per block.
+    passes over ``G`` times the blocks, pointers bound per block —
+    except those whose parameter index is in ``shared``: the caller
+    promises one value there from every launch of the stack, the pointer
+    stays a number, and a load through it at offsets that repeat per
+    launch is made (and unpacked, cast, scaled) on one launch's rows.
+    Without ``shared`` the kernel is valid for any argument lists.
     """
     recorder = obs_trace.ACTIVE
     start = recorder.now() if recorder is not None else 0.0
     state = SpecializeConstants.run(
-        program, args, memory, shared_capacity, launches
+        program, args, memory, shared_capacity, launches, shared
     )
     walk = UnrollAndTrace.run(state)
     kernel = FlattenToSource.run(state, walk, ForwardValues.run(state))

@@ -50,15 +50,30 @@ class ServingConfig:
 
 
 class ServingSimulator:
-    """Latency and memory model of one model on one serving config."""
+    """Latency and memory model of one model on one serving config.
+
+    Both are frozen, so what depends on them alone (:meth:`weight_bytes`)
+    or on them and the batch size (the block linears' and the lm head's
+    kernel latencies) is computed once per instance and kept: a serving
+    loop asks for thousands of decode steps over a handful of batch
+    sizes.  What reads ``context`` is computed every step.
+    """
 
     def __init__(self, model: ModelConfig, config: ServingConfig) -> None:
         self.model = model
         self.config = config
+        self._weight_bytes: int | None = None
+        self._linear_time: dict[int, float] = {}
+        self._lm_head: dict[int, float] = {}
 
     # -- memory ------------------------------------------------------------
     def weight_bytes(self) -> int:
         """Device bytes for weights: quantized blocks + f16 head/embeddings."""
+        if self._weight_bytes is None:
+            self._weight_bytes = self._count_weight_bytes()
+        return self._weight_bytes
+
+    def _count_weight_bytes(self) -> int:
         m, c = self.model, self.config
         block_bits = m.linear_params * c.weight_dtype.nbits
         scale_bytes = 0
@@ -113,13 +128,26 @@ class ServingSimulator:
         return bytes_read / (self.config.gpu.mem_bandwidth * 0.80)
 
     def _lm_head_time(self, m: int) -> float:
-        workload = MatmulWorkload(
-            m=m,
-            n=self.model.vocab_size,
-            k=self.model.hidden_size,
-            weight_dtype=float16,
-        )
-        return CuBLAS().matmul_latency(workload, self.config.gpu)
+        time = self._lm_head.get(m)
+        if time is None:
+            workload = MatmulWorkload(
+                m=m,
+                n=self.model.vocab_size,
+                k=self.model.hidden_size,
+                weight_dtype=float16,
+            )
+            time = self._lm_head[m] = CuBLAS().matmul_latency(workload, self.config.gpu)
+        return time
+
+    def _block_linears_time(self, batch: int) -> float:
+        """Every block linear of every layer at ``m = batch``."""
+        time = self._linear_time.get(batch)
+        if time is None:
+            m = self.model
+            time = self._linear_time[batch] = sum(
+                self._linear_latency(batch, l.k, l.n) for l in m.block_linears()
+            ) * m.num_layers
+        return time
 
     # -- stages --------------------------------------------------------------
     def decode_step_latency(self, batch: int, context: int = 256) -> float:
@@ -129,11 +157,8 @@ class ServingSimulator:
         decode benchmarks start from short dummy prompts)."""
         self.check_memory(batch, context)
         m = self.model
-        linear_time = sum(
-            self._linear_latency(batch, l.k, l.n) for l in m.block_linears()
-        ) * m.num_layers
         return (
-            linear_time
+            self._block_linears_time(batch)
             + self._attention_decode_time(batch, context)
             + self._lm_head_time(batch)
             + m.num_layers * PER_LAYER_OVERHEAD

@@ -12,7 +12,10 @@ once:
   compiled``) and the *frozen* interpreted engine it runs on when the
   compiled tier does not take it (``sequential | batched``).
 - :func:`execute` — consult the JIT, run the engine, time it, record
-  the profile, emit the span; returns the tier that ran.
+  the profile, emit the span; returns the tier that ran.  A group asks
+  the JIT for the kernel of its key, its size *and* the pointers its
+  launches share (:func:`shared_pointers` — derived from the arguments
+  here, nowhere set).
 - :class:`Lane` — the engines and statistics of one logical queue (the
   host's own launches, or one stream), and
   :class:`ExecutionContext` — the profiler and JIT manager a runtime
@@ -127,6 +130,21 @@ def resolve_engine(requested: str, program: Program) -> str:
     return "batched" if requested == "compiled" else requested
 
 
+def shared_pointers(program: Program, args_list: Sequence[Sequence]) -> tuple:
+    """The parameter indices of the pointers every launch of a stack
+    passes the same value for (the weights and scales of a decode step);
+    ``()`` for a single launch.  A constant of the stack, like its size:
+    the compiled kernel for it reads through those pointers once instead
+    of once per launch."""
+    if len(args_list) == 1:
+        return ()
+    first = args_list[0]
+    return tuple(
+        i for i, param in enumerate(program.params)
+        if param.dtype.is_pointer and all(args[i] == first[i] for args in args_list)
+    )
+
+
 _UNTIMED = nullcontext()
 
 
@@ -166,7 +184,7 @@ def execute(
         if jit is not None:
             kernel = jit.maybe_compile(
                 program, args_list[0], forced=forced, key=keys[0],
-                launches=len(args_list),
+                launches=len(args_list), shared=shared_pointers(program, args_list),
             )
     if kernel is not None:
         tier = "compiled"

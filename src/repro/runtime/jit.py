@@ -12,8 +12,10 @@ straight-line numpy source.  This module is the *runtime* half of the tier:
 
 - :class:`JitCache` — a bounded LRU of
   :class:`~repro.compiler.lower.LoweredKernel` objects keyed by
-  :func:`~repro.compiler.pipeline.specialization_key` and the number of
-  launches the kernel stacks, the same discipline (and the same key) as
+  :func:`~repro.compiler.pipeline.specialization_key`, the number of
+  launches the kernel stacks and the pointer parameters the stack
+  shares (a kernel loads what it reads through those once, so it serves
+  only stacks that agree there), the same discipline (and the same key) as
   the runtime's :class:`~repro.runtime.runtime.SpecializationCache`, so
   a compiled kernel lives alongside its interpreted specialization;
 - :class:`JitManager` — the promotion policy plus a bounded *bailout
@@ -28,8 +30,8 @@ launch after that runs the cached callable — interpret → batched →
 compiled, with no API change at any call site.  The decision is a pure
 function of the launch sequence (no clock, no profiler), so the tier a
 launch runs on repeats run to run.  Cold signatures never pay a
-compile; a hot specialization is hot at every group size and stays hot
-for the manager's lifetime.
+compile; a hot specialization is hot at every group size and shared
+set and stays hot for the manager's lifetime.
 
 Execution stays bit-exact: lowering either reproduces the batched
 engine's results (and error behaviour, and statistics) exactly — the
@@ -67,7 +69,8 @@ DEFAULT_MAX_ENTRIES = 64
 
 class JitCache:
     """Bounded LRU of compiled (lowered) kernels, keyed by
-    ``(specialization key, stacked launches)`` — the compiled twin of
+    ``(specialization key, stacked launches, shared pointer
+    parameters)`` — the compiled twin of
     the runtime's :class:`~repro.runtime.runtime.SpecializationCache`,
     with the same eviction discipline and the same
     ``hits``/``misses``/``evictions`` counters."""
@@ -160,6 +163,11 @@ class JitManager:
         self._stored: dict[str, dict] = {}
 
     # -- policy --------------------------------------------------------------
+    @staticmethod
+    def _entry(key: tuple, launches: int, shared: tuple) -> tuple:
+        """The cache / memo entry of a stack: one launch shares nothing."""
+        return (key, launches, tuple(shared) if launches > 1 else ())
+
     def _count(self, spec: str, seen: int) -> None:
         """Record ``seen`` declined invocations of ``spec`` (caller
         holds the lock)."""
@@ -175,12 +183,15 @@ class JitManager:
         forced: bool = False,
         key: Optional[tuple] = None,
         launches: int = 1,
+        shared: tuple = (),
     ) -> Optional[LoweredKernel]:
         """The compiled kernel this launch should run, or None to stay
         interpreted.  ``launches > 1`` asks for the kernel that runs a
         group of that many hazard-independent launches of this one
-        specialization as a single stacked grid: kernels (and bailouts)
-        are cached per ``(key, launches)``, the count is per
+        specialization as a single stacked grid, ``shared`` naming the
+        pointer parameters every one of them passes the same value for
+        (ignored for a single launch): kernels (and bailouts) are cached
+        per ``(key, launches, shared)``, the count is per
         specialization, so a hot key is hot at every group size.
 
         ``forced=True`` (an explicit ``engine="compiled"``) compiles
@@ -193,7 +204,7 @@ class JitManager:
         """
         if key is None:
             key = specialization_key(program, args)
-        entry = (key, launches)
+        entry = self._entry(key, launches, shared)
         with self._lock:
             kernel = self.cache.lookup(entry)
             if kernel is not None:
@@ -243,7 +254,7 @@ class JitManager:
                     return kernel
             try:
                 kernel = lower_program(
-                    program, args, self.memory, self.shared_capacity, launches
+                    program, args, self.memory, self.shared_capacity, launches, entry[2]
                 )
             except LoweringBailout as exc:
                 self.bailouts += 1
@@ -304,11 +315,12 @@ class JitManager:
 
     # -- introspection -------------------------------------------------------
     def bailout_reason(
-        self, program, args: Sequence, launches: int = 1
+        self, program, args: Sequence, launches: int = 1, shared: tuple = ()
     ) -> Optional[str]:
-        """Why a specialization (at this group size) stays interpreted,
-        or None if it never bailed (useful in tests and bug reports)."""
-        entry = (specialization_key(program, args), launches)
+        """Why a specialization (at this group size, sharing these
+        pointers) stays interpreted, or None if it never bailed (useful
+        in tests and bug reports)."""
+        entry = self._entry(specialization_key(program, args), launches, shared)
         with self._lock:
             return self._bailed.get(entry)
 

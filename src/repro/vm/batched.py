@@ -24,6 +24,26 @@ handlers then compute *is* the kernel.  So the interpreted tier, the
 compiled tier and their error behaviour cannot disagree: a new
 instruction, dtype rule or counter is one edit.
 
+A stack reads its shared operands once
+--------------------------------------
+``launch_many`` stacks several launches' grids on the block axis.  Where
+every launch of the stack would load the same addresses — the view's
+base and the tile's offsets repeat launch by launch (a decode step's
+weights and scales, passed by every launch through one pointer) and no
+block is masked off — the load is made once, on one launch's rows, and
+the register says so (``Register.shared``).  ``View``, ``Cast``, ``Neg``,
+``ReduceSum``, a register ``Lookup`` and an elementwise op whose operands
+all hold one launch's rows keep them, so the unpack / cast / dequantize
+chain behind a shared load runs on ``B / launches`` rows; ``Dot``
+broadcasts such an operand against a per-launch one over the launch
+axis; everything else — stores, divergent merges, an op with a
+per-launch operand, anything under a partial mask — first repeats the
+rows for the whole stack (:meth:`TileWalk.stack`).  It is an ``if`` on
+what the launch's arguments decide, like every instruction-selection
+rule here, so the engine takes it on arrays and lowering on names; the
+counters still advance for every block, as if the launches ran back to
+back.
+
 Engine selection
 ----------------
 :func:`select_engine` implements the policy used by
@@ -276,10 +296,16 @@ def batched_evaluate(expr: Expr, env, active=None):
 
 class Register:
     """All blocks' copies of one register tensor, as up to three twins of
-    one value: ``bits`` — ``(B, T, L)`` uint64 patterns, the paper's
+    one value: ``bits`` — ``(rows, T, L)`` uint64 patterns, the paper's
     packed per-thread bits; ``vals`` — the same shape decoded, exactly
-    ``decode(dtype, bits)``; ``logical`` — ``(B,) + layout.shape``,
+    ``decode(dtype, bits)``; ``logical`` — ``(rows,) + layout.shape``,
     exactly ``gather_logical`` of ``vals``.
+
+    ``rows`` is ``B``, one per block — or, when ``shared``, one launch's
+    ``B / launches``: every launch of the stack holds the same value
+    (it was loaded from addresses the whole stack shares, or computed
+    from such values alone), so it is held once
+    (:meth:`TileWalk.one_launch`, :meth:`TileWalk.operands`).
 
     A register is born with the twin its producer computes (a load has
     bits, arithmetic has values, ``Dot`` the logical tensor) and the
@@ -290,14 +316,16 @@ class Register:
     under a lowering trace the kernel's name for one.
     """
 
-    __slots__ = ("dtype", "layout", "bits", "vals", "logical")
+    __slots__ = ("dtype", "layout", "bits", "vals", "logical", "shared")
 
-    def __init__(self, dtype, layout, bits=None, vals=None, logical=None) -> None:
+    def __init__(self, dtype, layout, bits=None, vals=None, logical=None,
+                 shared: bool = False) -> None:
         self.dtype = dtype
         self.layout = layout
         self.bits = bits
         self.vals = vals
         self.logical = logical
+        self.shared = shared
 
     def __repr__(self) -> str:
         return f"Register({self.dtype}, {self.layout.short_repr()})"
@@ -485,12 +513,22 @@ class TileWalk(LockstepWalk):
     concrete and otherwise records the call: they write the kernel
     (:mod:`repro.compiler.lower`).  ``stats`` advances exactly as if the
     blocks had run one at a time.
+
+    ``launches`` grids are stacked launch-major on the block axis.  What
+    every launch of the stack would load from the same addresses is
+    loaded once, on one launch's rows (:meth:`one_launch`), and stays on
+    them through the instructions whose operands all do
+    (:meth:`operands`); ``Dot`` broadcasts such an operand against a
+    stacked one, everything else first repeats it for the whole stack
+    (:meth:`stack`).
     """
 
     def __init__(self, nblocks: int, env: dict, coords: tuple, ops,
                  memory: GlobalMemory, mem, shared: BatchedSharedMemory,
-                 stats: ExecutionStats) -> None:
+                 stats: ExecutionStats, launches: int = 1) -> None:
         super().__init__(nblocks, env)
+        self.launches = launches
+        self.per_launch = nblocks // launches
         self.block_coords = coords  # one (B,) array per grid dimension
         self.ops = ops
         self.memory = memory
@@ -513,6 +551,7 @@ class TileWalk(LockstepWalk):
     def _merge(self, new, old, active: np.ndarray):
         if isinstance(new, Register) and isinstance(old, Register):
             tileops.check_view(old.dtype, old.layout, new.dtype, new.layout)
+            new, old = self.stack(new), self.stack(old)
             # Merged as bits: the old value may be of another type, and a
             # loaded pattern need not be the one its value encodes to.
             bits = np.where(
@@ -526,10 +565,43 @@ class TileWalk(LockstepWalk):
             return View(new.buf, base, new.dtype, new.shape, new.buflen)
         raise VMError("divergent merge of incompatible tensor kinds")
 
-    # -- register twins -----------------------------------------------------
-    def shape3(self, layout) -> tuple:
-        return (self.nblocks, layout.num_threads, layout.local_size)
+    # -- register rows ------------------------------------------------------
+    def rows(self, shared: bool) -> int:
+        return self.per_launch if shared else self.nblocks
 
+    def shape3(self, layout, shared: bool = False) -> tuple:
+        return (self.rows(shared), layout.num_threads, layout.local_size)
+
+    def expand(self, twin, cell: tuple):
+        """One launch's rows of ``cell``-shaped entries, repeated for
+        every launch of the stack."""
+        stack = np.broadcast_to(twin, (self.launches, self.per_launch) + cell)
+        return self.ops.hold(stack.reshape((self.nblocks,) + cell))
+
+    def stack(self, reg: Register) -> Register:
+        """``reg`` on the whole stack's rows."""
+        if not reg.shared:
+            return reg
+        cell = self.shape3(reg.layout)[1:]
+        return Register(
+            reg.dtype, reg.layout,
+            bits=None if reg.bits is None else self.expand(reg.bits, cell),
+            vals=None if reg.vals is None else self.expand(reg.vals, cell),
+            logical=None if reg.logical is None else self.expand(
+                reg.logical, tuple(reg.layout.shape)
+            ),
+        )
+
+    def operands(self, active: np.ndarray, *regs: Register) -> list:
+        """An instruction's register operands on common rows: one
+        launch's when every one holds that and no block is masked off
+        (the result then holds one launch's rows too), else the whole
+        stack's."""
+        if all(reg.shared for reg in regs) and bool(active.all()):
+            return list(regs)
+        return [self.stack(reg) for reg in regs]
+
+    # -- register twins -----------------------------------------------------
     def bits(self, reg: Register):
         """``reg``'s patterns: where a value is packed."""
         if reg.bits is None:
@@ -542,8 +614,8 @@ class TileWalk(LockstepWalk):
             if reg.bits is not None:
                 vals = self.ops.decode(reg.dtype, reg.bits)
             else:
-                index = tileops.logical_index(reg.layout, self.nblocks)
-                vals = reg.logical[index].reshape(self.shape3(reg.layout))
+                index = tileops.logical_index(reg.layout, self.rows(reg.shared))
+                vals = reg.logical[index].reshape(self.shape3(reg.layout, reg.shared))
             reg.vals = self.ops.hold(vals)
         return reg.vals
 
@@ -552,7 +624,7 @@ class TileWalk(LockstepWalk):
         if reg.logical is None:
             reg.logical = self.ops.hold(self.ops.gather_logical(
                 self.vals(reg),
-                (self.nblocks,) + tuple(reg.layout.shape),
+                (self.rows(reg.shared),) + tuple(reg.layout.shape),
                 tileops.logical_inverse(reg.layout),
             ))
         return reg.logical
@@ -565,11 +637,14 @@ class TileWalk(LockstepWalk):
             return bits
         return self.ops.hold(self.ops.regroup(bits, reg.dtype.nbits, nbits))
 
-    def rounded(self, dtype, layout, values) -> Register:
+    def rounded(self, dtype, layout, values, shared: bool = False) -> Register:
         """A register of ``dtype`` holding ``values`` rounded to it."""
-        return Register(dtype, layout, vals=self.ops.hold(self.ops.requantize(dtype, values)))
+        return Register(
+            dtype, layout, vals=self.ops.hold(self.ops.requantize(dtype, values)),
+            shared=shared,
+        )
 
-    def from_logical(self, ttype, tensor, shape: tuple) -> Register:
+    def from_logical(self, ttype, tensor, shape: tuple, shared: bool = False) -> Register:
         """The register a logical-tensor result of ``shape`` lands in.
         Rounding is elementwise, so it is applied to the tensor and the
         register is born logical: reading it back as a logical tensor
@@ -580,9 +655,25 @@ class TileWalk(LockstepWalk):
         return Register(
             ttype.dtype, ttype.layout,
             logical=self.ops.hold(self.ops.requantize(ttype.dtype, tensor)),
+            shared=shared,
         )
 
     # -- view addressing ----------------------------------------------------
+    def one_launch(self, view: View, indices: list, active: np.ndarray):
+        """``(view, indices, True)`` cut to one launch's rows when every
+        launch of the stack reads the same addresses — the base and every
+        index repeat launch by launch and no block is masked off — else
+        ``(view, indices, False)`` as they are."""
+        if self.launches == 1 or not bool(active.all()):
+            return view, indices, False
+        base = self.ops.launch_rows(view.base, self.launches)
+        if base is None:
+            return view, indices, False
+        cut = [tileops.launch_rows(index, self.launches) for index in indices]
+        if any(index is None for index in cut):
+            return view, indices, False
+        return View(view.buf, base, view.dtype, view.shape, view.buflen), cut, True
+
     def gather(self, view: View, linear: np.ndarray, rows=None):
         """Patterns of ``view``'s elements at (B, n) linear indices — or
         at flat ones, ``rows`` naming the block of each."""
@@ -594,7 +685,7 @@ class TileWalk(LockstepWalk):
         shift = (bit_off % 8).astype(np.uint64)
         return self.ops.gather_subbyte(view.buf, addr, shift, nbits, view.oob)
 
-    def gather_zfill(self, view: View, indices: list):
+    def gather_zfill(self, view: View, indices: list, shared: bool = False):
         """Gather with out-of-bounds elements reading as zero bits (masked
         loads, ``cp.async`` zfill).  Only the in-bounds lanes are gathered
         — selected like a scatter's — and placed into zeros; a tile wholly
@@ -602,9 +693,10 @@ class TileWalk(LockstepWalk):
         valid = bounds_mask(indices, view.shape)
         if bool(valid.all()):
             return self.gather(view, tileops.linear_index(view.shape, view.dtype, indices))
-        selected = tileops.select_flat(indices, self.nblocks, valid)
+        rows = self.rows(shared)
+        selected = tileops.select_flat(indices, rows, valid)
         if selected is None:
-            return np.zeros((self.nblocks, valid.shape[-1]), dtype=np.uint64)
+            return np.zeros((rows, valid.shape[-1]), dtype=np.uint64)
         flat, rows, valid = selected
         linear = tileops.linear_index(view.shape, view.dtype, flat)
         return self.ops.place(valid, self.gather(view, linear, rows))
@@ -702,23 +794,25 @@ class TileWalk(LockstepWalk):
         src: View = self.lookup_tensor(inst.src)
         ttype = inst.out.ttype
         indices = self.tile_indices(ttype.layout, inst.offset, active, inst.broadcast_dims)
+        src, indices, shared = self.one_launch(src, indices, active)
         if getattr(inst, "masked", False):
-            bits = self.gather_zfill(src, indices)
+            bits = self.gather_zfill(src, indices, shared)
         else:
             bits = self.gather(src, tileops.linear_index(
-                src.shape, src.dtype, indices, where=active[:, None]
+                src.shape, src.dtype, indices, where=None if shared else active[:, None]
             ))
         loaded = ttype.layout.size * src.dtype.nbits * int(active.sum())
         if isinstance(inst, insts.LoadShared):
             self.stats.shared_bits_loaded += loaded
         else:
             self.stats.global_bits_loaded += loaded
-        bits = self.ops.hold(bits.reshape(self.shape3(ttype.layout)))
-        self.bind_tensor(inst.out, Register(ttype.dtype, ttype.layout, bits=bits), active)
+        bits = self.ops.hold(bits.reshape(self.shape3(ttype.layout, shared)))
+        out = Register(ttype.dtype, ttype.layout, bits=bits, shared=shared)
+        self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.StoreGlobal, insts.StoreShared)
     def _h_store(self, inst, active) -> None:
-        value: Register = self.lookup_tensor(inst.src)
+        value: Register = self.stack(self.lookup_tensor(inst.src))
         dst: View = self.lookup_tensor(inst.dst)
         indices = self.tile_indices(value.layout, inst.offset, active)
         select = active[:, None]
@@ -759,58 +853,71 @@ class TileWalk(LockstepWalk):
     def _h_binary(self, inst: insts.ElementwiseBinary, active) -> None:
         a: Register = self.lookup_tensor(inst.a)
         if isinstance(inst.b, TensorVar):
-            other: Register = self.lookup_tensor(inst.b)
+            a, other = self.operands(active, a, self.lookup_tensor(inst.b))
             tileops.check_same_tiling(a.layout, other.layout)
             b = self.vals(other)
         else:
+            (a,) = self.operands(active, a)
             b = self.scalar(inst.b, active)
             if np.ndim(b):
+                a = self.stack(a)
                 b = b.reshape(-1, 1, 1)  # per-block scalar broadcast
         result = self.ops.apply_elementwise(a.dtype, inst.op, self.vals(a), b)
-        self.bind_tensor(inst.out, self.rounded(a.dtype, a.layout, result), active)
+        self.bind_tensor(inst.out, self.rounded(a.dtype, a.layout, result, a.shared), active)
 
     @LOCKSTEP.register(insts.Neg)
     def _h_neg(self, inst: insts.Neg, active) -> None:
-        a: Register = self.lookup_tensor(inst.a)
-        self.bind_tensor(inst.out, self.rounded(a.dtype, a.layout, -self.vals(a)), active)
+        (a,) = self.operands(active, self.lookup_tensor(inst.a))
+        out = self.rounded(a.dtype, a.layout, -self.vals(a), a.shared)
+        self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.Cast)
     def _h_cast(self, inst: insts.Cast, active) -> None:
-        a: Register = self.lookup_tensor(inst.a)
+        (a,) = self.operands(active, self.lookup_tensor(inst.a))
         if a.vals is None and a.bits is not None and a.dtype.nbits <= 8:
             # Still packed and narrow: the cast is a lookup, not arithmetic.
             table = tileops.cast_table(a.dtype, inst.dtype)
             out = Register(
-                inst.dtype, a.layout, vals=self.ops.hold(self.ops.take_table(table, a.bits))
+                inst.dtype, a.layout, vals=self.ops.hold(self.ops.take_table(table, a.bits)),
+                shared=a.shared,
             )
         else:
             values = self.vals(a)
             if inst.dtype.is_integer and a.dtype.is_float:
                 values = np.trunc(values)
-            out = self.rounded(inst.dtype, a.layout, values)
+            out = self.rounded(inst.dtype, a.layout, values, a.shared)
         self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.ReduceSum)
     def _h_reduce_sum(self, inst: insts.ReduceSum, active) -> None:
-        a: Register = self.lookup_tensor(inst.a)
+        (a,) = self.operands(active, self.lookup_tensor(inst.a))
         axis = inst.axis + 1
         reduced = self.logical(a).sum(axis=axis, keepdims=True)
         shape = tuple(
-            1 if d == axis else e for d, e in enumerate((self.nblocks,) + tuple(a.layout.shape))
+            1 if d == axis else e
+            for d, e in enumerate((self.rows(a.shared),) + tuple(a.layout.shape))
         )
-        self.bind_tensor(inst.out, self.from_logical(inst.out.ttype, reduced, shape), active)
+        out = self.from_logical(inst.out.ttype, reduced, shape, a.shared)
+        self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.Lookup)
     def _h_lookup(self, inst: insts.Lookup, active) -> None:
         codes: Register = self.lookup_tensor(inst.codes)
         table = self.lookup_tensor(inst.table)
-        safe = self.vals(codes).astype(np.int64).reshape(self.nblocks, -1)
+        is_register = isinstance(table, Register)
+        if is_register:
+            codes, table = self.operands(active, codes, table)
+        else:
+            codes = self.stack(codes)
+        rows = self.rows(codes.shared)
+        safe = self.vals(codes).astype(np.int64).reshape(rows, -1)
         if not bool(active.all()):
             safe = np.where(active[:, None], safe, 0)
         safe = self.ops.hold(safe)
-        is_register = isinstance(table, Register)
         extent = table.layout.shape[0] if is_register else table.shape[0]
-        self.ops.check_lookup(safe[active], extent, tileops.lookup_message(extent))
+        # One launch's rows are only held under a full mask: its slice of
+        # ``active`` is all true, and the whole stack's is ``active``.
+        self.ops.check_lookup(safe[active[:rows]], extent, tileops.lookup_message(extent))
         if is_register:
             # Clipping only neutralizes inactive blocks' garbage codes; active
             # codes were just bounds-checked above.
@@ -824,28 +931,46 @@ class TileWalk(LockstepWalk):
                 table.oob,
             ))
         out_t = inst.out.ttype
-        values = values.reshape(self.shape3(out_t.layout))
-        self.bind_tensor(inst.out, self.rounded(out_t.dtype, out_t.layout, values), active)
+        values = values.reshape(self.shape3(out_t.layout, codes.shared))
+        out = self.rounded(out_t.dtype, out_t.layout, values, codes.shared)
+        self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.View)
     def _h_view(self, inst: insts.View, active) -> None:
-        a: Register = self.lookup_tensor(inst.a)
+        (a,) = self.operands(active, self.lookup_tensor(inst.a))
         out_t = inst.out.ttype
         tileops.check_view(a.dtype, a.layout, out_t.dtype, out_t.layout)
         bits = self.regrouped(a, out_t.dtype.nbits)
-        self.bind_tensor(inst.out, Register(out_t.dtype, out_t.layout, bits=bits), active)
+        out = Register(out_t.dtype, out_t.layout, bits=bits, shared=a.shared)
+        self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.Dot)
     def _h_dot(self, inst: insts.Dot, active) -> None:
         a, b, c = (self.lookup_tensor(var) for var in (inst.a, inst.b, inst.c))
+        (m, k), n = a.layout.shape, b.layout.shape[1]
+        shared = a.shared and b.shared and c.shared and bool(active.all())
+        if not shared:
+            c = self.stack(c)
+            if a.shared and b.shared:
+                a = self.stack(a)
 
         def f64(reg: Register):  # decoded floats already are
             tensor = self.logical(reg)
             return tensor if reg.dtype.is_float else tensor.astype(np.float64)
 
-        result = f64(a) @ f64(b) + self.logical(c)
-        (m, k), n = a.layout.shape, b.layout.shape[1]
-        out = self.from_logical(inst.out.ttype, result, (self.nblocks, m, n))
+        left, right = f64(a), f64(b)
+        if a.shared == b.shared:
+            product = left @ right
+        else:
+            # One operand is the same matrices for every launch: matmul
+            # broadcasts it over the launch axis instead of repeating it.
+            if a.shared:
+                right = right.reshape((self.launches, self.per_launch, k, n))
+            else:
+                left = left.reshape((self.launches, self.per_launch, m, k))
+            product = (left @ right).reshape((self.nblocks, m, n))
+        result = product + self.logical(c)
+        out = self.from_logical(inst.out.ttype, result, (self.rows(shared), m, n), shared)
         self.bind_tensor(inst.out, out, active)
         self.stats.dot_ops += m * k * n * int(active.sum())
 
@@ -866,6 +991,8 @@ class TileWalk(LockstepWalk):
         if self.prints is None:
             self.prints = [[] for _ in range(self.nblocks)]
         value = self.lookup_tensor(inst.tensor)
+        if isinstance(value, Register):
+            value = self.stack(value)
         prefix = f"{inst.message}: " if inst.message else ""
         for b in np.flatnonzero(active):
             if isinstance(value, Register):
@@ -964,6 +1091,7 @@ class BatchedExecutor:
         walk = TileWalk(
             nblocks, env, coords, tileops, self.memory, self.memory.buffer,
             BatchedSharedMemory(nblocks, self.shared_capacity), self.stats,
+            launches=len(args_list),
         )
         self.stats.blocks_run += nblocks
         walk.run_stmt(program.body, np.ones(nblocks, dtype=bool))

@@ -210,6 +210,14 @@ def as_mask(value, nblocks: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=bool), (nblocks,))
 
 
+def launch_rows(values: np.ndarray, launches: int):
+    """The first launch's rows of a ``(B, ...)`` array over a stack of
+    ``launches`` launch-major grids, when every launch holds the same
+    rows; None when they differ."""
+    stacked = values.reshape((launches, -1) + values.shape[1:])
+    return stacked[0] if bool((stacked[1:] == stacked[0]).all()) else None
+
+
 def as_col(value, nblocks: int) -> np.ndarray:
     """Coerce a scalar-or-(B,) value into a (B, 1) int64 column."""
     arr = np.asarray(value, dtype=np.int64)

@@ -46,25 +46,29 @@ Six modes are locked together:
   reference — the compiled kernel is required to count blocks,
   instructions and global traffic exactly as if it had interpreted.
 
-Two properties ride on the same generated cases
-(:func:`check_labels_decide_nothing`, :func:`check_optimize_replays_twice`):
+Three properties ride on the same generated cases
+(:func:`check_labels_decide_nothing`, :func:`check_optimize_replays_twice`,
+:func:`check_sharing_decides_nothing`):
 a stream is a label — capturing the plan under a different stream
 labelling changes neither the group partition, nor one output bit, nor
-the aggregate statistics — and ``optimize()`` of a *bound* graph stays
+the aggregate statistics — ``optimize()`` of a *bound* graph stays
 equal to the original over repeated replays (a graph is a loop body:
-elimination must keep loop-carried writers).
+elimination must keep loop-carried writers) — and whether the launches
+of a stack read an operand through one pointer or through private
+copies of it decides how often the bytes are loaded, never a result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import VMError
 from repro.runtime.jit import JitManager
 from repro.runtime.streams import StreamPool
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, TensorView
 from repro.vm.dispatch import decompose_linear
 
-from tests.harness.generator import GeneratedCase
+from tests.harness.generator import SHARING_FORMS, GeneratedCase, generate_case
 
 #: Execution modes every case must agree across.
 MODES = (
@@ -278,3 +282,30 @@ def check_optimize_replays_twice(case: GeneratedCase) -> None:
             "optimize() of the bound graph diverges from the captured "
             f"graph over two replays\n{case.describe()}"
         )
+
+
+def check_sharing_decides_nothing(seed: int) -> None:
+    """Issue replicated seed ``seed`` in every one of
+    :data:`~tests.harness.generator.SHARING_FORMS` — the copies reading
+    each input through one pointer, through private uploads, or the
+    first through one pointer and the rest privately — under every
+    mode: output bytes, statistics and error text must be those of the
+    sequential oracle on the shared form.  A stack that shares a pointer
+    loads through it once; nothing observable may tell."""
+
+    def outcome(case: GeneratedCase, mode: str):
+        try:
+            outs, stats, _ = _run_engine(case, mode)
+        except VMError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return [bits.tolist() for bits in outs], stats
+
+    reference = outcome(generate_case(seed, "shared"), MODES[0])
+    for form in SHARING_FORMS:
+        case = generate_case(seed, form)
+        for mode in MODES:
+            if outcome(case, mode) != reference:
+                raise DifferentialMismatch(
+                    f"{mode} on the {form} form differs from {MODES[0]} on "
+                    f"the shared form\n{case.describe()}"
+                )

@@ -82,21 +82,34 @@ class GeneratedCase:
         nbuffers = len(self.inputs) + len(self.outputs)
         return [(self.program, tuple(range(nbuffers)))]
 
-    def replicated(self, copies: int) -> "GeneratedCase":
+    def replicated(self, copies: int, private_inputs=()) -> "GeneratedCase":
         """This case issued ``copies`` times: every copy re-runs the
-        whole launch plan on the shared inputs into its own outputs
-        (copy-major order), so the copies are hazard-independent
-        launches of one specialization — what the runtime stacks into
-        one execution group."""
+        whole launch plan into its own outputs (copy-major order), so
+        the copies are hazard-independent launches of one specialization
+        — what the runtime stacks into one execution group.  The copies
+        read the same input buffers, except the inputs whose index is in
+        ``private_inputs``: each copy after the first gets its own
+        upload of those (equal bytes at another address), so the stack
+        does not share that pointer."""
         n_in, n_out = len(self.inputs), len(self.outputs)
+        private = sorted(private_inputs)
+        total_in = n_in + (copies - 1) * len(private)
+
+        def buffer(i: int, copy: int) -> int:
+            if i >= n_in:
+                return total_in + (i - n_in) + copy * n_out
+            if copy and i in private:
+                return n_in + (copy - 1) * len(private) + private.index(i)
+            return i
+
         return GeneratedCase(
             self.seed,
             self.family,
             self.program,
-            inputs=self.inputs,
+            inputs=self.inputs + [self.inputs[i] for i in private] * (copies - 1),
             outputs=self.outputs * copies,
             launches=[
-                (program, tuple(i if i < n_in else i + copy * n_out for i in spec))
+                (program, tuple(buffer(i, copy) for i in spec))
                 for copy in range(copies)
                 for program, spec in self.launch_plan()
             ],
@@ -126,12 +139,26 @@ _FAMILIES = (
 #: launches, the input of launch stacking.
 REPLICATE_EVERY = 16
 
+#: Which inputs a replicated plan's copies get private uploads of, by
+#: input count; the replicated seeds take the forms in turn.  ``shared``
+#: stacks launches that read every operand through one pointer,
+#: ``private`` is the stack with nothing in common, ``mixed`` shares the
+#: first input only (a ``Dot`` with a shared left operand, an
+#: elementwise op of a shared and a per-launch register).
+SHARING_FORMS = {
+    "shared": lambda n_in: (),
+    "private": lambda n_in: tuple(range(n_in)),
+    "mixed": lambda n_in: tuple(range(1, n_in)),
+}
+
 _GRIDS = [(2, 1), (2, 2), (3, 1), (2, 3), (4, 2), (3, 2)]
 _TILES = [(4, 8), (8, 4), (2, 16)]
 
 
-def generate_case(seed: int) -> GeneratedCase:
-    """Build the deterministic case for ``seed``."""
+def generate_case(seed: int, sharing: str | None = None) -> GeneratedCase:
+    """Build the deterministic case for ``seed``.  A replicated seed
+    takes the :data:`SHARING_FORMS` in turn unless ``sharing`` names
+    one."""
     rng = np.random.default_rng(seed)
     family = _FAMILIES[int(rng.integers(len(_FAMILIES)))]
     builder = {
@@ -145,11 +172,13 @@ def generate_case(seed: int) -> GeneratedCase:
         "splitk": _gen_splitk,
     }[family]
     case = builder(seed, rng, family)
-    if seed % REPLICATE_EVERY == REPLICATE_EVERY - 1:
-        # 5..8 copies: over the harness's four streams that queues at
-        # least two launches of one specialization on a stream.
-        return case.replicated(5 + (seed // REPLICATE_EVERY) % 4)
-    return case
+    if seed % REPLICATE_EVERY != REPLICATE_EVERY - 1:
+        return case
+    turn = seed // REPLICATE_EVERY
+    form = SHARING_FORMS[sharing or list(SHARING_FORMS)[turn % len(SHARING_FORMS)]]
+    # 5..8 copies: over the harness's four streams that queues at
+    # least two launches of one specialization on a stream.
+    return case.replicated(5 + turn % 4, form(len(case.inputs)))
 
 
 def _pick(rng, options):

@@ -198,6 +198,60 @@ def test_a_masked_load_fails_on_its_valid_lanes_only():
         assert np.array_equal(memory.buffer, before)
 
 
+def test_an_out_of_bounds_load_through_a_shared_pointer_fails_alike():
+    """A stack of three launches reading one ``a``: what it loads
+    through the shared pointer it loads once, on one launch's rows — and
+    fails there with the class and message of the stack whose launches
+    each read a private copy, on both tiers.  A constant index out of
+    range is deterministic (``VMError`` / ``LoweringBailout``); a bad
+    pointer is caught by the kernel at the launch that passes it."""
+    memory, a, out = _image()
+    tile_bytes = ROWS * COLS * 2
+    copies = [a] + [memory.alloc_output([ROWS, COLS], float16) for _ in range(2)]
+    outs = [out] + [memory.alloc_output([ROWS, COLS], float16) for _ in range(2)]
+    for copy in copies[1:]:
+        memory.buffer[copy : copy + tile_bytes] = memory.buffer[a : a + tile_bytes]
+    forms = {  # shared pointer set -> the launches' ``a`` arguments
+        (0,): [a, a, a],
+        (): copies,
+    }
+    before = memory.buffer.copy()
+
+    program = _tile_program("oob_load_stack", _oob_load)
+    message = CASES["load-out-of-bounds"][2]
+    for shared, sources in forms.items():
+        args_list = [[src, dst] for src, dst in zip(sources, outs)]
+        with pytest.raises(VMError) as executed:
+            BatchedExecutor(memory).launch_many(program, args_list)
+        with pytest.raises(LoweringBailout) as lowered:
+            lower_program(program, args_list[0], memory, launches=3, shared=shared)
+        assert str(executed.value) == message
+        assert str(lowered.value) == "deterministic runtime error: " + message
+
+    program = _tile_program("masked_load_stack", _masked_load)
+    beyond = memory.capacity - tile_bytes + COLS * 2  # its valid rows leave the buffer
+    message = (
+        "tensor view [f16[8, 4]] at bit offset 523840 exceeds its buffer: "
+        "needs 524352 bits, buffer has 524288"
+    )
+    for shared, sources in forms.items():
+        fits = [[src, dst] for src, dst in zip(sources, outs)]
+        kernel = lower_program(program, fits[0], memory, launches=3, shared=shared)
+        assert kernel.shared == shared
+        kernel.run_many(memory, fits)
+        memory.buffer[:] = before
+        trips = [[beyond if shared else src, dst] for src, dst in zip(sources, outs)]
+        trips[0][0] = beyond
+        for run in (
+            lambda: BatchedExecutor(memory).launch_many(program, trips),
+            lambda: kernel.run_many(memory, trips),
+        ):
+            with pytest.raises(VMError) as raised:
+                run()
+            assert str(raised.value) == message
+            assert np.array_equal(memory.buffer, before)
+
+
 def _merged_cast_program(rebind: str):
     """Two blocks; block 0 rebinds an ``i4`` register under ``if``, so
     what ``Cast`` reads is a divergent merge — packed bits only, in the

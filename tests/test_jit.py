@@ -35,9 +35,10 @@ from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import JitCache, JitManager, Profile, Runtime
+from repro.runtime.executor import shared_pointers
 from repro.runtime.jit import PROMOTE_AFTER
 from repro.runtime.profiling import COMPILED, spec_string
-from repro.vm import GlobalMemory, Interpreter
+from repro.vm import BatchedExecutor, GlobalMemory, Interpreter
 
 ROWS, COLS = 16, 8
 OUT_BYTES = ROWS * COLS * 2
@@ -257,11 +258,15 @@ def subbyte_store_program(name: str = "nibbles"):
     return pb.finish()
 
 
+#: The template families the JIT accepts.
+FAMILIES = [
+    "pipeline", "subbyte_view", "shared", "dot", "reduce", "lookup",
+    "pipelined_matmul", "splitk",
+]
+
+
 class TestStackedLowering:
-    @pytest.mark.parametrize("family", [
-        "pipeline", "subbyte_view", "shared", "dot", "reduce", "lookup",
-        "pipelined_matmul", "splitk",
-    ])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_stacked_kernel_equals_single_launch_kernels(self, family):
         """On every template family the JIT accepts: one ``G``-stacked
         call leaves the same device bytes and the same stats as ``G``
@@ -335,8 +340,10 @@ class TestStackedLowering:
 
     def test_subbyte_scatter_through_a_per_launch_pointer_bails(self):
         """The sub-byte scatter's precomputed last-writer dedup needs one
-        pointer for all rows: a single launch lowers, a stack declines —
-        and the manager remembers the two apart."""
+        pointer for all rows: a single launch lowers, a stack writing
+        through per-launch pointers declines whatever it shares on the
+        input side, a stack handed one output pointer lowers — and the
+        manager remembers each ``(size, shared set)`` apart."""
         from repro.dtypes import uint4
 
         memory = GlobalMemory(1 << 22)
@@ -355,8 +362,166 @@ class TestStackedLowering:
             program, [a, outs[0]], launches=2
         )
         assert manager.bailout_reason(program, [a, outs[0]]) is None
+        # What execute() asks for when the launches read one input into
+        # their own outputs: still a per-launch scatter, its own entry.
+        assert manager.bailout_reason(program, [a, outs[0]], 2, shared=(0,)) is None
+        assert (
+            manager.maybe_compile(
+                program, [a, outs[0]], forced=True, launches=2, shared=(0,))
+            is None
+        )
+        assert "per-launch pointer" in manager.bailout_reason(
+            program, [a, outs[0]], 2, shared=(0,)
+        )
+        assert manager.bailouts == 2
         with pytest.raises(LoweringBailout, match="per-launch pointer"):
             lower_program(program, [a, outs[0]], memory, launches=2)
+        with pytest.raises(LoweringBailout, match="per-launch pointer"):
+            lower_program(program, [a, outs[0]], memory, launches=2, shared=(0,))
+        # One output pointer for the whole stack is one pointer for all
+        # rows again: the dedup folds (last launch wins, as back to back).
+        kernel = lower_program(program, [a, outs[0]], memory, launches=2, shared=(0, 1))
+        kernel.run_many(memory, [[a, outs[0]], [a, outs[0]]])
+        want = host.download(a, [ROWS, COLS], uint4)
+        assert np.array_equal(host.download(outs[0], [ROWS, COLS], uint4), want)
+
+    # -- operands the whole stack shares -------------------------------------
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_kernels_lowered_with_their_shared_set_match(self, family):
+        """Every family again, each group lowered with the pointers its
+        launches share (the inputs; outputs and workspaces are private):
+        same device bytes and stats as the kernel that shares nothing."""
+        case = _family_case(family)
+        images, sharing = [], set()
+        for share in (False, True):
+            memory, groups = _case_image(case)
+            stats = Interpreter(memory).stats
+            for program, args_list in groups:
+                shared = shared_pointers(program, args_list) if share else ()
+                sharing.add(shared)
+                kernel = lower_program(
+                    program, args_list[0], memory, launches=STACK, shared=shared
+                )
+                assert kernel.shared == shared
+                kernel.run_many(memory, args_list, stats)
+            images.append((memory.buffer.copy(), stats.snapshot()))
+        assert len(sharing) > 1  # some group shared an input
+        assert np.array_equal(images[0][0], images[1][0])
+        assert images[0][1] == images[1][1]
+
+    def test_run_many_refuses_arguments_that_differ_where_it_shares(self):
+        kernel, memory, args_list = decode_linear_stack(3, shared=(1, 2))
+        assert kernel.shared == (1, 2)
+        kernel.run_many(memory, args_list)
+        moved = [list(args) for args in args_list]
+        moved[2][2] += 2  # the last launch's scales, one element on
+        with pytest.raises(VMError, match=r"shares argument 2 across its launches"):
+            kernel.run_many(memory, moved)
+        # The kernel that shares nothing takes the same lists.
+        decode_linear_stack(3)[0].run_many(memory, moved)
+
+    def test_a_single_launch_ignores_shared(self):
+        memory, host, a, out = device()
+        manager = JitManager(memory)
+        program = work_program("alone")
+        one = manager.maybe_compile(program, [a, out], forced=True)
+        assert manager.maybe_compile(program, [a, out], forced=True, shared=(0,)) is one
+        assert (len(manager.cache), manager.compiled) == (1, 1)
+        named = lower_program(program, [a, out], memory, shared=(0, 1))
+        assert named.shared == () and named.source == one.source
+
+    def test_a_stack_sharing_only_the_scales(self):
+        """Sharing is per pointer: with the weights private the weight
+        side stays stacked, the scale rows are still read once, and the
+        elementwise op of the two computes on the whole stack's rows."""
+        both, memory, args_list = decode_linear_stack(4, shared=(1, 2))
+        scales, _, _ = decode_linear_stack(4, shared=(2,))
+        neither, _, _ = decode_linear_stack(4)
+        assert len({both.source, scales.source, neither.source}) == 3
+        blocks = neither.nblocks
+        for kernel, weight_rows, scale_rows in (
+            (both, blocks // 4, blocks // 4),
+            (scales, blocks, blocks // 4),
+            (neither, blocks, blocks),
+        ):
+            assert f".reshape(({weight_rows}, 32, 3))" in kernel.source
+            assert f".reshape(({scale_rows}, 32, 4))" in kernel.source
+        outs = []
+        for kernel in (both, scales, neither):
+            for args in args_list:
+                memory.buffer[args[3] : args[3] + 32] = 0
+            stats = kernel.run_many(memory, args_list).snapshot()
+            outs.append((b"".join(
+                memory.buffer[args[3] : args[3] + 32].tobytes() for args in args_list
+            ), stats))
+        assert outs[0] == outs[1] == outs[2] and any(outs[0][0])
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_a_load_under_a_partial_mask_is_not_shared(self, guarded):
+        """``guarded`` puts the load inside ``if bi > 0``: some blocks of
+        every launch are masked off there, so it is made on the whole
+        stack's rows; unguarded it is made on one launch's."""
+        program = guarded_load_program(f"guard_{guarded}", guarded)
+        memory, host, a, out = device()
+        outs = [out, host.alloc_output([ROWS, COLS], float16)]
+        args_list = [[a, o] for o in outs]
+        kernel = lower_program(program, args_list[0], memory, launches=2, shared=(0,))
+        gathered_rows = re.findall(
+            r"= t\d+\.reshape\(\((\d+), 32, 1\)\)", kernel.source
+        )
+        one, whole = str(kernel.nblocks // 2), str(kernel.nblocks)
+        assert gathered_rows == ([one, whole] if guarded else [one])
+        kernel.run_many(memory, args_list)
+        want_memory, want_host, want_a, want_out = device()
+        want_outs = [want_out, want_host.alloc_output([ROWS, COLS], float16)]
+        for o in want_outs:
+            want_host.launch(program, [want_a, o])
+        assert np.array_equal(memory.buffer, want_memory.buffer)
+        BatchedExecutor(want_memory).launch_many(program, [[want_a, o] for o in want_outs])
+        assert np.array_equal(memory.buffer, want_memory.buffer)
+
+    def test_a_per_launch_offset_through_a_shared_pointer_is_not_shared(self):
+        """Launches of mixed keys stack on the batched engine only: one
+        ``a`` pointer, a row offset that differs per launch — each
+        launch must read its own tile."""
+        pb = ProgramBuilder("row_offset", grid=[2])
+        a_ptr = pb.param("a", pointer(float16))
+        out_ptr = pb.param("out", pointer(float16))
+        row = pb.param("row", "i32")
+        (bi,) = pb.block_indices()
+        g_a = pb.view_global(a_ptr, dtype=float16, shape=[ROWS, COLS])
+        g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
+        tile = pb.load_global(g_a, layout=spatial(4, 8), offset=[row + bi * 4, 0])
+        pb.store_global(tile, g_out, offset=[row + bi * 4, 0])
+        program = pb.finish()
+        memory, host, a, out = device()
+        BatchedExecutor(memory).launch_many(program, [[a, out, 0], [a, out, 8]])
+        assert np.array_equal(
+            output_bits(memory, host, out), output_bits(memory, host, a)
+        )
+
+    def test_a_store_to_a_shared_pointer_is_seen_by_its_reload(self):
+        """``launch_many`` handed two launches that rewrite and reread
+        one ``a`` (no hazard analysis ran): the reload is made once, but
+        after the whole stack's store — byte for byte what the stacked
+        rows read, on the engine and in both kernel forms."""
+        program = reload_program("rewrite", store_between=True)
+        images = []
+        for run in ("engine", "stacked", "shared"):
+            memory, host, a, out = device()
+            args_list = [[a, out], [a, host.alloc_output([ROWS, COLS], float16)]]
+            if run == "engine":
+                BatchedExecutor(memory).launch_many(program, args_list)
+            else:
+                shared = (0,) if run == "shared" else ()
+                kernel = lower_program(
+                    program, args_list[0], memory, launches=2, shared=shared
+                )
+                kernel.run_many(memory, args_list)
+            images.append(memory.buffer.copy())
+        assert np.array_equal(images[0], images[1])
+        assert np.array_equal(images[1], images[2])
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +545,57 @@ def _calls(kernel, name: str) -> int:
     return kernel.source.count(name + "(")
 
 
-def decode_linear_kernel(launches: int):
+def decode_linear_kernel(launches: int, shared: tuple = ()):
     """The serving decode linear (``WorkerSpec``'s i6 x f16, k=64, n=16)
-    lowered as ``launches`` stacked launches, as ``decode_jit`` runs it."""
+    lowered as ``launches`` stacked launches; ``decode_jit`` runs it
+    with ``shared=(1, 2)``, the weights and the scales."""
+    return decode_linear_stack(launches, shared)[0]
+
+
+def decode_linear_stack(launches: int, shared: tuple = ()):
+    """The serving decode linear as a stack of ``launches`` launches,
+    each on its own activation row and output, all on the linear's
+    weights and scales: ``(kernel lowered with shared, memory, args)``."""
     from repro.serving import WorkerSpec
 
     linear = WorkerSpec(jit=True, num_streams=8).build_simulator().decode_linear
     runtime, program = linear.runtime, linear.program_for(1)
-    args = [
-        runtime.upload(np.zeros((1, linear.k)), linear.act_dtype),
-        linear.b_addr,
-        linear.s_addr,
-        runtime.empty([1, linear.n], linear.act_dtype),
+    rng = np.random.default_rng(0)
+    args_list = [
+        [
+            runtime.upload(rng.standard_normal((1, linear.k)), linear.act_dtype),
+            linear.b_addr,
+            linear.s_addr,
+            runtime.empty([1, linear.n], linear.act_dtype),
+        ]
+        for _ in range(launches)
     ]
-    return lower_program(program, args, runtime.memory, launches=launches)
+    kernel = lower_program(
+        program, args_list[0], runtime.memory, launches=launches, shared=shared
+    )
+    return kernel, runtime.memory, args_list
+
+
+def guarded_load_program(name: str, guarded: bool):
+    """``out = a + a``; the second load sits inside ``if bi > 0`` when
+    ``guarded`` (block row 0 then adds zeros)."""
+    pb = ProgramBuilder(name, grid=[2, 2])
+    a_ptr = pb.param("a", pointer(float16))
+    out_ptr = pb.param("out", pointer(float16))
+    bi, bj = pb.block_indices()
+    g_a = pb.view_global(a_ptr, dtype=float16, shape=[ROWS, COLS])
+    g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
+    first = pb.load_global(g_a, layout=spatial(8, 4), offset=[bi * 8, bj * 4])
+    extra = pb.allocate_register("f16", layout=spatial(8, 4), init=0.0)
+    if guarded:
+        with pb.if_then(bi > 0):
+            again = pb.load_global(g_a, layout=spatial(8, 4), offset=[bi * 8, bj * 4])
+            pb.add(again, 0.0, out=extra)
+    else:
+        again = pb.load_global(g_a, layout=spatial(8, 4), offset=[bi * 8, bj * 4])
+        pb.add(again, 0.0, out=extra)
+    pb.store_global(pb.add(first, extra), g_out, offset=[bi * 8, bj * 4])
+    return pb.finish()
 
 
 def reload_program(name: str, store_between: bool):
@@ -430,8 +632,14 @@ class TestForwarding:
     def test_decode_kernel_never_round_trips_a_register(self):
         """The structural contract of the forwarded trace, on the kernel
         a served token costs: counts of the emitted source, which repeat
-        exactly (the lowering is deterministic)."""
-        kernel = decode_linear_kernel(launches=8)
+        exactly (the lowering is deterministic) — whether or not the
+        stack shares its weights and scales (that moves rows, not
+        statements)."""
+        for shared in ((), (1, 2)):
+            self._check_decode_kernel_structure(shared)
+
+    def _check_decode_kernel_structure(self, shared):
+        kernel = decode_linear_kernel(launches=8, shared=shared)
         statements = _statements(kernel)
         produced = {target: expr for target, expr in statements if target}
         # No value is unpacked from bits this kernel packed itself.
@@ -465,7 +673,7 @@ class TestForwarding:
             "_gb": 10, "_dec": 6, "_enc": 1, "_rq": 9, "_tolg": 8,
             "_viewp": 4, "_vg": 4, "_scb": 1, "_tab": 4, "_place": 4,
         }  # fmt: skip
-        assert decode_linear_kernel(launches=8).source == kernel.source
+        assert decode_linear_kernel(launches=8, shared=shared).source == kernel.source
 
     def test_decode_kernel_takes_the_cheap_form_of_each_chain_step(self):
         """Instruction selection on the served G = 8 kernel, read off its
@@ -701,8 +909,21 @@ class TestJitManager:
         # The memo answers without re-running the pipeline.
         assert manager.maybe_compile(program, [a], forced=True) is None
         assert manager.bailouts == 1
+        # One launch shares nothing: naming a pointer is the same entry.
+        assert manager.maybe_compile(program, [a], forced=True, shared=(0,)) is None
+        assert "PrintTensor" in manager.bailout_reason(program, [a], shared=(0,))
+        assert manager.bailouts == 1
+        # A stack is remembered per (size, shared set): each pays its
+        # one attempt, and the memo tells them apart.
+        for shared in ((), (0,)):
+            assert manager.bailout_reason(program, [a], 2, shared) is None
+            for _ in range(2):
+                assert manager.maybe_compile(
+                    program, [a], forced=True, launches=2, shared=shared) is None
+            assert "PrintTensor" in manager.bailout_reason(program, [a], 2, shared)
+        assert manager.bailouts == 3
         counters = manager.counters()
-        assert counters["bailouts"] == 1 and counters["compiled"] == 0
+        assert counters["bailouts"] == 3 and counters["compiled"] == 0
 
     #: The property test's world: keys 0-1 belong to a program the
     #: (stubbed) pipeline lowers, keys 2-3 to one it declines.
@@ -713,20 +934,25 @@ class TestJitManager:
         """What ``maybe_compile`` answers (a kernel?) for each call."""
         seen = dict.fromkeys(staged, PROMOTE_AFTER)  # staged: hot at boot
         cached, bailed, answers = set(), set(), []
-        for k, launches, forced in calls:
-            if (k, launches) not in cached | bailed:
+        for k, launches, forced, shared in calls:
+            # One launch shares nothing: its entry ignores ``shared``.
+            entry = (k, launches, shared if launches > 1 else ())
+            if entry not in cached | bailed:
                 if not forced:  # forced compiles at once, uncounted
                     seen[k] = seen.get(k, 0) + 1
                 if forced or seen[k] > PROMOTE_AFTER:
                     which = bailed if k in TestJitManager.BAILING else cached
-                    which.add((k, launches))
-            answers.append((k, launches) in cached)
+                    which.add(entry)
+            answers.append(entry in cached)
         return answers
 
     @settings(max_examples=200, deadline=None)
     @given(
         calls=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(1, 3), st.booleans()),
+            st.tuples(
+                st.integers(0, 3), st.integers(1, 3), st.booleans(),
+                st.sampled_from([(), (0,), (0, 1)]),
+            ),
             max_size=60,
         ),
         staged=st.sets(st.integers(0, 3)),
@@ -734,14 +960,15 @@ class TestJitManager:
     def test_promotion_matches_reference_model(self, calls, staged):
         """Promotion is a pure function of the call sequence: count per
         key, promote after ``PROMOTE_AFTER``, forced immediately and
-        uncounted, bailout memo per ``(key, G)``, staged key hot at boot
+        uncounted, kernel cache and bailout memo per ``(key, G, shared)``
+        — a single launch ignoring ``shared`` — staged key hot at boot
         (its undecodable record degrading to a compile)."""
         programs = [SimpleNamespace(name="lowers"), SimpleNamespace(name="bails")]
 
-        def fake_lower(program, args, memory, shared_capacity, launches):
+        def fake_lower(program, args, memory, shared_capacity, launches, shared):
             if program.name == "bails":
                 raise LoweringBailout("stub declines")
-            return SimpleNamespace(launches=launches)
+            return SimpleNamespace(launches=launches, shared=shared)
 
         manager = JitManager(GlobalMemory(1 << 12))
         manager.stage_kernels(
@@ -751,14 +978,17 @@ class TestJitManager:
             answers = [
                 manager.maybe_compile(
                     programs[k in self.BAILING], [], forced=forced,
-                    key=("key", k), launches=launches,
+                    key=("key", k), launches=launches, shared=shared,
                 )
-                for k, launches, forced in calls
+                for k, launches, forced, shared in calls
             ]
         assert [a is not None for a in answers] == self._reference_model(
             calls, staged
         )
-        assert all(a is None or a.launches == c[1] for a, c in zip(answers, calls))
+        assert all(
+            a is None or (a.launches, a.shared) == (c[1], c[3] if c[1] > 1 else ())
+            for a, c in zip(answers, calls)
+        )
         assert manager.rehydrated == 0
         assert manager.compiled == len(manager.cache)
         assert manager.bailouts == len(manager._bailed)

@@ -439,7 +439,8 @@ def test_no_clock_and_no_profile_reaches_the_tier_decision():
     ``src/repro/runtime/`` only ``profiling.py`` (the ``StatsTimer``
     that *reports* wall time) names ``time``, ``jit.py`` references no
     ``Profile`` and no ``wall_s`` / ``spec_heat`` attribute, and
-    ``maybe_compile`` takes no profiler."""
+    ``maybe_compile`` takes no profiler — what it is told about a group
+    is its key, its size and the pointers its launches share."""
     clocks = {"time", "timeit", "datetime"}
     for path in sorted(RUNTIME_DIR.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -467,5 +468,5 @@ def test_no_clock_and_no_profile_reaches_the_tier_decision():
     )
     params = maybe_compile.args
     assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == [
-        "self", "program", "args", "forced", "key", "launches",
+        "self", "program", "args", "forced", "key", "launches", "shared",
     ]

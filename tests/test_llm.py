@@ -141,3 +141,42 @@ class TestFigure12Shapes:
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
             simulate_cell(GEMMA2_9B, ServingConfig("vllm", float16, L40S), "train", 1)
+
+
+class TestBatchOnlyTermsAreKept:
+    """``decode_step_latency`` keeps, per instance, the terms that depend
+    only on the batch size; nothing a caller can read may tell."""
+
+    GRID = [(b, c) for b in (1, 2, 5, 8, 16) for c in (1, 64, 256, 2048)]
+
+    @pytest.mark.parametrize("system,dtype", [("tilus", uint4), ("vllm", float16)])
+    def test_a_warmed_simulator_answers_like_a_fresh_one(self, system, dtype):
+        config = ServingConfig(system, dtype, L40S)
+        warmed = ServingSimulator(GEMMA2_9B, config)
+        for _ in range(2):  # the second pass is answered from the memo
+            for batch, context in self.GRID:
+                fresh = ServingSimulator(GEMMA2_9B, config)
+                want = fresh.decode_step_latency(batch, context)
+                assert warmed.decode_step_latency(batch, context) == want
+                assert warmed.memory_required(batch, context) == (
+                    fresh.memory_required(batch, context)
+                )
+        assert warmed.prefill_latency(512) == (
+            ServingSimulator(GEMMA2_9B, config).prefill_latency(512)
+        )
+        assert sorted(warmed._linear_time) == sorted({b for b, _ in self.GRID})
+
+    def test_the_memo_is_per_instance(self):
+        """Two configurations never share a kept term, and a step that
+        does not fit still raises every time it is asked."""
+        small = ServingSimulator(GEMMA2_9B, ServingConfig("tilus", uint4, L40S))
+        large = ServingSimulator(LLAMA3_70B, ServingConfig("tilus", uint4, L40S))
+        assert small.decode_step_latency(4) < large.decode_step_latency(4)
+        assert small.weight_bytes() < large.weight_bytes()
+        assert small._linear_time is not large._linear_time
+        assert small._linear_time[4] != large._linear_time[4]
+        oom = ServingSimulator(LLAMA3_70B, ServingConfig("tilus", uint8, L40S))
+        for _ in range(2):
+            with pytest.raises(OutOfMemoryError):
+                oom.decode_step_latency(1)
+        assert not oom._linear_time  # refused before any kernel was priced

@@ -13,7 +13,9 @@ compiled kernels, with batched fallback on bailout), and compared
 behind the batched executor, the stream subsystem, the graph subsystem,
 the compiled tier, and any future refactor of any engine.  The same
 cases carry the graph subsystem's two properties: stream labels decide
-nothing, and ``optimize()`` survives repeated replay.
+nothing, and ``optimize()`` survives repeated replay; the replicated
+cases carry a third — whether a stack's launches share an input pointer
+decides nothing.
 """
 
 from collections import Counter
@@ -27,7 +29,9 @@ from tests.harness.differential import (
     _run_engine,
     check_labels_decide_nothing,
     check_optimize_replays_twice,
+    check_sharing_decides_nothing,
 )
+from tests.harness.generator import SHARING_FORMS
 
 #: Number of generated programs in the suite (acceptance floor: 250).
 NUM_CASES = 256
@@ -86,6 +90,35 @@ def test_stream_labels_decide_nothing(seed):
 @pytest.mark.parametrize("seed", MULTI_LAUNCH_SEEDS)
 def test_optimized_bound_graph_replays_twice_like_the_original(seed):
     check_optimize_replays_twice(generate_case(seed))
+
+
+#: The seeds whose plan is issued several times over: the stacks.
+REPLICATED_SEEDS = [
+    seed for seed in range(NUM_CASES) if generate_case(seed).copies > 1
+]
+
+
+@pytest.mark.parametrize("seed", REPLICATED_SEEDS)
+def test_sharing_an_input_pointer_decides_nothing(seed):
+    check_sharing_decides_nothing(seed)
+
+
+def test_replicated_cases_take_the_sharing_forms_in_turn():
+    """The differential run itself (not only the property) keeps the
+    stack with nothing in common and the partly shared one covered: the
+    replicated seeds alternate the three forms, and each form is some
+    seed's alone (with one input, ``mixed`` is ``shared``)."""
+
+    def specs(case):
+        return [spec for _, spec in case.launch_plan()]
+
+    taken = {name: [] for name in SHARING_FORMS}
+    for seed in REPLICATED_SEEDS:
+        default = specs(generate_case(seed))
+        forms = [n for n in SHARING_FORMS if specs(generate_case(seed, n)) == default]
+        if len(forms) == 1:
+            taken[forms[0]].append(seed)
+    assert all(taken.values()), taken
 
 
 def test_the_graph_properties_see_every_multi_launch_family():

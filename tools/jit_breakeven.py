@@ -7,7 +7,8 @@ linear at G = 1 / 2 / 8 stacked launches and each differential-harness
 seed at G = 1 / 3 it times, as medians, what the JIT manager trades:
 ``lower_program`` (paid once), one ``BatchedExecutor.launch_many`` (what
 every interpreted invocation costs) and one ``LoweredKernel.run_many``
-(what a compiled one costs), and prints the break-even invocation count
+(what a compiled one costs; lowered, as the launch seam asks, with the
+pointers the launches share), and prints the break-even invocation count
 ``lower / (batched - compiled)`` per point with a min / median / max
 row.  Lowering is the batched engine's own walk with the pointers left
 symbolic, so the ratio stays in a narrow band whatever the program
@@ -22,9 +23,9 @@ import time
 
 # First: kernel_profile (this directory) puts src/ and the repo root on
 # sys.path, which the repro and tests.harness imports below need.
-from kernel_profile import decode_launches, harness_launches  # isort: skip
+from kernel_profile import decode_launches, harness_launches, lower  # isort: skip
 
-from repro.compiler.lower import LoweringBailout, lower_program
+from repro.compiler.lower import LoweringBailout
 from repro.runtime.jit import PROMOTE_AFTER
 from repro.vm.batched import BatchedExecutor
 
@@ -44,13 +45,10 @@ def median_ms(call, runs: int, warmups: int = 0) -> float:
 
 def measure(program, memory, args_list):
     """``(lower ms, batched ms, compiled ms)`` of one (program, G) point."""
-    def lower():
-        return lower_program(program, args_list[0], memory, launches=len(args_list))
-
-    kernel = lower()
+    kernel = lower(program, memory, args_list)
     batched = BatchedExecutor(memory)
     return (
-        median_ms(lower, LOWERINGS),
+        median_ms(lambda: lower(program, memory, args_list), LOWERINGS),
         median_ms(lambda: batched.launch_many(program, args_list), RUNS, WARMUPS),
         median_ms(lambda: kernel.run_many(memory, args_list), RUNS, WARMUPS),
     )
