@@ -23,10 +23,15 @@ progressive dialect lowering named in the ROADMAP):
 1. **const-fold** (:class:`SpecializeConstants`): bind const scalars, grid
    coordinates and symbolic (affine) pointer parameters into a
    compile-time environment.
-2. **unroll** (:class:`UnrollAndTrace`): run the walk — loops unroll,
-   ``if``/``while`` masks fold to concrete block sets — leaving one
-   vectorized numpy statement per surviving table call, with all
-   index/mask/shift arrays precomputed.  Values are *forwarded* exactly
+2. **unroll+distribute** (:class:`UnrollAndTrace`): run the walk — loops
+   unroll, ``if``/``while`` masks fold to concrete block sets — leaving
+   one vectorized numpy statement per surviving table call, with all
+   index/mask/shift arrays precomputed.  A loop the walk distributes
+   (:meth:`TileWalk.distributed`) leaves its loads, unpacks and casts
+   once, on every iteration's rows, and only its accumulator chain
+   unrolled; a failed attempt is rewound off the trace
+   (:meth:`_Emitter.rewind`) before the loop unrolls, so a bailout's
+   reason is the unrolled loop's.  Values are *forwarded* exactly
    as the engine forwards them: a register is a
    :class:`~repro.vm.batched.Register` of lazily computed twins (packed
    bits, decoded values, logical tensor), every consumer reads the twin
@@ -58,6 +63,14 @@ the affine form — every leaf one number, coefficients and concrete part
 repeating — which is reuse across launches read off the address algebra,
 not off a trace of addresses.  :meth:`LoweredKernel.run_many` refuses
 argument lists that differ where the kernel was told they agree.
+
+A distributed loop's early statements address every iteration's rows at
+once: a per-launch pointer repeated per row is an index constant that
+folds into the gather's own row index (:attr:`_Sym.rows`), and the
+serial chain reads each iteration as a run of rows (one reorder of the
+stack's rows first).  What the kernel still checks at run time — a
+``Lookup``'s codes — it checks iteration by iteration, so a bad code
+fails with the unrolled loop's message.
 
 Anything the trace cannot prove flat raises :class:`LoweringBailout` and
 the caller falls back to the batched engine: the instructions in
@@ -96,7 +109,7 @@ __all__ = [
 ]
 
 #: The pass pipeline, in application order.
-PASS_NAMES = ("const-fold", "unroll", "forward", "flatten")
+PASS_NAMES = ("const-fold", "unroll+distribute", "forward", "flatten")
 
 #: Instructions the pipeline declines by design (a launch containing one
 #: stays on the batched engine): a workspace allocation moves the device
@@ -139,16 +152,18 @@ class _Sym:
     once and never mutated, so the text names one value for the whole
     kernel.  ``scalar`` marks a leaf that is a number at runtime (a
     pointer of an unstacked launch, or one the whole stack shares):
-    indexing it is the identity.
+    indexing it is the identity.  ``rows`` is ``(x, a)`` for ``x[a]``
+    with ``a`` an integer array, so indexing it again is one gather.
     """
 
-    __slots__ = ("em", "expr", "prec", "scalar")
+    __slots__ = ("em", "expr", "prec", "scalar", "rows")
 
     def __init__(self, em: "_Emitter", expr: str, prec: int = _ATOM, scalar: bool = False):
         self.em = em
         self.expr = expr
         self.prec = prec
         self.scalar = scalar
+        self.rows = None
 
     def _infix(self, op: str, prec: int, other) -> "_Sym":
         lhs, rhs = self.em.operand(self, prec), self.em.operand(other, prec + 1)
@@ -169,7 +184,14 @@ class _Sym:
     def __getitem__(self, key):
         if self.scalar:
             return self
-        return _Sym(self.em, f"{self.em.operand(self, _ATOM)}[{self.em.key(key)}]")
+        rows = isinstance(key, np.ndarray) and key.dtype.kind in "iu"
+        if rows and self.rows is not None:
+            source, index = self.rows  # x[a][b] is x[a[b]]
+            return source[index[key]]
+        indexed = _Sym(self.em, f"{self.em.operand(self, _ATOM)}[{self.em.key(key)}]")
+        if rows:
+            indexed.rows = (self, key)
+        return indexed
 
     def _method(name: str):  # noqa: N805 - builds the three methods below
         def call(self, *args, **kwargs):
@@ -411,9 +433,26 @@ class _Emitter:
     def key(self, key) -> str:
         """A subscript: an index tuple of arrays is one constant, anything
         with a slice or ``None`` in it is spelled out."""
+        if isinstance(key, slice):
+            key = (key,)
         if isinstance(key, tuple) and not all(isinstance(k, np.ndarray) for k in key):
-            return ", ".join(":" if isinstance(k, slice) else self.fmt(k) for k in key)
+            return ", ".join(
+                ":".join("" if b is None else self.fmt(b) for b in (k.start, k.stop))
+                if isinstance(k, slice) else self.fmt(k)
+                for k in key
+            )
         return self.fmt(key)
+
+    def mark(self) -> tuple:
+        return len(self.stmts), len(self._values)
+
+    def rewind(self, mark: tuple) -> None:
+        """Drop the statements recorded since :meth:`mark` and the
+        temporaries they named (names are handed out in order)."""
+        stmts, values = mark
+        del self.stmts[stmts:]
+        for key in list(self._values)[values:]:
+            del self._values[key]
 
     def const(self, obj) -> str:
         key = self._const_key(obj)
@@ -464,7 +503,7 @@ class _TraceOps:
 
     def __init__(self, em: _Emitter) -> None:
         self.em = em
-        self.hold = em.hold
+        self.hold, self.mark, self.rewind = em.hold, em.mark, em.rewind
 
     def __getattr__(self, name: str):
         fn = getattr(tileops, name)
@@ -607,6 +646,7 @@ class SpecializeConstants:
 class _BudgetedWalk(TileWalk):
     """The engine's walk, counted against the trace budget."""
 
+    ROLLBACK = TileWalk.ROLLBACK + (LoweringBailout,)
     steps = 0
 
     def step(self) -> None:

@@ -14,10 +14,14 @@ Kernel-in-the-loop mode: pass a ``decode_linear``
 *actually executes* one quantized-linear kernel per in-flight request on
 the VM, each request issued on its own stream of the operator runtime's
 pool — the decode/prefill launch pattern the serving loop produces on
-real hardware.  Per-request output buffers are private, so the hazard
-tracker finds a step's decode kernels independent and the step barrier,
-``pool.synchronize()``, runs them as one stacked group.  Latency
-accounting stays analytical (the VM is functional, not a timing model).
+real hardware.  Each in-flight request decodes in a *slot* of its own —
+an activation and an output buffer the simulator owns for its life and
+hands to the next request when this one finishes (its activation is a
+host write, not an allocation; device memory stops growing once
+``max_batch`` slots exist) — so the hazard tracker finds a step's decode
+kernels independent and the step barrier, ``pool.synchronize()``, runs
+them as one stacked group.  Latency accounting stays analytical (the VM
+is functional, not a timing model).
 
 Because the decode loop re-submits an *identical* launch DAG every step,
 the kernel-in-the-loop path **graph-captures** it (``use_graphs``, on by
@@ -241,6 +245,10 @@ class ContinuousBatchingSimulator:
         #: (None: no store, no entry, or a corrupt one — the boot
         #: proceeds cold).
         self._warm_profile = None
+        #: Free slots — (activation, output) device-buffer pairs, one per
+        #: in-flight request, kept for the simulator's life: at most
+        #: ``max_batch`` are ever allocated.
+        self._free_slots: list[tuple[int, int]] = []
         if decode_linear is not None:
             self._warm_profile = decode_linear.runtime.warm_start()
 
@@ -360,8 +368,10 @@ class ContinuousBatchingSimulator:
 
     # -- kernel-in-the-loop decode -------------------------------------------
     def _provision_buffers(self, flight: _Inflight) -> None:
-        """Give an admitted request private activation/output buffers so
-        its decode kernels are hazard-free against every other request."""
+        """Give an admitted request a free slot — an activation and an
+        output buffer no other in-flight request uses, so its decode
+        kernels are hazard-free against every other request — and write
+        its activation there."""
         if self.decode_linear is None:
             return
         import numpy as np
@@ -377,19 +387,22 @@ class ContinuousBatchingSimulator:
             activation = rng.standard_normal((1, linear.k))
         else:
             activation = np.zeros((1, linear.k))
-        flight.act_addr = runtime.upload(
-            linear.act_dtype.quantize(activation), linear.act_dtype
-        )
-        flight.out_addr = runtime.empty([1, linear.n], linear.act_dtype)
+        if self._free_slots:
+            flight.act_addr, flight.out_addr = self._free_slots.pop()
+        else:  # more requests in flight than ever before
+            flight.act_addr = runtime.empty([1, linear.k], linear.act_dtype)
+            flight.out_addr = runtime.empty([1, linear.n], linear.act_dtype)
+        runtime.write(flight.act_addr, linear.act_dtype.quantize(activation), linear.act_dtype)
 
     def _finalize(self, flight: _Inflight) -> None:
         """Digest a finished request's decode output (see
-        :attr:`RequestResult.output_digest`)."""
+        :attr:`RequestResult.output_digest`) and free its slot."""
         if self.decode_linear is None or flight.out_addr is None:
             return
         linear = self.decode_linear
         out = linear.runtime.download(flight.out_addr, [1, linear.n], linear.act_dtype)
         flight.result.output_digest = hashlib.sha256(out.tobytes()).hexdigest()[:16]
+        self._free_slots.append((flight.act_addr, flight.out_addr))
 
     def _run_decode_kernels(self, inflight: list[_Inflight], outcome: TraceResult) -> None:
         """Issue one decode linear per in-flight request, each on its own

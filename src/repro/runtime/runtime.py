@@ -71,7 +71,7 @@ from repro.runtime.profiling import EAGER, HOST_STREAM, Profile
 from repro.runtime.streams import LaunchHandle, Stream, StreamPool
 from repro.store import TuningStore
 from repro.vm.interp import ExecutionStats
-from repro.vm.memory import GlobalMemory
+from repro.vm.memory import GlobalMemory, TensorView
 
 #: Where synchronous launches are accounted.
 _HOST_SITE = Site("launch", "runtime", EAGER, HOST_STREAM)
@@ -381,6 +381,14 @@ class Runtime:
     def empty(self, shape: Sequence[int], dtype: DataType) -> int:
         """Allocate uninitialized device memory for an output tensor."""
         return self.memory.alloc_output(shape, dtype)
+
+    def write(self, addr: int, values: np.ndarray, dtype: DataType) -> None:
+        """Copy a host array into the device tensor at ``addr`` (pending
+        asynchronous launches retire first: program order)."""
+        if self._pool is not None:
+            self._pool.drain()
+        values = np.asarray(values)
+        TensorView(self.memory.buffer, addr * 8, dtype, values.shape).write_all(values)
 
     def download(self, addr: int, shape: Sequence[int], dtype: DataType) -> np.ndarray:
         """Copy a device tensor back to the host (pending asynchronous

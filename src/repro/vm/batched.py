@@ -44,6 +44,29 @@ rule here, so the engine takes it on arrays and lowering on names; the
 counters still advance for every block, as if the launches ran back to
 back.
 
+A loop runs what its iterations do alike once
+---------------------------------------------
+A ``for`` loop whose extent is one number for every block, whose body is
+straight-line register and load instructions (no store, copy,
+allocation, free, print or exit; at most one ``Lookup``) and which runs
+under a full mask is *distributed* (:meth:`TileWalk.distributed`).  Its
+early statements — those that read no value a later statement of the
+body assigns, nor one the accumulator chain computes (:func:`loop_split`,
+worked out once per loop) — run once, on ``iterations x`` the rows: the
+loop variable is a per-row array, every value defined before the loop is
+repeated for each iteration.  The rows stay launch-major (launch, then
+iteration, then block), so a shared operand holds ``iterations x B /
+launches`` rows and :meth:`TileWalk.one_launch`, :meth:`TileWalk.stack`
+and the ``Dot`` broadcast work unchanged.  The rest — the ``Dot`` /
+in-place accumulator chain and what reads it — then runs ``iterations``
+times, each on iteration ``k``'s cut of the early registers
+(``Register.part``, cut lazily from whichever twin the reader takes, so
+the serial ``Dot`` sees the operand shapes of the unrolled loop).
+Counters advance per iteration as before; after the loop the early
+registers and the loop variable hold their last iteration's values.  If
+an early statement raises, the attempt is forgotten (:func:`tileops.rewind`)
+and the loop runs serially, so every error is the serial loop's.
+
 Engine selection
 ----------------
 :func:`select_engine` implements the policy used by
@@ -100,6 +123,7 @@ through tensor outputs of well-formed programs):
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -314,18 +338,24 @@ class Register:
     decoded between instructions and is packed only where bits are read —
     a ``View``, a store, a divergent merge.  Each twin is an array, or
     under a lowering trace the kernel's name for one.
+
+    ``part`` is ``(walk, whole, k)`` for iteration ``k`` of a register a
+    distributed loop computed once for all its iterations on ``walk``'s
+    rows (:meth:`TileWalk.distributed`): a twin is then computed on the
+    whole and cut to the iteration (:meth:`TileWalk.cut`).
     """
 
-    __slots__ = ("dtype", "layout", "bits", "vals", "logical", "shared")
+    __slots__ = ("dtype", "layout", "bits", "vals", "logical", "shared", "part")
 
     def __init__(self, dtype, layout, bits=None, vals=None, logical=None,
-                 shared: bool = False) -> None:
+                 shared: bool = False, part=None) -> None:
         self.dtype = dtype
         self.layout = layout
         self.bits = bits
         self.vals = vals
         self.logical = logical
         self.shared = shared
+        self.part = part
 
     def __repr__(self) -> str:
         return f"Register({self.dtype}, {self.layout.short_repr()})"
@@ -382,6 +412,12 @@ class LockstepWalk:
 
     def instruction(self, inst, active: np.ndarray) -> None:
         raise NotImplementedError
+
+    def distributed(self, loop: ForStmt, extent: int, active: np.ndarray) -> bool:
+        """Run ``loop``, whose extent is ``extent`` for every block, with
+        what its iterations do alike done once for all of them; False
+        leaves it to the serial walk."""
+        return False
 
     def step(self) -> None:
         """Called once per statement visited (a lowering trace counts
@@ -451,6 +487,8 @@ class LockstepWalk:
         if isinstance(stmt, ForStmt):
             extent = self.scalar(stmt.extent, active)
             extent = extent.astype(np.int64) if _is_arr(extent) else int(extent)
+            if not _is_arr(extent) and self.distributed(stmt, extent, active):
+                return active & ~self.exited
             broken = np.zeros(self.nblocks, dtype=bool)
             self._breaks.append(broken)
             i = 0
@@ -496,6 +534,74 @@ class LockstepWalk:
 
 
 # ---------------------------------------------------------------------------
+# Loop distribution: which statements of a loop run once for every iteration
+# ---------------------------------------------------------------------------
+
+#: What a distributed loop's body may hold: instructions that compute on
+#: registers and read memory — no store, copy, allocation, free, print
+#: or exit, so running one early for every iteration changes nothing
+#: another statement of the loop can observe.
+_DISTRIBUTABLE = frozenset({
+    insts.LoadGlobal, insts.LoadShared, insts.ElementwiseBinary, insts.Neg,
+    insts.Cast, insts.View, insts.Dot, insts.ReduceSum, insts.Lookup,
+})
+
+_SPLIT_ATTR = "_vm_loop_split"
+
+
+def loop_split(loop: ForStmt):
+    """How ``loop`` distributes — worked out once per loop and kept on
+    it — as ``(statements, early, reads)``: its body's statements in
+    order, whether each runs early (once, on every iteration's rows),
+    and the variables defined before the loop that the early ones read.
+    None when the loop runs serially.
+
+    The body must be straight-line :data:`_DISTRIBUTABLE` instructions
+    with at most one ``Lookup`` (its run-time code check must keep the
+    serial order).  An instruction runs early when it reads no register
+    the body assigns at or after it (no loop-carried value), none a
+    serial one assigns (nothing downstream of the accumulator chain),
+    and its own output is assigned nowhere else in the body.
+    """
+    stmts = [s for s in loop.body.walk() if not isinstance(s, SeqStmt)]
+    cached = loop.__dict__.get(_SPLIT_ATTR)
+    if cached is None or cached[0] != stmts:
+        # Worked out again only if a compiler pass (dead-code
+        # elimination) rewrote the body in place.
+        cached = loop.__dict__[_SPLIT_ATTR] = (stmts, _split(loop.var, stmts))
+    return cached[1]
+
+
+def _split(loop_var: Var, stmts: list):
+    if not all(
+        isinstance(s, InstructionStmt) and type(s.instruction) in _DISTRIBUTABLE
+        for s in stmts
+    ) or sum(isinstance(s.instruction, insts.Lookup) for s in stmts) > 1:
+        return None
+    outputs = [s.instruction.output for s in stmts]
+    last = {var: i for i, var in enumerate(outputs)}
+    early, serial, reads = [], set(), {}
+    for i, stmt in enumerate(stmts):
+        inputs = stmt.instruction.inputs()
+        stays = outputs.count(outputs[i]) > 1 or any(
+            last.get(var, -1) >= i or var in serial for var in inputs
+        )
+        if stays:
+            serial.add(outputs[i])
+        else:
+            reads.update(dict.fromkeys(var for var in inputs if var not in last))
+            for expr in stmt.instruction.scalar_operands():
+                reads.update(dict.fromkeys(
+                    node for node in expr.walk()
+                    if isinstance(node, Var) and node != loop_var
+                ))
+        early.append(not stays)
+    if not any(early):
+        return None
+    return stmts, tuple(early), tuple(reads)
+
+
+# ---------------------------------------------------------------------------
 # What an instruction does
 # ---------------------------------------------------------------------------
 
@@ -521,7 +627,19 @@ class TileWalk(LockstepWalk):
     (:meth:`operands`); ``Dot`` broadcasts such an operand against a
     stacked one, everything else first repeats it for the whole stack
     (:meth:`stack`).
+
+    A loop's early statements (:func:`loop_split`) run once, on a walk
+    over ``iterations`` copies of these rows (:meth:`distributed`).
     """
+
+    #: Copies of the rows this walk holds, one per iteration of the loop
+    #: it runs distributed (:meth:`over_iterations`); 1 outside one.
+    iterations = 1
+
+    #: What makes a distributed loop fall back to the serial walk: the
+    #: errors an early statement can raise, which must be the serial
+    #: loop's, raised at its iteration (a lowering trace adds its bailout).
+    ROLLBACK = (VMError, IRError)
 
     def __init__(self, nblocks: int, env: dict, coords: tuple, ops,
                  memory: GlobalMemory, mem, shared: BatchedSharedMemory,
@@ -583,13 +701,12 @@ class TileWalk(LockstepWalk):
         if not reg.shared:
             return reg
         cell = self.shape3(reg.layout)[1:]
+        bits, vals, logical = self.twins(reg)
         return Register(
             reg.dtype, reg.layout,
-            bits=None if reg.bits is None else self.expand(reg.bits, cell),
-            vals=None if reg.vals is None else self.expand(reg.vals, cell),
-            logical=None if reg.logical is None else self.expand(
-                reg.logical, tuple(reg.layout.shape)
-            ),
+            bits=None if bits is None else self.expand(bits, cell),
+            vals=None if vals is None else self.expand(vals, cell),
+            logical=None if logical is None else self.expand(logical, tuple(reg.layout.shape)),
         )
 
     def operands(self, active: np.ndarray, *regs: Register) -> list:
@@ -605,29 +722,55 @@ class TileWalk(LockstepWalk):
     def bits(self, reg: Register):
         """``reg``'s patterns: where a value is packed."""
         if reg.bits is None:
-            reg.bits = self.ops.hold(self.ops.encode(reg.dtype, self.vals(reg)))
+            reg.bits = self.cut(reg, "bits") if reg.part else self.ops.hold(
+                self.ops.encode(reg.dtype, self.vals(reg))
+            )
         return reg.bits
 
     def vals(self, reg: Register):
         """``reg``'s decoded values."""
         if reg.vals is None:
-            if reg.bits is not None:
+            if reg.part:
+                vals = self.cut(reg, "vals")
+            elif reg.bits is not None:
                 vals = self.ops.decode(reg.dtype, reg.bits)
             else:
-                index = tileops.logical_index(reg.layout, self.rows(reg.shared))
-                vals = reg.logical[index].reshape(self.shape3(reg.layout, reg.shared))
+                vals = self.ops.gather_logical(
+                    reg.logical, self.shape3(reg.layout, reg.shared),
+                    tileops.logical_slots(reg.layout),
+                )
             reg.vals = self.ops.hold(vals)
         return reg.vals
 
     def logical(self, reg: Register):
         """``reg`` as a ``(B,) + layout.shape`` tensor of decoded values."""
         if reg.logical is None:
-            reg.logical = self.ops.hold(self.ops.gather_logical(
-                self.vals(reg),
-                (self.rows(reg.shared),) + tuple(reg.layout.shape),
-                tileops.logical_inverse(reg.layout),
-            ))
+            reg.logical = self.cut(reg, "logical") if reg.part else self.ops.hold(
+                self.ops.gather_logical(
+                    self.vals(reg),
+                    (self.rows(reg.shared),) + tuple(reg.layout.shape),
+                    tileops.logical_inverse(reg.layout),
+                )
+            )
         return reg.logical
+
+    def twins(self, reg: Register) -> tuple:
+        """``reg``'s ``(bits, vals, logical)`` as it holds them — cut
+        first, for a register of a distributed loop, from each twin its
+        whole holds."""
+        if reg.part:
+            whole = reg.part[1]
+            for twin in ("bits", "vals", "logical"):
+                if getattr(whole, twin) is not None:
+                    getattr(self, twin)(reg)
+        return reg.bits, reg.vals, reg.logical
+
+    def cut(self, reg: Register, twin: str):
+        """A twin of iteration ``k`` of a distributed loop's register:
+        computed once on the whole, on the rows of every iteration, and
+        cut to ``k``'s."""
+        walk, whole, k = reg.part
+        return walk.iteration(getattr(walk, twin)(whole), k, whole.shared)
 
     def regrouped(self, reg: Register, nbits: int):
         """``reg``'s bits read as ``nbits``-wide elements (zero-cost when
@@ -657,6 +800,111 @@ class TileWalk(LockstepWalk):
             logical=self.ops.hold(self.ops.requantize(ttype.dtype, tensor)),
             shared=shared,
         )
+
+    # -- loop distribution --------------------------------------------------
+    def distributed(self, loop: ForStmt, extent: int, active: np.ndarray) -> bool:
+        """Run ``loop`` split in two (:func:`loop_split`): its early
+        statements once, on every iteration's rows (:meth:`over_iterations`;
+        the loop variable is a per-row array), then ``extent`` times the
+        rest — the accumulator chain — each on iteration ``k``'s cut of
+        the early registers.  The early registers (and the loop variable)
+        are left bound to the last iteration, as the serial walk leaves
+        them.  Only under a full mask and for two or more iterations; if
+        an early statement fails, its work is forgotten and the loop runs
+        serially, so what fails is the serial loop's error."""
+        split = loop_split(loop) if extent > 1 and bool(active.all()) else None
+        if split is None:
+            return False
+        stmts, early, reads = split
+        defined = [(var, self.env[var]) for var in reads if var in self.env]
+        for _, value in defined:
+            if isinstance(value, Register):
+                # Cut before the mark: a rollback must not leave a register
+                # of the enclosing walk naming a forgotten temporary.
+                self.twins(value)
+        walk = self.over_iterations(extent)
+        mark = self.ops.mark()
+        try:
+            walk.env = {var: walk.spread(value) for var, value in defined}
+            walk.env[loop.var] = walk.iteration_index
+            everything = np.ones(walk.nblocks, dtype=bool)
+            for stmt, first in zip(stmts, early):
+                if first:
+                    walk.instruction(stmt.instruction, everything)
+        except self.ROLLBACK:
+            self.ops.rewind(mark)
+            return False
+        self.stats.merge(walk.stats)
+        for k in range(extent):
+            self.bind_scalar(loop.var, k, active)
+            for stmt, first in zip(stmts, early):
+                if not first:
+                    self.run_stmt(stmt, active)
+                    continue
+                var = stmt.instruction.output
+                whole = walk.env[var]
+                self.env[var] = Register(
+                    whole.dtype, whole.layout, shared=whole.shared, part=(walk, whole, k)
+                )
+        return True
+
+    def over_iterations(self, iterations: int) -> "TileWalk":
+        """This walk on ``iterations`` copies of its rows, with its own
+        counters.  The rows stay launch-major — launch, then iteration,
+        then block — so one launch's rows are still the first
+        ``1 / launches`` of them (:meth:`one_launch`, :meth:`stack` and
+        the ``Dot`` broadcast hold unchanged) and one launch's rows of
+        one iteration are one contiguous run."""
+        walk = copy.copy(self)
+        walk.iterations = iterations
+        walk.nblocks = self.nblocks * iterations
+        walk.per_launch = self.per_launch * iterations
+        walk.stats = ExecutionStats()
+        grid = (self.launches, iterations, self.per_launch)
+        blocks = np.arange(self.nblocks).reshape(self.launches, 1, self.per_launch)
+        # The block each row copies, and the one each of one launch's rows
+        # copies (``spread``); the iteration each row runs.
+        walk.copied = np.broadcast_to(blocks, grid).reshape(-1)
+        walk.copied_in_launch = np.tile(np.arange(self.per_launch), iterations)
+        walk.iteration_index = np.broadcast_to(
+            np.arange(iterations).reshape(1, iterations, 1), grid
+        ).reshape(-1)
+        walk.by_iteration = {}  # id(twin) -> (twin, its rows iteration-major)
+        return walk
+
+    def spread(self, value):
+        """A value defined before a distributed loop, on this walk's
+        rows: each block's repeated for every iteration."""
+        if isinstance(value, Register):
+            index = self.copied_in_launch if value.shared else self.copied
+            return Register(value.dtype, value.layout, *(
+                None if twin is None else self.ops.hold(twin[index])
+                for twin in (value.bits, value.vals, value.logical)
+            ), shared=value.shared)
+        if isinstance(value, View):
+            base = self.spread(value.base)
+            return View(value.buf, base, value.dtype, value.shape, value.buflen)
+        if isinstance(value, (int, float, np.generic)):
+            return value
+        return np.broadcast_to(value, (self.nblocks // self.iterations,))[self.copied]
+
+    def iteration(self, twin, k: int, shared: bool):
+        """Iteration ``k``'s rows of ``twin``, held on this walk's rows
+        (one launch's when ``shared``): a contiguous run of them."""
+        if self.iterations == 1:
+            return twin
+        per = self.rows(shared) // self.iterations
+        if not shared and self.launches > 1:
+            # The whole stack's rows are launch-major: gather them once
+            # in iteration-major order, then every cut is a run.
+            cached = self.by_iteration.get(id(twin))
+            if cached is None:
+                order = np.arange(self.nblocks).reshape(self.launches, self.iterations, -1)
+                cached = self.by_iteration[id(twin)] = (
+                    twin, self.ops.hold(twin[order.swapaxes(0, 1).reshape(-1)])
+                )
+            twin = cached[1]
+        return self.ops.hold(twin[k * per:(k + 1) * per])
 
     # -- view addressing ----------------------------------------------------
     def one_launch(self, view: View, indices: list, active: np.ndarray):
@@ -917,7 +1165,13 @@ class TileWalk(LockstepWalk):
         extent = table.layout.shape[0] if is_register else table.shape[0]
         # One launch's rows are only held under a full mask: its slice of
         # ``active`` is all true, and the whole stack's is ``active``.
-        self.ops.check_lookup(safe[active[:rows]], extent, tileops.lookup_message(extent))
+        # Checked iteration by iteration: a distributed loop's lookup
+        # fails on the code its serial form fails on first.
+        checked = safe[active[:rows]]
+        for k in range(self.iterations):
+            self.ops.check_lookup(
+                self.iteration(checked, k, codes.shared), extent, tileops.lookup_message(extent)
+            )
         if is_register:
             # Clipping only neutralizes inactive blocks' garbage codes; active
             # codes were just bounds-checked above.

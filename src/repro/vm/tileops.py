@@ -23,8 +23,8 @@ as their ``ops``, on arrays.  The lowering pipeline
 calls through whenever every argument is concrete and otherwise records
 the call under its :data:`KERNEL_NAMESPACE` name — so a generated kernel
 is a sequence of calls into this table, and :func:`hold` /
-:func:`host_effect` are the two places a handler tells that stand-in
-something an array would not need to be told.
+:func:`host_effect` / :func:`mark` / :func:`rewind` are the places a
+handler tells that stand-in something an array would not need to be told.
 
 A new dtype rule, addressing rule or bounds check is written here and
 reached from the one handler.  The sequential oracle (``vm/interp.py``,
@@ -171,32 +171,55 @@ def to_logical(values: np.ndarray, shape: tuple, ix: tuple) -> np.ndarray:
     return out
 
 
-_INVERSE_ATTR = "_vm_logical_inverse"
+def _per_layout(attr: str):
+    """Memoize a read-only table of a layout on the layout itself."""
+
+    def cache(build):
+        @functools.wraps(build)
+        def cached(layout) -> np.ndarray:
+            table = getattr(layout, attr, None)
+            if table is None:
+                table = build(layout)
+                table.setflags(write=False)
+                try:
+                    setattr(layout, attr, table)
+                except AttributeError:
+                    pass  # layouts with __slots__ simply skip the cache
+            return table
+
+        return cached
+
+    return cache
 
 
+@_per_layout("_vm_logical_slots")
+def logical_slots(layout) -> np.ndarray:
+    """For every thread-major slot ``t * L + i``, the row-major logical
+    element it holds: reading a register's values off its logical tensor
+    is one gather through it (:func:`gather_logical` — replicas read the
+    element they replicate).  Computed once per layout and cached on it."""
+    return np.ravel_multi_index(tuple(layout_tile_coords(layout)), layout.shape)
+
+
+@_per_layout("_vm_logical_inverse")
 def logical_inverse(layout) -> np.ndarray:
     """For every logical element (row-major), the thread-major slot
     ``t * L + i`` whose value :func:`to_logical` keeps — the last writer.
     Computed once per layout and cached on it.  A layout's modes tile its
     whole shape, so every element has a writer; one that did not could
     not be gathered (the scatter form zero-fills it) and is refused."""
-    inverse = getattr(layout, _INVERSE_ATTR, None)
-    if inverse is None:
-        slots = np.ravel_multi_index(tuple(layout_tile_coords(layout)), layout.shape)
-        inverse = np.full(layout.size, -1, dtype=np.int64)
-        inverse[slots] = np.arange(slots.size, dtype=np.int64)
-        if inverse.min() < 0:
-            raise VMError(f"layout {layout.short_repr()} leaves logical elements unheld")
-        inverse.setflags(write=False)
-        try:
-            setattr(layout, _INVERSE_ATTR, inverse)
-        except AttributeError:
-            pass  # layouts with __slots__ simply skip the cache
+    slots = logical_slots(layout)
+    inverse = np.full(layout.size, -1, dtype=np.int64)
+    inverse[slots] = np.arange(slots.size, dtype=np.int64)
+    if inverse.min() < 0:
+        raise VMError(f"layout {layout.short_repr()} leaves logical elements unheld")
     return inverse
 
 
 def gather_logical(values: np.ndarray, shape: tuple, inverse: np.ndarray) -> np.ndarray:
-    """:func:`to_logical` as one gather through :func:`logical_inverse`."""
+    """:func:`to_logical` as one gather through :func:`logical_inverse`
+    — and, handed a logical tensor, a ``(B, T, L)`` shape and
+    :func:`logical_slots`, its inverse: the register's values."""
     return values.reshape(shape[0], -1).take(inverse, axis=1).reshape(shape)
 
 
@@ -514,6 +537,17 @@ def host_effect(inst) -> None:
     """What ``inst`` does next acts on the host (it moves the device
     allocator, it prints).  Executing is free to; a lowering trace has
     no flat form for it and declines here."""
+
+
+def mark():
+    """Where the handlers stand, to :func:`rewind` to if what they try
+    next fails.  Executing keeps no record: nothing to mark."""
+
+
+def rewind(mark) -> None:
+    """Forget what was done since ``mark``.  A lowering trace drops the
+    statements it recorded (and the values they named); executing
+    recorded nothing."""
 
 
 #: The names generated kernels — and kernel sources persisted in tuning

@@ -167,3 +167,36 @@ class TestRequestIdentity:
         by_rid = {r.request.rid: r for r in result.results}
         assert by_rid[0].slo_met
         assert not by_rid[1].slo_met
+
+
+class TestSlotOwnedBuffers:
+    def test_a_jit_soak_allocates_nothing_and_serves_the_oracles_digests(self):
+        """300 waves on one JIT simulator: every request decodes in one of
+        the ``max_batch`` slot buffers the simulator owns, so device
+        memory does not grow after the first wave, and every digest is
+        the sequential oracle's for that rid — a slot's last occupant
+        leaves nothing its next one reads."""
+        from dataclasses import replace
+
+        from repro.serving import WorkerSpec
+
+        spec = WorkerSpec(jit=True, max_batch=4, num_streams=4)
+        sim = spec.build_simulator()
+        memory = sim.decode_linear.runtime.memory
+        rids = range(6)
+        digests: dict = {}
+        for wave in range(300):
+            outcome = sim.run([
+                Request(0.0, prompt_tokens=32, output_tokens=1 + (rid + wave) % 3, rid=rid)
+                for rid in rids
+            ])
+            for r in outcome.results:
+                digests.setdefault(r.request.rid, set()).add(r.output_digest)
+            if wave == 0:
+                held = memory.used_bytes, len(memory._allocations)
+        assert (memory.used_bytes, len(memory._allocations)) == held
+        assert sim.decode_linear.runtime.jit.compiled >= 1
+        oracle = replace(spec, jit=False, num_streams=0, use_graphs=False).build_simulator()
+        oracle.decode_linear.runtime.engine = "sequential"
+        served = oracle.run([Request(0.0, 32, 1, rid=rid) for rid in rids])
+        assert digests == {r.request.rid: {r.output_digest} for r in served.results}

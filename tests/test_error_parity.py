@@ -252,6 +252,71 @@ def test_an_out_of_bounds_load_through_a_shared_pointer_fails_alike():
             assert np.array_equal(memory.buffer, before)
 
 
+def _oob_in_a_loop(pb, bi, g_a, g_out):
+    # Steps 0 and 1 read rows 0..7, step 2 rows 8..15 of an 8-row tensor.
+    acc = pb.allocate_register(float16, layout=spatial(ROWS, COLS), init=0.0)
+    with pb.for_range(4) as i:
+        tile = pb.load_global(g_a, layout=spatial(ROWS, COLS), offset=[(i / 2) * ROWS, 0])
+        pb.add(acc, tile, out=acc)
+    pb.store_global(acc, g_out, offset=[0, 0])
+
+
+def test_an_error_in_a_distributed_loop_is_the_serial_loops():
+    """The loop's load runs early, once for all four steps — where its
+    indices span ``[0, 15]``.  That fails, the walk forgets the attempt
+    and runs the loop serially, so both tiers report step 2's ``[8, 15]``,
+    exactly as the loop unrolled does."""
+    from unittest import mock
+
+    from repro.ir.stmt import ForStmt
+    from repro.vm.batched import loop_split
+
+    program = _tile_program("oob_loop", _oob_in_a_loop)
+    (loop,) = [s for s in program.body.walk() if isinstance(s, ForStmt)]
+    assert loop_split(loop) is not None
+    memory, a, out = _image()
+    before = memory.buffer.copy()
+    message = "index out of bounds: [8, 15] not within [0, 8) for tensor f16[8, 4]"
+    with pytest.raises(VMError) as executed:
+        BatchedExecutor(memory).launch(program, [a, out])
+    assert str(executed.value) == message
+    reasons = []
+    for split in (loop_split, lambda loop: None):  # distributed, then unrolled
+        with mock.patch("repro.vm.batched.loop_split", split):
+            with pytest.raises(LoweringBailout) as lowered:
+                lower_program(program, [a, out], memory)
+        assert isinstance(lowered.value.__cause__, VMError)
+        reasons.append(str(lowered.value))
+    assert reasons == ["deterministic runtime error: " + message] * 2
+    assert np.array_equal(memory.buffer, before)
+
+
+def test_a_lookup_in_a_distributed_loop_fails_on_the_serial_loops_code():
+    """Codes are data, so the compiled kernel checks them at run time:
+    step by step, so that of two bad codes — 9 at step 1, 12 at step 3 —
+    it names the one the serial loop reaches first, as the engine does."""
+    pb = ProgramBuilder("lookup_loop", grid=[2])
+    t_ptr = pb.param("table", pointer(float16))
+    c_ptr = pb.param("codes", pointer(uint4))
+    extent = pb.param("extent", int64)
+    table = pb.view_global(t_ptr, dtype=float16, shape=[extent])
+    g_codes = pb.view_global(c_ptr, dtype=uint4, shape=[4 * ROWS, COLS])
+    acc = pb.allocate_register(float16, layout=spatial(ROWS, COLS), init=0.0)
+    with pb.for_range(4) as i:
+        codes = pb.load_global(g_codes, layout=spatial(ROWS, COLS), offset=[i * ROWS, 0])
+        pb.add(acc, pb.lookup(codes, table), out=acc)
+    program = pb.finish()
+    memory, a, out = _image()
+    codes = np.zeros((4 * ROWS, COLS), dtype=np.int64)
+    codes[ROWS + 3, 1], codes[3 * ROWS, 0] = 9, 12
+    args = [a, memory.upload(codes, uint4), 8]
+    kernel = lower_program(program, args, memory)
+    for run in (BatchedExecutor(memory).launch, lambda p, args: kernel.run(memory, args)):
+        with pytest.raises(VMError) as raised:
+            run(program, args)
+        assert str(raised.value) == "lookup code 9 exceeds table of 8"
+
+
 def _merged_cast_program(rebind: str):
     """Two blocks; block 0 rebinds an ``i4`` register under ``if``, so
     what ``Cast`` reads is a divergent merge — packed bits only, in the

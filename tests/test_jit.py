@@ -15,6 +15,7 @@ harness (``jit`` is one of its six locked modes); these tests pin the policy
 and the plumbing.
 """
 
+import contextlib
 import re
 from types import SimpleNamespace
 from unittest import mock
@@ -29,9 +30,11 @@ from repro.compiler.lower import (
     lower_program,
 )
 from repro.compiler.pipeline import specialization_key
-from repro.dtypes import float16
+from repro.dtypes import float16, uint8
 from repro.dtypes.registry import all_weight_dtypes
 from repro.errors import VMError
+from repro.ir import instructions as insts
+from repro.ir.stmt import ForStmt
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import JitCache, JitManager, Profile, Runtime
@@ -439,7 +442,7 @@ class TestStackedLowering:
         scales, _, _ = decode_linear_stack(4, shared=(2,))
         neither, _, _ = decode_linear_stack(4)
         assert len({both.source, scales.source, neither.source}) == 3
-        blocks = neither.nblocks
+        blocks = 4 * neither.nblocks  # the k-loop's 4 steps are gathered at once
         for kernel, weight_rows, scale_rows in (
             (both, blocks // 4, blocks // 4),
             (scales, blocks, blocks // 4),
@@ -522,6 +525,210 @@ class TestStackedLowering:
             images.append(memory.buffer.copy())
         assert np.array_equal(images[0], images[1])
         assert np.array_equal(images[1], images[2])
+
+
+# ---------------------------------------------------------------------------
+# Loop distribution: a k-loop's early statements once, on every iteration's rows
+# ---------------------------------------------------------------------------
+
+STEPS = 4
+
+
+def k_loop_program(variant: str):
+    """``out = f16(sum over STEPS of f32(2 * tile))`` over a 2 x 2 grid,
+    the tile moving with the loop variable; ``variant`` changes one
+    thing about the loop (``plain`` changes nothing)."""
+    pb = ProgramBuilder("k_loop_" + re.sub(r"\W", "_", variant), grid=[2, 2])
+    a_ptr = pb.param("a", pointer(float16))
+    out_ptr = pb.param("out", pointer(float16))
+    bi, bj = pb.block_indices()
+    g_a = pb.view_global(a_ptr, dtype=float16, shape=[ROWS, COLS])
+    g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
+    acc = pb.allocate_register("f32", layout=spatial(8, 4), init=0.0)
+    if variant == "lookup":
+        from repro.dtypes import uint4
+
+        # ``a``'s bytes read again as 4-bit codes into its first 16 values.
+        g_codes = pb.view_global(a_ptr, dtype=uint4, shape=[ROWS, 2 * COLS])
+        g_table = pb.view_global(a_ptr, dtype=float16, shape=[16])
+    staged = pb.allocate_shared(float16, [8, 4]) if variant == "copy-async" else None
+    extent = bi + 2 if variant == "per-block extent" else STEPS
+    guard = pb.if_then(bi > 0) if variant == "divergent if" else contextlib.nullcontext()
+    with guard, pb.for_range(extent) as i:
+        row = bi * 8 + (i % 2) * 4 if variant == "masked" else bi * 8
+        col = (i % 2) * 4
+        if variant == "assign":
+            col = pb.assign("i32", col, hint="col")
+        if variant == "lookup":
+            codes = pb.load_global(g_codes, layout=spatial(8, 4), offset=[row, col])
+            tile = pb.lookup(codes, g_table)
+        else:
+            tile = pb.load_global(
+                g_a, layout=spatial(8, 4), offset=[row, col], masked=variant == "masked"
+            )
+        pb.add(acc, pb.cast(pb.mul(tile, 2.0), "f32"), out=acc)
+        if variant == "dead value":
+            pb.neg(tile)
+        if variant == "store":
+            pb.store_global(tile, g_out, offset=[bi * 8, bj * 4])
+        if variant == "copy-async":
+            pb.copy_async(staged, g_a, src_offset=[bi * 8, col])
+        if variant in ("break", "continue"):
+            with pb.if_then(i.equals(2)):
+                getattr(pb, variant + "_")()
+    result = pb.cast(acc, "f16")
+    if variant == "early register read after the loop":
+        result = pb.add(result, tile)  # the last iteration's tile
+    col_out = bj * 4
+    if variant == "loop variable read after the loop":
+        col_out = col_out + (i - (STEPS - 1))  # the last iteration's index
+    pb.store_global(result, g_out, offset=[bi * 8, col_out])
+    return pb.finish()
+
+
+def serial_lowering(program, args, memory, **kwargs):
+    """The kernel of the walk with every loop left serial: unrolled."""
+    with mock.patch("repro.vm.batched.loop_split", return_value=None):
+        return lower_program(program, args, memory, **kwargs)
+
+
+def _tiers_on(program, stack: int = 1, shared: tuple = ()):
+    """``stack`` launches of ``program`` (one ``a``, an output each) on a
+    fresh image per tier — the sequential oracle launch by launch, the
+    batched engine's stack, the kernel lowered with ``shared`` and the
+    serially lowered one — which must leave equal bytes and stats.
+    Returns the two kernels."""
+    images, kernels = [], {}
+    for tier in ("sequential", "batched", "compiled", "serial"):
+        memory, host, a, out = device()
+        outs = [out] + [host.alloc_output([ROWS, COLS], float16) for _ in range(stack - 1)]
+        args_list = [[a, o] for o in outs]
+        if tier == "sequential":
+            for args in args_list:
+                host.launch(program, args)
+            stats = host.stats
+        elif tier == "batched":
+            stats = BatchedExecutor(memory).launch_many(program, args_list)
+        else:
+            lower = lower_program if tier == "compiled" else serial_lowering
+            kernels[tier] = lower(program, args_list[0], memory, launches=stack, shared=shared)
+            stats = kernels[tier].run_many(memory, args_list)
+        images.append((memory.buffer.copy(), stats.snapshot()))
+    for buffer, stats in images[1:]:
+        assert np.array_equal(buffer, images[0][0])
+        assert stats == images[0][1]
+    assert images[0][0].any()
+    return kernels["compiled"], kernels["serial"]
+
+
+class TestLoopDistribution:
+    @pytest.mark.parametrize("variant", [
+        "per-block extent", "break", "continue", "store", "copy-async", "divergent if", "assign",
+    ])
+    def test_a_refused_loop_lowers_as_it_did_unrolled(self, variant):
+        kernel, serial = _tiers_on(k_loop_program(variant))
+        assert kernel.source == serial.source
+
+    @pytest.mark.parametrize("variant", [
+        "plain", "loop variable read after the loop", "early register read after the loop",
+        "masked", "lookup",
+    ])
+    def test_an_accepted_loop_gathers_every_iteration_at_once(self, variant):
+        """The tile of every step is gathered in one call (unrolled, the
+        two distinct ones are); a lookup still checks its codes step by
+        step, in the serial order."""
+        kernel, serial = _tiers_on(k_loop_program(variant))
+        loads = [len(re.findall(r"\b_g(?:b|sb)\(", k.source)) for k in (kernel, serial)]
+        assert loads == [1, 2]
+        assert _calls(kernel, "_lk") == _calls(serial, "_lk") == (variant == "lookup") * STEPS
+
+    def test_a_shared_pointer_loads_one_launchs_rows_of_every_iteration(self):
+        """Three launches reading one ``a`` at per-iteration offsets: the
+        early load is made once, on one launch's rows of every iteration
+        (4 blocks x 4 steps); unrolled, each distinct tile on 4 rows."""
+        kernel, serial = _tiers_on(k_loop_program("plain"), stack=3, shared=(0,))
+        gathered = r"= t\d+\.reshape\(\((\d+), 32, 1\)\)"
+        assert re.findall(gathered, kernel.source) == [str(STEPS * 4)]
+        assert re.findall(gathered, serial.source) == ["4"] * 2
+
+    @pytest.mark.parametrize("dtype", all_weight_dtypes(), ids=str)
+    def test_the_matmul_template_distributes_bit_exactly(self, dtype):
+        """The quantized matmul of every weight type of at most 8 bits,
+        as a decode step stacks it: ``G`` launches (an activation row and
+        an output each) at G = 1, 2 and 8, on one copy of the weights and
+        scales lowered to share them, or on private copies — the output
+        bytes and stats of the sequential oracle, launch by launch."""
+        from repro import ops
+        from repro.vm import tileops
+
+        rng = np.random.default_rng(dtype.nbits)
+        runtime = Runtime(dram_bytes=1 << 20)
+        linear = ops.prepare_linear(rng.standard_normal((64, 32)), dtype, runtime=runtime)
+        program, memory = linear.program_for(1), runtime.memory
+        views = {inst.ptr: inst.out.ttype for inst in program.body.instructions()
+                 if isinstance(inst, insts.ViewGlobal)}
+
+        def private(param, addr: int) -> int:
+            nbytes = tileops.tensor_nbytes(views[param].shape, views[param].dtype, "global")
+            return runtime.upload(memory.buffer[addr : addr + nbytes].copy(), uint8)
+
+        def out() -> int:
+            return runtime.empty([1, linear.n], float16)
+
+        acts = [runtime.upload(float16.quantize(rng.standard_normal((1, 64))), float16)
+                for _ in range(8)]
+        oracle = [[act, linear.b_addr, linear.s_addr, out()] for act in acts]
+        oracle_stats = [Interpreter(memory).launch(program, args).snapshot() for args in oracle]
+        for launches in (1, 2, 8):
+            for shared in (True, False) if launches > 1 else (True,):
+                args_list = [
+                    [act, linear.b_addr, linear.s_addr, out()] if shared else
+                    [act, private(program.params[1], linear.b_addr),
+                     private(program.params[2], linear.s_addr), out()]
+                    for act in acts[:launches]
+                ]
+                kernel = lower_program(
+                    program, args_list[0], memory, launches=launches,
+                    shared=shared_pointers(program, args_list),
+                )
+                stats = kernel.run_many(memory, args_list).snapshot()
+                for args, want in zip(args_list, oracle):
+                    got, ref = (memory.buffer[a[3] : a[3] + 2 * linear.n] for a in (args, want))
+                    assert np.array_equal(got, ref), (launches, shared)
+                assert stats == {
+                    name: sum(s[name] for s in oracle_stats[:launches]) for name in stats
+                }
+
+    def test_the_split_is_worked_out_once_per_loop(self):
+        from repro.vm import batched
+
+        program = k_loop_program("plain")
+        (loop,) = [s for s in program.body.walk() if isinstance(s, ForStmt)]
+        with mock.patch.object(batched, "_split", wraps=batched._split) as split:
+            for launches in (1, 2):
+                memory, host, a, out = device()
+                lower_program(program, [a, out], memory, launches=launches)
+                BatchedExecutor(memory).launch(program, [a, out])
+        assert split.call_count == 1
+        stmts, early, reads = batched.loop_split(loop)
+        assert early == (True, True, True, False)  # load, mul, cast; the add chain
+
+    def test_a_body_a_compiler_pass_rewrote_is_split_again(self):
+        """Dead-code elimination edits a loop body in place (the runtime
+        compiles a program before its first launch, a direct caller need
+        not): the dead ``Neg`` is then neither run nor counted."""
+        from repro.compiler.dce import eliminate_dead_code
+
+        program = k_loop_program("dead value")
+
+        def instructions() -> int:
+            memory, host, a, out = device()
+            return BatchedExecutor(memory).launch(program, [a, out]).instructions
+
+        before = instructions()
+        assert eliminate_dead_code(program) == 1
+        _tiers_on(program)  # the oracle runs the rewritten body
+        assert instructions() == before - 4 * STEPS  # 4 blocks x 4 steps of Neg
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +857,8 @@ class TestForwarding:
         stores = sum(kernel.source.count(call) for call in _STORE_CALLS)
         assert stores == 1 and _calls(kernel, "_enc") <= stores
         # One gather per distinct (view base, address constant, width)
-        # between two stores: the k-loop reads each scale row once.
+        # between two stores: the distributed k-loop reads each operand's
+        # four k-steps in one call.
         seen = set()
         for _, expr in statements:
             if expr.startswith(_STORE_CALLS):
@@ -660,18 +868,21 @@ class TestForwarding:
                 assert key not in seen, f"gathered twice: {expr}"
                 seen.add(key)
         assert _calls(kernel, "_tolog") == 0  # the zero-fill + scatter form
-        # 4 unrolled k-steps: A and B tiles 4x, 2 distinct scale rows.  The
-        # i6 -> f16 cast of each B tile is one table lookup (PR 21: it was
-        # a ``_dec`` and a ``_rq``, so those read 10 and 13), each masked A
-        # tile one ``_place`` of its live lanes.
+        # The k-loop is distributed: the A, B and scale tiles of all 4
+        # k-steps are each gathered, unpacked and cast once (unrolled, they
+        # read _gb 10, _dec 6, _rq 9, _tolg 8, _viewp / _tab / _place 4);
+        # the 4 ``Dot``s stay a serial chain of ``_rq``s.  The i6 -> f16
+        # cast is one table lookup, the masked A tiles one ``_place`` of
+        # their live lanes, and the stored tensor's values are read off
+        # its logical tensor by one ``_tolg`` through the layout's slots.
         assert {
             name: _calls(kernel, name)
             for name in (
                 "_gb", "_dec", "_enc", "_rq", "_tolg", "_viewp", "_vg", "_scb", "_tab", "_place",
             )
         } == {
-            "_gb": 10, "_dec": 6, "_enc": 1, "_rq": 9, "_tolg": 8,
-            "_viewp": 4, "_vg": 4, "_scb": 1, "_tab": 4, "_place": 4,
+            "_gb": 3, "_dec": 2, "_enc": 1, "_rq": 6, "_tolg": 3,
+            "_viewp": 1, "_vg": 4, "_scb": 1, "_tab": 1, "_place": 1,
         }  # fmt: skip
         assert decode_linear_kernel(launches=8, shared=shared).source == kernel.source
 
@@ -681,17 +892,19 @@ class TestForwarding:
         kernel = decode_linear_kernel(launches=8)
         statements = _statements(kernel)
         produced = {target: expr for target, expr in statements if target}
-        # A masked A tile (M = 1 row of an m16 tile, 16 blocks) gathers its
-        # 256 live lanes of 4096: the address constant is that long.
+        # The masked A tiles of the 4 k-steps (M = 1 row of an m16 tile, 16
+        # blocks each) gather their 4 x 256 live lanes of 4 x 4096 at once:
+        # the address constant is that long, and the pointer's rows are
+        # one index (the per-row copy of each block's pointer folded in).
         placed = re.findall(r"_place\((C\d+), (t\d+)\)", kernel.source)
-        assert len(placed) == 4
+        assert len(placed) == 1
         for valid, gathered in placed:
             valid = kernel.consts[valid]
             address = re.fullmatch(r"_gb\(mem, (t\d+), 2, C\d+\)", produced[gathered]).group(1)
             rows, offsets = re.fullmatch(r"p0\[(C\d+)\] \+ (C\d+)", produced[address]).groups()
-            assert valid.shape == (16, 256) and valid.dtype == bool
-            assert kernel.consts[offsets].shape == (int(valid.sum()),) == (256,)
-            assert kernel.consts[rows].shape == (256,)
+            assert valid.shape == (4 * 16, 256) and valid.dtype == bool
+            assert kernel.consts[offsets].shape == (int(valid.sum()),) == (4 * 256,)
+            assert kernel.consts[rows].shape == (4 * 256,)
         # A narrow source is never decoded and then rounded: that pair is
         # the table lookup.
         for _, expr in statements:
@@ -701,10 +914,11 @@ class TestForwarding:
             assert "_rq(" not in expr or "_dec(" not in expr, expr
         for table, _ in re.findall(r"_tab\((C\d+), (t\d+)\)", kernel.source):
             assert kernel.consts[table].shape == (64,)  # every i6 pattern, as f16
-        # 150 statements before PR 21; the count does not depend on the stack.
+        # 150 statements before the cheap forms, 142 before the k-loop was
+        # distributed; a stack adds only the reorder of the A tiles' rows.
         for launches in (1, 2, 8):
             lowered = decode_linear_kernel(launches)
-            assert len(_statements(lowered)) <= 142
+            assert len(_statements(lowered)) <= 83
             assert decode_linear_kernel(launches).source == lowered.source
 
     def test_constant_registers_fold_and_values_pack_once(self):

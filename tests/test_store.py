@@ -686,6 +686,32 @@ class TestEngineDegradation:
         (republished,) = store.load_jit("shard")["kernels"]
         assert republished["passes"] == list(PASS_NAMES) + [KERNEL_NAMESPACE_STAMP]
 
+    def test_jit_relowers_a_kernel_of_the_unrolled_walk(self):
+        """A record the walk wrote before it distributed loops — the pass
+        list said ``unroll`` — still runs, but its k-loop is four copies
+        of every statement: refused, lowered cold, and the kernel served
+        unpacks the weights of every k-step in one call."""
+        from unittest import mock
+
+        from repro.compiler.lower import PASS_NAMES, lower_program
+        from repro.runtime.jit import JitManager
+
+        linear, runtime, program, args, out_addr, kernel, key = _linear_fixture()
+        with mock.patch("repro.vm.batched.loop_split", return_value=None):
+            unrolled = lower_program(program, args, runtime.memory)
+        stamp = ["const-fold", "unroll", "forward", "flatten", KERNEL_NAMESPACE_STAMP]
+        record = dict(encode_kernel(unrolled), passes=stamp)
+        with pytest.raises(VMError, match="lowered by passes"):
+            decode_kernel(record, runtime.memory, key)
+        fresh = JitManager(runtime.memory)
+        assert fresh.stage_kernels([record]) == 1
+        got = fresh.maybe_compile(program, args, key=key)
+        counters = fresh.counters()
+        assert (counters["compiled"], counters["rehydrated"]) == (1, 0)
+        assert got.passes == PASS_NAMES and "unroll+distribute" in PASS_NAMES
+        assert got.source == kernel.source
+        assert (unrolled.source.count("_viewp("), got.source.count("_viewp(")) == (4, 1)
+
     def test_warm_boot_rehydrates_single_launch_kernels_only(self, tmp_path):
         """A JIT-on simulator runs its decode steps as stacked compiled
         kernels; the store keeps only the single-launch one (records are

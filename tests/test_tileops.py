@@ -318,6 +318,35 @@ def test_gather_form_to_logical_is_the_scatter_form(name, seed, nblocks):
         assert np.array_equal(oracle.to_logical(), scatter[b])
 
 
+#: Every layout above, and the kinds the kernel templates and the harness
+#: generators build: MMA operands and thread-local runs.
+HARNESS_LAYOUTS = {
+    **REPLICATED,
+    **{f"mma-{name}": getattr(mma_m16n8k16(), f"{name}_layout") for name in "abc"},
+    "local-runs": spatial(8, 4).local(1, 2),
+    "column-runs": local(2, 1).spatial(4, 8),
+}
+
+
+@pytest.mark.parametrize("name", HARNESS_LAYOUTS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nblocks=st.integers(1, 3))
+def test_register_values_off_a_logical_tensor_are_one_gather(name, seed, nblocks):
+    """A register's values read back off its logical tensor: one gather
+    through the layout's slot table is the ``(block, *coords)`` fancy
+    index — replicas read the element they replicate."""
+    layout = HARNESS_LAYOUTS[name]
+    shape3 = (nblocks, layout.num_threads, layout.local_size)
+    logical = np.random.default_rng(seed).permutation(nblocks * layout.size).reshape(
+        (nblocks,) + tuple(layout.shape)
+    )
+    fancy = logical[tileops.logical_index(layout, nblocks)].reshape(shape3)
+    slots = tileops.logical_slots(layout)
+    assert slots is tileops.logical_slots(layout) and not slots.flags.writeable
+    got = tileops.gather_logical(logical, shape3, slots)
+    assert got.dtype == fancy.dtype and np.array_equal(got, fancy)
+
+
 # ---------------------------------------------------------------------------
 # Instruction selection: each cheap form against the definition it replaces
 # ---------------------------------------------------------------------------
