@@ -10,13 +10,9 @@ for a workload, scores each with a config-aware analytical estimate
 traffic) and returns the best.  Results are memoized per workload key,
 mirroring the paper's compiled-kernel cache.
 
-Three refinement tiers: :meth:`Autotuner.tune` is purely analytical,
+Two refinement tiers: :meth:`Autotuner.tune` is purely analytical, and
 :meth:`Autotuner.tune_measured` executes the analytical head of the
-ranking, and :meth:`Autotuner.tune_profiled` closes the PGO loop — a
-recorded :class:`~repro.runtime.profiling.Profile` (e.g. emitted by a
-serving run) replaces fresh measurement runs for every candidate whose
-specialization key was already seen, so re-tuning after real traffic
-executes nothing that traffic already measured.
+ranking.
 """
 
 from __future__ import annotations
@@ -156,8 +152,6 @@ class Autotuner:
         self,
         gpu: GpuSpec = L40S,
         max_entries: int = 64,
-        store=None,
-        store_scope: str = "tuner",
     ) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
@@ -167,25 +161,15 @@ class Autotuner:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        if store is not None and isinstance(store, str):
-            from repro.store import TuningStore
-
-            store = TuningStore(store)
-        #: Optional persistent tuning store: ``tune_profiled`` rankings
-        #: stamped by their profile survive the process through it.
-        self.store = store
-        self.store_scope = store_scope
 
     # -- the memo ------------------------------------------------------------
     def _cache_get(self, key: tuple):
-        """The memoized entry for ``key`` (refreshing recency), or None.
-        Counts the hit; the miss is counted by :meth:`_cache_put` callers
-        via the ``None`` return (stale ``tune_profiled`` stamps count as
-        misses there, not here)."""
+        """The memoized entry for ``key`` — a hit, recency refreshed —
+        or None (the miss is counted by :meth:`_cache_put`)."""
         entry = self._cache.get(key)
-        if entry is None:
-            return None
-        self._cache.move_to_end(key)
+        if entry is not None:
+            self.hits += 1
+            self._cache.move_to_end(key)
         return entry
 
     def _cache_put(self, key: tuple, entry) -> None:
@@ -211,7 +195,6 @@ class Autotuner:
         key = self._key(workload)
         cached = self._cache_get(key)
         if cached is not None:
-            self.hits += 1
             return cached
         candidates = enumerate_valid_configs(workload, self.gpu)
         if not candidates:
@@ -232,56 +215,13 @@ class Autotuner:
         return len(self._cache)
 
     def counters(self) -> dict:
-        """JSON-friendly memo counter snapshot.  ``evictions`` counts
-        both LRU overflow and ``tune_profiled`` stale-stamp slots — a
-        re-rank under a new profile stamp evicts the old ranking."""
+        """JSON-friendly memo counter snapshot."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "entries": len(self._cache),
         }
-
-    # -- persistent rankings -------------------------------------------------
-    def _store_load(self, key: tuple, stamp):
-        """A stored ranking for (key, exact stamp) reconstructed as an
-        :class:`AutotuneResult`, or None (store off / absent / corrupt /
-        stale — every failure degrades to a fresh ranking)."""
-        if self.store is None or stamp is None:
-            return None
-        from repro.errors import VMError
-
-        try:
-            payload = self.store.load_rankings(
-                self.store_scope, repr(key), list(stamp)
-            )
-        except VMError:
-            return None
-        if payload is None:
-            return None
-        try:
-            config = MatmulConfig(**payload["config"])
-            return AutotuneResult(
-                config,
-                float(payload["estimated_latency"]),
-                int(payload["num_candidates"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def _store_publish(self, key: tuple, stamp, result: AutotuneResult) -> None:
-        if self.store is None or stamp is None:
-            return
-        from dataclasses import asdict
-
-        payload = {
-            "config": asdict(result.config),
-            "estimated_latency": result.estimated_latency,
-            "num_candidates": result.num_candidates,
-        }
-        self.store.publish_rankings(
-            self.store_scope, repr(key), payload, list(stamp)
-        )
 
     # -- measured tuning -----------------------------------------------------
     def _trial_configs(self, workload: MatmulWorkload, top_k: int) -> list[MatmulConfig]:
@@ -374,7 +314,6 @@ class Autotuner:
         key = self._key(workload) + ("measured",)
         cached = self._cache_get(key)
         if cached is not None:
-            self.hits += 1
             return cached
         trials = self._trial_configs(workload, top_k)
         runtime = runtime if runtime is not None else Runtime()
@@ -386,84 +325,4 @@ class Autotuner:
                 best_cfg, best_time = cfg, elapsed
         result = AutotuneResult(best_cfg, best_time, len(trials))
         self._cache_put(key, result)
-        return result
-
-    # -- profile-guided tuning -----------------------------------------------
-    def tune_profiled(
-        self,
-        workload: MatmulWorkload,
-        profile,
-        runtime=None,
-        top_k: int = 3,
-        repeats: int = 3,
-    ) -> AutotuneResult:
-        """:meth:`tune_measured`, with recorded profiles standing in for
-        fresh measurement runs.
-
-        For each trial configuration the template is instantiated and its
-        **specialization key** computed; if ``profile`` (a
-        :class:`~repro.runtime.profiling.Profile`, e.g. recorded by a
-        profiled serving run and loaded from JSON) holds launches of that
-        key, their mean recorded wall time is used directly and *nothing
-        executes*.  Only candidates the profile has never seen fall back
-        to real measurement (on the given or a lazily created runtime).
-        This is the PGO hand-off: production traffic measures, the tuner
-        re-ranks for free.
-
-        Caveat on mixing sources: recorded times are *means* over the
-        profiled traffic (warm and cold calls alike) while fresh
-        measurement takes the best of ``repeats`` — when the head of the
-        ranking mixes both, the comparison mildly favours the
-        never-profiled candidates.  Record comparable traffic for every
-        candidate you care about, or fall back to
-        :meth:`tune_measured` for a level playing field.
-
-        Results are memoized per workload, keyed to the profile's
-        content stamp: re-tuning after the profile absorbed new traffic
-        re-ranks instead of returning the stale winner, while one
-        workload keeps at most one cached entry (the latest stamp
-        replaces the previous — no growth under live traffic).
-        """
-        import numpy as np
-
-        from repro.compiler.pipeline import specialization_key
-        from repro.runtime.profiling import spec_string
-
-        key = self._key(workload) + ("profiled",)
-        stamp = profile.stamp() if profile is not None else None
-        cached = self._cache_get(key)
-        if cached is not None and cached[0] == stamp:
-            self.hits += 1
-            return cached[1]
-        if cached is not None:
-            # Stale stamp: the slot is replaced below.  That replacement
-            # is an eviction of the old ranking, and counting it keeps
-            # ``evictions`` an honest census of every discarded entry.
-            self.evictions += 1
-        stored = self._store_load(key, stamp)
-        if stored is not None:
-            self._cache_put(key, (stamp, stored))
-            return stored
-        trials = self._trial_configs(workload, top_k)
-        rng = np.random.default_rng(0)
-        best_cfg, best_time = None, math.inf
-        for cfg in trials:
-            program, _ = self._trial_program(workload, cfg)
-            # Pointer arguments are excluded from the key, so zeros
-            # stand in for the device addresses a real launch would bind.
-            spec = spec_string(
-                specialization_key(program, [0] * len(program.params))
-            )
-            elapsed = profile.spec_seconds(spec) if profile is not None else None
-            if elapsed is None:
-                if runtime is None:
-                    from repro.runtime import Runtime
-
-                    runtime = Runtime()
-                elapsed = self._measure_config(workload, cfg, runtime, repeats, rng)
-            if elapsed < best_time:
-                best_cfg, best_time = cfg, elapsed
-        result = AutotuneResult(best_cfg, best_time, len(trials))
-        self._cache_put(key, (stamp, result))
-        self._store_publish(key, stamp, result)
         return result

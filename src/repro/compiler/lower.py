@@ -752,13 +752,11 @@ class LoweredKernel:
     source: str
     passes: tuple
     buffer_len: int
-    shared_used: bool
-    num_consts: int
     num_params: int
     _fn: Callable = field(repr=False, default=None)
     #: The constant pool the source closes over (C0, C1, ...).  Carried
-    #: so the tuning store can persist a kernel as source + consts and
-    #: rehydrate it in a fresh process without re-running the passes.
+    #: so ``tools/kernel_profile.py`` can re-run the source statement by
+    #: statement.
     consts: dict = field(repr=False, default=None)
     launches: int = 1
     shared: tuple = ()
@@ -833,8 +831,8 @@ class FlattenToSource:
         source = "def _jit_kernel(mem, ptrs, stats):\n" + "\n".join(
             "    " + line for line in body
         )
-        # The pool a kernel carries (and the store persists) is what its
-        # source names: constants folded away at compile time stay behind.
+        # The pool a kernel carries is what its source names: constants
+        # folded away at compile time stay behind.
         pool = state.emitter.consts
         consts = {name: pool[name] for name in _CONST_NAME.findall(source)}
         code = compile(source, f"<jit:{state.program.name}>", "exec")
@@ -850,8 +848,6 @@ class FlattenToSource:
             source=source,
             passes=PASS_NAMES,
             buffer_len=len(state.memory.buffer),
-            shared_used=walk.shared.used,
-            num_consts=len(consts),
             num_params=len(state.program.params),
             _fn=namespace["_jit_kernel"],
             consts=consts,

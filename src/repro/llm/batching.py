@@ -31,24 +31,18 @@ later step replays the frozen DAG — rebinding each slot's activation and
 output buffers when the in-flight set changes — skipping per-launch
 scheduling, hazard analysis, and coalescing decisions entirely.
 
-With ``profile=True`` the run records a reusable per-node
+With ``profile=True`` the run records a per-node
 :class:`~repro.runtime.profiling.Profile` of every decode kernel
-(attached to the returned :class:`TraceResult` and saveable as JSON):
-the measured costs feed ``Autotuner.tune_profiled``
-for measurement-free re-tuning — serving traffic becomes the profile the
-tuner consumes.
+(attached to the returned :class:`TraceResult` and saveable as JSON) —
+an observation of what serving cost; nothing spends it.
 
-Engine state is not the simulator's: the compiled tier and the tuning
-store live on the operator's :class:`~repro.runtime.runtime.Runtime`
-(``decode_linear.runtime``), and the simulator reads them there.  With
+Engine state is not the simulator's: the compiled tier lives on the
+operator's :class:`~repro.runtime.runtime.Runtime`
+(``decode_linear.runtime``), and the simulator reads it there.  With
 ``runtime.enable_jit()`` hot decode specializations run compiled
 (``TraceResult.jit_compiled`` / ``jit_promotions``) — promotion is the
 manager's invocation count, kept across runs, so a JIT run is profiled
-only when asked (``profile=True``) or when a store is attached.  With
-``runtime.attach_store(...)`` the simulator boots from the store
-(``runtime.warm_start()``, once) and
-:meth:`ContinuousBatchingSimulator.publish_store` writes the converged
-state back.
+only when asked (``profile=True``).
 :meth:`repro.serving.spec.WorkerSpec.build_simulator` is where a recipe
 becomes such a configured runtime.
 """
@@ -209,8 +203,8 @@ class ContinuousBatchingSimulator:
     in-flight set changes; set it False to eager-submit every step.
     ``profile=True`` records every decode kernel into a reusable
     :class:`~repro.runtime.profiling.Profile` on ``TraceResult.profile``.
-    The compiled tier and tuning store are read from
-    ``decode_linear.runtime`` (see the module docstring).
+    The compiled tier is read from ``decode_linear.runtime`` (see the
+    module docstring).
     """
 
     def __init__(
@@ -223,6 +217,9 @@ class ContinuousBatchingSimulator:
         use_graphs: bool = True,
         profile: bool = False,
     ) -> None:
+        if max_batch < 1:
+            # No request could ever be admitted: ``run`` would spin.
+            raise ValueError(f"max_batch must be at least 1, got {max_batch}")
         self.model = model
         self.config = config
         self.max_batch = max_batch
@@ -238,19 +235,12 @@ class ContinuousBatchingSimulator:
         self._graphs: dict = {}
         #: Every profiled run's records, merged (each run installs a
         #: fresh per-trace profile): what a worker exports on
-        #: ``pull_state`` and what :meth:`publish_store` persists.
+        #: ``pull_state``.
         self.served_profile = Profile()
-        #: The previous generation's profile, loaded from the runtime's
-        #: tuning store at boot and inherited into the next publication
-        #: (None: no store, no entry, or a corrupt one — the boot
-        #: proceeds cold).
-        self._warm_profile = None
         #: Free slots — (activation, output) device-buffer pairs, one per
         #: in-flight request, kept for the simulator's life: at most
         #: ``max_batch`` are ever allocated.
         self._free_slots: list[tuple[int, int]] = []
-        if decode_linear is not None:
-            self._warm_profile = decode_linear.runtime.warm_start()
 
     @property
     def graphs(self):
@@ -261,8 +251,8 @@ class ContinuousBatchingSimulator:
         """One flat snapshot of the simulator's counters under the
         frozen dot-namespaced contract
         (:data:`repro.obs.metrics.SIMULATOR_METRICS_KEYS`): the
-        kernel-in-the-loop runtime's full ``runtime.*``/``jit.*``/
-        ``store.*`` snapshot (zeros when decode runs analytically,
+        kernel-in-the-loop runtime's full ``runtime.*``/``streams.*``/
+        ``jit.*`` snapshot (zeros when decode runs analytically,
         with no kernel in the loop) plus the ``batching.*`` graph
         census.  This is what workers ship on ``pull_trace`` next to
         their event buffers."""
@@ -294,18 +284,12 @@ class ContinuousBatchingSimulator:
             return self._run_loop(pending, outcome)
         runtime = self.decode_linear.runtime
         jit = runtime.jit
-        # The store publishes the profile, so a run with one attached is
-        # profiled even when the caller did not ask to keep it
-        # (outcome.profile stays None unless profile=True).
-        profiling = self.profile or runtime.store is not None
-        if profiling:
+        if self.profile:
             # Fresh profile per run so the trace's records are its own
             # (a caller-enabled profiler must not bleed in), restored on
             # exit so caller profiling survives the trace unchanged.
             prior = runtime.disable_profiling()
-            fresh = runtime.enable_profiling(Profile())
-            if self.profile:
-                outcome.profile = fresh
+            outcome.profile = runtime.enable_profiling(Profile())
         compiled_before = jit.compiled if jit is not None else 0
         promotions_before = jit.promotions if jit is not None else 0
         try:
@@ -314,7 +298,7 @@ class ContinuousBatchingSimulator:
             if jit is not None:
                 outcome.jit_compiled = jit.compiled - compiled_before
                 outcome.jit_promotions = jit.promotions - promotions_before
-            if profiling:
+            if self.profile:
                 self.served_profile.merge(runtime.disable_profiling())
                 if prior is not None:
                     runtime.enable_profiling(prior)
@@ -470,20 +454,6 @@ class ContinuousBatchingSimulator:
             graph.replay(bindings)
             outcome.graph_replays += 1
         outcome.kernel_launches += batch
-
-    # -- persistent tuning store ---------------------------------------------
-    def publish_store(self) -> dict:
-        """Persist this simulator's converged serving state through its
-        runtime's store (:meth:`~repro.runtime.runtime.Runtime.publish_store`):
-        the merged profile (warm inheritance + every run served here)
-        and the JIT tier's kernel sources — so the next process
-        boots converged."""
-        runtime = self.decode_linear.runtime
-        merged = Profile()
-        for part in (self._warm_profile, self.served_profile, runtime.profiler):
-            if part is not None:
-                merged.merge(part)
-        return runtime.publish_store(merged)
 
 
 def uniform_trace(

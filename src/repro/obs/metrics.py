@@ -14,7 +14,6 @@ Namespaces:
 - ``runtime.*``   — launches, the specialization cache, engine stats
 - ``streams.*``   — pool width, launches, post-coalescing executions
 - ``jit.*``       — compiled tier: promotion/bailout/cache counters
-- ``store.*``     — persistent tuning store: hit/miss/publish/gc
 - ``batching.*``  — the continuous-batching simulator's graph census
 - ``router.*``    — fleet aggregates (``router.shed`` is the admission
   reject count — the door is where overload is measured)
@@ -57,11 +56,6 @@ RUNTIME_METRICS_KEYS = frozenset({
     "jit.cache.hits",
     "jit.cache.misses",
     "jit.cache.evictions",
-    "store.enabled",
-    "store.hits",
-    "store.misses",
-    "store.publishes",
-    "store.gc_evictions",
 })
 
 #: ``ContinuousBatchingSimulator.metrics()`` keys: the runtime contract

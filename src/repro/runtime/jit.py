@@ -156,25 +156,12 @@ class JitManager:
         #: Launches actually executed on the compiled tier (a stacked
         #: invocation counts each launch it carries).
         self.promotions = 0
-        #: Kernels restored from a tuning store (no pass pipeline run).
-        self.rehydrated = 0
-        #: Store-loaded kernel records per spec string, decoded lazily
-        #: at promotion time (a corrupt record degrades to a compile).
-        self._stored: dict[str, dict] = {}
 
     # -- policy --------------------------------------------------------------
     @staticmethod
     def _entry(key: tuple, launches: int, shared: tuple) -> tuple:
         """The cache / memo entry of a stack: one launch shares nothing."""
         return (key, launches, tuple(shared) if launches > 1 else ())
-
-    def _count(self, spec: str, seen: int) -> None:
-        """Record ``seen`` declined invocations of ``spec`` (caller
-        holds the lock)."""
-        self._seen[spec] = seen
-        self._seen.move_to_end(spec)
-        while len(self._seen) > self._max_memo:
-            self._seen.popitem(last=False)
 
     def maybe_compile(
         self,
@@ -215,8 +202,10 @@ class JitManager:
                 return None
             if not forced:
                 spec = spec_string(key)
-                seen = self._seen.get(spec, 0) + 1
-                self._count(spec, seen)
+                seen = self._seen[spec] = self._seen.get(spec, 0) + 1
+                self._seen.move_to_end(spec)
+                while len(self._seen) > self._max_memo:
+                    self._seen.popitem(last=False)
                 if seen <= PROMOTE_AFTER:
                     return None
         with self._lock:
@@ -228,30 +217,6 @@ class JitManager:
             if entry in self._bailed:
                 return None
             tracer = obs_trace.ACTIVE
-            # The store persists single-launch kernels only; a stacked
-            # one re-lowers.
-            record = (
-                self._stored.pop(spec_string(key), None) if launches == 1 else None
-            )
-            if record is not None:
-                from repro.errors import VMError
-                from repro.store import decode_kernel
-
-                try:
-                    kernel = decode_kernel(record, self.memory, key)
-                except VMError:
-                    kernel = None  # corrupt record: fall through and compile
-                if kernel is not None:
-                    self.cache.put(entry, kernel)
-                    self.rehydrated += 1
-                    if tracer is not None:
-                        tracer.instant(
-                            f"jit.rehydrate:{program.name}",
-                            "jit",
-                            obs_trace.HOST_TID,
-                            {"rehydrated": self.rehydrated},
-                        )
-                    return kernel
             try:
                 kernel = lower_program(
                     program, args, self.memory, self.shared_capacity, launches, entry[2]
@@ -293,26 +258,6 @@ class JitManager:
             self.promotions += len(args_list)
         return kernel.run_many(self.memory, args_list, stats)
 
-    # -- store warm-start ----------------------------------------------------
-    def stage_kernels(self, records: list) -> int:
-        """Stage store-loaded kernel records for lazy rehydration.  A
-        staged record is the heat — another process already promoted
-        this specialization — so its next invocation, at any group size,
-        compiles: the single-launch kernel decoded from the record
-        instead of re-lowered.  Malformed list entries are skipped; a
-        record that later fails to decode degrades to a cold compile.
-        Returns the number staged."""
-        staged = 0
-        with self._lock:
-            for record in records:
-                spec = record.get("spec") if isinstance(record, dict) else None
-                if not isinstance(spec, str):
-                    continue
-                self._stored[spec] = record
-                self._count(spec, PROMOTE_AFTER)
-                staged += 1
-        return staged
-
     # -- introspection -------------------------------------------------------
     def bailout_reason(
         self, program, args: Sequence, launches: int = 1, shared: tuple = ()
@@ -332,7 +277,6 @@ class JitManager:
                 "compiled": self.compiled,
                 "bailouts": self.bailouts,
                 "promotions": self.promotions,
-                "rehydrated": self.rehydrated,
                 "cache_hits": self.cache.hits,
                 "cache_misses": self.cache.misses,
                 "cache_evictions": self.cache.evictions,

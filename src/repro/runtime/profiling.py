@@ -1,4 +1,4 @@
-"""Per-node execution profiling: the measurement half of the PGO loop.
+"""Per-node execution profiling: what every launch cost, observed.
 
 This module records what every launch actually cost — wall time,
 instruction count, bits moved, engine used, coalescing-group membership
@@ -9,18 +9,15 @@ instruction count, bits moved, engine used, coalescing-group membership
   node index — per-site observability of a replayed DAG;
 - an eager launch (synchronous or streamed) records under its
   **specialization-key string** and stream — one site per distinct
-  kernel specialization, the identity
-  :meth:`repro.autotune.tuner.Autotuner.tune_profiled` matches so
-  recorded serving traffic replaces fresh measurement runs (each record
-  also carries the program name, for coarser dashboard aggregation).
+  kernel specialization (each record also carries the program name, for
+  coarser dashboard aggregation).
 
 A :class:`Profile` is a bag of those records with per-stream and
-per-graph aggregation and a versioned JSON serialization, so a profile
-gathered in one process (a serving run) can be saved, loaded elsewhere,
-and fed to ``tune_profiled`` — the classic
-profile-guided-optimization workflow (cf. Liu et al. in PAPERS.md).  A
-profile observes; nothing in the runtime reads it to decide how a launch
-executes (JIT promotion is the manager's own invocation count).
+per-graph aggregation, a versioned JSON serialization and
+:meth:`~Profile.merge`, so a profile gathered in one process (a serving
+worker exports its own on ``pull_state``) can be read and combined in
+another.  A profile observes; nothing reads it to decide anything (JIT
+promotion is the manager's own invocation count).
 
 Recording is thread-safe (host threads sharing a runtime may record
 concurrently) and costs nothing when disabled: the engines' hot paths check a single
@@ -329,32 +326,6 @@ class Profile:
                 agg["calls"] += node.calls
                 agg["wall_s"] += node.wall_s
         return out
-
-    def spec_seconds(self, spec: str) -> float | None:
-        """Mean wall seconds per launch across every site with this
-        specialization-key string, or ``None`` when never recorded —
-        the :meth:`~repro.autotune.tuner.Autotuner.tune_profiled`
-        lookup."""
-        wall = 0.0
-        calls = 0
-        with self._lock:
-            for node in self.nodes.values():
-                if node.spec == spec:
-                    wall += node.wall_s
-                    calls += node.calls
-        return wall / calls if calls else None
-
-    def stamp(self) -> tuple:
-        """A cheap content fingerprint — (sites, total calls, total wall
-        seconds) — used by memoizing consumers (``tune_profiled``) to
-        notice the profile absorbed new traffic.  Takes the lock:
-        profiles may be actively recording while being consumed."""
-        with self._lock:
-            return (
-                len(self.nodes),
-                sum(node.calls for node in self.nodes.values()),
-                sum(node.wall_s for node in self.nodes.values()),
-            )
 
     def merge(self, other: "Profile") -> "Profile":
         """Absorb ``other``'s records (summing shared sites); returns self."""

@@ -34,13 +34,9 @@ Promotion is counted — a signature promotes once the manager has left
 is read — and bit-exact: signatures the pipeline cannot lower fall back
 to the batched engine.
 
-The runtime is the one owner of engine state: besides the execution
-context it holds the attached persistent tuning store
-(:meth:`Runtime.attach_store`, then :meth:`~Runtime.warm_start` /
-:meth:`~Runtime.publish_store` — the only code that spends or publishes
-stored profiles and JIT state), and the layers above (:mod:`repro.ops`,
-:mod:`repro.llm.batching`, :mod:`repro.serving`) read ``runtime.jit`` /
-``.store`` instead of keeping copies.
+The runtime is the one owner of engine state: the layers above
+(:mod:`repro.ops`, :mod:`repro.llm.batching`, :mod:`repro.serving`) read
+``runtime.jit`` / ``runtime.profiler`` instead of keeping copies.
 """
 
 from __future__ import annotations
@@ -69,7 +65,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.profiling import EAGER, HOST_STREAM, Profile
 from repro.runtime.streams import LaunchHandle, Stream, StreamPool
-from repro.store import TuningStore
 from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory, TensorView
 
@@ -178,10 +173,6 @@ class Runtime:
         self._workspace_addr: int | None = None
         self._workspace_size = 0
         self._pool: StreamPool | None = None
-        #: Attached :class:`~repro.store.TuningStore` and the scope its
-        #: entries are keyed under (see :meth:`attach_store`), or None.
-        self.store: TuningStore | None = None
-        self.store_scope = ""
         if engine == "compiled":
             self.enable_jit()
 
@@ -199,9 +190,9 @@ class Runtime:
         the given ``profile`` (installed, replacing any active one), the
         already-active one, or a fresh one.  Every later launch —
         synchronous, streamed, or graph-replayed through this runtime's
-        pool — records a per-node cost into it.  The profile feeds
-        :meth:`~repro.autotune.tuner.Autotuner.tune_profiled` and
-        serializes to JSON (``profile.save(path)``) for reuse across
+        pool — records a per-node cost into it.  The profile is an
+        observation: nothing reads it to decide how a launch executes;
+        it serializes to JSON (``profile.save(path)``) and merges across
         processes.
         """
         if profile is not None:
@@ -268,71 +259,6 @@ class Runtime:
         intact, so re-enabling resumes warm)."""
         manager, self.jit = self.jit, None
         return manager
-
-    # -- persistent tuning store ---------------------------------------------
-    def attach_store(self, store, scope: str) -> TuningStore:
-        """Attach a persistent :class:`~repro.store.TuningStore` (a live
-        store or its directory path); returns it.  ``scope`` keys every
-        entry this runtime reads and writes, so processes sharing a
-        scope share tuning state.  :meth:`warm_start` spends what another
-        process published, :meth:`publish_store` persists this one's.
-        Every load degrades: a corrupt entry raises ``VMError`` inside
-        the store (counted as a ``store.misses``) and the runtime
-        proceeds cold."""
-        if not isinstance(store, TuningStore):
-            store = TuningStore(store)
-        self.store, self.store_scope = store, scope
-        return store
-
-    def warm_start(self) -> Profile | None:
-        """Spend the store's boot-time state: stored kernel records are
-        staged on the attached compiled tier (a staged specialization is
-        hot at boot), and the stored
-        :class:`~repro.runtime.profiling.Profile` is returned for the
-        caller to spend (``tune_profiled``, inheritance into the next
-        publication).
-        None without a store, an entry, or a readable one — warm start
-        never fails; the worst outcome is a cold boot."""
-        if self.store is None:
-            return None
-        try:
-            profile = self.store.load_profile(self.store_scope)
-        except VMError:
-            profile = None
-        if self.jit is not None:
-            try:
-                payload = self.store.load_jit(self.store_scope)
-            except VMError:
-                payload = None
-            if payload is not None:
-                self.jit.stage_kernels(payload["kernels"])
-        return profile
-
-    def publish_store(self, profile: Profile | None = None) -> dict:
-        """Persist converged state for the next process: ``profile``
-        (default: the active profiler) and the attached compiled tier's
-        kernel sources.  Best-effort per artifact — a failed
-        publication (``VMError`` / ``OSError``) is counted in ``errors``
-        and the other still lands.  Returns what was written:
-        ``{"profile", "jit_kernels", "errors"}``."""
-        summary = {"profile": False, "jit_kernels": 0, "errors": 0}
-        store, scope = self.store, self.store_scope
-        if store is None:
-            return summary
-        if profile is None:
-            profile = self.profiler
-        if profile is not None and len(profile) > 0:
-            try:
-                store.publish_profile(scope, profile)
-                summary["profile"] = True
-            except (VMError, OSError):
-                summary["errors"] += 1
-        if self.jit is not None:
-            try:
-                summary["jit_kernels"] = store.publish_jit(scope, self.jit)
-            except (VMError, OSError):
-                summary["errors"] += 1
-        return summary
 
     # -- streams ------------------------------------------------------------
     def stream_pool(self, num_streams: int = 4) -> StreamPool:
@@ -496,15 +422,13 @@ class Runtime:
         (:data:`repro.obs.metrics.RUNTIME_METRICS_KEYS`).  Subsumes the
         per-subsystem counter objects — the specialization cache, the
         merged :class:`~repro.vm.interp.ExecutionStats`, the stream
-        pool, the JIT manager, the tuning store — without replacing
-        them; absent subsystems report zeros so the key set never
-        varies."""
+        pool, the JIT manager — without replacing them; absent
+        subsystems report zeros so the key set never varies."""
         from repro.obs.metrics import RUNTIME_METRICS_KEYS, validate_metrics
 
         stats = self.stats()
         pool = self._pool
         jit = self.jit
-        store = self.store
         snapshot = {
             "runtime.launches": self.context.launches,
             "runtime.spec_cache.entries": len(self.cache),
@@ -530,10 +454,5 @@ class Runtime:
             "jit.cache.hits": jit.cache.hits if jit is not None else 0,
             "jit.cache.misses": jit.cache.misses if jit is not None else 0,
             "jit.cache.evictions": jit.cache.evictions if jit is not None else 0,
-            "store.enabled": int(store is not None),
-            "store.hits": store.hits if store is not None else 0,
-            "store.misses": store.misses if store is not None else 0,
-            "store.publishes": store.publishes if store is not None else 0,
-            "store.gc_evictions": store.gc_evictions if store is not None else 0,
         }
         return validate_metrics(snapshot, RUNTIME_METRICS_KEYS, "Runtime")

@@ -2,7 +2,7 @@
 
 The runtime package is the **local engine**: one process's
 :class:`~repro.runtime.runtime.Runtime` owns all engine state — spec
-cache, profiler, compiled tier, attached tuning store.
+cache, profiler, compiled tier.
 This package is everything *between* engines:
 
 - :mod:`~repro.serving.spec` — the deterministic rebuild recipe

@@ -22,14 +22,31 @@ lives in the recipe, not in any live object.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.errors import VMError
 
 #: Version 2 dropped the ``adaptive`` field, version 3 the JIT
-#: promotion-threshold override (specs are an ephemeral router → worker
-#: recipe; :meth:`WorkerSpec.store_scope` hashed neither).
-SPEC_JSON_VERSION = 3
+#: promotion-threshold override, version 4 the tuning-store path (specs
+#: are an ephemeral router → worker recipe, so an older document is
+#: refused by its version, not read).
+SPEC_JSON_VERSION = 4
+
+#: The Python type each field's annotation names.
+_FIELD_TYPES = {"str": str, "int": int, "bool": bool}
+
+#: The least value each count may take: shapes and groups are at least
+#: one, a seed is what ``default_rng`` accepts, and ``num_streams=0``
+#: issues the decode kernels synchronously.
+_MINIMUM = {
+    "group_size": 1,
+    "linear_k": 1,
+    "linear_n": 1,
+    "linear_group": 1,
+    "weight_seed": 0,
+    "max_batch": 1,
+    "num_streams": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -64,12 +81,28 @@ class WorkerSpec:
     #: :mod:`repro.obs.trace`): the worker buffers span/instant events
     #: and ships them on ``pull_trace`` for the router's fleet merge.
     trace: bool = False
-    #: Directory of a persistent :class:`~repro.store.TuningStore`.
-    #: A worker built from a spec with a path boots *converged*: stored
-    #: kernels staged (hot at boot), the stored profile inherited, and it
-    #: publishes its own converged state back on shutdown.  None (the
-    #: default) serves cold.
-    store_path: str | None = None
+
+    def __post_init__(self) -> None:
+        """Refuse a recipe that cannot serve when it is made — through
+        the constructor and :meth:`from_json` alike — not when a worker
+        built from it fails or hangs: each field must have its
+        annotation's type (a ``bool`` is not an ``int``, nor an ``int``
+        a ``bool``) and each count its range."""
+        for spec_field in fields(self):
+            name, value = spec_field.name, getattr(self, spec_field.name)
+            kind = _FIELD_TYPES[spec_field.type]
+            if not isinstance(value, kind) or (
+                kind is int and isinstance(value, bool)
+            ):
+                raise VMError(
+                    f"worker spec field {name!r} must be {kind.__name__}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
+            if name in _MINIMUM and value < _MINIMUM[name]:
+                raise VMError(
+                    f"worker spec field {name!r} must be at least "
+                    f"{_MINIMUM[name]}, got {value}"
+                )
 
     # -- JSON round-trip -----------------------------------------------------
     def to_json(self) -> str:
@@ -119,29 +152,13 @@ class WorkerSpec:
         except KeyError as exc:
             raise VMError(f"unknown model in worker spec: {self.model!r}") from exc
 
-    def store_scope(self) -> str:
-        """The tuning-store scope every worker sharing this recipe's
-        *engine identity* reads and writes.  Hashes only the fields that
-        determine what executes (model, dtypes, shapes, seed) — not
-        observability or store knobs — so a respawned or scaled-out
-        worker lands on the state its identical siblings published."""
-        import hashlib
-
-        identity = (
-            self.model, self.system, self.weight_dtype, self.gpu,
-            self.group_size, self.linear_k, self.linear_n,
-            self.linear_dtype, self.linear_group, self.weight_seed,
-        )
-        digest = hashlib.sha256(repr(identity).encode("utf-8")).hexdigest()
-        return f"worker-{digest[:16]}"
-
     def build_simulator(self):
         """Build this spec's kernel-in-the-loop
         :class:`~repro.llm.batching.ContinuousBatchingSimulator`.
 
         This is the one place the recipe's engine fields become state:
         they configure a fresh :class:`~repro.runtime.runtime.Runtime`
-        (compiled tier, tuning store), the decode
+        (the compiled tier), the decode
         linear is prepared on it, and the simulator reads them from
         there.
 
@@ -160,8 +177,6 @@ class WorkerSpec:
         runtime = Runtime()
         if self.jit:
             runtime.enable_jit()
-        if self.store_path is not None:
-            runtime.attach_store(self.store_path, self.store_scope())
         weight = np.random.default_rng(self.weight_seed).standard_normal(
             (self.linear_k, self.linear_n)
         )

@@ -77,15 +77,6 @@ def worker_main(conn, spec_json: str) -> None:
         msg = recv_msg(conn)
         kind = msg["type"]
         if kind == "shutdown":
-            if spec.store_path is not None:
-                # Best-effort: persist this worker's converged tuning
-                # state so the next spawn (respawn, scale-out, a fresh
-                # fleet) boots warm.  A publish failure must never turn
-                # a clean shutdown into a crash.
-                try:
-                    sim.publish_store()
-                except Exception:
-                    pass
             break
         if kind == "crash":
             # Fault injection: die exactly as a killed process would —

@@ -550,10 +550,8 @@ def rewind(mark) -> None:
     recorded nothing."""
 
 
-#: The names generated kernels — and kernel sources persisted in tuning
-#: stores — call the table by.  Signatures are part of the store format
-#: and the set only grows (``_tolog`` is no longer emitted; ``_place`` and
-#: ``_tab`` are the cheap forms of a masked gather and a narrow cast).
+#: The names generated kernels call the table by (``_place`` and ``_tab``
+#: are the cheap forms of a masked gather and a narrow cast).
 KERNEL_NAMESPACE = {
     "_dec": decode,
     "_enc": encode,
@@ -565,7 +563,6 @@ KERNEL_NAMESPACE = {
     "_pbits": pattern_bits,
     "_vg": check_view_global,
     "_lk": check_lookup,
-    "_tolog": to_logical,
     "_viewp": regroup,
     "_rq": requantize,
     "_tolg": gather_logical,
@@ -573,12 +570,6 @@ KERNEL_NAMESPACE = {
     "_place": place,
     "_tab": take_table,
 }
-
-#: The table's generation, as a stored kernel record carries it beside
-#: its pass list: a new name is a new emitted form, so a record stamped
-#: with fewer names is what an older walk emitted — it still runs, and a
-#: store re-lowers it rather than serve that walk's speed.
-KERNEL_NAMESPACE_STAMP = "table:" + ",".join(sorted(KERNEL_NAMESPACE))
 
 #: Of those, the ones called for what they do — write a buffer, raise —
 #: not for a value: a kernel keeps them as statements, in order.

@@ -8,32 +8,47 @@ from repro.kernels import MatmulConfig
 from repro.perf import L40S, MatmulWorkload
 
 
+@pytest.fixture(scope="module")
+def enumerated():
+    """``dtype -> (workload, candidates)`` for the ``(16, 8192, 8192)``
+    workloads: each is enumerated once (~0.7 s) for the whole module."""
+    cache = {}
+
+    def get(dtype):
+        if dtype not in cache:
+            w = MatmulWorkload.of(16, 8192, 8192, dtype)
+            cache[dtype] = (w, enumerate_valid_configs(w, L40S))
+        return cache[dtype]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def shared_tuner():
+    """One tuner for the tests that only read its results."""
+    return Autotuner(L40S)
+
+
 class TestEnumeration:
-    def test_candidate_count_in_paper_range(self):
+    def test_candidate_count_in_paper_range(self, enumerated):
         """'around 200 configurations per operator' — same order here."""
-        configs = enumerate_valid_configs(
-            MatmulWorkload.of(16, 8192, 8192, "u4"), L40S
-        )
+        _, configs = enumerated("u4")
         assert 100 <= len(configs) <= 2500
 
-    def test_all_candidates_valid(self):
-        w = MatmulWorkload.of(16, 8192, 8192, "u3")
-        for cfg in enumerate_valid_configs(w, L40S):
+    def test_all_candidates_valid(self, enumerated):
+        w, configs = enumerated("u3")
+        for cfg in configs:
             cfg.validate(w.weight_dtype)  # must not raise
             assert w.n % cfg.block_n == 0
             assert w.k % cfg.block_k == 0
 
-    def test_odd_width_prunes_misaligned(self):
+    def test_odd_width_prunes_misaligned(self, enumerated):
         """u3 weights prune configs whose fragment is not byte-aligned."""
-        w3 = MatmulWorkload.of(16, 8192, 8192, "u3")
-        w4 = MatmulWorkload.of(16, 8192, 8192, "u4")
-        assert len(enumerate_valid_configs(w3, L40S)) < len(
-            enumerate_valid_configs(w4, L40S)
-        )
+        assert len(enumerated("u3")[1]) < len(enumerated("u4")[1])
 
-    def test_shared_capacity_respected(self):
-        w = MatmulWorkload.of(16, 8192, 8192, "u8")
-        for cfg in enumerate_valid_configs(w, L40S):
+    def test_shared_capacity_respected(self, enumerated):
+        _, configs = enumerated("u8")
+        for cfg in configs:
             assert cfg.shared_bytes(16, 8) <= L40S.shared_mem_per_sm
 
 
@@ -51,10 +66,10 @@ class TestTuning:
         assert result.config.block_n >= 64
         assert result.config.split_k == 1
 
-    def test_pipelining_always_chosen(self):
+    def test_pipelining_always_chosen(self, shared_tuner):
         """num_stages >= 2 dominates: overlap never hurts in the model."""
         for m in (1, 16, 4096):
-            result = Autotuner(L40S).tune(MatmulWorkload.of(m, 8192, 8192, "u4"))
+            result = shared_tuner.tune(MatmulWorkload.of(m, 8192, 8192, "u4"))
             assert result.config.num_stages >= 2
 
     def test_cache(self):
@@ -96,36 +111,6 @@ class TestTuning:
         with pytest.raises(ValueError, match="max_entries"):
             Autotuner(L40S, max_entries=0)
 
-    def test_profiled_stale_stamp_counts_as_miss(self):
-        """``tune_profiled`` keyed to the profile's content stamp: new
-        traffic re-ranks (a miss), an unchanged profile hits."""
-        from repro.runtime import Runtime
-
-        tuner = Autotuner(L40S)
-        w = MatmulWorkload.of(16, 16, 64, "i6")
-        runtime = Runtime()
-        first = tuner.tune_profiled(w, None, runtime=runtime, top_k=1, repeats=1)
-        assert (tuner.hits, tuner.misses) == (0, 1)
-        again = tuner.tune_profiled(w, None, runtime=runtime, top_k=1, repeats=1)
-        assert again is first
-        assert (tuner.hits, tuner.misses) == (1, 1)
-        # A profile whose stamp moved since the memoized ranking is a
-        # miss (re-rank), and one workload still holds one entry.
-        from repro.runtime import Profile
-
-        profile = Profile()
-        profile.record("t", 0, "p", "spec", "batched", 0, 0.01)
-        tuner.tune_profiled(w, profile, runtime=runtime, top_k=1, repeats=1)
-        assert (tuner.hits, tuner.misses) == (1, 2)
-        tuner.tune_profiled(w, profile, runtime=runtime, top_k=1, repeats=1)
-        assert (tuner.hits, tuner.misses) == (2, 2)
-        profile.record("t", 1, "p", "spec", "batched", 0, 0.01)
-        tuner.tune_profiled(w, profile, runtime=runtime, top_k=1, repeats=1)
-        assert (tuner.hits, tuner.misses) == (2, 3)
-        # One workload, one profiled slot: each new stamp overwrote the
-        # previous entry in place — no growth under live traffic.
-        assert tuner.cache_size() == 1
-
     def test_impossible_workload(self):
         with pytest.raises(AutotuneError):
             Autotuner(L40S).tune(MatmulWorkload.of(1, 7, 13, "u4"))
@@ -136,8 +121,8 @@ class TestTuning:
         large = config_latency_estimate(MatmulWorkload.of(1, 8192, 28672, "u4"), cfg, L40S)
         assert large > small
 
-    def test_describe(self):
-        result = Autotuner(L40S).tune(MatmulWorkload.of(16, 8192, 8192, "u4"))
+    def test_describe(self, shared_tuner):
+        result = shared_tuner.tune(MatmulWorkload.of(16, 8192, 8192, "u4"))
         text = result.describe()
         assert "BM" in text and "us" in text
 

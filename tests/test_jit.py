@@ -867,7 +867,6 @@ class TestForwarding:
                 key = (buf, produced.get(addr, addr), rest)
                 assert key not in seen, f"gathered twice: {expr}"
                 seen.add(key)
-        assert _calls(kernel, "_tolog") == 0  # the zero-fill + scatter form
         # The k-loop is distributed: the A, B and scale tiles of all 4
         # k-steps are each gathered, unpacked and cast once (unrolled, they
         # read _gb 10, _dec 6, _rq 9, _tolg 8, _viewp / _tab / _place 4);
@@ -1144,9 +1143,9 @@ class TestJitManager:
     BAILING = (2, 3)
 
     @staticmethod
-    def _reference_model(calls, staged):
+    def _reference_model(calls):
         """What ``maybe_compile`` answers (a kernel?) for each call."""
-        seen = dict.fromkeys(staged, PROMOTE_AFTER)  # staged: hot at boot
+        seen = {}
         cached, bailed, answers = set(), set(), []
         for k, launches, forced, shared in calls:
             # One launch shares nothing: its entry ignores ``shared``.
@@ -1169,14 +1168,12 @@ class TestJitManager:
             ),
             max_size=60,
         ),
-        staged=st.sets(st.integers(0, 3)),
     )
-    def test_promotion_matches_reference_model(self, calls, staged):
+    def test_promotion_matches_reference_model(self, calls):
         """Promotion is a pure function of the call sequence: count per
         key, promote after ``PROMOTE_AFTER``, forced immediately and
         uncounted, kernel cache and bailout memo per ``(key, G, shared)``
-        — a single launch ignoring ``shared`` — staged key hot at boot
-        (its undecodable record degrading to a compile)."""
+        — a single launch ignoring ``shared``."""
         programs = [SimpleNamespace(name="lowers"), SimpleNamespace(name="bails")]
 
         def fake_lower(program, args, memory, shared_capacity, launches, shared):
@@ -1185,9 +1182,6 @@ class TestJitManager:
             return SimpleNamespace(launches=launches, shared=shared)
 
         manager = JitManager(GlobalMemory(1 << 12))
-        manager.stage_kernels(
-            [{"spec": spec_string(("key", k))} for k in sorted(staged)]
-        )
         with mock.patch("repro.runtime.jit.lower_program", fake_lower):
             answers = [
                 manager.maybe_compile(
@@ -1196,14 +1190,11 @@ class TestJitManager:
                 )
                 for k, launches, forced, shared in calls
             ]
-        assert [a is not None for a in answers] == self._reference_model(
-            calls, staged
-        )
+        assert [a is not None for a in answers] == self._reference_model(calls)
         assert all(
             a is None or (a.launches, a.shared) == (c[1], c[3] if c[1] > 1 else ())
             for a, c in zip(answers, calls)
         )
-        assert manager.rehydrated == 0
         assert manager.compiled == len(manager.cache)
         assert manager.bailouts == len(manager._bailed)
 

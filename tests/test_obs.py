@@ -186,11 +186,6 @@ BASELINE_RUNTIME_KEYS = {
     "jit.cache.hits",
     "jit.cache.misses",
     "jit.cache.evictions",
-    "store.enabled",
-    "store.hits",
-    "store.misses",
-    "store.publishes",
-    "store.gc_evictions",
 }
 
 BASELINE_SIMULATOR_KEYS = BASELINE_RUNTIME_KEYS | {

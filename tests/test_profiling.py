@@ -1,13 +1,15 @@
 """The profiling subsystem and graph optimization: per-node recording
 across every execution mode, JSON round-trips and their negative paths,
 dead-node elimination that never drops observable work (loop-carried
-state included), and the tuner/serving integrations."""
+state included), and the serving integration."""
 
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dtypes import float16
 from repro.errors import VMError
@@ -240,6 +242,32 @@ class TestJsonRoundTrip:
         with pytest.raises(VMError, match="version"):
             Profile.from_json(bad)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.sampled_from(["s0", "s1"]),        # scope
+                st.integers(min_value=0, max_value=7),  # ident
+                st.sampled_from(["spec-a", "spec-b", "spec-c"]),
+                st.sampled_from(["sequential", "batched"]),
+                st.integers(min_value=0, max_value=3),  # stream
+                st.floats(min_value=1e-9, max_value=10.0,
+                          allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_profile_roundtrip_bit_identical(self, records):
+        """What a worker ships on ``pull_state`` is read back bit for
+        bit: records, and every aggregate over them."""
+        profile = Profile()
+        for scope, ident, spec, engine, stream, wall in records:
+            profile.record(scope, ident, "prog", spec, engine, stream, wall)
+        loaded = Profile.from_json(profile.to_json())
+        assert loaded.to_json() == profile.to_json()
+        assert loaded.per_stream() == profile.per_stream()
+        assert loaded.per_graph() == profile.per_graph()
+
     def test_merge_sums_shared_sites(self):
         _, first = self._collect()
         clone = Profile.from_json(first.to_json())
@@ -433,108 +461,8 @@ class TestDeadNodeElimination:
 
 
 # ---------------------------------------------------------------------------
-# Integrations: tuner, serving
+# Integration: serving
 # ---------------------------------------------------------------------------
-
-
-class TestTuneProfiled:
-    def _workload(self):
-        from repro.perf.workload import MatmulWorkload
-
-        return MatmulWorkload.of(16, 16, 64, "i6")
-
-    def test_recorded_specs_replace_measurement(self):
-        from repro.autotune.tuner import Autotuner
-        from repro.compiler.pipeline import specialization_key
-        from repro.runtime.profiling import spec_string
-
-        workload = self._workload()
-        tuner = Autotuner()
-        trials = tuner._trial_configs(workload, top_k=2)
-        profile = Profile()
-        for rank, cfg in enumerate(trials):
-            program, _ = tuner._trial_program(workload, cfg)
-            spec = spec_string(
-                specialization_key(program, [0] * len(program.params))
-            )
-            profile.record(
-                EAGER, spec, program.name, spec, "batched", HOST_STREAM,
-                0.001 * (rank + 1),
-            )
-        poisoned = object()  # measurement would crash on this "runtime"
-        result = tuner.tune_profiled(workload, profile, runtime=poisoned, top_k=2)
-        # The recorded times decided the winner — the cheapest spec wins
-        # without a single launch executing.
-        assert result.config == trials[0]
-        assert result.estimated_latency == pytest.approx(0.001)
-        assert result.num_candidates == 2
-
-    def test_unseen_specs_fall_back_to_measurement(self):
-        from repro.autotune.tuner import Autotuner
-
-        workload = self._workload()
-        rt = Runtime()
-        result = Autotuner().tune_profiled(
-            workload, Profile(), runtime=rt, top_k=1, repeats=1
-        )
-        assert result.config is not None
-        assert rt.context.launches >= 1
-
-    def test_new_traffic_invalidates_the_memo(self):
-        from repro.autotune.tuner import Autotuner
-        from repro.compiler.pipeline import specialization_key
-        from repro.runtime.profiling import spec_string
-
-        workload = self._workload()
-        tuner = Autotuner()
-        profile = Profile()
-        rt = Runtime()
-        first = tuner.tune_profiled(workload, profile, runtime=rt, top_k=1, repeats=1)
-        # The profile absorbs traffic for the trial config; re-tuning
-        # must spend it instead of returning the memoized result.
-        (cfg,) = tuner._trial_configs(workload, top_k=1)
-        program, _ = tuner._trial_program(workload, cfg)
-        spec = spec_string(specialization_key(program, [0] * len(program.params)))
-        profile.record(EAGER, spec, program.name, spec, "batched", HOST_STREAM, 0.5)
-        second = tuner.tune_profiled(workload, profile, runtime=object(), top_k=1)
-        assert second.estimated_latency == pytest.approx(0.5)
-        assert second.estimated_latency != first.estimated_latency
-
-    def test_stamp_distinguishes_equal_counts_with_new_timings(self):
-        # Two profiles with identical structure but different recorded
-        # wall times must not collide in the tuner's memo key.
-        slow, fast = Profile(), Profile()
-        slow.record(EAGER, "s", "p", "s", "batched", HOST_STREAM, 0.9)
-        fast.record(EAGER, "s", "p", "s", "batched", HOST_STREAM, 0.1)
-        assert slow.stamp() != fast.stamp()
-        assert slow.stamp()[:2] == fast.stamp()[:2]
-
-    def test_serving_profile_feeds_the_tuner(self):
-        # The full PGO hand-off: a profiled run through the real operator
-        # records the decode kernel's spec; tune_profiled then ranks that
-        # configuration without re-executing it.
-        from repro import ops
-        from repro.autotune.tuner import Autotuner
-        from repro.dtypes import int6
-        from repro.perf.workload import MatmulWorkload
-
-        rng = np.random.default_rng(0)
-        # group_size 64 == min(workload default, k), so the operator's
-        # program is spec-identical to the tuner's trial instantiation.
-        linear = ops.prepare_linear(
-            rng.standard_normal((64, 16)), int6, group_size=64,
-            config=Autotuner()._trial_configs(
-                MatmulWorkload.of(1, 16, 64, "i6"), top_k=1
-            )[0],
-        )
-        linear.runtime.enable_profiling()
-        linear(rng.standard_normal((1, 64)))
-        profile = linear.runtime.profiler
-        workload = MatmulWorkload.of(1, 16, 64, "i6")
-        result = Autotuner().tune_profiled(
-            workload, profile, runtime=object(), top_k=1
-        )
-        assert result.config is not None
 
 
 class TestServingProfile:

@@ -14,7 +14,7 @@ import multiprocessing as mp
 import pytest
 
 from repro.errors import VMError
-from repro.llm.batching import Request
+from repro.llm.batching import ContinuousBatchingSimulator, Request
 from repro.serving import (
     CRASH_EXIT_CODE,
     Router,
@@ -159,13 +159,14 @@ class TestWorkerSpec:
             jit=True, profile=True,
         )
         assert WorkerSpec.from_json(spec.to_json()) == spec
-        # The recipe is JSON v3; a v2 document (which could carry the
-        # removed promotion threshold) fails on its version stamp.
+        assert WorkerSpec.from_json(WorkerSpec().to_json()) == WorkerSpec()
+        # The recipe is JSON v4; a v3 document (which could carry the
+        # removed tuning-store directory) fails on its version stamp.
         body = json.loads(spec.to_json())
-        assert body["version"] == 3
-        v2 = dict(body, version=2, jit_threshold_s=0.0)
-        with pytest.raises(VMError, match="version mismatch: got 2, expected 3"):
-            WorkerSpec.from_json(json.dumps(v2))
+        assert body["version"] == 4
+        v3 = dict(body, version=3)
+        with pytest.raises(VMError, match="version mismatch: got 3, expected 4"):
+            WorkerSpec.from_json(json.dumps(v3))
 
     def test_wrong_kind_and_version_rejected(self):
         with pytest.raises(VMError, match="not a worker-spec"):
@@ -175,7 +176,7 @@ class TestWorkerSpec:
         with pytest.raises(VMError, match="version mismatch"):
             WorkerSpec.from_json(json.dumps(body))
         with pytest.raises(VMError, match="malformed worker spec"):
-            WorkerSpec.from_json(json.dumps({"kind": "worker-spec", "version": 3,
+            WorkerSpec.from_json(json.dumps({"kind": "worker-spec", "version": 4,
                                              "no_such_field": 1}))
 
     def test_v1_spec_json_is_rejected_by_version(self):
@@ -183,10 +184,58 @@ class TestWorkerSpec:
         version 1) fails on its version stamp, not on the stray field:
         router and worker from different builds disagree loudly."""
         body = json.loads(WorkerSpec().to_json())
-        assert body["version"] == 3 and "adaptive" not in body
+        assert body["version"] == 4 and "adaptive" not in body
         v1 = dict(body, version=1, adaptive=False)
-        with pytest.raises(VMError, match="version mismatch: got 1, expected 3"):
+        with pytest.raises(VMError, match="version mismatch: got 1, expected 4"):
             WorkerSpec.from_json(json.dumps(v1))
+
+    #: One field the wire could carry wrong, per case: wrong types (a
+    #: ``bool`` is not a count, nor a string a flag) and out-of-range
+    #: counts.  ``max_batch=0`` used to hang ``run`` forever.
+    BAD_FIELDS = [
+        ("max_batch", 0),
+        ("max_batch", True),
+        ("max_batch", "8"),
+        ("max_batch", 8.0),
+        ("num_streams", -3),
+        ("num_streams", None),
+        ("jit", "no"),
+        ("jit", 1),
+        ("use_graphs", 0),
+        ("profile", "true"),
+        ("trace", None),
+        ("model", 7),
+        ("system", None),
+        ("weight_dtype", 4),
+        ("gpu", ["L40S"]),
+        ("linear_dtype", 6),
+        ("group_size", 0),
+        ("linear_k", 0),
+        ("linear_n", -16),
+        ("linear_group", 0),
+        ("weight_seed", -1),
+        ("weight_seed", False),
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD_FIELDS)
+    def test_bad_field_is_refused_when_made(self, field, value):
+        """A spec that cannot serve raises ``VMError`` naming the field
+        at construction, and ``from_json`` — the wire's way in — refuses
+        the same document the same way."""
+        with pytest.raises(VMError, match=f"field {field!r}"):
+            WorkerSpec(**{field: value})
+        body = dict(json.loads(WorkerSpec().to_json()), **{field: value})
+        with pytest.raises(VMError, match=f"field {field!r}"):
+            WorkerSpec.from_json(json.dumps(body))
+
+    def test_zero_batch_never_reaches_the_simulator(self):
+        """``max_batch=0`` could admit no request, so the batching loop
+        refuses it too, whoever builds it."""
+        with pytest.raises(ValueError, match="max_batch"):
+            ContinuousBatchingSimulator(
+                WorkerSpec().model_config(), WorkerSpec().serving_config(),
+                max_batch=0,
+            )
 
     def test_unknown_model_rejected(self):
         with pytest.raises(VMError, match="unknown model"):
@@ -546,15 +595,18 @@ class TestCrossProcessState:
         }
         live = sim.graphs[max(sim.graphs)]
 
-        # 3. The worker's profile parses, carries the parent graph's
-        #    signature and the decode kernel's spec, and merges into a
-        #    fresh runtime's profiler (the fleet warm-start path).
+        # 3. The worker's profile parses, holds a record under the
+        #    parent graph's signature and the decode kernel's spec, and
+        #    merges into a fresh runtime's profiler.
         worker_profile = Profile.from_json(state["profile"])
-        assert any(n.scope == live.signature for n in worker_profile.nodes.values())
         decode_spec = spec_string(live.nodes[0].key)
-        assert worker_profile.spec_seconds(decode_spec) is not None
+        served = [
+            node for node in worker_profile.nodes.values()
+            if node.scope == live.signature and node.spec == decode_spec
+        ]
+        assert served and all(node.calls >= 1 for node in served)
         absorbed = Runtime().enable_profiling().merge(worker_profile)
-        assert absorbed.spec_seconds(decode_spec) is not None
+        assert absorbed.to_json() == worker_profile.to_json()
 
         # 4. Cache counters crossed as plain JSON numbers.
         assert state["cache"]["misses"] >= 1

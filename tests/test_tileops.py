@@ -459,18 +459,16 @@ def test_gather_bytes_from_the_first_lane_is_the_zero_seeded_loop(nbytes, n, see
         tileops.gather_bytes(buf, addr + BUFFER_BYTES, nbytes, "{}")
 
 
-def test_kernel_namespace_only_grows():
-    """Every name a kernel lowered by an earlier pipeline calls is still
-    bound (a pass-list mismatch, not a NameError, retires old records)."""
-    through_pr_15 = {
-        "_dec", "_enc", "_gb", "_gsb", "_gather", "_scb", "_ssb", "_pbits",
-        "_vg", "_lk", "_tolog", "_viewp",
-    }  # fmt: skip
-    through_pr_20 = through_pr_15 | {"_rq", "_tolg", "_ew"}
-    assert through_pr_20 <= set(tileops.KERNEL_NAMESPACE)
-    # ... and a grown table restamps the store's records by itself.
-    assert tileops.KERNEL_NAMESPACE_STAMP == "table:" + ",".join(sorted(tileops.KERNEL_NAMESPACE))
-    assert tileops.KERNEL_NAMESPACE["_tolog"] is tileops.to_logical  # scatter form
+def test_kernel_namespace_binds_table_functions():
+    """A kernel calls the table by the names in ``KERNEL_NAMESPACE``:
+    each names one distinct table function, the effects are among them,
+    and the scatter form ``to_logical``, which no handler emits, has no
+    name (a handler that called it would bail out of lowering)."""
+    functions = list(tileops.KERNEL_NAMESPACE.values())
+    assert len(set(functions)) == len(functions)
+    assert all(getattr(tileops, fn.__name__) is fn for fn in functions)
+    assert tileops.KERNEL_EFFECTS <= set(tileops.KERNEL_NAMESPACE)
+    assert tileops.to_logical not in functions
 
 
 # ---------------------------------------------------------------------------
