@@ -220,10 +220,10 @@ class _Affine:
 
     It supports exactly the arithmetic that keeps it affine — ``+``,
     ``-``, ``*`` by a number, indexing, ``np.where``, ``np.broadcast_to``
-    — so the scalar evaluator and the handlers carry a pointer through
-    address math unchanged and every concrete part still folds at compile
-    time.  Anything else (a branch on it, a division, an index made of
-    it) raises :class:`LoweringBailout`.
+    — and ``np.ndim``, so the scalar evaluator and the handlers carry a
+    pointer through address math unchanged and every concrete part still
+    folds at compile time.  Anything else (a branch on it, a division, an
+    index made of it) raises :class:`LoweringBailout`.
     """
 
     __slots__ = ("terms", "conc")
@@ -271,6 +271,8 @@ class _Affine:
         return _Affine.of({leaf[key]: c[key] for leaf, c in self.terms.items()}, self.conc[key])
 
     def __array_function__(self, func, types, args, kwargs):
+        if func is np.ndim:
+            return self.ndim
         if func is np.broadcast_to:
             shape = args[1]
             return _Affine(
@@ -287,6 +289,15 @@ class _Affine:
             }
             return _Affine.of(terms, np.where(mask, new.conc, old.conc))
         raise LoweringBailout("non-affine pointer arithmetic")
+
+    @property
+    def ndim(self) -> int:
+        """0 when it is one number at run time — every pointer in it one
+        number for the whole stack, every coefficient and the concrete
+        part scalars — else the rank of the array it is."""
+        return max([np.ndim(self.conc)] + [
+            max(np.ndim(c), 0 if leaf.scalar else 1) for leaf, c in self.terms.items()
+        ])
 
     def sym(self) -> _Sym:
         """The expression computing it in the kernel."""

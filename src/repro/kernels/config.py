@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.dtypes import DataType
 from repro.errors import CompilationError
-from repro.layout import WARP_SIZE, MmaConfig, mma_m16n8k16
+from repro.layout import MMA_CONFIGS, WARP_SIZE, MmaConfig
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class MatmulConfig:
         return self.block_m // self.warps_m
 
     def mma(self) -> MmaConfig:
-        return mma_m16n8k16()
+        """The ``mma.m16n8k16`` atom, built once (:data:`MMA_CONFIGS`)."""
+        return MMA_CONFIGS["mma.m16n8k16"]
 
     def validate(self, weight_dtype: DataType) -> None:
         """Raise :class:`CompilationError` when the config cannot express a

@@ -67,6 +67,17 @@ registers and the loop variable hold their last iteration's values.  If
 an early statement raises, the attempt is forgotten (:func:`tileops.rewind`)
 and the loop runs serially, so every error is the serial loop's.
 
+A masked tile carries only its live lanes
+-----------------------------------------
+A masked load that leaves lanes out of bounds holds just the in-bounds
+ones (``Register.live``); what reads it as a logical tensor gets one
+scatter of their decoded values into the decoded zero pattern, laid out
+straight into the row order a distributed loop cuts.  A ``Cast`` of a
+register held only as a logical tensor stays logical and rounds when
+read, and a masked store takes from such a register only the lanes it
+writes (:meth:`TileWalk.written`).  Bits and
+decoded values keep their definitions, so what reads them is unchanged.
+
 Engine selection
 ----------------
 :func:`select_engine` implements the policy used by
@@ -339,26 +350,47 @@ class Register:
     a ``View``, a store, a divergent merge.  Each twin is an array, or
     under a lowering trace the kernel's name for one.
 
+    Two producers hold less than a twin.  A masked load that leaves lanes
+    out of bounds holds its ``live`` lanes: ``(valid, patterns)``, the
+    launch-constant ``(rows, T * L)`` mask of in-bounds lanes and one
+    gathered pattern per True, row-major.  Its bits are those placed into
+    zeros and its logical tensor one scatter of the decoded live values
+    (:meth:`TileWalk.live_logical`), so an ``M = 1`` row of an ``m16``
+    tile decodes and moves one row, not sixteen.  A ``Cast`` of a
+    register held only as a logical tensor holds its result
+    ``unrounded``: its logical twin is ``requantize(dtype,
+    unrounded)``, rounded when read — a masked store rounds and packs only
+    the lanes it writes (:meth:`TileWalk.written`).
+
     ``part`` is ``(walk, whole, k)`` for iteration ``k`` of a register a
     distributed loop computed once for all its iterations on ``walk``'s
     rows (:meth:`TileWalk.distributed`): a twin is then computed on the
     whole and cut to the iteration (:meth:`TileWalk.cut`).
     """
 
-    __slots__ = ("dtype", "layout", "bits", "vals", "logical", "shared", "part")
+    __slots__ = ("dtype", "layout", "bits", "vals", "logical", "live", "unrounded",
+                 "shared", "part")
 
-    def __init__(self, dtype, layout, bits=None, vals=None, logical=None,
-                 shared: bool = False, part=None) -> None:
+    def __init__(self, dtype, layout, bits=None, vals=None, logical=None, live=None,
+                 unrounded=None, shared: bool = False, part=None) -> None:
         self.dtype = dtype
         self.layout = layout
         self.bits = bits
         self.vals = vals
         self.logical = logical
+        self.live = live
+        self.unrounded = unrounded
         self.shared = shared
         self.part = part
 
     def __repr__(self) -> str:
         return f"Register({self.dtype}, {self.layout.short_repr()})"
+
+    @property
+    def logical_only(self) -> bool:
+        """Held as a logical tensor (rounded or not) and nothing else."""
+        return (self.part is None and self.live is None and self.bits is None
+                and self.vals is None)
 
 
 class View:
@@ -722,9 +754,13 @@ class TileWalk(LockstepWalk):
     def bits(self, reg: Register):
         """``reg``'s patterns: where a value is packed."""
         if reg.bits is None:
-            reg.bits = self.cut(reg, "bits") if reg.part else self.ops.hold(
-                self.ops.encode(reg.dtype, self.vals(reg))
-            )
+            if reg.part:
+                bits = self.cut(reg, "bits")
+            elif reg.live is not None:
+                bits = self.ops.place(*reg.live).reshape(self.shape3(reg.layout, reg.shared))
+            else:
+                bits = self.ops.encode(reg.dtype, self.vals(reg))
+            reg.bits = self.ops.hold(bits)
         return reg.bits
 
     def vals(self, reg: Register):
@@ -732,11 +768,11 @@ class TileWalk(LockstepWalk):
         if reg.vals is None:
             if reg.part:
                 vals = self.cut(reg, "vals")
-            elif reg.bits is not None:
-                vals = self.ops.decode(reg.dtype, reg.bits)
+            elif reg.bits is not None or reg.live is not None:
+                vals = self.ops.decode(reg.dtype, self.bits(reg))
             else:
                 vals = self.ops.gather_logical(
-                    reg.logical, self.shape3(reg.layout, reg.shared),
+                    self.logical(reg), self.shape3(reg.layout, reg.shared),
                     tileops.logical_slots(reg.layout),
                 )
             reg.vals = self.ops.hold(vals)
@@ -745,31 +781,75 @@ class TileWalk(LockstepWalk):
     def logical(self, reg: Register):
         """``reg`` as a ``(B,) + layout.shape`` tensor of decoded values."""
         if reg.logical is None:
-            reg.logical = self.cut(reg, "logical") if reg.part else self.ops.hold(
-                self.ops.gather_logical(
+            if reg.part:
+                logical = self.cut(reg, "logical")
+            elif reg.unrounded is not None:
+                logical = self.ops.requantize(reg.dtype, reg.unrounded)
+            elif reg.live is not None:
+                logical = self.live_logical(reg)
+            else:
+                logical = self.ops.gather_logical(
                     self.vals(reg),
                     (self.rows(reg.shared),) + tuple(reg.layout.shape),
                     tileops.logical_inverse(reg.layout),
                 )
-            )
+            reg.logical = self.ops.hold(logical)
         return reg.logical
 
+    def live_logical(self, reg: Register, order=None):
+        """The logical tensor of a register holding live lanes: one scatter
+        of their decoded values into the decoded zero pattern — the
+        positions composed, at compile time, from the valid mask, the
+        layout's last writers and the row ``order``
+        (:func:`tileops.live_positions`)."""
+        valid, patterns = reg.live
+        positions, keep = tileops.live_positions(valid, reg.layout, order)
+        if keep is not None:
+            patterns = patterns[keep]
+        fill = tileops.decode(reg.dtype, np.zeros(1, dtype=np.uint64))
+        return self.ops.live_logical(
+            fill, self.ops.decode(reg.dtype, patterns),
+            (valid.shape[0],) + tuple(reg.layout.shape), positions,
+        )
+
+    def written(self, reg: Register, select: np.ndarray):
+        """The patterns of a register held only as a logical tensor at the
+        ``(B, T * L)`` lanes ``select`` holds, row-major: its logical twin
+        read through the layout's slots there, rounded (if it holds the
+        tensor unrounded) and packed there alone."""
+        lanes = np.arange(select.shape[0])[:, None] * reg.layout.size
+        at = (lanes + tileops.logical_slots(reg.layout))[select]
+        if reg.logical is not None:
+            values = reg.logical.reshape(-1)[at]
+        else:
+            values = self.ops.requantize(reg.dtype, reg.unrounded.reshape(-1)[at])
+        return self.ops.encode(reg.dtype, values)
+
     def twins(self, reg: Register) -> tuple:
-        """``reg``'s ``(bits, vals, logical)`` as it holds them — cut
-        first, for a register of a distributed loop, from each twin its
-        whole holds."""
-        if reg.part:
-            whole = reg.part[1]
-            for twin in ("bits", "vals", "logical"):
-                if getattr(whole, twin) is not None:
-                    getattr(self, twin)(reg)
+        """``reg``'s ``(bits, vals, logical)`` as it holds them, one at
+        least: live lanes are placed (bits: a loaded pattern need not be
+        the one its value encodes to), an unrounded tensor is rounded —
+        cut first, for a register of a distributed loop, from each twin
+        its whole holds."""
+        whole = reg.part[1] if reg.part else reg
+        held = [twin for twin in ("bits", "vals", "logical") if getattr(whole, twin) is not None]
+        for twin in held or ["bits" if whole.live is not None else "logical"]:
+            getattr(self, twin)(reg)
         return reg.bits, reg.vals, reg.logical
 
     def cut(self, reg: Register, twin: str):
         """A twin of iteration ``k`` of a distributed loop's register:
         computed once on the whole, on the rows of every iteration, and
-        cut to ``k``'s."""
+        cut to ``k``'s.  The logical tensor of live lanes is scattered
+        straight into iteration-major rows."""
         walk, whole, k = reg.part
+        if twin == "logical" and whole.logical is None and whole.live is not None:
+            ordered = walk.by_iteration.get(id(whole))
+            if ordered is None:
+                ordered = walk.by_iteration[id(whole)] = (whole, self.ops.hold(
+                    walk.live_logical(whole, walk.iteration_order(whole.shared))
+                ))
+            return walk.run(ordered[1], k, whole.shared)
         return walk.iteration(getattr(walk, twin)(whole), k, whole.shared)
 
     def regrouped(self, reg: Register, nbits: int):
@@ -780,8 +860,13 @@ class TileWalk(LockstepWalk):
             return bits
         return self.ops.hold(self.ops.regroup(bits, reg.dtype.nbits, nbits))
 
-    def rounded(self, dtype, layout, values, shared: bool = False) -> Register:
-        """A register of ``dtype`` holding ``values`` rounded to it."""
+    def rounded(self, dtype, layout, values, shared: bool = False,
+                logical: bool = False) -> Register:
+        """A register of ``dtype`` holding ``values`` rounded to it — or,
+        for values computed on a ``logical`` tensor, holding them
+        unrounded: its logical twin rounds them when read."""
+        if logical:
+            return Register(dtype, layout, unrounded=self.ops.hold(values), shared=shared)
         return Register(
             dtype, layout, vals=self.ops.hold(self.ops.requantize(dtype, values)),
             shared=shared,
@@ -869,7 +954,9 @@ class TileWalk(LockstepWalk):
         walk.iteration_index = np.broadcast_to(
             np.arange(iterations).reshape(1, iterations, 1), grid
         ).reshape(-1)
-        walk.by_iteration = {}  # id(twin) -> (twin, its rows iteration-major)
+        #: id(twin) -> (twin, its rows iteration-major); for a register of
+        #: live lanes, id(register) -> (register, its logical tensor so).
+        walk.by_iteration = {}
         return walk
 
     def spread(self, value):
@@ -888,22 +975,33 @@ class TileWalk(LockstepWalk):
             return value
         return np.broadcast_to(value, (self.nblocks // self.iterations,))[self.copied]
 
+    def iteration_order(self, shared: bool):
+        """The order that makes each iteration's rows one contiguous run
+        (row ``i`` is row ``order[i]``), None where they already are: one
+        launch's rows, or one launch's stack."""
+        if shared or self.launches == 1:
+            return None
+        order = np.arange(self.nblocks).reshape(self.launches, self.iterations, -1)
+        return order.swapaxes(0, 1).reshape(-1)
+
     def iteration(self, twin, k: int, shared: bool):
         """Iteration ``k``'s rows of ``twin``, held on this walk's rows
         (one launch's when ``shared``): a contiguous run of them."""
         if self.iterations == 1:
             return twin
-        per = self.rows(shared) // self.iterations
-        if not shared and self.launches > 1:
+        order = self.iteration_order(shared)
+        if order is not None:
             # The whole stack's rows are launch-major: gather them once
             # in iteration-major order, then every cut is a run.
             cached = self.by_iteration.get(id(twin))
             if cached is None:
-                order = np.arange(self.nblocks).reshape(self.launches, self.iterations, -1)
-                cached = self.by_iteration[id(twin)] = (
-                    twin, self.ops.hold(twin[order.swapaxes(0, 1).reshape(-1)])
-                )
+                cached = self.by_iteration[id(twin)] = (twin, self.ops.hold(twin[order]))
             twin = cached[1]
+        return self.run(twin, k, shared)
+
+    def run(self, twin, k: int, shared: bool):
+        """Iteration ``k``'s run of iteration-major rows."""
+        per = self.rows(shared) // self.iterations
         return self.ops.hold(twin[k * per:(k + 1) * per])
 
     # -- view addressing ----------------------------------------------------
@@ -933,11 +1031,12 @@ class TileWalk(LockstepWalk):
         shift = (bit_off % 8).astype(np.uint64)
         return self.ops.gather_subbyte(view.buf, addr, shift, nbits, view.oob)
 
-    def gather_zfill(self, view: View, indices: list, shared: bool = False):
+    def gather_masked(self, view: View, indices: list, shared: bool = False):
         """Gather with out-of-bounds elements reading as zero bits (masked
-        loads, ``cp.async`` zfill).  Only the in-bounds lanes are gathered
-        — selected like a scatter's — and placed into zeros; a tile wholly
-        out of bounds touches no memory."""
+        loads, ``cp.async`` zfill): the ``(rows, n)`` patterns when every
+        lane is in bounds, else the live lanes ``(valid, patterns)`` — only
+        the in-bounds lanes gathered, selected like a scatter's.  A tile
+        wholly out of bounds touches no memory."""
         valid = bounds_mask(indices, view.shape)
         if bool(valid.all()):
             return self.gather(view, tileops.linear_index(view.shape, view.dtype, indices))
@@ -947,23 +1046,32 @@ class TileWalk(LockstepWalk):
             return np.zeros((rows, valid.shape[-1]), dtype=np.uint64)
         flat, rows, valid = selected
         linear = tileops.linear_index(view.shape, view.dtype, flat)
-        return self.ops.place(valid, self.gather(view, linear, rows))
+        return valid, self.gather(view, linear, rows)
 
-    def scatter(self, view: View, indices: list, patterns, select: np.ndarray) -> None:
-        """Write patterns (one per index) at per-block (B, n) multi-indices
-        where ``select`` holds (inactive blocks, masked-out lanes are
-        skipped).  Flattening is block-major, so overlapping writes
-        resolve in the same order as sequential per-block execution."""
+    def gather_zfill(self, view: View, indices: list, shared: bool = False):
+        """:meth:`gather_masked`'s patterns, live lanes placed into zeros."""
+        got = self.gather_masked(view, indices, shared)
+        return self.ops.place(*got) if isinstance(got, tuple) else got
+
+    def scatter(self, view: View, indices: list, value, select: np.ndarray) -> None:
+        """Write ``value`` — patterns, one per index, or a register held
+        only as a logical tensor (:meth:`written`) — at per-block (B, n)
+        multi-indices where ``select`` holds (inactive blocks, masked-out
+        lanes are skipped).  Flattening is block-major, so overlapping
+        writes resolve in the same order as sequential per-block
+        execution."""
         selected = tileops.select_flat(indices, self.nblocks, select)
         if selected is None:
             return
         flat, rows, select = selected
         linear = tileops.linear_index(view.shape, view.dtype, flat)
         nbits = view.dtype.nbits
-        if bool(select.all()):
-            patterns = patterns.reshape(-1)
+        if isinstance(value, Register):
+            patterns = self.ops.hold(self.written(value, select))
+        elif bool(select.all()):
+            patterns = value.reshape(-1)
         else:
-            patterns = patterns.reshape(select.shape)[select]
+            patterns = value.reshape(select.shape)[select]
         if nbits % 8 == 0:
             addr = view.base[rows] + linear * (nbits // 8)
             self.ops.scatter_bytes(view.buf, addr, patterns, nbits // 8, view.oob)
@@ -991,15 +1099,18 @@ class TileWalk(LockstepWalk):
     def _h_view_global(self, inst: insts.ViewGlobal, active) -> None:
         ttype = inst.out.ttype
         shape = tileops.view_shape(ttype.shape, lambda s: self.scalar(s, active), active)
-        ptr = np.broadcast_to(self.scalar(inst.ptr, active), (self.nblocks,))
-        base = np.where(active, ptr, 0)
+        ptr = self.scalar(inst.ptr, active)
+        base = np.where(active, np.broadcast_to(ptr, (self.nblocks,)), 0)
         buflen = len(self.memory.buffer)
         limit = (buflen - 8) * 8
         size = int(np.prod(shape)) if shape else 1
-        self.ops.check_view_global(
-            base * 8, size * ttype.dtype.nbits, limit,
-            *tileops.view_global_messages(ttype.dtype, shape, limit),
-        )
+        checks = tileops.view_global_messages(ttype.dtype, shape, limit)
+        if np.ndim(ptr) == 0 and bool(active.all()):
+            # One pointer for every block (one launch's, or the one a
+            # stack shares): one base to check.
+            self.ops.check_view_base(ptr, size * ttype.dtype.nbits, limit, *checks)
+        else:
+            self.ops.check_view_global(base * 8, size * ttype.dtype.nbits, limit, *checks)
         self.bind_tensor(inst.out, View(self.mem, base, ttype.dtype, shape, buflen), active)
 
     @LOCKSTEP.register(insts.AllocateRegister)
@@ -1044,7 +1155,7 @@ class TileWalk(LockstepWalk):
         indices = self.tile_indices(ttype.layout, inst.offset, active, inst.broadcast_dims)
         src, indices, shared = self.one_launch(src, indices, active)
         if getattr(inst, "masked", False):
-            bits = self.gather_zfill(src, indices, shared)
+            bits = self.gather_masked(src, indices, shared)
         else:
             bits = self.gather(src, tileops.linear_index(
                 src.shape, src.dtype, indices, where=None if shared else active[:, None]
@@ -1054,8 +1165,11 @@ class TileWalk(LockstepWalk):
             self.stats.shared_bits_loaded += loaded
         else:
             self.stats.global_bits_loaded += loaded
-        bits = self.ops.hold(bits.reshape(self.shape3(ttype.layout, shared)))
-        out = Register(ttype.dtype, ttype.layout, bits=bits, shared=shared)
+        if isinstance(bits, tuple):
+            out = Register(ttype.dtype, ttype.layout, live=bits, shared=shared)
+        else:
+            bits = self.ops.hold(bits.reshape(self.shape3(ttype.layout, shared)))
+            out = Register(ttype.dtype, ttype.layout, bits=bits, shared=shared)
         self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.StoreGlobal, insts.StoreShared)
@@ -1065,11 +1179,14 @@ class TileWalk(LockstepWalk):
         indices = self.tile_indices(value.layout, inst.offset, active)
         select = active[:, None]
         counted = active
-        if getattr(inst, "masked", False):
+        masked = getattr(inst, "masked", False)
+        if masked:
             valid = bounds_mask(indices, dst.shape)
             select = select & valid
             counted = active & valid.any(axis=1)
-        self.scatter(dst, indices, self.bits(value), select)
+        # A masked store of a logical tensor packs only the lanes it writes.
+        lanes = value if masked and value.logical_only else self.bits(value)
+        self.scatter(dst, indices, lanes, select)
         stored = value.layout.size * dst.dtype.nbits * int(counted.sum())
         if isinstance(inst, insts.StoreShared):
             self.stats.shared_bits_stored += stored
@@ -1122,18 +1239,19 @@ class TileWalk(LockstepWalk):
     @LOCKSTEP.register(insts.Cast)
     def _h_cast(self, inst: insts.Cast, active) -> None:
         (a,) = self.operands(active, self.lookup_tensor(inst.a))
-        if a.vals is None and a.bits is not None and a.dtype.nbits <= 8:
+        if a.vals is None and (a.bits is not None or a.live is not None) and a.dtype.nbits <= 8:
             # Still packed and narrow: the cast is a lookup, not arithmetic.
             table = tileops.cast_table(a.dtype, inst.dtype)
             out = Register(
-                inst.dtype, a.layout, vals=self.ops.hold(self.ops.take_table(table, a.bits)),
-                shared=a.shared,
+                inst.dtype, a.layout,
+                vals=self.ops.hold(self.ops.take_table(table, self.bits(a))), shared=a.shared,
             )
         else:
-            values = self.vals(a)
+            logical = a.logical_only
+            values = self.logical(a) if logical else self.vals(a)
             if inst.dtype.is_integer and a.dtype.is_float:
                 values = np.trunc(values)
-            out = self.rounded(inst.dtype, a.layout, values, a.shared)
+            out = self.rounded(inst.dtype, a.layout, values, a.shared, logical)
         self.bind_tensor(inst.out, out, active)
 
     @LOCKSTEP.register(insts.ReduceSum)

@@ -11,10 +11,11 @@ and sub-byte gather/scatter (with the block-major last-writer rule),
 index linearisation and every bounds check, the shared-memory bump
 allocator, and the one elementwise rule (shared with the oracle).  A
 cheaper form of one of these — the cast of a narrow type as a table
-lookup (:func:`cast_table`), a masked gather's live lanes placed into
-zeros (:func:`place`) — is an entry like any other: the handler picks it
-from what the launch's constants decide, so both tiers get it, and
-``tests/test_tileops.py`` holds it to the definition it replaces.
+lookup (:func:`cast_table`), a masked gather's live lanes laid out
+straight into its logical tensor (:func:`live_logical`) — is an entry
+like any other: the handler picks it from what the launch's constants
+decide, so both tiers get it, and ``tests/test_tileops.py`` holds it to
+the definition it replaces.
 
 It has one caller: the handler set in :mod:`repro.vm.batched`, one handler
 per instruction.  The batched engine runs those handlers with this module
@@ -119,10 +120,9 @@ def filled(dtype, shape3: tuple, init) -> np.ndarray:
     return encode(dtype, np.full(shape3, init))
 
 
-def regroup(patterns: np.ndarray, old_nbits: int, new_nbits: int, new_l=None):
+def regroup(patterns: np.ndarray, old_nbits: int, new_nbits: int):
     """Re-read each thread's bits under a new element width (register
-    ``View``).  ``new_l`` is implied by the row width; kernel sources
-    persisted in tuning stores pass it."""
+    ``View``)."""
     return regroup_patterns(patterns, old_nbits, new_nbits)
 
 
@@ -172,7 +172,8 @@ def to_logical(values: np.ndarray, shape: tuple, ix: tuple) -> np.ndarray:
 
 
 def _per_layout(attr: str):
-    """Memoize a read-only table of a layout on the layout itself."""
+    """Memoize a table of a layout on the layout itself (read-only, when
+    it is an array)."""
 
     def cache(build):
         @functools.wraps(build)
@@ -180,7 +181,8 @@ def _per_layout(attr: str):
             table = getattr(layout, attr, None)
             if table is None:
                 table = build(layout)
-                table.setflags(write=False)
+                if isinstance(table, np.ndarray):
+                    table.setflags(write=False)
                 try:
                     setattr(layout, attr, table)
                 except AttributeError:
@@ -362,6 +364,65 @@ def place(valid: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     return out
 
 
+#: How many ``(mask, order)`` forms :func:`live_positions` keeps per
+#: layout.  A served kernel meets a handful (one per ``M``, stack size and
+#: k-step count), but the mma atoms are process-wide objects and nothing
+#: bounds what a long-lived process shows them, so a full memo is cleared.
+_LIVE_POSITIONS_KEPT = 64
+
+
+@_per_layout("_vm_live_positions")
+def _live_positions(layout) -> dict:
+    """The :func:`live_positions` a layout's masked gathers composed, at
+    most ``_LIVE_POSITIONS_KEPT`` of them."""
+    return {}
+
+
+def live_positions(valid: np.ndarray, layout, order=None) -> tuple:
+    """Where a masked gather's live lanes land in its logical tensor
+    ``(rows,) + layout.shape``, flattened: ``(positions, keep)``.  A lane
+    lands only if its slot is its element's writer (:func:`logical_inverse`,
+    replicas last-writer-wins) — ``keep`` picks those among the live
+    lanes, None when every slot writes — so an element whose writer is
+    masked out keeps the zero pattern's value even when another replica
+    of it is live.  ``order`` permutes the rows: row ``i`` of the tensor
+    is ``valid``'s row ``order[i]``.  The mask is a launch constant, so
+    the interpreted tier meets it on every launch: composed once per
+    ``(valid, order)`` and cached on the layout (a bounded memo:
+    ``_LIVE_POSITIONS_KEPT``)."""
+    key = (valid.shape, valid.tobytes(), None if order is None else order.tobytes())
+    cache = _live_positions(layout)
+    hit = cache.get(key)
+    if hit is None:
+        if len(cache) >= _LIVE_POSITIONS_KEPT:
+            cache.clear()
+        writes = np.zeros(valid.shape[-1], dtype=bool)
+        writes[logical_inverse(layout)] = True
+        lanes = np.flatnonzero(valid)
+        keep = None if writes.all() else writes[lanes % writes.size]
+        row, slot = np.divmod(lanes if keep is None else lanes[keep], writes.size)
+        if order is not None:
+            row = np.argsort(order)[row]
+        positions = row * layout.size + logical_slots(layout)[slot]
+        for table in (positions, keep):
+            if table is not None:
+                table.setflags(write=False)
+        hit = cache[key] = (positions, keep)
+    return hit
+
+
+def live_logical(fill: np.ndarray, values: np.ndarray, shape: tuple, positions) -> np.ndarray:
+    """A masked gather's logical tensor of ``shape`` from its live lanes
+    alone: their decoded ``values`` at flat ``positions``
+    (:func:`live_positions`), ``fill`` — the one decoded zero pattern,
+    what every masked-out lane holds — everywhere else.  By definition
+    ``gather_logical(decode(place(valid, patterns)))``, decoding and
+    moving only the live lanes."""
+    out = np.full(shape, fill, dtype=fill.dtype)
+    out.reshape(-1)[positions] = values
+    return out
+
+
 def scatter_bytes(buf, byte_addr, pat, nbytes: int, msg: str) -> None:
     """Byte-aligned scatter: one fancy assignment per byte lane, so of two
     writers of one *element* the later (block-major) wins.  Elements that
@@ -453,6 +514,16 @@ def check_view_global(base, size_bits: int, limit: int, msg_neg: str, msg_exc: s
     over = end > limit
     if bool(over.any()):
         raise VMError(msg_exc.format(int(base[over][0]), int(end.max())))
+
+
+def check_view_base(ptr: int, size_bits: int, limit: int, msg_neg: str, msg_exc: str) -> None:
+    """:func:`check_view_global` of a view every block bases at one byte
+    address ``ptr``: two comparisons, the same messages."""
+    base = int(ptr) * 8
+    if base < 0:
+        raise VMError(msg_neg.format(base))
+    if base + size_bits > limit:
+        raise VMError(msg_exc.format(base, base + size_bits))
 
 
 def lookup_message(extent: int) -> str:
@@ -550,8 +621,10 @@ def rewind(mark) -> None:
     recorded nothing."""
 
 
-#: The names generated kernels call the table by (``_place`` and ``_tab``
-#: are the cheap forms of a masked gather and a narrow cast).
+#: The names generated kernels call the table by (``_place``, ``_live``
+#: and ``_tab`` are the cheap forms of a masked gather's bits, its
+#: logical tensor and a narrow cast; ``_vgb`` checks a view whose base
+#: is one number).
 KERNEL_NAMESPACE = {
     "_dec": decode,
     "_enc": encode,
@@ -562,15 +635,17 @@ KERNEL_NAMESPACE = {
     "_ssb": scatter_subbyte,
     "_pbits": pattern_bits,
     "_vg": check_view_global,
+    "_vgb": check_view_base,
     "_lk": check_lookup,
     "_viewp": regroup,
     "_rq": requantize,
     "_tolg": gather_logical,
     "_ew": apply_elementwise,
     "_place": place,
+    "_live": live_logical,
     "_tab": take_table,
 }
 
 #: Of those, the ones called for what they do — write a buffer, raise —
 #: not for a value: a kernel keeps them as statements, in order.
-KERNEL_EFFECTS = frozenset({"_scb", "_ssb", "_vg", "_lk"})
+KERNEL_EFFECTS = frozenset({"_scb", "_ssb", "_vg", "_vgb", "_lk"})

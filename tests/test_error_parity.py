@@ -230,26 +230,31 @@ def test_an_out_of_bounds_load_through_a_shared_pointer_fails_alike():
 
     program = _tile_program("masked_load_stack", _masked_load)
     beyond = memory.capacity - tile_bytes + COLS * 2  # its valid rows leave the buffer
-    message = (
-        "tensor view [f16[8, 4]] at bit offset 523840 exceeds its buffer: "
-        "needs 524352 bits, buffer has 524288"
-    )
+    failures = {  # a bad ``a`` -> the message of its view check
+        beyond: "tensor view [f16[8, 4]] at bit offset 523840 exceeds its buffer: "
+        "needs 524352 bits, buffer has 524288",
+        -16: "tensor view [f16[8, 4]] starts before the buffer: bit offset -128 is negative",
+    }
     for shared, sources in forms.items():
         fits = [[src, dst] for src, dst in zip(sources, outs)]
         kernel = lower_program(program, fits[0], memory, launches=3, shared=shared)
         assert kernel.shared == shared
+        # A shared pointer is one number: its view is checked once.  (The
+        # private ``dst`` differs per launch, so only ``p0`` can be.)
+        assert ("_vgb(" in kernel.source) == bool(shared)
         kernel.run_many(memory, fits)
         memory.buffer[:] = before
-        trips = [[beyond if shared else src, dst] for src, dst in zip(sources, outs)]
-        trips[0][0] = beyond
-        for run in (
-            lambda: BatchedExecutor(memory).launch_many(program, trips),
-            lambda: kernel.run_many(memory, trips),
-        ):
-            with pytest.raises(VMError) as raised:
-                run()
-            assert str(raised.value) == message
-            assert np.array_equal(memory.buffer, before)
+        for bad, message in failures.items():
+            trips = [[bad if shared else src, dst] for src, dst in zip(sources, outs)]
+            trips[0][0] = bad
+            for run in (
+                lambda: BatchedExecutor(memory).launch_many(program, trips),
+                lambda: kernel.run_many(memory, trips),
+            ):
+                with pytest.raises(VMError) as raised:
+                    run()
+                assert str(raised.value) == message
+                assert np.array_equal(memory.buffer, before)
 
 
 def _oob_in_a_loop(pb, bi, g_a, g_out):

@@ -30,13 +30,14 @@ from repro.compiler.lower import (
     lower_program,
 )
 from repro.compiler.pipeline import specialization_key
-from repro.dtypes import float16, uint8
+from repro.dtypes import float16, int8, uint8
 from repro.dtypes.registry import all_weight_dtypes
 from repro.errors import VMError
 from repro.ir import instructions as insts
 from repro.ir.stmt import ForStmt
 from repro.lang import ProgramBuilder, pointer
-from repro.layout import spatial
+from repro.layout import local, mma_m16n8k16, spatial
+from repro.layout.core import replicate
 from repro.runtime import JitCache, JitManager, Profile, Runtime
 from repro.runtime.executor import shared_pointers
 from repro.runtime.jit import PROMOTE_AFTER
@@ -869,19 +870,24 @@ class TestForwarding:
                 seen.add(key)
         # The k-loop is distributed: the A, B and scale tiles of all 4
         # k-steps are each gathered, unpacked and cast once (unrolled, they
-        # read _gb 10, _dec 6, _rq 9, _tolg 8, _viewp / _tab / _place 4);
-        # the 4 ``Dot``s stay a serial chain of ``_rq``s.  The i6 -> f16
-        # cast is one table lookup, the masked A tiles one ``_place`` of
-        # their live lanes, and the stored tensor's values are read off
-        # its logical tensor by one ``_tolg`` through the layout's slots.
+        # read _gb 10, _dec 6, _rq 9, _tolg 8, _viewp / _tab 4); the 4
+        # ``Dot``s stay a serial chain of ``_rq``s.  The i6 -> f16 cast is
+        # one table lookup; the masked A tiles are never placed into zeros
+        # (one ``_live`` lays their decoded live lanes out as the logical
+        # tensor the ``Dot``s read), and the masked store reads its lanes
+        # off the accumulator's logical tensor (no ``_tolg``: the one left
+        # lays out the weights).  A pointer the whole stack shares is one
+        # number, checked by one ``_vgb``.
         assert {
             name: _calls(kernel, name)
             for name in (
-                "_gb", "_dec", "_enc", "_rq", "_tolg", "_viewp", "_vg", "_scb", "_tab", "_place",
+                "_gb", "_dec", "_enc", "_rq", "_tolg", "_viewp", "_vg", "_vgb", "_scb", "_tab",
+                "_place", "_live",
             )
         } == {
-            "_gb": 3, "_dec": 2, "_enc": 1, "_rq": 6, "_tolg": 3,
-            "_viewp": 1, "_vg": 4, "_scb": 1, "_tab": 1, "_place": 1,
+            "_gb": 3, "_dec": 2, "_enc": 1, "_rq": 6, "_tolg": 1, "_viewp": 1,
+            "_vg": 4 - len(shared), "_vgb": len(shared), "_scb": 1, "_tab": 1,
+            "_place": 0, "_live": 1,
         }  # fmt: skip
         assert decode_linear_kernel(launches=8, shared=shared).source == kernel.source
 
@@ -892,18 +898,26 @@ class TestForwarding:
         statements = _statements(kernel)
         produced = {target: expr for target, expr in statements if target}
         # The masked A tiles of the 4 k-steps (M = 1 row of an m16 tile, 16
-        # blocks each) gather their 4 x 256 live lanes of 4 x 4096 at once:
-        # the address constant is that long, and the pointer's rows are
-        # one index (the per-row copy of each block's pointer folded in).
-        placed = re.findall(r"_place\((C\d+), (t\d+)\)", kernel.source)
-        assert len(placed) == 1
-        for valid, gathered in placed:
-            valid = kernel.consts[valid]
+        # blocks each) gather and decode their 4 x 256 live lanes of 4 x
+        # 4096 at once: the address constant is that long, and the
+        # pointer's rows are one index (the per-row copy of each block's
+        # pointer folded in).  One scatter lays them out, iteration-major,
+        # as the logical tensor the serial ``Dot``s cut runs of.
+        laid = re.findall(r"_live\((C\d+), _dec\(C\d+, (t\d+)\), \((\d+), 16, 16\), (C\d+)\)",
+                          kernel.source)
+        assert len(laid) == 1
+        for fill, gathered, rows, positions in laid:
+            assert kernel.consts[fill].tolist() == [0.0]  # the f16 zero pattern, decoded
             address = re.fullmatch(r"_gb\(mem, (t\d+), 2, C\d+\)", produced[gathered]).group(1)
-            rows, offsets = re.fullmatch(r"p0\[(C\d+)\] \+ (C\d+)", produced[address]).groups()
-            assert valid.shape == (4 * 16, 256) and valid.dtype == bool
-            assert kernel.consts[offsets].shape == (int(valid.sum()),) == (4 * 256,)
-            assert kernel.consts[rows].shape == (4 * 256,)
+            index, offsets = re.fullmatch(r"p0\[(C\d+)\] \+ (C\d+)", produced[address]).groups()
+            assert int(rows) == 4 * 16
+            assert kernel.consts[offsets].shape == kernel.consts[index].shape == (4 * 256,)
+            assert kernel.consts[positions].shape == (4 * 256,)
+        # The masked store rounds and packs the 8 x 16 values it writes,
+        # not the 8 x 256 of the accumulator tiles.
+        (packed,) = re.findall(r"_enc\(C\d+, _rq\(C\d+, t\d+\.reshape\(-1\)\[(C\d+)\]\)\)",
+                               kernel.source)
+        assert kernel.consts[packed].shape == (8 * 16,)
         # A narrow source is never decoded and then rounded: that pair is
         # the table lookup.
         for _, expr in statements:
@@ -914,10 +928,11 @@ class TestForwarding:
         for table, _ in re.findall(r"_tab\((C\d+), (t\d+)\)", kernel.source):
             assert kernel.consts[table].shape == (64,)  # every i6 pattern, as f16
         # 150 statements before the cheap forms, 142 before the k-loop was
-        # distributed; a stack adds only the reorder of the A tiles' rows.
+        # distributed, 83 before the A tiles held their live lanes; a stack
+        # adds only its pointers' row addressing.
         for launches in (1, 2, 8):
             lowered = decode_linear_kernel(launches)
-            assert len(_statements(lowered)) <= 83
+            assert len(_statements(lowered)) <= 71
             assert decode_linear_kernel(launches).source == lowered.source
 
     def test_constant_registers_fold_and_values_pack_once(self):
@@ -961,6 +976,89 @@ class TestForwarding:
         stats = kernel.run(memory, [a, out])
         assert stats.global_bits_loaded == 8 * 4 * 16
         assert np.all(host.download(out, [ROWS, COLS], float16)[:8, :4] == 1.0)
+
+
+def live_lanes_program(a_layout, elementwise: bool):
+    """An ``M = 3`` activation through masked ``m16`` tiles of
+    ``a_layout`` (a distributed 2-step k-loop), then — with
+    ``elementwise``, an add of two, a multiply by a per-block scalar and a
+    negation first — a float cast and a truncating integer cast, and two
+    masked stores of the 3 live rows.  Without ``elementwise`` the casts
+    read the ``Dot`` result, a logical tensor, and stay logical."""
+    mma = mma_m16n8k16()
+    pb = ProgramBuilder("live_lanes", grid=[2])
+    a_ptr = pb.param("a", pointer(float16))
+    b_ptr = pb.param("b", pointer(float16))
+    out_ptr = pb.param("out", pointer(float16))
+    ints_ptr = pb.param("ints", pointer(int8))
+    (bi,) = pb.block_indices()
+    g_a = pb.view_global(a_ptr, dtype=float16, shape=[3, 32])
+    g_b = pb.view_global(b_ptr, dtype=float16, shape=[32, 16])
+    g_out = pb.view_global(out_ptr, dtype=float16, shape=[3, 16])
+    g_ints = pb.view_global(ints_ptr, dtype=int8, shape=[3, 16])
+    acc = pb.allocate_register("f32", layout=mma.c_layout, init=0.0)
+    with pb.for_range(2) as k:
+        tile = pb.load_global(g_a, layout=a_layout, offset=[0, k * 16], masked=True)
+        weights = pb.load_global(g_b, layout=mma.b_layout, offset=[k * 16, bi * 8])
+        pb.dot(tile, weights, acc, out=acc)
+    scaled = pb.neg(pb.mul(pb.add(acc, acc), bi + 1)) if elementwise else acc
+    pb.store_global(pb.cast(scaled, "f16"), g_out, offset=[0, bi * 8], masked=True)
+    pb.store_global(pb.cast(scaled, "i8"), g_ints, offset=[0, bi * 8], masked=True)
+    return pb.finish()
+
+
+class TestLiveLanes:
+    """A masked tile holds its live lanes, and a register held only as a
+    logical tensor stays one through a cast until a masked store packs
+    the lanes it writes; elementwise ops between them take the decoded
+    values: on both tiers, stacked or not, the launches' outputs and
+    counters are the oracle's."""
+
+    LAYOUTS = {
+        "mma": mma_m16n8k16().a_layout,
+        # Every element held by two threads: the last writer decides.
+        "replicated": spatial(8, 2).compose(replicate(2, rank=2)).compose(local(2, 8)),
+    }
+
+    @pytest.mark.parametrize("elementwise", [False, True], ids=["cast", "elementwise"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("launches, shared", [(1, ()), (3, ()), (3, (1,))])
+    def test_matches_the_oracle(self, layout, launches, shared, elementwise):
+        program = live_lanes_program(self.LAYOUTS[layout], elementwise)
+        rng = np.random.default_rng(launches)
+        acts = [rng.standard_normal((3, 32)) * 4 for _ in range(launches)]
+        weight = rng.standard_normal((32, 16))
+
+        def image():
+            memory = GlobalMemory(1 << 16)
+            b = memory.upload(weight, float16)
+            args_list = [
+                [memory.upload(act, float16), b, memory.alloc_output([3, 16], float16),
+                 memory.alloc_output([3, 16], int8)]
+                for act in acts
+            ]
+            return memory, args_list
+
+        memory, args_list = image()
+        oracle = Interpreter(memory)
+        for args in args_list:
+            oracle.launch(program, args)
+        want = memory.buffer.copy()
+
+        memory, args_list = image()
+        batched = BatchedExecutor(memory).launch_many(program, args_list)
+        assert np.array_equal(memory.buffer, want)
+        assert batched.snapshot() == oracle.stats.snapshot()
+
+        memory, args_list = image()
+        kernel = lower_program(program, args_list[0], memory, launches=launches, shared=shared)
+        assert "_place(" not in kernel.source and _calls(kernel, "_live") == 1
+        # Each masked store of a cast of the Dot rounds and packs its lanes.
+        written = re.findall(r"_enc\(\w+, _rq\(\w+, \w+\.reshape\(-1\)\[", kernel.source)
+        assert len(written) == (0 if elementwise else 2)
+        stats = kernel.run_many(memory, args_list)
+        assert np.array_equal(memory.buffer, want)
+        assert stats.snapshot() == oracle.stats.snapshot()
 
 
 # Compiled-tier coverage of the data-type spectrum: forwarding must be

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro.vm
 from repro.dtypes import bfloat16, float16, float32, float64, tfloat32, uint
+from repro.dtypes.base import DataType
 from repro.dtypes.registry import (
     all_weight_dtypes,
     int16,
@@ -442,6 +443,127 @@ def test_live_lane_zfill_gather_is_the_clipped_gather_masked(case):
     if not valid.any():
         unreadable = View(None, base, dtype, shape, BUFFER_BYTES)
         assert not walk.gather_zfill(unreadable, indices).any()
+
+
+class _Excess4(DataType):
+    """A 4-bit offset-binary integer: pattern ``p`` is ``p - 8``, so the
+    zero pattern a masked-out lane holds decodes to -8, not 0."""
+
+    def __init__(self) -> None:
+        super().__init__(name="x4", nbits=4)
+
+    @property
+    def is_integer(self) -> bool:
+        return True
+
+    min_value, max_value = -8, 7
+
+    def to_bits(self, values):
+        values = np.clip(np.rint(np.asarray(values, dtype=np.float64)), -8, 7)
+        return (values.astype(np.int64) + 8).astype(np.uint64)
+
+    def from_bits(self, bits):
+        return np.asarray(bits, dtype=np.uint64).astype(np.int64) - 8
+
+
+LIVE_DTYPES = CODECS + [_Excess4()]
+
+
+def _random_mask(layout, rows: int, rng, live: float) -> np.ndarray:
+    """``(rows, T * L)`` valid lanes, ``live`` of them on average — and in
+    row 0, every replica that is not its element's writer live while the
+    writer is masked out (the element must keep the zero pattern)."""
+    valid = rng.random((rows, layout.num_threads * layout.local_size)) < live
+    slots, inverse = tileops.logical_slots(layout), tileops.logical_inverse(layout)
+    for slot, writer in enumerate(inverse[slots]):
+        if writer != slot:
+            valid[0, slot], valid[0, writer] = True, False
+    return valid
+
+
+@pytest.mark.parametrize("name", REPLICATED)
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    live=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_the_live_lane_logical_tensor_is_the_placed_one_laid_out(name, seed, rows, live):
+    """A masked load's register holds its live lanes; its logical twin —
+    one scatter of their decoded values into the decoded zero pattern,
+    rows in any order — is ``gather_logical(decode(place(valid, live)))``
+    bit for bit and in dtype, for every registry dtype (and one whose
+    zero pattern is not 0) on every replicated layout."""
+    layout = REPLICATED[name]
+    rng = np.random.default_rng(seed)
+    valid = _random_mask(layout, rows, rng, live)
+    shape3 = (rows, layout.num_threads, layout.local_size)
+    shape = (rows,) + tuple(layout.shape)
+    order = rng.permutation(rows)
+    walk = TileWalk(rows, {}, (), tileops, None, None, None, None)
+    for dtype in LIVE_DTYPES:
+        patterns = rng.integers(
+            0, 1 << min(dtype.nbits, 63), size=int(valid.sum()), dtype=np.uint64
+        )
+        with np.errstate(all="ignore"):
+            placed = tileops.decode(dtype, tileops.place(valid, patterns)).reshape(shape3)
+            want = tileops.gather_logical(placed, shape, tileops.logical_inverse(layout))
+            register = Register(dtype, layout, live=(valid, patterns))
+            assert _bit_identical(walk.logical(register), want), dtype
+            assert np.array_equal(
+                walk.bits(register), tileops.place(valid, patterns).reshape(shape3)
+            )
+            reordered = Register(dtype, layout, live=(valid, patterns))
+            assert _bit_identical(walk.live_logical(reordered, order), want[order]), dtype
+
+
+@pytest.mark.parametrize("name", REPLICATED)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+def test_a_masked_store_packs_the_selected_lanes_of_a_logical_tensor(name, seed, rows):
+    """A register held only as a logical tensor — rounded, or unrounded
+    (a ``Cast`` result) — gives a masked store just the
+    lanes it writes: ``encode(vals)[select]``, the packing of the whole
+    register cut to the selected lanes, for every registry dtype."""
+    layout = REPLICATED[name]
+    rng = np.random.default_rng(seed)
+    shape3 = (rows, layout.num_threads, layout.local_size)
+    shape = (rows,) + tuple(layout.shape)
+    select = _random_mask(layout, rows, rng, 0.5)
+    walk = TileWalk(rows, {}, (), tileops, None, None, None, None)
+    for dtype in LIVE_DTYPES:
+        exact = rng.standard_normal(shape) * (1 << min(dtype.nbits, 16))
+        with np.errstate(all="ignore"):
+            rounded = tileops.requantize(dtype, exact)
+            vals = tileops.gather_logical(rounded, shape3, tileops.logical_slots(layout))
+            want = tileops.encode(dtype, vals).reshape(rows, -1)[select]
+            for register in (
+                Register(dtype, layout, logical=rounded),
+                Register(dtype, layout, unrounded=exact),
+            ):
+                assert register.logical_only
+                got = walk.written(register, select)
+                assert got.dtype == want.dtype and np.array_equal(got, want), dtype
+                assert register.vals is None and register.bits is None  # nothing else made
+
+
+def test_the_live_positions_memo_is_bounded():
+    """Every distinct mask a layout meets is one memo entry; a full memo
+    is cleared, so a process that shows a long-lived layout ever more
+    masks holds a bounded number of position tables, and a mask composed
+    again after the clear gets the same positions."""
+    layout = spatial(4).compose(replicate(2, rank=1))
+    lanes = layout.num_threads * layout.local_size
+    first = np.ones((1, lanes), dtype=bool)
+    first[0, 0] = False
+    want = [table.copy() for table in tileops.live_positions(first, layout) if table is not None]
+    for rows in range(2, 3 * tileops._LIVE_POSITIONS_KEPT):
+        valid = np.ones((rows, lanes), dtype=bool)
+        valid[-1, 0] = False
+        tileops.live_positions(valid, layout)
+        assert len(tileops._live_positions(layout)) <= tileops._LIVE_POSITIONS_KEPT
+    got = [table for table in tileops.live_positions(first, layout) if table is not None]
+    assert len(got) == len(want) and all(map(np.array_equal, got, want))
 
 
 @settings(max_examples=60, deadline=None)
