@@ -22,6 +22,7 @@ import numpy as np
 from repro.dtypes import DataType
 from repro.errors import LayoutError
 from repro.layout import Layout
+from repro.utils.bits import regroup_patterns
 from repro.utils.indexmath import gcd
 
 
@@ -56,10 +57,38 @@ def tile_bytes(reg_layout: Layout, nbits: int) -> int:
     return reg_layout.num_threads * (bits // 8)
 
 
+def _placement(reg_layout: Layout, nbits: int) -> tuple:
+    """Where one tile's values come from and where its bytes go.
+
+    Returns ``((rows, cols), positions)``: ``rows[t * L + i], cols[t * L +
+    i]`` is the tile coordinate thread ``t`` holds in local slot ``i``
+    (``L`` locals per thread), and ``positions[t * nbytes + j]`` is the
+    byte offset within the packed tile of thread ``t``'s ``j``-th byte
+    under :func:`byte_view_layout`.  Both hold for every tile alike.
+    """
+    view = byte_view_layout(reg_layout, nbits)
+    t_count = reg_layout.num_threads
+
+    def thread_major(layout: Layout) -> list:
+        per_thread = layout.local_size
+        t = np.repeat(np.arange(t_count), per_thread)
+        i = np.tile(np.arange(per_thread), t_count)
+        return [np.broadcast_to(c, t.shape) for c in layout.map_batch(t, i)]
+
+    rows, cols = thread_major(reg_layout)
+    (positions,) = thread_major(view)
+    return (rows, cols), positions
+
+
 def transform_weight(
     q: np.ndarray, dtype: DataType, reg_layout: Layout
 ) -> np.ndarray:
     """Rearrange ``q[k, n]`` into the tile-transformed byte representation.
+
+    One array program over every tile: gather each thread's values through
+    the register layout, encode them, regroup each thread's ``L`` patterns
+    into bytes (:func:`~repro.utils.bits.regroup_patterns`, LSB first) and
+    scatter the bytes to the byte-view layout's positions.
 
     Args:
         q: stored weight values (shape [k, n]).
@@ -75,85 +104,29 @@ def transform_weight(
     k, n = q.shape
     if k % bk or n % bn:
         raise LayoutError(f"weight {k}x{n} is not tiled by {bk}x{bn}")
-    nbits = dtype.nbits
-    bits_per_thread = reg_layout.local_size * nbits
-    if bits_per_thread % 8 != 0:
-        raise LayoutError(f"{bits_per_thread} bits per thread is not byte-aligned")
-    nbytes = bits_per_thread // 8
-    t_count = reg_layout.num_threads
-
-    # Per-(thread, local) coordinates within one tile, computed once.
-    t = np.repeat(np.arange(t_count), reg_layout.local_size)
-    i = np.tile(np.arange(reg_layout.local_size), t_count)
-    coords = [np.broadcast_to(c, t.shape) for c in reg_layout.map_batch(t, i)]
-
-    out = np.empty((k // bk, n // bn, t_count * nbytes), dtype=np.uint8)
-    bit_weights = np.uint64(1) << np.arange(nbits, dtype=np.uint64)
-    for tk in range(k // bk):
-        for tn in range(n // bn):
-            tile = q[tk * bk : (tk + 1) * bk, tn * bn : (tn + 1) * bn]
-            values = tile[coords[0], coords[1]]
-            patterns = dtype.to_bits(values)
-            # Per-thread bit streams -> bytes, LSB first.
-            bits = ((patterns[:, None] & bit_weights) > 0).astype(np.uint8)
-            per_thread = bits.reshape(t_count, reg_layout.local_size * nbits)
-            byte_weights = np.uint8(1) << np.arange(8, dtype=np.uint8)
-            as_bytes = (per_thread.reshape(t_count, nbytes, 8) * byte_weights).sum(
-                axis=2, dtype=np.uint32
-            ).astype(np.uint8)
-            # Byte order within the tile follows the byte-view layout, which
-            # stores thread t's bytes contiguously in (n2, t, n1) order; for
-            # local(n2).spatial(T).local(n1) the logical byte index of
-            # thread t's j-th byte is the layout's forward map.
-            out[tk, tn] = _order_bytes(as_bytes, reg_layout, nbits)
+    (rows, cols), positions = _placement(reg_layout, dtype.nbits)
+    tiles = q.reshape(k // bk, bk, n // bn, bn).swapaxes(1, 2)
+    patterns = dtype.to_bits(tiles[:, :, rows, cols])
+    patterns = patterns.reshape(tiles.shape[:2] + (reg_layout.num_threads, -1))
+    per_thread = regroup_patterns(patterns, dtype.nbits, 8)
+    out = np.empty(tiles.shape[:2] + positions.shape, dtype=np.uint8)
+    out[:, :, positions] = per_thread.reshape(out.shape)
     return out
-
-
-def _order_bytes(per_thread_bytes: np.ndarray, reg_layout: Layout, nbits: int) -> np.ndarray:
-    """Place each thread's bytes at the positions the byte-view layout maps
-    them to, yielding the contiguous tile representation."""
-    view = byte_view_layout(reg_layout, nbits)
-    t_count, nbytes = per_thread_bytes.shape
-    t = np.repeat(np.arange(t_count), nbytes)
-    j = np.tile(np.arange(nbytes), t_count)
-    (positions,) = view.map_batch(t, j)
-    flat = np.empty(t_count * nbytes, dtype=np.uint8)
-    flat[np.broadcast_to(positions, t.shape)] = per_thread_bytes.reshape(-1)
-    return flat
 
 
 def untransform_weight(
     packed: np.ndarray, dtype: DataType, reg_layout: Layout, k: int, n: int
 ) -> np.ndarray:
-    """Invert :func:`transform_weight` (used by tests)."""
+    """Invert :func:`transform_weight` (used by tests): the same program
+    run backwards — gather bytes, regroup, decode, scatter."""
     packed = np.asarray(packed, dtype=np.uint8)
     bk, bn = reg_layout.shape
-    nbits = dtype.nbits
-    nbytes = reg_layout.local_size * nbits // 8
-    t_count = reg_layout.num_threads
-    view = byte_view_layout(reg_layout, nbits)
-
-    t = np.repeat(np.arange(t_count), nbytes)
-    j = np.tile(np.arange(nbytes), t_count)
-    (positions,) = view.map_batch(t, j)
-    positions = np.broadcast_to(positions, t.shape)
-
-    tl = np.repeat(np.arange(t_count), reg_layout.local_size)
-    il = np.tile(np.arange(reg_layout.local_size), t_count)
-    coords = [np.broadcast_to(c, tl.shape) for c in reg_layout.map_batch(tl, il)]
-
+    (rows, cols), positions = _placement(reg_layout, dtype.nbits)
+    per_thread = packed[:, :, positions].reshape(
+        packed.shape[:2] + (reg_layout.num_threads, -1)
+    )
+    patterns = regroup_patterns(per_thread, 8, dtype.nbits)
     out = np.zeros((k, n), dtype=np.int64 if dtype.is_integer else np.float64)
-    for tk in range(k // bk):
-        for tn in range(n // bn):
-            flat = packed[tk, tn]
-            per_thread = np.empty((t_count, nbytes), dtype=np.uint8)
-            per_thread.reshape(-1)[:] = flat[positions]
-            bits = np.unpackbits(per_thread, axis=1, bitorder="little")
-            grouped = bits[:, : reg_layout.local_size * nbits].reshape(
-                t_count, reg_layout.local_size, nbits
-            )
-            weights = np.uint64(1) << np.arange(nbits, dtype=np.uint64)
-            patterns = (grouped.astype(np.uint64) * weights).sum(axis=2)
-            values = dtype.from_bits(patterns.reshape(-1))
-            out[tk * bk + coords[0], tn * bn + coords[1]] = values
+    tiles = out.reshape(k // bk, bk, n // bn, bn).swapaxes(1, 2)
+    tiles[:, :, rows, cols] = dtype.from_bits(patterns.reshape(tiles.shape[:2] + (-1,)))
     return out

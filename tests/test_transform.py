@@ -1,17 +1,27 @@
 """Weight layout transformation: host path vs device program (Figure 9)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import random_values_for
-from repro.dtypes import dtype_from_name, uint8
+from repro.dtypes import dtype_from_name, uint4, uint8
+from repro.dtypes.registry import all_weight_dtypes
 from repro.errors import LayoutError
 from repro.kernels import MatmulConfig, make_transform_program, matmul_layouts
 from repro.layout import local, spatial
+from repro.ops import _default_config
 from repro.quant import byte_view_layout, tile_bytes, transform_weight, untransform_weight
 from repro.vm import Interpreter
+
+NARROW = all_weight_dtypes()  # every registry dtype of at most 8 bits
+#: u8 on this tile holds 128 bits per thread: more than one 64-bit word,
+#: so the regroup expands to single bits.
+WIDE = MatmulConfig(16, 16, 32)
+ROUND_TRIP_CASES = [(d, _default_config(d)) for d in NARROW] + [(uint8, WIDE)]
 
 
 class TestByteViewLayout:
@@ -64,39 +74,55 @@ class TestHostTransform:
         with pytest.raises(LayoutError):
             transform_weight(np.zeros((20, 8)), dtype_from_name("u4"), lay.b_warp)
 
-    @given(
-        name=st.sampled_from(["u4", "i6", "u2", "f6e3m2"]),
-        seed=st.integers(0, 200),
+    @pytest.mark.parametrize(
+        "dtype, cfg", ROUND_TRIP_CASES, ids=[d.name for d in NARROW] + ["u8-wide"]
     )
-    @settings(max_examples=25, deadline=None)
-    def test_transform_is_permutation_of_bits(self, name, seed):
-        """The packed tile holds exactly the source bits, rearranged."""
-        dtype = dtype_from_name(name)
-        cfg = MatmulConfig(16, 8, 16)
-        lay = matmul_layouts(cfg, dtype)
-        rng = np.random.default_rng(seed)
-        q = random_values_for(dtype, (16, 8), rng)
-        packed = transform_weight(q, dtype, lay.b_warp)
-        source_bits = np.unpackbits(
-            np.frombuffer(
-                np.ascontiguousarray(dtype.to_bits(q.reshape(-1))), dtype=np.uint8
-            )
-        )
-        # Same population count (permutation preserves multiset of bits
-        # only loosely, but total set bit count must match exactly).
-        packed_pop = int(np.unpackbits(packed.reshape(-1)).sum())
-        source_pop = sum(bin(int(p)).count("1") for p in dtype.to_bits(q.reshape(-1)))
-        assert packed_pop == source_pop
+    @given(
+        tiles_k=st.integers(2, 4),
+        tiles_n=st.integers(2, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_untransform_inverts_transform_exactly(self, dtype, cfg, tiles_k, tiles_n, seed):
+        """``untransform(transform(q)) == q`` on multi-tile weights, for
+        every registry dtype of at most 8 bits on its default tile, and on
+        a tile of more than 64 bits per thread (the expansion regroup)."""
+        reg = matmul_layouts(cfg, dtype).b_warp
+        assert (reg.local_size * dtype.nbits > 64) == (cfg is WIDE)
+        bk, bn = reg.shape
+        k, n = tiles_k * bk, tiles_n * bn
+        q = random_values_for(dtype, (k, n), np.random.default_rng(seed))
+        packed = transform_weight(q, dtype, reg)
+        assert packed.shape == (tiles_k, tiles_n, tile_bytes(reg, dtype.nbits))
+        back = untransform_weight(packed, dtype, reg, k, n)
+        assert back.dtype == q.dtype
+        assert np.array_equal(back, q)
+
+    def test_temporaries_stay_within_four_weights(self):
+        """Packing a 1024x1024 u4 weight (int64 values) peaks at no more
+        than 4x ``q.nbytes`` of traced allocations: all tiles are packed
+        in one pass, and that pass may not grow without bound."""
+        dtype = uint4
+        reg = matmul_layouts(_default_config(dtype), dtype).b_warp
+        q = random_values_for(dtype, (1024, 1024), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            transform_weight(q, dtype, reg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * q.nbytes
 
 
 class TestDeviceTransform:
-    @pytest.mark.parametrize("name", ["u4", "i6", "f6e3m2"])
-    def test_device_matches_host(self, name):
-        """The Figure 9 VM program produces the identical byte stream."""
-        dtype = dtype_from_name(name)
-        cfg = MatmulConfig(16, 8, 16)
+    @pytest.mark.parametrize("dtype", NARROW, ids=lambda d: d.name)
+    def test_device_matches_host(self, dtype):
+        """The Figure 9 VM program produces the identical byte stream, on
+        2x2 tiles of every spectrum dtype's default tile."""
+        cfg = _default_config(dtype)
         lay = matmul_layouts(cfg, dtype)
-        k, n = 32, 16
+        bk, bn = lay.b_warp.shape
+        k, n = 2 * bk, 2 * bn
         rng = np.random.default_rng(5)
         q = random_values_for(dtype, (k, n), rng)
         host = transform_weight(q, dtype, lay.b_warp)
