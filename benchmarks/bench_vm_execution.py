@@ -750,8 +750,8 @@ def obs_report(num_workers: int = 2, num_requests: int = 16) -> dict:
     profiled sight so compiled-tier events appear even in a short run)
     and validates the merged fleet trace: one Chrome trace object that
     survives a JSON round-trip, with one pid per process (router +
-    workers), every event category the stack emits (router, worker,
-    stream, graph, jit), and clock-normalized timestamps starting at
+    workers), every event category a serving fleet emits (router,
+    worker, runtime, jit), and clock-normalized timestamps starting at
     t=0.  The unified ``metrics()`` snapshots (router contract and each
     worker's simulator contract) are validated against their frozen key
     sets, and the per-worker breakdown must account for every completed
@@ -813,7 +813,9 @@ def obs_report(num_workers: int = 2, num_requests: int = 16) -> dict:
         f"expected pids 0..{num_workers}, got {sorted(pids)}"
     )
     cats = {e.get("cat") for e in events if e.get("ph") in ("X", "i")}
-    for category in ("router", "worker", "stream", "graph", "jit"):
+    # A served decode step is one synchronous launch ("runtime"); the
+    # stream and graph lanes belong to split-k, not to a serving fleet.
+    for category in ("router", "worker", "runtime", "jit"):
         assert category in cats, f"no {category!r} events in the fleet trace"
     stamps = [e["ts"] for e in events if e.get("ph") in ("X", "i")]
     assert min(stamps) >= 0.0, "clock normalization produced negative timestamps"

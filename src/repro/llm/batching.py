@@ -11,25 +11,25 @@ propagate into throughput and latency percentiles.
 
 Kernel-in-the-loop mode: pass a ``decode_linear``
 (:class:`~repro.ops.QuantizedLinear`) and every simulated decode step
-*actually executes* one quantized-linear kernel per in-flight request on
-the VM, each request issued on its own stream of the operator runtime's
-pool — the decode/prefill launch pattern the serving loop produces on
-real hardware.  Each in-flight request decodes in a *slot* of its own —
-an activation and an output buffer the simulator owns for its life and
-hands to the next request when this one finishes (its activation is a
-host write, not an allocation; device memory stops growing once
-``max_batch`` slots exist) — so the hazard tracker finds a step's decode
-kernels independent and the step barrier, ``pool.synchronize()``, runs
-them as one stacked group.  Latency accounting stays analytical (the VM
-is functional, not a timing model).
+*actually executes* the quantized linear on the VM, as the paper's loop
+does: **one** ``program_for(max_batch)`` launch per step, ``m = batch``.
+Each in-flight request decodes in a *slot*, and a slot is a row: the
+first admission allocates one ``[max_batch, k]`` activation matrix and
+one ``[max_batch, n]`` output matrix, an admitted request's activation
+is written into a free row (a host write, not an allocation; device
+memory never grows after that), and a finished request's output row is
+digested before the row goes back on the free list.  Rows of requests
+not in flight keep stale inputs and are never read back: rows are
+independent, so the launch costs the same and computes the same bits
+whatever the live count is.  Latency accounting stays analytical (the
+VM is functional, not a timing model).
 
-Because the decode loop re-submits an *identical* launch DAG every step,
-the kernel-in-the-loop path **graph-captures** it (``use_graphs``, on by
-default): the first step at each batch size records the per-request
-launches as an :class:`~repro.runtime.graphs.ExecutionGraph`, and every
-later step replays the frozen DAG — rebinding each slot's activation and
-output buffers when the in-flight set changes — skipping per-launch
-scheduling, hazard analysis, and coalescing decisions entirely.
+``num_streams=0`` selects the **reference** path instead, a different
+program on purpose: one ``program_for(1)`` launch per in-flight request
+on its own row, issued with ``stream="auto"`` and retired as one group
+by ``runtime.synchronize()``.  Its digests are what a served run is
+checked against, so every served digest is a check that the rows of one
+``m = batch`` launch are the per-request launches' bits.
 
 With ``profile=True`` the run records a per-node
 :class:`~repro.runtime.profiling.Profile` of every decode kernel
@@ -53,7 +53,6 @@ import hashlib
 import math
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from repro.llm.engine import ServingConfig, ServingSimulator
 from repro.llm.models import ModelConfig
@@ -133,10 +132,11 @@ class TraceResult:
     results: list[RequestResult] = field(default_factory=list)
     total_time_s: float = 0.0
     total_tokens: int = 0
-    #: Kernel-in-the-loop counters (zero in purely analytical runs).
+    #: Kernel-in-the-loop counter (zero in purely analytical runs): one
+    #: per decode step, or one per request per step on the reference path.
     kernel_launches: int = 0
-    #: Execution-graph counters: decode steps that recorded a fresh graph
-    #: vs. steps that replayed one (captures + replays = decode steps).
+    #: Always 0: no decode step captures or replays a graph.  Kept because
+    #: the standing benchmark and the router's sums still read them.
     graph_captures: int = 0
     graph_replays: int = 0
     #: Per-node execution profile of the decode kernels (a
@@ -185,22 +185,20 @@ class _Inflight:
     result: RequestResult
     remaining: int
     context: int
-    #: Device buffers for kernel-in-the-loop decode (None when analytical).
-    act_addr: int | None = None
-    out_addr: int | None = None
+    #: The request's row of the decode matrices (None when analytical).
+    row: int | None = None
 
 
 class ContinuousBatchingSimulator:
     """Serves a request trace with continuous batching.
 
     ``decode_linear`` switches on kernel-in-the-loop decode (see module
-    docstring): each in-flight request's per-step quantized linear is
-    launched asynchronously on a distinct stream of the operator
-    runtime's pool (``num_streams`` wide, capped by ``max_batch``;
-    ``num_streams=0`` issues the kernels synchronously instead).
-    ``use_graphs`` captures one execution graph per batch size and
-    replays it every step, rebinding per-request buffers as the
-    in-flight set changes; set it False to eager-submit every step.
+    docstring): each in-flight request owns a row of one activation /
+    output matrix pair, and a decode step is one synchronous
+    ``program_for(max_batch)`` launch over both.  ``num_streams=0``
+    selects the per-request reference path (one ``program_for(1)``
+    launch per row, retired as one group); any other value the
+    one-launch path.
     ``profile=True`` records every decode kernel into a reusable
     :class:`~repro.runtime.profiling.Profile` on ``TraceResult.profile``.
     The compiled tier is read from ``decode_linear.runtime`` (see the
@@ -214,7 +212,6 @@ class ContinuousBatchingSimulator:
         max_batch: int = 16,
         decode_linear=None,
         num_streams: int = 4,
-        use_graphs: bool = True,
         profile: bool = False,
     ) -> None:
         if max_batch < 1:
@@ -225,27 +222,23 @@ class ContinuousBatchingSimulator:
         self.max_batch = max_batch
         self.engine = ServingSimulator(model, config)
         self.decode_linear = decode_linear
+        #: Only 0 versus not-0 matters (the reference path versus the
+        #: one-launch path, see above) until the reference path gets an
+        #: entry point of its own; every value from 1 up serves alike.
         self.num_streams = min(num_streams, max_batch)
-        self.use_graphs = use_graphs
         #: Record per-node execution profiles of the decode kernels onto
         #: the operator runtime (``TraceResult.profile`` carries them).
         self.profile = profile
-        #: One captured decode-step graph per batch size, with the
-        #: binding layout it was captured against.
-        self._graphs: dict = {}
         #: Every profiled run's records, merged (each run installs a
         #: fresh per-trace profile): what a worker exports on
         #: ``pull_state``.
         self.served_profile = Profile()
-        #: Free slots — (activation, output) device-buffer pairs, one per
-        #: in-flight request, kept for the simulator's life: at most
-        #: ``max_batch`` are ever allocated.
-        self._free_slots: list[tuple[int, int]] = []
-
-    @property
-    def graphs(self):
-        """Read-only view of the captured decode graphs by batch size."""
-        return MappingProxyType(self._graphs)
+        #: The ``[max_batch, k]`` activation and ``[max_batch, n]``
+        #: output matrices (allocated on the first admission, kept for
+        #: the simulator's life) and their free rows.
+        self._act: int | None = None
+        self._out: int | None = None
+        self._free_rows: list[int] = []
 
     def metrics(self) -> dict:
         """One flat snapshot of the simulator's counters under the
@@ -253,9 +246,9 @@ class ContinuousBatchingSimulator:
         (:data:`repro.obs.metrics.SIMULATOR_METRICS_KEYS`): the
         kernel-in-the-loop runtime's full ``runtime.*``/``streams.*``/
         ``jit.*`` snapshot (zeros when decode runs analytically,
-        with no kernel in the loop) plus the ``batching.*`` graph
-        census.  This is what workers ship on ``pull_trace`` next to
-        their event buffers."""
+        with no kernel in the loop) plus the ``batching.*`` shape.
+        This is what workers ship on ``pull_trace`` next to their event
+        buffers."""
         from repro.obs.metrics import (
             RUNTIME_METRICS_KEYS,
             SIMULATOR_METRICS_KEYS,
@@ -268,7 +261,6 @@ class ContinuousBatchingSimulator:
         else:
             snapshot = zero_metrics(RUNTIME_METRICS_KEYS)
         snapshot.update({
-            "batching.graphs_captured": len(self._graphs),
             "batching.max_batch": self.max_batch,
             "batching.num_streams": self.num_streams,
         })
@@ -351,11 +343,14 @@ class ContinuousBatchingSimulator:
         return outcome
 
     # -- kernel-in-the-loop decode -------------------------------------------
+    def _row_addr(self, matrix: int, width: int, row: int) -> int:
+        """Address of ``row`` of a ``[max_batch, width]`` decode matrix."""
+        return matrix + row * width * self.decode_linear.act_dtype.nbits // 8
+
     def _provision_buffers(self, flight: _Inflight) -> None:
-        """Give an admitted request a free slot — an activation and an
-        output buffer no other in-flight request uses, so its decode
-        kernels are hazard-free against every other request — and write
-        its activation there."""
+        """Give an admitted request a free row of the decode matrices
+        (allocating them on the first admission) and write its
+        activation there."""
         if self.decode_linear is None:
             return
         import numpy as np
@@ -371,89 +366,58 @@ class ContinuousBatchingSimulator:
             activation = rng.standard_normal((1, linear.k))
         else:
             activation = np.zeros((1, linear.k))
-        if self._free_slots:
-            flight.act_addr, flight.out_addr = self._free_slots.pop()
-        else:  # more requests in flight than ever before
-            flight.act_addr = runtime.empty([1, linear.k], linear.act_dtype)
-            flight.out_addr = runtime.empty([1, linear.n], linear.act_dtype)
-        runtime.write(flight.act_addr, linear.act_dtype.quantize(activation), linear.act_dtype)
+        if self._act is None:
+            self._act = runtime.empty([self.max_batch, linear.k], linear.act_dtype)
+            self._out = runtime.empty([self.max_batch, linear.n], linear.act_dtype)
+            self._free_rows = list(range(self.max_batch - 1, -1, -1))
+        flight.row = self._free_rows.pop()
+        runtime.write(
+            self._row_addr(self._act, linear.k, flight.row),
+            linear.act_dtype.quantize(activation),
+            linear.act_dtype,
+        )
 
     def _finalize(self, flight: _Inflight) -> None:
-        """Digest a finished request's decode output (see
-        :attr:`RequestResult.output_digest`) and free its slot."""
-        if self.decode_linear is None or flight.out_addr is None:
+        """Digest a finished request's output row (see
+        :attr:`RequestResult.output_digest`), then free the row."""
+        if self.decode_linear is None or flight.row is None:
             return
         linear = self.decode_linear
-        out = linear.runtime.download(flight.out_addr, [1, linear.n], linear.act_dtype)
+        out = linear.runtime.download(
+            self._row_addr(self._out, linear.n, flight.row), [1, linear.n], linear.act_dtype
+        )
         flight.result.output_digest = hashlib.sha256(out.tobytes()).hexdigest()[:16]
-        self._free_slots.append((flight.act_addr, flight.out_addr))
+        self._free_rows.append(flight.row)
 
     def _run_decode_kernels(self, inflight: list[_Inflight], outcome: TraceResult) -> None:
-        """Issue one decode linear per in-flight request, each on its own
-        stream, then barrier on the pool (one serving step).  With
-        ``num_streams=0`` the kernels run synchronously instead; with
-        ``use_graphs`` the step is captured once per batch size and
-        replayed (buffers rebound) thereafter."""
+        """One decode step: one ``program_for(max_batch)`` launch over
+        the whole matrices, or, with ``num_streams=0``, the reference's
+        ``program_for(1)`` launch per in-flight row."""
         if self.decode_linear is None:
             return
         linear = self.decode_linear
         runtime = linear.runtime
-        program = linear.program_for(1)
         if self.num_streams < 1:
+            program = linear.program_for(1)
             for flight in inflight:
                 runtime.launch(
                     program,
-                    [flight.act_addr, linear.b_addr, linear.s_addr, flight.out_addr],
+                    [
+                        self._row_addr(self._act, linear.k, flight.row),
+                        linear.b_addr,
+                        linear.s_addr,
+                        self._row_addr(self._out, linear.n, flight.row),
+                    ],
+                    stream="auto",
                 )
+            runtime.synchronize()
             outcome.kernel_launches += len(inflight)
             return
-        pool = runtime.stream_pool(self.num_streams)
-        if self.use_graphs:
-            self._decode_step_graphed(pool, inflight, outcome)
-            return
-        for idx, flight in enumerate(inflight):
-            runtime.launch(
-                program,
-                [flight.act_addr, linear.b_addr, linear.s_addr, flight.out_addr],
-                stream=pool.streams[idx % len(pool.streams)],
-            )
-        pool.synchronize()
-        outcome.kernel_launches += len(inflight)
-
-    def _decode_step_graphed(self, pool, inflight, outcome: TraceResult) -> None:
-        """One decode step through the graph subsystem: capture the
-        launch DAG on the first step at this batch size, replay it on
-        every later one (rebinding each request slot's activation and
-        output buffers to the current in-flight set)."""
-        linear = self.decode_linear
-        runtime = linear.runtime
-        program = linear.program_for(1)
-        batch = len(inflight)
-        act_bytes = (linear.k * linear.act_dtype.nbits + 7) // 8
-        out_bytes = (linear.n * linear.act_dtype.nbits + 7) // 8
-        graph = self._graphs.get(batch)
-        if graph is None:
-            with runtime.capture(self.num_streams) as graph:
-                for idx, flight in enumerate(inflight):
-                    runtime.launch(
-                        program,
-                        [flight.act_addr, linear.b_addr, linear.s_addr, flight.out_addr],
-                        stream=pool.streams[idx % len(pool.streams)],
-                    )
-            for idx, flight in enumerate(inflight):
-                graph.bind(f"act{idx}", flight.act_addr, act_bytes)
-                graph.bind(f"out{idx}", flight.out_addr, out_bytes)
-            self._graphs[batch] = graph
-            outcome.graph_captures += 1
-            graph.replay()  # identity bindings: captured from this step
-        else:
-            bindings = {}
-            for idx, flight in enumerate(inflight):
-                bindings[f"act{idx}"] = flight.act_addr
-                bindings[f"out{idx}"] = flight.out_addr
-            graph.replay(bindings)
-            outcome.graph_replays += 1
-        outcome.kernel_launches += batch
+        runtime.launch(
+            linear.program_for(self.max_batch),
+            [self._act, linear.b_addr, linear.s_addr, self._out],
+        )
+        outcome.kernel_launches += 1
 
 
 def uniform_trace(

@@ -14,7 +14,7 @@ Namespaces:
 - ``runtime.*``   — launches, the specialization cache, engine stats
 - ``streams.*``   — pool width, launches, post-coalescing executions
 - ``jit.*``       — compiled tier: promotion/bailout/cache counters
-- ``batching.*``  — the continuous-batching simulator's graph census
+- ``batching.*``  — the continuous-batching simulator's shape
 - ``router.*``    — fleet aggregates (``router.shed`` is the admission
   reject count — the door is where overload is measured)
 
@@ -61,7 +61,6 @@ RUNTIME_METRICS_KEYS = frozenset({
 #: ``ContinuousBatchingSimulator.metrics()`` keys: the runtime contract
 #: plus the simulator's own namespace.
 SIMULATOR_METRICS_KEYS = RUNTIME_METRICS_KEYS | frozenset({
-    "batching.graphs_captured",
     "batching.max_batch",
     "batching.num_streams",
 })

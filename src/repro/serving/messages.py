@@ -14,9 +14,9 @@ Message envelope::
 
 Types: ``ready`` (worker → router, once after boot), ``run`` (router →
 worker, a chunk of requests), ``done`` (worker → router, per-request
-results + counters), ``pull_state`` / ``state`` (graph signatures +
-profile export), ``pull_trace`` / ``trace`` (the worker's buffered trace
-events + metrics snapshot + its monotonic-clock reading, its own
+results + counters), ``pull_state`` / ``state`` (profile + cache /
+JIT counter export), ``pull_trace`` / ``trace`` (the worker's buffered
+trace events + metrics snapshot + its monotonic-clock reading, its own
 ``trace_v`` version stamp inside the envelope — the fleet-trace merge
 frame, see :mod:`repro.obs.trace`), ``crash`` (router → worker, fault
 injection: hard-exit mid-loop), ``shutdown`` (router → worker, clean

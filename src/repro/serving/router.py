@@ -158,8 +158,8 @@ class WorkerPool:
                 pass
 
     def pull_state(self, index: int, timeout_s: float = 60.0) -> dict:
-        """One worker's graph signatures + cumulative profile + cache
-        counters, as JSON-decoded payload."""
+        """One worker's cumulative profile + cache (and JIT) counters,
+        as JSON-decoded payload."""
         handle = self.handles[index]
         send_msg(handle.conn, "pull_state")
         if not handle.conn.poll(timeout_s):

@@ -11,9 +11,9 @@ rebuilds the same state from it deterministically:
   in-process registries (:data:`~repro.llm.models.MODELS`,
   :data:`~repro.perf.gpus.GPUS`,
   :func:`~repro.dtypes.registry.dtype_from_name`);
-- specialization keys and graph signatures are structural sha256
-  hashes, so a graph captured from a spec-built simulator in one process
-  carries the signature of the same capture in another.
+- specialization keys are structural sha256 hashes, so a decode
+  kernel built from a spec in one process carries the key of the same
+  kernel in another.
 
 This is what makes the JSON-only wire protocol sufficient: identity
 lives in the recipe, not in any live object.
@@ -36,8 +36,8 @@ SPEC_JSON_VERSION = 4
 _FIELD_TYPES = {"str": str, "int": int, "bool": bool}
 
 #: The least value each count may take: shapes and groups are at least
-#: one, a seed is what ``default_rng`` accepts, and ``num_streams=0``
-#: issues the decode kernels synchronously.
+#: one, a seed is what ``default_rng`` accepts, and ``num_streams`` may
+#: be 0 (the per-request reference path, see ``num_streams`` below).
 _MINIMUM = {
     "group_size": 1,
     "linear_k": 1,
@@ -71,7 +71,13 @@ class WorkerSpec:
     #: Engine knobs: :meth:`build_simulator` turns them into a configured
     #: runtime and simulator.
     max_batch: int = 8
+    #: ``0`` selects the per-request reference decode path (one
+    #: ``program_for(1)`` launch per request); any other value the served
+    #: path (one ``program_for(max_batch)`` launch per step).  Only 0
+    #: versus not-0 matters: every value from 1 up serves alike.
     num_streams: int = 4
+    #: Read by nothing and not passed to the simulator: kept so
+    #: existing recipes (``replace(..., use_graphs=False)``) still parse.
     use_graphs: bool = True
     profile: bool = False
     #: Attach the compiled tier: hot decode specializations promote out
@@ -192,6 +198,5 @@ class WorkerSpec:
             max_batch=self.max_batch,
             decode_linear=linear,
             num_streams=self.num_streams,
-            use_graphs=self.use_graphs,
             profile=self.profile,
         )

@@ -9,17 +9,14 @@ exception while serving a chunk the worker answers ``error`` with the
 message text instead of dying silently, so the router can surface it.
 
 State export (``pull_state``) returns the worker's cumulative decode
-:class:`~repro.runtime.profiling.Profile` and the
-:attr:`~repro.runtime.graphs.ExecutionGraph.signature` of the graph
-captured per batch size — a hash over every node's specialization key,
-engine and grid, so equal signatures mean two shards replay the same
-launch DAG.
+:class:`~repro.runtime.profiling.Profile`, its specialization-cache
+counters and, with the compiled tier attached, the JIT counters.
 
 Trace export (``pull_trace``) is the observability half: with
 ``spec.trace`` the worker installs a process tracer at boot
 (:mod:`repro.obs.trace`), wraps each served chunk in a ``worker.chunk``
-span (stream/graph/JIT emit points inside the simulator record on
-their own lanes), and ships the raw event buffer plus its unified
+span (JIT emit points inside the simulator record on their own
+lanes), and ships the raw event buffer plus its unified
 ``metrics()`` snapshot and a ``perf_counter`` reading — the clock
 reference the router's fleet merge uses to normalize this process's
 timestamps onto its own.
@@ -50,14 +47,10 @@ CRASH_EXIT_CODE = 17
 
 
 def _state_payload(sim) -> dict:
-    """Graph signatures + the simulator's cumulative profile (JSON)."""
+    """The simulator's cumulative profile and counters (JSON)."""
     runtime = sim.decode_linear.runtime
     cache = runtime.cache
     payload = {
-        "graphs": {
-            str(batch): graph.signature
-            for batch, graph in sorted(sim.graphs.items())
-        },
         "profile": sim.served_profile.to_json(),
         "cache": {"hits": cache.hits, "misses": cache.misses},
     }

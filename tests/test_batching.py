@@ -22,12 +22,12 @@ def make_sim(system="tilus", dtype=uint4, max_batch=16):
 def test_constructor_carries_no_engine_knobs():
     """Engine state (compiled tier, tuning store) lives
     on ``decode_linear.runtime``; the simulator's own options are these
-    seven and a new one must be argued for, not slipped in."""
+    six and a new one must be argued for, not slipped in."""
     import inspect
 
     assert list(inspect.signature(ContinuousBatchingSimulator.__init__).parameters) == [
         "self", "model", "config", "max_batch", "decode_linear",
-        "num_streams", "use_graphs", "profile",
+        "num_streams", "profile",
     ]
 
 

@@ -1544,11 +1544,14 @@ class TestServingTier:
         """The count lives on the manager, not in a per-run profile: a
         key promoted in one ``run()`` is still hot in the next, so a
         group size that run sees for the first time lowers on its first
-        invocation and no launch of the run is interpreted."""
+        invocation and no launch of the run is interpreted.  Run on the
+        reference path (``num_streams=0``), whose per-request launches
+        a step retires as one group of the live count: a served step is
+        one launch, a group of one."""
         from repro.llm.batching import uniform_trace
         from repro.serving import WorkerSpec
 
-        sim = WorkerSpec(**self.SHAPE).build_simulator()
+        sim = WorkerSpec(**{**self.SHAPE, "num_streams": 0}).build_simulator()
         first = sim.run(uniform_trace(2, 0.0, prompt_tokens=32, output_tokens=12))
         jit = sim.decode_linear.runtime.jit
         assert first.jit_compiled >= 1

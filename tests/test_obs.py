@@ -189,7 +189,6 @@ BASELINE_RUNTIME_KEYS = {
 }
 
 BASELINE_SIMULATOR_KEYS = BASELINE_RUNTIME_KEYS | {
-    "batching.graphs_captured",
     "batching.max_batch",
     "batching.num_streams",
 }
@@ -306,6 +305,34 @@ class TestRuntimeEmitPoints:
         assert obs_trace.ACTIVE is None
         linear(rng.standard_normal((2, 64)))  # must not raise, must not record
 
+    def test_splitk_emits_stream_and_graph_events(self):
+        """Streamed split-k is the graph and stream user left (a served
+        decode step is one synchronous launch): its first call captures,
+        its second replays, and the summary sees both lanes."""
+        from repro import ops
+        from repro.dtypes import int6
+        from repro.kernels import MatmulConfig
+
+        rng = np.random.default_rng(3)
+        linear = ops.prepare_linear(
+            rng.standard_normal((64, 16)), int6, group_size=32,
+            config=MatmulConfig(16, 8, 16, split_k=2), streams=2,
+        )
+        tracer = linear.runtime.enable_tracing()
+        act = rng.standard_normal((2, 64))
+        try:
+            linear(act)
+            linear(act)
+        finally:
+            linear.runtime.disable_tracing()
+        names = [e["name"] for e in tracer.events()]
+        assert names.count("graph.capture") == 1
+        assert names.count("graph.replay") == 2
+        summary = summarize_trace(load_trace(json.dumps(chrome_trace(tracer))))
+        by_cat = {p["cat"]: p for p in summary["phases"]}
+        assert by_cat["stream"]["spans"] > 0
+        assert by_cat["graph"]["spans"] == 2 and by_cat["graph"]["instants"] == 1
+
 
 # ---------------------------------------------------------------------------
 # Sequential print sink
@@ -381,8 +408,10 @@ class TestTraceCli:
 
 class TestFleetTrace:
     """The acceptance test: a 4-worker traced run must yield one
-    Perfetto-loadable Chrome trace with router, worker, stream, graph
-    and JIT events on normalized clocks."""
+    Perfetto-loadable Chrome trace with router, worker, runtime-launch
+    and JIT events on normalized clocks (a served decode step is one
+    synchronous launch: the stream and graph lanes are split-k's, see
+    ``TestRuntimeEmitPoints``)."""
 
     NUM_WORKERS = 4
     NUM_REQUESTS = 12
@@ -441,7 +470,8 @@ class TestFleetTrace:
             for e in trace["traceEvents"]
             if e.get("ph") in ("X", "i")
         }
-        assert {"router", "worker", "stream", "graph", "jit"} <= cats
+        assert {"router", "worker", "runtime", "jit"} <= cats
+        assert not {"stream", "graph"} & cats
 
     def test_clocks_normalized(self, fleet):
         _, trace, _ = fleet
@@ -467,7 +497,9 @@ class TestFleetTrace:
         summary = summarize_trace(load_trace(json.dumps(trace)))
         assert len(summary["processes"]) == self.NUM_WORKERS + 1
         by_cat = {p["cat"]: p for p in summary["phases"]}
-        assert by_cat["stream"]["spans"] > 0
+        # One launch span per decode step: the 4-token chunks at
+        # max_batch=1 take 4 steps per request.
+        assert by_cat["runtime"]["spans"] == 4 * self.NUM_REQUESTS
         assert by_cat["jit"]["instants"] > 0
 
     def test_worker_metrics_validate(self, fleet):

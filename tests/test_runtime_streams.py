@@ -520,40 +520,59 @@ class TestRuntimeIntegration:
             assert np.array_equal(graphed, eager)
         assert not np.array_equal(outs[True][0], outs[True][1])
 
-    def test_batching_simulator_issues_decode_kernels_on_streams(self):
-        """llm.batching wiring: every decode step launches one kernel per
-        in-flight request, spread over distinct streams."""
+    @staticmethod
+    def _decode_simulator(num_streams: int):
         from repro import ops
-        from repro.llm import (
-            ContinuousBatchingSimulator,
-            GEMMA2_9B,
-            Request,
-            ServingConfig,
-        )
+        from repro.llm import ContinuousBatchingSimulator, GEMMA2_9B, ServingConfig
         from repro.dtypes import uint4
         from repro.perf import L40S
 
         rng = np.random.default_rng(2)
         linear = ops.prepare_linear(rng.standard_normal((64, 16)), int6, group_size=32)
-        sim = ContinuousBatchingSimulator(
+        return ContinuousBatchingSimulator(
             GEMMA2_9B,
             ServingConfig("tilus", uint4, L40S),
             max_batch=4,
             decode_linear=linear,
-            num_streams=4,
-            # Eager issue: a captured step fuses its same-specialization
-            # launches into one execution group on one stream.
-            use_graphs=False,
+            num_streams=num_streams,
         )
+
+    def test_batching_simulator_issues_decode_kernels_on_streams(self):
+        """llm.batching's reference path (``num_streams=0``): every decode
+        step launches one ``program_for(1)`` kernel per in-flight request
+        on the pool, and the step's barrier runs them as one stacked
+        group."""
+        from repro.llm import Request
+
+        sim = self._decode_simulator(num_streams=0)
+        runtime = sim.decode_linear.runtime
         try:
             result = sim.run([Request(0.0, 32, 4) for _ in range(3)])
-            assert result.kernel_launches > 0
-            pool = linear.runtime.stream_pool()
+            assert result.kernel_launches == 3 * 4
+            pool = runtime.stream_pool()
             assert pool.launches == result.kernel_launches
-            # A step's launches are placed on distinct streams and run
-            # as one stacked group on the head's.
             assert pool.executions < pool.launches
             # The analytical accounting is unchanged by kernel issue.
             assert result.total_tokens == 3 * (32 + 4)
         finally:
-            linear.runtime.stream_pool().shutdown()
+            runtime.stream_pool().shutdown()
+
+    def test_batching_simulator_decode_step_is_one_launch(self):
+        """The served path: a decode step is one synchronous
+        ``program_for(max_batch)`` launch over the slot rows — no stream
+        pool, no per-request launch — and its digests are the reference
+        path's."""
+        from repro.llm import Request
+
+        trace = [Request(0.0, 32, 4, rid=i) for i in range(3)]
+        sim = self._decode_simulator(num_streams=4)
+        runtime = sim.decode_linear.runtime
+        result = sim.run(trace)
+        # Three admissions, then four steps with all three in flight.
+        assert result.kernel_launches == runtime.context.launches == 4
+        assert runtime._pool is None
+        assert result.total_tokens == 3 * (32 + 4)
+        reference = self._decode_simulator(num_streams=0).run(trace)
+        assert [r.output_digest for r in result.results] == [
+            r.output_digest for r in reference.results
+        ]

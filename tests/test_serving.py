@@ -1,15 +1,21 @@
 """Multi-process sharded serving: wire protocol, spec recipes, router
 policy (admission / SLO scheduling), worker-pool end-to-end bit-exactness,
-crash recovery, and cross-process graph-signature / profile round-trips.
+crash recovery, and cross-process profile / graph-signature round-trips.
 
 The process-spawning tests use real ``spawn``-context workers (fresh
 interpreters, JSON pipes only) — they are the acceptance tests for the
 "no pickle of live objects" transport contract.
 """
 
+import inspect
 import json
 import math
 import multiprocessing as mp
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -34,6 +40,18 @@ TINY = WorkerSpec(
     linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
     max_batch=4, num_streams=2,
 )
+
+
+def served_steps(spec: WorkerSpec, requests) -> int:
+    """Decode steps a fresh simulator built from ``spec`` takes to serve
+    ``requests`` (counted where the simulated clock advances one)."""
+    sim = spec.build_simulator()
+    engine = sim.engine
+    with mock.patch.object(
+        engine, "decode_step_latency", wraps=engine.decode_step_latency
+    ) as step:
+        sim.run(requests)
+    return step.call_count
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +403,10 @@ class TestRouterPolicy:
 
 class TestPoolServing:
     def test_pool_serves_bit_exactly_vs_oracle(self):
-        """Two workers serve a Poisson trace; every digest matches the
-        single-process serial oracle and the simulated timings gate."""
+        """Two workers serve a Poisson trace; every digest matches a
+        single-process simulator's and the per-request reference's, a
+        served decode step is one launch, and the simulated timings
+        gate."""
         trace = poisson_trace(
             8, rate_rps=1000.0, prompt_tokens=32, output_tokens=3, slo_s=30.0
         )
@@ -398,7 +418,16 @@ class TestPoolServing:
         oracle = TINY.build_simulator().run(trace)
         oracle_digests = {r.request.rid: r.output_digest for r in oracle.results}
         assert result.digests() == oracle_digests
-        assert result.kernel_launches == oracle.kernel_launches
+        reference = replace(TINY, num_streams=0).build_simulator().run(trace)
+        assert {r.request.rid: r.output_digest for r in reference.results} == oracle_digests
+        # The reference launches once per request per step; a served step
+        # is one launch, in the single process and summed over the
+        # router's chunks alike.
+        assert reference.kernel_launches == sum(r.output_tokens for r in trace)
+        assert oracle.kernel_launches == served_steps(TINY, trace)
+        scheduled = Router.schedule(trace)
+        chunks = [scheduled[i : i + 3] for i in range(0, len(scheduled), 3)]
+        assert result.kernel_launches == sum(served_steps(TINY, c) for c in chunks)
         # Simulated metrics are populated and ordered sensibly.
         assert 0.0 < result.latency_percentile(50) <= result.latency_percentile(99)
         assert 0.0 < result.simulated_makespan_s
@@ -553,15 +582,42 @@ class TestDispatchLoop:
 
 
 # ---------------------------------------------------------------------------
-# Cross-process state transfer: graph signatures + profiles through a
-# real spawned worker (the Profile JSON round-trip acceptance)
+# Cross-process state transfer: profiles through a real spawned worker
+# (the Profile JSON round-trip acceptance), and graph signatures across
+# two processes on split-k, the operator that still captures graphs
 # ---------------------------------------------------------------------------
 
 
+def splitk_state() -> dict:
+    """Call a streamed split-k linear twice (the first call captures its
+    graph, the second replays it) under a profiler; return the graph's
+    signature, the profile JSON and the output bytes.  Run here and, by
+    its source, in a fresh interpreter."""
+    import numpy as np
+
+    from repro import ops
+    from repro.dtypes import int6
+    from repro.kernels import MatmulConfig
+
+    linear = ops.prepare_linear(
+        np.random.default_rng(0).standard_normal((64, 16)), int6, group_size=32,
+        config=MatmulConfig(16, 8, 16, split_k=2), streams=2,
+    )
+    profile = linear.runtime.enable_profiling()
+    activation = np.random.default_rng(1).standard_normal((2, 64))
+    linear(activation)
+    out = linear(activation)
+    return {
+        "signature": linear._graphs[2].signature,
+        "profile": profile.to_json(),
+        "out": out.tobytes().hex(),
+    }
+
+
 class TestCrossProcessState:
-    def test_signatures_and_profile_round_trip_through_worker(self):
+    def test_profile_round_trips_through_worker(self):
         from repro.runtime import Runtime
-        from repro.runtime.profiling import Profile, spec_string
+        from repro.runtime.profiling import Profile
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
@@ -574,40 +630,66 @@ class TestCrossProcessState:
             result = Router(pool, chunk_size=3).serve(chunk, timeout_s=180.0)
             state = pool.pull_state(0)
         assert result.num_completed == 3
+        assert "graphs" not in state  # no decode step captures a graph
 
         # The parent rebuilds the identical engine from the same recipe
         # and serves the same chunk.
         sim = spec.build_simulator()
         parent = sim.run(chunk)
 
-        # 1. Replay bit-exactness across the process boundary: every
-        #    worker digest equals the parent's.
+        # 1. Bit-exactness across the process boundary: every worker
+        #    digest equals the parent's.
         assert result.digests() == {
             r.request.rid: r.output_digest for r in parent.results
         }
 
-        # 2. Graph identity: the worker captured one graph per batch
-        #    size, and each carries the signature (a hash over every
-        #    node's specialization key, engine and grid) of the parent's
-        #    capture at that batch size.
-        assert state["graphs"] == {
-            str(batch): graph.signature for batch, graph in sim.graphs.items()
-        }
-        live = sim.graphs[max(sim.graphs)]
-
-        # 3. The worker's profile parses, holds a record under the
-        #    parent graph's signature and the decode kernel's spec, and
-        #    merges into a fresh runtime's profiler.
+        # 2. The worker's profile parses, records the same launch sites
+        #    as the parent's run of the same chunk — one site, the
+        #    ``program_for(max_batch)`` kernel, called once per step —
+        #    and merges into a fresh runtime's profiler.
         worker_profile = Profile.from_json(state["profile"])
-        decode_spec = spec_string(live.nodes[0].key)
-        served = [
-            node for node in worker_profile.nodes.values()
-            if node.scope == live.signature and node.spec == decode_spec
-        ]
-        assert served and all(node.calls >= 1 for node in served)
+
+        def sites(profile):
+            return sorted(
+                (n.scope, n.ident, n.spec, n.engine, n.calls)
+                for n in profile.nodes.values()
+            )
+
+        assert sites(worker_profile) == sites(sim.served_profile)
+        (node,) = worker_profile.nodes.values()
+        assert node.calls == parent.kernel_launches
         absorbed = Runtime().enable_profiling().merge(worker_profile)
         assert absorbed.to_json() == worker_profile.to_json()
 
-        # 4. Cache counters crossed as plain JSON numbers.
+        # 3. Cache counters crossed as plain JSON numbers.
         assert state["cache"]["misses"] >= 1
         assert state["cache"]["hits"] >= 1
+
+    def test_splitk_graph_signature_and_profile_cross_processes(self):
+        """A graph signature is a hash over every node's specialization
+        key, engine and grid — not over addresses — so the same split-k
+        capture in a fresh interpreter carries the same signature, and
+        the replayed nodes' profile records sit under it."""
+        import repro
+        from repro.runtime.profiling import Profile
+
+        here = splitk_state()
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c",
+             inspect.getsource(splitk_state)
+             + "\nimport json\nprint(json.dumps(splitk_state()))"],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        there = json.loads(child.stdout.splitlines()[-1])
+        assert there["signature"] == here["signature"]
+        assert there["out"] == here["out"]
+        for state in (here, there):
+            replayed = [
+                node for node in Profile.from_json(state["profile"]).nodes.values()
+                if node.scope == here["signature"]
+            ]
+            # split_k = 2 slices and the reduce, on both calls (the
+            # capturing call runs by replaying its fresh graph).
+            assert len(replayed) == 3 and all(n.calls == 2 for n in replayed)

@@ -1,24 +1,32 @@
 #!/usr/bin/env python3
 """Where a compiled kernel's time goes, statement by statement.
 
-``python tools/kernel_profile.py --launches G [--program decode|<seed>]
-[--private]`` lowers one kernel as ``G`` stacked launches — ``decode``
-is the serving decode linear (``WorkerSpec(jit=True)``: i6 x f16, k=64,
-n=16), a number is that seed's differential-harness case — and runs it
-with a timer around every emitted statement: 300 runs after 50
-warm-ups, the median microseconds of each statement beside the rows
-(leading axis) of the array it makes, and the share each tile-semantics
-table entry (``_gb``, ``_viewp``, ``_tab`` ...) owns.  The same kernel
-lowered at ``G/4`` launches is timed beside it: a statement whose time
-does not move with a quarter of the rows is call-bound (numpy's
-per-call overhead), one that shrinks towards a quarter is data-bound.
+``python tools/kernel_profile.py --m B`` lowers the serving decode
+linear (``WorkerSpec(jit=True)``: i6 x f16, k=64, n=16) as one
+``program_for(B)`` launch over a ``[B, k]`` activation matrix — the
+form serving takes: a served decode step is one such launch with
+``B = max_batch`` (8 by default).  ``python tools/kernel_profile.py
+--launches G [--program decode|<seed>] [--private]`` lowers one kernel
+as ``G`` stacked launches instead — ``decode`` is ``G`` launches of the
+decode linear's ``program_for(1)`` (the per-request reference path's
+group form), a number is that seed's differential-harness case.
 
-The launches read their inputs (the decode linear's weights and scales)
+Either kernel runs with a timer around every emitted statement: 300
+runs after 50 warm-ups, the median microseconds of each statement
+beside the rows (leading axis) of the array it makes, and the share
+each tile-semantics table entry (``_gb``, ``_viewp``, ``_tab`` ...)
+owns.  The same kernel at a quarter of ``B`` or ``G`` is timed beside
+it: a statement whose time does not move with a quarter of the rows is
+call-bound (numpy's per-call overhead), one that shrinks towards a
+quarter is data-bound.
+
+With ``--launches``, the launches read their inputs (the decode linear's weights and scales)
 through one pointer, as a serving step's do, and the kernel is lowered
 with that shared set — what the launch seam asks the JIT for — so the
 weight side of the table holds one launch's rows.  ``--private`` gives
 every launch its own copy instead: nothing is shared and the table is
 the stacked form's.  The last line prints ``run_many`` for both.
+``--private`` has no meaning for ``--m``: one launch shares nothing.
 
 Statements run one at a time in a dict namespace, so their sum reads a
 little above the whole kernel's ``run_many`` median.
@@ -50,13 +58,31 @@ _TARGET = re.compile(r"(t\d+) = ")
 _ENTRY = re.compile(r"\b(" + "|".join(sorted(tileops.KERNEL_NAMESPACE)) + r")\(")
 
 
+def decode_linear():
+    from repro.serving import WorkerSpec
+
+    return WorkerSpec(jit=True, num_streams=8).build_simulator().decode_linear
+
+
+def decode_step(m: int):
+    """The serving decode linear's ``program_for(m)`` and its one launch
+    over an ``[m, k]`` activation and an ``[m, n]`` output matrix."""
+    linear = decode_linear()
+    runtime = linear.runtime
+    args = [
+        runtime.upload(np.random.default_rng(0).standard_normal((m, linear.k)), linear.act_dtype),
+        linear.b_addr,
+        linear.s_addr,
+        runtime.empty([m, linear.n], linear.act_dtype),
+    ]
+    return linear.program_for(m), runtime.memory, [args]
+
+
 def decode_launches(launches: int, private: bool = False):
     """The serving decode linear and ``launches`` independent launches
     of it (one activation row and one output each) on the linear's
     weights and scales — or, ``private``, each on its own copy of them."""
-    from repro.serving import WorkerSpec
-
-    linear = WorkerSpec(jit=True, num_streams=8).build_simulator().decode_linear
+    linear = decode_linear()
     runtime, program = linear.runtime, linear.program_for(1)
     rng = np.random.default_rng(0)
 
@@ -170,28 +196,38 @@ def by_entry(statements, micros) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--launches", type=int, required=True, metavar="G")
+    size = parser.add_mutually_exclusive_group(required=True)
+    size.add_argument("--m", type=int, metavar="B",
+                      help="one program_for(B) decode launch: what a served step runs")
+    size.add_argument("--launches", type=int, metavar="G")
     parser.add_argument("--program", default="decode", help="decode (default) or a harness seed")
     parser.add_argument("--private", action="store_true",
                         help="every launch reads its own copy of the inputs (nothing shared)")
     opts = parser.parse_args(argv)
+    if opts.m is not None and (opts.program != "decode" or opts.private):
+        parser.error("--m profiles the decode linear's one launch: no --program, no --private")
 
-    def build(launches: int, private: bool):
+    def build(count: int, private: bool):
+        if opts.m is not None:
+            return decode_step(count)
         if opts.program == "decode":
-            return decode_launches(launches, private)
-        return harness_launches(int(opts.program), launches, private)
+            return decode_launches(count, private)
+        return harness_launches(int(opts.program), count, private)
 
-    small = max(1, opts.launches // 4)
+    count = opts.launches if opts.m is None else opts.m
+    small = max(1, count // 4)
     try:
-        statements, rows, micros, whole, lower_ms = profile(*build(opts.launches, opts.private))
+        statements, rows, micros, whole, lower_ms = profile(*build(count, opts.private))
         q_statements, _, q_micros, q_whole, _ = profile(*build(small, opts.private))
-        program, memory, args_list = build(opts.launches, not opts.private)
-        other = run_many_us(lower(program, memory, args_list), memory, args_list)
+        if opts.m is None:
+            program, memory, args_list = build(count, not opts.private)
+            other = run_many_us(lower(program, memory, args_list), memory, args_list)
     except LoweringBailout as exc:
         print(f"not lowered: {exc}")
         return 2
-    head = f"G={opts.launches}"
-    q_head = f"G={small}"
+    label = "G" if opts.m is None else "B"
+    head = f"{label}={count}"
+    q_head = f"{label}={small}"
     if len(q_statements) == len(statements):
         print(f"{'line':>4} {'rows':>4} {head + ' us':>9} {q_head + ' us':>9} {'ratio':>5}  statement")
         for i, (s, r, us, q_us) in enumerate(zip(statements, rows, micros, q_micros), 1):
@@ -207,12 +243,16 @@ def main(argv=None) -> int:
             f"{entry:<12} {calls:>5} {us:>9.1f} {us / total:>6.1%} {q_us:>9.1f} "
             f"{us / max(q_us, 1e-9):>5.1f}"
         )
-    shared_us, private_us = (other, whole) if opts.private else (whole, other)
+    if opts.m is None:
+        shared_us, private_us = (other, whole) if opts.private else (whole, other)
+        inputs = f" — inputs shared {shared_us:.0f} us, private {private_us:.0f} us"
+    else:
+        inputs = ""
     print(
         f"\n{len(statements)} statements ({sum(not s.startswith('del ') for s in statements)} "
         f"without del); statement medians sum to {total:.0f} us ({q_head}: {q_micros.sum():.0f}); "
-        f"run_many median {whole:.0f} us ({q_head}: {q_whole:.0f}) — inputs shared "
-        f"{shared_us:.0f} us, private {private_us:.0f} us; lower_program {lower_ms:.1f} ms"
+        f"run_many median {whole:.0f} us ({q_head}: {q_whole:.0f}){inputs}; "
+        f"lower_program {lower_ms:.1f} ms"
     )
     return 0
 
