@@ -18,6 +18,7 @@ program is executed bit-accurately on the VM.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,15 @@ class QuantizedLinear:
     every later call replays it with the activation, workspace and
     output pointers rebound — per-call scheduling, hazard analysis and
     coalescing decisions are all skipped.
+
+    **Buffer lifetime.**  A call allocates its activation, its output and
+    (split-k) its f32 partials, and frees them once the result is
+    downloaded — the download retires every launch of the call, a graph
+    replay included, and the next call's buffers of the same sizes reuse
+    the spans (:meth:`~repro.vm.memory.GlobalMemory.free`).  The weight
+    and scale buffers live as long as the operator: they are freed when
+    it is collected.  Launches the caller issues itself on ``b_addr`` /
+    ``s_addr`` must keep the operator alive until they retire.
     """
 
     runtime: Runtime
@@ -88,6 +98,8 @@ class QuantizedLinear:
     def __post_init__(self) -> None:
         self._programs: dict = {}
         self._graphs: dict = {}
+        release = weakref.finalize(self, _free_all, self.runtime, self.b_addr, self.s_addr)
+        release.atexit = False
 
     def _memoized(self, key, build):
         program = self._programs.pop(key, None)
@@ -125,18 +137,26 @@ class QuantizedLinear:
         if a.ndim != 2 or a.shape[1] != self.k:
             raise ValueError(f"activations must be [m, {self.k}], got {a.shape}")
         m = a.shape[0]
-        a_addr = self.runtime.upload(self.act_dtype.quantize(a), self.act_dtype)
-        c_addr = self.runtime.empty([m, self.n], self.act_dtype)
-        if self.config.split_k >= 2:
-            self._launch_splitk(m, a_addr, c_addr)
-        else:
-            program = self.program_for(m)
-            self.runtime.launch(program, [a_addr, self.b_addr, self.s_addr, c_addr])
-        return self.runtime.download(c_addr, [m, self.n], self.act_dtype)
+        buffers = [
+            self.runtime.upload(self.act_dtype.quantize(a), self.act_dtype),
+            self.runtime.empty([m, self.n], self.act_dtype),
+        ]
+        a_addr, c_addr = buffers
+        try:
+            if self.config.split_k >= 2:
+                buffers.append(self.runtime.empty([self.config.split_k, m, self.n], float32))
+                self._launch_splitk(m, a_addr, buffers[2], c_addr)
+            else:
+                program = self.program_for(m)
+                self.runtime.launch(program, [a_addr, self.b_addr, self.s_addr, c_addr])
+            return self.runtime.download(c_addr, [m, self.n], self.act_dtype)
+        finally:
+            _free_all(self.runtime, *buffers)
 
-    def _launch_splitk(self, m: int, a_addr: int, c_addr: int) -> None:
+    def _launch_splitk(self, m: int, a_addr: int, p_addr: int, c_addr: int) -> None:
         """Issue the split-k slice launches (one stream per slice when
-        streaming) and the hazard-ordered reduce; blocks until done.
+        streaming) and the hazard-ordered reduce into ``c_addr``, through
+        the f32 partials at ``p_addr``.
 
         When streaming with ``use_graphs``, the fan-out is captured as an
         execution graph on the first call per ``m`` and replayed (with
@@ -144,7 +164,6 @@ class QuantizedLinear:
         """
         sk = self.config.split_k
         slice_prog, reduce_prog = self.splitk_programs_for(m)
-        p_addr = self.runtime.empty([sk, m, self.n], float32)
         slice_bytes = m * self.n * 4
         tiles_per_slice = (self.k // self.config.block_k) // sk
         if self.streams > 0:
@@ -195,6 +214,11 @@ class QuantizedLinear:
                     ],
                 )
             self.runtime.launch(reduce_prog, [p_addr, c_addr])
+
+
+def _free_all(runtime: Runtime, *addrs: int) -> None:
+    for addr in addrs:
+        runtime.free(addr)
 
 
 def _default_config(weight_dtype: DataType) -> MatmulConfig:

@@ -323,6 +323,15 @@ class Runtime:
             self._pool.drain()
         return self.memory.download(addr, shape, dtype)
 
+    def free(self, addr: int) -> None:
+        """Release the device tensor at ``addr`` for reuse by a later
+        allocation of its size (pending asynchronous launches retire
+        first: nothing queued can still read or write it).  A double or
+        unknown free raises :class:`~repro.errors.VMError`."""
+        if self._pool is not None:
+            self._pool.drain()
+        self.memory.free(addr)
+
     def ensure_workspace(self, nbytes: int) -> int:
         """Grow-on-demand workspace shared by kernels (never shrinks)."""
         if nbytes > self._workspace_size:

@@ -47,14 +47,19 @@ back.
 A loop runs what its iterations do alike once
 ---------------------------------------------
 A ``for`` loop whose extent is one number for every block, whose body is
-straight-line register and load instructions (no store, copy,
-allocation, free, print or exit; at most one ``Lookup``) and which runs
-under a full mask is *distributed* (:meth:`TileWalk.distributed`).  Its
-early statements — those that read no value a later statement of the
-body assigns, nor one the accumulator chain computes (:func:`loop_split`,
+straight-line register and load instructions (no store, allocation,
+free, print or exit; at most one ``Lookup``), scalar assignments from the
+loop variable and the ``cp.async`` ring — copies from global into shared
+memory, their fences, an ``if`` around them — and which runs under a
+full mask is *distributed* (:meth:`TileWalk.distributed`).  Its early
+statements — those that read no value a later statement of the body
+assigns, nor one the accumulator chain computes (:func:`loop_split`,
 worked out once per loop) — run once, on ``iterations x`` the rows: the
-loop variable is a per-row array, every value defined before the loop is
-repeated for each iteration.  The rows stay launch-major (launch, then
+loop variable and every assignment are per-row arrays, every value
+defined before the loop is repeated for each iteration.  The copies
+write a :class:`Journal`, not shared memory: every shared read gathers
+the state its place in the serial order sees, and the last state is
+written back.  The rows stay launch-major (launch, then
 iteration, then block), so a shared operand holds ``iterations x B /
 launches`` rows and :meth:`TileWalk.one_launch`, :meth:`TileWalk.stack`
 and the ``Dot`` broadcast work unchanged.  The rest — the ``Dot`` /
@@ -135,7 +140,7 @@ through tensor outputs of well-formed programs):
 from __future__ import annotations
 
 import copy
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -570,67 +575,257 @@ class LockstepWalk:
 # ---------------------------------------------------------------------------
 
 #: What a distributed loop's body may hold: instructions that compute on
-#: registers and read memory — no store, copy, allocation, free, print
-#: or exit, so running one early for every iteration changes nothing
-#: another statement of the loop can observe.
+#: registers and read memory — no store, allocation, free, print or exit,
+#: so running one early for every iteration changes nothing another
+#: statement of the loop can observe.
 _DISTRIBUTABLE = frozenset({
     insts.LoadGlobal, insts.LoadShared, insts.ElementwiseBinary, insts.Neg,
     insts.Cast, insts.View, insts.Dot, insts.ReduceSum, insts.Lookup,
 })
 
+#: And the ``cp.async`` ring, which may also sit in an ``if`` without
+#: ``else``: copies from global into shared memory, which write a journal,
+#: not the buffer (:class:`Journal`), and the fences and groups around
+#: them, which only count.
+_RING = frozenset({
+    insts.CopyAsync, insts.Synchronize, insts.CopyAsyncWaitGroup, insts.CopyAsyncCommitGroup,
+})
+
 _SPLIT_ATTR = "_vm_loop_split"
+
+
+class LoopSplit(NamedTuple):
+    """How a loop distributes (:func:`loop_split`)."""
+
+    #: The body's statements in serial order — instructions and scalar
+    #: assignments; an ``if``'s instructions in place of the ``if``.
+    stmts: tuple
+    #: Per statement: whether it runs on every iteration's rows at once.
+    early: tuple
+    #: The variables defined before the loop that those statements read.
+    reads: tuple
+    #: Per statement: the condition of the ``if`` it sits in, or None.
+    guards: tuple
+    #: Per statement: the copies before it in the body.
+    copies_before: tuple
+    #: The distinct ``copies_before`` of the body's shared loads: the
+    #: points of an iteration at which the journal is read.
+    points: tuple
+    #: The ``CopyAsync`` instructions in the body.
+    copies: int
 
 
 def loop_split(loop: ForStmt):
     """How ``loop`` distributes — worked out once per loop and kept on
-    it — as ``(statements, early, reads)``: its body's statements in
-    order, whether each runs early (once, on every iteration's rows),
-    and the variables defined before the loop that the early ones read.
-    None when the loop runs serially.
+    it — as a :class:`LoopSplit`; None when the loop runs serially.
 
-    The body must be straight-line :data:`_DISTRIBUTABLE` instructions
-    with at most one ``Lookup`` (its run-time code check must keep the
-    serial order).  An instruction runs early when it reads no register
-    the body assigns at or after it (no loop-carried value), none a
-    serial one assigns (nothing downstream of the accumulator chain),
-    and its own output is assigned nowhere else in the body.
+    The body must be :data:`_DISTRIBUTABLE` and :data:`_RING`
+    instructions (at most one ``Lookup``: its run-time code check must
+    keep the serial order), ``if`` statements without ``else`` around ring
+    instructions, and scalar assignments, each variable assigned once.
+    An assignment or an ``if`` condition may read only the loop variable
+    and values defined before the loop; it is evaluated once on every
+    iteration's rows, and an assignment is bound again per iteration for
+    the serial statements.  An instruction runs early when it reads no
+    register the body assigns at or after it (no loop-carried value),
+    none a serial one assigns (nothing downstream of the accumulator
+    chain), no scalar assigned at or after it, and its own output is
+    assigned nowhere else in the body.  A ring instruction always runs
+    early, so it must read only what is defined before it; a shared load
+    must then run early too (it reads the journal).
     """
     stmts = [s for s in loop.body.walk() if not isinstance(s, SeqStmt)]
     cached = loop.__dict__.get(_SPLIT_ATTR)
     if cached is None or cached[0] != stmts:
         # Worked out again only if a compiler pass (dead-code
         # elimination) rewrote the body in place.
-        cached = loop.__dict__[_SPLIT_ATTR] = (stmts, _split(loop.var, stmts))
+        cached = loop.__dict__[_SPLIT_ATTR] = (stmts, _split(loop.var, loop.body))
     return cached[1]
 
 
-def _split(loop_var: Var, stmts: list):
-    if not all(
-        isinstance(s, InstructionStmt) and type(s.instruction) in _DISTRIBUTABLE
-        for s in stmts
-    ) or sum(isinstance(s.instruction, insts.Lookup) for s in stmts) > 1:
+def _flat(stmt: Stmt) -> list:
+    return [s for child in stmt.body for s in _flat(child)] if isinstance(stmt, SeqStmt) else [stmt]
+
+
+def _body(body: Stmt):
+    """``(statement, guard)`` in serial order, an ``if``'s ring
+    instructions guarded by its condition; None for any other shape."""
+    steps = []
+    for stmt in _flat(body):
+        if isinstance(stmt, IfStmt):
+            inner = _flat(stmt.then_body)
+            if stmt.else_body is not None or not all(
+                isinstance(s, InstructionStmt) and type(s.instruction) in _RING for s in inner
+            ):
+                return None
+            steps += [(s, stmt.cond) for s in inner]
+        elif isinstance(stmt, AssignStmt) or (
+            isinstance(stmt, InstructionStmt)
+            and type(stmt.instruction) in _DISTRIBUTABLE | _RING
+        ):
+            steps.append((stmt, None))
+        else:
+            return None
+    return steps
+
+
+def _split(loop_var: Var, body: Stmt):
+    steps = _body(body)
+    if steps is None:
         return None
-    outputs = [s.instruction.output for s in stmts]
-    last = {var: i for i, var in enumerate(outputs)}
-    early, serial, reads = [], set(), {}
-    for i, stmt in enumerate(stmts):
-        inputs = stmt.instruction.inputs()
-        stays = outputs.count(outputs[i]) > 1 or any(
-            last.get(var, -1) >= i or var in serial for var in inputs
-        )
+    stmts = [s for s, _ in steps]
+    assigned_at = {s.var: i for i, s in enumerate(stmts) if isinstance(s, AssignStmt)}
+    if len(assigned_at) < sum(isinstance(s, AssignStmt) for s in stmts) or sum(
+        isinstance(s, InstructionStmt) and isinstance(s.instruction, insts.Lookup) for s in stmts
+    ) > 1:
+        return None
+
+    def scalars(*exprs) -> dict:  # the variables they read, in order
+        return dict.fromkeys(node for expr in exprs for node in expr.walk()
+                             if isinstance(node, Var) and node != loop_var)
+
+    outputs = [s.instruction.output if isinstance(s, InstructionStmt) else None for s in stmts]
+    last = {var: i for i, var in enumerate(outputs) if var is not None}
+    early, serial, reads, before, copies = [], set(), {}, [], 0
+    for i, (stmt, guard) in enumerate(steps):
+        before.append(copies)
+        if isinstance(stmt, AssignStmt):
+            if assigned_at.keys() & scalars(stmt.value):
+                return None
+            reads.update(scalars(stmt.value))
+            early.append(True)
+            continue
+        inst = stmt.instruction
+        inputs = inst.inputs()
+        operands = scalars(*inst.scalar_operands(), *([guard] if guard is not None else []))
+        late = any(assigned_at.get(var, -1) >= i for var in operands)
+        if type(inst) in _RING:
+            if late or any(var in last for var in inputs) or (
+                guard is not None and assigned_at.keys() & scalars(guard)
+            ):
+                return None
+            stays = False
+            copies += isinstance(inst, insts.CopyAsync)
+        else:
+            stays = late or outputs.count(outputs[i]) > 1 or any(
+                last.get(var, -1) >= i or var in serial for var in inputs
+            )
         if stays:
             serial.add(outputs[i])
         else:
             reads.update(dict.fromkeys(var for var in inputs if var not in last))
-            for expr in stmt.instruction.scalar_operands():
-                reads.update(dict.fromkeys(
-                    node for node in expr.walk()
-                    if isinstance(node, Var) and node != loop_var
-                ))
+            reads.update(dict.fromkeys(var for var in operands if var not in assigned_at))
         early.append(not stays)
-    if not any(early):
+    if not any(first and isinstance(s, InstructionStmt) for s, first in zip(stmts, early)):
         return None
-    return stmts, tuple(early), tuple(reads)
+    loads = [i for i, s in enumerate(stmts)
+             if isinstance(s, InstructionStmt) and isinstance(s.instruction, insts.LoadShared)]
+    if copies and not all(early[i] for i in loads):
+        return None
+    return LoopSplit(
+        tuple(stmts), tuple(early), tuple(reads), tuple(g for _, g in steps), tuple(before),
+        tuple(sorted({before[i] for i in loads})) if copies else (), copies,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The shared-memory journal of a distributed loop's copies
+# ---------------------------------------------------------------------------
+
+#: The most bytes a journal's states may hold (every read point of every
+#: iteration, one region each); a loop that would need more runs serially.
+_JOURNAL_BYTES_KEPT = 1 << 24
+
+
+class Journal:
+    """What a distributed loop's copies write into shared memory, kept
+    apart from it so every shared read of the loop sees the bytes its
+    place in the serial order sees.
+
+    The copies run first, once on every iteration's rows; each is
+    recorded (:meth:`record`): the patterns it copies and the journal
+    cell of every byte they write — every block's allocated shared bytes
+    are ``span`` cells, block-major, plus one trash cell that takes what
+    a row the copy's guard leaves out would write.  :meth:`seal` then
+    builds, from the pre-loop buffer, one state of those cells per read
+    point of every iteration and the last one, applying the copies
+    iteration by iteration, copy by copy (:func:`tileops.journal`).  A
+    shared read (:meth:`read`) gathers its bytes from the state of its
+    iteration and point; :meth:`write_back` leaves the last state in the
+    buffer, as the serial loop leaves it.  Cells and the states to read
+    are launch constants: a lowering trace folds them, and records the
+    journal and its reads as table calls.
+    """
+
+    def __init__(self, walk: "TileWalk", points: tuple) -> None:
+        self.buf = walk.shared.buffer
+        self.blocks = walk.nblocks // walk.iterations
+        self.span = walk.shared.span
+        self.trash = self.blocks * self.span  # the last cell
+        #: Per row, what to add to a shared byte address for its cell.
+        self.to_cell = -walk.copied * (walk.shared.row_bytes - self.span)
+        self.points = points
+        #: Per copy, in body order: (cells (rows, lanes), patterns, bytes per element).
+        self.copies: list = []
+
+    def record(self, dst: View, indices: list, patterns, active: np.ndarray) -> None:
+        """A copy of ``patterns`` to ``dst`` at (rows, n) ``indices``
+        where ``active`` holds."""
+        width = dst.dtype.nbits // 8
+        everything = bool(active.all())
+        linear = tileops.linear_index(
+            dst.shape, dst.dtype, indices, where=None if everything else active[:, None]
+        )
+        cells = (dst.base + self.to_cell)[:, None] + linear * width
+        if width > 1:
+            cells = (cells[..., None] + np.arange(width)).reshape(cells.shape[0], -1)
+        if not everything:
+            cells[~active] = self.trash
+        self.copies.append((cells, patterns, width))
+
+    def seal(self, walk: "TileWalk") -> None:
+        """Build the states: one at every read point of every iteration
+        (after the body's first ``c`` copies, for each point ``c``) and
+        one at the end.  Between two, the copies' moves: a copy's rows of
+        one iteration, one run of them per launch."""
+        per = self.blocks // walk.launches
+        steps, moves = [], []
+        for k in range(walk.iterations):
+            for c in range(len(self.copies) + 1):
+                if c in self.points:
+                    steps.append(tuple(moves))
+                    moves = []
+                if c < len(self.copies):
+                    lanes = self.copies[c][0].shape[1]
+                    moves += [(c, row * lanes, (row + per) * lanes)
+                              for row in range(k * per, walk.nblocks, walk.per_launch)]
+        steps.append(tuple(moves))
+        ops = walk.ops
+        self.region = (
+            np.arange(self.blocks, dtype=np.int64)[:, None] * walk.shared.row_bytes
+            + np.arange(self.span)
+        ).reshape(-1)
+        self.states = ops.hold(ops.journal(
+            self.buf, self.region, tuple(steps),
+            tuple(cells.reshape(-1) for cells, _, _ in self.copies),
+            tuple(width for *_, width in self.copies),
+            *(patterns for _, patterns, _ in self.copies),
+        ))
+        self.flat = ops.hold(self.states.reshape(-1))
+
+    def read(self, walk: "TileWalk", addr, width: int, msg: str):
+        """The ``width``-byte patterns at (rows, n) shared byte addresses
+        ``addr`` as the read at ``walk``'s current point sees them."""
+        state = walk.iteration_index * len(self.points) + walk.point
+        cell = (state * (self.trash + 1) + self.to_cell)[:, None] + addr
+        return walk.ops.gather_bytes(self.flat, cell, width, msg)
+
+    def write_back(self, walk: "TileWalk") -> None:
+        """Leave the loop's last state in the buffer."""
+        last = self.states[-1]
+        walk.ops.scatter_bytes(
+            self.buf, self.region, last[:self.trash], 1, "journal write-back: {}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +862,11 @@ class TileWalk(LockstepWalk):
     #: Copies of the rows this walk holds, one per iteration of the loop
     #: it runs distributed (:meth:`over_iterations`); 1 outside one.
     iterations = 1
+
+    #: The :class:`Journal` of that loop's copies, if it has any, and the
+    #: read point of the statement running (:attr:`LoopSplit.points`).
+    journal = None
+    point = 0
 
     #: What makes a distributed loop fall back to the serial walk: the
     #: errors an early statement can raise, which must be the serial
@@ -890,18 +1090,24 @@ class TileWalk(LockstepWalk):
     def distributed(self, loop: ForStmt, extent: int, active: np.ndarray) -> bool:
         """Run ``loop`` split in two (:func:`loop_split`): its early
         statements once, on every iteration's rows (:meth:`over_iterations`;
-        the loop variable is a per-row array), then ``extent`` times the
-        rest — the accumulator chain — each on iteration ``k``'s cut of
-        the early registers.  The early registers (and the loop variable)
-        are left bound to the last iteration, as the serial walk leaves
-        them.  Only under a full mask and for two or more iterations; if
-        an early statement fails, its work is forgotten and the loop runs
-        serially, so what fails is the serial loop's error."""
+        the loop variable is a per-row array) — scalar assignments first,
+        then the copies into the journal (:class:`Journal`), then the
+        rest — then ``extent`` times the serial statements — the
+        accumulator chain — each on iteration ``k``'s cut of the early
+        registers, with the assignments bound again.  The early registers
+        (and the loop variable) are left bound to the last iteration, and
+        shared memory holds what the copies left, as the serial walk
+        leaves them.  Only under a full mask and for two or more
+        iterations; if an early statement fails, its work is forgotten
+        and the loop runs serially, so what fails is the serial loop's
+        error."""
         split = loop_split(loop) if extent > 1 and bool(active.all()) else None
         if split is None:
             return False
-        stmts, early, reads = split
-        defined = [(var, self.env[var]) for var in reads if var in self.env]
+        ring = split.copies > 0
+        if ring and not self.journals(split, extent):
+            return False
+        defined = [(var, self.env[var]) for var in split.reads if var in self.env]
         for _, value in defined:
             if isinstance(value, Register):
                 # Cut before the mark: a rollback must not leave a register
@@ -913,25 +1119,71 @@ class TileWalk(LockstepWalk):
             walk.env = {var: walk.spread(value) for var, value in defined}
             walk.env[loop.var] = walk.iteration_index
             everything = np.ones(walk.nblocks, dtype=bool)
-            for stmt, first in zip(stmts, early):
-                if first:
+            steps = list(zip(split.stmts, split.early, split.guards))
+            for stmt, _, _ in steps:
+                if isinstance(stmt, AssignStmt):
+                    walk.env[stmt.var] = walk.scalar(stmt.value, everything)
+            if ring:
+                walk.journal = Journal(walk, split.points)
+            for stmt, _, guard in steps:
+                if isinstance(stmt, InstructionStmt) and type(stmt.instruction) in _RING:
+                    mask = everything if guard is None else everything & tileops.as_mask(
+                        walk.scalar(guard, everything), walk.nblocks
+                    )
+                    walk.instruction(stmt.instruction, mask)
+            if ring:
+                walk.journal.seal(walk)
+            for (stmt, first, _), copies in zip(steps, split.copies_before):
+                if first and isinstance(stmt, InstructionStmt) and stmt.instruction.output:
+                    if copies in split.points:
+                        walk.point = split.points.index(copies)
                     walk.instruction(stmt.instruction, everything)
+            if ring:
+                walk.journal.write_back(walk)
+                walk.journal = None  # its arrays go with the loop, not the launch
         except self.ROLLBACK:
             self.ops.rewind(mark)
             return False
         self.stats.merge(walk.stats)
         for k in range(extent):
             self.bind_scalar(loop.var, k, active)
-            for stmt, first in zip(stmts, early):
-                if not first:
+            for stmt, first, _ in steps:
+                if not first or isinstance(stmt, AssignStmt):
                     self.run_stmt(stmt, active)
-                    continue
-                var = stmt.instruction.output
-                whole = walk.env[var]
-                self.env[var] = Register(
-                    whole.dtype, whole.layout, shared=whole.shared, part=(walk, whole, k)
-                )
+                elif stmt.instruction.output:
+                    var = stmt.instruction.output
+                    whole = walk.env[var]
+                    self.env[var] = Register(
+                        whole.dtype, whole.layout, shared=whole.shared, part=(walk, whole, k)
+                    )
         return True
+
+    def journals(self, split: LoopSplit, extent: int) -> bool:
+        """Whether a loop with copies can run them through a journal:
+        each copies a global view into a shared one of whole bytes, every
+        shared view the loop reads is read by a ``LoadShared`` and of
+        whole bytes, no ``Lookup`` reads a shared table, and the states
+        fit :data:`_JOURNAL_BYTES_KEPT`."""
+        def on_shared(var) -> bool:
+            value = self.env.get(var)
+            return isinstance(value, View) and self.shared.holds(value.buf)
+
+        def whole_bytes(var) -> bool:
+            return self.env[var].dtype.nbits % 8 == 0
+
+        for stmt in split.stmts:
+            inst = getattr(stmt, "instruction", None)
+            if isinstance(inst, insts.CopyAsync):
+                from_global = isinstance(self.env.get(inst.src), View) and not on_shared(inst.src)
+                if not (from_global and on_shared(inst.dst) and whole_bytes(inst.dst)):
+                    return False
+            elif isinstance(inst, (insts.LoadGlobal, insts.LoadShared)) and on_shared(inst.src):
+                if isinstance(inst, insts.LoadGlobal) or not whole_bytes(inst.src):
+                    return False
+            elif isinstance(inst, insts.Lookup) and on_shared(inst.table):
+                return False
+        states = extent * len(split.points) + 1
+        return states * self.nblocks * self.shared.span <= _JOURNAL_BYTES_KEPT
 
     def over_iterations(self, iterations: int) -> "TileWalk":
         """This walk on ``iterations`` copies of its rows, with its own
@@ -1026,6 +1278,9 @@ class TileWalk(LockstepWalk):
         nbits = view.dtype.nbits
         bit_off = linear * nbits
         addr = (view.base[:, None] if rows is None else view.base[rows]) + bit_off // 8
+        if self.journal is not None and view.buf is self.journal.buf:
+            # A LoadShared: unmasked, of whole bytes (TileWalk.journals).
+            return self.journal.read(self, addr, nbits // 8, view.oob)
         if nbits % 8 == 0:
             return self.ops.gather_bytes(view.buf, addr, nbits // 8, view.oob)
         shift = (bit_off % 8).astype(np.uint64)
@@ -1204,7 +1459,11 @@ class TileWalk(LockstepWalk):
             self.numbers(inst.dst_offset, active),
             self.nblocks,
         )
-        self.scatter(dst, dst_idx, self.gather_zfill(src, src_idx), active[:, None])
+        patterns = self.gather_zfill(src, src_idx)
+        if self.journal is not None:
+            self.journal.record(dst, dst_idx, patterns, active)
+        else:
+            self.scatter(dst, dst_idx, patterns, active[:, None])
         count = int(active.sum())
         self.stats.copy_async_issued += count
         self.stats.global_bits_loaded += int(np.prod(shape)) * src.dtype.nbits * count

@@ -24,44 +24,63 @@ _ALIGN = 256  # allocation alignment in bytes (cudaMalloc-like)
 
 
 class GlobalMemory:
-    """A device DRAM simulation: one byte buffer with a bump allocator.
+    """A device DRAM simulation: one byte buffer with a bump allocator and
+    exact-size free lists.
 
-    The allocator is thread-safe: host threads may upload while another
-    drains a stream pool, and ``AllocateGlobal`` allocates from inside a
-    launch.  Buffer *contents* are not locked — disjoint-range
-    access is the kernels' contract (enforced by the stream runtime's
-    hazard tracking).
+    A freed span goes on the free list of its aligned size, and an
+    allocation of that size takes the most recently freed one first
+    (``cudaFree`` + ``cudaMalloc`` of one size reuse the span); otherwise
+    the bump pointer moves.  The allocator is thread-safe: host threads
+    may upload while another drains a stream pool, and ``AllocateGlobal``
+    allocates from inside a launch.  Buffer *contents* are not locked —
+    disjoint-range access is the kernels' contract (enforced by the
+    stream runtime's hazard tracking) — and a freed span keeps its bytes.
     """
 
     def __init__(self, capacity_bytes: int = 1 << 30) -> None:
         self.capacity = int(capacity_bytes)
         self.buffer = np.zeros(self.capacity + 8, dtype=np.uint8)  # +8 guard
         self._next = 0
+        #: Live allocations: address -> requested bytes.
         self._allocations: dict[int, int] = {}
+        #: Freed spans by aligned size, the most recently freed last.
+        self._free: dict[int, list[int]] = {}
+        self._freed_bytes = 0
         self._lock = threading.Lock()
 
     @property
     def used_bytes(self) -> int:
-        return self._next
+        """Bytes of the live allocations (aligned spans)."""
+        return self._next - self._freed_bytes
+
+    def _take(self, aligned: int, count: int, nbytes: int) -> list[int]:
+        """``count`` spans of ``aligned`` bytes, freed ones first, then
+        bumped — in the order ``count`` single allocations take them.
+        Called under the lock."""
+        spans = self._free.get(aligned, [])
+        reused = [spans.pop() for _ in range(min(count, len(spans)))]
+        fresh = count - len(reused)
+        if self._next + aligned * fresh > self.capacity:
+            spans.extend(reversed(reused))
+            what = f"{nbytes} B" if count == 1 else f"{count} x {nbytes} B"
+            raise OutOfMemoryError(
+                f"device OOM: requested {what} with {self.capacity - self._next} B free "
+                f"of {self.capacity} B"
+            )
+        self._freed_bytes -= aligned * len(reused)
+        addrs = reused + [self._next + aligned * i for i in range(fresh)]
+        self._next += aligned * fresh
+        self._allocations.update((addr, nbytes) for addr in addrs)
+        return addrs
 
     def alloc(self, nbytes: int) -> int:
         """Allocate ``nbytes`` and return the byte address."""
         nbytes = int(nbytes)
-        aligned = (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
         with self._lock:
-            addr = self._next
-            if addr + aligned > self.capacity:
-                raise OutOfMemoryError(
-                    f"device OOM: requested {nbytes} B with {self.capacity - addr} B free "
-                    f"of {self.capacity} B"
-                )
-            self._next += aligned
-            self._allocations[addr] = nbytes
-        return addr
+            return self._take(_aligned(nbytes), 1, nbytes)[0]
 
     def alloc_n(self, nbytes: int, count: int) -> np.ndarray:
-        """Vectorized bump allocation: ``count`` consecutive allocations of
-        ``nbytes`` each, in one reservation.
+        """``count`` allocations of ``nbytes`` each, in one reservation.
 
         Returns the byte addresses as an int64 array.  The addresses are
         exactly what ``count`` successive :meth:`alloc` calls would have
@@ -70,19 +89,22 @@ class GlobalMemory:
         allocate in a per-block loop.
         """
         nbytes = int(nbytes)
-        count = int(count)
-        aligned = (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
         with self._lock:
-            base = self._next
-            if base + aligned * count > self.capacity:
-                raise OutOfMemoryError(
-                    f"device OOM: requested {count} x {nbytes} B with "
-                    f"{self.capacity - base} B free of {self.capacity} B"
-                )
-            self._next = base + aligned * count
-            addrs = base + aligned * np.arange(count, dtype=np.int64)
-            self._allocations.update((int(a), nbytes) for a in addrs)
-        return addrs
+            addrs = self._take(_aligned(nbytes), int(count), nbytes)
+        return np.array(addrs, dtype=np.int64)
+
+    def free(self, addr: int) -> None:
+        """Return the allocation at ``addr`` to its size's free list; a
+        span that is not a live allocation (never allocated, or freed
+        already) raises :class:`VMError`."""
+        addr = int(addr)
+        with self._lock:
+            nbytes = self._allocations.pop(addr, None)
+            if nbytes is None:
+                raise VMError(f"free of {addr}: not a live allocation")
+            aligned = _aligned(nbytes)
+            self._free.setdefault(aligned, []).append(addr)
+            self._freed_bytes += aligned
 
     # -- host-side helpers (what every engine's upload / download is) -----
     def upload(self, values: np.ndarray, dtype: DataType) -> int:
@@ -105,7 +127,13 @@ class GlobalMemory:
         with self._lock:
             self._next = 0
             self._allocations.clear()
+            self._free.clear()
+            self._freed_bytes = 0
             self.buffer[:] = 0
+
+
+def _aligned(nbytes: int) -> int:
+    return (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
 class TensorView:

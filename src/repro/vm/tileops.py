@@ -464,6 +464,29 @@ def scatter_subbyte(buf, byte_idx, bit_in_byte, val_u, msg: str) -> None:
         raise VMError(msg.format(exc)) from exc
 
 
+def journal(buf, region, steps: tuple, cells: tuple, widths: tuple, *patterns) -> np.ndarray:
+    """The states a loop's copies take a region of shared memory
+    through, in the loop's serial order: ``(len(steps), region.size +
+    1)`` bytes, row ``s`` the region — the bytes of ``buf`` at ``region``
+    before the loop, and one trash cell — after the moves of steps ``0``
+    to ``s``.  Copy ``c`` writes its ``patterns`` split into ``widths[c]``
+    little-endian byte lanes into ``cells[c]``, one cell per lane; a step
+    is ``(c, first, end)`` runs of those lanes, applied in order, so of
+    two writes of one cell the later wins."""
+    lanes = [
+        ((p.reshape(-1, 1) >> (np.arange(w, dtype=np.uint64) * np.uint64(8)))
+         & np.uint64(0xFF)).astype(np.uint8).reshape(-1)
+        for p, w in zip(patterns, widths)
+    ]
+    state = np.append(buf[region], np.uint8(0))
+    states = np.empty((len(steps), state.size), dtype=np.uint8)
+    for s, runs in enumerate(steps):
+        for c, first, end in runs:
+            state[cells[c][first:end]] = lanes[c][first:end]
+        states[s] = state
+    return states
+
+
 def scatter(buf, bit_addr, pat, nbits: int, aligned: bool, msg: str) -> None:
     """Write flat patterns at flat ``bit_addr``, later entries winning."""
     if aligned:
@@ -584,6 +607,15 @@ class BatchedSharedMemory:
         self.used = True
         return base_bits
 
+    def holds(self, buf) -> bool:
+        """Whether ``buf`` is this shared memory's buffer."""
+        return self._buffer is not None and buf is self._buffer
+
+    @property
+    def span(self) -> int:
+        """Bytes allocated so far in the fullest block."""
+        return int(self._next.max()) if self._next.size else 0
+
 
 def tensor_nbytes(shape, dtype, what: str) -> int:
     """Byte size of a statically shaped shared/workspace tensor."""
@@ -624,7 +656,7 @@ def rewind(mark) -> None:
 #: The names generated kernels call the table by (``_place``, ``_live``
 #: and ``_tab`` are the cheap forms of a masked gather's bits, its
 #: logical tensor and a narrow cast; ``_vgb`` checks a view whose base
-#: is one number).
+#: is one number; ``_jnl`` is a distributed loop's shared-memory journal).
 KERNEL_NAMESPACE = {
     "_dec": decode,
     "_enc": encode,
@@ -644,6 +676,7 @@ KERNEL_NAMESPACE = {
     "_place": place,
     "_live": live_logical,
     "_tab": take_table,
+    "_jnl": journal,
 }
 
 #: Of those, the ones called for what they do — write a buffer, raise —

@@ -539,6 +539,9 @@ def k_loop_program(variant: str):
     """``out = f16(sum over STEPS of f32(2 * tile))`` over a 2 x 2 grid,
     the tile moving with the loop variable; ``variant`` changes one
     thing about the loop (``plain`` changes nothing)."""
+    from repro.dtypes import uint4
+    from repro.ir.stmt import AssignStmt
+
     pb = ProgramBuilder("k_loop_" + re.sub(r"\W", "_", variant), grid=[2, 2])
     a_ptr = pb.param("a", pointer(float16))
     out_ptr = pb.param("out", pointer(float16))
@@ -546,13 +549,18 @@ def k_loop_program(variant: str):
     g_a = pb.view_global(a_ptr, dtype=float16, shape=[ROWS, COLS])
     g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
     acc = pb.allocate_register("f32", layout=spatial(8, 4), init=0.0)
-    if variant == "lookup":
-        from repro.dtypes import uint4
-
+    if variant in ("lookup", "shared lookup"):
         # ``a``'s bytes read again as 4-bit codes into its first 16 values.
         g_codes = pb.view_global(a_ptr, dtype=uint4, shape=[ROWS, 2 * COLS])
         g_table = pb.view_global(a_ptr, dtype=float16, shape=[16])
-    staged = pb.allocate_shared(float16, [8, 4]) if variant == "copy-async" else None
+    copies = variant.startswith("copy") or variant in ("sub-byte shared", "shared lookup")
+    staged = pb.allocate_shared(float16, [8, 4]) if copies else None
+    if variant == "sub-byte shared":
+        g_nibbles = pb.view_global(a_ptr, dtype=uint4, shape=[ROWS, 2 * COLS])
+        staged = pb.allocate_shared(uint4, [8, 8])
+    if variant == "shared lookup":
+        staged = pb.allocate_shared(float16, [16])
+    late = pb.assign("i32", 0, hint="late") if variant == "copy reads a later assignment" else None
     extent = bi + 2 if variant == "per-block extent" else STEPS
     guard = pb.if_then(bi > 0) if variant == "divergent if" else contextlib.nullcontext()
     with guard, pb.for_range(extent) as i:
@@ -560,9 +568,11 @@ def k_loop_program(variant: str):
         col = (i % 2) * 4
         if variant == "assign":
             col = pb.assign("i32", col, hint="col")
-        if variant == "lookup":
+        if variant == "shared lookup":
+            pb.copy_async(staged, g_table, src_offset=[0])
+        if variant in ("lookup", "shared lookup"):
             codes = pb.load_global(g_codes, layout=spatial(8, 4), offset=[row, col])
-            tile = pb.lookup(codes, g_table)
+            tile = pb.lookup(codes, g_table if variant == "lookup" else staged)
         else:
             tile = pb.load_global(
                 g_a, layout=spatial(8, 4), offset=[row, col], masked=variant == "masked"
@@ -574,6 +584,19 @@ def k_loop_program(variant: str):
             pb.store_global(tile, g_out, offset=[bi * 8, bj * 4])
         if variant == "copy-async":
             pb.copy_async(staged, g_a, src_offset=[bi * 8, col])
+        if variant == "copy-async else":
+            with pb.if_then(i < 2):
+                pb.copy_async(staged, g_a, src_offset=[bi * 8, col])
+            with pb.otherwise():
+                pb.copy_async(staged, g_a, src_offset=[bi * 8, 0])
+        if variant == "sub-byte shared":
+            pb.copy_async(staged, g_nibbles, src_offset=[bi * 8, 2 * col])
+        if variant == "copy into global":
+            # The builder refuses this scope; the VM runs it.
+            pb._emit(insts.CopyAsync(g_out, g_a, [bi * 8, col], [bi * 8, bj * 4], [8, 4]))
+        if variant == "copy reads a later assignment":
+            pb.copy_async(staged, g_a, src_offset=[bi * 8, late])
+            pb._stack[-1].append(AssignStmt(late, col))
         if variant in ("break", "continue"):
             with pb.if_then(i.equals(2)):
                 getattr(pb, variant + "_")()
@@ -624,7 +647,12 @@ def _tiers_on(program, stack: int = 1, shared: tuple = ()):
 
 class TestLoopDistribution:
     @pytest.mark.parametrize("variant", [
-        "per-block extent", "break", "continue", "store", "copy-async", "divergent if", "assign",
+        "per-block extent", "break", "continue", "store", "divergent if",
+        # The copies a journal does not take: an ``else``, a sub-byte
+        # shared tensor, a shared table, a copy into global memory, one
+        # that reads a scalar the body assigns after it.
+        "copy-async else", "sub-byte shared", "shared lookup", "copy into global",
+        "copy reads a later assignment",
     ])
     def test_a_refused_loop_lowers_as_it_did_unrolled(self, variant):
         kernel, serial = _tiers_on(k_loop_program(variant))
@@ -632,16 +660,40 @@ class TestLoopDistribution:
 
     @pytest.mark.parametrize("variant", [
         "plain", "loop variable read after the loop", "early register read after the loop",
-        "masked", "lookup",
+        "masked", "lookup", "assign",
     ])
     def test_an_accepted_loop_gathers_every_iteration_at_once(self, variant):
         """The tile of every step is gathered in one call (unrolled, the
         two distinct ones are); a lookup still checks its codes step by
-        step, in the serial order."""
+        step, in the serial order.  A scalar the body assigns from the
+        loop variable is one per-row array."""
         kernel, serial = _tiers_on(k_loop_program(variant))
         loads = [len(re.findall(r"\b_g(?:b|sb)\(", k.source)) for k in (kernel, serial)]
         assert loads == [1, 2]
         assert _calls(kernel, "_lk") == _calls(serial, "_lk") == (variant == "lookup") * STEPS
+
+    def test_a_copy_in_the_body_writes_one_journal(self):
+        """A ``cp.async`` copy of every step is gathered once, into one
+        journal, and its last state written back once; unrolled, each
+        step's copy scatters into shared memory."""
+        kernel, serial = _tiers_on(k_loop_program("copy-async"))
+        assert (_calls(kernel, "_jnl"), _calls(serial, "_jnl")) == (1, 0)
+        assert (_calls(kernel, "_scb"), _calls(serial, "_scb")) == (2, STEPS + 1)
+        loads = [len(re.findall(r"\b_gb\(", k.source)) for k in (kernel, serial)]
+        assert loads == [1, 2]  # the copy gathers what the load does
+
+    def test_a_copy_of_a_body_register_is_refused(self):
+        from repro.vm import batched
+
+        pb = ProgramBuilder("copy_register", grid=[2])
+        a_ptr = pb.param("a", pointer(float16))
+        g_a = pb.view_global(a_ptr, dtype=float16, shape=[ROWS, COLS])
+        staged = pb.allocate_shared(float16, [8, 4])
+        with pb.for_range(STEPS) as i:
+            tile = pb.load_global(g_a, layout=spatial(8, 4), offset=[0, (i % 2) * 4])
+            pb._emit(insts.CopyAsync(staged, tile, [0, 0]))
+        (loop,) = [s for s in pb.finish().body.walk() if isinstance(s, ForStmt)]
+        assert batched.loop_split(loop) is None
 
     def test_a_shared_pointer_loads_one_launchs_rows_of_every_iteration(self):
         """Three launches reading one ``a`` at per-iteration offsets: the
@@ -711,8 +763,9 @@ class TestLoopDistribution:
                 lower_program(program, [a, out], memory, launches=launches)
                 BatchedExecutor(memory).launch(program, [a, out])
         assert split.call_count == 1
-        stmts, early, reads = batched.loop_split(loop)
-        assert early == (True, True, True, False)  # load, mul, cast; the add chain
+        split = batched.loop_split(loop)
+        assert split.early == (True, True, True, False)  # load, mul, cast; the add chain
+        assert split.guards == (None,) * 4 and (split.points, split.copies) == ((), 0)
 
     def test_a_body_a_compiler_pass_rewrote_is_split_again(self):
         """Dead-code elimination edits a loop body in place (the runtime

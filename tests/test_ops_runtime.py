@@ -149,3 +149,56 @@ class TestRuntime:
         b = rt.empty([8, 4], float16)
         rt.launch(prog, [a, b])
         assert rt.stats().global_bits_loaded > 0
+
+
+class TestDeviceMemoryLifetime:
+    def test_free_reuses_a_span_of_its_size(self):
+        from repro.vm import GlobalMemory
+
+        memory = GlobalMemory(1 << 16)
+        a, b = memory.alloc(300), memory.alloc(100)
+        memory.free(a)
+        assert memory.alloc(100) == b + 256  # no freed span of 256 bytes: a new one
+        assert memory.alloc(400) == a  # 300 and 400 both take 512 bytes
+        with pytest.raises(VMError):
+            memory.free(a + 1)  # unknown
+        memory.free(b)
+        with pytest.raises(VMError):
+            memory.free(b)  # double
+        assert memory.alloc_n(10, 2).tolist() == [b, b + 512]
+        memory.free_all()
+        assert memory.used_bytes == 0 and memory.alloc(1) == 0
+
+    def test_calls_and_operators_hold_device_memory_flat(self):
+        """300 calls of a streamed split-k linear (graph replays, partials)
+        over three row counts, then 50 operators prepared, called and
+        dropped: the allocator's state repeats after the first round, and
+        every output is the bits a fresh runtime computes."""
+        rng = np.random.default_rng(3)
+        weight = rng.standard_normal((64, 16))
+        acts = {m: float16.quantize(rng.standard_normal((m, 64)) * 0.3) for m in (1, 5, 16)}
+        config = MatmulConfig(16, 8, 16, split_k=2)
+
+        def fresh(m):
+            return ops.prepare_linear(weight, int4, 32, config, Runtime(dram_bytes=1 << 20))(acts[m])
+
+        want = {m: fresh(m) for m in acts}
+        runtime = Runtime(dram_bytes=1 << 20)
+        memory = runtime.memory
+        linear = ops.prepare_linear(weight, int4, 32, config, runtime, streams=2)
+        held = None
+        for _ in range(100):
+            for m, act in acts.items():
+                assert np.array_equal(linear(act), want[m])
+            held = held or (memory.used_bytes, len(memory._allocations))
+            assert (memory.used_bytes, len(memory._allocations)) == held
+        assert linear._graphs[16].replays > 0
+        del linear
+        held = None
+        for _ in range(50):
+            other = ops.prepare_linear(weight, uint4, 64, runtime=runtime)
+            other(acts[5])
+            del other
+            held = held or (memory.used_bytes, len(memory._allocations))
+            assert (memory.used_bytes, len(memory._allocations)) == held
+        assert held == (0, 0)

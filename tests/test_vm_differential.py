@@ -19,9 +19,11 @@ decides nothing.
 """
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 
+from repro.ir.stmt import ForStmt
 from repro.vm import select_engine
 from tests.harness import generate_case, run_differential
 from tests.harness.differential import (
@@ -184,3 +186,50 @@ def test_generated_programs_select_batched_engine():
     # engine (none of them has block-varying view shapes).
     case = generate_case(0)
     assert select_engine(case.program) == "batched"
+
+
+#: Harness cases of the two matmul families whose k-loop — the ``cp.async``
+#: ring, or the split-k slice's ``kt = base + t`` — has two or more steps:
+#: every one distributes, on both tiers (counted at seeds 0..255; 16 more
+#: split-k cases have one k-tile per slice).
+BASELINE_DISTRIBUTED_MATMUL_CASES = {"pipelined_matmul": 27, "splitk": 12}
+
+
+def test_every_matmul_k_loop_distributes():
+    """A census of loop distribution over the harness's matmul families:
+    the first launch of every ``pipelined_matmul`` and ``splitk`` case
+    runs its k-loop distributed on the batched engine and in the
+    compiled tier's lowering trace, not unrolled — every one whose loop
+    has two or more steps (a split-k slice of one k-tile has one)."""
+    from repro.compiler.lower import lower_program
+    from repro.vm import BatchedExecutor, batched
+    from tests.harness.differential import _device_image, _resolve_args
+
+    original = batched.TileWalk.distributed
+    taken: list = []
+
+    def spy(self, loop, extent, active):
+        taken.append(original(self, loop, extent, active))
+        return taken[-1]
+
+    counts = {tier: Counter() for tier in ("batched", "compiled")}
+    with mock.patch.object(batched.TileWalk, "distributed", spy):
+        for seed in range(NUM_CASES):
+            case = generate_case(seed)
+            if case.family not in BASELINE_DISTRIBUTED_MATMUL_CASES:
+                continue
+            program, spec = case.launch_plan()[0]
+            (loop,) = [s for s in program.body.walk() if isinstance(s, ForStmt)]
+            if int(loop.extent.value) < 2:
+                continue
+            for tier in counts:
+                memory, _, buffers, _ = _device_image(case)
+                args = _resolve_args(spec, buffers)
+                taken.clear()
+                if tier == "batched":
+                    BatchedExecutor(memory).launch(program, args)
+                else:
+                    lower_program(program, args, memory)
+                assert taken == [True], (tier, seed, case.family)
+                counts[tier][case.family] += 1
+    assert counts["batched"] == counts["compiled"] == BASELINE_DISTRIBUTED_MATMUL_CASES
