@@ -14,10 +14,7 @@ speedup of 8 streams of independent launches over serial issue (asserting
 the >= 1.5x target *and* bit-exactness versus a serial replay), the
 execution-graph replay speedup over per-step eager stream submission on
 the kernel-in-the-loop decode workload (asserting the >= 1.3x target and
-bit-exactness), the ``graph.optimize()`` speedup on a skewed-cost
-8-stream workload carrying dead launches (dead-node elimination +
-regrouping vs the captured graph, asserting the >= 1.2x target, the
-node count and bit-exactness vs the serial oracle), the multi-process
+bit-exactness), the multi-process
 sharded-serving stack (4 spawned worker processes behind the router's
 admission + SLO scheduling serving an open-loop Poisson burst —
 asserting the >= 2.5x simulated-throughput target over the
@@ -29,7 +26,7 @@ bit-exactness, with the one-time lowering cost reported), the
 observability layer (a traced 2-worker serving burst: merged fleet
 trace and frozen ``metrics()`` contracts validated), and reports the
 specialization cache hit rate of a repeated-launch scenario.
-``--section engine|streams|graphs|optimize|serving|jit|obs|all`` selects
+``--section engine|streams|graphs|serving|jit|obs|all`` selects
 which quick checks run (the CI matrix runs them as separate jobs); an
 unknown section is rejected with the list of valid ones.
 """
@@ -400,115 +397,6 @@ def graph_report(
 
 
 # ---------------------------------------------------------------------------
-# Graph optimization: dead-node elimination + regrouping vs the capture
-# ---------------------------------------------------------------------------
-
-#: The optimize workload: a *skewed-cost* launch mix on 8 streams — four
-#: heavy kernels among 28 cheap ones, plus 8 more heavy launches writing
-#: scratch buffers nothing ever reads.  Every launch is its own program,
-#: hence its own specialization: launches sharing one would fuse into a
-#: single execution group (the ``graphs`` section measures that), and
-#: this section measures what ``graph.optimize()`` removes — the dead
-#: work.  (Until PR 18 the same workload also asserted that LPT placement
-#: spread the heavies; measured, placement contributed nothing —
-#: docs/profiling.md keeps the table.)
-OPTIMIZE_STREAMS = 8
-OPTIMIZE_LIVE = 32
-OPTIMIZE_DEAD = 8
-OPTIMIZE_HEAVY_STEPS = 48
-OPTIMIZE_LIGHT_STEPS = 2
-
-
-def _optimize_workload():
-    def program(kind: str, i: int, steps: int):
-        return _multiblock_program(gb=4, gw=4, steps=steps, name=f"opt_{kind}{i}")
-
-    live = [
-        program("heavy", i, OPTIMIZE_HEAVY_STEPS)
-        if i % OPTIMIZE_STREAMS == 0
-        else program("light", i, OPTIMIZE_LIGHT_STEPS)
-        for i in range(OPTIMIZE_LIVE)
-    ]
-    rows, cols = live[0][1]
-    memory = GlobalMemory(1 << 24)
-    host = Interpreter(memory)
-    rng = np.random.default_rng(0)
-
-    def buffers():
-        a = host.upload(float16.quantize(rng.standard_normal((rows, cols))), float16)
-        return a, host.alloc_output([rows, cols], float16)
-
-    launches = [(prog, *buffers()) for prog, _ in live]
-    # Scratch writers: outputs never read, never bound.
-    dead = [
-        (program("dead", i, OPTIMIZE_HEAVY_STEPS)[0], *buffers())
-        for i in range(OPTIMIZE_DEAD)
-    ]
-    return (rows, cols), host, launches, dead
-
-
-def optimize_report(min_speedup: float = 1.2) -> dict:
-    """Measure ``graph.optimize()`` replay against the captured graph's.
-
-    Captures the skewed workload with scheduler placement, binds the live
-    output buffers and optimizes.  Asserts that the dead nodes are
-    eliminated, that the optimized replay is >= ``min_speedup`` faster,
-    and that its outputs match the serial oracle bit-for-bit.
-    """
-    (rows, cols), host, launches, dead = _optimize_workload()
-    pool = StreamPool(host.memory, num_streams=OPTIMIZE_STREAMS)
-    try:
-        with pool.capture() as graph:
-            for program, a, out in launches + dead:
-                pool.submit(program, [a, out], engine="batched")
-        out_bytes = rows * cols * 2
-        for i, (_, _, out) in enumerate(launches):
-            graph.bind(f"out{i}", out, out_bytes)
-
-        # Serial oracle first: the bit-exactness reference (the kernels
-        # are out = f(a), so repeated replays are idempotent); it also
-        # warms every program before anything is timed.
-        graph.replay(serial=True)
-        want = [host.download(out, [rows, cols], float16) for _, _, out in launches]
-
-        optimized = graph.optimize()
-        assert optimized.num_nodes == OPTIMIZE_LIVE, (
-            f"dead-node elimination kept {optimized.num_nodes} of "
-            f"{graph.num_nodes} nodes, expected {OPTIMIZE_LIVE}"
-        )
-
-        optimized.replay()
-        pool.synchronize()
-        t_captured = _time_best(lambda: graph.replay())
-        t_opt = _time_best(lambda: optimized.replay())
-        pool.synchronize()
-
-        got = [host.download(out, [rows, cols], float16) for _, _, out in launches]
-        for w, g in zip(want, got):
-            assert np.array_equal(g, w), "optimized replay diverges from serial oracle"
-    finally:
-        pool.shutdown()
-    speedup = t_captured / t_opt
-    report = {
-        "captured_ms": t_captured * 1e3,
-        "optimized_ms": t_opt * 1e3,
-        "optimize_speedup": speedup,
-        "nodes_before": graph.num_nodes,
-        "nodes_after": optimized.num_nodes,
-    }
-    print(
-        f"skewed {OPTIMIZE_STREAMS}-stream DAG ({graph.num_nodes} nodes, "
-        f"{OPTIMIZE_DEAD} dead): captured replay {report['captured_ms']:.2f} ms, "
-        f"optimize() {report['optimized_ms']:.2f} ms -> {speedup:.1f}x speedup "
-        f"(bit-exact); {OPTIMIZE_DEAD} dead nodes eliminated"
-    )
-    assert speedup >= min_speedup, (
-        f"optimize() speedup {speedup:.2f}x below the {min_speedup:.1f}x target"
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Multi-process sharded serving vs the single-process simulator
 # ---------------------------------------------------------------------------
 
@@ -870,7 +758,6 @@ SECTIONS = (
     "engine",
     "streams",
     "graphs",
-    "optimize",
     "serving",
     "jit",
     "obs",
@@ -898,12 +785,6 @@ def main() -> None:
         type=float,
         default=1.3,
         help="graph replay vs per-step eager-submission speedup floor",
-    )
-    parser.add_argument(
-        "--min-optimize-speedup",
-        type=float,
-        default=1.2,
-        help="optimize() vs captured-graph replay speedup floor",
     )
     parser.add_argument(
         "--min-serving-speedup",
@@ -950,10 +831,6 @@ def main() -> None:
             sections["streams"] = stream_report(min_speedup=args.min_stream_speedup)
         if args.section in ("graphs", "all"):
             sections["graphs"] = graph_report(min_speedup=args.min_graph_speedup)
-        if args.section in ("optimize", "all"):
-            sections["optimize"] = optimize_report(
-                min_speedup=args.min_optimize_speedup
-            )
         if args.section in ("serving", "all"):
             sections["serving"] = serving_report(
                 min_speedup=args.min_serving_speedup,
@@ -974,7 +851,6 @@ def main() -> None:
                     "min_speedup": args.min_speedup,
                     "min_stream_speedup": args.min_stream_speedup,
                     "min_graph_speedup": args.min_graph_speedup,
-                    "min_optimize_speedup": args.min_optimize_speedup,
                     "min_serving_speedup": args.min_serving_speedup,
                     "min_jit_speedup": args.min_jit_speedup,
                     "max_serving_p99": args.max_serving_p99,

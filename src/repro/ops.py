@@ -35,17 +35,6 @@ from repro.quant import QuantScheme, quantize_weight, transform_weight
 from repro.runtime import Runtime
 
 
-class _NullCapture:
-    """Context stand-in when graph capture is disabled: launches inside
-    the block execute eagerly and no graph is produced."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
 @dataclass
 class QuantizedLinear:
     """A reusable quantized-weight operator (weights resident on device).
@@ -56,24 +45,19 @@ class QuantizedLinear:
 
     With ``config.split_k >= 2`` the product runs as ``split_k``
     independent slice kernels plus a reduce kernel
-    (:mod:`repro.kernels.splitk`); ``streams > 0`` issues each slice on
-    its own stream of the runtime's pool (the slices write disjoint
-    workspace slabs, so they execute concurrently, and the reduce is
-    hazard-ordered behind all of them automatically).
-
-    The streamed split-k fan-out is **graph-captured** (``use_graphs``,
-    on by default): the first call for a row count ``m`` records the
-    slice + reduce launch DAG once (:mod:`repro.runtime.graphs`), and
-    every later call replays it with the activation, workspace and
-    output pointers rebound — per-call scheduling, hazard analysis and
-    coalescing decisions are all skipped.
+    (:mod:`repro.kernels.splitk`), all issued as ``stream="auto"``
+    launches: the slices write disjoint workspace slabs, so the drain
+    stacks them into one batched invocation (their ``k0`` scalars
+    differ, so a forced compiled tier runs them one by one), and the
+    reduce is hazard-ordered behind them.  Waiting on the reduce is the
+    drain point that runs them.
 
     **Buffer lifetime.**  A call allocates its activation, its output and
     (split-k) its f32 partials, and frees them once the result is
-    downloaded — the download retires every launch of the call, a graph
-    replay included, and the next call's buffers of the same sizes reuse
-    the spans (:meth:`~repro.vm.memory.GlobalMemory.free`).  The weight
-    and scale buffers live as long as the operator: they are freed when
+    downloaded — every launch of the call has retired by then — and the
+    next call's buffers of the same sizes reuse the spans
+    (:meth:`~repro.vm.memory.GlobalMemory.free`).  The weight and scale
+    buffers live as long as the operator: they are freed when
     it is collected.  Launches the caller issues itself on ``b_addr`` /
     ``s_addr`` must keep the operator alive until they retire.
     """
@@ -86,10 +70,6 @@ class QuantizedLinear:
     b_addr: int
     s_addr: int
     act_dtype: DataType = float16
-    #: Streams to spread split-k slices over (0 = synchronous launches).
-    streams: int = 0
-    #: Capture the streamed split-k DAG once per ``m`` and replay it.
-    use_graphs: bool = True
 
     #: Bound on memoized per-``m`` programs (oldest evicted beyond this),
     #: mirroring the runtime cache's LRU bound one layer down.
@@ -97,7 +77,6 @@ class QuantizedLinear:
 
     def __post_init__(self) -> None:
         self._programs: dict = {}
-        self._graphs: dict = {}
         release = weakref.finalize(self, _free_all, self.runtime, self.b_addr, self.s_addr)
         release.atexit = False
 
@@ -154,66 +133,21 @@ class QuantizedLinear:
             _free_all(self.runtime, *buffers)
 
     def _launch_splitk(self, m: int, a_addr: int, p_addr: int, c_addr: int) -> None:
-        """Issue the split-k slice launches (one stream per slice when
-        streaming) and the hazard-ordered reduce into ``c_addr``, through
-        the f32 partials at ``p_addr``.
-
-        When streaming with ``use_graphs``, the fan-out is captured as an
-        execution graph on the first call per ``m`` and replayed (with
-        the a/p/c buffers rebound) on every later call.
-        """
+        """Queue the split-k slice launches and the reduce into
+        ``c_addr``, through the f32 partials at ``p_addr``."""
         sk = self.config.split_k
         slice_prog, reduce_prog = self.splitk_programs_for(m)
         slice_bytes = m * self.n * 4
         tiles_per_slice = (self.k // self.config.block_k) // sk
-        if self.streams > 0:
-            pool = self.runtime.stream_pool(self.streams)
-            graph = self._graphs.get(m) if self.use_graphs else None
-            if graph is not None:
-                graph.replay({"a": a_addr, "p": p_addr, "c": c_addr})
-                return
-            capture = (
-                self.runtime.capture(self.streams)
-                if self.use_graphs
-                else _NullCapture()
+        for s in range(sk):
+            self.runtime.launch(
+                slice_prog,
+                [a_addr, self.b_addr, self.s_addr, p_addr + s * slice_bytes, s * tiles_per_slice],
+                stream="auto",
             )
-            with capture as g:
-                for s in range(sk):
-                    self.runtime.launch(
-                        slice_prog,
-                        [
-                            a_addr,
-                            self.b_addr,
-                            self.s_addr,
-                            p_addr + s * slice_bytes,
-                            s * tiles_per_slice,
-                        ],
-                        stream=pool.streams[s % len(pool.streams)],
-                    )
-                self.runtime.launch(reduce_prog, [p_addr, c_addr], stream="auto").wait()
-            if g is not None:
-                a_bytes = (m * self.k * self.act_dtype.nbits + 7) // 8
-                c_bytes = (m * self.n * self.act_dtype.nbits + 7) // 8
-                g.bind("a", a_addr, a_bytes)
-                g.bind("p", p_addr, sk * slice_bytes)
-                g.bind("c", c_addr, c_bytes)
-                self._graphs[m] = g
-                while len(self._graphs) > self.MAX_PROGRAMS:
-                    self._graphs.pop(next(iter(self._graphs)))
-                g.replay()  # first call executes via the fresh graph
-        else:
-            for s in range(sk):
-                self.runtime.launch(
-                    slice_prog,
-                    [
-                        a_addr,
-                        self.b_addr,
-                        self.s_addr,
-                        p_addr + s * slice_bytes,
-                        s * tiles_per_slice,
-                    ],
-                )
-            self.runtime.launch(reduce_prog, [p_addr, c_addr])
+        # Waiting on the reduce retires every launch of the call and
+        # re-raises a failure of any of them (the reduce depends on all).
+        self.runtime.launch(reduce_prog, [p_addr, c_addr], stream="auto").wait()
 
 
 def _free_all(runtime: Runtime, *addrs: int) -> None:
@@ -249,8 +183,9 @@ def prepare_linear(
 ) -> QuantizedLinear:
     """Quantize and device-transform a weight matrix once, for many calls.
 
-    ``streams`` (with a ``config`` whose ``split_k >= 2``) spreads the
-    split-k slice kernels over that many runtime streams per call.
+    ``streams`` is accepted and decides nothing: every split-k call
+    issues its launches the same way (see :class:`QuantizedLinear`).
+    The benchmark's workloads still pass it; it goes when they stop.
     """
     weight = np.asarray(weight, dtype=np.float64)
     k, n = weight.shape
@@ -270,7 +205,6 @@ def prepare_linear(
         n=n,
         b_addr=b_addr,
         s_addr=s_addr,
-        streams=streams,
     )
 
 

@@ -105,19 +105,14 @@ class Lane:
 
 class Site(NamedTuple):
     """Where one execution is accounted: the span it emits and the
-    profile sites it records under."""
+    stream its profile records sit on."""
 
     #: Span name prefix (``launch`` / ``exec`` / ``replay``) and category.
     span: str
     cat: str
-    #: Profile scope and stream: ``EAGER`` or a graph signature; the
-    #: stream whose lane runs the launch (a group's head's).
-    scope: str
+    #: The stream whose lane runs the launch (a group's head's), or
+    #: ``HOST_STREAM`` for a synchronous launch.
     stream: int
-    #: Graph replays: the node index of each launch and the coalescing
-    #: group's index.  Eager sites are identified by their spec strings.
-    idents: Sequence[int] | None = None
-    group: int | None = None
 
 
 def resolve_engine(requested: str, program: Program) -> str:
@@ -205,17 +200,13 @@ def execute(
         # One invocation, split evenly over its launches (integer
         # counters remainder-exactly).  Compiled time records under its
         # own engine, apart from the interpreted tiers' records.
-        specs = [spec_string(key) for key in keys]
         profiler.record_group(
-            site.scope,
-            specs if site.idents is None else site.idents,
             program.name,
-            specs,
+            [spec_string(key) for key in keys],
             tier,
             site.stream,
             timer.wall,
             stats_delta=timer.delta,
-            group=site.group,
         )
     if tracer is not None:
         args = {"engine": tier}

@@ -5,11 +5,15 @@ The multi-stream runtime (:mod:`repro.runtime.streams`) pays a fixed
 orchestration tax on *every* ``submit``: resolve the launch's global
 byte ranges (``launch_ranges``), scan outstanding launches for hazards
 (``ranges_conflict``), pick a stream, and re-prove coalescing
-eligibility on the worker.  Launch-bound workloads — the serving decode
-loop re-submits an *identical* DAG every step — pay that tax per step
-for answers that never change.  This module is the CUDA-graph analogue
-for the simulator: **capture** the DAG once, freeze every decision, and
+eligibility.  This module is the CUDA-graph analogue for the
+simulator: **capture** a launch DAG once, freeze every decision, and
 **replay** it by driving the per-stream engines directly.
+
+Nothing served captures a graph: a decode step is one synchronous
+launch and split-k issues ``stream="auto"`` launches.  What remains is
+the capture API (``Runtime.capture`` / ``StreamPool.capture``), kept
+for the benchmark's step probe and as the tests' serial-replay
+reference.
 
 Capture
 -------
@@ -30,7 +34,7 @@ round-robin + memory-aware pick the live scheduler would make), and its
 tier decision (the interpreted engine it is frozen to,
 and whether the compiled tier was forced).  Handles returned during capture
 are inert: ``wait()`` is a no-op, so code written for eager streams
-(e.g. ``ops.QuantizedLinear``'s split-k path) captures unchanged.
+captures unchanged.
 
 On exit the graph **instantiates**: nodes are partitioned into
 *execution groups*, one engine invocation each at replay, by
@@ -44,7 +48,7 @@ A node's dependencies are *all* earlier nodes it conflicts with, so a
 member conflicts with nothing it is hoisted over, and every group edge
 points at a group with an earlier head: head order is a topological
 order.  The group runs on its head's captured stream — a label: which
-statistics lane, trace lane and profile site the invocation lands on,
+statistics lane, trace lane and profile stream the invocation lands on,
 never an ordering (its members' ``stream_index`` is rewritten to it) —
 on whatever tier its specialization key has reached —
 a stacked compiled kernel or
@@ -62,7 +66,9 @@ scheduler, no mergeability probing, no thread hand-off.  Replay is
 bit-exact with eager stream submission of the same launches and with
 ``replay(serial=True)`` — the *same loop* over singleton groups, each
 node on its own captured stream: the ungrouped debugging oracle and the
-exact (not group-amortized) per-node profile collector.
+exact (not group-amortized) per-launch profile collector.  A replayed
+launch records like an eager one: under its specialization-key string
+and its stream.
 
 Rebinding
 ---------
@@ -84,16 +90,13 @@ it rests on is checked: two rebound pointer spans that overlap raise
 
 from __future__ import annotations
 
-import hashlib
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.compiler.pipeline import specialization_key
 from repro.errors import VMError
-from repro.ir import instructions as insts
 from repro.obs import trace as obs_trace
 from repro.ir.program import Program
 from repro.runtime.executor import Site, resolve_engine
-from repro.runtime.profiling import spec_string
 from repro.runtime.streams import (
     Stream,
     StreamPool,
@@ -101,23 +104,6 @@ from repro.runtime.streams import (
     launch_ranges,
     ranges_conflict,
 )
-
-_SIDE_EFFECT_ATTR = "_graph_has_side_effects"
-
-
-def _has_side_effects(program: Program) -> bool:
-    """True when the program observably acts beyond its memory writes
-    (``PrintTensor``), so dead-node elimination must never drop it.
-    Memoized on the program object."""
-    cached = program.__dict__.get(_SIDE_EFFECT_ATTR)
-    if cached is None:
-        cached = any(
-            isinstance(inst, insts.PrintTensor)
-            for inst in program.body.instructions()
-        )
-        program.__dict__[_SIDE_EFFECT_ATTR] = cached
-    return cached
-
 
 class GraphNode:
     """One captured launch: everything the live runtime decides per
@@ -139,14 +125,8 @@ class GraphNode:
         self.key = key              # capture-time specialization key
         #: Tier asked of each replay: "compiled" stays forced; anything
         #: else was consumed into ``engine`` and replays as "auto"
-        #: (promotable by count).  Not part of the signature.
+        #: (promotable by count).
         self.requested = requested
-
-    def renumbered(self, index, deps) -> "GraphNode":
-        """This launch at another position of a node sequence (optimize)."""
-        return GraphNode(index, self.program, self.args, self.ranges, deps,
-                         self.stream_index, self.engine, self.grid, self.key,
-                         self.requested)
 
     def __repr__(self) -> str:
         return (
@@ -203,8 +183,7 @@ class _Group:
     __slots__ = ("stream_index", "node_indices", "engine", "program",
                  "requested", "keys", "site")
 
-    def __init__(self, stream_index, nodes: list[GraphNode], signature: str,
-                 index: int | None = None) -> None:
+    def __init__(self, stream_index, nodes: list[GraphNode]) -> None:
         self.stream_index = stream_index
         self.node_indices = [n.index for n in nodes]
         self.engine = nodes[0].engine
@@ -212,11 +191,8 @@ class _Group:
         self.requested = nodes[0].requested
         self.keys = [n.key for n in nodes]
         # Lane-level execution spans carry cat "stream" (like eager
-        # groups); "graph" is the lifecycle lane.  Nodes record under the
-        # group's stream, so every node keeps one profile site.
-        self.site = Site(
-            "replay", "stream", signature, stream_index, self.node_indices, index
-        )
+        # groups); "graph" is the lifecycle lane.
+        self.site = Site("replay", "stream", stream_index)
 
 
 class ExecutionGraph:
@@ -242,7 +218,6 @@ class ExecutionGraph:
         # Rebinding cache; read and written under the pool lock only.
         self._bound_args: list[tuple] | None = None
         self._last_values: dict | None = None
-        self._signature: str | None = None
 
     # -- capture ------------------------------------------------------------
     def __enter__(self) -> "ExecutionGraph":
@@ -322,17 +297,16 @@ class ExecutionGraph:
         head-node order, and every dependency of a group precedes its
         head, so replay runs a group's dependencies before its
         dependents.  A group runs on its head node's captured stream —
-        a label: the stats lane, trace lane and profile site of the
+        a label: the stats lane, trace lane and profile stream of the
         invocation — and its members' ``stream_index`` is rewritten to
-        it, so every node keeps one profile site.
+        it.
         """
-        stacks = form_groups(self.nodes, lambda node: node.deps)
         groups: list[_Group] = []
-        for gi, stack in enumerate(stacks):
+        for stack in form_groups(self.nodes, lambda node: node.deps):
             stream_index = stack[0].stream_index
             for node in stack:
                 node.stream_index = stream_index
-            groups.append(_Group(stream_index, stack, self.signature, gi))
+            groups.append(_Group(stream_index, stack))
         self._groups = groups
         tracer = obs_trace.ACTIVE
         if tracer is not None:
@@ -340,11 +314,7 @@ class ExecutionGraph:
                 "graph.capture",
                 "graph",
                 obs_trace.HOST_TID,
-                {
-                    "signature": self.signature,
-                    "nodes": len(self.nodes),
-                    "groups": len(groups),
-                },
+                {"nodes": len(self.nodes), "groups": len(groups)},
             )
 
     # -- rebinding ----------------------------------------------------------
@@ -458,7 +428,7 @@ class ExecutionGraph:
         same loop over singleton groups — one engine invocation per node
         in submission order, each on its own captured stream: the
         bit-exactness oracle for the grouped replay and the exact
-        per-node profile collector.  Raises :class:`VMError` at the first
+        per-launch profile collector.  Raises :class:`VMError` at the first
         failing group (the remaining groups do not execute).
 
         Rebinding and execution happen under the pool lock, so host
@@ -480,10 +450,7 @@ class ExecutionGraph:
             bound = self._bound_args
             groups = self._groups
             if serial:
-                groups = [
-                    _Group(node.stream_index, [node], self.signature)
-                    for node in self.nodes
-                ]
+                groups = [_Group(node.stream_index, [node]) for node in self.nodes]
             try:
                 for group in groups:
                     pool.run_group(
@@ -500,148 +467,9 @@ class ExecutionGraph:
                 obs_trace.HOST_TID,
                 trace_start,
                 tracer.now() - trace_start,
-                {
-                    "signature": self.signature,
-                    "nodes": len(self.nodes),
-                    "serial": serial,
-                },
+                {"nodes": len(self.nodes), "serial": serial},
             )
         self.replays += 1
-
-    # -- identity and optimization ------------------------------------------
-    @property
-    def signature(self) -> str:
-        """Stable identity of the captured DAG: a hash over the node
-        sequence's specialization keys, engines and grids.  Pointer
-        arguments are excluded (the keys are address-agnostic), so the
-        same launches captured against fresh buffers — or in another
-        process — produce the same signature: the scope a
-        :class:`~repro.runtime.profiling.Profile` records this graph's
-        per-node sites under, and what a serving worker exports per
-        captured batch size."""
-        if self._signature is None:
-            tokens = [
-                f"{spec_string(node.key)}|{node.engine}|{node.grid}"
-                for node in self.nodes
-            ]
-            digest = hashlib.sha256("\n".join(tokens).encode()).hexdigest()
-            self._signature = f"graph:{digest[:16]}"
-        return self._signature
-
-    def _live_indices(self, outputs: Iterable[str] | None) -> list[int]:
-        """Indices of nodes that must survive dead-node elimination.
-
-        A graph is replayed repeatedly, so node order is cyclic: what a
-        node writes on one replay is read by *earlier* nodes on the
-        next.  A node is **live** when any of:
-
-        - its write ranges intersect a bound output span (``outputs``
-          names a subset of the pointer bindings; ``None`` means every
-          pointer binding is an observable output);
-        - *any* live node — later in this replay, or earlier on the next
-          one (loop-carried state) — *reads* bytes it writes (WAW alone
-          does not resurrect a node: an unread, un-bound write is
-          unobservable even if overwritten);
-        - it has side effects beyond memory (``PrintTensor``), or it
-          writes nothing that analysis resolved (pure/opaque nodes are
-          kept rather than guessed at).
-
-        Nothing is eliminated when any node's ranges are conservative
-        (whole-memory: static analysis failed, so it may read anything
-        any other node writes), or when the graph has no pointer
-        bindings and ``outputs`` is None — *all of device memory* is
-        presumed observable (the host can download any buffer).  Passing
-        an explicit — possibly empty — ``outputs`` asserts the bound
-        spans are the only externally read memory.
-        """
-        pointer_bindings = {
-            name: b for name, b in self._bindings.items() if b.is_pointer
-        }
-        if outputs is None:
-            if not pointer_bindings:
-                return list(range(len(self.nodes)))
-            observable = list(pointer_bindings.values())
-        else:
-            observable = []
-            for name in outputs:
-                binding = pointer_bindings.get(name)
-                if binding is None:
-                    raise VMError(
-                        f"outputs names {name!r}, which is not a pointer "
-                        f"binding of this graph (registered: "
-                        f"{sorted(pointer_bindings)})"
-                    )
-                observable.append(binding)
-        if any(end == float("inf") for node in self.nodes for _, end, _ in node.ranges):
-            return list(range(len(self.nodes)))
-        # As launch ranges, so that "a write someone reads" is the hazard
-        # tracker's own overlap test: the host reads every observable span.
-        spans = [(b.base, b.base + b.nbytes, False) for b in observable]
-        writes = [[r for r in node.ranges if r[2]] for node in self.nodes]
-        reads = [[r for r in node.ranges if not r[2]] for node in self.nodes]
-        live = {
-            i for i, node in enumerate(self.nodes)
-            if _has_side_effects(node.program)
-            or not any(start < end for start, end, _ in writes[i])
-            or ranges_conflict(writes[i], spans)
-        }
-        # Fixed point over the cyclic order: each live node's reads keep
-        # their writers alive, wherever those sit in the sequence.
-        frontier = sorted(live)
-        while frontier:
-            readers = reads[frontier.pop()]
-            for i in range(len(self.nodes)):
-                if i not in live and ranges_conflict(writes[i], readers):
-                    live.add(i)
-                    frontier.append(i)
-        return sorted(live)
-
-    def optimize(self, outputs: Iterable[str] | None = None) -> "ExecutionGraph":
-        """Re-instantiation without dead work: a new, independently
-        replayable graph over the same pool with
-
-        - **dead nodes eliminated** — nodes whose writes no live node
-          ever reads and that never alias a bound output span.  The
-          graph is a loop body: a write counts as read when *any* live
-          node reads it, an earlier one included (it observes the write
-          on the next replay), so loop-carried state keeps its writer
-          (see :meth:`_live_indices`; with no pointer bindings and
-          ``outputs`` unset, nothing is dropped — all memory is presumed
-          observable);
-        - **execution groups re-derived** over the surviving nodes (the
-          instantiate pass runs again: nodes an eliminated launch kept
-          apart may now stack into one execution).
-
-        A pure function of the graph and its bindings.  Hazard edges are
-        *not* recomputed — they came from capture and stay valid for the
-        surviving subsequence.  Pointer/scalar bindings carry over; the
-        original graph stays replayable and the two share no mutable
-        state.  Replaying the optimized graph any number of times is
-        bit-exact with replaying the original as often, up to the
-        eliminated (unobservable) writes.  Dropping nodes changes the
-        node sequence and therefore the :attr:`signature`.
-        """
-        if self._phase != "ready":
-            raise VMError(
-                f"cannot optimize a graph in phase {self._phase!r}; "
-                "capture must have completed without error"
-            )
-        live = self._live_indices(outputs)
-        remap = {old: new for new, old in enumerate(live)}
-        optimized = ExecutionGraph(self.pool)
-        for old in live:
-            node = self.nodes[old]
-            optimized.nodes.append(
-                node.renumbered(
-                    remap[old], tuple(remap[d] for d in node.deps if d in remap)
-                )
-            )
-        optimized._instantiate()
-        # Bindings carry over; the slot map is rebuilt lazily against the
-        # remapped node indices on the first replay.
-        optimized._bindings = dict(self._bindings)
-        optimized._phase = "ready"
-        return optimized
 
     # -- introspection ------------------------------------------------------
     @property

@@ -37,7 +37,7 @@ Execution stays bit-exact: lowering either reproduces the batched
 engine's results (and error behaviour, and statistics) exactly — the
 kernel is what that engine's handlers did — or bails out and the launch
 falls back to the batched engine.  The differential harness locks the
-tier in as one of its six modes.
+tier in as one of its five modes.
 """
 
 from __future__ import annotations

@@ -1,23 +1,20 @@
-"""Per-node execution profiling: what every launch cost, observed.
+"""Per-launch execution profiling: what every launch cost, observed.
 
 This module records what every launch actually cost — wall time,
-instruction count, bits moved, engine used, coalescing-group membership
-— as a :class:`NodeProfile`, keyed so the numbers can be found again:
+instruction count, bits moved, engine used, how many launches shared
+its engine invocation — as a :class:`NodeProfile`, keyed by the
+launch's **specialization-key string**, its stream and its tier: one
+site per distinct kernel specialization per stream, whichever path
+issued it (a synchronous launch, an eager stream drain or a graph
+replay records the same way).  Each record also carries the program
+name, for coarser dashboard aggregation.
 
-- a launch replayed from an execution graph records under the graph's
-  stable :attr:`~repro.runtime.graphs.ExecutionGraph.signature` and its
-  node index — per-site observability of a replayed DAG;
-- an eager launch (synchronous or streamed) records under its
-  **specialization-key string** and stream — one site per distinct
-  kernel specialization (each record also carries the program name, for
-  coarser dashboard aggregation).
-
-A :class:`Profile` is a bag of those records with per-stream and
-per-graph aggregation, a versioned JSON serialization and
-:meth:`~Profile.merge`, so a profile gathered in one process (a serving
-worker exports its own on ``pull_state``) can be read and combined in
-another.  A profile observes; nothing reads it to decide anything (JIT
-promotion is the manager's own invocation count).
+A :class:`Profile` is a bag of those records with per-stream
+aggregation, a versioned JSON serialization and :meth:`~Profile.merge`,
+so a profile gathered in one process (a serving worker exports its own
+on ``pull_state``) can be read and combined in another.  A profile
+observes; nothing reads it to decide anything (JIT promotion is the
+manager's own invocation count).
 
 Recording is thread-safe (host threads sharing a runtime may record
 concurrently) and costs nothing when disabled: the engines' hot paths check a single
@@ -32,9 +29,6 @@ import time
 from typing import IO, Iterable, Mapping
 
 from repro.errors import VMError
-
-#: Scope tag for launches that did not come from a graph replay.
-EAGER = "eager"
 
 #: Stream index recorded for synchronous (non-stream) launches.
 HOST_STREAM = -1
@@ -56,28 +50,23 @@ def spec_string(key: tuple) -> str:
 class NodeProfile:
     """Accumulated cost of one profiled launch site.
 
-    Identity is ``(scope, ident, stream, engine)``: for graph-replayed
-    nodes the scope is the graph signature and ``ident`` the node index
-    (stream is the node's frozen placement); for eager launches the
-    scope is :data:`EAGER` and ``ident`` the specialization-key string.
-    The engine is part of the identity because one launch site can
-    execute under different tiers over its lifetime — the compiled tier
-    promotes a hot site mid-run, and its costs must not accumulate into
-    the interpreted record.  All
+    Identity is ``(spec, stream, engine)``: the specialization-key
+    string, the stream whose lane ran the launch (:data:`HOST_STREAM`
+    for synchronous launches) and the tier.  The engine is part of the
+    identity because one launch site can execute under different tiers
+    over its lifetime — the compiled tier promotes a hot site mid-run,
+    and its costs must not accumulate into the interpreted record.  All
     counters accumulate across calls; divide by :attr:`calls` for
-    per-launch means.  ``group``/``group_size`` describe the coalescing
-    membership of the *most recent* recorded execution (grouping can
-    differ call to call on eager streams), not an accumulated property.
+    per-launch means.  ``group_size`` is how many launches shared the
+    *most recent* recorded engine invocation (grouping can differ call
+    to call), not an accumulated property.
     """
 
     __slots__ = (
-        "scope",
-        "ident",
         "program",
         "spec",
         "engine",
         "stream",
-        "group",
         "group_size",
         "calls",
         "wall_s",
@@ -88,27 +77,12 @@ class NodeProfile:
     )
 
     def __init__(
-        self,
-        scope: str,
-        ident,
-        program: str,
-        spec: str,
-        engine: str,
-        stream: int,
-        group: int | None = None,
-        group_size: int = 1,
+        self, program: str, spec: str, engine: str, stream: int, group_size: int = 1
     ) -> None:
-        self.scope = scope
-        self.ident = ident
         self.program = program
         self.spec = spec
         self.engine = engine
         self.stream = stream
-        #: Coalescing-group membership: the group index this node
-        #: executed in (graph replays: the instantiate-time group;
-        #: eager streams: unset) and how many launches shared the
-        #: engine invocation.
-        self.group = group
         self.group_size = group_size
         self.calls = 0
         self.wall_s = 0.0
@@ -119,7 +93,7 @@ class NodeProfile:
 
     @property
     def key(self) -> tuple:
-        return (self.scope, self.ident, self.stream, self.engine)
+        return (self.spec, self.stream, self.engine)
 
     @property
     def mean_wall_s(self) -> float:
@@ -137,13 +111,10 @@ class NodeProfile:
     @classmethod
     def from_dict(cls, data: Mapping) -> "NodeProfile":
         node = cls(
-            scope=data["scope"],
-            ident=data["ident"],
             program=data["program"],
             spec=data["spec"],
             engine=data["engine"],
             stream=data["stream"],
-            group=data.get("group"),
             group_size=data.get("group_size", 1),
         )
         node.calls = int(data["calls"])
@@ -156,7 +127,7 @@ class NodeProfile:
 
     def __repr__(self) -> str:
         return (
-            f"NodeProfile({self.scope}:{self.ident} {self.program!r} on "
+            f"NodeProfile({self.program!r} on "
             f"stream {self.stream}, {self.calls} calls, "
             f"{self.mean_wall_s * 1e6:.1f} us/call)"
         )
@@ -171,7 +142,9 @@ _STAT_FIELDS = (
     ("global_bits_stored", "global_bits_stored"),
 )
 
-_JSON_VERSION = 1
+#: 2: records lost the graph scope (``scope`` / ``ident`` / ``group``);
+#: a replayed launch records under its spec string like any other.
+_JSON_VERSION = 2
 
 
 class StatsTimer:
@@ -229,15 +202,12 @@ class Profile:
     # -- recording ----------------------------------------------------------
     def record(
         self,
-        scope: str,
-        ident,
         program: str,
         spec: str,
         engine: str,
         stream: int,
         wall_s: float,
         stats_delta: Mapping | None = None,
-        group: int | None = None,
         group_size: int = 1,
     ) -> NodeProfile:
         """Accumulate one launch's measurements into its site record.
@@ -247,18 +217,14 @@ class Profile:
         invocation to several launches divide it (and ``wall_s``) before
         recording each.
         """
-        key = (scope, ident, stream, engine)
+        key = (spec, stream, engine)
         with self._lock:
             node = self.nodes.get(key)
             if node is None:
-                node = NodeProfile(
-                    scope, ident, program, spec, engine, stream,
-                    group=group, group_size=group_size,
-                )
+                node = NodeProfile(program, spec, engine, stream)
                 self.nodes[key] = node
             node.calls += 1
             node.wall_s += wall_s
-            node.group = group if group is not None else node.group
             node.group_size = group_size
             if stats_delta:
                 for attr, stat in _STAT_FIELDS:
@@ -267,37 +233,25 @@ class Profile:
 
     def record_group(
         self,
-        scope: str,
-        idents: Iterable,
         program: str,
         specs: Iterable[str],
         engine: str,
         stream: int,
         wall_s: float,
         stats_delta: Mapping | None = None,
-        group: int | None = None,
     ) -> None:
         """Attribute one coalesced engine invocation evenly across its
         member launches (they run the same program on one stacked grid,
         so an even split is the honest per-launch estimate).  Integer
         counters split with the remainder spread over the first members,
         so group totals equal the invocation's exact delta."""
-        idents = list(idents)
         specs = list(specs)
-        n = len(idents)
+        n = len(specs)
         shares = split_counts(stats_delta, n) if stats_delta else [None] * n
-        for (ident, spec), share in zip(zip(idents, specs), shares):
+        for spec, share in zip(specs, shares):
             self.record(
-                scope,
-                ident,
-                program,
-                spec,
-                engine,
-                stream,
-                wall_s / n,
-                stats_delta=share,
-                group=group,
-                group_size=n,
+                program, spec, engine, stream, wall_s / n,
+                stats_delta=share, group_size=n,
             )
 
     # -- aggregation --------------------------------------------------------
@@ -312,19 +266,6 @@ class Profile:
                 agg["calls"] += node.calls
                 agg["wall_s"] += node.wall_s
                 agg["bytes"] += node.bytes_touched
-        return out
-
-    def per_graph(self) -> dict[str, dict]:
-        """Totals per graph signature (eager launches under ``"eager"``)."""
-        out: dict[str, dict] = {}
-        with self._lock:
-            for node in self.nodes.values():
-                agg = out.setdefault(
-                    node.scope, {"nodes": 0, "calls": 0, "wall_s": 0.0}
-                )
-                agg["nodes"] += 1
-                agg["calls"] += node.calls
-                agg["wall_s"] += node.wall_s
         return out
 
     def merge(self, other: "Profile") -> "Profile":
@@ -358,8 +299,8 @@ class Profile:
         Every malformed input — truncated payload, non-object JSON, a
         missing or mangled ``nodes`` list, unknown version — raises a
         :class:`VMError` naming the problem, never a bare decode error
-        and never a silently empty profile: a consumer about to optimize
-        against this data must not mistake garbage for measurements.
+        and never a silently empty profile: a consumer reading this data
+        must not mistake garbage for measurements.
         """
         try:
             data = json.loads(text)
@@ -384,8 +325,6 @@ class Profile:
                 node = NodeProfile.from_dict(record)
             except (KeyError, TypeError, ValueError) as exc:
                 raise VMError(f"malformed profile node record: {exc}") from exc
-            # JSON turns tuple idents into lists; node indices are ints
-            # and program names strings, both of which survive unchanged.
             profile.nodes[node.key] = node
         return profile
 

@@ -63,13 +63,13 @@ from repro.runtime.executor import (
     execute,
     resolve_engine,
 )
-from repro.runtime.profiling import EAGER, HOST_STREAM, Profile
+from repro.runtime.profiling import HOST_STREAM, Profile
 from repro.runtime.streams import LaunchHandle, Stream, StreamPool
 from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory, TensorView
 
 #: Where synchronous launches are accounted.
-_HOST_SITE = Site("launch", "runtime", EAGER, HOST_STREAM)
+_HOST_SITE = Site("launch", "runtime", HOST_STREAM)
 
 
 class SpecializationCache:
@@ -295,7 +295,10 @@ class Runtime:
         cache, so captured nodes hold compiled programs).  After the
         block, ``graph.replay(bindings)`` re-executes the frozen launch
         DAG without re-running scheduling, hazard analysis, or
-        coalescing decisions.  See :mod:`repro.runtime.graphs`.
+        coalescing decisions.  Nothing served captures a graph (split-k
+        issues ``stream="auto"`` launches); the benchmark's step probe
+        and the tests' serial-replay reference do.  See
+        :mod:`repro.runtime.graphs`.
         """
         return self.stream_pool(num_streams).capture()
 

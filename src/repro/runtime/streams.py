@@ -99,7 +99,6 @@ from repro.runtime.executor import (
     execute,
     resolve_engine,
 )
-from repro.runtime.profiling import EAGER
 from repro.vm.batched import supports_batched
 from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory
@@ -506,7 +505,7 @@ class Stream:
         #: Trace lane ``index + 1`` (lane 0 is the host's own launches).
         self.lane = Lane(pool.memory, pool.shared_capacity, index + 1, pool.stdout)
         self.stats = self.lane.stats
-        self._site = Site("exec", "stream", EAGER, index)
+        self._site = Site("exec", "stream", index)
         self.launches = 0          # individual launches retired
         self.executions = 0        # engine invocations (after coalescing)
         self._tail: LaunchHandle | None = None
@@ -583,7 +582,7 @@ class StreamPool:
 
     #: Active :class:`~repro.runtime.profiling.Profile`, or None.  When
     #: set, every engine invocation — eager group or graph replay —
-    #: records a per-node cost into it.
+    #: records a per-launch cost into it.
     profiler = ContextAttr()
     #: Attached :class:`~repro.runtime.jit.JitManager`, or None.  When
     #: set, every execution (eager groups and graph replays alike)

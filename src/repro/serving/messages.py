@@ -1,9 +1,9 @@
 """The serving wire protocol: versioned JSON envelopes over pipes.
 
 Router and workers exchange **only JSON text** — no pickled live
-objects ever crosses a process boundary.  Graphs travel as their
-signatures, profiles as :class:`~repro.runtime.profiling.Profile` JSON,
-and requests/results as the flat dictionaries below.  Keeping the wire
+objects ever crosses a process boundary.  Profiles travel as
+:class:`~repro.runtime.profiling.Profile` JSON, and requests/results as
+the flat dictionaries below.  Keeping the wire
 format inspectable and version-stamped means a router and worker from
 different builds fail loudly (a :class:`~repro.errors.VMError` naming
 the version mismatch) instead of silently mis-decoding each other.

@@ -6,7 +6,7 @@ staging, register reinterpretation and tensor-core ops;
 :mod:`tests.harness.differential` runs each program through every
 execution mode — the sequential interpreter, the grid-vectorized
 batched executor, the multi-stream runtime, execution-graph
-capture-and-replay (plain and ``optimize()``-d) and the compiled tier —
+capture-and-replay and the compiled tier —
 and asserts *bit-exact* agreement of every output
 tensor plus execution-stat parity.
 """

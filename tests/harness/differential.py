@@ -10,7 +10,7 @@ negative zeros and sub-byte padding must all agree.  Execution
 statistics are compared as well: every mode is required to count work
 exactly as if blocks had run one at a time.
 
-Six modes are locked together:
+Five modes are locked together:
 
 - ``sequential``   — the block-loop interpreter, the semantic reference;
 - ``batched``      — the grid-vectorized executor, forced for every launch;
@@ -24,10 +24,6 @@ Six modes are locked together:
   frozen once, nothing executed), then replayed through the pool's
   group loop with all per-launch analysis skipped — and must still match
   the sequential reference bit-for-bit with stat parity;
-- ``graph-optimized`` — the captured graph rebuilt by
-  ``graph.optimize()`` (liveness scan, node renumbering, re-derived
-  coalescing groups) and replayed; no pointer bindings are registered,
-  so all memory is presumed observable and no node may be dropped.
 - ``jit``          — the compiled tier, through the launch executor:
   the ``stream`` mode's submissions, issued with ``engine="compiled"``
   on a pool with a :class:`~repro.runtime.jit.JitManager` attached, so
@@ -46,16 +42,13 @@ Six modes are locked together:
   reference — the compiled kernel is required to count blocks,
   instructions and global traffic exactly as if it had interpreted.
 
-Three properties ride on the same generated cases
-(:func:`check_labels_decide_nothing`, :func:`check_optimize_replays_twice`,
-:func:`check_sharing_decides_nothing`):
+Two properties ride on the same generated cases
+(:func:`check_labels_decide_nothing`, :func:`check_sharing_decides_nothing`):
 a stream is a label — capturing the plan under a different stream
 labelling changes neither the group partition, nor one output bit, nor
-the aggregate statistics — ``optimize()`` of a *bound* graph stays
-equal to the original over repeated replays (a graph is a loop body:
-elimination must keep loop-carried writers) — and whether the launches
-of a stack read an operand through one pointer or through private
-copies of it decides how often the bytes are loaded, never a result.
+the aggregate statistics — and whether the launches of a stack read an
+operand through one pointer or through private copies of it decides
+how often the bytes are loaded, never a result.
 """
 
 from __future__ import annotations
@@ -76,7 +69,6 @@ MODES = (
     "batched",
     "stream",
     "graph-replay",
-    "graph-optimized",
     "jit",
 )
 
@@ -170,13 +162,9 @@ def _run_engine(case: GeneratedCase, mode: str):
                 kernel.launches > 1 for kernel in pool.jit.cache._kernels.values()
             )
         stats = pool.aggregate_stats()
-    elif mode in ("graph-replay", "graph-optimized"):
+    elif mode == "graph-replay":
         with StreamPool(memory, num_streams=4) as pool:
             graph = _capture_plan(pool, plan, buffers)
-            if mode == "graph-optimized":
-                graph = graph.optimize()
-            # No pointer bindings are registered, so all memory is
-            # presumed observable: optimize() may not drop a node.
             assert len(graph) == len(plan)
             graph.replay()
             pool.synchronize()
@@ -250,38 +238,6 @@ def check_labels_decide_nothing(case: GeneratedCase) -> None:
                     f"{what} differ between the round-robin and {name} "
                     f"labellings\n{case.describe()}"
                 )
-
-
-def check_optimize_replays_twice(case: GeneratedCase) -> None:
-    """Bind every output of ``case``, then replay twice (a) the captured
-    graph, (b) its ``optimize()`` image and (c) ``optimize(outputs=
-    [one output])``: (b) must equal (a) on every output and (c) on the
-    one output it was told is observable — what elimination drops is
-    unobservable on the first replay *and* on the next."""
-    keep = case.seed % len(case.outputs)
-
-    def twice(transform):
-        memory, _, buffers, out_addrs = _device_image(case)
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, case.launch_plan(), buffers)
-            for i, (addr, (shape, dtype)) in enumerate(zip(out_addrs, case.outputs)):
-                nbytes = (int(np.prod(shape)) * dtype.nbits + 7) // 8
-                graph.bind(f"out{i}", addr, nbytes)
-            graph = transform(graph)
-            graph.replay()
-            graph.replay()
-            pool.synchronize()
-        return _output_bits(case, memory, out_addrs)
-
-    original = twice(lambda graph: graph)
-    optimized = twice(lambda graph: graph.optimize())
-    narrowed = twice(lambda graph: graph.optimize(outputs=[f"out{keep}"]))
-    equal_all = all(map(np.array_equal, original, optimized))
-    if not equal_all or not np.array_equal(original[keep], narrowed[keep]):
-        raise DifferentialMismatch(
-            "optimize() of the bound graph diverges from the captured "
-            f"graph over two replays\n{case.describe()}"
-        )
 
 
 def check_sharing_decides_nothing(seed: int) -> None:

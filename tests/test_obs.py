@@ -306,28 +306,43 @@ class TestRuntimeEmitPoints:
         linear(rng.standard_normal((2, 64)))  # must not raise, must not record
 
     def test_splitk_emits_stream_and_graph_events(self):
-        """Streamed split-k is the graph and stream user left (a served
-        decode step is one synchronous launch): its first call captures,
-        its second replays, and the summary sees both lanes."""
+        """A split-k call issues stream launches and captures nothing:
+        its trace holds stream spans and no graph event.  Its launches
+        captured explicitly (``runtime.capture``) emit the graph
+        lifecycle: one capture instant, a span per replay."""
         from repro import ops
-        from repro.dtypes import int6
+        from repro.dtypes import float32, int6
         from repro.kernels import MatmulConfig
 
         rng = np.random.default_rng(3)
         linear = ops.prepare_linear(
             rng.standard_normal((64, 16)), int6, group_size=32,
-            config=MatmulConfig(16, 8, 16, split_k=2), streams=2,
+            config=MatmulConfig(16, 8, 16, split_k=2),
         )
-        tracer = linear.runtime.enable_tracing()
+        runtime = linear.runtime
+        tracer = runtime.enable_tracing()
         act = rng.standard_normal((2, 64))
         try:
             linear(act)
             linear(act)
+            called = list(tracer.events())
+            a = runtime.upload(linear.act_dtype.quantize(act), linear.act_dtype)
+            c = runtime.empty([2, 16], linear.act_dtype)
+            p = runtime.empty([2, 2, 16], float32)
+            with runtime.capture() as graph:
+                linear._launch_splitk(2, a, p, c)
+            graph.replay()
+            graph.replay()
         finally:
-            linear.runtime.disable_tracing()
+            runtime.disable_tracing()
+        assert {e["cat"] for e in called} >= {"stream"}
+        assert not [e for e in called if e["cat"] == "graph"]
         names = [e["name"] for e in tracer.events()]
         assert names.count("graph.capture") == 1
         assert names.count("graph.replay") == 2
+        assert np.array_equal(
+            runtime.download(c, [2, 16], linear.act_dtype), linear(act)
+        )
         summary = summarize_trace(load_trace(json.dumps(chrome_trace(tracer))))
         by_cat = {p["cat"]: p for p in summary["phases"]}
         assert by_cat["stream"]["spans"] > 0

@@ -1,7 +1,6 @@
-"""The profiling subsystem and graph optimization: per-node recording
-across every execution mode, JSON round-trips and their negative paths,
-dead-node elimination that never drops observable work (loop-carried
-state included), and the serving integration."""
+"""The profiling subsystem: per-launch recording across every execution
+mode (a replayed launch records like an eager one), JSON round-trips and
+their negative paths, and the serving integration."""
 
 import io
 import json
@@ -16,14 +15,13 @@ from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import Profile, Runtime, StreamPool
-from repro.runtime.profiling import EAGER, HOST_STREAM, NodeProfile
+from repro.runtime.profiling import _JSON_VERSION, HOST_STREAM, spec_string
 from repro.vm import GlobalMemory, Interpreter
 
 ROWS, COLS = 16, 8
-OUT_BYTES = ROWS * COLS * 2
 
 
-def work_program(name: str, steps: int = 2, printing: bool = False):
+def work_program(name: str, steps: int = 2):
     """``out = f(a)`` over a 2x2 grid; ``steps`` scales its cost."""
     pb = ProgramBuilder(name, grid=[2, 2])
     a_ptr = pb.param("a", pointer(float16))
@@ -37,8 +35,6 @@ def work_program(name: str, steps: int = 2, printing: bool = False):
     with pb.for_range(steps):
         pb.add(acc, contrib, out=acc)
     result = pb.cast(acc, "f16")
-    if printing:
-        pb.print_tensor(result, "profiled")
     pb.store_global(result, g_out, offset=[bi * 8, bj * 4])
     return pb.finish()
 
@@ -57,13 +53,6 @@ def device(num_buffers: int, seed: int = 0):
     return memory, host, pairs
 
 
-def graph_sites(profile: Profile, signature: str) -> dict:
-    """The profile's records of one graph, by node index."""
-    return {
-        node.ident: node for node in profile.nodes.values() if node.scope == signature
-    }
-
-
 # ---------------------------------------------------------------------------
 # Recording across execution modes
 # ---------------------------------------------------------------------------
@@ -80,7 +69,6 @@ class TestRecording:
         rt.launch(prog, [a, out])
         assert len(profile) == 1
         (node,) = profile.nodes.values()
-        assert node.scope == EAGER
         assert node.stream == HOST_STREAM
         assert node.program == "sync"
         assert node.calls == 2
@@ -122,26 +110,34 @@ class TestRecording:
         assert sum(node.calls for node in profile.nodes.values()) == 5
 
     def test_graph_replay_records_one_site_per_node(self):
+        """A replayed launch records like a drained eager one: under its
+        spec string, on the stream its group ran on, with the engine
+        that ran it — so three specializations are three sites, each
+        keyed as the same launches issued eagerly are."""
         memory, _, pairs = device(3)
-        prog = work_program("graphed")
+        programs = [work_program(f"graphed{i}") for i in range(3)]
         with StreamPool(memory, num_streams=2) as pool:
             with pool.capture() as graph:
-                for a, out in pairs:
+                for prog, (a, out) in zip(programs, pairs):
                     pool.submit(prog, [a, out])
             pool.profiler = Profile()
             graph.replay()
             graph.replay()
             pool.synchronize()
-            profile = pool.profiler
-        recorded = graph_sites(profile, graph.signature)
-        assert sorted(recorded) == [0, 1, 2]
-        for node in recorded.values():
-            assert node.calls == 2
-            assert node.wall_s > 0.0
-        # Graph sites are keyed by the node's stream label.
-        assert all(
-            recorded[i].stream == graph.nodes[i].stream_index for i in recorded
-        )
+            replayed = pool.profiler
+            pool.profiler = Profile()
+            for node in graph.nodes:
+                pool.submit(node.program, node.args, stream=pool.streams[node.stream_index])
+            pool.synchronize()
+            eager = pool.profiler
+        assert sorted(replayed.nodes) == sorted(eager.nodes)
+        for node in graph.nodes:
+            (site,) = [
+                rec for rec in replayed.nodes.values()
+                if rec.spec == spec_string(node.key)
+            ]
+            assert (site.stream, site.calls) == (node.stream_index, 2)
+            assert site.wall_s > 0.0
 
     def test_serial_replay_records_exact_per_node_costs(self):
         memory, _, pairs = device(2)
@@ -153,9 +149,8 @@ class TestRecording:
             pool.profiler = Profile()
             graph.replay(serial=True)
             profile = pool.profiler
-        recorded = graph_sites(profile, graph.signature)
-        assert sorted(recorded) == [0, 1]
-        assert all(rec.group_size == 1 for rec in recorded.values())
+        assert sum(rec.calls for rec in profile.nodes.values()) == 2
+        assert all(rec.group_size == 1 for rec in profile.nodes.values())
 
     def test_group_attribution_preserves_exact_totals(self):
         # Splitting a coalesced invocation across 3 members must not
@@ -167,8 +162,8 @@ class TestRecording:
         assert sum(s["blocks_run"] for s in shares) == 7
         profile = Profile()
         profile.record_group(
-            EAGER, ["a", "b", "c"], "p", ["s1", "s2", "s3"], "batched", 0,
-            0.3, stats_delta={"instructions": 100},
+            "p", ["s1", "s2", "s3"], "batched", 0, 0.3,
+            stats_delta={"instructions": 100},
         )
         assert sum(n.instructions for n in profile.nodes.values()) == 100
 
@@ -188,18 +183,6 @@ class TestRecording:
                 n.instructions for n in pool.profiler.nodes.values()
             )
             assert recorded == stats.instructions
-
-    def test_signature_is_address_agnostic(self):
-        prog = work_program("sig")
-        signatures = []
-        for seed in (0, 1):
-            memory, _, pairs = device(2, seed=seed)
-            with StreamPool(memory, num_streams=2) as pool:
-                with pool.capture() as graph:
-                    for a, out in pairs:
-                        pool.submit(prog, [a, out])
-                signatures.append(graph.signature)
-        assert signatures[0] == signatures[1]
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +229,7 @@ class TestJsonRoundTrip:
     @given(
         records=st.lists(
             st.tuples(
-                st.sampled_from(["s0", "s1"]),        # scope
-                st.integers(min_value=0, max_value=7),  # ident
+                st.sampled_from(["prog-a", "prog-b"]),
                 st.sampled_from(["spec-a", "spec-b", "spec-c"]),
                 st.sampled_from(["sequential", "batched"]),
                 st.integers(min_value=0, max_value=3),  # stream
@@ -261,12 +243,11 @@ class TestJsonRoundTrip:
         """What a worker ships on ``pull_state`` is read back bit for
         bit: records, and every aggregate over them."""
         profile = Profile()
-        for scope, ident, spec, engine, stream, wall in records:
-            profile.record(scope, ident, "prog", spec, engine, stream, wall)
+        for program, spec, engine, stream, wall in records:
+            profile.record(program, spec, engine, stream, wall)
         loaded = Profile.from_json(profile.to_json())
         assert loaded.to_json() == profile.to_json()
         assert loaded.per_stream() == profile.per_stream()
-        assert loaded.per_graph() == profile.per_graph()
 
     def test_merge_sums_shared_sites(self):
         _, first = self._collect()
@@ -306,158 +287,12 @@ class TestProfileJsonNegativePaths:
 
     def test_missing_nodes_list_raises(self):
         with pytest.raises(VMError, match="nodes"):
-            Profile.from_json(json.dumps({"version": 1}))
+            Profile.from_json(json.dumps({"version": _JSON_VERSION}))
 
     def test_malformed_node_record_raises(self):
-        bad = json.dumps({"version": 1, "nodes": [{"scope": "only"}]})
+        bad = json.dumps({"version": _JSON_VERSION, "nodes": [{"program": "only"}]})
         with pytest.raises(VMError, match="malformed profile node record"):
             Profile.from_json(bad)
-
-
-# ---------------------------------------------------------------------------
-# Dead-node elimination
-# ---------------------------------------------------------------------------
-
-
-class TestDeadNodeElimination:
-    def _graph(self, num_streams=2):
-        memory, host, pairs = device(3)
-        prog = work_program("life")
-        scratch = host.alloc_output([ROWS, COLS], float16)
-        pool = StreamPool(memory, num_streams=num_streams)
-        with pool.capture() as graph:
-            pool.submit(prog, [pairs[0][0], pairs[0][1]])   # writes out0
-            pool.submit(prog, [pairs[1][0], scratch])       # writes scratch
-            pool.submit(prog, [pairs[2][0], pairs[2][1]])   # writes out2
-        return pool, host, pairs, scratch, graph
-
-    def test_unbound_unread_writer_is_eliminated(self):
-        pool, host, pairs, scratch, graph = self._graph()
-        with pool:
-            graph.bind("out0", pairs[0][1], OUT_BYTES)
-            graph.bind("out2", pairs[2][1], OUT_BYTES)
-            optimized = graph.optimize()
-            assert optimized.num_nodes == 2
-            assert [n.args[1] for n in optimized.nodes] == [
-                pairs[0][1],
-                pairs[2][1],
-            ]
-            before = host.download(scratch, [ROWS, COLS], float16).copy()
-            optimized.replay()
-            pool.synchronize()
-            # The eliminated node really did not run.
-            assert np.array_equal(
-                host.download(scratch, [ROWS, COLS], float16), before
-            )
-
-    def test_refuses_to_drop_span_aliasing_a_bound_output(self):
-        # The scratch writer's span overlaps a bound output by one byte:
-        # elimination must keep it (satellite acceptance case).
-        pool, host, pairs, scratch, graph = self._graph()
-        with pool:
-            graph.bind("out0", pairs[0][1], OUT_BYTES)
-            # A span that ends one byte inside the scratch buffer.
-            graph.bind("tail", scratch - 16, 17)
-            optimized = graph.optimize()
-            assert optimized.num_nodes == 3
-
-    def test_reader_keeps_its_producer_alive(self):
-        # producer writes mid, consumer reads mid into a bound output:
-        # the producer's output is unbound but RAW-reachable, so it stays.
-        memory, host, pairs = device(2)
-        prog = work_program("chain")
-        mid = host.alloc_output([ROWS, COLS], float16)
-        with StreamPool(memory, num_streams=2) as pool:
-            with pool.capture() as graph:
-                pool.submit(prog, [pairs[0][0], mid])
-                pool.submit(prog, [mid, pairs[1][1]])
-            graph.bind("out", pairs[1][1], OUT_BYTES)
-            assert graph.optimize().num_nodes == 2
-
-    def test_no_bindings_means_everything_is_observable(self):
-        pool, _, pairs, scratch, graph = self._graph()
-        with pool:
-            assert graph.optimize().num_nodes == 3
-
-    def test_explicit_empty_outputs_drops_unread_writers(self):
-        pool, _, pairs, scratch, graph = self._graph()
-        with pool:
-            graph.bind("out0", pairs[0][1], OUT_BYTES)
-            optimized = graph.optimize(outputs=())
-            assert optimized.num_nodes == 0
-
-    def test_unknown_output_name_raises(self):
-        pool, _, pairs, scratch, graph = self._graph()
-        with pool:
-            graph.bind("out0", pairs[0][1], OUT_BYTES)
-            with pytest.raises(VMError, match="nope"):
-                graph.optimize(outputs=("nope",))
-
-    def test_side_effecting_node_survives(self):
-        # A printing kernel writes only unobserved scratch, but printing
-        # is observable: it must never be eliminated.
-        memory, host, pairs = device(1)
-        printer = work_program("printer", printing=True)
-        scratch = host.alloc_output([ROWS, COLS], float16)
-        out = io.StringIO()
-        pool = StreamPool(memory, num_streams=2, stdout=out)
-        with pool:
-            with pool.capture() as graph:
-                pool.submit(printer, [pairs[0][0], scratch], engine="sequential")
-            graph.bind("anchor", pairs[0][1], OUT_BYTES)
-            optimized = graph.optimize(outputs=())
-            assert optimized.num_nodes == 1
-
-
-    def test_writer_read_by_an_earlier_node_on_the_next_replay_stays(self):
-        # Loop-carried state: node 0 computes out = f(S), node 1 then
-        # refreshes S = f(a).  The S writer's only reader sits *before*
-        # it and observes the write on the next replay, so dropping it
-        # would freeze S: replay 1 equal, replay 2 not.
-        prog = work_program("carry")
-        outs = []
-        for optimize in (False, True):
-            memory, host, pairs = device(2)
-            (a, out), (state, _) = pairs
-            with StreamPool(memory, num_streams=2) as pool:
-                with pool.capture() as graph:
-                    pool.submit(prog, [state, out])
-                    pool.submit(prog, [a, state])
-                graph.bind("out", out, OUT_BYTES)
-                if optimize:
-                    graph = graph.optimize()
-                seen = []
-                for _ in range(2):
-                    graph.replay()
-                    seen.append(host.download(out, [ROWS, COLS], float16).copy())
-            outs.append(seen)
-        assert not np.array_equal(outs[0][0], outs[0][1])  # S really carries
-        for plain, optimized in zip(*outs):
-            assert np.array_equal(plain, optimized)
-
-    def test_optimized_graph_rebinds_like_the_original(self):
-        memory, host, pairs = device(2)
-        prog = work_program("rebind")
-        fresh_out = host.alloc_output([ROWS, COLS], float16)
-        with StreamPool(memory, num_streams=2) as pool:
-            with pool.capture() as graph:
-                pool.submit(prog, [pairs[0][0], pairs[0][1]])
-            graph.bind("out", pairs[0][1], OUT_BYTES)
-            graph.replay(serial=True)
-            want = host.download(pairs[0][1], [ROWS, COLS], float16).copy()
-            optimized = graph.optimize()
-            optimized.replay({"out": fresh_out})
-            pool.synchronize()
-            assert np.array_equal(
-                host.download(fresh_out, [ROWS, COLS], float16), want
-            )
-
-    def test_optimize_requires_ready_phase(self):
-        memory, _, _ = device(1)
-        with StreamPool(memory, num_streams=2) as pool:
-            graph = pool.capture()
-            with pytest.raises(VMError, match="phase"):
-                graph.optimize()
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +329,7 @@ class TestServingProfile:
             assert result.profile is not None
             assert len(result.profile) > 0
             # The profile is reusable after the run: it serializes and
-            # still resolves the decode graphs' nodes.
+            # reads back every site.
             loaded = Profile.from_json(result.profile.to_json())
             assert len(loaded) == len(result.profile)
             # Recording does not outlive the trace: the shared runtime's

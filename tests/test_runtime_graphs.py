@@ -126,7 +126,7 @@ class TestCapture:
     def test_groups_form_over_the_whole_dag_not_per_stream(self):
         """Eight launches of one specialization captured on eight streams
         are one group on the head's stream; the members' label is
-        rewritten to it and survives optimize()."""
+        rewritten to it."""
         program = transform_program("fuse", 2.0, 1.0)
         memory = GlobalMemory(1 << 22)
         host, addrs = upload_buffers(memory, 16)
@@ -135,9 +135,8 @@ class TestCapture:
             with pool.capture() as graph:
                 for i, stream in enumerate(pool.streams):
                     pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]], stream=stream)
-            for image in (graph, graph.optimize()):
-                assert image.num_groups == 1
-                assert image.stream_indices == (image.nodes[0].stream_index,)
+            assert graph.num_groups == 1
+            assert graph.stream_indices == (graph.nodes[0].stream_index,)
             graph.replay()
             assert (pool.launches, pool.executions) == (8, 1)
             assert pool.streams[0].executions == 1

@@ -23,6 +23,7 @@ from repro.kernels import (
     matmul_layouts,
     splitk_partial_program,
     splitk_reduce_program,
+    splitk_slice_program,
 )
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
@@ -461,64 +462,58 @@ class TestRuntimeIntegration:
         assert pending.done
 
     def test_streamed_splitk_matches_single_launch_pair(self):
-        """ops.QuantizedLinear's one-stream-per-slice split-k path must be
-        bit-exact with the classic partial+reduce launch pair."""
+        """ops.QuantizedLinear's split-k path is one path: for every
+        ``streams`` value its slices and reduce are ``stream="auto"``
+        launches, the slices stacked into one invocation (on the
+        interpreted tier: their ``k0`` scalars differ, so each is its own
+        specialization and a forced compiled slice runs alone).  Its
+        output bytes equal the sequential engine's, the slice-by-slice
+        synchronous launches' and the classic partial + reduce pair's."""
         from repro import ops
 
         rng = np.random.default_rng(11)
-        m, n, k, sk = 16, 16, 64, 2
-        a = rng.standard_normal((m, k))
+        n, k = 16, 64
         w = rng.standard_normal((k, n))
-        cfg = MatmulConfig(16, 8, 16, split_k=sk)
-        linear = ops.prepare_linear(w, int6, group_size=32, config=cfg, streams=sk)
-        try:
-            streamed = linear(a)
-            pool = linear.runtime.stream_pool()
-            assert pool.launches == sk + 1  # sk slices + 1 reduce
-        finally:
-            linear.runtime.stream_pool().shutdown()
-
-        rt = Runtime()
         scheme = QuantScheme(int6, group_size=32)
         q, scales = quantize_weight(w, scheme)
-        packed = transform_weight(q, int6, matmul_layouts(cfg, int6).b_warp)
-        args = [
-            rt.upload(float16.quantize(a), float16),
-            rt.upload(packed, uint8),
-            rt.upload(float16.quantize(scales), float16),
-            rt.empty([sk, m, n], float32),
-            rt.empty([m, n], float16),
-        ]
-        rt.launch(
-            splitk_partial_program(m, n, k, float16, scheme, cfg), args[:4]
-        )
-        rt.launch(splitk_reduce_program(m, n, sk, float16), args[3:])
-        classic = rt.download(args[4], [m, n], float16)
-        assert np.array_equal(streamed, classic)
-
-    def test_streamed_splitk_replays_its_graph_with_buffers_rebound(self):
-        """Later calls at one row count replay the captured fan-out with
-        the a/p/c buffers rebound: bit-exact with eager issue of the
-        same calls (``use_graphs=False``)."""
-        from repro import ops
-
-        rng = np.random.default_rng(12)
-        w = rng.standard_normal((64, 16))
-        cfg = MatmulConfig(16, 8, 16, split_k=2)
-        calls = [rng.standard_normal((8, 64)) for _ in range(3)]
-        outs = {}
-        for use_graphs in (True, False):
-            linear = ops.prepare_linear(w, int6, group_size=32, config=cfg, streams=2)
-            linear.use_graphs = use_graphs
-            try:
-                outs[use_graphs] = [linear(a) for a in calls]
-                if use_graphs:
-                    assert linear._graphs[8].replays == len(calls)
-            finally:
-                linear.runtime.stream_pool().shutdown()
-        for graphed, eager in zip(outs[True], outs[False]):
-            assert np.array_equal(graphed, eager)
-        assert not np.array_equal(outs[True][0], outs[True][1])
+        for sk in (2, 4):
+            cfg = MatmulConfig(16, 8, 16, split_k=sk)
+            packed = transform_weight(q, int6, matmul_layouts(cfg, int6).b_warp)
+            for m in (1, 5, 16):
+                a = rng.standard_normal((m, k))
+                want = ops.prepare_linear(
+                    w, int6, 32, cfg, Runtime(engine="sequential")
+                )(a)
+                rt = Runtime()
+                args = [
+                    rt.upload(float16.quantize(a), float16),
+                    rt.upload(packed, uint8),
+                    rt.upload(float16.quantize(scales), float16),
+                    rt.empty([sk, m, n], float32),
+                    rt.empty([m, n], float16),
+                ]
+                rt.launch(splitk_partial_program(m, n, k, float16, scheme, cfg), args[:4])
+                rt.launch(splitk_reduce_program(m, n, sk, float16), args[3:])
+                assert np.array_equal(rt.download(args[4], [m, n], float16), want)
+                tiles = (k // cfg.block_k) // sk
+                for s in range(sk):
+                    rt.launch(
+                        splitk_slice_program(m, n, k, float16, scheme, cfg),
+                        args[:3] + [args[3] + s * m * n * 4, s * tiles],
+                    )
+                rt.launch(splitk_reduce_program(m, n, sk, float16), args[3:])
+                assert np.array_equal(rt.download(args[4], [m, n], float16), want)
+                for engine, per_call in (("auto", 2), ("compiled", sk + 1)):
+                    for streams in (0, 2):
+                        linear = ops.prepare_linear(
+                            w, int6, 32, cfg, Runtime(engine=engine), streams=streams
+                        )
+                        pool = linear.runtime.stream_pool()
+                        for call in range(2):
+                            got = linear(a)
+                            assert pool.launches == (call + 1) * (sk + 1)
+                            assert pool.executions == (call + 1) * per_call
+                            assert np.array_equal(got, want), (engine, streams, m, sk)
 
     @staticmethod
     def _decode_simulator(num_streams: int):

@@ -5,17 +5,15 @@ sub-byte, control flow, shared-memory staging, register reinterpretation,
 tensor-core tiles) — or a full kernel-template instantiation
 (software-pipelined matmul, split-k partial/reduce pair) — executed by
 the sequential interpreter, the grid-vectorized batched executor, the
-multi-stream runtime, the execution-graph capture-and-replay path, the
-optimized-graph path (``optimize()``: elimination + regrouping), and
+multi-stream runtime, the execution-graph capture-and-replay path, and
 the JIT compiled tier (pass-pipeline lowering to straight-line
 compiled kernels, with batched fallback on bailout), and compared
 **bit-for-bit**, plus execution-stat parity.  This is the safety net
 behind the batched executor, the stream subsystem, the graph subsystem,
 the compiled tier, and any future refactor of any engine.  The same
-cases carry the graph subsystem's two properties: stream labels decide
-nothing, and ``optimize()`` survives repeated replay; the replicated
-cases carry a third — whether a stack's launches share an input pointer
-decides nothing.
+cases carry the graph subsystem's property that stream labels decide
+nothing; the replicated cases carry a second — whether a stack's
+launches share an input pointer decides nothing.
 """
 
 from collections import Counter
@@ -30,7 +28,6 @@ from tests.harness.differential import (
     MODES,
     _run_engine,
     check_labels_decide_nothing,
-    check_optimize_replays_twice,
     check_sharing_decides_nothing,
 )
 from tests.harness.generator import SHARING_FORMS
@@ -58,7 +55,6 @@ BASELINE_MODES = {
     "batched",
     "stream",
     "graph-replay",
-    "graph-optimized",
     "jit",
 }
 
@@ -78,7 +74,7 @@ def test_engines_agree_bit_exactly(seed):
 
 #: The generated cases whose plan issues more than one launch (split-k
 #: pairs and the replicated plans): the ones where stream labels can
-#: differ at all and where a graph has groups to form and nodes to drop.
+#: differ at all and where a graph has groups to form.
 MULTI_LAUNCH_SEEDS = [
     seed for seed in range(NUM_CASES) if len(generate_case(seed).launch_plan()) > 1
 ]
@@ -87,11 +83,6 @@ MULTI_LAUNCH_SEEDS = [
 @pytest.mark.parametrize("seed", MULTI_LAUNCH_SEEDS)
 def test_stream_labels_decide_nothing(seed):
     check_labels_decide_nothing(generate_case(seed))
-
-
-@pytest.mark.parametrize("seed", MULTI_LAUNCH_SEEDS)
-def test_optimized_bound_graph_replays_twice_like_the_original(seed):
-    check_optimize_replays_twice(generate_case(seed))
 
 
 #: The seeds whose plan is issued several times over: the stacks.
