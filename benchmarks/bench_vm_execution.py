@@ -634,8 +634,10 @@ def obs_report(num_workers: int = 2, num_requests: int = 16) -> dict:
     """Validate the observability layer end to end and measure its cost.
 
     Part one runs a traced ``num_workers``-worker serving burst (every
-    worker with the process tracer installed, JIT promoting on first
-    profiled sight so compiled-tier events appear even in a short run)
+    worker with the process tracer installed and the JIT attached: a
+    key promotes after ``PROMOTE_AFTER`` interpreted launches, which a
+    worker's run passes, so compiled-tier events appear even in a short
+    run)
     and validates the merged fleet trace: one Chrome trace object that
     survives a JSON round-trip, with one pid per process (router +
     workers), every event category a serving fleet emits (router,
@@ -662,7 +664,7 @@ def obs_report(num_workers: int = 2, num_requests: int = 16) -> dict:
     # -- traced fleet run ---------------------------------------------------
     spec = WorkerSpec(
         linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-        max_batch=1, num_streams=2, profile=True, jit=True, trace=True,
+        max_batch=1, num_streams=2, jit=True, trace=True,
     )
     # A chunk is 2 requests x 8 tokens at max_batch=1: sixteen launches
     # of one key per worker run, past the JIT's promotion constant.

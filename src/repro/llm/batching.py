@@ -31,18 +31,14 @@ by ``runtime.synchronize()``.  Its digests are what a served run is
 checked against, so every served digest is a check that the rows of one
 ``m = batch`` launch are the per-request launches' bits.
 
-With ``profile=True`` the run records a per-node
-:class:`~repro.runtime.profiling.Profile` of every decode kernel
-(attached to the returned :class:`TraceResult` and saveable as JSON) —
-an observation of what serving cost; nothing spends it.
-
 Engine state is not the simulator's: the compiled tier lives on the
 operator's :class:`~repro.runtime.runtime.Runtime`
 (``decode_linear.runtime``), and the simulator reads it there.  With
 ``runtime.enable_jit()`` hot decode specializations run compiled
 (``TraceResult.jit_compiled`` / ``jit_promotions``) — promotion is the
-manager's invocation count, kept across runs, so a JIT run is profiled
-only when asked (``profile=True``).
+manager's invocation count, kept across runs.  A profiler the caller
+enables on that runtime records the decode launches like any others;
+the simulator neither installs nor reads one.
 :meth:`repro.serving.spec.WorkerSpec.build_simulator` is where a recipe
 becomes such a configured runtime.
 """
@@ -56,7 +52,6 @@ from dataclasses import dataclass, field
 
 from repro.llm.engine import ServingConfig, ServingSimulator
 from repro.llm.models import ModelConfig
-from repro.runtime.profiling import Profile
 
 
 def _percentile(values: list[float], p: float) -> float:
@@ -139,10 +134,6 @@ class TraceResult:
     #: the standing benchmark and the router's sums still read them.
     graph_captures: int = 0
     graph_replays: int = 0
-    #: Per-node execution profile of the decode kernels (a
-    #: :class:`~repro.runtime.profiling.Profile`), populated when the
-    #: simulator was created with ``profile=True``; None otherwise.
-    profile: object | None = None
     #: Compiled-tier counters (a JIT-enabled runtime): hot
     #: specializations the JIT lowered to straight-line compiled kernels
     #: during this trace, and how many decode executions ran through
@@ -199,8 +190,6 @@ class ContinuousBatchingSimulator:
     selects the per-request reference path (one ``program_for(1)``
     launch per row, retired as one group); any other value the
     one-launch path.
-    ``profile=True`` records every decode kernel into a reusable
-    :class:`~repro.runtime.profiling.Profile` on ``TraceResult.profile``.
     The compiled tier is read from ``decode_linear.runtime`` (see the
     module docstring).
     """
@@ -212,7 +201,6 @@ class ContinuousBatchingSimulator:
         max_batch: int = 16,
         decode_linear=None,
         num_streams: int = 4,
-        profile: bool = False,
     ) -> None:
         if max_batch < 1:
             # No request could ever be admitted: ``run`` would spin.
@@ -226,13 +214,6 @@ class ContinuousBatchingSimulator:
         #: one-launch path, see above) until the reference path gets an
         #: entry point of its own; every value from 1 up serves alike.
         self.num_streams = min(num_streams, max_batch)
-        #: Record per-node execution profiles of the decode kernels onto
-        #: the operator runtime (``TraceResult.profile`` carries them).
-        self.profile = profile
-        #: Every profiled run's records, merged (each run installs a
-        #: fresh per-trace profile): what a worker exports on
-        #: ``pull_state``.
-        self.served_profile = Profile()
         #: The ``[max_batch, k]`` activation and ``[max_batch, n]``
         #: output matrices (allocated on the first admission, kept for
         #: the simulator's life) and their free rows.
@@ -272,28 +253,14 @@ class ContinuousBatchingSimulator:
         """Simulate until every request finishes."""
         pending = sorted(requests, key=lambda r: r.arrival_s)
         outcome = TraceResult()
-        if self.decode_linear is None:
+        jit = self.decode_linear.runtime.jit if self.decode_linear is not None else None
+        if jit is None:
             return self._run_loop(pending, outcome)
-        runtime = self.decode_linear.runtime
-        jit = runtime.jit
-        if self.profile:
-            # Fresh profile per run so the trace's records are its own
-            # (a caller-enabled profiler must not bleed in), restored on
-            # exit so caller profiling survives the trace unchanged.
-            prior = runtime.disable_profiling()
-            outcome.profile = runtime.enable_profiling(Profile())
-        compiled_before = jit.compiled if jit is not None else 0
-        promotions_before = jit.promotions if jit is not None else 0
-        try:
-            return self._run_loop(pending, outcome)
-        finally:
-            if jit is not None:
-                outcome.jit_compiled = jit.compiled - compiled_before
-                outcome.jit_promotions = jit.promotions - promotions_before
-            if self.profile:
-                self.served_profile.merge(runtime.disable_profiling())
-                if prior is not None:
-                    runtime.enable_profiling(prior)
+        compiled_before, promotions_before = jit.compiled, jit.promotions
+        self._run_loop(pending, outcome)
+        outcome.jit_compiled = jit.compiled - compiled_before
+        outcome.jit_promotions = jit.promotions - promotions_before
+        return outcome
 
     def _run_loop(self, pending: list[Request], outcome: TraceResult) -> TraceResult:
         inflight: list[_Inflight] = []

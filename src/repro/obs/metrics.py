@@ -1,9 +1,9 @@
 """The metrics registry: frozen dot-namespaced snapshot contracts.
 
 Before this module, every subsystem invented its own counter shape —
-``ExecutionStats`` attributes, ``SpecializationCache.hits``,
-``JitManager.counters()``, the ad-hoc
-``counters`` dict on serving's ``done`` frames.  The registry replaces
+``ExecutionStats`` attributes, ``SpecializationCache.hits``, the
+``JitManager`` attributes, the ad-hoc ``counters`` dict on serving's
+``done`` frames.  The registry replaces
 none of those *mechanisms* (they stay the cheap in-band counters they
 are) but gives them one read-side contract: a ``metrics()`` method
 returning a **flat dict of dot-namespaced keys to numbers**, with the

@@ -5,7 +5,6 @@ from repro.runtime.jit import JitCache, JitManager
 from repro.runtime.profiling import NodeProfile, Profile
 from repro.runtime.runtime import (
     ExecutionContext,
-    KernelCache,
     Runtime,
     SpecializationCache,
 )
@@ -19,7 +18,6 @@ from repro.runtime.streams import (
 
 __all__ = [
     "Runtime",
-    "KernelCache",
     "SpecializationCache",
     "ExecutionContext",
     "ExecutionGraph",

@@ -269,19 +269,6 @@ class JitManager:
         with self._lock:
             return self._bailed.get(entry)
 
-    def counters(self) -> dict:
-        """JSON-friendly counter snapshot (shipped in worker state
-        exports)."""
-        with self._lock:
-            return {
-                "compiled": self.compiled,
-                "bailouts": self.bailouts,
-                "promotions": self.promotions,
-                "cache_hits": self.cache.hits,
-                "cache_misses": self.cache.misses,
-                "cache_evictions": self.cache.evictions,
-            }
-
     def __repr__(self) -> str:
         return (
             f"JitManager({self.cache!r}, "

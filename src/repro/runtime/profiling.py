@@ -9,10 +9,9 @@ issued it (a synchronous launch, an eager stream drain or a graph
 replay records the same way).  Each record also carries the program
 name, for coarser dashboard aggregation.
 
-A :class:`Profile` is a bag of those records with per-stream
-aggregation, a versioned JSON serialization and :meth:`~Profile.merge`,
-so a profile gathered in one process (a serving worker exports its own
-on ``pull_state``) can be read and combined in another.  A profile
+A :class:`Profile` is a bag of those records, living in the process
+that recorded it: nothing serializes, merges or ships one.  Its readers
+are the standing benchmark's step probe and the tests.  A profile
 observes; nothing reads it to decide anything (JIT promotion is the
 manager's own invocation count).
 
@@ -23,12 +22,9 @@ concurrently) and costs nothing when disabled: the engines' hot paths check a si
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from typing import IO, Iterable, Mapping
-
-from repro.errors import VMError
+from typing import Iterable, Mapping
 
 #: Stream index recorded for synchronous (non-stream) launches.
 HOST_STREAM = -1
@@ -41,8 +37,7 @@ def spec_string(key: tuple) -> str:
     """Canonical string form of a specialization key.
 
     ``repr`` of the key tuple — deterministic across processes (the
-    fingerprint component is a sha256 hex digest, not a salted hash), so
-    a profile saved from one run matches keys computed in another.
+    fingerprint component is a sha256 hex digest, not a salted hash).
     """
     return repr(key)
 
@@ -92,38 +87,9 @@ class NodeProfile:
         self.global_bits_stored = 0
 
     @property
-    def key(self) -> tuple:
-        return (self.spec, self.stream, self.engine)
-
-    @property
     def mean_wall_s(self) -> float:
         """Mean wall time of one launch at this site."""
         return self.wall_s / self.calls if self.calls else 0.0
-
-    @property
-    def bytes_touched(self) -> int:
-        """Global-memory bytes moved across all recorded calls."""
-        return (self.global_bits_loaded + self.global_bits_stored) // 8
-
-    def to_dict(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "NodeProfile":
-        node = cls(
-            program=data["program"],
-            spec=data["spec"],
-            engine=data["engine"],
-            stream=data["stream"],
-            group_size=data.get("group_size", 1),
-        )
-        node.calls = int(data["calls"])
-        node.wall_s = float(data["wall_s"])
-        node.blocks = int(data.get("blocks", 0))
-        node.instructions = int(data.get("instructions", 0))
-        node.global_bits_loaded = int(data.get("global_bits_loaded", 0))
-        node.global_bits_stored = int(data.get("global_bits_stored", 0))
-        return node
 
     def __repr__(self) -> str:
         return (
@@ -141,10 +107,6 @@ _STAT_FIELDS = (
     ("global_bits_loaded", "global_bits_loaded"),
     ("global_bits_stored", "global_bits_stored"),
 )
-
-#: 2: records lost the graph scope (``scope`` / ``ident`` / ``group``);
-#: a replayed launch records under its spec string like any other.
-_JSON_VERSION = 2
 
 
 class StatsTimer:
@@ -187,7 +149,7 @@ def split_counts(delta: Mapping, n: int) -> list[dict]:
 
 
 class Profile:
-    """A set of :class:`NodeProfile` records with aggregation and JSON.
+    """A set of :class:`NodeProfile` records, keyed by site.
 
     One ``Profile`` can absorb launches from every execution mode at
     once — synchronous launches, eager stream groups and graph replays
@@ -254,103 +216,15 @@ class Profile:
                 stats_delta=share, group_size=n,
             )
 
-    # -- aggregation --------------------------------------------------------
-    def per_stream(self) -> dict[int, dict]:
-        """Totals per stream index: calls, wall seconds, bytes touched."""
-        out: dict[int, dict] = {}
-        with self._lock:
-            for node in self.nodes.values():
-                agg = out.setdefault(
-                    node.stream, {"calls": 0, "wall_s": 0.0, "bytes": 0}
-                )
-                agg["calls"] += node.calls
-                agg["wall_s"] += node.wall_s
-                agg["bytes"] += node.bytes_touched
-        return out
-
-    def merge(self, other: "Profile") -> "Profile":
-        """Absorb ``other``'s records (summing shared sites); returns self."""
-        with other._lock:
-            records = [node.to_dict() for node in other.nodes.values()]
-        for data in records:
-            incoming = NodeProfile.from_dict(data)
-            key = incoming.key
-            with self._lock:
-                node = self.nodes.get(key)
-                if node is None:
-                    self.nodes[key] = incoming
-                    continue
-                node.calls += incoming.calls
-                node.wall_s += incoming.wall_s
-                for attr, _ in _STAT_FIELDS:
-                    setattr(node, attr, getattr(node, attr) + getattr(incoming, attr))
-        return self
-
-    # -- serialization ------------------------------------------------------
-    def to_json(self) -> str:
-        with self._lock:
-            nodes = [node.to_dict() for node in self.nodes.values()]
-        return json.dumps({"version": _JSON_VERSION, "nodes": nodes}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Profile":
-        """Parse a profile written by :meth:`to_json`.
-
-        Every malformed input — truncated payload, non-object JSON, a
-        missing or mangled ``nodes`` list, unknown version — raises a
-        :class:`VMError` naming the problem, never a bare decode error
-        and never a silently empty profile: a consumer reading this data
-        must not mistake garbage for measurements.
-        """
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # json.JSONDecodeError is a ValueError
-            raise VMError(f"profile JSON is truncated or malformed: {exc}") from exc
-        if not isinstance(data, dict):
-            raise VMError(
-                f"profile JSON must be an object, got {type(data).__name__}"
-            )
-        version = data.get("version")
-        if version != _JSON_VERSION:
-            raise VMError(
-                f"unsupported profile version {version!r} "
-                f"(this build reads version {_JSON_VERSION})"
-            )
-        nodes = data.get("nodes")
-        if not isinstance(nodes, list):
-            raise VMError("profile JSON is missing its 'nodes' list")
-        profile = cls()
-        for record in nodes:
-            try:
-                node = NodeProfile.from_dict(record)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise VMError(f"malformed profile node record: {exc}") from exc
-            profile.nodes[node.key] = node
-        return profile
-
-    def save(self, fp: IO[str] | str) -> None:
-        """Write the profile as JSON to a path or open text file."""
-        if isinstance(fp, str):
-            with open(fp, "w", encoding="utf-8") as handle:
-                handle.write(self.to_json())
-        else:
-            fp.write(self.to_json())
-
-    @classmethod
-    def load(cls, fp: IO[str] | str) -> "Profile":
-        """Read a profile previously written by :meth:`save`."""
-        if isinstance(fp, str):
-            with open(fp, "r", encoding="utf-8") as handle:
-                return cls.from_json(handle.read())
-        return cls.from_json(fp.read())
-
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __repr__(self) -> str:
-        streams = self.per_stream()
-        total = sum(agg["wall_s"] for agg in streams.values())
+        with self._lock:
+            nodes = list(self.nodes.values())
+        streams = {node.stream for node in nodes}
+        total = sum(node.wall_s for node in nodes)
         return (
-            f"Profile({len(self.nodes)} sites over {len(streams)} streams, "
+            f"Profile({len(nodes)} sites over {len(streams)} streams, "
             f"{total * 1e3:.2f} ms recorded)"
         )

@@ -131,11 +131,6 @@ class SpecializationCache:
         )
 
 
-#: Backwards-compatible name: the runtime's kernel cache *is* the
-#: specialization cache.
-KernelCache = SpecializationCache
-
-
 class Runtime:
     """Device handle: memory, kernel cache, execution engines, launch API.
 
@@ -191,9 +186,8 @@ class Runtime:
         already-active one, or a fresh one.  Every later launch —
         synchronous, streamed, or graph-replayed through this runtime's
         pool — records a per-node cost into it.  The profile is an
-        observation: nothing reads it to decide how a launch executes;
-        it serializes to JSON (``profile.save(path)``) and merges across
-        processes.
+        in-process observation: nothing reads it to decide how a launch
+        executes, and nothing ships it to another process.
         """
         if profile is not None:
             self.profiler = profile

@@ -1,9 +1,10 @@
 """The serving wire protocol: versioned JSON envelopes over pipes.
 
 Router and workers exchange **only JSON text** — no pickled live
-objects ever crosses a process boundary.  Profiles travel as
-:class:`~repro.runtime.profiling.Profile` JSON, and requests/results as
-the flat dictionaries below.  Keeping the wire
+objects ever crosses a process boundary: requests/results travel as
+the flat dictionaries below, counters as flat ``metrics()`` snapshots.
+No profile crosses it; a profile stays in the process that recorded
+it.  Keeping the wire
 format inspectable and version-stamped means a router and worker from
 different builds fail loudly (a :class:`~repro.errors.VMError` naming
 the version mismatch) instead of silently mis-decoding each other.
@@ -14,8 +15,7 @@ Message envelope::
 
 Types: ``ready`` (worker → router, once after boot), ``run`` (router →
 worker, a chunk of requests), ``done`` (worker → router, per-request
-results + counters), ``pull_state`` / ``state`` (profile + cache /
-JIT counter export), ``pull_trace`` / ``trace`` (the worker's buffered
+results + counters), ``pull_trace`` / ``trace`` (the worker's buffered
 trace events + metrics snapshot + its monotonic-clock reading, its own
 ``trace_v`` version stamp inside the envelope — the fleet-trace merge
 frame, see :mod:`repro.obs.trace`), ``crash`` (router → worker, fault
@@ -37,8 +37,8 @@ MSG_JSON_VERSION = 1
 #: Message types either side may legally emit.
 MSG_TYPES = frozenset(
     {
-        "ready", "run", "done", "pull_state", "state",
-        "pull_trace", "trace", "crash", "shutdown", "error",
+        "ready", "run", "done", "pull_trace", "trace",
+        "crash", "shutdown", "error",
     }
 )
 

@@ -33,7 +33,7 @@ request trace into per-worker chunks:
    request produces the identical digest.
 
 The router holds **no engine state**: everything it knows about a shard
-arrived as JSON (``done`` results, ``state`` exports), and everything a
+arrived as JSON (``done`` results, ``trace`` exports), and everything a
 shard knows was rebuilt from the :class:`~repro.serving.spec.WorkerSpec`
 recipe.
 """
@@ -156,18 +156,6 @@ class WorkerPool:
                 send_msg(handle.conn, "crash")
             except (BrokenPipeError, OSError):
                 pass
-
-    def pull_state(self, index: int, timeout_s: float = 60.0) -> dict:
-        """One worker's cumulative profile + cache (and JIT) counters,
-        as JSON-decoded payload."""
-        handle = self.handles[index]
-        send_msg(handle.conn, "pull_state")
-        if not handle.conn.poll(timeout_s):
-            raise VMError(f"worker {index} did not answer pull_state")
-        msg = recv_msg(handle.conn)
-        if msg["type"] != "state":
-            raise VMError(f"worker {index} answered {msg['type']!r} to pull_state")
-        return msg
 
     def pull_trace(self, index: int, timeout_s: float = 60.0) -> dict:
         """One worker's trace buffer + metrics snapshot, with its clock

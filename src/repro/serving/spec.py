@@ -27,10 +27,11 @@ from dataclasses import asdict, dataclass, fields
 from repro.errors import VMError
 
 #: Version 2 dropped the ``adaptive`` field, version 3 the JIT
-#: promotion-threshold override, version 4 the tuning-store path (specs
-#: are an ephemeral router → worker recipe, so an older document is
-#: refused by its version, not read).
-SPEC_JSON_VERSION = 4
+#: promotion-threshold override, version 4 the tuning-store path,
+#: version 5 dropped the profile flag (specs are an ephemeral router →
+#: worker recipe, so an older document is refused by its version, not
+#: read).
+SPEC_JSON_VERSION = 5
 
 #: The Python type each field's annotation names.
 _FIELD_TYPES = {"str": str, "int": int, "bool": bool}
@@ -79,7 +80,6 @@ class WorkerSpec:
     #: Read by nothing and not passed to the simulator: kept so
     #: existing recipes (``replace(..., use_graphs=False)``) still parse.
     use_graphs: bool = True
-    profile: bool = False
     #: Attach the compiled tier: hot decode specializations promote out
     #: of the interpreter (see :mod:`repro.runtime.jit`).
     jit: bool = False
@@ -198,5 +198,4 @@ class WorkerSpec:
             max_batch=self.max_batch,
             decode_linear=linear,
             num_streams=self.num_streams,
-            profile=self.profile,
         )

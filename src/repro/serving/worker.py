@@ -8,11 +8,7 @@ down.  All replies are JSON (:mod:`repro.serving.messages`); on any
 exception while serving a chunk the worker answers ``error`` with the
 message text instead of dying silently, so the router can surface it.
 
-State export (``pull_state``) returns the worker's cumulative decode
-:class:`~repro.runtime.profiling.Profile`, its specialization-cache
-counters and, with the compiled tier attached, the JIT counters.
-
-Trace export (``pull_trace``) is the observability half: with
+Trace export (``pull_trace``) is the worker's one export: with
 ``spec.trace`` the worker installs a process tracer at boot
 (:mod:`repro.obs.trace`), wraps each served chunk in a ``worker.chunk``
 span (JIT emit points inside the simulator record on their own
@@ -44,19 +40,6 @@ from repro.serving.spec import WorkerSpec
 
 #: Exit status of a fault-injected crash (visible in ``Process.exitcode``).
 CRASH_EXIT_CODE = 17
-
-
-def _state_payload(sim) -> dict:
-    """The simulator's cumulative profile and counters (JSON)."""
-    runtime = sim.decode_linear.runtime
-    cache = runtime.cache
-    payload = {
-        "profile": sim.served_profile.to_json(),
-        "cache": {"hits": cache.hits, "misses": cache.misses},
-    }
-    if runtime.jit is not None:
-        payload["jit"] = runtime.jit.counters()
-    return payload
 
 
 def worker_main(conn, spec_json: str) -> None:
@@ -116,8 +99,6 @@ def worker_main(conn, spec_json: str) -> None:
                     message=f"{type(exc).__name__}: {exc}",
                     traceback=traceback.format_exc(),
                 )
-        elif kind == "pull_state":
-            send_msg(conn, "state", **_state_payload(sim))
         elif kind == "pull_trace":
             # The fleet-trace frame: raw events (this process's
             # monotonic clock), the unified metrics snapshot, and the

@@ -20,14 +20,14 @@ def make_sim(system="tilus", dtype=uint4, max_batch=16):
 
 
 def test_constructor_carries_no_engine_knobs():
-    """Engine state (compiled tier, tuning store) lives
+    """Engine state (compiled tier, profiler) lives
     on ``decode_linear.runtime``; the simulator's own options are these
-    six and a new one must be argued for, not slipped in."""
+    five and a new one must be argued for, not slipped in."""
     import inspect
 
     assert list(inspect.signature(ContinuousBatchingSimulator.__init__).parameters) == [
         "self", "model", "config", "max_batch", "decode_linear",
-        "num_streams", "profile",
+        "num_streams",
     ]
 
 

@@ -1246,8 +1246,7 @@ class TestJitManager:
 
     def test_promotion_is_sticky_across_profiler_resets(self):
         """Promotion never consults a profiler: installing, replacing
-        or removing one between launches — the serving loop installs a
-        fresh profile per profiled trace — neither delays nor demotes a
+        or removing one between launches neither delays nor demotes a
         specialization."""
         linear, runtime, a = _linear_fixture()
         runtime.enable_jit()
@@ -1285,9 +1284,7 @@ class TestJitManager:
                 assert manager.maybe_compile(
                     program, [a], forced=True, launches=2, shared=shared) is None
             assert "PrintTensor" in manager.bailout_reason(program, [a], 2, shared)
-        assert manager.bailouts == 3
-        counters = manager.counters()
-        assert counters["bailouts"] == 3 and counters["compiled"] == 0
+        assert manager.bailouts == 3 and manager.compiled == 0
 
     #: The property test's world: keys 0-1 belong to a program the
     #: (stubbed) pipeline lowers, keys 2-3 to one it declines.
@@ -1657,8 +1654,13 @@ class TestServingTier:
                 )
                 time.sleep(0.03)
         assert disturbed_runs == per_run
-        assert (disturbed.decode_linear.runtime.jit.counters()
-                == plain.decode_linear.runtime.jit.counters())
+
+        def jit_metrics(sim):
+            return {key: value
+                    for key, value in sim.decode_linear.runtime.metrics().items()
+                    if key.startswith("jit.")}
+
+        assert jit_metrics(disturbed) == jit_metrics(plain)
 
     def test_spec_jit_knob_round_trips_and_defaults_off(self):
         from repro.serving import WorkerSpec
@@ -1667,24 +1669,28 @@ class TestServingTier:
         assert WorkerSpec.from_json(spec.to_json()) == spec
         assert WorkerSpec().jit is False
 
-    def test_state_payload_reports_jit_counters(self):
+    def test_metrics_report_jit_counters(self):
+        """What a worker ships on ``pull_trace`` (``sim.metrics()``)
+        carries the compiled tier's counters, and reads it as off when
+        the spec does not attach it."""
         from repro.llm.batching import uniform_trace
         from repro.serving import WorkerSpec
-        from repro.serving.worker import _state_payload
 
         spec = WorkerSpec(linear_k=64, linear_n=16, linear_dtype="i6",
                           linear_group=32, max_batch=4, num_streams=2,
                           jit=True)
         sim = spec.build_simulator()
         sim.run(uniform_trace(6, 0.001, prompt_tokens=32, output_tokens=32))
-        payload = _state_payload(sim)
-        assert payload["jit"]["compiled"] >= 1
-        assert payload["jit"]["promotions"] >= 1
+        metrics = sim.metrics()
+        assert metrics["jit.enabled"] == 1
+        assert metrics["jit.compiled"] >= 1
+        assert metrics["jit.promotions"] >= 1
         plain = WorkerSpec(linear_k=64, linear_n=16, linear_dtype="i6",
                            linear_group=32, max_batch=4, num_streams=2)
         sim2 = plain.build_simulator()
         sim2.run(uniform_trace(2, 0.001, prompt_tokens=32, output_tokens=2))
-        assert "jit" not in _state_payload(sim2)
+        metrics2 = sim2.metrics()
+        assert metrics2["jit.enabled"] == 0 and metrics2["jit.compiled"] == 0
 
     def test_router_aggregates_jit_counters_bit_exactly(self):
         """Spawned jit workers promote identically: digests match the

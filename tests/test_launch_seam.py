@@ -467,3 +467,32 @@ def test_no_clock_and_no_profile_reaches_the_tier_decision():
     assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == [
         "self", "program", "args", "forced", "key", "launches", "shared",
     ]
+
+
+def test_nothing_served_ships_a_profile():
+    """A profile is an in-process record: no module under
+    ``src/repro/llm`` or ``src/repro/serving`` imports the profiling
+    module (or its ``Profile`` / ``NodeProfile`` through the package),
+    and the wire has no message type that could carry one."""
+    from repro.serving.messages import MSG_TYPES
+
+    src = RUNTIME_DIR.parent
+    importers = []
+    for path in sorted([*(src / "llm").glob("*.py"), *(src / "serving").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {node.module or ""} | {
+                    f"{node.module}.{alias.name}" for alias in node.names
+                }
+            else:
+                continue
+            if modules & {
+                "repro.runtime.profiling",
+                "repro.runtime.Profile",
+                "repro.runtime.NodeProfile",
+            }:
+                importers.append(path.name)
+    assert importers == []
+    assert not MSG_TYPES & {"pull_state", "state"}

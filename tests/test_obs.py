@@ -436,11 +436,11 @@ class TestFleetTrace:
         from repro.serving import Router, WorkerPool, WorkerSpec, poisson_trace
 
         # A chunk is 2 requests x 4 tokens at max_batch=1: eight
-        # replays of one key in one run, past the promotion constant —
+        # launches of one key in one run, past the promotion constant —
         # which guarantees JIT events in a short run.
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=1, num_streams=2, profile=True, jit=True, trace=True,
+            max_batch=1, num_streams=2, jit=True, trace=True,
         )
         requests = poisson_trace(
             self.NUM_REQUESTS, rate_rps=10_000.0, prompt_tokens=64,

@@ -1,21 +1,14 @@
 """The profiling subsystem: per-launch recording across every execution
-mode (a replayed launch records like an eager one), JSON round-trips and
-their negative paths, and the serving integration."""
-
-import io
-import json
+mode (a replayed launch records like an eager one).  A profile is an
+in-process record; nothing serializes or ships it."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dtypes import float16
-from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import Profile, Runtime, StreamPool
-from repro.runtime.profiling import _JSON_VERSION, HOST_STREAM, spec_string
+from repro.runtime.profiling import HOST_STREAM, spec_string
 from repro.vm import GlobalMemory, Interpreter
 
 ROWS, COLS = 16, 8
@@ -75,7 +68,7 @@ class TestRecording:
         assert node.wall_s > 0.0
         assert node.instructions > 0
         assert node.blocks == 8  # 2 launches x 4 blocks
-        assert node.bytes_touched > 0
+        assert node.global_bits_loaded > 0 and node.global_bits_stored > 0
 
     def test_disable_profiling_stops_recording(self):
         rt = Runtime()
@@ -105,8 +98,10 @@ class TestRecording:
         # that records under its head's stream, whatever stream each
         # member was placed on; the dependent launch runs alone on its own.
         assert chained.deps
-        per_stream = profile.per_stream()
-        assert per_stream[0]["calls"] == 4 and per_stream[1]["calls"] == 1
+        per_stream = {0: 0, 1: 0}
+        for node in profile.nodes.values():
+            per_stream[node.stream] += node.calls
+        assert per_stream == {0: 4, 1: 1}
         assert sum(node.calls for node in profile.nodes.values()) == 5
 
     def test_graph_replay_records_one_site_per_node(self):
@@ -183,167 +178,3 @@ class TestRecording:
                 n.instructions for n in pool.profiler.nodes.values()
             )
             assert recorded == stats.instructions
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-
-class TestJsonRoundTrip:
-    def _collect(self):
-        memory, _, pairs = device(6)
-        heavy = work_program("rt_heavy", steps=64)
-        light = work_program("rt_light", steps=2)
-        with StreamPool(memory, num_streams=4) as pool:
-            with pool.capture() as graph:
-                for i, (a, out) in enumerate(pairs):
-                    pool.submit(heavy if i % 3 == 0 else light, [a, out])
-            pool.profiler = Profile()
-            graph.replay()
-            pool.synchronize()
-            return graph, pool.profiler
-
-    def test_round_trip_preserves_records(self):
-        graph, profile = self._collect()
-        loaded = Profile.from_json(profile.to_json())
-        assert len(loaded) == len(profile)
-        for key, node in profile.nodes.items():
-            other = loaded.nodes[key]
-            assert other.to_dict() == node.to_dict()
-
-    def test_save_and_load_stream(self):
-        _, profile = self._collect()
-        buf = io.StringIO()
-        profile.save(buf)
-        buf.seek(0)
-        loaded = Profile.load(buf)
-        assert len(loaded) == len(profile)
-
-    def test_version_guard(self):
-        bad = json.dumps({"version": 99, "nodes": []})
-        with pytest.raises(VMError, match="version"):
-            Profile.from_json(bad)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        records=st.lists(
-            st.tuples(
-                st.sampled_from(["prog-a", "prog-b"]),
-                st.sampled_from(["spec-a", "spec-b", "spec-c"]),
-                st.sampled_from(["sequential", "batched"]),
-                st.integers(min_value=0, max_value=3),  # stream
-                st.floats(min_value=1e-9, max_value=10.0,
-                          allow_nan=False, allow_infinity=False),
-            ),
-            min_size=1, max_size=12,
-        )
-    )
-    def test_profile_roundtrip_bit_identical(self, records):
-        """What a worker ships on ``pull_state`` is read back bit for
-        bit: records, and every aggregate over them."""
-        profile = Profile()
-        for program, spec, engine, stream, wall in records:
-            profile.record(program, spec, engine, stream, wall)
-        loaded = Profile.from_json(profile.to_json())
-        assert loaded.to_json() == profile.to_json()
-        assert loaded.per_stream() == profile.per_stream()
-
-    def test_merge_sums_shared_sites(self):
-        _, first = self._collect()
-        clone = Profile.from_json(first.to_json())
-        merged = Profile().merge(first).merge(clone)
-        assert len(merged) == len(first)
-        total = sum(node.calls for node in merged.nodes.values())
-        assert total == 2 * sum(node.calls for node in first.nodes.values())
-
-
-class TestProfileJsonNegativePaths:
-    def _real_profile(self):
-        memory, _, pairs = device(2)
-        programs = [work_program(f"neg{i}") for i in range(2)]
-        with StreamPool(memory, num_streams=2) as pool:
-            with pool.capture() as graph:
-                for program, (a, out) in zip(programs, pairs):
-                    pool.submit(program, [a, out], engine="batched")
-            pool.profiler = Profile()
-            graph.replay()
-            pool.synchronize()
-            return pool.profiler
-
-    def test_unknown_version_raises(self):
-        bad = json.dumps({"version": 99, "nodes": []})
-        with pytest.raises(VMError, match="version"):
-            Profile.from_json(bad)
-
-    def test_truncated_payload_raises(self):
-        text = self._real_profile().to_json()
-        with pytest.raises(VMError, match="truncated or malformed"):
-            Profile.from_json(text[: len(text) // 2])
-
-    def test_non_object_payload_raises(self):
-        with pytest.raises(VMError, match="must be an object"):
-            Profile.from_json("[1, 2, 3]")
-
-    def test_missing_nodes_list_raises(self):
-        with pytest.raises(VMError, match="nodes"):
-            Profile.from_json(json.dumps({"version": _JSON_VERSION}))
-
-    def test_malformed_node_record_raises(self):
-        bad = json.dumps({"version": _JSON_VERSION, "nodes": [{"program": "only"}]})
-        with pytest.raises(VMError, match="malformed profile node record"):
-            Profile.from_json(bad)
-
-
-# ---------------------------------------------------------------------------
-# Integration: serving
-# ---------------------------------------------------------------------------
-
-
-class TestServingProfile:
-    def test_trace_result_carries_reusable_profile(self):
-        from repro import ops
-        from repro.dtypes import int6, uint4
-        from repro.llm import (
-            GEMMA2_9B,
-            ContinuousBatchingSimulator,
-            Request,
-            ServingConfig,
-        )
-        from repro.perf import L40S
-
-        rng = np.random.default_rng(2)
-        linear = ops.prepare_linear(
-            rng.standard_normal((64, 16)), int6, group_size=32
-        )
-        sim = ContinuousBatchingSimulator(
-            GEMMA2_9B,
-            ServingConfig("tilus", uint4, L40S),
-            max_batch=4,
-            decode_linear=linear,
-            num_streams=2,
-            profile=True,
-        )
-        try:
-            result = sim.run([Request(0.0, 32, 4) for _ in range(2)])
-            assert result.profile is not None
-            assert len(result.profile) > 0
-            # The profile is reusable after the run: it serializes and
-            # reads back every site.
-            loaded = Profile.from_json(result.profile.to_json())
-            assert len(loaded) == len(result.profile)
-            # Recording does not outlive the trace: the shared runtime's
-            # profiler is detached, and each run gets its own profile.
-            assert linear.runtime.profiler is None
-            sites = len(result.profile)
-            again = sim.run([Request(0.0, 32, 4)])
-            assert len(result.profile) == sites
-            assert again.profile is not result.profile
-            # A caller-enabled profiler is neither contaminated by the
-            # trace's records nor left detached afterwards.
-            mine = linear.runtime.enable_profiling()
-            third = sim.run([Request(0.0, 32, 4)])
-            assert third.profile is not mine and len(mine) == 0
-            assert linear.runtime.profiler is mine
-        finally:
-            linear.runtime.stream_pool().shutdown()

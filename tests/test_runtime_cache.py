@@ -8,7 +8,7 @@ from repro.compiler import program_fingerprint, specialization_key
 from repro.dtypes import float16, int32
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
-from repro.runtime import KernelCache, Runtime, SpecializationCache
+from repro.runtime import Runtime, SpecializationCache
 
 
 def _scale_program(scale: float, name: str = "scale"):
@@ -127,9 +127,6 @@ class TestSpecializationCache:
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
             SpecializationCache(max_entries=0)
-
-    def test_kernel_cache_alias(self):
-        assert KernelCache is SpecializationCache
 
 
 class TestRuntimeWiring:

@@ -1,6 +1,6 @@
 """Multi-process sharded serving: wire protocol, spec recipes, router
 policy (admission / SLO scheduling), worker-pool end-to-end bit-exactness,
-crash recovery, and the cross-process profile round-trip.
+crash recovery, and what crosses the wire from a worker.
 
 The process-spawning tests use real ``spawn``-context workers (fresh
 interpreters, JSON pipes only) — they are the acceptance tests for the
@@ -170,17 +170,17 @@ class TestWorkerSpec:
         spec = WorkerSpec(
             model="Gemma-2-9B", system="ladder", weight_dtype="u4",
             linear_k=128, linear_n=32, weight_seed=9, max_batch=6,
-            jit=True, profile=True,
+            jit=True,
         )
         assert WorkerSpec.from_json(spec.to_json()) == spec
         assert WorkerSpec.from_json(WorkerSpec().to_json()) == WorkerSpec()
-        # The recipe is JSON v4; a v3 document (which could carry the
-        # removed tuning-store directory) fails on its version stamp.
+        # The recipe is JSON v5; a v4 document (which could carry the
+        # removed profile flag) fails on its version stamp.
         body = json.loads(spec.to_json())
-        assert body["version"] == 4
-        v3 = dict(body, version=3)
-        with pytest.raises(VMError, match="version mismatch: got 3, expected 4"):
-            WorkerSpec.from_json(json.dumps(v3))
+        assert body["version"] == 5 and "profile" not in body
+        v4 = dict(body, version=4, profile=True)
+        with pytest.raises(VMError, match="version mismatch: got 4, expected 5"):
+            WorkerSpec.from_json(json.dumps(v4))
 
     def test_wrong_kind_and_version_rejected(self):
         with pytest.raises(VMError, match="not a worker-spec"):
@@ -190,7 +190,7 @@ class TestWorkerSpec:
         with pytest.raises(VMError, match="version mismatch"):
             WorkerSpec.from_json(json.dumps(body))
         with pytest.raises(VMError, match="malformed worker spec"):
-            WorkerSpec.from_json(json.dumps({"kind": "worker-spec", "version": 4,
+            WorkerSpec.from_json(json.dumps({"kind": "worker-spec", "version": 5,
                                              "no_such_field": 1}))
 
     def test_v1_spec_json_is_rejected_by_version(self):
@@ -198,9 +198,9 @@ class TestWorkerSpec:
         version 1) fails on its version stamp, not on the stray field:
         router and worker from different builds disagree loudly."""
         body = json.loads(WorkerSpec().to_json())
-        assert body["version"] == 4 and "adaptive" not in body
+        assert body["version"] == 5 and "adaptive" not in body
         v1 = dict(body, version=1, adaptive=False)
-        with pytest.raises(VMError, match="version mismatch: got 1, expected 4"):
+        with pytest.raises(VMError, match="version mismatch: got 1, expected 5"):
             WorkerSpec.from_json(json.dumps(v1))
 
     #: One field the wire could carry wrong, per case: wrong types (a
@@ -216,7 +216,7 @@ class TestWorkerSpec:
         ("jit", "no"),
         ("jit", 1),
         ("use_graphs", 0),
-        ("profile", "true"),
+        ("trace", "true"),
         ("trace", None),
         ("model", 7),
         ("system", None),
@@ -578,28 +578,24 @@ class TestDispatchLoop:
 
 
 # ---------------------------------------------------------------------------
-# Cross-process state transfer: profiles through a real spawned worker
-# (the Profile JSON round-trip acceptance)
+# Cross-process state: what a real spawned worker's results and metrics
+# carry back over the JSON wire
 # ---------------------------------------------------------------------------
 
 
 class TestCrossProcessState:
-    def test_profile_round_trips_through_worker(self):
-        from repro.runtime import Runtime
-        from repro.runtime.profiling import Profile
-
+    def test_worker_digests_and_cache_counters_cross_the_wire(self):
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=3, num_streams=2, profile=True,
+            max_batch=3, num_streams=2,
         )
         chunk = poisson_trace(
             3, rate_rps=1000.0, prompt_tokens=32, output_tokens=3
         )
         with WorkerPool(spec, 1) as pool:
             result = Router(pool, chunk_size=3).serve(chunk, timeout_s=180.0)
-            state = pool.pull_state(0)
+            metrics = pool.pull_trace(0)["metrics"]
         assert result.num_completed == 3
-        assert "graphs" not in state  # no decode step captures a graph
 
         # The parent rebuilds the identical engine from the same recipe
         # and serves the same chunk.
@@ -612,24 +608,6 @@ class TestCrossProcessState:
             r.request.rid: r.output_digest for r in parent.results
         }
 
-        # 2. The worker's profile parses, records the same launch sites
-        #    as the parent's run of the same chunk — one site, the
-        #    ``program_for(max_batch)`` kernel, called once per step —
-        #    and merges into a fresh runtime's profiler.
-        worker_profile = Profile.from_json(state["profile"])
-
-        def sites(profile):
-            return sorted(
-                (n.spec, n.stream, n.engine, n.calls)
-                for n in profile.nodes.values()
-            )
-
-        assert sites(worker_profile) == sites(sim.served_profile)
-        (node,) = worker_profile.nodes.values()
-        assert node.calls == parent.kernel_launches
-        absorbed = Runtime().enable_profiling().merge(worker_profile)
-        assert absorbed.to_json() == worker_profile.to_json()
-
-        # 3. Cache counters crossed as plain JSON numbers.
-        assert state["cache"]["misses"] >= 1
-        assert state["cache"]["hits"] >= 1
+        # 2. Cache counters crossed as plain JSON numbers.
+        assert metrics["runtime.spec_cache.misses"] >= 1
+        assert metrics["runtime.spec_cache.hits"] >= 1
