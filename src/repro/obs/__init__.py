@@ -29,6 +29,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     HOST_TID,
+    POOL_TID,
     TRACE_JSON_VERSION,
     Tracer,
     active,
@@ -41,6 +42,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "HOST_TID",
+    "POOL_TID",
     "TRACE_JSON_VERSION",
     "Tracer",
     "active",

@@ -8,8 +8,9 @@ Design constraints, in order:
    None`` test — the same discipline the runtime already uses for
    ``profiler``.  Nothing is allocated, formatted, or timestamped
    unless a tracer is installed.
-2. **Thread-safe recording.**  Stream workers, graph-replay tasks, and
-   the host thread all emit concurrently; recording appends one dict to
+2. **Thread-safe recording.**  Host threads sharing a runtime (each
+   draining the stream pool or replaying a graph in turn) emit
+   concurrently; recording appends one dict to
    a ``deque(maxlen=capacity)`` under a lock.  The deque is the ring
    buffer: when full, the oldest events drop (counted on ``dropped``)
    rather than growing without bound in a long serving run.
@@ -27,7 +28,8 @@ JSON Perfetto and ``chrome://tracing`` load natively):
   capture, a chunk dispatch.
 
 ``tid`` maps execution lanes: :data:`HOST_TID` (0) is the host/calling
-thread; stream ``i`` records on lane ``i + 1``.  ``pid`` is assigned at
+thread's synchronous launches; the stream pool records on
+:data:`POOL_TID` (1).  ``pid`` is assigned at
 export time: a single-process export is pid 0; the fleet merge gives
 the router pid 0 and worker ``i`` pid ``i + 1``, with Chrome metadata
 events naming each.
@@ -55,8 +57,9 @@ from repro.errors import VMError
 #: frame and the ``otherData`` block of exported Chrome JSON).
 TRACE_JSON_VERSION = 1
 
-#: The host/calling thread's lane; stream ``i`` records on ``i + 1``.
+#: The host/calling thread's lane, and the stream pool's.
 HOST_TID = 0
+POOL_TID = 1
 
 #: Default ring capacity (events kept per process).
 DEFAULT_CAPACITY = 65536
@@ -168,7 +171,7 @@ def install(tracer: Tracer | None = None, capacity: int = DEFAULT_CAPACITY) -> T
     """Install (and return) the process tracer: the given one, or a
     fresh ring of ``capacity`` events.  Tracing is process-scoped
     because the trace's pid axis is the process — one buffer collects
-    every thread and stream lane of this process."""
+    every thread and lane of this process."""
     global ACTIVE
     ACTIVE = tracer if tracer is not None else Tracer(capacity=capacity)
     return ACTIVE
@@ -191,7 +194,7 @@ def active() -> Tracer | None:
 # ---------------------------------------------------------------------------
 
 def _thread_name(tid: int) -> str:
-    return "host" if tid == HOST_TID else f"stream-{tid - 1}"
+    return "host" if tid == HOST_TID else "pool"
 
 
 def _chrome_events(

@@ -9,7 +9,6 @@ from repro.runtime.runtime import (
     SpecializationCache,
 )
 from repro.runtime.streams import (
-    Event,
     LaunchHandle,
     Stream,
     StreamPool,
@@ -26,7 +25,6 @@ __all__ = [
     "JitManager",
     "Stream",
     "StreamPool",
-    "Event",
     "LaunchHandle",
     "NodeProfile",
     "Profile",

@@ -7,17 +7,17 @@ is its own (argument checks and the specialization cache; group
 formation, error marking and the tally).  What they share lives here,
 once:
 
-- :func:`resolve_engine` — the tier decision.  A launch carries two
-  facts: the *requested* tier (``auto | sequential | batched |
-  compiled``) and the *frozen* interpreted engine it runs on when the
-  compiled tier does not take it (``sequential | batched``).
-- :func:`execute` — consult the JIT, run the engine, time it, record
-  the profile, emit the span; returns the tier that ran.  A group asks
+- :func:`execute` — decide the tier, consult the JIT, run the engine,
+  time it, record the profile, emit the span; returns the tier that
+  ran.  A launch carries one fact, the *requested* tier (``auto |
+  sequential | batched | compiled``); the interpreted engine a launch
+  falls to when the compiled tier does not take it is derived here from
+  that and the program's memoized ``supports_batched``.  A group asks
   the JIT for the kernel of its key, its size *and* the pointers its
   launches share (:func:`shared_pointers` — derived from the arguments
   here, nowhere set).
-- :class:`Lane` — the engines and statistics of one logical queue (the
-  host's own launches, or one stream), and
+- :class:`Lane` — the engines and statistics of one place work is
+  accounted (the host's own launches, or the stream pool), and
   :class:`ExecutionContext` — the profiler and JIT manager a runtime
   and its stream pool share.
 """
@@ -33,7 +33,7 @@ from repro.ir.program import Program
 from repro.obs import trace as obs_trace
 from repro.runtime.jit import JitManager
 from repro.runtime.profiling import Profile, StatsTimer, spec_string
-from repro.vm.batched import BatchedExecutor, select_engine
+from repro.vm.batched import BatchedExecutor, supports_batched
 from repro.vm.interp import Interpreter
 from repro.vm.memory import GlobalMemory
 
@@ -81,12 +81,12 @@ class ContextAttr:
 
 
 class Lane:
-    """The engines of one logical queue: a sequential interpreter and a
-    batched executor over one memory, sharing one
+    """The engines of one place work is accounted: a sequential
+    interpreter and a batched executor over one memory, sharing one
     :class:`~repro.vm.interp.ExecutionStats`, plus the trace lane
-    (``tid``) their spans land on.  The runtime owns the host lane,
-    every stream owns one — a lane is where work is accounted, not a
-    thread: every lane is driven by whichever host thread drains."""
+    (``tid``) their spans land on.  The runtime owns the host lane and
+    its stream pool one more — a lane is not a thread: the pool's is
+    driven by whichever host thread drains."""
 
     __slots__ = ("interpreter", "batched", "stats", "tid")
 
@@ -104,25 +104,11 @@ class Lane:
 
 
 class Site(NamedTuple):
-    """Where one execution is accounted: the span it emits and the
-    stream its profile records sit on."""
+    """Where one execution is accounted: the span it emits."""
 
     #: Span name prefix (``launch`` / ``exec`` / ``replay``) and category.
     span: str
     cat: str
-    #: The stream whose lane runs the launch (a group's head's), or
-    #: ``HOST_STREAM`` for a synchronous launch.
-    stream: int
-
-
-def resolve_engine(requested: str, program: Program) -> str:
-    """The interpreted engine a launch is frozen to: ``auto`` is batched
-    whenever the program can batch, ``compiled`` falls back to batched
-    (the tier the lowering pipeline is bit-exact with), an explicit
-    engine is itself."""
-    if requested == "auto":
-        return select_engine(program)
-    return "batched" if requested == "compiled" else requested
 
 
 def shared_pointers(program: Program, args_list: Sequence[Sequence]) -> tuple:
@@ -149,7 +135,6 @@ def execute(
     program: Program,
     args_list: Sequence[Sequence],
     requested: str,
-    frozen: str,
     keys: Sequence[tuple],
     site: Site,
 ) -> str:
@@ -168,8 +153,8 @@ def execute(
         # needs no prior enable_jit(); "auto" promotes on the manager's
         # invocation count once one is attached; explicit
         # sequential/batched are honored.
-        # A bailout (None) leaves the launch on its frozen engine —
-        # batched, when forced.
+        # A bailout (None) leaves the launch on the interpreted
+        # engine below — batched, when forced.
         forced = requested == "compiled"
         jit = ctx.jit
         if jit is None and forced:
@@ -183,10 +168,14 @@ def execute(
             )
     if kernel is not None:
         tier = "compiled"
-    elif len(args_list) > 1:
-        tier = "batched"  # only the batched engine interprets a stack
+    elif len(args_list) > 1 or requested == "batched" or (
+        requested != "sequential" and supports_batched(program)
+    ):
+        # Only the batched engine interprets a stack; "auto" and a
+        # bailed-out "compiled" run there whenever the program batches.
+        tier = "batched"
     else:
-        tier = frozen
+        tier = "sequential"
     # Only the engine call is timed: compilation above and the
     # bookkeeping below stay out of the measurement.
     with StatsTimer(lane.stats) if profiler is not None else _UNTIMED as timer:
@@ -204,7 +193,6 @@ def execute(
             program.name,
             [spec_string(key) for key in keys],
             tier,
-            site.stream,
             timer.wall,
             stats_delta=timer.delta,
         )

@@ -1,13 +1,13 @@
 """Execution-graph capture & replay: record the launch DAG once, replay
-it with zero scheduling or hazard analysis.
+it with zero hazard analysis or group formation.
 
-The multi-stream runtime (:mod:`repro.runtime.streams`) pays a fixed
+The stream pool (:mod:`repro.runtime.streams`) pays a fixed
 orchestration tax on *every* ``submit``: resolve the launch's global
 byte ranges (``launch_ranges``), scan outstanding launches for hazards
-(``ranges_conflict``), pick a stream, and re-prove coalescing
-eligibility.  This module is the CUDA-graph analogue for the
-simulator: **capture** a launch DAG once, freeze every decision, and
-**replay** it by driving the per-stream engines directly.
+(``ranges_conflict``), and re-prove coalescing eligibility.  This
+module is the CUDA-graph analogue for the simulator: **capture** a
+launch DAG once, freeze every decision, and **replay** it by driving
+the pool's lane directly.
 
 Nothing served captures a graph: a decode step is one synchronous
 launch and split-k issues ``stream="auto"`` launches.  What remains is
@@ -29,28 +29,24 @@ Inside the ``with`` block nothing executes: every launch is recorded as
 a :class:`GraphNode` holding the program, its arguments, its resolved
 global byte ranges, its hazard dependencies (computed against every
 earlier recorded node — writes serialize, reads share, exactly the live
-semantics), its stream label (the caller's stream, or the same
-round-robin + memory-aware pick the live scheduler would make), and its
-tier decision (the interpreted engine it is frozen to,
-and whether the compiled tier was forced).  Handles returned during capture
-are inert: ``wait()`` is a no-op, so code written for eager streams
-captures unchanged.
+semantics) and the tier it was asked for, which every replay asks for
+again, as an eager submission of it would.  The stream a launch names
+is a label and is not recorded.  Handles returned during capture are
+inert: ``wait()`` is a no-op, so code written for eager streams captures
+unchanged.
 
 On exit the graph **instantiates**: nodes are partitioned into
 *execution groups*, one engine invocation each at replay, by
 :func:`~repro.runtime.streams.form_groups` — the same first-fit rule
 the eager drain applies to pending launches.  Groups form over the whole
-DAG in submission order, whatever stream each node was captured on: a
-node joins a group when both run the same program on the batched engine
-with one grid shape, identical shape-contributing scalars,
-pairwise-disjoint ranges, and no dependency on or after the group head.
-A node's dependencies are *all* earlier nodes it conflicts with, so a
-member conflicts with nothing it is hoisted over, and every group edge
-points at a group with an earlier head: head order is a topological
-order.  The group runs on its head's captured stream — a label: which
-statistics lane, trace lane and profile stream the invocation lands on,
-never an ordering (its members' ``stream_index`` is rewritten to it) —
-on whatever tier its specialization key has reached —
+DAG in submission order: a node joins a group when both run the same
+program at the same requested tier (not ``sequential``) with one grid
+shape, identical shape-contributing scalars, pairwise-disjoint ranges,
+and no dependency on or after the group head.  A node's dependencies
+are *all* earlier nodes it conflicts with, so a member conflicts with
+nothing it is hoisted over, and every group edge points at a group with
+an earlier head: head order is a topological order.  A group runs on
+the pool's lane, on whatever tier its specialization key has reached —
 a stacked compiled kernel or
 :meth:`~repro.vm.batched.BatchedExecutor.launch_many`.
 
@@ -59,16 +55,15 @@ Replay
 :meth:`ExecutionGraph.replay` is the pool's inline group loop over the
 frozen groups: under the pool lock, on the calling thread, it retires
 whatever eager work is still pending (program order), rebinds the
-arguments, and runs each group in head order on its stream's lane
+arguments, and runs each group in head order on the pool's lane
 through the launch executor (:mod:`repro.runtime.executor`) — no
 ``analyze_access``, no ``launch_ranges``, no ``ranges_conflict``, no
-scheduler, no mergeability probing, no thread hand-off.  Replay is
-bit-exact with eager stream submission of the same launches and with
-``replay(serial=True)`` — the *same loop* over singleton groups, each
-node on its own captured stream: the ungrouped debugging oracle and the
-exact (not group-amortized) per-launch profile collector.  A replayed
-launch records like an eager one: under its specialization-key string
-and its stream.
+mergeability probing, no thread hand-off.  Replay is bit-exact with
+eager stream submission of the same launches and with
+``replay(serial=True)`` — the *same loop* over singleton groups: the
+ungrouped debugging oracle and the exact (not group-amortized)
+per-launch profile collector.  A replayed launch records like an eager
+one: under its specialization-key string and its tier.
 
 Rebinding
 ---------
@@ -90,48 +85,46 @@ it rests on is checked: two rebound pointer spans that overlap raise
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.compiler.pipeline import specialization_key
 from repro.errors import VMError
 from repro.obs import trace as obs_trace
 from repro.ir.program import Program
-from repro.runtime.executor import Site, resolve_engine
+from repro.runtime.executor import Site
 from repro.runtime.streams import (
-    Stream,
     StreamPool,
     form_groups,
     launch_ranges,
     ranges_conflict,
 )
 
+#: Where a replayed group is accounted.  Lane-level execution spans
+#: carry cat "stream" (like eager groups); "graph" is the lifecycle lane.
+_REPLAY_SITE = Site("replay", "stream")
+
 class GraphNode:
     """One captured launch: everything the live runtime decides per
     submission, frozen at capture time."""
 
-    __slots__ = ("index", "program", "args", "ranges", "deps", "stream_index",
-                 "engine", "grid", "key", "requested")
+    __slots__ = ("index", "program", "args", "ranges", "deps", "grid", "key",
+                 "requested")
 
-    def __init__(self, index, program, args, ranges, deps, stream_index,
-                 engine, grid, key, requested) -> None:
+    def __init__(self, index, program, args, ranges, deps, grid, key,
+                 requested) -> None:
         self.index = index
         self.program = program
         self.args = args
         self.ranges = ranges
         self.deps = deps            # indices of earlier conflicting nodes
-        self.stream_index = stream_index
-        self.engine = engine        # frozen: "sequential" | "batched"
         self.grid = grid
         self.key = key              # capture-time specialization key
-        #: Tier asked of each replay: "compiled" stays forced; anything
-        #: else was consumed into ``engine`` and replays as "auto"
-        #: (promotable by count).
-        self.requested = requested
+        self.requested = requested  # the tier asked of every replay
 
     def __repr__(self) -> str:
         return (
-            f"GraphNode({self.index}: {self.program.name} on stream "
-            f"{self.stream_index}, deps={list(self.deps)})"
+            f"GraphNode({self.index}: {self.program.name}, "
+            f"deps={list(self.deps)})"
         )
 
 
@@ -178,21 +171,15 @@ class _Binding:
 
 
 class _Group:
-    """An execution group: one engine invocation at replay, on one stream."""
+    """An execution group: one engine invocation at replay."""
 
-    __slots__ = ("stream_index", "node_indices", "engine", "program",
-                 "requested", "keys", "site")
+    __slots__ = ("node_indices", "program", "requested", "keys")
 
-    def __init__(self, stream_index, nodes: list[GraphNode]) -> None:
-        self.stream_index = stream_index
+    def __init__(self, nodes: list[GraphNode]) -> None:
         self.node_indices = [n.index for n in nodes]
-        self.engine = nodes[0].engine
         self.program = nodes[0].program
         self.requested = nodes[0].requested
         self.keys = [n.key for n in nodes]
-        # Lane-level execution spans carry cat "stream" (like eager
-        # groups); "graph" is the lifecycle lane.
-        self.site = Site("replay", "stream", stream_index)
 
 
 class ExecutionGraph:
@@ -211,7 +198,6 @@ class ExecutionGraph:
         self.nodes: list[GraphNode] = []
         self.replays = 0
         self._phase = "idle"  # idle -> capturing -> ready (or aborted)
-        self._rr = 0
         self._bindings: dict[str, _Binding] = {}
         self._groups: list[_Group] = []
         self._slot_map: dict[str, list[tuple]] | None = None
@@ -237,53 +223,28 @@ class ExecutionGraph:
             self._phase = "ready"
 
     def _record(
-        self,
-        program: Program,
-        args: Sequence,
-        stream: Stream | None = None,
-        engine: str = "auto",
+        self, program: Program, args: tuple, engine: str
     ) -> CapturedLaunchHandle:
-        """Record one launch: hazard analysis, scheduling and the tier
-        decision run here, once, never again."""
+        """Record one launch (its arguments checked by
+        :meth:`StreamPool.submit`): hazard analysis runs here, once,
+        never again."""
         if self._phase != "capturing":
             raise VMError("graph is not capturing")
-        if len(args) != len(program.params):
-            raise VMError(
-                f"{program.name} expects {len(program.params)} args, got {len(args)}"
-            )
-        args = tuple(args)
         ranges = launch_ranges(program, args)
         deps = tuple(
             node.index
             for node in self.nodes
             if ranges_conflict(node.ranges, ranges)
         )
-        if stream is not None:
-            if stream.pool is not self.pool:
-                raise VMError("stream belongs to a different pool")
-            stream_index = stream.index
-        elif deps:
-            # Memory-aware labelling, like the live scheduler: a launch
-            # joins the stream of the latest launch it conflicts with.
-            stream_index = self.nodes[deps[-1]].stream_index
-        else:
-            stream_index = self._rr % len(self.pool.streams)
-            self._rr += 1
-        grid = program.grid_size(args)
-        # Captured nodes only ever freeze an interpreted engine; the
-        # compiled tier is decided at each replay, forced when it was
-        # forced here.
         node = GraphNode(
             index=len(self.nodes),
             program=program,
             args=args,
             ranges=ranges,
             deps=deps,
-            stream_index=stream_index,
-            engine=resolve_engine(engine, program),
-            grid=grid,
+            grid=program.grid_size(args),
             key=specialization_key(program, args),
-            requested="compiled" if engine == "compiled" else "auto",
+            requested=engine,
         )
         self.nodes.append(node)
         return CapturedLaunchHandle(program, args, node, self)
@@ -296,17 +257,11 @@ class ExecutionGraph:
         :func:`~repro.runtime.streams.form_groups`; creation order is
         head-node order, and every dependency of a group precedes its
         head, so replay runs a group's dependencies before its
-        dependents.  A group runs on its head node's captured stream —
-        a label: the stats lane, trace lane and profile stream of the
-        invocation — and its members' ``stream_index`` is rewritten to
-        it.
+        dependents.
         """
-        groups: list[_Group] = []
-        for stack in form_groups(self.nodes, lambda node: node.deps):
-            stream_index = stack[0].stream_index
-            for node in stack:
-                node.stream_index = stream_index
-            groups.append(_Group(stream_index, stack))
+        groups = [
+            _Group(stack) for stack in form_groups(self.nodes, lambda node: node.deps)
+        ]
         self._groups = groups
         tracer = obs_trace.ACTIVE
         if tracer is not None:
@@ -426,8 +381,7 @@ class ExecutionGraph:
         ``bindings`` rebinds designated slots (see :meth:`bind`); omitted
         names keep their capture-time values.  ``serial=True`` runs the
         same loop over singleton groups — one engine invocation per node
-        in submission order, each on its own captured stream: the
-        bit-exactness oracle for the grouped replay and the exact
+        in submission order: the bit-exactness oracle for the grouped replay and the exact
         per-launch profile collector.  Raises :class:`VMError` at the first
         failing group (the remaining groups do not execute).
 
@@ -450,13 +404,12 @@ class ExecutionGraph:
             bound = self._bound_args
             groups = self._groups
             if serial:
-                groups = [_Group(node.stream_index, [node]) for node in self.nodes]
+                groups = [_Group([node]) for node in self.nodes]
             try:
                 for group in groups:
                     pool.run_group(
-                        pool.streams[group.stream_index], group.program,
-                        [bound[i] for i in group.node_indices],
-                        group.requested, group.engine, group.keys, group.site,
+                        group.program, [bound[i] for i in group.node_indices],
+                        group.requested, group.keys, _REPLAY_SITE,
                     )
             except Exception as exc:
                 raise VMError(f"graph replay failed: {exc}") from exc
@@ -480,17 +433,11 @@ class ExecutionGraph:
     def num_groups(self) -> int:
         return len(self._groups)
 
-    @property
-    def stream_indices(self) -> tuple[int, ...]:
-        """Distinct stream indices the captured DAG executes on."""
-        return tuple(sorted({node.stream_index for node in self.nodes}))
-
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __repr__(self) -> str:
         return (
             f"ExecutionGraph({len(self.nodes)} nodes in {len(self._groups)} "
-            f"groups over streams {list(self.stream_indices)}, "
-            f"{self.replays} replays, phase={self._phase})"
+            f"groups, {self.replays} replays, phase={self._phase})"
         )

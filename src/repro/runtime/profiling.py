@@ -3,10 +3,10 @@
 This module records what every launch actually cost — wall time,
 instruction count, bits moved, engine used, how many launches shared
 its engine invocation — as a :class:`NodeProfile`, keyed by the
-launch's **specialization-key string**, its stream and its tier: one
-site per distinct kernel specialization per stream, whichever path
-issued it (a synchronous launch, an eager stream drain or a graph
-replay records the same way).  Each record also carries the program
+launch's **specialization-key string** and its tier: one site per
+distinct kernel specialization and tier, whichever path issued it (a
+synchronous launch, an eager stream drain or a graph replay records
+the same way).  Each record also carries the program
 name, for coarser dashboard aggregation.
 
 A :class:`Profile` is a bag of those records, living in the process
@@ -26,9 +26,6 @@ import threading
 import time
 from typing import Iterable, Mapping
 
-#: Stream index recorded for synchronous (non-stream) launches.
-HOST_STREAM = -1
-
 #: Engine tag recorded for launches served by the compiled (JIT) tier.
 COMPILED = "compiled"
 
@@ -45,9 +42,8 @@ def spec_string(key: tuple) -> str:
 class NodeProfile:
     """Accumulated cost of one profiled launch site.
 
-    Identity is ``(spec, stream, engine)``: the specialization-key
-    string, the stream whose lane ran the launch (:data:`HOST_STREAM`
-    for synchronous launches) and the tier.  The engine is part of the
+    Identity is ``(spec, engine)``: the specialization-key string and
+    the tier.  The engine is part of the
     identity because one launch site can execute under different tiers
     over its lifetime — the compiled tier promotes a hot site mid-run,
     and its costs must not accumulate into the interpreted record.  All
@@ -61,7 +57,6 @@ class NodeProfile:
         "program",
         "spec",
         "engine",
-        "stream",
         "group_size",
         "calls",
         "wall_s",
@@ -72,12 +67,11 @@ class NodeProfile:
     )
 
     def __init__(
-        self, program: str, spec: str, engine: str, stream: int, group_size: int = 1
+        self, program: str, spec: str, engine: str, group_size: int = 1
     ) -> None:
         self.program = program
         self.spec = spec
         self.engine = engine
-        self.stream = stream
         self.group_size = group_size
         self.calls = 0
         self.wall_s = 0.0
@@ -93,8 +87,7 @@ class NodeProfile:
 
     def __repr__(self) -> str:
         return (
-            f"NodeProfile({self.program!r} on "
-            f"stream {self.stream}, {self.calls} calls, "
+            f"NodeProfile({self.program!r} on {self.engine}, {self.calls} calls, "
             f"{self.mean_wall_s * 1e6:.1f} us/call)"
         )
 
@@ -167,7 +160,6 @@ class Profile:
         program: str,
         spec: str,
         engine: str,
-        stream: int,
         wall_s: float,
         stats_delta: Mapping | None = None,
         group_size: int = 1,
@@ -179,11 +171,11 @@ class Profile:
         invocation to several launches divide it (and ``wall_s``) before
         recording each.
         """
-        key = (spec, stream, engine)
+        key = (spec, engine)
         with self._lock:
             node = self.nodes.get(key)
             if node is None:
-                node = NodeProfile(program, spec, engine, stream)
+                node = NodeProfile(program, spec, engine)
                 self.nodes[key] = node
             node.calls += 1
             node.wall_s += wall_s
@@ -198,7 +190,6 @@ class Profile:
         program: str,
         specs: Iterable[str],
         engine: str,
-        stream: int,
         wall_s: float,
         stats_delta: Mapping | None = None,
     ) -> None:
@@ -212,7 +203,7 @@ class Profile:
         shares = split_counts(stats_delta, n) if stats_delta else [None] * n
         for spec, share in zip(specs, shares):
             self.record(
-                program, spec, engine, stream, wall_s / n,
+                program, spec, engine, wall_s / n,
                 stats_delta=share, group_size=n,
             )
 
@@ -222,9 +213,5 @@ class Profile:
     def __repr__(self) -> str:
         with self._lock:
             nodes = list(self.nodes.values())
-        streams = {node.stream for node in nodes}
         total = sum(node.wall_s for node in nodes)
-        return (
-            f"Profile({len(nodes)} sites over {len(streams)} streams, "
-            f"{total * 1e3:.2f} ms recorded)"
-        )
+        return f"Profile({len(nodes)} sites, {total * 1e3:.2f} ms recorded)"

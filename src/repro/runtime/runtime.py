@@ -1,10 +1,11 @@
 """The Tilus runtime system (paper Section 8.1, step 4).
 
-Maintains the three pieces of state the paper describes:
+Maintains the runtime state the paper describes (a kernel's
+``AllocateGlobal`` workspace is the engines' own: each reserves its
+blocks' spans when the instruction runs and frees them when the launch
+ends):
 
-1. a **workspace** in global memory that kernels request through
-   ``AllocateGlobal``;
-2. an **execution context** (the profiler and JIT manager every launch
+1. an **execution context** (the profiler and JIT manager every launch
    path consults, plus the launch counter), shared with a lazily created
    **stream pool** (:mod:`repro.runtime.streams`) for asynchronous
    launches: ``launch(..., stream=...)`` queues and returns a handle,
@@ -12,7 +13,7 @@ Maintains the three pieces of state the paper describes:
    next drain point — a ``wait``, a ``synchronize``, a graph replay, or
    this runtime's own synchronous ``launch`` / ``download`` — runs the
    pending launches grouped, on the calling thread;
-3. a **kernel specialization cache** keyed on (program hash, const-bound
+2. a **kernel specialization cache** keyed on (program hash, const-bound
    scalar params, dtype set), so structurally identical programs —
    including fresh re-instantiations of the same template — compile once
    and every later launch skips lowering entirely.
@@ -61,15 +62,17 @@ from repro.runtime.executor import (
     Lane,
     Site,
     execute,
-    resolve_engine,
 )
-from repro.runtime.profiling import HOST_STREAM, Profile
+from repro.runtime.profiling import Profile
 from repro.runtime.streams import LaunchHandle, Stream, StreamPool
 from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory, TensorView
 
+#: The tiers a runtime or a launch may ask for.
+ENGINES = ("auto", "sequential", "batched", "compiled")
+
 #: Where synchronous launches are accounted.
-_HOST_SITE = Site("launch", "runtime", HOST_STREAM)
+_HOST_SITE = Site("launch", "runtime")
 
 
 class SpecializationCache:
@@ -153,7 +156,7 @@ class Runtime:
         engine: str = "auto",
         cache_entries: int = 128,
     ) -> None:
-        if engine not in ("auto", "sequential", "batched", "compiled"):
+        if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         self.memory = GlobalMemory(dram_bytes)
         # The host lane: both engines share the memory and the stats
@@ -165,8 +168,6 @@ class Runtime:
         self.cache = SpecializationCache(max_entries=cache_entries)
         #: Shared with the stream pool (see :meth:`stream_pool`).
         self.context = ExecutionContext()
-        self._workspace_addr: int | None = None
-        self._workspace_size = 0
         self._pool: StreamPool | None = None
         if engine == "compiled":
             self.enable_jit()
@@ -205,7 +206,7 @@ class Runtime:
         """Install (and return) the process tracer
         (:mod:`repro.obs.trace`).  Tracing is process-scoped — the
         trace's pid axis is the process, and one ring buffer collects
-        the host thread plus every stream lane — so this delegates to
+        the host lane plus the stream pool's — so this delegates to
         :func:`repro.obs.trace.install`; the emit points across the
         stack (launches, stream groups, graph replays, JIT promotions)
         fire only while a tracer is installed and cost
@@ -259,8 +260,9 @@ class Runtime:
         """The runtime's stream pool, created on first use.
 
         The pool shares this runtime's device memory, so tensors uploaded
-        through :meth:`upload` are visible to every stream.  The stream
-        count is fixed on first call; later calls return the same pool.
+        through :meth:`upload` are visible to its launches.  The number
+        of stream labels is fixed on first call; later calls return the
+        same pool.
         """
         if self._pool is None:
             self._pool = StreamPool(
@@ -329,15 +331,6 @@ class Runtime:
             self._pool.drain()
         self.memory.free(addr)
 
-    def ensure_workspace(self, nbytes: int) -> int:
-        """Grow-on-demand workspace shared by kernels (never shrinks)."""
-        if nbytes > self._workspace_size:
-            self._workspace_addr = self.memory.alloc(nbytes)
-            self._workspace_size = nbytes
-        if self._workspace_addr is None:
-            self._workspace_addr = self.memory.alloc(max(nbytes, 1))
-        return self._workspace_addr
-
     # -- execution -------------------------------------------------------------
     def launch(
         self,
@@ -346,27 +339,25 @@ class Runtime:
         engine: str | None = None,
         stream: "Stream | str | None" = None,
     ) -> CompiledKernel | LaunchHandle:
-        """Compile (specialization-cached), provision workspace, execute.
+        """Compile (specialization-cached), then execute.
 
         A cache hit executes the *cached* kernel's program, so launching a
         freshly rebuilt but structurally identical program skips both
         lowering and any recompilation side effects.
 
         ``stream`` makes the launch asynchronous: pass a
-        :class:`~repro.runtime.streams.Stream` (from :meth:`stream_pool`)
-        to enqueue on that stream, or ``"auto"`` to let the pool's
-        scheduler place it.  Async launches return a
-        :class:`~repro.runtime.streams.LaunchHandle` instead of the
-        kernel; ``handle.wait()`` / ``stream.synchronize()`` /
-        :meth:`synchronize` drain them, and so does a later synchronous
-        launch or :meth:`download` (program order).  Ordering on
+        :class:`~repro.runtime.streams.Stream` label (from
+        :meth:`stream_pool`) or ``"auto"`` — which decides nothing: the
+        launch joins its pool's one pending list either way.  Async
+        launches return a :class:`~repro.runtime.streams.LaunchHandle`
+        instead of the kernel; ``handle.wait()`` / :meth:`synchronize`
+        drain them, and so does a later synchronous launch or
+        :meth:`download` (program order).  Ordering on
         overlapping global-memory ranges is enforced automatically
         (writes serialize, reads share), so grouped execution stays
         bit-exact with serial issue.
         """
-        if engine is not None and engine not in (
-            "auto", "sequential", "batched", "compiled"
-        ):
+        if engine is not None and engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         if stream is not None and stream != "auto" and not isinstance(stream, Stream):
             raise ValueError(
@@ -382,12 +373,10 @@ class Runtime:
         key = specialization_key(program, args)
         kernel = self.cache.get(program, args, key=key)
         program = kernel.program
-        if kernel.workspace_bytes:
-            self.ensure_workspace(kernel.workspace_bytes)
         requested = engine or self.engine
         if stream is None and self._pool is not None and self._pool.capturing:
             # During graph capture every launch is recorded, including
-            # synchronous ones (scheduler-placed, like stream="auto").
+            # synchronous ones (like stream="auto").
             stream = "auto"
         if stream is not None:
             pool = stream.pool if isinstance(stream, Stream) else self.stream_pool()
@@ -401,11 +390,10 @@ class Runtime:
             return handle
         if self._pool is not None:
             self._pool.drain()  # program order: earlier async launches first
-        frozen = resolve_engine(requested, program)
         try:
             execute(
-                self._lane, self.context, program, [args],
-                requested, frozen, [key], _HOST_SITE,
+                self._lane, self.context, program, [args], requested, [key],
+                _HOST_SITE,
             )
         except VMError as exc:
             raise VMError(f"kernel {program.name!r} failed: {exc}") from exc
@@ -414,12 +402,12 @@ class Runtime:
 
     def stats(self) -> ExecutionStats:
         """Counters over every launch: the synchronous engines' shared
-        stats plus, when streams are in use, all per-stream stats."""
+        stats plus, when streams are in use, the pool's."""
         if self._pool is None:
             return self.interpreter.stats
         total = ExecutionStats()
         total.merge(self.interpreter.stats)
-        total.merge(self._pool.aggregate_stats())
+        total.merge(self._pool.stats)
         return total
 
     def metrics(self) -> dict:

@@ -1,40 +1,38 @@
-"""Multi-stream runtime: asynchronous kernel launches with hazard tracking.
+"""Asynchronous kernel launches with hazard tracking: one pending list,
+drained inline.
 
 Once kernels are fast, orchestration overhead — not kernel math —
 dominates (the SPEC CPU2026 observation in PAPERS.md), and on this
 interpreter-hosted device the one orchestration cost worth removing is
 the per-launch engine invocation.  This module keeps the CUDA-shaped
-stream vocabulary, as a **schedule** rather than as threads:
+stream vocabulary as a **schedule** rather than as threads or queues:
 
-- :class:`Stream` — a logical launch queue: a placement label, a
-  statistics lane and a profile site, with its own
+- :class:`Stream` — a label: the pool it belongs to and its index.
+  Passing one as ``stream=`` makes a launch asynchronous; which one is
+  passed decides nothing (not the order, not the grouping, not where
+  the work is tallied);
+- :class:`StreamPool` — one pending list, one
   :class:`~repro.runtime.executor.Lane` (a sequential interpreter +
   grid-vectorized batched executor pair sharing one
-  :class:`~repro.vm.interp.ExecutionStats`);
-- :class:`Event` — a marker recorded on a stream; ``event.wait()``
-  drains the pool, ``stream.wait_event(event)`` orders one stream's
-  later submissions behind another's tail;
-- :class:`StreamPool` — owns the streams, places launches that don't
-  name one (round-robin, steered memory-aware: a launch that conflicts
-  with pending work lands on the conflicting launch's stream), tracks
-  hazards, and **runs** everything at the drain points.
+  :class:`~repro.vm.interp.ExecutionStats`, trace lane
+  :data:`~repro.obs.trace.POOL_TID`) and one sticky error; it tracks
+  hazards and **runs** everything at the drain points.
 
 Execution model
 ---------------
 ``submit`` checks the arguments, resolves the launch's byte ranges,
-computes its hazard dependencies against the pending launches, places it
-and appends its handle to the pool's pending list — nothing executes.
-The **drain points** — :meth:`LaunchHandle.wait`, :meth:`Event.wait`,
-:meth:`Stream.synchronize`, :meth:`StreamPool.synchronize` / ``drain`` /
-``shutdown`` / ``__exit__``, a graph replay, and the owning runtime's
-synchronous ``launch`` / ``download`` / ``synchronize`` — form execution
-groups over the *whole* pending DAG (:func:`form_groups`, the rule
-execution-graph instantiation uses too) and run them in head order on
-the calling thread, each on its head launch's stream, under the pool's
-one re-entrant lock.  Host threads may submit, wait and replay
-concurrently; the lock is the only synchronization.  Program order is
-the only order: whatever the host issued before a drain point has
-retired when the drain point returns.
+computes its hazard dependencies against the pending launches and
+appends its handle to the pool's pending list — nothing executes.
+The **drain points** — :meth:`LaunchHandle.wait`,
+:meth:`StreamPool.synchronize` / ``drain`` / ``shutdown`` / ``__exit__``,
+a graph replay, and the owning runtime's synchronous ``launch`` /
+``download`` / ``synchronize`` — form execution groups over the *whole*
+pending DAG (:func:`form_groups`, the rule execution-graph
+instantiation uses too) and run them in head order on the calling
+thread, on the pool's lane, under the pool's one re-entrant lock.  Host
+threads may submit, wait and replay concurrently; the lock is the only
+synchronization.  Program order is the only order: whatever the host
+issued before a drain point has retired when the drain point returns.
 
 Correctness model
 -----------------
@@ -58,7 +56,7 @@ order and results are bit-exact with serial issue in submission order
 
 Throughput model
 ----------------
-What streams deliver is **grouping**: hazard-independent pending
+What the pool delivers is **grouping**: hazard-independent pending
 launches of one program whose access ranges are pairwise disjoint
 execute as one stacked grid
 (:meth:`~repro.vm.batched.BatchedExecutor.launch_many`, or the stacked
@@ -71,10 +69,9 @@ GIL contention to every per-node wall time, and to overlap nothing;
 docs/streams.md keeps the numbers.)
 
 Workloads that re-submit an identical launch DAG every iteration can
-additionally freeze all of the above — hazard edges, stream placement,
-groups — into a replayable :class:`~repro.runtime.graphs.
-ExecutionGraph` via :meth:`StreamPool.capture` (see
-:mod:`repro.runtime.graphs`).
+additionally freeze the hazard edges and groups into a replayable
+:class:`~repro.runtime.graphs.ExecutionGraph` via
+:meth:`StreamPool.capture` (see :mod:`repro.runtime.graphs`).
 """
 
 from __future__ import annotations
@@ -91,17 +88,25 @@ from repro.ir import instructions as insts
 from repro.ir.evaluator import evaluate
 from repro.ir.expr import Expr, Var
 from repro.ir.program import Program
+from repro.obs import trace as obs_trace
 from repro.runtime.executor import (
     ContextAttr,
     ExecutionContext,
     Lane,
     Site,
     execute,
-    resolve_engine,
 )
 from repro.vm.batched import supports_batched
-from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory
+
+#: Upper bound on blocks in one coalesced execution.  Small grids are
+#: where coalescing pays (per-instruction dispatch overhead dominates);
+#: past this size the stacked arrays outgrow cache and merging turns
+#: neutral-to-negative, so large grids execute one launch at a time.
+MAX_MERGED_BLOCKS = 64
+
+#: Where an eager group is accounted.
+_EXEC_SITE = Site("exec", "stream")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +342,7 @@ def stackable_with_group(
     if not supports_batched(program):
         return False
     per_launch = int(np.prod(grid)) if grid else 1
-    if per_launch * (group_len + 1) > Stream.MAX_MERGED_BLOCKS:
+    if per_launch * (group_len + 1) > MAX_MERGED_BLOCKS:
         return False
     if nxt_grid != grid:
         return False
@@ -376,16 +381,15 @@ def form_groups(launches: Sequence, dep_indices) -> list[list]:
     groups, one engine invocation each — the one rule behind the eager
     drain and execution-graph instantiation, so the two cannot drift.
 
-    First fit: a launch joins the earliest group it is mergeable with,
-    whichever stream either was placed on.  Launches are
-    :class:`LaunchHandle` or :class:`~repro.runtime.graphs.GraphNode`
-    objects (``program`` / ``requested`` tier / frozen ``engine`` /
-    ``key`` / ``grid`` / ``args`` / ``ranges`` / ``index``);
-    ``dep_indices(launch)`` gives the ``index`` of each of its
-    dependencies.  A launch's dependencies are *all* earlier launches it
-    conflicts with, so a member conflicts with nothing it is hoisted
-    over, and every edge out of a group points at a group with an
-    earlier head: creation order is a topological order.
+    First fit: a launch joins the earliest group it is mergeable with.
+    Launches are :class:`LaunchHandle` or
+    :class:`~repro.runtime.graphs.GraphNode` objects (``program`` /
+    ``requested`` tier / ``key`` / ``grid`` / ``args`` / ``ranges`` /
+    ``index``); ``dep_indices(launch)`` gives the ``index`` of each of
+    its dependencies.  A launch's dependencies are *all* earlier
+    launches it conflicts with, so a member conflicts with nothing it is
+    hoisted over, and every edge out of a group points at a group with
+    an earlier head: creation order is a topological order.
     """
     groups: list[list] = []
     for nxt in launches:
@@ -403,7 +407,7 @@ def _mergeable(group: list, nxt, deps: tuple) -> bool:
     first = group[0]
     if nxt.program is not first.program or nxt.requested != first.requested:
         return False
-    if first.engine != "batched" or nxt.engine != "batched":
+    if first.requested == "sequential":
         return False  # only the batched engine interprets a stack
     if first.requested == "compiled" and nxt.key != first.key:
         # A mixed-key stack runs on the batched engine; a forced-compiled
@@ -423,7 +427,7 @@ def _mergeable(group: list, nxt, deps: tuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Handles and events
+# Handles, streams and the pool
 # ---------------------------------------------------------------------------
 
 
@@ -431,20 +435,18 @@ class LaunchHandle:
     """An asynchronously issued kernel launch.
 
     ``wait()`` drains the pool — the launch, and everything else
-    pending, retires on the calling thread — and re-raises any
-    execution error (the same error every later ``wait`` /
-    ``synchronize`` call observes).
+    pending, retires on the calling thread — and re-raises the launch's
+    execution error, if it had one.
     """
 
-    def __init__(self, program: Program, args: tuple, stream: "Stream",
+    def __init__(self, program: Program, args: tuple, pool: "StreamPool",
                  index: int, ranges: list[tuple], requested: str) -> None:
         self.program = program
         self.args = args
-        self.stream = stream
+        self.pool = pool
         self.index = index  # position in the pool's submission order
         self.ranges = ranges
         self.requested = requested  # the tier asked for
-        self.engine = resolve_engine(requested, program)  # frozen interpreted engine
         self.grid = program.grid_size(args)
         #: Specialization key, computed once here at submit.
         self.key = specialization_key(program, args)
@@ -454,11 +456,10 @@ class LaunchHandle:
 
     def wait(self) -> None:
         if not self.done:
-            self.stream.pool.drain()
+            self.pool.drain()
         if self.error is not None:
             raise VMError(
-                f"async launch of {self.program.name!r} on {self.stream} failed: "
-                f"{self.error}"
+                f"async launch of {self.program.name!r} failed: {self.error}"
             ) from self.error
 
     def __repr__(self) -> str:
@@ -466,91 +467,25 @@ class LaunchHandle:
         return f"LaunchHandle({self.program.name}, seq={self.index}, {state})"
 
 
-class Event:
-    """A stream-ordering marker: the tail launch of a stream at the
-    moment of :meth:`Stream.record_event`.  An event recorded on a
-    stream with nothing pending is already signaled."""
-
-    def __init__(self, handle: LaunchHandle | None) -> None:
-        self._handle = handle
-
-    def query(self) -> bool:
-        return self._handle is None or self._handle.done
-
-    def wait(self) -> None:
-        """Drain until the event signals; re-raises its launch's error."""
-        if self._handle is not None:
-            self._handle.wait()
-
-
-# ---------------------------------------------------------------------------
-# Streams
-# ---------------------------------------------------------------------------
-
-
 class Stream:
-    """A logical launch queue: where a launch is placed, tallied and
-    profiled.  Nothing executes until a drain point (module docstring);
-    a group runs on its head launch's stream."""
+    """A label a launch is issued with: its pool and its index.  It
+    decides nothing — every launch of a pool lands on the pool's one
+    pending list and one lane, whichever stream named it."""
 
-    #: Upper bound on blocks in one coalesced execution.  Small grids are
-    #: where coalescing pays (per-instruction dispatch overhead dominates);
-    #: past this size the stacked arrays outgrow cache and merging turns
-    #: neutral-to-negative, so large grids execute one launch at a time.
-    MAX_MERGED_BLOCKS = 64
+    __slots__ = ("pool", "index")
 
     def __init__(self, pool: "StreamPool", index: int) -> None:
         self.pool = pool
         self.index = index
-        #: Trace lane ``index + 1`` (lane 0 is the host's own launches).
-        self.lane = Lane(pool.memory, pool.shared_capacity, index + 1, pool.stdout)
-        self.stats = self.lane.stats
-        self._site = Site("exec", "stream", index)
-        self.launches = 0          # individual launches retired
-        self.executions = 0        # engine invocations (after coalescing)
-        self._tail: LaunchHandle | None = None
-        #: Event tails later submissions on this stream are ordered behind.
-        self._waits: list[LaunchHandle] = []
-        self._error: BaseException | None = None  # sticky, CUDA-style
-
-    def synchronize(self) -> None:
-        """Drain the pool; re-raise this stream's first execution error
-        (sticky, like a CUDA device error — it stays raised on every
-        later synchronize)."""
-        self.pool.drain()
-        if self._error is not None:
-            raise VMError(f"{self} launch failed: {self._error}") from self._error
-
-    def record_event(self) -> Event:
-        """Capture this stream's current tail as an :class:`Event`."""
-        tail = self._tail
-        return Event(tail if tail is not None and not tail.done else None)
-
-    def wait_event(self, event: Event) -> None:
-        """Order all future work on this stream after ``event``: its
-        launch becomes a dependency of every later submission here."""
-        handle = event._handle
-        if handle is None or handle.done:
-            return
-        if handle.stream.pool is not self.pool:
-            handle.stream.pool.drain()  # another pool's work: retire it now
-            return
-        with self.pool._lock:
-            self._waits.append(handle)
 
     def __repr__(self) -> str:
         return f"Stream({self.index})"
 
 
-# ---------------------------------------------------------------------------
-# The pool
-# ---------------------------------------------------------------------------
-
-
 class StreamPool:
-    """A fixed set of streams over one device memory, with scheduling,
-    hazard tracking and the inline group loop that executes eager
-    launches and graph replays alike (see module docstring).
+    """One pending list over one device memory, with hazard tracking and
+    the inline group loop that executes eager launches and graph
+    replays alike (see module docstring).  ``streams`` are its labels.
 
     Usable as a context manager: leaving the block synchronizes.
     """
@@ -564,17 +499,21 @@ class StreamPool:
     ) -> None:
         if num_streams < 1:
             raise ValueError(f"num_streams must be positive, got {num_streams}")
-        self.memory = memory
-        self.shared_capacity = shared_capacity
-        self.stdout = stdout
         self.streams = [Stream(self, i) for i in range(num_streams)]
-        #: Guards the pending list, placement state and — held across a
-        #: whole drain or replay — the streams' lanes: the one
-        #: synchronization between host threads sharing this pool.
+        #: Where every group of this pool runs and is tallied.  Apart
+        #: from the runtime's host lane: a synchronous launch runs
+        #: outside the pool lock, so sharing it would race a drain.
+        self.lane = Lane(memory, shared_capacity, obs_trace.POOL_TID, stdout)
+        self.stats = self.lane.stats
+        self.launches = 0          # individual launches retired
+        self.executions = 0        # engine invocations (after coalescing)
+        #: Guards the pending list, the counters and — held across a
+        #: whole drain or replay — the lane: the one synchronization
+        #: between host threads sharing this pool.
         self._lock = threading.RLock()
         self._pending: list[LaunchHandle] = []
-        self._rr = itertools.count()
         self._seq = itertools.count()
+        self._error: BaseException | None = None  # sticky, CUDA-style
         self._capture = None  # active ExecutionGraph recording, if any
         #: What every execution on this pool consults.  A pool created by
         #: ``Runtime.stream_pool`` is handed the runtime's context.
@@ -598,11 +537,10 @@ class StreamPool:
 
     def capture(self) -> "repro.runtime.graphs.ExecutionGraph":  # noqa: F821
         """Begin capturing an execution graph: used as a context manager,
-        every ``submit`` inside the block is *recorded* (scheduling,
-        hazard analysis and coalescing run once, at capture time) instead
-        of executed, and the resulting graph replays the frozen launch
-        DAG without any of that per-launch work.  See
-        :mod:`repro.runtime.graphs`.
+        every ``submit`` inside the block is *recorded* (hazard analysis
+        and coalescing run once, at capture time) instead of executed,
+        and the resulting graph replays the frozen launch DAG without any
+        of that per-launch work.  See :mod:`repro.runtime.graphs`.
         """
         from repro.runtime.graphs import ExecutionGraph
 
@@ -617,49 +555,35 @@ class StreamPool:
         engine: str = "auto",
     ) -> LaunchHandle:
         """Queue a launch; returns its handle without executing anything
-        (the next drain point runs it).
-
-        ``stream=None`` lets the scheduler place the launch: round-robin
-        across streams, except that a launch conflicting with pending
-        work goes to the most recent conflicting launch's stream
-        (memory-aware placement).
+        (the next drain point runs it).  ``stream`` is a label of this
+        pool, or None; either way the launch joins the one pending list.
 
         During an active :meth:`capture`, the launch is recorded into the
         graph and an inert handle is returned.
         """
-        if self._capture is not None:
-            return self._capture._record(program, args, stream=stream, engine=engine)
         if len(args) != len(program.params):
             raise VMError(
                 f"{program.name} expects {len(program.params)} args, got {len(args)}"
             )
+        if stream is not None and stream.pool is not self:
+            raise VMError("stream belongs to a different pool")
         args = tuple(args)
+        if self._capture is not None:
+            return self._capture._record(program, args, engine)
         ranges = launch_ranges(program, args)
         with self._lock:
-            deps = [h for h in self._pending if ranges_conflict(h.ranges, ranges)]
-            if stream is None:
-                stream = self._pick_stream(deps)
-            handle = LaunchHandle(
-                program, args, stream, next(self._seq), ranges, engine
+            handle = LaunchHandle(program, args, self, next(self._seq), ranges, engine)
+            handle.deps = tuple(
+                h for h in self._pending if ranges_conflict(h.ranges, ranges)
             )
-            if stream._waits:
-                stream._waits = [h for h in stream._waits if not h.done]
-                deps.extend(h for h in stream._waits if h not in deps)
-            handle.deps = tuple(deps)
             self._pending.append(handle)
-            stream._tail = handle
         return handle
-
-    def _pick_stream(self, deps: list[LaunchHandle]) -> Stream:
-        if deps:
-            return deps[-1].stream
-        return self.streams[next(self._rr) % len(self.streams)]
 
     # -- execution ----------------------------------------------------------
     def drain(self) -> None:
         """Run every pending launch, grouped, on the calling thread.
         Never raises for a failing launch: errors land on the handles and
-        (sticky) on their streams, for ``wait`` / ``synchronize``."""
+        (sticky) on the pool, for ``wait`` / ``synchronize``."""
         with self._lock:
             if not self._pending:
                 return
@@ -690,55 +614,36 @@ class StreamPool:
             try:
                 # Eager sites are keyed by specialization-key string, so
                 # launches that coalesced with different scalar bindings
-                # still record under their own tunable identity.
+                # still record under their own identity.
                 self.run_group(
-                    head.stream, head.program, [h.args for h in runnable],
-                    head.requested, head.engine, [h.key for h in runnable],
-                    head.stream._site,
+                    head.program, [h.args for h in runnable], head.requested,
+                    [h.key for h in runnable], _EXEC_SITE,
                 )
             except Exception as exc:  # noqa: BLE001 — propagated to waiters
                 for handle in runnable:
                     handle.error = exc
         for handle in group:
-            if handle.error is not None:
-                for stream in (head.stream, handle.stream):
-                    if stream._error is None:
-                        stream._error = handle.error
+            if handle.error is not None and self._error is None:
+                self._error = handle.error
             handle.done = True
 
-    def run_group(self, stream: Stream, program: Program, args_list, requested: str,
-                  engine: str, keys, site: Site) -> None:
-        """One engine invocation on ``stream``'s lane, tallied there: the
+    def run_group(self, program: Program, args_list, requested: str, keys,
+                  site: Site) -> None:
+        """One engine invocation on the pool's lane, tallied there: the
         body of the group loop, for eager drains and graph replays.  The
         caller holds the pool lock."""
-        execute(
-            stream.lane, self.context, program, args_list, requested, engine,
-            keys, site,
-        )
-        stream.launches += len(args_list)
-        stream.executions += 1
+        execute(self.lane, self.context, program, args_list, requested, keys, site)
+        self.launches += len(args_list)
+        self.executions += 1
 
     # -- host-side synchronization ------------------------------------------
     def synchronize(self) -> None:
-        """Drain; re-raise the first stream's sticky error, if any."""
-        for stream in self.streams:
-            stream.synchronize()
-
-    def aggregate_stats(self) -> ExecutionStats:
-        """Sum of all per-stream execution statistics."""
-        total = ExecutionStats()
-        for stream in self.streams:
-            total.merge(stream.stats)
-        return total
-
-    @property
-    def launches(self) -> int:
-        return sum(s.launches for s in self.streams)
-
-    @property
-    def executions(self) -> int:
-        """Engine invocations after coalescing (<= launches)."""
-        return sum(s.executions for s in self.streams)
+        """Drain; re-raise the pool's first execution error (sticky, like
+        a CUDA device error — it stays raised on every later
+        synchronize)."""
+        self.drain()
+        if self._error is not None:
+            raise VMError(f"stream launch failed: {self._error}") from self._error
 
     def shutdown(self) -> None:
         """Drain what is pending.  Never raises; use :meth:`synchronize`

@@ -615,7 +615,7 @@ class Router:
         clock via the per-worker NTP-midpoint offset, and merges them
         with the router's own events: the router is pid 0, worker *i* is
         pid ``i + 1``, and within each process tid 0 is the host lane
-        with streams on lanes 1+.  The result loads directly in
+        and tid 1 the stream pool's.  The result loads directly in
         Perfetto / ``chrome://tracing`` and round-trips through
         :func:`repro.obs.trace.load_trace`."""
         local = obs_trace.ACTIVE

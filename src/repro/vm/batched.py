@@ -888,6 +888,9 @@ class TileWalk(LockstepWalk):
         #: Per-block buffered ``PrintTensor`` output, flushed in block
         #: order when the launch retires (created on first print).
         self.prints: list[list[str]] | None = None
+        #: ``AllocateGlobal`` spans reserved so far, freed when the
+        #: launch ends.
+        self.workspaces: list[int] = []
 
     def instruction(self, inst, active: np.ndarray) -> None:
         self.stats.instructions += int(active.sum())
@@ -1399,6 +1402,7 @@ class TileWalk(LockstepWalk):
             # order — the same addresses a per-block alloc loop (and the
             # sequential engine's block loop) would assign.
             addrs[idx] = self.memory.alloc_n(nbytes, idx.size)
+            self.workspaces.extend(addrs[idx].tolist())
         view = View(self.mem, addrs, ttype.dtype, shape, len(self.memory.buffer))
         self.bind_tensor(inst.out, view, active)
 
@@ -1725,7 +1729,11 @@ class BatchedExecutor:
             launches=len(args_list),
         )
         self.stats.blocks_run += nblocks
-        walk.run_stmt(program.body, np.ones(nblocks, dtype=bool))
+        try:
+            walk.run_stmt(program.body, np.ones(nblocks, dtype=bool))
+        finally:
+            for addr in walk.workspaces:
+                self.memory.free(addr)
         self._flush_prints(walk.prints)
         return self.stats
 

@@ -85,7 +85,8 @@ class ExecutionStats:
 
     def merge(self, other: "ExecutionStats") -> "ExecutionStats":
         """Add ``other``'s counters into this object (for aggregating
-        per-stream statistics); returns self."""
+        the host lane's and the stream pool's statistics); returns
+        self."""
         for key, value in vars(other).items():
             setattr(self, key, getattr(self, key) + value)
         return self
@@ -135,6 +136,9 @@ class Interpreter:
         #: ordered-sink contract as the batched engine, so callers can
         #: capture either engine's prints by swapping ``stdout``.
         self._prints: list[str] | None = None
+        #: ``AllocateGlobal`` spans of the launch in flight, freed when
+        #: it ends.
+        self._workspaces: list[int] = []
 
     # -- host-side helpers ---------------------------------------------------
     def upload(self, values: np.ndarray, dtype) -> int:
@@ -158,6 +162,7 @@ class Interpreter:
         nblocks = int(np.prod(grid)) if grid else 1
         coords = decompose_linear(tuple(grid))
         self._prints = None
+        self._workspaces = []
         try:
             for linear in range(nblocks):
                 ctx = BlockContext(self, tuple(int(c[linear]) for c in coords))
@@ -167,6 +172,8 @@ class Interpreter:
                 except _Exit:
                     pass
         finally:
+            for addr in self._workspaces:
+                self.memory.free(addr)
             self._flush_prints()
         return self.stats
 
@@ -315,6 +322,7 @@ def _exec_allocate_global(
     if shape is None:
         raise VMError("workspace tensors require static shapes")
     addr = vm.memory.alloc((int(np.prod(shape)) * ttype.dtype.nbits + 7) // 8)
+    vm._workspaces.append(addr)
     ctx.env[inst.out] = TensorView(vm.memory.buffer, addr * 8, ttype.dtype, shape)
 
 

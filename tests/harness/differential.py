@@ -14,14 +14,14 @@ Five modes are locked together:
 
 - ``sequential``   — the block-loop interpreter, the semantic reference;
 - ``batched``      — the grid-vectorized executor, forced for every launch;
-- ``stream``       — the multi-stream runtime: launches are issued
-  round-robin across the streams of a :class:`~repro.runtime.streams.
+- ``stream``       — the stream pool: launches are issued with
+  round-robin stream labels to a :class:`~repro.runtime.streams.
   StreamPool`, so multi-launch cases (split-k partial → reduce) rely on
   hazard tracking for their ordering, and the grouped drain (launches
   hoisted into earlier groups) must still produce serial-issue results;
 - ``graph-replay`` — the execution-graph subsystem: the case's launch
-  plan is *captured* (scheduling, hazard edges and coalescing groups
-  frozen once, nothing executed), then replayed through the pool's
+  plan is *captured* (hazard edges and coalescing groups frozen once,
+  nothing executed), then replayed through the pool's
   group loop with all per-launch analysis skipped — and must still match
   the sequential reference bit-for-bit with stat parity;
 - ``jit``          — the compiled tier, through the launch executor:
@@ -161,14 +161,14 @@ def _run_engine(case: GeneratedCase, mode: str):
             stacked_compiled = sum(
                 kernel.launches > 1 for kernel in pool.jit.cache._kernels.values()
             )
-        stats = pool.aggregate_stats()
+        stats = pool.stats
     elif mode == "graph-replay":
         with StreamPool(memory, num_streams=4) as pool:
             graph = _capture_plan(pool, plan, buffers)
             assert len(graph) == len(plan)
             graph.replay()
             pool.synchronize()
-        stats = pool.aggregate_stats()
+        stats = pool.stats
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _output_bits(case, memory, out_addrs), stats.snapshot(), stacked_compiled
@@ -219,7 +219,7 @@ def check_labels_decide_nothing(case: GeneratedCase) -> None:
     """Capture and replay ``case`` under every labelling in
     :data:`LABELLINGS`: the group partition (``node_indices`` per
     group), every output bit and the aggregate statistics must be the
-    same — a stream is where a launch is tallied, never when it runs."""
+    same — a stream is a label, it decides nothing."""
     seen = {}
     for name, label in LABELLINGS.items():
         memory, _, buffers, out_addrs = _device_image(case)
@@ -229,7 +229,7 @@ def check_labels_decide_nothing(case: GeneratedCase) -> None:
             graph.replay()
             pool.synchronize()
         outs = [bits.tolist() for bits in _output_bits(case, memory, out_addrs)]
-        seen[name] = (partition, outs, pool.aggregate_stats().snapshot())
+        seen[name] = (partition, outs, pool.stats.snapshot())
     reference = seen.pop("round-robin")
     for name, got in seen.items():
         for what, ref, other in zip(("groups", "output bits", "stats"), reference, got):

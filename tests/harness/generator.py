@@ -21,7 +21,7 @@ exercising a different slice of the instruction set:
 - ``splitk``       — the split-k partial + reduce kernel pair
   (``kernels/splitk.py``), a multi-launch case whose second launch reads
   what the first wrote (exercising cross-launch hazard ordering in the
-  multi-stream execution mode).
+  stream execution mode).
 
 All programs write only through their output pointers and keep every
 unmasked access in bounds, so every engine must produce *bit-identical*
@@ -176,8 +176,8 @@ def generate_case(seed: int, sharing: str | None = None) -> GeneratedCase:
         return case
     turn = seed // REPLICATE_EVERY
     form = SHARING_FORMS[sharing or list(SHARING_FORMS)[turn % len(SHARING_FORMS)]]
-    # 5..8 copies: over the harness's four streams that queues at
-    # least two launches of one specialization on a stream.
+    # 5..8 copies: at least five pending launches of one
+    # specialization, which the pool's drain stacks.
     return case.replicated(5 + turn % 4, form(len(case.inputs)))
 
 

@@ -78,15 +78,17 @@ def test_every_instruction_is_lowered_or_declared_unlowerable():
         program = _program_using(cls)
         memory = GlobalMemory(1 << 16)
         a = memory.upload(np.ones((8, 4)), float16)
-        used = memory.used_bytes
+        used, bumped = memory.used_bytes, memory._next
         with pytest.raises(LoweringBailout, match=f"{cls.__name__} cannot be lowered"):
             lower_program(program, [a], memory)
-        assert memory.used_bytes == used  # declined before touching the allocator
+        assert memory._next == bumped  # declined before touching the allocator
         out = io.StringIO()
         stats = BatchedExecutor(memory, stdout=out).launch(program, [a])
         assert stats.instructions == len(list(program.body.instructions()))
         assert bool(out.getvalue()) == (cls is insts.PrintTensor)
-        assert (memory.used_bytes > used) == (cls is insts.AllocateGlobal)
+        # AllocateGlobal reserved a span, and the launch freed it.
+        assert (memory._next > bumped) == (cls is insts.AllocateGlobal)
+        assert memory.used_bytes == used
 
 
 # ---------------------------------------------------------------------------

@@ -1519,9 +1519,9 @@ class TestRuntimeTier:
         assert runtime.jit.promotions == 1
 
     def test_graph_replay_promotes_bit_exactly(self):
-        """The captured-graph path: replays of a graph whose nodes grew
-        hot — replayed past the constant — run the compiled tier,
-        bit-exactly vs. the serial oracle."""
+        """The captured-graph path: replays of a graph whose ``auto``
+        nodes grew hot — replayed past the constant — run the compiled
+        tier, bit-exactly vs. the serial oracle."""
         from repro.runtime import StreamPool
 
         memory, host, a, out = device()
@@ -1534,10 +1534,8 @@ class TestRuntimeTier:
         p1, p2 = work_program("g1", steps=3), work_program("g2", steps=5)
         with StreamPool(memory, num_streams=2) as pool:
             with pool.capture() as graph:
-                pool.submit(p1, [a, out], engine="batched",
-                            stream=pool.streams[0])
-                pool.submit(p2, [b, out_b], engine="batched",
-                            stream=pool.streams[1])
+                pool.submit(p1, [a, out], stream=pool.streams[0])
+                pool.submit(p2, [b, out_b], stream=pool.streams[1])
             graph.replay(serial=True)  # pool.jit unset: the pure oracle
             want = (output_bits(memory, host, out),
                     output_bits(memory, host, out_b))

@@ -11,6 +11,7 @@ produce the same outcome for every tier scenario.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +33,15 @@ ENTRIES = ("sync", "stream", "replay", "serial")
 #: scenario -> (launch engine, JIT setup, expected tier).  ``auto``
 #: resolves to the batched engine whatever the grid size (the programs
 #: are single-block), so ``forced-sequential`` is the witness that an
-#: explicit interpreted engine is honoured on every path.  (The forced
-#: interpreted engines run against a *cold* JIT: capture consumes an
-#: explicit interpreted engine into the node's frozen engine, so a hot
-#: one would promote at replay.)
+#: explicit interpreted engine is honoured on every path.  The forced
+#: interpreted engines run against a *hot* key: a captured node keeps
+#: the tier it was asked for, so no path promotes them.
 SCENARIOS = {
     "auto-cold": (None, "cold", "batched"),
     "auto-hot": (None, "hot", "compiled"),
     "forced-compiled": ("compiled", None, "compiled"),
-    "forced-batched": ("batched", "cold", "batched"),
-    "forced-sequential": ("sequential", "cold", "sequential"),
+    "forced-batched": ("batched", "hot", "batched"),
+    "forced-sequential": ("sequential", "hot", "sequential"),
     "bailout": ("compiled", None, "batched"),
 }
 
@@ -259,7 +259,7 @@ def drive_group(entry: str, scenario: str) -> dict:
         if event["name"].split(":")[0] in ("launch", "exec", "replay")
         and event["name"].endswith(program.name)
     ]
-    records = sorted(profiler.nodes.values(), key=lambda r: (r.spec, r.stream))
+    records = sorted(profiler.nodes.values(), key=lambda r: (r.spec, r.engine))
     jit = runtime.jit
     return {
         "outputs": [
@@ -331,17 +331,12 @@ def test_a_group_is_its_launches_issued_one_by_one(entry, scenario):
             (prefix, cat, {"engine": single_tier, "launches": 1})
         ] * GROUP
         assert outcome["counts"] == (GROUP, GROUP)
-    # Replayed launches record like eager ones: under their spec, on
-    # the stream the group executes on (its head's).
-    if entry in ("replay", "serial"):
-        assert {r.stream for r in outcome["records"]} == {0}
 
 
 def test_runtime_forced_compiled_stays_forced_through_replay():
     """``Runtime(engine="compiled")`` captures nodes that stay forced:
     the first replay compiles (no heat needed) and the serial oracle
-    runs the same kernel — while the node itself freezes the
-    interpreted engine only."""
+    runs the same kernel — the node keeps the tier it was asked for."""
     runtime, a, (out,) = fresh_runtime(engine="compiled")
     try:
         with runtime.capture(num_streams=2) as graph:
@@ -352,9 +347,33 @@ def test_runtime_forced_compiled_stays_forced_through_replay():
         assert (jit.compiled, jit.promotions) == (1, 1)
         graph.replay(serial=True)
         assert (jit.compiled, jit.promotions) == (1, 2)
-        assert [node.engine for node in graph.nodes] == ["batched"]
+        assert [node.requested for node in graph.nodes] == ["compiled"]
     finally:
         runtime.stream_pool().shutdown()
+
+
+def test_a_bailout_runs_sequential_when_the_program_cannot_batch():
+    """The interpreted engine a launch falls to is derived from its
+    requested tier and ``supports_batched``: a forced-compiled launch
+    the lowering declines, of a program whose view shape varies by
+    block, runs on the sequential engine — bit-exact with asking for it
+    — where a ``batched`` fallback could not run it at all."""
+    pb = ProgramBuilder("ragged", grid=[2])
+    a_ptr = pb.param("a", pointer(float16))
+    out_ptr = pb.param("out", pointer(float16))
+    (bi,) = pb.block_indices()
+    g_a = pb.view_global(a_ptr, dtype=float16, shape=[bi * 4 + 4, COLS])
+    g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
+    tile = pb.load_global(g_a, layout=spatial(4, COLS), offset=[bi * 4, 0])
+    pb.store_global(tile, g_out, offset=[bi * 4, 0])
+    program = pb.finish()
+    outputs = []
+    for engine in ("sequential", "compiled"):
+        runtime, a, (out,) = fresh_runtime()
+        runtime.launch(program, [a, out], engine=engine)
+        outputs.append(runtime.download(out, [ROWS, COLS], float16).tobytes())
+    assert (runtime.jit.compiled, runtime.jit.bailouts) == (0, 1)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -496,3 +515,31 @@ def test_nothing_served_ships_a_profile():
                 importers.append(path.name)
     assert importers == []
     assert not MSG_TYPES & {"pull_state", "state"}
+
+
+def test_a_stream_is_a_label_on_one_pool_lane():
+    """The pool is one pending list on one lane: ``Lane(...)`` is built
+    once in ``runtime.py`` (the host lane) and once in ``streams.py``
+    (the pool's), a ``Stream`` holds only its pool and its index, no
+    module under ``src/repro`` defines ``resolve_engine`` or ``Event``,
+    and ``execute`` takes no frozen engine — the requested tier is the
+    one fact a launch carries."""
+    from repro.runtime.executor import execute
+    from repro.runtime.streams import Stream
+
+    lanes, defined = [], set()
+    for path in sorted(RUNTIME_DIR.parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Lane":
+                    lanes.append(path.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert sorted(lanes) == ["runtime.py", "streams.py"]
+    assert Stream.__slots__ == ("pool", "index")
+    assert not defined & {"resolve_engine", "Event"}
+    assert "frozen" not in inspect.signature(execute).parameters

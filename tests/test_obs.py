@@ -22,6 +22,7 @@ from repro.dtypes import float16
 from repro.layout import spatial
 from repro.obs import (
     HOST_TID,
+    POOL_TID,
     ROUTER_METRICS_KEYS,
     RUNTIME_METRICS_KEYS,
     SIMULATOR_METRICS_KEYS,
@@ -98,7 +99,7 @@ class TestChromeExport:
         clock = iter(float(i) for i in range(100))
         tracer = Tracer(clock=lambda: next(clock))
         tracer.complete("launch:k", "runtime", HOST_TID, 1.0, 0.5)
-        tracer.instant("jit.promote:k", "jit", tid=2)
+        tracer.instant("jit.promote:k", "jit", tid=POOL_TID)
         return tracer
 
     def test_round_trips_through_json(self):
@@ -119,7 +120,7 @@ class TestChromeExport:
         names = {(e["name"], e["tid"]): e["args"]["name"] for e in meta}
         assert names[("process_name", HOST_TID)] == "solo"
         assert names[("thread_name", HOST_TID)] == "host"
-        assert names[("thread_name", 2)] == "stream-1"
+        assert names[("thread_name", POOL_TID)] == "pool"
 
     def test_merge_normalizes_clock_offsets(self):
         # Two processes whose clocks disagree by exactly 100 s record the

@@ -121,14 +121,6 @@ class TestRuntime:
         rt.launch(p2, [a, b])
         assert len(rt.cache) == 2
 
-    def test_workspace_grows(self):
-        rt = Runtime()
-        w1 = rt.ensure_workspace(1024)
-        w2 = rt.ensure_workspace(512)
-        assert w1 == w2  # no shrink, reuse
-        w3 = rt.ensure_workspace(4096)
-        assert w3 != w1
-
     def test_error_wrapped_with_kernel_name(self):
         rt = Runtime()
         pb = ProgramBuilder("oob_kernel", grid=[1])

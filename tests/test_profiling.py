@@ -8,7 +8,7 @@ from repro.dtypes import float16
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import Profile, Runtime, StreamPool
-from repro.runtime.profiling import HOST_STREAM, spec_string
+from repro.runtime.profiling import spec_string
 from repro.vm import GlobalMemory, Interpreter
 
 ROWS, COLS = 16, 8
@@ -62,7 +62,7 @@ class TestRecording:
         rt.launch(prog, [a, out])
         assert len(profile) == 1
         (node,) = profile.nodes.values()
-        assert node.stream == HOST_STREAM
+        assert node.engine == "batched"
         assert node.program == "sync"
         assert node.calls == 2
         assert node.wall_s > 0.0
@@ -83,6 +83,8 @@ class TestRecording:
         assert node.calls == 1
 
     def test_streamed_launches_record_per_stream(self):
+        """The stream a launch names is no part of its profile site: a
+        streamed launch records under its spec and tier, as any other."""
         memory, _, pairs = device(4)
         prog = work_program("streamed")
         with StreamPool(memory, num_streams=2) as pool:
@@ -94,21 +96,19 @@ class TestRecording:
             profile = pool.profiler
             assert (pool.launches, pool.executions) == (5, 2)
         # Eager groups form over the whole pending DAG, as graph groups
-        # do: the four independent launches stack into one invocation
-        # that records under its head's stream, whatever stream each
-        # member was placed on; the dependent launch runs alone on its own.
+        # do: the four independent launches stack into one invocation,
+        # whatever stream each named; the dependent launch runs alone.
+        # All five share one specialization, so one site records them.
         assert chained.deps
-        per_stream = {0: 0, 1: 0}
-        for node in profile.nodes.values():
-            per_stream[node.stream] += node.calls
-        assert per_stream == {0: 4, 1: 1}
-        assert sum(node.calls for node in profile.nodes.values()) == 5
+        (node,) = profile.nodes.values()
+        assert (node.engine, node.calls) == ("batched", 5)
+        assert node.group_size == 1  # the most recent invocation: the chained launch
 
     def test_graph_replay_records_one_site_per_node(self):
         """A replayed launch records like a drained eager one: under its
-        spec string, on the stream its group ran on, with the engine
-        that ran it — so three specializations are three sites, each
-        keyed as the same launches issued eagerly are."""
+        spec string, with the engine that ran it — so three
+        specializations are three sites, each keyed as the same launches
+        issued eagerly are."""
         memory, _, pairs = device(3)
         programs = [work_program(f"graphed{i}") for i in range(3)]
         with StreamPool(memory, num_streams=2) as pool:
@@ -122,7 +122,7 @@ class TestRecording:
             replayed = pool.profiler
             pool.profiler = Profile()
             for node in graph.nodes:
-                pool.submit(node.program, node.args, stream=pool.streams[node.stream_index])
+                pool.submit(node.program, node.args)
             pool.synchronize()
             eager = pool.profiler
         assert sorted(replayed.nodes) == sorted(eager.nodes)
@@ -131,7 +131,7 @@ class TestRecording:
                 rec for rec in replayed.nodes.values()
                 if rec.spec == spec_string(node.key)
             ]
-            assert (site.stream, site.calls) == (node.stream_index, 2)
+            assert site.calls == 2
             assert site.wall_s > 0.0
 
     def test_serial_replay_records_exact_per_node_costs(self):
@@ -157,7 +157,7 @@ class TestRecording:
         assert sum(s["blocks_run"] for s in shares) == 7
         profile = Profile()
         profile.record_group(
-            "p", ["s1", "s2", "s3"], "batched", 0, 0.3,
+            "p", ["s1", "s2", "s3"], "batched", 0.3,
             stats_delta={"instructions": 100},
         )
         assert sum(n.instructions for n in profile.nodes.values()) == 100
@@ -173,7 +173,7 @@ class TestRecording:
             for a, out in pairs:
                 pool.submit(prog, [a, out], stream=pool.streams[0])
             pool.synchronize()
-            stats = pool.aggregate_stats()
+            stats = pool.stats
             recorded = sum(
                 n.instructions for n in pool.profiler.nodes.values()
             )

@@ -1,10 +1,10 @@
-"""The execution-graph subsystem: capture semantics, frozen scheduling
+"""The execution-graph subsystem: capture semantics, frozen hazard edges
 and coalescing, replay bit-exactness against eager stream submission and
 serial replay, pointer rebinding with specialization-key validation, and
 error propagation.
 
 The load-bearing property is the last acceptance criterion of the
-subsystem: replay drives the per-stream engines *directly* — a replay
+subsystem: replay drives the pool's lane *directly* — a replay
 must succeed even when the hazard-analysis entry points are made to
 blow up, because it never calls them.
 """
@@ -81,18 +81,6 @@ class TestCapture:
                 host.download(addrs[1], [ROWS, COLS], float16), before
             )
 
-    def test_capture_freezes_memory_aware_placement(self):
-        program = transform_program("place", 2.0, 0.0)
-        memory = GlobalMemory(1 << 22)
-        _, addrs = upload_buffers(memory, 3)
-        with StreamPool(memory, num_streams=4) as pool:
-            with pool.capture() as graph:
-                pool.submit(program, [addrs[0], addrs[1]])
-                pool.submit(program, [addrs[1], addrs[2]])  # RAW on addrs[1]
-            writer, reader = graph.nodes
-            assert writer.index in reader.deps
-            assert reader.stream_index == writer.stream_index
-
     def test_capture_freezes_coalescing_groups(self):
         program = transform_program("merge", 2.0, 1.0)
         memory = GlobalMemory(1 << 22)
@@ -106,8 +94,7 @@ class TestCapture:
             assert graph.num_nodes == 5
             assert graph.num_groups == 1  # one stacked launch_many at replay
             graph.replay()
-            assert stream.launches == 5
-            assert stream.executions == 1
+            assert (pool.launches, pool.executions) == (5, 1)
         for i in range(5):
             want = float16.quantize(start[2 * i].astype(np.float64) * 2 + 1)
             got = host.download(addrs[2 * i + 1], [ROWS, COLS], float16)
@@ -121,12 +108,13 @@ class TestCapture:
             with pool.capture() as graph:
                 pool.submit(program, [addrs[0], addrs[1]], stream=pool.streams[0])
                 pool.submit(program, [addrs[1], addrs[2]], stream=pool.streams[0])
+            writer, reader = graph.nodes
+            assert reader.deps == (writer.index,)  # RAW on addrs[1]
             assert graph.num_groups == 2
 
     def test_groups_form_over_the_whole_dag_not_per_stream(self):
         """Eight launches of one specialization captured on eight streams
-        are one group on the head's stream; the members' label is
-        rewritten to it."""
+        are one group: one invocation on the pool's lane."""
         program = transform_program("fuse", 2.0, 1.0)
         memory = GlobalMemory(1 << 22)
         host, addrs = upload_buffers(memory, 16)
@@ -136,10 +124,8 @@ class TestCapture:
                 for i, stream in enumerate(pool.streams):
                     pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]], stream=stream)
             assert graph.num_groups == 1
-            assert graph.stream_indices == (graph.nodes[0].stream_index,)
             graph.replay()
             assert (pool.launches, pool.executions) == (8, 1)
-            assert pool.streams[0].executions == 1
         for i in range(8):
             want = float16.quantize(start[2 * i].astype(np.float64) * 2 + 1)
             got = host.download(addrs[2 * i + 1], [ROWS, COLS], float16)
@@ -169,12 +155,11 @@ class TestCapture:
                 pool.submit(program, [addrs[0], addrs[3]], stream=s[2])
                 pool.submit(program, [addrs[2], addrs[4]], stream=s[3])
             assert [g.node_indices for g in mixed._groups] == [[0, 2], [1], [3]]
-            assert mixed.nodes[2].stream_index == 0
             mixed.replay()
             mixed.replay(serial=True)
 
     def test_the_stack_cap_still_splits_whole_dag_groups(self):
-        from repro.runtime.streams import Stream
+        from repro.runtime.streams import MAX_MERGED_BLOCKS
 
         program = transform_program("cap", 2.0, 0.0)  # 4 blocks a launch
         memory = GlobalMemory(1 << 22)
@@ -183,7 +168,7 @@ class TestCapture:
             with pool.capture() as graph:
                 for i in range(20):
                     pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]])
-            per_group = Stream.MAX_MERGED_BLOCKS // 4
+            per_group = MAX_MERGED_BLOCKS // 4
             assert [len(g.node_indices) for g in graph._groups] == [per_group, 4]
             graph.replay()
 
@@ -224,7 +209,7 @@ class TestReplayBitExactness:
             for p, src, dst in plan:
                 pool.submit(progs[p], [addrs_eager[src], addrs_eager[dst]])
             pool.synchronize()
-            eager_stats = pool.aggregate_stats().snapshot()
+            eager_stats = pool.stats.snapshot()
         eager = [host_eager.download(a, [ROWS, COLS], float16) for a in addrs_eager]
 
         # Graph capture + grouped replay (twice over: second replay
@@ -237,7 +222,7 @@ class TestReplayBitExactness:
                 for p, src, dst in plan:
                     pool.submit(progs[p], [addrs_graph[src], addrs_graph[dst]])
             graph.replay()
-            replay_stats = pool.aggregate_stats().snapshot()
+            replay_stats = pool.stats.snapshot()
         replayed = [host_graph.download(a, [ROWS, COLS], float16) for a in addrs_graph]
 
         # Serial replay of the same graph on a third image.

@@ -1,6 +1,5 @@
-"""The multi-stream runtime: hazard ordering, scheduling, coalescing,
-events, error propagation, program order, and the 64-launch
-interleaving stress test.
+"""The stream pool: hazard ordering, coalescing, error propagation,
+program order, and the 64-launch interleaving stress test.
 
 The pool is lazy: ``submit`` only queues, so every launch of a test is
 pending — and its hazard dependencies are computed against pending
@@ -8,9 +7,9 @@ work — until the test reaches a drain point.
 
 The stress test is the subsystem's acceptance gate: 64 launches with
 randomized read/write hazards over a small set of shared buffers are
-issued across 8 streams, and the resulting device memory must be
-bit-identical to a serial replay of the same launch sequence, with
-per-stream execution statistics summing to the serial totals.
+issued to an 8-stream pool, and the resulting device memory must be
+bit-identical to a serial replay of the same launch sequence, with the
+pool's execution statistics equal to the serial totals.
 """
 
 import numpy as np
@@ -70,7 +69,7 @@ class TestStressInterleaved:
     NUM_LAUNCHES = 64
     NUM_STREAMS = 8
     #: 6 hot shared buffers (hazard churn) + 20 private pair buffers
-    #: (independent launches that must spread across streams).
+    #: (independent launches the drain may stack).
     NUM_SHARED = 6
     NUM_BUFFERS = 6 + 20
 
@@ -100,19 +99,16 @@ class TestStressInterleaved:
         ]
         plan = self._launch_sequence(programs, np.random.default_rng(100 + seed))
 
-        # Concurrent run: scheduler-placed launches on 8 streams.
+        # Pooled run: every launch pending until one drain.
         mem_stream = GlobalMemory(1 << 22)
         host_stream, addrs_stream = upload_buffers(mem_stream, self.NUM_BUFFERS)
         with StreamPool(mem_stream, num_streams=self.NUM_STREAMS) as pool:
-            handles = [
+            for program, src, dst in plan:
                 pool.submit(program, [addrs_stream[src], addrs_stream[dst]])
-                for program, src, dst in plan
-            ]
             pool.synchronize()
             streamed = snapshot_buffers(host_stream, addrs_stream)
-            stream_stats = pool.aggregate_stats().snapshot()
-            per_stream = [s.stats.snapshot() for s in pool.streams]
-            used_streams = {h.stream.index for h in handles}
+            stream_stats = pool.stats.snapshot()
+            counts = (pool.launches, pool.executions)
 
         # Serial replay: same sequence, one launch at a time.
         mem_serial = GlobalMemory(1 << 22)
@@ -123,40 +119,10 @@ class TestStressInterleaved:
 
         for got, want in zip(streamed, serial):
             assert np.array_equal(got, want)
-        # Per-stream stats must sum to the serial totals, counter by counter.
-        summed = {
-            key: sum(stats[key] for stats in per_stream) for key in stream_stats
-        }
-        assert summed == stream_stats == host_serial.stats.snapshot()
-        assert len(used_streams) > 1  # the work genuinely spread out
-
-    def test_scheduler_spreads_independent_work_round_robin(self):
-        program = transform_program("spread", 2.0, 0.0)
-        memory = GlobalMemory(1 << 22)
-        _, addrs = upload_buffers(memory, 16)
-        with StreamPool(memory, num_streams=8) as pool:
-            handles = [
-                pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]])
-                for i in range(8)
-            ]
-            pool.synchronize()
-            assert [h.stream.index for h in handles] == list(range(8))
-
-    def test_scheduler_is_memory_aware_for_conflicts(self):
-        # A launch that conflicts with outstanding work must land on the
-        # conflicting stream, so FIFO order replaces a cross-stream wait.
-        program = transform_program("chain", 2.0, 0.0)
-        memory = GlobalMemory(1 << 22)
-        _, addrs = upload_buffers(memory, 4)
-        with StreamPool(memory, num_streams=4) as pool:
-            writer = pool.submit(program, [addrs[0], addrs[1]])  # round-robin: stream 0
-            reader = pool.submit(program, [addrs[1], addrs[2]])
-            assert not writer.done  # pending until the drain point
-            pool.synchronize()
-            assert writer in reader.deps
-            assert writer.stream is pool.streams[0]
-            assert reader.stream is writer.stream
-
+        # The pool's stats equal the serial totals, counter by counter.
+        assert stream_stats == host_serial.stats.snapshot()
+        assert counts[0] == self.NUM_LAUNCHES
+        assert counts[1] < counts[0]  # independent launches stacked
 
 class TestHazardTracking:
     def test_raw_chain_across_streams(self):
@@ -256,7 +222,6 @@ class TestHazardTracking:
             top = pool.submit(program, [a_top, shared, 0])
             bottom = pool.submit(program, [a_bot, shared, 8])
             assert top not in bottom.deps              # disjoint: no edge
-            assert bottom.stream is not top.stream     # round-robin spread
             pool.synchronize()
             # Independent, so the drain ran them as one stacked group.
             assert (pool.launches, pool.executions) == (2, 1)
@@ -266,67 +231,30 @@ class TestHazardTracking:
 
 
 class TestStreamSemantics:
-    def test_events_order_streams(self):
-        program = transform_program("evt", 2.0, 0.0)
-        memory = GlobalMemory(1 << 22)
-        _, addrs = upload_buffers(memory, 4)
-        with StreamPool(memory, num_streams=2) as pool:
-            head = pool.submit(program, [addrs[0], addrs[1]], stream=pool.streams[0])
-            event = pool.streams[0].record_event()
-            assert not event.query()
-            pool.streams[1].wait_event(event)
-            tail = pool.submit(program, [addrs[2], addrs[3]], stream=pool.streams[1])
-            # No memory hazard between the two: the event is the edge.
-            assert tail.deps == (head,)
-            tail.wait()
-            assert event.query()
-            event.wait()  # already signaled: returns immediately
-            # The edge kept two otherwise-stackable launches apart.
-            assert pool.executions == 2
-
-    def test_manual_event_set_after_work_is_queued(self):
-        # The pool holds a stream's queue until a drain point: an event
-        # recorded behind queued work stays unsignaled, nothing has run,
-        # and the drain then runs everything queued, in order, to
-        # completion.
-        program = transform_program("late_gate", 2.0, 1.0)
-        memory = GlobalMemory(1 << 22)
-        host, addrs = upload_buffers(memory, 6)
-        start = snapshot_buffers(host, addrs)
-        with StreamPool(memory, num_streams=1) as pool:
-            stream = pool.streams[0]
-            handles = [
-                pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]], stream=stream)
-                for i in range(3)
-            ]
-            event = stream.record_event()
-            assert not event.query()
-            assert not any(h.done for h in handles)  # genuinely held
-            assert np.array_equal(
-                host.download(addrs[1], [ROWS, COLS], float16), start[1]
-            )
-            event.wait()
-            assert event.query() and all(h.done for h in handles)
-        for i in range(3):
-            want = float16.quantize(start[2 * i].astype(np.float64) * 2 + 1)
-            got = host.download(addrs[2 * i + 1], [ROWS, COLS], float16)
-            assert np.array_equal(got, want)
-
     def test_stream_coalesces_independent_launches(self):
-        # Five independent same-program launches queue up; the drain
-        # must execute them as ONE stacked grid.
+        # Five independent same-program launches queue up: the pool holds
+        # them until a drain point (nothing has run, memory is
+        # untouched), and the drain then runs everything queued, to
+        # completion, as ONE stacked grid.
         program = transform_program("small", 2.0, 1.0)
         memory = GlobalMemory(1 << 22)
         host, addrs = upload_buffers(memory, 10)
         start = snapshot_buffers(host, addrs)
         with StreamPool(memory, num_streams=1) as pool:
             stream = pool.streams[0]
-            for i in range(5):
+            handles = [
                 pool.submit(program, [addrs[2 * i], addrs[2 * i + 1]], stream=stream)
-            assert stream.launches == 0  # nothing runs before the drain
+                for i in range(5)
+            ]
+            assert not any(h.done for h in handles)  # genuinely held
+            assert pool.launches == 0
+            assert np.array_equal(
+                host.download(addrs[1], [ROWS, COLS], float16), start[1]
+            )
             pool.synchronize()
-            assert stream.launches == 5
-            assert stream.executions == 1  # coalesced into one stacked grid
+            assert all(h.done for h in handles)
+            assert pool.launches == 5
+            assert pool.executions == 1  # coalesced into one stacked grid
         for i in range(5):
             want = float16.quantize(start[2 * i].astype(np.float64) * 2 + 1)
             got = host.download(addrs[2 * i + 1], [ROWS, COLS], float16)
@@ -362,7 +290,7 @@ class TestStreamSemantics:
             h2 = pool.submit(prog, [a_big, o_big, 32], stream=stream)
             h1.wait()
             h2.wait()  # must not be poisoned by an illegal merge
-            assert stream.executions == 2
+            assert pool.executions == 2
         assert np.array_equal(host.download(o_small, [16, 4], float16), small)
         assert np.array_equal(
             host.download(o_big, [32, 4], float16)[:16], big[:16]
@@ -385,15 +313,17 @@ class TestStreamSemantics:
         _, addrs = upload_buffers(memory, 3)
         pool = StreamPool(memory, num_streams=2)
         try:
-            failing = pool.submit(bad, [addrs[0], addrs[1]])  # round-robin: stream 0
+            failing = pool.submit(bad, [addrs[0], addrs[1]])
             dependent = pool.submit(good, [addrs[1], addrs[2]])
             assert failing in dependent.deps
             with pytest.raises(VMError, match="out of bounds"):
                 failing.wait()
             with pytest.raises(VMError, match="dependency"):
                 dependent.wait()
-            with pytest.raises(VMError):
-                failing.stream.synchronize()
+            # One sticky pool error: every later synchronize re-raises it.
+            for _ in range(2):
+                with pytest.raises(VMError, match="out of bounds"):
+                    pool.synchronize()
         finally:
             pool.shutdown()
 
@@ -415,7 +345,7 @@ class TestStreamSemantics:
         memory = GlobalMemory(1 << 22)
         _, addrs = upload_buffers(memory, 4)
         with StreamPool(memory, num_streams=2) as pool:
-            first = pool.submit(clear, [addrs[0], addrs[1]])  # round-robin: stream 0
+            first = pool.submit(clear, [addrs[0], addrs[1]])
             blocked = pool.submit(opaque, [addrs[2], addrs[3]])
             assert first in blocked.deps
             pool.synchronize()

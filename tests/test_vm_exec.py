@@ -9,6 +9,7 @@ from repro.dtypes import float16, float32, int32, uint8
 from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import local, spatial
+from repro.runtime import Runtime
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, select_engine
 
 
@@ -288,7 +289,8 @@ class TestBatchedDebug:
 
 class TestBatchedAllocateGlobal:
     """The vectorized per-block workspace allocator must be address-
-    deterministic across engines."""
+    deterministic across engines, and every engine frees a launch's
+    workspace spans when the launch ends."""
 
     @staticmethod
     def _workspace_program(gb=3, gw=2, th=4, tw=4):
@@ -316,9 +318,12 @@ class TestBatchedAllocateGlobal:
         data = float16.quantize(np.random.default_rng(3).standard_normal((rows, cols)))
         args = [host.upload(data, float16), host.alloc_output([rows, cols], float16)]
         engine = engine_cls(memory)
+        live = dict(memory._allocations)
         engine.launch(prog, args)
-        allocations = dict(memory._allocations)
-        return host.download(args[1], [rows, cols], float16), allocations
+        assert memory._allocations == live  # the launch freed its spans
+        # The spans it reserved, by aligned size, in the order it freed them.
+        reserved = {size: list(addrs) for size, addrs in memory._free.items()}
+        return host.download(args[1], [rows, cols], float16), reserved
 
     def test_allocation_addresses_deterministic_across_engines(self):
         seq_out, seq_allocs = self._run(Interpreter)
@@ -326,8 +331,24 @@ class TestBatchedAllocateGlobal:
         # Same addresses, same sizes, same outputs: the batched engine's
         # single alloc_n reservation reproduces the sequential engine's
         # per-block alloc loop exactly.
-        assert seq_allocs == bat_allocs
+        assert seq_allocs == bat_allocs and len(seq_allocs) == 1
         assert np.array_equal(seq_out, bat_out)
+
+    @pytest.mark.parametrize("engine", ["sequential", "batched"])
+    def test_workspace_spans_do_not_outlive_their_launch(self, engine):
+        """A 100-launch soak on one runtime: device memory use and the
+        live-allocation count after every launch equal the first's."""
+        prog, (rows, cols) = self._workspace_program()
+        rt = Runtime(engine=engine)
+        data = float16.quantize(np.random.default_rng(3).standard_normal((rows, cols)))
+        args = [rt.upload(data, float16), rt.empty([rows, cols], float16)]
+        memory = rt.memory
+        held = None
+        for _ in range(100):
+            rt.launch(prog, args)
+            held = held or (memory.used_bytes, len(memory._allocations))
+            assert (memory.used_bytes, len(memory._allocations)) == held
+        assert held[1] == 2  # the two tensors the host allocated
 
 
 def wrap_true():
