@@ -24,14 +24,11 @@ from repro.compiler.lowprec import (
     fallback_load_plan,
     fallback_store_plan,
 )
-from repro.compiler.memory_planner import (
-    MemoryPlan,
-    plan_global_workspace,
-    plan_shared_memory,
-)
+from repro.compiler.memory_planner import MemoryPlan, plan_shared_memory
 from repro.compiler.pipeline import (
     CompiledKernel,
     compile_program,
+    prepare_program,
     program_dtype_names,
     program_fingerprint,
     specialization_key,
@@ -60,6 +57,7 @@ __all__ = [
     "LoweringBailout",
     "PASS_NAMES",
     "compile_program",
+    "prepare_program",
     "CompiledKernel",
     "program_fingerprint",
     "program_dtype_names",
@@ -69,7 +67,6 @@ __all__ = [
     "simplify_expr",
     "simplify_program",
     "plan_shared_memory",
-    "plan_global_workspace",
     "MemoryPlan",
     "select_instructions",
     "select_memory_access",

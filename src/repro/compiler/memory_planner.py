@@ -1,11 +1,12 @@
-"""Shared-memory and global-workspace planning (paper Section 8.1, step 1).
+"""Shared-memory planning (paper Section 8.1, step 1).
 
 Kernels may allocate shared tensors multiple times on demand; the planner
 assigns each allocation a byte offset within the kernel's single shared
 region, reusing space freed by :class:`~repro.ir.instructions.FreeShared`,
-and computes the total shared size the launch must request.  The same
-first-fit algorithm plans the global workspace used by
-``AllocateGlobal``.
+and computes the total shared size the launch must request.  The plan is
+part of the CUDA artifact (:func:`repro.compiler.pipeline.compile_program`):
+the VM engines give each block its own shared memory, and reserve an
+``AllocateGlobal`` workspace span when the instruction runs.
 """
 
 from __future__ import annotations
@@ -99,16 +100,3 @@ def plan_shared_memory(program: Program, capacity_bytes: int | None = None) -> M
         )
     return plan
 
-
-def plan_global_workspace(program: Program) -> MemoryPlan:
-    """Plan the runtime workspace consumed by ``AllocateGlobal``."""
-    plan = MemoryPlan()
-    allocator = _FirstFit(256)
-    for inst in program.body.instructions():
-        if isinstance(inst, insts.AllocateGlobal):
-            tensor = inst.out
-            if tensor in plan.offsets:
-                continue
-            plan.offsets[tensor] = allocator.alloc(tensor.ttype.storage_bytes())
-    plan.total_bytes = allocator.high_water
-    return plan

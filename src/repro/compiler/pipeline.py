@@ -1,18 +1,20 @@
 """The compilation pipeline (paper Section 8.1).
 
-Steps: verify → simplify → memory planning → instruction selection →
-code generation.  The result bundles everything a runtime needs: the
-(still-interpretable) program, the generated CUDA source, the shared-
-memory size to request at launch, and the selection report the
+Steps: verify → simplify → DCE → shared-memory planning → instruction
+selection → code generation.  The first three are
+:func:`prepare_program`: they make the program the engines run, and the
+runtime's specialization cache runs nothing else.  :func:`compile_program`
+adds the rest — the CUDA artifact: the generated source, the shared-
+memory size it requests at launch, and the selection report the
 performance model reads.
 
 The module also defines the **kernel specialization key**: a structural
 program fingerprint combined with the launch's const-bound scalar
 parameters and the program's data-type set.  The runtime's specialization
-cache (:class:`repro.runtime.runtime.SpecializationCache`) keys compiled
-kernels on it, so *structurally identical* programs — e.g. the same
-template re-instantiated for every call of an operator — skip re-lowering
-entirely instead of matching only on object identity.
+cache (:class:`repro.runtime.runtime.SpecializationCache`) keys prepared
+programs on it, so *structurally identical* programs — e.g. the same
+template re-instantiated for every call of an operator — skip the
+compiler passes entirely instead of matching only on object identity.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ from typing import Sequence
 
 from repro.compiler.codegen import generate_cuda
 from repro.compiler.dce import eliminate_dead_code
-from repro.compiler.memory_planner import (
-    MemoryPlan,
-    plan_global_workspace,
-    plan_shared_memory,
-)
+from repro.compiler.memory_planner import MemoryPlan, plan_shared_memory
 from repro.compiler.selection import SelectionReport, select_instructions
 from repro.compiler.simplify import simplify_program
 from repro.compiler.verify import VerificationReport, verify_program
@@ -56,17 +54,12 @@ class CompiledKernel:
     program: Program
     source: str
     shared_plan: MemoryPlan
-    workspace_plan: MemoryPlan
     selection: SelectionReport
     verification: VerificationReport
 
     @property
     def shared_bytes(self) -> int:
         return self.shared_plan.total_bytes
-
-    @property
-    def workspace_bytes(self) -> int:
-        return self.workspace_plan.total_bytes
 
     @property
     def name(self) -> str:
@@ -302,22 +295,30 @@ def specialization_key(program: Program, args: Sequence = ()) -> tuple:
     return (program_fingerprint(program), const_params, program_dtype_names(program))
 
 
-def compile_program(
-    program: Program, shared_capacity: int | None = None
-) -> CompiledKernel:
-    """Run the full pipeline on ``program``."""
+def prepare_program(program: Program) -> VerificationReport:
+    """Verify ``program``, then simplify it and eliminate dead code in
+    place: the program the engines run.  Raises
+    :class:`~repro.errors.TypeCheckError` before touching an ill-typed
+    program."""
     verification = verify_program(program)
     simplify_program(program)
     eliminate_dead_code(program)
+    return verification
+
+
+def compile_program(
+    program: Program, shared_capacity: int | None = None
+) -> CompiledKernel:
+    """Run the full pipeline on ``program``: :func:`prepare_program`,
+    then the CUDA artifact."""
+    verification = prepare_program(program)
     shared_plan = plan_shared_memory(program, shared_capacity)
-    workspace_plan = plan_global_workspace(program)
     selection = select_instructions(program)
     source = generate_cuda(program, shared_plan, selection)
     return CompiledKernel(
         program=program,
         source=source,
         shared_plan=shared_plan,
-        workspace_plan=workspace_plan,
         selection=selection,
         verification=verification,
     )

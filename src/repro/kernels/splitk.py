@@ -115,7 +115,7 @@ def splitk_slice_program(
     hazard tracker lets all ``split_k`` launches run concurrently on
     distinct streams; the reduce kernel, which reads the whole workspace,
     is ordered after every slice automatically.  One program object
-    serves every slice, so the specialization cache compiles it once.
+    serves every slice (each ``k0`` is its own specialization key).
     """
     weight_dtype = scheme.dtype
     cfg.validate(weight_dtype)

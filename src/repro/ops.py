@@ -1,4 +1,4 @@
-"""High-level operator API: quantize, transform, compile and run.
+"""High-level operator API: quantize, transform, prepare and run.
 
 This is the entry point a downstream user reaches for first::
 
@@ -11,9 +11,9 @@ This is the entry point a downstream user reaches for first::
     result = ops.quantized_matmul(a, w, weight_dtype=int6, group_size=128)
 
 Everything happens through the real stack: the weight is quantized and
-layout-transformed, the matmul template is instantiated and compiled
-(verifier, planners, instruction selection, CUDA emission), and the
-program is executed bit-accurately on the VM.
+layout-transformed, the matmul template is instantiated and prepared
+(verifier, simplifier, dead-code elimination), and the program is
+executed bit-accurately on the VM.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class QuantizedLinear:
 
     Programs are memoized per activation row count ``m``; combined with the
     runtime's specialization cache this makes repeated calls launch-only —
-    no template re-instantiation and no re-lowering on the hot path.
+    no template re-instantiation and no compiler pass on the hot path.
 
     With ``config.split_k >= 2`` the product runs as ``split_k``
     independent slice kernels plus a reduce kernel

@@ -223,11 +223,11 @@ class ExecutionGraph:
             self._phase = "ready"
 
     def _record(
-        self, program: Program, args: tuple, engine: str
+        self, program: Program, args: tuple, engine: str, key: tuple
     ) -> CapturedLaunchHandle:
-        """Record one launch (its arguments checked by
-        :meth:`StreamPool.submit`): hazard analysis runs here, once,
-        never again."""
+        """Record one launch (its arguments checked and its
+        specialization key computed by :meth:`StreamPool.submit`):
+        hazard analysis runs here, once, never again."""
         if self._phase != "capturing":
             raise VMError("graph is not capturing")
         ranges = launch_ranges(program, args)
@@ -243,7 +243,7 @@ class ExecutionGraph:
             ranges=ranges,
             deps=deps,
             grid=program.grid_size(args),
-            key=specialization_key(program, args),
+            key=key,
             requested=engine,
         )
         self.nodes.append(node)

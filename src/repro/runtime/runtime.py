@@ -15,16 +15,19 @@ ends):
    pending launches grouped, on the calling thread;
 2. a **kernel specialization cache** keyed on (program hash, const-bound
    scalar params, dtype set), so structurally identical programs —
-   including fresh re-instantiations of the same template — compile once
-   and every later launch skips lowering entirely.
+   including fresh re-instantiations of the same template — are prepared
+   once and every later launch skips the compiler entirely.
 
 Execution is delegated to the launch executor
 (:mod:`repro.runtime.executor`), which every launch path shares: it
 picks one of the two VM engines — the sequential interpreter or the
 grid-vectorized batched executor (policy: batched for every batchable
 program, whatever its grid size) — or the compiled tier, times the engine, records
-the profile and emits the span.  Compilation is delegated to the
-compiler pipeline.
+the profile and emits the span.  What the engines run is the program
+:func:`repro.compiler.pipeline.prepare_program` verified, simplified and
+stripped of dead code; the CUDA artifact (shared-memory plan,
+instruction selection, emitted source) is ``compile_program``'s, which
+the launch path never builds.
 
 A third, **compiled** tier sits above both (:mod:`repro.runtime.jit`):
 with :meth:`Runtime.enable_jit` (or ``engine="compiled"``), hot
@@ -47,11 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compiler.pipeline import (
-    CompiledKernel,
-    compile_program,
-    specialization_key,
-)
+from repro.compiler.pipeline import prepare_program, specialization_key
 from repro.dtypes import DataType
 from repro.errors import VMError
 from repro.ir.program import Program
@@ -76,7 +75,7 @@ _HOST_SITE = Site("launch", "runtime")
 
 
 class SpecializationCache:
-    """Bounded LRU cache of compiled kernels keyed by specialization.
+    """Bounded LRU cache of prepared programs keyed by specialization.
 
     The key is :func:`repro.compiler.pipeline.specialization_key`:
     ``(program fingerprint, const-bound scalar args, dtype set)``.  Two
@@ -84,7 +83,7 @@ class SpecializationCache:
     distinct objects, which is what makes per-call template
     re-instantiation (the common operator pattern) cheap.
 
-    ``max_entries`` bounds memory: least-recently-used kernels are evicted
+    ``max_entries`` bounds memory: least-recently-used programs are evicted
     once the bound is exceeded; ``hits``/``misses``/``evictions`` expose
     the cache behaviour to tests and benchmarks.
     """
@@ -93,31 +92,34 @@ class SpecializationCache:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
-        self._kernels: OrderedDict[tuple, CompiledKernel] = OrderedDict()
+        self._programs: OrderedDict[tuple, Program] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def get(
         self, program: Program, args: Sequence = (), key: tuple | None = None
-    ) -> CompiledKernel:
-        """Return the compiled kernel for ``program``, compiling on miss.
-        ``key`` accepts a precomputed specialization key so callers that
-        also need it (the profiled launch path) compute it once."""
+    ) -> Program:
+        """Return the prepared program for ``program``'s specialization,
+        preparing ``program`` itself on a miss
+        (:func:`~repro.compiler.pipeline.prepare_program`; an ill-typed
+        program raises there and is not cached).  ``key`` accepts a
+        precomputed specialization key so a caller that also needs it
+        (``Runtime.launch``) computes it once."""
         if key is None:
             key = specialization_key(program, args)
-        kernel = self._kernels.get(key)
-        if kernel is not None:
+        cached = self._programs.get(key)
+        if cached is not None:
             self.hits += 1
-            self._kernels.move_to_end(key)
-            return kernel
+            self._programs.move_to_end(key)
+            return cached
+        prepare_program(program)
         self.misses += 1
-        kernel = compile_program(program)
-        self._kernels[key] = kernel
-        while len(self._kernels) > self.max_entries:
-            self._kernels.popitem(last=False)
+        self._programs[key] = program
+        while len(self._programs) > self.max_entries:
+            self._programs.popitem(last=False)
             self.evictions += 1
-        return kernel
+        return program
 
     @property
     def hit_rate(self) -> float:
@@ -125,7 +127,7 @@ class SpecializationCache:
         return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
-        return len(self._kernels)
+        return len(self._programs)
 
     def __repr__(self) -> str:
         return (
@@ -287,8 +289,8 @@ class Runtime:
         Used as a context manager: every launch inside the ``with`` block
         — streamed or synchronous — is recorded into the returned
         :class:`~repro.runtime.graphs.ExecutionGraph` instead of
-        executing (compilation still goes through the specialization
-        cache, so captured nodes hold compiled programs).  After the
+        executing (preparation still goes through the specialization
+        cache, so captured nodes hold prepared programs).  After the
         block, ``graph.replay(bindings)`` re-executes the frozen launch
         DAG without re-running scheduling, hazard analysis, or
         coalescing decisions.  Nothing served captures a graph (split-k
@@ -338,19 +340,22 @@ class Runtime:
         args: Sequence,
         engine: str | None = None,
         stream: "Stream | str | None" = None,
-    ) -> CompiledKernel | LaunchHandle:
-        """Compile (specialization-cached), then execute.
+    ) -> LaunchHandle | None:
+        """Prepare (specialization-cached), then execute; a synchronous
+        launch returns None once it has run.
 
-        A cache hit executes the *cached* kernel's program, so launching a
-        freshly rebuilt but structurally identical program skips both
-        lowering and any recompilation side effects.
+        A cache hit executes the *cached* program, so launching a
+        freshly rebuilt but structurally identical program skips the
+        compiler passes and their side effects.  An ill-typed program
+        raises :class:`~repro.errors.TypeCheckError` before anything is
+        cached or run.
 
         ``stream`` makes the launch asynchronous: pass a
         :class:`~repro.runtime.streams.Stream` label (from
         :meth:`stream_pool`) or ``"auto"`` — which decides nothing: the
         launch joins its pool's one pending list either way.  Async
-        launches return a :class:`~repro.runtime.streams.LaunchHandle`
-        instead of the kernel; ``handle.wait()`` / :meth:`synchronize`
+        launches return a :class:`~repro.runtime.streams.LaunchHandle`;
+        ``handle.wait()`` / :meth:`synchronize`
         drain them, and so does a later synchronous launch or
         :meth:`download` (program order).  Ordering on
         overlapping global-memory ranges is enforced automatically
@@ -365,14 +370,13 @@ class Runtime:
             )
         if len(args) != len(program.params):
             # Check before touching the cache: a truncated zip would
-            # otherwise build a bogus specialization key and cache a kernel
+            # otherwise build a bogus specialization key and cache a program
             # for a launch that can never run.
             raise VMError(
                 f"{program.name} expects {len(program.params)} args, got {len(args)}"
             )
         key = specialization_key(program, args)
-        kernel = self.cache.get(program, args, key=key)
-        program = kernel.program
+        program = self.cache.get(program, args, key=key)
         requested = engine or self.engine
         if stream is None and self._pool is not None and self._pool.capturing:
             # During graph capture every launch is recorded, including
@@ -385,6 +389,7 @@ class Runtime:
                 args,
                 stream=stream if isinstance(stream, Stream) else None,
                 engine=requested,
+                key=key,
             )
             self.context.launches += 1
             return handle
@@ -398,7 +403,6 @@ class Runtime:
         except VMError as exc:
             raise VMError(f"kernel {program.name!r} failed: {exc}") from exc
         self.context.launches += 1
-        return kernel
 
     def stats(self) -> ExecutionStats:
         """Counters over every launch: the synchronous engines' shared

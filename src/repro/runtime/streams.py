@@ -440,7 +440,8 @@ class LaunchHandle:
     """
 
     def __init__(self, program: Program, args: tuple, pool: "StreamPool",
-                 index: int, ranges: list[tuple], requested: str) -> None:
+                 index: int, ranges: list[tuple], requested: str,
+                 key: tuple) -> None:
         self.program = program
         self.args = args
         self.pool = pool
@@ -448,8 +449,7 @@ class LaunchHandle:
         self.ranges = ranges
         self.requested = requested  # the tier asked for
         self.grid = program.grid_size(args)
-        #: Specialization key, computed once here at submit.
-        self.key = specialization_key(program, args)
+        self.key = key  # specialization key
         self.deps: tuple[LaunchHandle, ...] = ()
         self.error: BaseException | None = None
         self.done = False
@@ -553,10 +553,13 @@ class StreamPool:
         args: Sequence,
         stream: Stream | None = None,
         engine: str = "auto",
+        key: tuple | None = None,
     ) -> LaunchHandle:
         """Queue a launch; returns its handle without executing anything
         (the next drain point runs it).  ``stream`` is a label of this
         pool, or None; either way the launch joins the one pending list.
+        ``key`` is the launch's specialization key when the caller
+        (``Runtime.launch``) has computed it already.
 
         During an active :meth:`capture`, the launch is recorded into the
         graph and an inert handle is returned.
@@ -568,11 +571,15 @@ class StreamPool:
         if stream is not None and stream.pool is not self:
             raise VMError("stream belongs to a different pool")
         args = tuple(args)
+        if key is None:
+            key = specialization_key(program, args)
         if self._capture is not None:
-            return self._capture._record(program, args, engine)
+            return self._capture._record(program, args, engine, key)
         ranges = launch_ranges(program, args)
         with self._lock:
-            handle = LaunchHandle(program, args, self, next(self._seq), ranges, engine)
+            handle = LaunchHandle(
+                program, args, self, next(self._seq), ranges, engine, key
+            )
             handle.deps = tuple(
                 h for h in self._pending if ranges_conflict(h.ranges, ranges)
             )

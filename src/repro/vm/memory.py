@@ -278,9 +278,9 @@ class TensorView:
 class SharedMemory:
     """Per-block shared memory: a bump-allocated byte buffer.
 
-    Real kernels get one shared region sized by the memory planner; here
-    each block gets a fresh buffer, and the planner's job (offset
-    assignment, capacity check) happens in the compiler.
+    Real kernels get one shared region sized by the memory planner (the
+    CUDA artifact's); here each block gets a fresh buffer that checks its
+    own capacity.
     """
 
     def __init__(self, capacity_bytes: int = 228 * 1024) -> None:

@@ -1,8 +1,8 @@
-"""Shared-memory and workspace planning (Section 8.1 step 1)."""
+"""Shared-memory planning (Section 8.1 step 1)."""
 
 import pytest
 
-from repro.compiler import plan_global_workspace, plan_shared_memory
+from repro.compiler import plan_shared_memory
 from repro.dtypes import float16, float32, uint8
 from repro.errors import CompilationError
 from repro.lang import ProgramBuilder, pointer
@@ -79,18 +79,3 @@ class TestSharedPlanner:
         ghost = TensorVar("g", TensorType(MemoryScope.SHARED, float16, (4, 4)))
         with pytest.raises(CompilationError):
             plan.offset_of(ghost)
-
-
-class TestWorkspacePlanner:
-    def test_workspace_sizes(self):
-        pb = ProgramBuilder("ws", grid=[1])
-        w1 = pb.allocate_global(float32, [1024])
-        w2 = pb.allocate_global(float32, [256])
-        prog = pb.finish()
-        plan = plan_global_workspace(prog)
-        assert plan.total_bytes >= 4096 + 1024
-        assert plan.offset_of(w1) != plan.offset_of(w2)
-
-    def test_empty_program(self):
-        prog = ProgramBuilder("empty", grid=[1]).finish()
-        assert plan_global_workspace(prog).total_bytes == 0

@@ -18,8 +18,16 @@ import numpy as np
 import pytest
 
 import repro.runtime
+from repro import ops
 from repro.compiler.pipeline import specialization_key
-from repro.dtypes import float16
+from repro.dtypes import float16, uint4
+from repro.errors import CompilationError, TypeCheckError
+from repro.ir import instructions as insts
+from repro.ir.program import Program
+from repro.ir.scope import MemoryScope
+from repro.ir.stmt import InstructionStmt, SeqStmt
+from repro.ir.types import TensorType, TensorVar
+from repro.kernels import MatmulConfig
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import Runtime
@@ -93,9 +101,9 @@ def drive(entry: str, scenario: str) -> dict:
         "seam_" + scenario.replace("-", "_"), printing=scenario == "bailout"
     )
     args = [a, out, 2.0]
-    # The runtime executes the spec cache's compiled program, so the
+    # The runtime executes the spec cache's prepared program, so the
     # recorded spec is the key of that program, not of the fresh build.
-    program = runtime.cache.get(program, args).program
+    program = runtime.cache.get(program, args)
     spec = spec_string(specialization_key(program, args))
     profiler = runtime.enable_profiling()
     if jit_setup == "cold":
@@ -220,7 +228,7 @@ def drive_group(entry: str, scenario: str) -> dict:
         "group_" + scenario.replace("-", "_"), blocks=2, printing=printing
     )
     launches = [[a, out, scale] for out, scale in zip(outs, scales)]
-    program = runtime.cache.get(program, launches[0]).program
+    program = runtime.cache.get(program, launches[0])
     specs = [spec_string(specialization_key(program, args)) for args in launches]
     profiler = runtime.enable_profiling()
     if engine is None:
@@ -543,3 +551,163 @@ def test_a_stream_is_a_label_on_one_pool_lane():
     assert Stream.__slots__ == ("pool", "index")
     assert not defined & {"resolve_engine", "Event"}
     assert "frozen" not in inspect.signature(execute).parameters
+
+
+# ---------------------------------------------------------------------------
+# The runtime runs what it prepares, and builds no CUDA artifact
+# ---------------------------------------------------------------------------
+
+
+#: The CUDA artifact: ``compile_program``'s steps past ``prepare_program``.
+ARTIFACT_MODULES = {"codegen", "selection", "memory_planner"}
+ARTIFACT_NAMES = {"compile_program", "CompiledKernel"}
+
+
+def _artifact_references(path):
+    """What ``path`` imports from the artifact modules, and which
+    artifact names it mentions."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+            found += [alias.name for alias in node.names if alias.name in ARTIFACT_NAMES]
+        elif isinstance(node, ast.Name) and node.id in ARTIFACT_NAMES:
+            found.append(node.id)
+            continue
+        elif isinstance(node, ast.Attribute) and node.attr in ARTIFACT_NAMES:
+            found.append(node.attr)
+            continue
+        else:
+            continue
+        found += [m for m in modules if set(m.split(".")) & ARTIFACT_MODULES]
+    return found
+
+
+def test_the_launch_path_names_no_cuda_artifact():
+    """Nothing under ``src/repro/runtime``, ``ops.py``, ``llm/`` or
+    ``serving/`` imports the code generator, instruction selection or
+    the memory planner, or names ``compile_program`` /
+    ``CompiledKernel``: a launch prepares its program
+    (``prepare_program``) and runs it."""
+    src = RUNTIME_DIR.parent
+    paths = [
+        *RUNTIME_DIR.glob("*.py"), src / "ops.py",
+        *(src / "llm").glob("*.py"), *(src / "serving").glob("*.py"),
+    ]
+    found = {
+        path.name: refs for path in sorted(paths) if (refs := _artifact_references(path))
+    }
+    assert found == {}
+
+
+LINEARS = {
+    "direct": MatmulConfig(16, 8, 16),
+    "staged": MatmulConfig(16, 8, 16, num_stages=2),
+    "split-k": MatmulConfig(16, 8, 16, split_k=2),
+}
+
+
+def _linear_output(config, engine):
+    rng = np.random.default_rng(7)
+    weight = rng.standard_normal((64, 16))
+    linear = ops.prepare_linear(
+        weight, uint4, group_size=32, config=config, runtime=Runtime(engine=engine)
+    )
+    return linear(rng.standard_normal((4, 64)) * 0.3)
+
+
+@pytest.mark.parametrize("name", list(LINEARS))
+def test_the_runtime_runs_what_it_prepares(monkeypatch, name):
+    """With the CUDA artifact's steps made to raise, a direct, a staged
+    and a split-k linear run on the default and the compiled tier, and
+    equal the sequential engine's output byte for byte."""
+    from repro.compiler import codegen, memory_planner, pipeline, selection
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a launch built the CUDA artifact")
+
+    for module, attr in (
+        (codegen, "generate_cuda"), (selection, "select_instructions"),
+        (memory_planner, "plan_shared_memory"), (pipeline, "generate_cuda"),
+        (pipeline, "select_instructions"), (pipeline, "plan_shared_memory"),
+    ):
+        monkeypatch.setattr(module, attr, refuse)
+    want = _linear_output(LINEARS[name], "sequential")
+    for engine in ("auto", "compiled"):
+        got = _linear_output(LINEARS[name], engine)
+        assert got.tobytes() == want.tobytes(), engine
+
+
+def test_an_ill_typed_program_raises_at_launch_and_leaves_no_trace():
+    """The verifier stays on the launch path: an ill-typed program
+    raises ``TypeCheckError`` from ``Runtime.launch``, nothing is
+    cached, and no engine runs."""
+    runtime, a, (out,) = fresh_runtime()
+    runtime.launch(scale_program("seam_typed"), [a, out, 2.0])
+    entries, misses = len(runtime.cache), runtime.cache.misses
+    blocks = runtime.stats().blocks_run
+    tile = TensorType(MemoryScope.REGISTER, float16, (ROWS, COLS), spatial(ROWS, COLS))
+    ghost, neg = TensorVar("ghost", tile), TensorVar("neg", tile)
+    program = Program(
+        "ill_typed", grid=[1], params=[],
+        body=SeqStmt([InstructionStmt(insts.Neg(ghost, neg))]),
+    )
+    with pytest.raises(TypeCheckError, match="before definition"):
+        runtime.launch(program, [])
+    assert (len(runtime.cache), runtime.cache.misses) == (entries, misses)
+    assert runtime.stats().blocks_run == blocks
+
+
+def test_a_program_only_the_cuda_emitter_refuses_runs_at_launch():
+    """Emission limits are the CUDA artifact's, not the VM's: a rank-4
+    grid, which ``generate_cuda`` refuses, runs at launch."""
+    from repro.compiler import compile_program
+
+    def build():
+        pb = ProgramBuilder("rank4", grid=[2, 1, 1, 1])
+        a_ptr = pb.param("a", pointer(float16))
+        out_ptr = pb.param("out", pointer(float16))
+        row = pb.block_indices()[0] * (ROWS // 2)
+        g_a = pb.view_global(a_ptr, dtype=float16, shape=[ROWS, COLS])
+        g_out = pb.view_global(out_ptr, dtype=float16, shape=[ROWS, COLS])
+        tile = pb.load_global(g_a, layout=spatial(ROWS // 2, COLS), offset=[row, 0])
+        pb.store_global(tile, g_out, offset=[row, 0])
+        return pb.finish()
+
+    with pytest.raises(CompilationError, match="rank 3"):
+        compile_program(build())
+    runtime, a, (out,) = fresh_runtime()
+    runtime.launch(build(), [a, out])
+    got = runtime.download(out, [ROWS, COLS], float16)
+    assert got.tobytes() == runtime.download(a, [ROWS, COLS], float16).tobytes()
+
+
+def test_a_split_k_call_computes_each_launch_key_once(monkeypatch):
+    """``Runtime.launch`` computes a launch's specialization key and
+    hands it to the pool (``submit`` → ``LaunchHandle``); no module of
+    the launch path computes it again.  A split-k call is three
+    launches: two slices and the reduce."""
+    from repro.runtime import graphs, runtime as runtime_module, streams
+
+    calls = []
+
+    def counting(module):
+        original = module.specialization_key
+
+        def key(program, args=()):
+            calls.append(module.__name__.rsplit(".", 1)[1])
+            return original(program, args)
+
+        return key
+
+    linear = ops.prepare_linear(
+        np.ones((64, 16)), uint4, group_size=32, config=LINEARS["split-k"]
+    )
+    for module in (runtime_module, streams, graphs):
+        monkeypatch.setattr(module, "specialization_key", counting(module))
+    linear(np.ones((4, 64)))
+    assert calls == ["runtime"] * 3
