@@ -302,10 +302,8 @@ class Autotuner:
         real VM programs and launched ``repeats`` times each on the given
         (or a fresh) :class:`~repro.runtime.Runtime`; the fastest measured
         wall-clock wins.  Every repeat of a trial after the first is a
-        specialization-cache hit — the cache key is structural, so even
-        though each launch rebuilds nothing, re-tuning the same workload
-        later skips lowering entirely as well.  Results are memoized per
-        workload key.
+        specialization-cache hit: a trial launches one program object.
+        Results are memoized per workload key.
         """
         import numpy as np
 

@@ -29,8 +29,6 @@ from repro.compiler.pipeline import (
     CompiledKernel,
     compile_program,
     prepare_program,
-    program_dtype_names,
-    program_fingerprint,
     specialization_key,
 )
 from repro.compiler.selection import (
@@ -59,8 +57,6 @@ __all__ = [
     "compile_program",
     "prepare_program",
     "CompiledKernel",
-    "program_fingerprint",
-    "program_dtype_names",
     "specialization_key",
     "verify_program",
     "VerificationReport",

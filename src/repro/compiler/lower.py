@@ -2,7 +2,7 @@
 
 The batched engine (:mod:`repro.vm.batched`) executes all thread blocks in
 lockstep but still walks the statement tree and re-derives index math on
-every launch.  Once a kernel is *specialized* — its fingerprint and
+every launch.  Once a kernel is *specialized* — its program object and
 const-bound scalar arguments pinned by
 :func:`repro.compiler.pipeline.specialization_key` — everything except the
 pointer arguments and the tensor *data* is a compile-time constant: grid
@@ -756,7 +756,8 @@ class LoweredKernel:
     """
 
     program_name: str
-    spec: tuple
+    #: ``(program, const scalars)``: its repr would print the program.
+    spec: tuple = field(repr=False)
     grid: tuple
     nblocks: int
     ptr_indices: tuple

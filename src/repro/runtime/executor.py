@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 from repro.ir.program import Program
 from repro.obs import trace as obs_trace
 from repro.runtime.jit import JitManager
-from repro.runtime.profiling import Profile, StatsTimer, spec_string
+from repro.runtime.profiling import Profile, StatsTimer
 from repro.vm.batched import BatchedExecutor, supports_batched
 from repro.vm.interp import Interpreter
 from repro.vm.memory import GlobalMemory
@@ -53,15 +53,13 @@ class ExecutionContext:
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
-    def attach_jit(
-        self, memory: GlobalMemory, shared_capacity: int, **knobs
-    ) -> JitManager:
+    def attach_jit(self, memory: GlobalMemory, shared_capacity: int) -> JitManager:
         """The attached JIT manager, created on first use (under a lock:
         host threads racing to force ``engine="compiled"`` must end up
         sharing one manager)."""
         with self._lock:
             if self.jit is None:
-                self.jit = JitManager(memory, shared_capacity, **knobs)
+                self.jit = JitManager(memory, shared_capacity)
             return self.jit
 
 
@@ -191,7 +189,7 @@ def execute(
         # own engine, apart from the interpreted tiers' records.
         profiler.record_group(
             program.name,
-            [spec_string(key) for key in keys],
+            keys,
             tier,
             timer.wall,
             stats_delta=timer.delta,

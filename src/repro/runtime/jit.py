@@ -12,12 +12,13 @@ straight-line numpy source.  This module is the *runtime* half of the tier:
 
 - :class:`JitCache` — a bounded LRU of
   :class:`~repro.compiler.lower.LoweredKernel` objects keyed by
-  :func:`~repro.compiler.pipeline.specialization_key`, the number of
-  launches the kernel stacks and the pointer parameters the stack
-  shares (a kernel loads what it reads through those once, so it serves
-  only stacks that agree there), the same discipline (and the same key) as
-  the runtime's :class:`~repro.runtime.runtime.SpecializationCache`, so
-  a compiled kernel lives alongside its interpreted specialization;
+  :func:`~repro.compiler.pipeline.specialization_key` — the program
+  object and its const scalars — the number of launches the kernel
+  stacks and the pointer parameters the stack shares (a kernel loads
+  what it reads through those once, so it serves only stacks that agree
+  there), with the eviction discipline of the runtime's
+  :class:`~repro.runtime.runtime.SpecializationCache`.  An entry holds
+  its program alive;
 - :class:`JitManager` — the promotion policy plus a bounded *bailout
   memo*: specializations the pipeline declined (``LoweringBailout``) are
   remembered so a hot-but-unloweable signature does not re-attempt the
@@ -49,7 +50,6 @@ from typing import Optional, Sequence
 from repro.compiler.lower import LoweredKernel, LoweringBailout, lower_program
 from repro.compiler.pipeline import specialization_key
 from repro.obs import trace as obs_trace
-from repro.runtime.profiling import spec_string
 from repro.vm.interp import ExecutionStats
 from repro.vm.memory import GlobalMemory
 
@@ -144,9 +144,10 @@ class JitManager:
         #: Specializations the pipeline declined, with the bailout reason
         #: — bounded like the cache so unloweable traffic cannot grow it.
         self._bailed: OrderedDict[tuple, str] = OrderedDict()
-        #: Invocations left interpreted, per spec string — LRU under the
-        #: same bound, so key churn that never promotes cannot grow it.
-        self._seen: OrderedDict[str, int] = OrderedDict()
+        #: Invocations left interpreted, per specialization key — LRU
+        #: under the same bound, so key churn that never promotes cannot
+        #: grow it.
+        self._seen: OrderedDict[tuple, int] = OrderedDict()
         self._max_memo = 4 * max_entries
         self._lock = threading.Lock()
         #: Successful compilations (pass pipeline ran to the end).
@@ -201,9 +202,8 @@ class JitManager:
                 self._bailed.move_to_end(entry)
                 return None
             if not forced:
-                spec = spec_string(key)
-                seen = self._seen[spec] = self._seen.get(spec, 0) + 1
-                self._seen.move_to_end(spec)
+                seen = self._seen[key] = self._seen.get(key, 0) + 1
+                self._seen.move_to_end(key)
                 while len(self._seen) > self._max_memo:
                     self._seen.popitem(last=False)
                 if seen <= PROMOTE_AFTER:

@@ -3,7 +3,7 @@
 This module records what every launch actually cost — wall time,
 instruction count, bits moved, engine used, how many launches shared
 its engine invocation — as a :class:`NodeProfile`, keyed by the
-launch's **specialization-key string** and its tier: one site per
+launch's **specialization key** and its tier: one site per
 distinct kernel specialization and tier, whichever path issued it (a
 synchronous launch, an eager stream drain or a graph replay records
 the same way).  Each record also carries the program
@@ -30,20 +30,11 @@ from typing import Iterable, Mapping
 COMPILED = "compiled"
 
 
-def spec_string(key: tuple) -> str:
-    """Canonical string form of a specialization key.
-
-    ``repr`` of the key tuple — deterministic across processes (the
-    fingerprint component is a sha256 hex digest, not a salted hash).
-    """
-    return repr(key)
-
-
 class NodeProfile:
     """Accumulated cost of one profiled launch site.
 
-    Identity is ``(spec, engine)``: the specialization-key string and
-    the tier.  The engine is part of the
+    Identity is ``(spec, engine)``: the specialization key
+    ``(program, const scalars)`` and the tier.  The engine is part of the
     identity because one launch site can execute under different tiers
     over its lifetime — the compiled tier promotes a hot site mid-run,
     and its costs must not accumulate into the interpreted record.  All
@@ -67,7 +58,7 @@ class NodeProfile:
     )
 
     def __init__(
-        self, program: str, spec: str, engine: str, group_size: int = 1
+        self, program: str, spec: tuple, engine: str, group_size: int = 1
     ) -> None:
         self.program = program
         self.spec = spec
@@ -158,7 +149,7 @@ class Profile:
     def record(
         self,
         program: str,
-        spec: str,
+        spec: tuple,
         engine: str,
         wall_s: float,
         stats_delta: Mapping | None = None,
@@ -188,7 +179,7 @@ class Profile:
     def record_group(
         self,
         program: str,
-        specs: Iterable[str],
+        specs: Iterable[tuple],
         engine: str,
         wall_s: float,
         stats_delta: Mapping | None = None,

@@ -13,10 +13,10 @@ ends):
    next drain point — a ``wait``, a ``synchronize``, a graph replay, or
    this runtime's own synchronous ``launch`` / ``download`` — runs the
    pending launches grouped, on the calling thread;
-2. a **kernel specialization cache** keyed on (program hash, const-bound
-   scalar params, dtype set), so structurally identical programs —
-   including fresh re-instantiations of the same template — are prepared
-   once and every later launch skips the compiler entirely.
+2. a **kernel specialization cache** keyed on the program object, so a
+   program is prepared once and every later launch of it — whatever its
+   scalars — skips the compiler entirely.  A rebuilt template is a new
+   program and is prepared again.
 
 Execution is delegated to the launch executor
 (:mod:`repro.runtime.executor`), which every launch path shares: it
@@ -75,13 +75,13 @@ _HOST_SITE = Site("launch", "runtime")
 
 
 class SpecializationCache:
-    """Bounded LRU cache of prepared programs keyed by specialization.
+    """Bounded LRU of prepared programs, keyed by the program object.
 
-    The key is :func:`repro.compiler.pipeline.specialization_key`:
-    ``(program fingerprint, const-bound scalar args, dtype set)``.  Two
-    structurally identical programs share one entry even when they are
-    distinct objects, which is what makes per-call template
-    re-instantiation (the common operator pattern) cheap.
+    Preparation does not depend on the launch's scalars, so launches of
+    one program with different const-bound arguments (split-k's ``k0``)
+    share an entry; only the JIT and stacking keep the full
+    :func:`~repro.compiler.pipeline.specialization_key`.  An entry holds
+    its program alive, so a recycled ``id`` cannot alias a dead one.
 
     ``max_entries`` bounds memory: least-recently-used programs are evicted
     once the bound is exceeded; ``hits``/``misses``/``evictions`` expose
@@ -92,30 +92,22 @@ class SpecializationCache:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
-        self._programs: OrderedDict[tuple, Program] = OrderedDict()
+        self._programs: OrderedDict[Program, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(
-        self, program: Program, args: Sequence = (), key: tuple | None = None
-    ) -> Program:
-        """Return the prepared program for ``program``'s specialization,
-        preparing ``program`` itself on a miss
-        (:func:`~repro.compiler.pipeline.prepare_program`; an ill-typed
-        program raises there and is not cached).  ``key`` accepts a
-        precomputed specialization key so a caller that also needs it
-        (``Runtime.launch``) computes it once."""
-        if key is None:
-            key = specialization_key(program, args)
-        cached = self._programs.get(key)
-        if cached is not None:
+    def get(self, program: Program) -> Program:
+        """Return ``program``, prepared
+        (:func:`~repro.compiler.pipeline.prepare_program`) on its first
+        request; an ill-typed program raises there and is not cached."""
+        if program in self._programs:
             self.hits += 1
-            self._programs.move_to_end(key)
-            return cached
+            self._programs.move_to_end(program)
+            return program
         prepare_program(program)
         self.misses += 1
-        self._programs[key] = program
+        self._programs[program] = None
         while len(self._programs) > self.max_entries:
             self._programs.popitem(last=False)
             self.evictions += 1
@@ -156,7 +148,6 @@ class Runtime:
         dram_bytes: int = 1 << 30,
         shared_capacity: int = 228 * 1024,
         engine: str = "auto",
-        cache_entries: int = 128,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
@@ -167,7 +158,7 @@ class Runtime:
         self.interpreter = self._lane.interpreter
         self.batched = self._lane.batched
         self.engine = engine
-        self.cache = SpecializationCache(max_entries=cache_entries)
+        self.cache = SpecializationCache()
         #: Shared with the stream pool (see :meth:`stream_pool`).
         self.context = ExecutionContext()
         self._pool: StreamPool | None = None
@@ -221,16 +212,12 @@ class Runtime:
         return obs_trace.uninstall()
 
     # -- tiered JIT ----------------------------------------------------------
-    def enable_jit(self, max_entries: int | None = None):
+    def enable_jit(self):
         """Attach the compiled execution tier (:mod:`repro.runtime.jit`).
 
         Returns the active :class:`~repro.runtime.jit.JitManager`: the
         already-attached one, or a fresh one holding at most
-        ``max_entries`` kernels (default
-        :data:`~repro.runtime.jit.DEFAULT_MAX_ENTRIES`).  A manager's
-        capacity is fixed when it is built: asking for a different
-        ``max_entries`` than the attached manager has raises
-        ``ValueError``.
+        :data:`~repro.runtime.jit.DEFAULT_MAX_ENTRIES` kernels.
         From here on every execution path through this runtime —
         synchronous launches, eager streams, graph replays — promotes a
         specialization to its compiled kernel once the manager has left
@@ -240,15 +227,7 @@ class Runtime:
         to the batched engine, bit-exactly.
         """
         if self.jit is None:
-            knobs = {} if max_entries is None else {"max_entries": max_entries}
-            self.context.attach_jit(
-                self.memory, self.interpreter.shared_capacity, **knobs
-            )
-        elif max_entries is not None and max_entries != self.jit.cache.max_entries:
-            raise ValueError(
-                f"enable_jit(max_entries={max_entries}) on a runtime whose "
-                f"attached manager holds {self.jit.cache.max_entries}"
-            )
+            self.context.attach_jit(self.memory, self.interpreter.shared_capacity)
         return self.jit
 
     def disable_jit(self):
@@ -341,14 +320,11 @@ class Runtime:
         engine: str | None = None,
         stream: "Stream | str | None" = None,
     ) -> LaunchHandle | None:
-        """Prepare (specialization-cached), then execute; a synchronous
+        """Prepare (once per program object), then execute; a synchronous
         launch returns None once it has run.
 
-        A cache hit executes the *cached* program, so launching a
-        freshly rebuilt but structurally identical program skips the
-        compiler passes and their side effects.  An ill-typed program
-        raises :class:`~repro.errors.TypeCheckError` before anything is
-        cached or run.
+        An ill-typed program raises :class:`~repro.errors.TypeCheckError`
+        before anything is cached or run.
 
         ``stream`` makes the launch asynchronous: pass a
         :class:`~repro.runtime.streams.Stream` label (from
@@ -376,7 +352,7 @@ class Runtime:
                 f"{program.name} expects {len(program.params)} args, got {len(args)}"
             )
         key = specialization_key(program, args)
-        program = self.cache.get(program, args, key=key)
+        self.cache.get(program)
         requested = engine or self.engine
         if stream is None and self._pool is not None and self._pool.capturing:
             # During graph capture every launch is recorded, including

@@ -10,10 +10,7 @@ rebuilds the same state from it deterministically:
 - model / GPU / dtype references are **names** resolved against the
   in-process registries (:data:`~repro.llm.models.MODELS`,
   :data:`~repro.perf.gpus.GPUS`,
-  :func:`~repro.dtypes.registry.dtype_from_name`);
-- specialization keys are structural sha256 hashes, so a decode
-  kernel built from a spec in one process carries the key of the same
-  kernel in another.
+  :func:`~repro.dtypes.registry.dtype_from_name`).
 
 This is what makes the JSON-only wire protocol sufficient: identity
 lives in the recipe, not in any live object.

@@ -40,8 +40,8 @@ from repro.layout import local, mma_m16n8k16, spatial
 from repro.layout.core import replicate
 from repro.runtime import JitCache, JitManager, Profile, Runtime
 from repro.runtime.executor import shared_pointers
-from repro.runtime.jit import PROMOTE_AFTER
-from repro.runtime.profiling import COMPILED, spec_string
+from repro.runtime.jit import DEFAULT_MAX_ENTRIES, PROMOTE_AFTER
+from repro.runtime.profiling import COMPILED
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter
 
 ROWS, COLS = 16, 8
@@ -1365,8 +1365,8 @@ class TestJitManager:
                 if i % (cap - 1) == 0:  # recurs inside every window
                     answers.append(manager.maybe_compile(program, [], key=("warm",)))
         assert len(manager._seen) == cap
-        assert spec_string(("cold", 10 * cap - 1)) in manager._seen
-        assert spec_string(("cold", 0)) not in manager._seen
+        assert ("cold", 10 * cap - 1) in manager._seen
+        assert ("cold", 0) not in manager._seen
         assert answers[:PROMOTE_AFTER] == [None] * PROMOTE_AFTER
         assert all(a is lowered for a in answers[PROMOTE_AFTER:])
         assert manager.compiled == 1
@@ -1463,8 +1463,8 @@ class TestRuntimeTier:
         assert runtime.jit.compiled == 1 and runtime.jit.promotions == 3
         # The profiler kept the tiers apart: compiled wall time recorded
         # under its own engine, not folded into the interpreted site.
-        spec = spec_string(specialization_key(
-            program, [a, linear.b_addr, linear.s_addr, out]))
+        spec = specialization_key(
+            program, [a, linear.b_addr, linear.s_addr, out])
         engines = {
             node.engine for node in profiler.nodes.values()
             if node.spec == spec and node.calls
@@ -1473,16 +1473,16 @@ class TestRuntimeTier:
         assert engines - {COMPILED}, "interpreted records vanished"
 
     def test_enable_jit_rejects_a_different_capacity_on_an_attached_manager(self):
-        """A manager's capacity is fixed when it is built: asking the
-        attached one for another used to be silently ignored."""
+        """A runtime's manager holds ``DEFAULT_MAX_ENTRIES`` kernels and
+        ``enable_jit`` takes no capacity: asking for one raises, and
+        enabling again returns the attached manager."""
         runtime = Runtime()
-        manager = runtime.enable_jit(max_entries=8)
-        assert manager.cache.max_entries == 8
-        assert runtime.enable_jit() is manager
-        assert runtime.enable_jit(max_entries=8) is manager
-        with pytest.raises(ValueError, match=r"max_entries=16\b.*holds 8\b"):
+        manager = runtime.enable_jit()
+        assert manager.cache.max_entries == DEFAULT_MAX_ENTRIES
+        with pytest.raises(TypeError, match="max_entries"):
             runtime.enable_jit(max_entries=16)
-        assert runtime.jit is manager and manager.cache.max_entries == 8
+        assert runtime.enable_jit() is manager
+        assert runtime.jit is manager
 
     def test_explicit_interpreted_engines_never_promote(self):
         linear, runtime, a = _linear_fixture()

@@ -32,7 +32,6 @@ from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
 from repro.runtime import Runtime
 from repro.runtime.jit import PROMOTE_AFTER
-from repro.runtime.profiling import spec_string
 
 ROWS, COLS = 8, 4
 
@@ -93,18 +92,20 @@ def make_hot(runtime, program, args) -> None:
         assert jit.maybe_compile(program, args) is None
 
 
-def drive(entry: str, scenario: str) -> dict:
-    """One execution of one launch through ``entry``; what was observed."""
-    engine, jit_setup, _ = SCENARIOS[scenario]
-    runtime, a, (out,) = fresh_runtime()
-    program = scale_program(
+def seam_program(scenario: str):
+    return scale_program(
         "seam_" + scenario.replace("-", "_"), printing=scenario == "bailout"
     )
+
+
+def drive(entry: str, scenario: str, program) -> dict:
+    """One execution of one launch of ``program`` through ``entry``;
+    what was observed.  A specialization is the program object plus its
+    scalars, so the launches compared share one ``program``."""
+    engine, jit_setup, _ = SCENARIOS[scenario]
+    runtime, a, (out,) = fresh_runtime()
     args = [a, out, 2.0]
-    # The runtime executes the spec cache's prepared program, so the
-    # recorded spec is the key of that program, not of the fresh build.
-    program = runtime.cache.get(program, args)
-    spec = spec_string(specialization_key(program, args))
+    spec = specialization_key(program, args)
     profiler = runtime.enable_profiling()
     if jit_setup == "cold":
         runtime.enable_jit()
@@ -178,11 +179,12 @@ JIT_COUNTERS = {
 @pytest.mark.parametrize("entry", ENTRIES[1:])
 def test_one_launch_is_the_same_through_every_entry_point(entry, scenario):
     expected_tier = SCENARIOS[scenario][2]
-    reference = drive("sync", scenario)
+    program = seam_program(scenario)
+    reference = drive("sync", scenario, program)
     assert reference["record"] == (expected_tier, reference["spec"], 1, 1)
     assert reference["stats"]["blocks_run"] == 1
     assert reference["jit"] == JIT_COUNTERS[scenario]
-    outcome = drive(entry, scenario)
+    outcome = drive(entry, scenario, program)
     for name, observed in (("sync", reference), (entry, outcome)):
         assert observed["span"] == SPANS[name]
         assert observed["span_tier"] == expected_tier
@@ -228,8 +230,7 @@ def drive_group(entry: str, scenario: str) -> dict:
         "group_" + scenario.replace("-", "_"), blocks=2, printing=printing
     )
     launches = [[a, out, scale] for out, scale in zip(outs, scales)]
-    program = runtime.cache.get(program, launches[0])
-    specs = [spec_string(specialization_key(program, args)) for args in launches]
+    specs = [specialization_key(program, args) for args in launches]
     profiler = runtime.enable_profiling()
     if engine is None:
         for args in dict(zip(specs, launches)).values():  # once per key
@@ -711,3 +712,80 @@ def test_a_split_k_call_computes_each_launch_key_once(monkeypatch):
         monkeypatch.setattr(module, "specialization_key", counting(module))
     linear(np.ones((4, 64)))
     assert calls == ["runtime"] * 3
+
+
+def _counting_prepare(monkeypatch):
+    """Patch the runtime's ``prepare_program``; returns the list of the
+    programs it is called on."""
+    from repro.runtime import runtime as runtime_module
+
+    prepared = []
+    original = runtime_module.prepare_program
+
+    def prepare(program):
+        prepared.append(program)
+        return original(program)
+
+    monkeypatch.setattr(runtime_module, "prepare_program", prepare)
+    return prepared
+
+
+def test_a_specialization_is_the_program_object_plus_its_scalars(monkeypatch):
+    """A specialization key is ``(program, const scalars)``: a profiled,
+    traced launch through sync, stream and graph replay — cold and
+    promoted — never prints its program (``Program.__repr__``); one
+    object relaunched with the same scalars is one key and one
+    ``prepare_program`` call; two identical builds are two keys."""
+    from repro.runtime import runtime as runtime_module
+
+    def refuse(self):
+        raise AssertionError("a launch printed its program")
+
+    keys = []
+    original_key = runtime_module.specialization_key
+
+    def key(program, args=()):
+        keys.append(original_key(program, args))
+        return keys[-1]
+
+    monkeypatch.setattr(Program, "__repr__", refuse)
+    monkeypatch.setattr(runtime_module, "specialization_key", key)
+    prepared = _counting_prepare(monkeypatch)
+    runtime, a, (out,) = fresh_runtime()
+    program = scale_program("identity")
+    args = [a, out, 2.0]
+    profiler = runtime.enable_profiling()
+    runtime.enable_jit()
+    runtime.enable_tracing()
+    try:
+        for _ in range(PROMOTE_AFTER + 1):
+            runtime.launch(program, args)
+            runtime.launch(program, args, stream="auto").wait()
+            with runtime.capture(num_streams=2) as graph:
+                runtime.launch(program, args)
+            graph.replay()
+        runtime.synchronize()
+    finally:
+        runtime.disable_tracing()
+        runtime.stream_pool().shutdown()
+    assert runtime.jit.compiled == 1
+    specs = {rec.spec for rec in profiler.nodes.values()}
+    assert specs == {(program, (("scale", 2.0),))}
+    assert len(keys) == 3 * (PROMOTE_AFTER + 1) and set(keys) == {keys[0]}
+    assert prepared == [program]
+    twins = [scale_program("twin") for _ in range(2)]
+    assert specialization_key(twins[0], args) != specialization_key(twins[1], args)
+
+
+def test_a_split_k_linear_prepares_each_program_once(monkeypatch):
+    """The slices of a split-k call differ only in the scalar ``k0``:
+    the specialization cache keys on the program object, so three calls
+    of a ``split_k=2`` linear prepare its slice and its reduce program
+    once each (the slice was once prepared per ``k0``)."""
+    prepared = _counting_prepare(monkeypatch)
+    linear = ops.prepare_linear(
+        np.ones((64, 16)), uint4, group_size=32, config=LINEARS["split-k"]
+    )
+    for _ in range(3):
+        linear(np.ones((4, 64)))
+    assert prepared == list(linear.splitk_programs_for(4))

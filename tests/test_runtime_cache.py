@@ -1,10 +1,10 @@
-"""Specialization-cache behaviour: hit/miss counters, structural keys,
+"""Specialization-cache behaviour: hit/miss counters, identity keys,
 eviction bound, and wiring into the operator / autotuner launch paths."""
 
 import numpy as np
 import pytest
 
-from repro.compiler import program_fingerprint, specialization_key
+from repro.compiler import specialization_key
 from repro.dtypes import float16, int32
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
@@ -24,24 +24,18 @@ def _scale_program(scale: float, name: str = "scale"):
     return pb.finish()
 
 
-class TestFingerprint:
-    def test_identical_builds_share_fingerprint(self):
-        assert program_fingerprint(_scale_program(2.0)) == program_fingerprint(
-            _scale_program(2.0)
-        )
+class TestSpecializationKey:
+    def test_key_is_the_program_and_its_scalars(self):
+        program = _scale_program(2.0)
+        assert specialization_key(program) == (program, ())
 
-    def test_structural_difference_changes_fingerprint(self):
-        assert program_fingerprint(_scale_program(2.0)) != program_fingerprint(
-            _scale_program(3.0)
-        )
-
-    def test_fingerprint_stable_across_compilation(self):
+    def test_key_is_stable_across_compilation(self):
         from repro.compiler import compile_program
 
         program = _scale_program(2.0)
-        before = program_fingerprint(program)
+        before = specialization_key(program)
         compile_program(program)  # mutates the program in place
-        assert program_fingerprint(program) == before
+        assert specialization_key(program) == before
 
     def test_scalar_args_specialize_the_key(self):
         pb = ProgramBuilder("dyn", grid=[1])
@@ -55,42 +49,6 @@ class TestFingerprint:
         assert k1 == k3
         assert ("n", 4) in k1[1]
 
-    def test_dtype_set_in_key(self):
-        key = specialization_key(_scale_program(2.0))
-        assert "f16" in key[2]
-
-    def test_constant_dtype_changes_fingerprint(self):
-        from repro.ir.expr import Constant
-        from repro.dtypes import int64
-
-        def build(dtype):
-            pb = ProgramBuilder("cdt", grid=[1])
-            p = pb.param("p", pointer(float16))
-            g = pb.view_global(p, dtype=float16, shape=[4, 4])
-            t = pb.load_global(g, layout=spatial(4, 4), offset=[Constant(0, dtype), 0])
-            pb.store_global(t, g, offset=[0, 0])
-            return pb.finish()
-
-        assert program_fingerprint(build(int32)) != program_fingerprint(build(int64))
-
-    def test_name_shadowing_does_not_collide(self):
-        # A parameter named like a builder-generated variable ("b1") must
-        # not collide with the block-index var of the same surface name:
-        # the two programs below differ only in *which* "b1" the store
-        # offset references.
-        def build(use_param_offset: bool):
-            pb = ProgramBuilder("shadow", grid=[2])
-            p = pb.param("p", pointer(float16))
-            b1 = pb.param("b1", int32)
-            g = pb.view_global(p, dtype=float16, shape=[2, 4])
-            blk, = pb.block_indices()  # auto-named "b1" as well
-            r = pb.allocate_register(float16, layout=spatial(1, 4), init=1.0)
-            pb.store_global(r, g, offset=[b1 if use_param_offset else blk, 0])
-            return pb.finish()
-
-        assert program_fingerprint(build(True)) != program_fingerprint(build(False))
-        assert program_fingerprint(build(True)) == program_fingerprint(build(True))
-
 
 class TestSpecializationCache:
     def test_hits_and_misses_counted(self):
@@ -98,11 +56,11 @@ class TestSpecializationCache:
         program = _scale_program(2.0)
         cache.get(program)
         cache.get(program)
-        cache.get(_scale_program(2.0))  # fresh identical build: still a hit
-        assert cache.misses == 1
-        assert cache.hits == 2
-        assert cache.hit_rate == pytest.approx(2 / 3)
-        assert len(cache) == 1
+        cache.get(_scale_program(2.0))  # fresh identical build: a new program
+        assert cache.misses == 2
+        assert cache.hits == 1
+        assert cache.hit_rate == pytest.approx(1 / 3)
+        assert len(cache) == 2
 
     def test_eviction_bound_respected(self):
         cache = SpecializationCache(max_entries=3)
@@ -130,13 +88,14 @@ class TestSpecializationCache:
 
 
 class TestRuntimeWiring:
-    def test_rebuilt_template_skips_lowering(self):
+    def test_relaunched_program_is_prepared_once(self):
         rt = Runtime()
         data = float16.quantize(np.random.default_rng(0).standard_normal((8, 4)))
         a = rt.upload(data, float16)
         b = rt.empty([8, 4], float16)
+        program = _scale_program(2.0)
         for _ in range(5):
-            rt.launch(_scale_program(2.0), [a, b])
+            rt.launch(program, [a, b])
         assert rt.cache.misses == 1
         assert rt.cache.hits == 4
         assert np.array_equal(
@@ -212,87 +171,3 @@ class TestRuntimeWiring:
         a = rt.upload(data, float16)
         rt.launch(prog, [a])  # must not raise under the default policy
         assert np.array_equal(rt.download(a, [8, 4], float16), data)
-
-
-class TestLayoutTokenFallback:
-    """Regression: layouts that reject ``setattr`` (slotted/frozen
-    classes) silently skipped token memoization and re-hashed their full
-    mapping table on every specialization lookup.  They now land in an
-    id-keyed module-level LRU whose stored strong reference doubles as
-    the liveness guard."""
-
-    @staticmethod
-    def _slotted_layout():
-        import numpy as np
-
-        class SlottedLayout:
-            __slots__ = ("calls",)
-
-            def __init__(self):
-                self.calls = 0
-
-            def table(self):
-                self.calls += 1
-                return np.arange(32).reshape(8, 4)
-
-        return SlottedLayout()
-
-    def test_slotted_layout_hashes_once(self):
-        from repro.compiler import pipeline
-
-        layout = self._slotted_layout()
-        first = pipeline._layout_token(layout)
-        second = pipeline._layout_token(layout)
-        assert first == second
-        assert layout.calls == 1, "fallback cache missed: table re-hashed"
-
-    def test_plain_layout_never_touches_fallback(self):
-        import numpy as np
-
-        from repro.compiler import pipeline
-
-        class PlainLayout:
-            def table(self):
-                return np.arange(32).reshape(8, 4)
-
-        layout = PlainLayout()
-        before = len(pipeline._LAYOUT_TOKEN_FALLBACK)
-        token = pipeline._layout_token(layout)
-        assert getattr(layout, pipeline._LAYOUT_FP_ATTR) == token
-        assert len(pipeline._LAYOUT_TOKEN_FALLBACK) == before
-
-    def test_stale_id_entry_is_not_trusted(self):
-        """The identity check on lookup: an entry whose guard object is
-        not *this* layout (a hypothetically recycled id) is recomputed,
-        never served stale."""
-        from repro.compiler import pipeline
-
-        layout = self._slotted_layout()
-        pipeline._LAYOUT_TOKEN_FALLBACK[id(layout)] = (object(), "stale-token")
-        token = pipeline._layout_token(layout)
-        assert token != "stale-token"
-        assert layout.calls == 1
-        # And the poisoned entry was replaced by a live one.
-        entry = pipeline._LAYOUT_TOKEN_FALLBACK[id(layout)]
-        assert entry[0] is layout and entry[1] == token
-
-    def test_fallback_is_lru_bounded(self):
-        from repro.compiler import pipeline
-
-        keep = [self._slotted_layout() for _ in range(40)]
-        limit, saved = pipeline._LAYOUT_TOKEN_FALLBACK_MAX, None
-        try:
-            saved = dict(pipeline._LAYOUT_TOKEN_FALLBACK)
-            pipeline._LAYOUT_TOKEN_FALLBACK.clear()
-            pipeline._LAYOUT_TOKEN_FALLBACK_MAX = 16
-            for layout in keep:
-                pipeline._layout_token(layout)
-            assert len(pipeline._LAYOUT_TOKEN_FALLBACK) == 16
-            # The most recently used entries survive.
-            survivors = {entry[0] for entry in
-                         pipeline._LAYOUT_TOKEN_FALLBACK.values()}
-            assert survivors == set(keep[-16:])
-        finally:
-            pipeline._LAYOUT_TOKEN_FALLBACK_MAX = limit
-            pipeline._LAYOUT_TOKEN_FALLBACK.clear()
-            pipeline._LAYOUT_TOKEN_FALLBACK.update(saved)
