@@ -1,14 +1,6 @@
 """Compiler: verification, simplification, memory planning, instruction
 selection, low-precision lowering and CUDA code generation."""
 
-from repro.compiler.banks import (
-    XorSwizzle,
-    bank_of,
-    conflict_degree,
-    default_swizzle,
-    recommend_swizzle,
-    shared_load_conflicts,
-)
 from repro.compiler.codegen import cuda_type, expr_to_c, generate_cuda
 from repro.compiler.dce import eliminate_dead_code
 from repro.compiler.lower import (
@@ -43,12 +35,6 @@ from repro.compiler.simplify import simplify_expr, simplify_program
 from repro.compiler.verify import VerificationReport, verify_program
 
 __all__ = [
-    "XorSwizzle",
-    "bank_of",
-    "conflict_degree",
-    "default_swizzle",
-    "recommend_swizzle",
-    "shared_load_conflicts",
     "eliminate_dead_code",
     "lower_program",
     "LoweredKernel",

@@ -206,7 +206,8 @@ class ReduceSum(Instruction):
     The output is a register tensor whose shape has extent 1 along
     ``axis``; elements reduced across threads go through (conceptually)
     warp shuffles / shared memory, which the VM models as an exact sum.
-    Used by GEMV-style decode kernels and normalization epilogues.
+    It serves GEMV-style kernels and normalization epilogues; no kernel
+    in :mod:`repro.kernels` uses it.
     """
 
     mnemonic = "ReduceSum"

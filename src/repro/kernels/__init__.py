@@ -2,12 +2,6 @@
 weight transformation program."""
 
 from repro.kernels.config import MatmulConfig, default_configs
-from repro.kernels.elementwise import (
-    binary_program,
-    dequantize_program,
-    scale_bias_program,
-)
-from repro.kernels.gemv import quantized_gemv_program
 from repro.kernels.layouts import MatmulLayouts, matmul_layouts
 from repro.kernels.matmul import matmul_reference, quantized_matmul_program
 from repro.kernels.splitk import (
@@ -25,10 +19,6 @@ __all__ = [
     "quantized_matmul_program",
     "matmul_reference",
     "make_transform_program",
-    "quantized_gemv_program",
-    "dequantize_program",
-    "binary_program",
-    "scale_bias_program",
     "splitk_partial_program",
     "splitk_reduce_program",
     "splitk_slice_program",

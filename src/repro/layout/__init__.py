@@ -9,7 +9,6 @@ from repro.layout.core import (
     flat_spatial,
     local,
     repeat,
-    row_major_register_layout,
     spatial,
 )
 from repro.layout.core import replicate
@@ -17,7 +16,6 @@ from repro.layout.mma import (
     MMA_CONFIGS,
     WARP_SIZE,
     MmaConfig,
-    dot_operand_layouts,
     ldmatrix_m8n8_layout,
     ldmatrix_unit_layout,
     mma_m16n8k8,
@@ -26,12 +24,9 @@ from repro.layout.mma import (
 )
 from repro.layout.ops import (
     canonicalize,
-    concat_layouts,
     divide,
-    expand_unit_dims,
     is_divisible,
     left_divide,
-    num_distinct_elements,
 )
 
 __all__ = [
@@ -46,20 +41,15 @@ __all__ = [
     "ldmatrix_m8n8_layout",
     "flat_local",
     "flat_spatial",
-    "row_major_register_layout",
     "canonicalize",
     "divide",
     "left_divide",
     "is_divisible",
-    "concat_layouts",
-    "expand_unit_dims",
-    "num_distinct_elements",
     "MmaConfig",
     "MMA_CONFIGS",
     "WARP_SIZE",
     "mma_m16n8k8",
     "mma_m16n8k16",
-    "dot_operand_layouts",
     "ldmatrix_unit_layout",
     "supports_ldmatrix",
 ]

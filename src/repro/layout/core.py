@@ -440,32 +440,3 @@ def flat_local(size: int) -> Layout:
 def flat_spatial(size: int) -> Layout:
     """1-D spatial layout of the given size."""
     return spatial(size)
-
-
-def row_major_register_layout(shape: Sequence[int], num_threads: int) -> Layout:
-    """A simple default layout: distribute the last dimensions over threads.
-
-    Used when the programmer does not specify a layout for
-    ``AllocateRegister``; it splits the flattened tile row-major into
-    ``num_threads`` spatial slots, each holding a contiguous local run.
-    """
-    total = prod(shape)
-    if total % num_threads != 0:
-        raise LayoutError(
-            f"cannot evenly distribute {total} elements over {num_threads} threads"
-        )
-    per_thread = total // num_threads
-    flat = spatial(num_threads).local(per_thread)
-    if len(shape) == 1:
-        return flat
-    # Fold the flat distribution back onto the requested shape when the
-    # factorization is clean; otherwise distribute over the leading dims.
-    lead = prod(shape[:-1])
-    last = shape[-1]
-    if per_thread <= last and last % per_thread == 0 and lead * (last // per_thread) == num_threads:
-        ones = [1] * (len(shape) - 1)
-        return spatial(*shape[:-1], last // per_thread).local(*ones, per_thread)
-    raise LayoutError(
-        f"no default layout for shape {list(shape)} over {num_threads} threads; "
-        "specify one explicitly"
-    )

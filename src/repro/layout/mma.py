@@ -101,22 +101,3 @@ def supports_ldmatrix(layout: Layout) -> bool:
     return is_divisible(layout, ldmatrix_unit_layout()) or is_divisible(
         layout, ldmatrix_m8n8_layout()
     )
-
-
-def dot_operand_layouts(bm: int, bn: int, bk: int, mma: MmaConfig | None = None) -> tuple[Layout, Layout, Layout]:
-    """Operand layouts for a (bm, bn, bk) tile built by replicating one mma.
-
-    The tile is covered by a grid of mma instructions; the register layout
-    is ``local(grid) ⊗ mma_operand``, the standard warp-tiling construction.
-    """
-    mma = mma or mma_m16n8k16()
-    if bm % mma.m or bn % mma.n or bk % mma.k:
-        raise LayoutError(
-            f"tile ({bm}, {bn}, {bk}) is not a multiple of {mma.name} "
-            f"({mma.m}, {mma.n}, {mma.k})"
-        )
-    rm, rn, rk = bm // mma.m, bn // mma.n, bk // mma.k
-    a = local(rm, rk).compose(mma.a_layout)
-    b = local(rk, rn).compose(mma.b_layout)
-    c = local(rm, rn).compose(mma.c_layout)
-    return a, b, c

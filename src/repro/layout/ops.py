@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.errors import LayoutError
 from repro.layout.core import Layout
-from repro.utils.indexmath import prod
 
 
 def canonicalize(layout: Layout) -> Layout:
@@ -300,35 +299,3 @@ def left_divide(layout: Layout, divisor: Layout) -> Layout:
     if not divisor.compose(quotient).equivalent(layout):
         raise LayoutError("structural left division produced an inconsistent quotient")
     return quotient
-
-
-def concat_layouts(a: Layout, b: Layout) -> Layout:
-    """Treat two layouts over disjoint dimension sets as one layout whose
-    shape is the concatenation (used internally for multi-tile staging)."""
-    shape = a.shape + b.shape
-    mode_shape = list(a.mode_shape) + list(b.mode_shape)
-    offset = len(a.mode_shape)
-    spatial = list(a.spatial_modes) + [m + offset for m in b.spatial_modes]
-    local = list(a.local_modes) + [m + offset for m in b.local_modes]
-    return Layout(shape, mode_shape, spatial, local)
-
-
-def expand_unit_dims(layout: Layout, rank: int, axes: list[int] | None = None) -> Layout:
-    """Insert size-1 dimensions so the layout reaches the requested rank."""
-    if layout.rank > rank:
-        raise LayoutError("cannot expand to a smaller rank")
-    missing = rank - layout.rank
-    if axes is None:
-        axes = list(range(missing))
-    shape = list(layout.shape)
-    for axis in sorted(axes):
-        shape.insert(axis, 1)
-    return Layout(shape, layout.mode_shape, layout.spatial_modes, layout.local_modes)
-
-
-def num_distinct_elements(layout: Layout) -> int:
-    """Number of distinct logical indices covered (≤ size; < size when the
-    layout replicates elements across threads)."""
-    table = layout.table().reshape(-1, layout.rank)
-    linear = np.ravel_multi_index(tuple(table.T), layout.shape)
-    return int(np.unique(linear).size)

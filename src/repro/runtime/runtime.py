@@ -230,12 +230,6 @@ class Runtime:
             self.context.attach_jit(self.memory, self.interpreter.shared_capacity)
         return self.jit
 
-    def disable_jit(self):
-        """Detach the compiled tier; returns the manager (with its cache
-        intact, so re-enabling resumes warm)."""
-        manager, self.jit = self.jit, None
-        return manager
-
     # -- streams ------------------------------------------------------------
     def stream_pool(self, num_streams: int = 4) -> StreamPool:
         """The runtime's stream pool, created on first use.

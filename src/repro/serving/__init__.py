@@ -14,13 +14,13 @@ This package is everything *between* engines:
 - :mod:`~repro.serving.worker` — the shard process entry point;
 - :mod:`~repro.serving.router` — worker pool, admission control,
   SLO-aware scheduling, dispatch and crash recovery;
-- :mod:`~repro.serving.arrivals` — open-loop Poisson / bursty trace
-  generators for benchmarking the above.
+- :mod:`~repro.serving.arrivals` — the open-loop Poisson trace
+  generator for benchmarking the above.
 
 See ``docs/serving.md`` for the architecture and failure model.
 """
 
-from repro.serving.arrivals import bursty_trace, poisson_trace
+from repro.serving.arrivals import poisson_trace
 from repro.serving.messages import (
     MSG_JSON_VERSION,
     recv_msg,
@@ -41,7 +41,6 @@ __all__ = [
     "ServedRequest",
     "WorkerPool",
     "WorkerSpec",
-    "bursty_trace",
     "poisson_trace",
     "recv_msg",
     "request_from_wire",

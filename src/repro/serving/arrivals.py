@@ -1,4 +1,4 @@
-"""Open-loop arrival generators for serving benchmarks.
+"""Open-loop arrival traces for serving benchmarks.
 
 Closed-loop load (issue, wait, issue) hides queueing: the generator
 slows down whenever the system does, so tail latency looks flat no
@@ -8,13 +8,8 @@ a stochastic process and requests land on the router at those times
 regardless of how far behind it is — the regime where p99 latency
 actually measures scheduling quality.
 
-Two generators, both seeded and fully deterministic:
-
-- :func:`poisson_trace` — exponential inter-arrivals at a target rate,
-  the standard memoryless open-loop model;
-- :func:`bursty_trace` — synchronized bursts separated by idle gaps,
-  the adversarial arrival pattern for admission control and SLO
-  scheduling (every burst momentarily exceeds capacity).
+:func:`poisson_trace` draws exponential inter-arrivals at a target rate,
+the standard memoryless open-loop model, seeded and fully deterministic.
 
 Each request gets a sequential ``rid`` (which also seeds its decode
 activations — see :class:`~repro.llm.batching.Request`), a priority
@@ -71,34 +66,4 @@ def poisson_trace(
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(scale=1.0 / rate_rps, size=num_requests)
     arrivals = np.cumsum(gaps) - gaps[0]  # first request lands at t=0
-    return _build(arrivals, prompt_tokens, output_tokens, priorities, slo_s, rid_base)
-
-
-def bursty_trace(
-    num_bursts: int,
-    burst_size: int,
-    burst_gap_s: float,
-    prompt_tokens: int = 512,
-    output_tokens: int = 64,
-    jitter_s: float = 0.0,
-    seed: int = 0,
-    priorities: Sequence[int] = (0,),
-    slo_s: float = math.inf,
-    rid_base: int = 0,
-) -> list[Request]:
-    """Synchronized bursts: ``burst_size`` simultaneous arrivals every
-    ``burst_gap_s`` seconds, each request jittered by up to
-    ``jitter_s`` (uniform, seeded)."""
-    if num_bursts <= 0 or burst_size <= 0:
-        return []
-    if burst_gap_s < 0:
-        raise ValueError(f"burst_gap_s must be non-negative, got {burst_gap_s}")
-    rng = np.random.default_rng(seed)
-    arrivals = []
-    for burst in range(num_bursts):
-        base = burst * burst_gap_s
-        for _ in range(burst_size):
-            offset = rng.uniform(0.0, jitter_s) if jitter_s > 0 else 0.0
-            arrivals.append(base + offset)
-    arrivals.sort()
     return _build(arrivals, prompt_tokens, output_tokens, priorities, slo_s, rid_base)

@@ -1,11 +1,13 @@
-"""Bit-level packing and extraction helpers.
+"""Bit-level helpers for the compact sub-byte storage scheme.
 
-These implement the compact sub-byte storage scheme of paper Section 7.1:
-values narrower than 8 bits are stored back to back with no padding, so a
-single value may straddle a byte boundary (Figure 8).  All helpers are
-vectorized over numpy arrays and operate LSB-first within each byte: the
-value at element index ``k`` occupies absolute bit positions
-``[k * nbits, (k + 1) * nbits)`` of the byte stream.
+Paper Section 7.1: values narrower than 8 bits are stored back to back
+with no padding, so a single value may straddle a byte boundary (Figure
+8).  The VM's own storage is ``vm/memory.py``'s bit views; here are the
+register ``View``'s regrouping (:func:`regroup_patterns`) and the
+Figure 8 load / store paths (:func:`extract_bits` / :func:`insert_bits`),
+LSB-first within each byte: the value at element index ``k`` occupies
+absolute bit positions ``[k * nbits, (k + 1) * nbits)`` of the byte
+stream.
 """
 
 from __future__ import annotations
@@ -20,85 +22,6 @@ def bit_mask(nbits: int) -> int:
     if nbits < 0:
         raise DataTypeError(f"bit_mask: nbits must be non-negative, got {nbits}")
     return (1 << nbits) - 1
-
-
-def _check_bitorder(name: str, bitorder: str) -> None:
-    if bitorder not in ("little", "big"):
-        raise DataTypeError(
-            f"{name}: bitorder must be 'little' or 'big', got {bitorder!r}"
-        )
-
-
-def pack_bits(values: np.ndarray, nbits: int, bitorder: str = "little") -> np.ndarray:
-    """Pack unsigned bit patterns into a compact uint8 byte stream.
-
-    Args:
-        values: array of non-negative integers, each < 2**nbits.  Flattened
-            in C order before packing.
-        nbits: width of each element in bits (1..64).
-        bitorder: ``"little"`` (the VM's native order, LSB first within
-            each element and each byte) or ``"big"`` (MSB first — the
-            order used by e.g. big-endian bitstream formats).
-
-    Returns:
-        A 1-D uint8 array of length ``ceil(len(values) * nbits / 8)``.
-    """
-    if not 1 <= nbits <= 64:
-        raise DataTypeError(f"pack_bits: nbits must be in [1, 64], got {nbits}")
-    _check_bitorder("pack_bits", bitorder)
-    flat = np.ascontiguousarray(values).reshape(-1).astype(np.uint64)
-    if flat.size and int(flat.max()) >> nbits:
-        raise DataTypeError(
-            f"pack_bits: value {int(flat.max())} does not fit in {nbits} bits"
-        )
-    total_bits = flat.size * nbits
-    nbytes = (total_bits + 7) // 8
-    # Expand each value into its individual bits, then repack by 8.
-    bit_idx = np.arange(nbits, dtype=np.uint64)
-    if bitorder == "big":
-        bit_idx = bit_idx[::-1]
-    bits = ((flat[:, None] >> bit_idx[None, :]) & 1).astype(np.uint8).reshape(-1)
-    padded = np.zeros(nbytes * 8, dtype=np.uint8)
-    padded[:total_bits] = bits
-    shifts = np.arange(8, dtype=np.uint8)
-    if bitorder == "big":
-        shifts = shifts[::-1]
-    byte_weights = np.uint8(1) << shifts
-    return (padded.reshape(nbytes, 8) * byte_weights).sum(axis=1).astype(np.uint8)
-
-
-def unpack_bits(
-    data: np.ndarray, nbits: int, count: int, bitorder: str = "little"
-) -> np.ndarray:
-    """Inverse of :func:`pack_bits` (pass the matching ``bitorder``).
-
-    Args:
-        data: uint8 byte stream.
-        nbits: width of each element in bits.
-        count: number of elements to extract.
-        bitorder: ``"little"`` or ``"big"``; see :func:`pack_bits`.
-
-    Returns:
-        A 1-D uint64 array of ``count`` bit patterns.
-    """
-    if not 1 <= nbits <= 64:
-        raise DataTypeError(f"unpack_bits: nbits must be in [1, 64], got {nbits}")
-    _check_bitorder("unpack_bits", bitorder)
-    data = np.ascontiguousarray(data).reshape(-1).astype(np.uint8)
-    total_bits = count * nbits
-    if data.size * 8 < total_bits:
-        raise DataTypeError(
-            f"unpack_bits: need {total_bits} bits but buffer has {data.size * 8}"
-        )
-    shifts = np.arange(8, dtype=np.uint8)
-    if bitorder == "big":
-        shifts = shifts[::-1]
-    bits = ((data[:, None] >> shifts[None, :]) & 1).reshape(-1)
-    bits = bits[:total_bits].reshape(count, nbits).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(nbits, dtype=np.uint64)
-    if bitorder == "big":
-        weights = weights[::-1]
-    return (bits * weights).sum(axis=1, dtype=np.uint64)
 
 
 def expand_regroup(patterns: np.ndarray, old_nbits: int, new_nbits: int) -> np.ndarray:

@@ -7,15 +7,14 @@ share one: the tile-semantics table :mod:`repro.vm.tileops` and, over
 it, one handler per instruction (:mod:`repro.vm.batched`), which the
 grid-vectorized :class:`BatchedExecutor` runs on arrays — all blocks in
 lockstep as stacked numpy ops — and the lowering pipeline runs on names
-to write a compiled kernel.  :func:`select_engine` implements the
-runtime's ``engine="auto"`` policy: batched whenever the program can
-batch, whatever the grid size.
+to write a compiled kernel.  The runtime's ``engine="auto"`` policy —
+batched whenever :func:`supports_batched`, whatever the grid size — is
+decided in ``runtime/executor.py::execute``.
 """
 
 from repro.vm.batched import (
     BatchedExecutor,
     BatchedSharedMemory,
-    select_engine,
     supports_batched,
 )
 from repro.vm.dispatch import LOCKSTEP, SEQUENTIAL, DispatchTable
@@ -27,7 +26,6 @@ __all__ = [
     "Interpreter",
     "BatchedExecutor",
     "BatchedSharedMemory",
-    "select_engine",
     "supports_batched",
     "DispatchTable",
     "SEQUENTIAL",

@@ -85,8 +85,8 @@ decoded values keep their definitions, so what reads them is unchanged.
 
 Engine selection
 ----------------
-:func:`select_engine` implements the policy used by
-:class:`repro.runtime.runtime.Runtime` with ``engine="auto"``:
+``runtime/executor.py::execute`` decides ``engine="auto"`` from
+:func:`supports_batched`:
 
 - **batched** is selected whenever the program can batch: every global
   view shape is block-invariant (built from constants and parameters
@@ -1786,9 +1786,3 @@ def supports_batched(program: Program) -> bool:
     if cached is None:
         cached = program.__dict__[_BATCHABLE_ATTR] = _uniform_view_shapes(program)
     return cached
-
-
-def select_engine(program: Program) -> str:
-    """The ``engine="auto"`` policy: batched for every batchable program,
-    sequential otherwise (see module docstring)."""
-    return "batched" if supports_batched(program) else "sequential"

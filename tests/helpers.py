@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.dtypes import uint
 from repro.layout import Layout, column_local, column_spatial, local, spatial
+from repro.vm import TensorView
 
 
 @st.composite
@@ -41,3 +43,15 @@ def random_values_for(dtype, shape, rng: np.random.Generator):
     if dtype.is_integer:
         return rng.integers(int(dtype.min_value), int(dtype.max_value) + 1, size=shape)
     return dtype.quantize(rng.standard_normal(shape) * 2)
+
+
+def stored(values, nbits: int) -> np.ndarray:
+    """The bytes the VM's sub-byte storage (``vm/memory.py``'s
+    ``TensorView``) holds for ``values`` as ``uint(nbits)`` elements."""
+    values = np.asarray(values, dtype=np.uint64)
+    nbytes = (values.size * nbits + 7) // 8
+    buffer = np.zeros(nbytes + 8, dtype=np.uint8)  # + the view's guard
+    view = TensorView(buffer, 0, uint(nbits), values.shape)
+    view.write_all(values)
+    assert np.array_equal(view.read_all(), values)
+    return buffer[:nbytes]

@@ -1,93 +1,11 @@
-"""Bank-conflict analysis, XOR swizzling, and dead code elimination."""
+"""Dead code elimination."""
 
 import numpy as np
-import pytest
 
-from repro.compiler import (
-    XorSwizzle,
-    compile_program,
-    conflict_degree,
-    default_swizzle,
-    eliminate_dead_code,
-    recommend_swizzle,
-    shared_load_conflicts,
-)
+from repro.compiler import compile_program, eliminate_dead_code
 from repro.dtypes import float16, float32
 from repro.lang import ProgramBuilder, pointer
-from repro.layout import column_spatial, local, mma_m16n8k16, spatial
-
-
-class TestConflictDegree:
-    def test_broadcast_is_free(self):
-        # Every lane reads the same word: hardware broadcasts.
-        assert conflict_degree(np.zeros(32, dtype=np.int64)) == 1
-
-    def test_fully_coalesced(self):
-        # 32 lanes, 32 consecutive words -> 32 distinct banks.
-        assert conflict_degree(np.arange(32) * 4) == 1
-
-    def test_classic_stride_conflict(self):
-        # Stride of 128 bytes: every lane hits bank 0.
-        assert conflict_degree(np.arange(32) * 128) == 32
-
-    def test_two_way(self):
-        # Stride of 2 words: lanes i and i+16 collide in each bank.
-        assert conflict_degree(np.arange(32) * 8) == 2
-
-    def test_odd_stride_is_free(self):
-        # Stride 17 words is coprime with 32: padding trick, no conflicts.
-        assert conflict_degree(np.arange(32) * 68) == 1
-
-
-class TestSharedLoadAnalysis:
-    def test_row_major_row_access_clean(self):
-        # A warp reading one row of f16: consecutive addresses.
-        layout = spatial(1, 32)
-        assert shared_load_conflicts(layout, (8, 32), 16) == 1
-
-    def test_column_access_conflicts(self):
-        # A warp reading a column of a row-major f16 [32, 32] tile:
-        # stride 64 bytes -> 16-way conflict.
-        layout = column_spatial(32, 1)
-        degree = shared_load_conflicts(layout, (32, 32), 16)
-        assert degree >= 8
-
-    def test_swizzle_fixes_column_access(self):
-        layout = column_spatial(32, 1)
-        swizzle = default_swizzle(row_bytes=64)
-        base = shared_load_conflicts(layout, (32, 32), 16)
-        fixed = shared_load_conflicts(layout, (32, 32), 16, swizzle=swizzle)
-        assert fixed < base
-
-    def test_mma_a_fragment_from_row_major(self):
-        """The mma A fragment's ldmatrix-ish pattern on a [16,16] f16
-        tile: with per-lane rows, addresses spread across banks."""
-        mma = mma_m16n8k16()
-        degree = shared_load_conflicts(mma.a_layout, (16, 16), 16, vec_elems=2)
-        assert degree <= 8  # measured; documents the access pattern
-
-    def test_recommendation_only_when_needed(self):
-        assert recommend_swizzle(spatial(1, 32), (8, 32), 16) is None
-        rec = recommend_swizzle(column_spatial(32, 1), (32, 32), 16)
-        assert rec is not None
-
-
-class TestXorSwizzle:
-    def test_bijective(self):
-        for rows, row_bytes in ((8, 128), (16, 64), (32, 32), (64, 16)):
-            swizzle = default_swizzle(row_bytes)
-            assert swizzle.is_bijective(rows, row_bytes), (rows, row_bytes)
-
-    def test_rows_stay_contiguous_in_vectors(self):
-        """Within one 16-byte vector nothing moves: vector loads survive."""
-        swizzle = XorSwizzle(vector_bytes=16, repeat=4)
-        offs = swizzle.apply(np.full(16, 3), np.arange(16), row_bytes=64)
-        assert np.array_equal(np.diff(offs), np.ones(15))
-
-    def test_row_zero_is_identity(self):
-        swizzle = default_swizzle(128)
-        offs = swizzle.apply(np.zeros(128, dtype=int), np.arange(128), 128)
-        assert np.array_equal(offs, np.arange(128))
+from repro.layout import spatial
 
 
 class TestDeadCodeElimination:

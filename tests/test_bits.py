@@ -1,4 +1,5 @@
-"""Bit packing/extraction utilities (paper Section 7.1, Figure 8)."""
+"""Sub-byte bit packing and extraction (paper Section 7.1, Figure 8): the
+VM's compact storage and the load / store paths of Figure 8."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DataTypeError
-from repro.utils.bits import bit_mask, extract_bits, insert_bits, pack_bits, unpack_bits
+from repro.utils.bits import bit_mask, extract_bits, insert_bits
+
+from tests.helpers import stored
 
 
 class TestBitMask:
@@ -27,59 +30,35 @@ class TestBitMask:
 
 
 class TestPackUnpack:
+    """Figure 8's compact layout, as the VM stores it: LSB first, back to
+    back, no padding, read back unchanged."""
+
     def test_simple_4bit(self):
-        values = np.array([0x1, 0x2, 0x3, 0x4])
-        packed = pack_bits(values, 4)
-        assert packed.tolist() == [0x21, 0x43]
+        assert stored([0x1, 0x2, 0x3, 0x4], 4).tolist() == [0x21, 0x43]
 
     def test_straddling_5bit(self):
         # Three 5-bit values: 15 bits across two bytes.
-        values = np.array([0b10101, 0b01010, 0b11111])
-        packed = pack_bits(values, 5)
-        assert len(packed) == 2
-        assert np.array_equal(unpack_bits(packed, 5, 3), values)
+        assert stored([0b10101, 0b01010, 0b11111], 5).tolist() == [0b01010101, 0b01111101]
 
     def test_single_bit(self):
-        values = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1])
-        packed = pack_bits(values, 1)
-        assert len(packed) == 2
-        assert np.array_equal(unpack_bits(packed, 1, 9), values)
-
-    def test_empty(self):
-        packed = pack_bits(np.array([], dtype=np.int64), 3)
-        assert packed.size == 0
-
-    def test_value_too_wide_rejected(self):
-        with pytest.raises(DataTypeError):
-            pack_bits(np.array([8]), 3)
-
-    def test_bad_width_rejected(self):
-        with pytest.raises(DataTypeError):
-            pack_bits(np.array([0]), 0)
-        with pytest.raises(DataTypeError):
-            unpack_bits(np.zeros(1, dtype=np.uint8), 65, 1)
-
-    def test_short_buffer_rejected(self):
-        with pytest.raises(DataTypeError):
-            unpack_bits(np.zeros(1, dtype=np.uint8), 3, 10)
+        assert stored([1, 0, 1, 1, 0, 0, 1, 0, 1], 1).tolist() == [0b01001101, 0b1]
 
     @given(
-        nbits=st.integers(1, 12),
-        data=st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=64),
+        nbits=st.integers(1, 8),
+        data=st.lists(st.integers(0, 2**8 - 1), min_size=1, max_size=64),
     )
     @settings(max_examples=60)
     def test_roundtrip(self, nbits, data):
         values = np.array([v & bit_mask(nbits) for v in data], dtype=np.uint64)
-        packed = pack_bits(values, nbits)
-        assert len(packed) == (len(values) * nbits + 7) // 8
-        assert np.array_equal(unpack_bits(packed, nbits, len(values)), values)
+        packed = stored(values, nbits)
+        for k, v in enumerate(values):
+            assert extract_bits(packed, k * nbits, nbits) == int(v)
 
     @given(nbits=st.integers(1, 8), count=st.integers(1, 40))
     @settings(max_examples=40)
     def test_packing_is_compact(self, nbits, count):
         """No padding bits between consecutive values."""
-        values = np.full(count, bit_mask(nbits), dtype=np.uint64)
-        packed = pack_bits(values, nbits)
+        packed = stored(np.full(count, bit_mask(nbits), dtype=np.uint64), nbits)
         total_bits = count * nbits
         # Every bit below total_bits is 1, everything above is 0.
         bits = np.unpackbits(packed, bitorder="little")

@@ -1,7 +1,7 @@
 """Property-based roundtrip tests for sub-byte packing.
 
-Covers :mod:`repro.utils.bits` (``pack_bits``/``unpack_bits`` at every
-width 1..8, odd element counts, both endiannesses) and
+Covers the VM's sub-byte storage (every width 1..8, odd element counts),
+:func:`repro.utils.bits.regroup_patterns` and
 :mod:`repro.quant.packing` (tile transform/untransform for every sub-byte
 and byte-aligned storage width).
 """
@@ -15,92 +15,31 @@ from repro.dtypes import int_, uint
 from repro.errors import DataTypeError
 from repro.layout import spatial
 from repro.quant.packing import transform_weight, untransform_weight
-from repro.utils.bits import (
-    expand_regroup,
-    extract_bits,
-    pack_bits,
-    regroup_patterns,
-    unpack_bits,
-)
+from repro.utils.bits import expand_regroup, extract_bits, regroup_patterns
 
-from tests.helpers import random_values_for
+from tests.helpers import random_values_for, stored
 
 
 # ---------------------------------------------------------------------------
-# pack_bits / unpack_bits
+# the VM's sub-byte storage
 # ---------------------------------------------------------------------------
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    nbits=st.integers(1, 8),
-    count=st.integers(1, 41),
-    bitorder=st.sampled_from(["little", "big"]),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_pack_unpack_roundtrip(nbits, count, bitorder, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 1 << nbits, size=count, dtype=np.uint64)
-    packed = pack_bits(values, nbits, bitorder=bitorder)
-    assert packed.dtype == np.uint8
-    assert packed.shape == ((count * nbits + 7) // 8,)
-    unpacked = unpack_bits(packed, nbits, count, bitorder=bitorder)
-    assert np.array_equal(unpacked, values)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    nbits=st.integers(9, 64),
-    count=st.integers(1, 9),
-    bitorder=st.sampled_from(["little", "big"]),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_pack_unpack_roundtrip_wide(nbits, count, bitorder, seed):
-    rng = np.random.default_rng(seed)
-    high = (1 << nbits) if nbits < 64 else (1 << 63)
-    values = rng.integers(0, high, size=count, dtype=np.uint64)
-    packed = pack_bits(values, nbits, bitorder=bitorder)
-    assert np.array_equal(unpack_bits(packed, nbits, count, bitorder=bitorder), values)
 
 
 @pytest.mark.parametrize("count", [1, 3, 5, 7, 9, 11, 13])
 @pytest.mark.parametrize("nbits", range(1, 9))
 def test_odd_element_counts_roundtrip(nbits, count):
+    """Odd counts leave a partial last byte: it holds the tail and zeros."""
     values = (np.arange(count, dtype=np.uint64) * 7 + 3) % (1 << nbits)
-    for bitorder in ("little", "big"):
-        packed = pack_bits(values, nbits, bitorder=bitorder)
-        assert np.array_equal(
-            unpack_bits(packed, nbits, count, bitorder=bitorder), values
-        )
-
-
-def test_endianness_changes_byte_stream():
-    # An asymmetric pattern must pack differently in the two orders.
-    values = np.array([0b101, 0b001, 0b110], dtype=np.uint64)
-    little = pack_bits(values, 3, bitorder="little")
-    big = pack_bits(values, 3, bitorder="big")
-    assert not np.array_equal(little, big)
-    # But a cross-order unpack is NOT the identity.
-    assert not np.array_equal(unpack_bits(little, 3, 3, bitorder="big"), values)
+    packed = stored(values, nbits)
+    assert packed.shape == ((count * nbits + 7) // 8,)
+    assert not np.unpackbits(packed, bitorder="little")[count * nbits:].any()
 
 
 def test_little_matches_extract_bits():
     values = np.array([5, 0, 7, 2, 6, 1, 3], dtype=np.uint64)
-    packed = pack_bits(values, 3)  # little is the VM's native layout
+    packed = stored(values, 3)
     for k, v in enumerate(values):
         assert extract_bits(packed, k * 3, 3) == int(v)
-
-
-def test_pack_bits_rejects_oversized_values():
-    with pytest.raises(DataTypeError):
-        pack_bits(np.array([4], dtype=np.uint64), 2)
-
-
-def test_bad_bitorder_rejected():
-    with pytest.raises(DataTypeError):
-        pack_bits(np.array([1], dtype=np.uint64), 2, bitorder="middle")
-    with pytest.raises(DataTypeError):
-        unpack_bits(np.zeros(1, dtype=np.uint8), 2, 1, bitorder="pdp")
 
 
 # ---------------------------------------------------------------------------

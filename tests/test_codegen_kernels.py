@@ -6,11 +6,7 @@ from repro.compiler import compile_program
 from repro.dtypes import dtype_from_name, float16
 from repro.kernels import (
     MatmulConfig,
-    binary_program,
-    dequantize_program,
     make_transform_program,
-    quantized_gemv_program,
-    scale_bias_program,
     splitk_partial_program,
     splitk_reduce_program,
 )
@@ -30,11 +26,6 @@ def _compiles(program, *tokens):
 
 
 class TestAllKernelsCompile:
-    def test_gemv(self):
-        prog = quantized_gemv_program(32, 64, float16, QuantScheme(U4, 32), CFG)
-        kernel = _compiles(prog, "__shfl_xor_sync", "quantized_gemv")
-        assert kernel.shared_bytes == 0  # direct path, no staging
-
     def test_splitk_pair(self):
         scheme = QuantScheme(U4, 32)
         cfg = MatmulConfig(16, 8, 16, split_k=2)
@@ -42,14 +33,6 @@ class TestAllKernelsCompile:
         _compiles(partial, "splitk_partial", "mma.sync")
         reduce = splitk_reduce_program(8, 16, 2, tile_n=16)
         _compiles(reduce, "splitk_reduce")
-
-    def test_elementwise(self):
-        _compiles(binary_program("+", 16, 16), "elementwise")
-        _compiles(scale_bias_program(16, 16), "scale_bias")
-
-    def test_dequantize(self):
-        prog = dequantize_program(32, 16, U4, CFG)
-        _compiles(prog, "dequantize", "lop3.b32")
 
     def test_transform(self):
         prog = make_transform_program(32, 16, U4, CFG)

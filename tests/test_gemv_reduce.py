@@ -1,16 +1,14 @@
-"""The ReduceSum instruction and the SIMT GEMV decode kernel."""
+"""The ReduceSum instruction."""
 
 import numpy as np
 import pytest
 
 from repro.compiler import compile_program
-from repro.dtypes import dtype_from_name, float16, float32, uint8
-from repro.errors import CompilationError, TypeCheckError
-from repro.kernels import MatmulConfig, matmul_layouts, quantized_gemv_program
+from repro.dtypes import float32
+from repro.errors import TypeCheckError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import local, spatial
 from repro.layout.core import replicate
-from repro.quant import QuantScheme, dequantize_weight, quantize_weight, transform_weight
 from repro.vm import Interpreter
 
 
@@ -68,73 +66,3 @@ class TestReduceSum:
         pb.store_global(red, g, offset=[0, 0], masked=True)
         kernel = compile_program(pb.finish())
         assert "__shfl_xor_sync" in kernel.source
-
-
-class TestGemvKernel:
-    @pytest.mark.parametrize("wname,bn", [("u4", 8), ("i6", 8), ("f6e3m2", 8), ("u4", 16)])
-    def test_matches_reference(self, wname, bn):
-        wd = dtype_from_name(wname)
-        n, k = 32, 64
-        cfg = MatmulConfig(16, bn, 16)
-        scheme = QuantScheme(wd, group_size=32)
-        rng = np.random.default_rng(1)
-        x = float16.quantize(rng.standard_normal((1, k)) * 0.3)
-        q, scales = quantize_weight(rng.standard_normal((k, n)), scheme)
-        s16 = float16.quantize(scales)
-        lay = matmul_layouts(cfg, wd)
-        packed = transform_weight(q, wd, lay.b_warp)
-
-        prog = quantized_gemv_program(n, k, float16, scheme, cfg)
-        interp = Interpreter()
-        args = [
-            interp.upload(x.reshape(k, 1), float16),
-            interp.upload(packed, uint8),
-            interp.upload(s16, float16),
-            interp.alloc_output([1, n], float16),
-        ]
-        interp.launch(prog, args)
-        y = interp.download(args[-1], [1, n], float16)
-        ref = x.astype(np.float64) @ dequantize_weight(q, s16, scheme)
-        err = np.max(np.abs(y - ref) / (np.abs(ref) + 0.5))
-        assert err < 0.02, (wname, bn, err)
-
-    def test_shares_packed_format_with_matmul(self):
-        """The same transformed bytes feed both the mma template and the
-        GEMV kernel — one weight preparation serves decode and prefill."""
-        from repro.kernels import quantized_matmul_program
-
-        wd = dtype_from_name("u4")
-        n, k = 16, 64
-        cfg = MatmulConfig(16, 8, 16)
-        scheme = QuantScheme(wd, group_size=32)
-        rng = np.random.default_rng(2)
-        x = float16.quantize(rng.standard_normal((1, k)) * 0.3)
-        q, scales = quantize_weight(rng.standard_normal((k, n)), scheme)
-        s16 = float16.quantize(scales)
-        lay = matmul_layouts(cfg, wd)
-        packed = transform_weight(q, wd, lay.b_warp)
-
-        interp = Interpreter()
-        x_dev = interp.upload(x.reshape(k, 1), float16)
-        xr_dev = interp.upload(x, float16)
-        b_dev = interp.upload(packed, uint8)
-        s_dev = interp.upload(s16, float16)
-        y1_dev = interp.alloc_output([1, n], float16)
-        y2_dev = interp.alloc_output([1, n], float16)
-
-        interp.launch(
-            quantized_gemv_program(n, k, float16, scheme, cfg),
-            [x_dev, b_dev, s_dev, y1_dev],
-        )
-        interp.launch(
-            quantized_matmul_program(1, n, k, float16, scheme, cfg),
-            [xr_dev, b_dev, s_dev, y2_dev],
-        )
-        y_gemv = interp.download(y1_dev, [1, n], float16)
-        y_mma = interp.download(y2_dev, [1, n], float16)
-        assert np.allclose(y_gemv, y_mma, atol=0.02, rtol=0.02)
-
-    def test_single_warp_enforced(self):
-        scheme = QuantScheme(dtype_from_name("u4"), 32)
-        with pytest.raises(CompilationError, match="single-warp"):
-            quantized_gemv_program(32, 64, float16, scheme, MatmulConfig(32, 16, 16, 2, 1))

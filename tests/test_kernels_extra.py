@@ -1,4 +1,4 @@
-"""Elementwise kernels, split-k matmul, and bf16 activations."""
+"""Split-k matmul and bf16 activations."""
 
 import numpy as np
 import pytest
@@ -7,88 +7,13 @@ from repro.dtypes import bfloat16, dtype_from_name, float16, float32, uint8
 from repro.errors import CompilationError
 from repro.kernels import (
     MatmulConfig,
-    binary_program,
-    dequantize_program,
     matmul_layouts,
     quantized_matmul_program,
-    scale_bias_program,
     splitk_partial_program,
     splitk_reduce_program,
 )
 from repro.quant import QuantScheme, dequantize_weight, quantize_weight, transform_weight
 from repro.vm import Interpreter
-
-
-class TestDequantizeKernel:
-    @pytest.mark.parametrize("name", ["u4", "i6", "f6e3m2"])
-    def test_expands_to_dense(self, name):
-        dtype = dtype_from_name(name)
-        cfg = MatmulConfig(16, 8, 16)
-        k, n = 32, 16
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((k, n))
-        scheme = QuantScheme(dtype, group_size=k)
-        q, scales = quantize_weight(w, scheme)
-        lay = matmul_layouts(cfg, dtype)
-        packed = transform_weight(q, dtype, lay.b_warp)
-        scales16 = float16.quantize(scales)
-
-        prog = dequantize_program(k, n, dtype, cfg, zero_point=scheme.zero_point)
-        interp = Interpreter()
-        args = [
-            interp.upload(packed, uint8),
-            interp.upload(scales16, float16),
-            interp.alloc_output([k, n], float16),
-        ]
-        interp.launch(prog, args)
-        dense = interp.download(args[-1], [k, n], float16)
-        expected = float16.quantize(dequantize_weight(q, scales16, scheme))
-        assert np.allclose(dense, expected, atol=0.02, rtol=0.02)
-
-
-class TestElementwiseKernels:
-    @pytest.mark.parametrize("op,ref", [("+", np.add), ("-", np.subtract), ("*", np.multiply)])
-    def test_binary(self, op, ref):
-        rows, cols = 19, 16  # rows not a tile multiple: masking exercised
-        rng = np.random.default_rng(1)
-        a = float16.quantize(rng.standard_normal((rows, cols)))
-        b = float16.quantize(rng.standard_normal((rows, cols)) + 2)
-        prog = binary_program(op, rows, cols)
-        interp = Interpreter()
-        args = [
-            interp.upload(a, float16),
-            interp.upload(b, float16),
-            interp.alloc_output([rows, cols], float16),
-        ]
-        interp.launch(prog, args)
-        out = interp.download(args[-1], [rows, cols], float16)
-        assert np.allclose(out, float16.quantize(ref(a, b)), atol=1e-2)
-
-    def test_scale_bias(self):
-        rows, cols = 12, 8
-        rng = np.random.default_rng(2)
-        x = float16.quantize(rng.standard_normal((rows, cols)))
-        s = float16.quantize(rng.standard_normal(cols) + 1)
-        b = float16.quantize(rng.standard_normal(cols))
-        prog = scale_bias_program(rows, cols)
-        interp = Interpreter()
-        args = [
-            interp.upload(x, float16),
-            interp.upload(s.reshape(1, cols), float16),
-            interp.upload(b.reshape(1, cols), float16),
-            interp.alloc_output([rows, cols], float16),
-        ]
-        interp.launch(prog, args)
-        out = interp.download(args[-1], [rows, cols], float16)
-        assert np.allclose(out, float16.quantize(x * s + b), atol=0.02)
-
-    def test_bad_op_rejected(self):
-        with pytest.raises(CompilationError):
-            binary_program("**", 8, 8)
-
-    def test_col_alignment_required(self):
-        with pytest.raises(CompilationError):
-            binary_program("+", 8, 6)
 
 
 class TestSplitK:

@@ -6,7 +6,6 @@ from repro.errors import LayoutError
 from repro.layout import (
     MMA_CONFIGS,
     MmaConfig,
-    dot_operand_layouts,
     ldmatrix_m8n8_layout,
     ldmatrix_unit_layout,
     local,
@@ -82,18 +81,3 @@ class TestLdmatrix:
 
     def test_wrong_rank_rejected(self):
         assert not supports_ldmatrix(local(128))
-
-
-class TestWarpTiling:
-    def test_dot_operand_layouts_cover_tile(self):
-        a, b, c = dot_operand_layouts(32, 16, 32)
-        assert a.shape == (32, 32)
-        assert b.shape == (32, 16)
-        assert c.shape == (32, 16)
-        for operand in (a, b, c):
-            assert operand.num_threads == 32
-            assert operand.is_bijective()
-
-    def test_non_multiple_rejected(self):
-        with pytest.raises(LayoutError):
-            dot_operand_layouts(20, 8, 16)

@@ -22,7 +22,6 @@ from repro.serving import (
     Router,
     WorkerPool,
     WorkerSpec,
-    bursty_trace,
     poisson_trace,
     recv_msg,
     request_from_wire,
@@ -84,27 +83,10 @@ class TestArrivals:
         assert all(r.slo_s == 1.5 for r in trace)
         assert all(r.deadline_s == r.arrival_s + 1.5 for r in trace)
 
-    def test_bursty_structure(self):
-        trace = bursty_trace(3, 4, burst_gap_s=2.0)
-        assert len(trace) == 12
-        for burst in range(3):
-            group = trace[burst * 4 : (burst + 1) * 4]
-            assert all(r.arrival_s == burst * 2.0 for r in group)
-
-    def test_bursty_jitter_stays_in_window(self):
-        trace = bursty_trace(2, 8, burst_gap_s=5.0, jitter_s=0.5, seed=1)
-        for r in trace[:8]:
-            assert 0.0 <= r.arrival_s <= 0.5
-        for r in trace[8:]:
-            assert 5.0 <= r.arrival_s <= 5.5
-
     def test_empty_and_invalid(self):
         assert poisson_trace(0, rate_rps=1.0) == []
-        assert bursty_trace(0, 4, 1.0) == []
         with pytest.raises(ValueError):
             poisson_trace(4, rate_rps=0.0)
-        with pytest.raises(ValueError):
-            bursty_trace(2, 2, burst_gap_s=-1.0)
 
 
 # ---------------------------------------------------------------------------

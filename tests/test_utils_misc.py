@@ -94,44 +94,6 @@ class TestErrorHierarchy:
             raise OutOfMemoryError("boom")
 
 
-class TestLayoutMiscOps:
-    def test_expand_unit_dims(self):
-        from repro.layout import expand_unit_dims, local
-
-        a = local(4)
-        b = expand_unit_dims(a, rank=2)
-        assert b.shape == (1, 4)
-        assert b.local_size == 4
-        with pytest.raises(LayoutError):
-            expand_unit_dims(b, rank=1)
-
-    def test_concat_layouts(self):
-        from repro.layout import concat_layouts, local, spatial
-
-        c = concat_layouts(spatial(4), local(3))
-        assert c.shape == (4, 3)
-        assert c.num_threads == 4
-        assert c.local_size == 3
-
-    def test_num_distinct_elements(self):
-        from repro.layout import num_distinct_elements, spatial
-        from repro.layout.core import replicate
-
-        assert num_distinct_elements(spatial(4, 8)) == 32
-        replicated = replicate(2, rank=1).compose(spatial(8))
-        assert num_distinct_elements(replicated) == 8
-
-    def test_row_major_default_layout(self):
-        from repro.layout import row_major_register_layout
-
-        layout = row_major_register_layout((8, 8), 32)
-        assert layout.num_threads == 32
-        assert layout.local_size == 2
-        assert layout.is_bijective()
-        with pytest.raises(LayoutError):
-            row_major_register_layout((5, 5), 32)
-
-
 class TestTensorTypeCorners:
     def test_storage_accounting(self):
         from repro.dtypes import int6

@@ -22,7 +22,7 @@ from unittest import mock
 import pytest
 
 from repro.ir.stmt import ForStmt
-from repro.vm import select_engine
+from repro.vm import supports_batched
 from tests.harness import generate_case, run_differential
 from tests.harness.differential import (
     MODES,
@@ -176,7 +176,7 @@ def test_generated_programs_select_batched_engine():
     # The auto policy must route every generated program to the batched
     # engine (none of them has block-varying view shapes).
     case = generate_case(0)
-    assert select_engine(case.program) == "batched"
+    assert supports_batched(case.program)
 
 
 #: Harness cases of the two matmul families whose k-loop — the ``cp.async``

@@ -10,7 +10,7 @@ from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import local, spatial
 from repro.runtime import Runtime
-from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, select_engine
+from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, supports_batched
 
 
 def run_simple(build_body, m=16, n=16, grid=None):
@@ -284,7 +284,7 @@ class TestBatchedDebug:
         # Debug programs batch: the auto policy no longer forces them
         # onto the sequential engine.
         prog, _ = self._print_program()
-        assert select_engine(prog) == "batched"
+        assert supports_batched(prog)
 
 
 class TestBatchedAllocateGlobal:

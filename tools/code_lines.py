@@ -27,8 +27,8 @@ _NOT_CODE = {
 }
 
 
-def code_lines(source: str) -> int:
-    """Number of lines of ``source`` that carry code."""
+def code_line_set(source: str) -> set[int]:
+    """The line numbers of ``source`` that carry code."""
     lines: set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _NOT_CODE:
@@ -45,7 +45,12 @@ def code_lines(source: str) -> int:
             and isinstance(first.value.value, str)
         ):
             lines.difference_update(range(first.lineno, first.end_lineno + 1))
-    return len(lines)
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Number of lines of ``source`` that carry code."""
+    return len(code_line_set(source))
 
 
 def python_files(path: str) -> list[str]:
