@@ -1,10 +1,25 @@
-"""Setup shim for environments without the `wheel` package.
+"""Packaging for the ``repro`` library (``src`` layout).
 
-`pip install -e .` needs `wheel` for PEP 660 editable installs; this shim
-lets `python setup.py develop` work with plain setuptools as a fallback.
-Configuration lives in pyproject.toml.
+``pip install -e .`` or ``python setup.py develop`` installs it; the
+tests and CI run from source with ``PYTHONPATH=src`` instead.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.M,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -8,7 +8,7 @@ Subpackages:
     :mod:`repro.lang`     — the Python DSL (ProgramBuilder)
     :mod:`repro.compiler` — verifier, planners, selection, CUDA codegen
     :mod:`repro.vm`       — bit-accurate interpreter (GPU substitute)
-    :mod:`repro.runtime`  — kernel cache, workspace, execution context
+    :mod:`repro.runtime`  — launches, streams, JIT tier, execution context
     :mod:`repro.quant`    — quantization + weight layout transforms
     :mod:`repro.kernels`  — the parameterized quantized-matmul template
     :mod:`repro.autotune` — tile-configuration tuner

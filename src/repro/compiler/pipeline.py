@@ -2,23 +2,23 @@
 
 Steps: verify → simplify → DCE → shared-memory planning → instruction
 selection → code generation.  The first three are
-:func:`prepare_program`: they make the program the engines run, and the
-runtime's specialization cache runs nothing else.  :func:`compile_program`
+:func:`prepare_program`: they make the program the engines run, once per
+program object — the program carries the mark, so preparation lives and
+dies with it, and a launch runs nothing else.  :func:`compile_program`
 adds the rest — the CUDA artifact: the generated source, the shared-
 memory size it requests at launch, and the selection report the
 performance model reads.
 
 The module also defines the **kernel specialization key**: the program
 object together with the launch's const-bound scalar parameters.  The
-JIT's kernel cache and stacking key on it; the runtime's specialization
-cache (:class:`repro.runtime.runtime.SpecializationCache`) prepares each
-program object once, whatever its scalars.  Two builds of one template
-are two programs; a served path launches one program object for a whole
+JIT's kernels and stacking key on it.  Two builds of one template are
+two programs; a served path launches one program object for a whole
 run.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,9 +63,9 @@ def specialization_key(program: Program, args: Sequence = ()) -> tuple:
     scalar arguments are specialization constants — the compiled tier
     folds them into its kernels.  The program component is the object
     itself, which hashes by identity (``Program`` defines no ``__eq__``):
-    two builds of one template are two specializations, and a cache
-    holding the key keeps its program alive, so a recycled ``id`` can
-    never alias a dead program.
+    two builds of one template are two specializations, and a key
+    holds its program alive, so a recycled ``id`` can never alias a
+    dead program.
     """
     const_params = tuple(
         (p.name, float(a) if p.dtype.is_float else int(a))
@@ -75,15 +75,31 @@ def specialization_key(program: Program, args: Sequence = ()) -> tuple:
     return (program, const_params)
 
 
-def prepare_program(program: Program) -> VerificationReport:
+#: Where a prepared program keeps its verification report — the mark
+#: that it is prepared.
+_PREPARED_ATTR = "_prepared_verification"
+#: Held while a program is prepared: runtimes on several threads may
+#: launch one program, and the passes rewrite it in place.
+_PREPARE_LOCK = threading.Lock()
+
+
+def prepare_program(program: Program) -> bool:
     """Verify ``program``, then simplify it and eliminate dead code in
-    place: the program the engines run.  Raises
+    place: the program the engines run.  Runs once per program object:
+    the verification report marks the program, and a marked program
+    returns at once.  Returns whether this call ran the passes.  Raises
     :class:`~repro.errors.TypeCheckError` before touching an ill-typed
-    program."""
-    verification = verify_program(program)
-    simplify_program(program)
-    eliminate_dead_code(program)
-    return verification
+    program, which stays unmarked."""
+    if _PREPARED_ATTR in program.__dict__:
+        return False
+    with _PREPARE_LOCK:
+        if _PREPARED_ATTR in program.__dict__:
+            return False
+        verification = verify_program(program)
+        simplify_program(program)
+        eliminate_dead_code(program)
+        program.__dict__[_PREPARED_ATTR] = verification
+    return True
 
 
 def compile_program(
@@ -91,7 +107,7 @@ def compile_program(
 ) -> CompiledKernel:
     """Run the full pipeline on ``program``: :func:`prepare_program`,
     then the CUDA artifact."""
-    verification = prepare_program(program)
+    prepare_program(program)
     shared_plan = plan_shared_memory(program, shared_capacity)
     selection = select_instructions(program)
     source = generate_cuda(program, shared_plan, selection)
@@ -100,5 +116,5 @@ def compile_program(
         source=source,
         shared_plan=shared_plan,
         selection=selection,
-        verification=verification,
+        verification=program.__dict__[_PREPARED_ATTR],
     )

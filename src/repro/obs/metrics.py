@@ -1,8 +1,8 @@
 """The metrics registry: frozen dot-namespaced snapshot contracts.
 
 Before this module, every subsystem invented its own counter shape —
-``ExecutionStats`` attributes, ``SpecializationCache.hits``, the
-``JitManager`` attributes, the ad-hoc ``counters`` dict on serving's
+``ExecutionStats`` attributes, the ``Runtime``'s preparation counts,
+the ``JitManager`` attributes, the ad-hoc ``counters`` dict on serving's
 ``done`` frames.  The registry replaces
 none of those *mechanisms* (they stay the cheap in-band counters they
 are) but gives them one read-side contract: a ``metrics()`` method
@@ -11,7 +11,7 @@ key set frozen here and validated on every snapshot.
 
 Namespaces:
 
-- ``runtime.*``   — launches, the specialization cache, engine stats
+- ``runtime.*``   — launches, program preparation, engine stats
 - ``streams.*``   — pool width, launches, post-coalescing executions
 - ``jit.*``       — compiled tier: promotion/bailout/cache counters
 - ``batching.*``  — the continuous-batching simulator's shape
@@ -33,7 +33,9 @@ from repro.errors import VMError
 #: ``Runtime.metrics()`` keys.
 RUNTIME_METRICS_KEYS = frozenset({
     "runtime.launches",
-    "runtime.spec_cache.entries",
+    # The names bench/run.py reads: hits are launches of an already
+    # prepared program, misses the programs this runtime prepared, and
+    # evictions read 0 — nothing evicts a prepared program.
     "runtime.spec_cache.hits",
     "runtime.spec_cache.misses",
     "runtime.spec_cache.evictions",
@@ -55,7 +57,6 @@ RUNTIME_METRICS_KEYS = frozenset({
     "jit.promotions",
     "jit.cache.hits",
     "jit.cache.misses",
-    "jit.cache.evictions",
 })
 
 #: ``ContinuousBatchingSimulator.metrics()`` keys: the runtime contract

@@ -39,9 +39,10 @@ from repro.runtime import Runtime
 class QuantizedLinear:
     """A reusable quantized-weight operator (weights resident on device).
 
-    Programs are memoized per activation row count ``m``; combined with the
-    runtime's specialization cache this makes repeated calls launch-only —
-    no template re-instantiation and no compiler pass on the hot path.
+    Programs are memoized per activation row count ``m``, and a program
+    is prepared once (on itself, at its first launch), so repeated calls
+    are launch-only — no template re-instantiation and no compiler pass
+    on the hot path.
 
     With ``config.split_k >= 2`` the product runs as ``split_k``
     independent slice kernels plus a reduce kernel
@@ -71,8 +72,9 @@ class QuantizedLinear:
     s_addr: int
     act_dtype: DataType = float16
 
-    #: Bound on memoized per-``m`` programs (oldest evicted beyond this),
-    #: mirroring the runtime cache's LRU bound one layer down.
+    #: Bound on memoized per-``m`` programs (oldest dropped beyond this):
+    #: a program's prepared state and compiled kernels live on it, so a
+    #: linear called at many row counts does not keep them all alive.
     MAX_PROGRAMS = 32
 
     def __post_init__(self) -> None:

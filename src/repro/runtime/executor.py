@@ -3,8 +3,8 @@
 Two call sites issue launches — the synchronous ``Runtime.launch`` and
 the stream pool's group loop (``StreamPool.run_group``: eager drains,
 graph replays and the serial replay oracle) — and each keeps only what
-is its own (argument checks and the specialization cache; group
-formation, error marking and the tally).  What they share lives here,
+is its own (argument checks and preparation; group formation, error
+marking and the tally).  What they share lives here,
 once:
 
 - :func:`execute` — decide the tier, consult the JIT, run the engine,

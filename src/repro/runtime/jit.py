@@ -8,21 +8,26 @@ dispatch on every launch.  The lowering pipeline
 already-specialized launch by running the batched engine's walk — its
 statement walk and its instruction handlers — once at compile time with
 the pointers left symbolic, and emitting what it did as flat,
-straight-line numpy source.  This module is the *runtime* half of the tier:
+straight-line numpy source.  This module is the *runtime* half of the
+tier, :class:`JitManager`: the promotion policy and its state per
+specialization —
 
-- :class:`JitCache` — a bounded LRU of
-  :class:`~repro.compiler.lower.LoweredKernel` objects keyed by
-  :func:`~repro.compiler.pipeline.specialization_key` — the program
-  object and its const scalars — the number of launches the kernel
-  stacks and the pointer parameters the stack shares (a kernel loads
-  what it reads through those once, so it serves only stacks that agree
-  there), with the eviction discipline of the runtime's
-  :class:`~repro.runtime.runtime.SpecializationCache`.  An entry holds
-  its program alive;
-- :class:`JitManager` — the promotion policy plus a bounded *bailout
-  memo*: specializations the pipeline declined (``LoweringBailout``) are
-  remembered so a hot-but-unloweable signature does not re-attempt the
-  whole pass pipeline on every launch.
+- the compiled :class:`~repro.compiler.lower.LoweredKernel` objects,
+  keyed by :func:`~repro.compiler.pipeline.specialization_key` — the
+  program object and its const scalars — the number of launches the
+  kernel stacks and the pointer parameters the stack shares (a kernel
+  loads what it reads through those once, so it serves only stacks that
+  agree there);
+- the *bailout memo*: specializations the pipeline declined
+  (``LoweringBailout``), with the reason, so a hot-but-unloweable
+  signature does not re-attempt the whole pass pipeline on every launch;
+- the invocation count of each specialization left interpreted.
+
+That state lives on the program, one entry per manager in a
+:class:`weakref.WeakKeyDictionary` (the way the program memoizes
+``supports_batched``), so it dies with whichever of the two goes first:
+no manager table holds a program alive, and a kernel's reference back
+to its program is a cycle the collector reclaims.
 
 Promotion is counted, not timed: the manager keeps, per
 specialization, the number of invocations it left interpreted; the
@@ -32,7 +37,7 @@ compiled, with no API change at any call site.  The decision is a pure
 function of the launch sequence (no clock, no profiler), so the tier a
 launch runs on repeats run to run.  Cold signatures never pay a
 compile; a hot specialization is hot at every group size and shared
-set and stays hot for the manager's lifetime.
+set and stays hot for as long as the program and the manager live.
 
 Execution stays bit-exact: lowering either reproduces the batched
 engine's results (and error behaviour, and statistics) exactly — the
@@ -44,7 +49,7 @@ tier in as one of its five modes.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+import weakref
 from typing import Optional, Sequence
 
 from repro.compiler.lower import LoweredKernel, LoweringBailout, lower_program
@@ -63,92 +68,46 @@ from repro.vm.memory import GlobalMemory
 #: would have, whatever it costs — so no cost model weighs the count.
 PROMOTE_AFTER = 4
 
-#: Compiled kernels kept per manager (LRU beyond this).
-DEFAULT_MAX_ENTRIES = 64
+#: Where a program keeps its JIT state: one :class:`_ProgramState` per
+#: manager, weakly keyed by the manager.
+_STATE_ATTR = "_jit_state"
 
 
-class JitCache:
-    """Bounded LRU of compiled (lowered) kernels, keyed by
-    ``(specialization key, stacked launches, shared pointer
-    parameters)`` — the compiled twin of
-    the runtime's :class:`~repro.runtime.runtime.SpecializationCache`,
-    with the same eviction discipline and the same
-    ``hits``/``misses``/``evictions`` counters."""
+class _ProgramState:
+    """One manager's compiled tier for one program.  Entries key on the
+    const scalars of the launch's specialization key (its program is the
+    object holding them), the stacked launches and the shared pointer
+    parameters; the count keys on the scalars alone."""
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self._kernels: OrderedDict[tuple, LoweredKernel] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    __slots__ = ("kernels", "bailed", "seen")
 
-    def lookup(self, key: tuple) -> Optional[LoweredKernel]:
-        """The cached kernel for ``key``, or None.  A hit refreshes
-        recency; a miss only counts (insertion happens via :meth:`put`
-        once compilation succeeds — bailed-out keys never consume an
-        entry)."""
-        kernel = self._kernels.get(key)
-        if kernel is not None:
-            self.hits += 1
-            self._kernels.move_to_end(key)
-            return kernel
-        self.misses += 1
-        return None
-
-    def put(self, key: tuple, kernel: LoweredKernel) -> None:
-        self._kernels[key] = kernel
-        self._kernels.move_to_end(key)
-        while len(self._kernels) > self.max_entries:
-            self._kernels.popitem(last=False)
-            self.evictions += 1
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._kernels)
-
-    def __repr__(self) -> str:
-        return (
-            f"JitCache({len(self)}/{self.max_entries} entries, "
-            f"{self.hits} hits, {self.misses} misses, {self.evictions} evicted)"
-        )
+    def __init__(self) -> None:
+        self.kernels: dict[tuple, LoweredKernel] = {}
+        #: Entries the pipeline declined, with the bailout reason.
+        self.bailed: dict[tuple, str] = {}
+        #: Invocations left interpreted, per specialization.
+        self.seen: dict[tuple, int] = {}
 
 
 class JitManager:
-    """Owns one memory's compiled tier: cache, bailout memo, promotion
-    count, counters.
+    """Owns one memory's compiled tier: the promotion policy and its
+    counters; its kernels, bailout memo and counts live on each program
+    (see the module docstring).
 
     One manager per :class:`~repro.runtime.runtime.Runtime` (attached by
     ``enable_jit()``; shared with its stream pool as ``pool.jit``), so
     every execution path — synchronous launches, eager streams, graph
-    replays — consults the same cache and the same count.
+    replays — consults the same kernels and the same count.
     Thread-safe: host threads (synchronous launches beside a draining
-    pool) may call into it concurrently; compilation runs under the lock so one hot signature
-    compiles exactly once.
+    pool) may call into it concurrently; compilation runs under the lock
+    so one hot signature compiles exactly once.
     """
 
     def __init__(
-        self,
-        memory: GlobalMemory,
-        shared_capacity: int = 228 * 1024,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
+        self, memory: GlobalMemory, shared_capacity: int = 228 * 1024
     ) -> None:
         self.memory = memory
         self.shared_capacity = shared_capacity
-        self.cache = JitCache(max_entries)
-        #: Specializations the pipeline declined, with the bailout reason
-        #: — bounded like the cache so unloweable traffic cannot grow it.
-        self._bailed: OrderedDict[tuple, str] = OrderedDict()
-        #: Invocations left interpreted, per specialization key — LRU
-        #: under the same bound, so key churn that never promotes cannot
-        #: grow it.
-        self._seen: OrderedDict[tuple, int] = OrderedDict()
-        self._max_memo = 4 * max_entries
         self._lock = threading.Lock()
         #: Successful compilations (pass pipeline ran to the end).
         self.compiled = 0
@@ -157,12 +116,29 @@ class JitManager:
         #: Launches actually executed on the compiled tier (a stacked
         #: invocation counts each launch it carries).
         self.promotions = 0
+        #: Lookups that found a compiled kernel, and lookups that did not.
+        self.hits = 0
+        self.misses = 0
 
     # -- policy --------------------------------------------------------------
+    def _state(self, program) -> _ProgramState:
+        """This manager's state on ``program``, made on first use."""
+        states = program.__dict__.get(_STATE_ATTR)
+        if states is None:
+            states = program.__dict__.setdefault(
+                _STATE_ATTR, weakref.WeakKeyDictionary()
+            )
+        state = states.get(self)
+        if state is None:
+            state = states[self] = _ProgramState()
+        return state
+
     @staticmethod
     def _entry(key: tuple, launches: int, shared: tuple) -> tuple:
-        """The cache / memo entry of a stack: one launch shares nothing."""
-        return (key, launches, tuple(shared) if launches > 1 else ())
+        """The kernel / memo entry of a stack on its program: the key's
+        scalars, the stack size and the shared pointers (one launch
+        shares nothing)."""
+        return (key[1], launches, tuple(shared) if launches > 1 else ())
 
     def maybe_compile(
         self,
@@ -178,7 +154,7 @@ class JitManager:
         group of that many hazard-independent launches of this one
         specialization as a single stacked grid, ``shared`` naming the
         pointer parameters every one of them passes the same value for
-        (ignored for a single launch): kernels (and bailouts) are cached
+        (ignored for a single launch): kernels (and bailouts) are kept
         per ``(key, launches, shared)``, the count is per
         specialization, so a hot key is hot at every group size.
 
@@ -188,34 +164,24 @@ class JitManager:
         no kernel stay interpreted and the next one compiles.  Either
         way a known bailed-out specialization answers None from the memo
         without re-running the pipeline, and an already-compiled one
-        answers from the cache without touching the count.
+        answers its kernel without touching the count.
         """
         if key is None:
             key = specialization_key(program, args)
         entry = self._entry(key, launches, shared)
         with self._lock:
-            kernel = self.cache.lookup(entry)
+            state = self._state(program)
+            kernel = state.kernels.get(entry)
             if kernel is not None:
+                self.hits += 1
                 return kernel
-            reason = self._bailed.get(entry)
-            if reason is not None:
-                self._bailed.move_to_end(entry)
+            self.misses += 1
+            if entry in state.bailed:
                 return None
             if not forced:
-                seen = self._seen[key] = self._seen.get(key, 0) + 1
-                self._seen.move_to_end(key)
-                while len(self._seen) > self._max_memo:
-                    self._seen.popitem(last=False)
+                seen = state.seen[key[1]] = state.seen.get(key[1], 0) + 1
                 if seen <= PROMOTE_AFTER:
                     return None
-        with self._lock:
-            # Re-check under the lock: a racing launch may have compiled
-            # (or bailed) this key since the count was taken.
-            kernel = self.cache.lookup(entry)
-            if kernel is not None:
-                return kernel
-            if entry in self._bailed:
-                return None
             tracer = obs_trace.ACTIVE
             try:
                 kernel = lower_program(
@@ -223,9 +189,7 @@ class JitManager:
                 )
             except LoweringBailout as exc:
                 self.bailouts += 1
-                self._bailed[entry] = str(exc)
-                while len(self._bailed) > self._max_memo:
-                    self._bailed.popitem(last=False)
+                state.bailed[entry] = str(exc)
                 if tracer is not None:
                     tracer.instant(
                         f"jit.bailout:{program.name}",
@@ -234,7 +198,7 @@ class JitManager:
                         {"reason": str(exc)},
                     )
                 return None
-            self.cache.put(entry, kernel)
+            state.kernels[entry] = kernel
             self.compiled += 1
             if tracer is not None:
                 tracer.instant(
@@ -259,6 +223,12 @@ class JitManager:
         return kernel.run_many(self.memory, args_list, stats)
 
     # -- introspection -------------------------------------------------------
+    def kernels(self, program) -> list[LoweredKernel]:
+        """The kernels this manager compiled for ``program``, one per
+        scalars, group size and shared set."""
+        with self._lock:
+            return list(self._state(program).kernels.values())
+
     def bailout_reason(
         self, program, args: Sequence, launches: int = 1, shared: tuple = ()
     ) -> Optional[str]:
@@ -267,11 +237,10 @@ class JitManager:
         in tests and bug reports)."""
         entry = self._entry(specialization_key(program, args), launches, shared)
         with self._lock:
-            return self._bailed.get(entry)
+            return self._state(program).bailed.get(entry)
 
     def __repr__(self) -> str:
         return (
-            f"JitManager({self.cache!r}, "
-            f"{self.compiled} compiled, {self.bailouts} bailouts, "
-            f"{self.promotions} promotions)"
+            f"JitManager({self.compiled} compiled, {self.bailouts} bailouts, "
+            f"{self.promotions} promotions, {self.hits} hits, {self.misses} misses)"
         )

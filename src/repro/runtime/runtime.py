@@ -13,10 +13,11 @@ ends):
    next drain point — a ``wait``, a ``synchronize``, a graph replay, or
    this runtime's own synchronous ``launch`` / ``download`` — runs the
    pending launches grouped, on the calling thread;
-2. a **kernel specialization cache** keyed on the program object, so a
-   program is prepared once and every later launch of it — whatever its
+2. **preparation on the program**: the first launch of a program object
+   runs :func:`repro.compiler.pipeline.prepare_program`, which marks the
+   program, and every later launch of it — on any runtime, whatever its
    scalars — skips the compiler entirely.  A rebuilt template is a new
-   program and is prepared again.
+   program and is prepared again; nothing here holds a program alive.
 
 Execution is delegated to the launch executor
 (:mod:`repro.runtime.executor`), which every launch path shares: it
@@ -45,7 +46,6 @@ The runtime is the one owner of engine state: the layers above
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -74,62 +74,8 @@ ENGINES = ("auto", "sequential", "batched", "compiled")
 _HOST_SITE = Site("launch", "runtime")
 
 
-class SpecializationCache:
-    """Bounded LRU of prepared programs, keyed by the program object.
-
-    Preparation does not depend on the launch's scalars, so launches of
-    one program with different const-bound arguments (split-k's ``k0``)
-    share an entry; only the JIT and stacking keep the full
-    :func:`~repro.compiler.pipeline.specialization_key`.  An entry holds
-    its program alive, so a recycled ``id`` cannot alias a dead one.
-
-    ``max_entries`` bounds memory: least-recently-used programs are evicted
-    once the bound is exceeded; ``hits``/``misses``/``evictions`` expose
-    the cache behaviour to tests and benchmarks.
-    """
-
-    def __init__(self, max_entries: int = 128) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self._programs: OrderedDict[Program, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, program: Program) -> Program:
-        """Return ``program``, prepared
-        (:func:`~repro.compiler.pipeline.prepare_program`) on its first
-        request; an ill-typed program raises there and is not cached."""
-        if program in self._programs:
-            self.hits += 1
-            self._programs.move_to_end(program)
-            return program
-        prepare_program(program)
-        self.misses += 1
-        self._programs[program] = None
-        while len(self._programs) > self.max_entries:
-            self._programs.popitem(last=False)
-            self.evictions += 1
-        return program
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._programs)
-
-    def __repr__(self) -> str:
-        return (
-            f"SpecializationCache({len(self)}/{self.max_entries} entries, "
-            f"{self.hits} hits, {self.misses} misses, {self.evictions} evicted)"
-        )
-
-
 class Runtime:
-    """Device handle: memory, kernel cache, execution engines, launch API.
+    """Device handle: memory, execution engines, launch API.
 
     ``engine`` selects how kernels execute:
 
@@ -158,7 +104,11 @@ class Runtime:
         self.interpreter = self._lane.interpreter
         self.batched = self._lane.batched
         self.engine = engine
-        self.cache = SpecializationCache()
+        #: Programs this runtime's launches prepared, and launches of a
+        #: program already prepared (``runtime.spec_cache.misses`` /
+        #: ``hits``).
+        self.prepared = 0
+        self.reused = 0
         #: Shared with the stream pool (see :meth:`stream_pool`).
         self.context = ExecutionContext()
         self._pool: StreamPool | None = None
@@ -216,8 +166,7 @@ class Runtime:
         """Attach the compiled execution tier (:mod:`repro.runtime.jit`).
 
         Returns the active :class:`~repro.runtime.jit.JitManager`: the
-        already-attached one, or a fresh one holding at most
-        :data:`~repro.runtime.jit.DEFAULT_MAX_ENTRIES` kernels.
+        already-attached one, or a fresh one.
         From here on every execution path through this runtime —
         synchronous launches, eager streams, graph replays — promotes a
         specialization to its compiled kernel once the manager has left
@@ -262,8 +211,8 @@ class Runtime:
         Used as a context manager: every launch inside the ``with`` block
         — streamed or synchronous — is recorded into the returned
         :class:`~repro.runtime.graphs.ExecutionGraph` instead of
-        executing (preparation still goes through the specialization
-        cache, so captured nodes hold prepared programs).  After the
+        executing (a captured launch still prepares its program, so
+        captured nodes hold prepared programs).  After the
         block, ``graph.replay(bindings)`` re-executes the frozen launch
         DAG without re-running scheduling, hazard analysis, or
         coalescing decisions.  Nothing served captures a graph (split-k
@@ -318,7 +267,7 @@ class Runtime:
         launch returns None once it has run.
 
         An ill-typed program raises :class:`~repro.errors.TypeCheckError`
-        before anything is cached or run.
+        before anything is marked or run.
 
         ``stream`` makes the launch asynchronous: pass a
         :class:`~repro.runtime.streams.Stream` label (from
@@ -339,14 +288,17 @@ class Runtime:
                 f"stream must be a Stream, 'auto', or None, got {stream!r}"
             )
         if len(args) != len(program.params):
-            # Check before touching the cache: a truncated zip would
-            # otherwise build a bogus specialization key and cache a program
-            # for a launch that can never run.
+            # Check before preparing: a truncated zip would otherwise
+            # build a bogus specialization key and prepare a program for
+            # a launch that can never run.
             raise VMError(
                 f"{program.name} expects {len(program.params)} args, got {len(args)}"
             )
         key = specialization_key(program, args)
-        self.cache.get(program)
+        if prepare_program(program):
+            self.prepared += 1
+        else:
+            self.reused += 1
         requested = engine or self.engine
         if stream is None and self._pool is not None and self._pool.capturing:
             # During graph capture every launch is recorded, including
@@ -388,10 +340,12 @@ class Runtime:
         """One flat snapshot of every runtime-level counter, under the
         frozen dot-namespaced contract
         (:data:`repro.obs.metrics.RUNTIME_METRICS_KEYS`).  Subsumes the
-        per-subsystem counter objects — the specialization cache, the
+        per-subsystem counter objects — the preparation counts, the
         merged :class:`~repro.vm.interp.ExecutionStats`, the stream
         pool, the JIT manager — without replacing them; absent
-        subsystems report zeros so the key set never varies."""
+        subsystems report zeros so the key set never varies.  Nothing
+        evicts a prepared program, so ``runtime.spec_cache.evictions``
+        reads 0."""
         from repro.obs.metrics import RUNTIME_METRICS_KEYS, validate_metrics
 
         stats = self.stats()
@@ -399,10 +353,9 @@ class Runtime:
         jit = self.jit
         snapshot = {
             "runtime.launches": self.context.launches,
-            "runtime.spec_cache.entries": len(self.cache),
-            "runtime.spec_cache.hits": self.cache.hits,
-            "runtime.spec_cache.misses": self.cache.misses,
-            "runtime.spec_cache.evictions": self.cache.evictions,
+            "runtime.spec_cache.hits": self.reused,
+            "runtime.spec_cache.misses": self.prepared,
+            "runtime.spec_cache.evictions": 0,
             "runtime.stats.blocks_run": stats.blocks_run,
             "runtime.stats.instructions": stats.instructions,
             "runtime.stats.global_bits_loaded": stats.global_bits_loaded,
@@ -419,8 +372,7 @@ class Runtime:
             "jit.compiled": jit.compiled if jit is not None else 0,
             "jit.bailouts": jit.bailouts if jit is not None else 0,
             "jit.promotions": jit.promotions if jit is not None else 0,
-            "jit.cache.hits": jit.cache.hits if jit is not None else 0,
-            "jit.cache.misses": jit.cache.misses if jit is not None else 0,
-            "jit.cache.evictions": jit.cache.evictions if jit is not None else 0,
+            "jit.cache.hits": jit.hits if jit is not None else 0,
+            "jit.cache.misses": jit.misses if jit is not None else 0,
         }
         return validate_metrics(snapshot, RUNTIME_METRICS_KEYS, "Runtime")

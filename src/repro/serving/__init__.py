@@ -1,8 +1,8 @@
 """Multi-process sharded serving: the placement/transport layer.
 
 The runtime package is the **local engine**: one process's
-:class:`~repro.runtime.runtime.Runtime` owns all engine state — spec
-cache, profiler, compiled tier.
+:class:`~repro.runtime.runtime.Runtime` owns all engine state —
+profiler, compiled tier.
 This package is everything *between* engines:
 
 - :mod:`~repro.serving.spec` — the deterministic rebuild recipe

@@ -268,7 +268,7 @@ class RouterResult:
         """Per-worker breakdown: requests served, simulated latency/TTFT
         percentiles over that worker's completions, its simulated busy
         time, and its summed chunk counters (kernel launches, graph
-        captures/replays, JIT promotions, specialization-cache
+        captures/replays, JIT promotions, prepared-program
         hits/misses, …) — not just the fleet aggregates."""
         workers = sorted(
             set(self.worker_time_s)

@@ -47,7 +47,7 @@ def worker_main(conn, spec_json: str) -> None:
     spec = WorkerSpec.from_json(spec_json)
     sim = spec.build_simulator()
     tracer = obs_trace.install() if spec.trace else None
-    cache = sim.decode_linear.runtime.cache
+    runtime = sim.decode_linear.runtime
     send_msg(conn, "ready", pid=os.getpid())
     while True:
         msg = recv_msg(conn)
@@ -61,7 +61,7 @@ def worker_main(conn, spec_json: str) -> None:
         if kind == "run":
             try:
                 requests = [request_from_wire(r) for r in msg["requests"]]
-                hits0, misses0 = cache.hits, cache.misses
+                hits0, misses0 = runtime.reused, runtime.prepared
                 trace_start = tracer.now() if tracer is not None else 0.0
                 outcome = sim.run(requests)
                 if tracer is not None:
@@ -85,11 +85,12 @@ def worker_main(conn, spec_json: str) -> None:
                         "graph_replays": outcome.graph_replays,
                         "jit_compiled": outcome.jit_compiled,
                         "jit_promotions": outcome.jit_promotions,
-                        # Per-chunk specialization-cache deltas, so the
+                        # Per-chunk preparation deltas (launches of a
+                        # prepared program, programs prepared), so the
                         # router's per-worker breakdown sums correctly
                         # across chunks and respawns.
-                        "cache_hits": cache.hits - hits0,
-                        "cache_misses": cache.misses - misses0,
+                        "cache_hits": runtime.reused - hits0,
+                        "cache_misses": runtime.prepared - misses0,
                     },
                 )
             except Exception as exc:  # noqa: BLE001 — forwarded to router

@@ -220,8 +220,11 @@ class TensorView:
         return out
 
     def scatter_bits(self, indices: list[np.ndarray], patterns: np.ndarray) -> None:
-        """Write bit patterns at the given multi-indices (vectorized)."""
+        """Write bit patterns at the given multi-indices (vectorized); an
+        empty write does nothing."""
         linear = self._linear(indices)
+        if linear.size == 0:
+            return
         patterns = np.broadcast_to(np.asarray(patterns, dtype=np.uint64), linear.shape)
         nbits = self.dtype.nbits
         try:

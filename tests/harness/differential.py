@@ -159,7 +159,9 @@ def _run_engine(case: GeneratedCase, mode: str):
         if mode == "jit":
             # A kernel is lowered by the execution that then runs it.
             stacked_compiled = sum(
-                kernel.launches > 1 for kernel in pool.jit.cache._kernels.values()
+                kernel.launches > 1
+                for program in {program for program, _ in plan}
+                for kernel in pool.jit.kernels(program)
             )
         stats = pool.stats
     elif mode == "graph-replay":

@@ -52,6 +52,17 @@ class TestEnumeration:
             assert cfg.shared_bytes(16, 8) <= L40S.shared_mem_per_sm
 
 
+@pytest.mark.parametrize(
+    "m, n, k, dtype",
+    [(1, 8192, 8192, "u4"), (16, 8192, 28672, "u4"), (16, 57344, 8192, "f6"),
+     (4096, 8192, 8192, "u4"), (16, 57344, 8192, "u3")],
+)
+def test_every_tuned_operator_searches_the_paper_order(shared_tuner, m, n, k, dtype):
+    """'around 200 configurations per operator': at least 100 for each
+    operator of the paper's tuning table."""
+    assert shared_tuner.tune(MatmulWorkload.of(m, n, k, dtype)).num_candidates >= 100
+
+
 class TestTuning:
     def test_decode_prefers_split_k(self):
         """Paper Section 9.4: k-dimension parallelization is what Ladder

@@ -16,7 +16,11 @@ and the plumbing.
 """
 
 import contextlib
+import gc
 import re
+import sys
+import threading
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -38,9 +42,9 @@ from repro.ir.stmt import ForStmt
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import local, mma_m16n8k16, spatial
 from repro.layout.core import replicate
-from repro.runtime import JitCache, JitManager, Profile, Runtime
+from repro.runtime import JitManager, Profile, Runtime
 from repro.runtime.executor import shared_pointers
-from repro.runtime.jit import DEFAULT_MAX_ENTRIES, PROMOTE_AFTER
+from repro.runtime.jit import PROMOTE_AFTER
 from repro.runtime.profiling import COMPILED
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter
 
@@ -299,11 +303,11 @@ class TestStackedLowering:
                 STACK * int(np.prod(program.grid_size(args_list[0]))),
             )
             manager.run(kernel, args_list, stats)
-            hits = manager.cache.hits
+            hits = manager.hits
             again = manager.maybe_compile(
                 program, args_list[0], forced=True, launches=STACK
             )
-            assert again is kernel and manager.cache.hits == hits + 1
+            assert again is kernel and manager.hits == hits + 1
         assert np.array_equal(memory.buffer, want_memory.buffer)
         assert stats.snapshot() == want_stats.snapshot()
         assert manager.compiled == len(groups)
@@ -431,7 +435,7 @@ class TestStackedLowering:
         program = work_program("alone")
         one = manager.maybe_compile(program, [a, out], forced=True)
         assert manager.maybe_compile(program, [a, out], forced=True, shared=(0,)) is one
-        assert (len(manager.cache), manager.compiled) == (1, 1)
+        assert (manager.kernels(program), manager.compiled) == ([one], 1)
         named = lower_program(program, [a, out], memory, shared=(0, 1))
         assert named.shared == () and named.source == one.source
 
@@ -1178,25 +1182,6 @@ def test_compiled_tier_is_exact_across_the_weight_spectrum(dtype, stages):
 # ---------------------------------------------------------------------------
 
 
-class TestJitCache:
-    def test_lru_eviction_and_counters(self):
-        cache = JitCache(max_entries=2)
-        assert cache.lookup(("k1",)) is None
-        cache.put(("k1",), "a")
-        cache.put(("k2",), "b")
-        assert cache.lookup(("k1",)) == "a"  # refreshes recency
-        cache.put(("k3",), "c")  # evicts k2, the LRU
-        assert len(cache) == 2
-        assert cache.lookup(("k2",)) is None
-        assert cache.lookup(("k3",)) == "c"
-        assert (cache.hits, cache.misses, cache.evictions) == (2, 2, 1)
-        assert cache.hit_rate == 0.5
-
-    def test_rejects_bad_bound(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            JitCache(max_entries=0)
-
-
 class TestJitManager:
     def test_cold_specialization_never_compiles(self):
         """Fewer invocations than the constant, no forced engine: the
@@ -1228,20 +1213,18 @@ class TestJitManager:
 
     def test_compiled_time_is_not_heat(self):
         """Invocations served on the compiled tier must not count toward
-        promotion — otherwise every promoted spec looks eternally hot
-        and a cache eviction immediately recompiles it even when its
-        interpreted traffic never justified the first compile."""
+        promotion — otherwise every promoted spec looks eternally hot,
+        and a group size it has not met yet compiles on first sight
+        although its interpreted traffic never justified a compile."""
         memory, host, a, out = device()
-        manager = JitManager(memory, max_entries=1)
-        program, other = work_program("served"), work_program("evictor")
+        manager = JitManager(memory)
+        program = work_program("served")
         kernel = manager.maybe_compile(program, [a, out], forced=True)
-        for _ in range(3 * PROMOTE_AFTER):  # cache hits
+        for _ in range(3 * PROMOTE_AFTER):  # kernel hits
             assert manager.maybe_compile(program, [a, out]) is kernel
-        assert not manager._seen, "compiled invocations were counted"
-        assert manager.maybe_compile(other, [a, out], forced=True) is not None
-        assert manager.cache.evictions == 1
-        for _ in range(PROMOTE_AFTER):  # evicted: earns its compile again
-            assert manager.maybe_compile(program, [a, out]) is None
+        for _ in range(PROMOTE_AFTER):  # a new group size earns its compile
+            assert manager.maybe_compile(program, [a, out], launches=2) is None
+        assert manager.maybe_compile(program, [a, out], launches=2) is not None
         assert manager.compiled == 2
 
     def test_promotion_is_sticky_across_profiler_resets(self):
@@ -1292,7 +1275,8 @@ class TestJitManager:
 
     @staticmethod
     def _reference_model(calls):
-        """What ``maybe_compile`` answers (a kernel?) for each call."""
+        """What ``maybe_compile`` answers (a kernel?) for each call, and
+        how many kernels and bailouts the calls make."""
         seen = {}
         cached, bailed, answers = set(), set(), []
         for k, launches, forced, shared in calls:
@@ -1305,7 +1289,7 @@ class TestJitManager:
                     which = bailed if k in TestJitManager.BAILING else cached
                     which.add(entry)
             answers.append(entry in cached)
-        return answers
+        return answers, len(cached), len(bailed)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1338,45 +1322,99 @@ class TestJitManager:
                 )
                 for k, launches, forced, shared in calls
             ]
-        assert [a is not None for a in answers] == self._reference_model(calls)
+        want, compiled, bailed = self._reference_model(calls)
+        assert [a is not None for a in answers] == want
         assert all(
             a is None or (a.launches, a.shared) == (c[1], c[3] if c[1] > 1 else ())
             for a, c in zip(answers, calls)
         )
-        assert manager.compiled == len(manager.cache)
-        assert manager.bailouts == len(manager._bailed)
-
-    def test_seen_map_is_bounded_lru(self):
-        """Key churn that never promotes cannot grow the count map: it
-        is bounded like the bailout memo (4 x ``max_entries``), and
-        least-recently-*counted* keys go first, so a key that keeps
-        arriving still promotes through the churn."""
-        manager = JitManager(GlobalMemory(1 << 12), max_entries=2)
-        cap = manager._max_memo
-        assert cap == 8
-        program = SimpleNamespace(name="churn")
-        lowered = SimpleNamespace(launches=1)
-        answers = []
-        with mock.patch("repro.runtime.jit.lower_program",
-                        lambda *args: lowered):
-            for i in range(10 * cap):
-                assert manager.maybe_compile(program, [], key=("cold", i)) is None
-                assert len(manager._seen) <= cap
-                if i % (cap - 1) == 0:  # recurs inside every window
-                    answers.append(manager.maybe_compile(program, [], key=("warm",)))
-        assert len(manager._seen) == cap
-        assert ("cold", 10 * cap - 1) in manager._seen
-        assert ("cold", 0) not in manager._seen
-        assert answers[:PROMOTE_AFTER] == [None] * PROMOTE_AFTER
-        assert all(a is lowered for a in answers[PROMOTE_AFTER:])
-        assert manager.compiled == 1
+        assert manager.compiled == len(manager.kernels(programs[0])) == compiled
+        assert manager.bailouts == bailed
 
     def test_rejects_bad_threshold(self):
         """The promotion threshold is a module constant, not an
-        argument: the one bound a manager takes is its capacity."""
+        argument, and a manager has no capacity either: it takes
+        neither."""
         assert isinstance(PROMOTE_AFTER, int) and PROMOTE_AFTER >= 1
-        with pytest.raises(ValueError, match="max_entries"):
-            JitManager(GlobalMemory(1 << 16), max_entries=0)
+        for knob in ("promote_after", "max_entries"):
+            with pytest.raises(TypeError, match=knob):
+                JitManager(GlobalMemory(1 << 16), **{knob: 2})
+
+
+class TestProgramStateLifetime:
+    """A program's derived state — its preparation, and each manager's
+    kernels, bailouts and counts — lives on the program: nothing the
+    runtime or its manager keeps holds a program alive."""
+
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_a_dropped_program_is_collected_while_its_runtime_lives(self, stack):
+        """Launched until it runs compiled — alone, or ``stack`` stream
+        launches a group — the program is collected once the caller drops
+        it, while the runtime and its manager are still alive."""
+        runtime = Runtime()
+        jit = runtime.enable_jit()
+        a = runtime.upload(
+            float16.quantize(np.random.default_rng(0).standard_normal((ROWS, COLS))),
+            float16,
+        )
+        outs = [runtime.empty([ROWS, COLS], float16) for _ in range(stack)]
+        program = work_program("dropped")
+        for _ in range(PROMOTE_AFTER + 1):
+            for out in outs:
+                runtime.launch(program, [a, out], stream="auto" if stack > 1 else None)
+            runtime.synchronize()
+        assert [kernel.launches for kernel in jit.kernels(program)] == [stack]
+        assert jit.promotions == stack
+        dropped = weakref.ref(program)
+        del program
+        gc.collect()
+        assert dropped() is None
+        assert runtime.jit is jit and jit.compiled == 1
+
+    def test_runtimes_on_more_threads_than_cores_share_one_program(self, monkeypatch):
+        """Eight runtimes, each on its own thread, launch one program
+        until it runs compiled: its passes run once, each manager
+        compiles it once, and every output is the sequential engine's."""
+        from repro.compiler import pipeline
+
+        verified, original = [], pipeline.verify_program
+        monkeypatch.setattr(
+            pipeline, "verify_program", lambda p: verified.append(p) or original(p)
+        )
+        data = float16.quantize(np.random.default_rng(0).standard_normal((ROWS, COLS)))
+        program, results, errors = work_program("threads"), {}, []
+
+        def serve(i):
+            try:
+                runtime = Runtime(dram_bytes=1 << 22)
+                jit = runtime.enable_jit()
+                a = runtime.upload(data, float16)
+                out = runtime.empty([ROWS, COLS], float16)
+                for _ in range(PROMOTE_AFTER + 1):
+                    runtime.launch(program, [a, out])
+                bits = runtime.download(out, [ROWS, COLS], float16).tobytes()
+                results[i] = (jit.compiled, jit.promotions, bits)
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert verified == [program]
+        reference = Runtime(dram_bytes=1 << 22, engine="sequential")
+        a = reference.upload(data, float16)
+        out = reference.empty([ROWS, COLS], float16)
+        reference.launch(work_program("threads"), [a, out])
+        want = reference.download(out, [ROWS, COLS], float16).tobytes()
+        assert sorted(results.values()) == [(1, 1, want)] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -1473,12 +1511,11 @@ class TestRuntimeTier:
         assert engines - {COMPILED}, "interpreted records vanished"
 
     def test_enable_jit_rejects_a_different_capacity_on_an_attached_manager(self):
-        """A runtime's manager holds ``DEFAULT_MAX_ENTRIES`` kernels and
-        ``enable_jit`` takes no capacity: asking for one raises, and
-        enabling again returns the attached manager."""
+        """A manager has no capacity and ``enable_jit`` takes none:
+        asking for one raises, and enabling again returns the attached
+        manager."""
         runtime = Runtime()
         manager = runtime.enable_jit()
-        assert manager.cache.max_entries == DEFAULT_MAX_ENTRIES
         with pytest.raises(TypeError, match="max_entries"):
             runtime.enable_jit(max_entries=16)
         assert runtime.enable_jit() is manager
@@ -1498,7 +1535,9 @@ class TestRuntimeTier:
         assert runtime.jit.compiled == 0, (
             "an explicit engine choice must be honored"
         )
-        assert not runtime.jit._seen, "and it earns no promotion either"
+        for _ in range(PROMOTE_AFTER):  # and it earns no promotion either
+            assert runtime.jit.maybe_compile(
+                program, [a, linear.b_addr, linear.s_addr, out]) is None
 
     def test_stream_submission_promotes(self):
         linear, runtime, a = _linear_fixture()
@@ -1604,10 +1643,11 @@ class TestServingTier:
         jit = sim.decode_linear.runtime.jit
         assert first.jit_compiled >= 1
         assert first.jit_promotions < first.kernel_launches  # earned it
-        seen = {k.launches for k in jit.cache._kernels.values()}
+        program = sim.decode_linear.program_for(1)
+        seen = {k.launches for k in jit.kernels(program)}
         assert max(seen) == 2
         second = sim.run(uniform_trace(4, 0.0, prompt_tokens=32, output_tokens=6))
-        assert {k.launches for k in jit.cache._kernels.values()} - seen == {4}
+        assert {k.launches for k in jit.kernels(program)} - seen == {4}
         assert second.jit_compiled >= 1
         assert second.jit_promotions == second.kernel_launches
 

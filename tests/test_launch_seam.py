@@ -645,11 +645,17 @@ def test_the_runtime_runs_what_it_prepares(monkeypatch, name):
 
 def test_an_ill_typed_program_raises_at_launch_and_leaves_no_trace():
     """The verifier stays on the launch path: an ill-typed program
-    raises ``TypeCheckError`` from ``Runtime.launch``, nothing is
-    cached, and no engine runs."""
+    raises ``TypeCheckError`` from ``Runtime.launch``, is not marked
+    prepared (preparing it again verifies again, and raises), counts no
+    preparation, and no engine runs — while a launched well-typed
+    program is marked, and preparing it again returns at once."""
+    from repro.compiler.pipeline import prepare_program
+
     runtime, a, (out,) = fresh_runtime()
-    runtime.launch(scale_program("seam_typed"), [a, out, 2.0])
-    entries, misses = len(runtime.cache), runtime.cache.misses
+    typed = scale_program("seam_typed")
+    runtime.launch(typed, [a, out, 2.0])
+    assert prepare_program(typed) is False
+    misses = runtime.metrics()["runtime.spec_cache.misses"]
     blocks = runtime.stats().blocks_run
     tile = TensorType(MemoryScope.REGISTER, float16, (ROWS, COLS), spatial(ROWS, COLS))
     ghost, neg = TensorVar("ghost", tile), TensorVar("neg", tile)
@@ -659,8 +665,10 @@ def test_an_ill_typed_program_raises_at_launch_and_leaves_no_trace():
     )
     with pytest.raises(TypeCheckError, match="before definition"):
         runtime.launch(program, [])
-    assert (len(runtime.cache), runtime.cache.misses) == (entries, misses)
+    assert runtime.metrics()["runtime.spec_cache.misses"] == misses == 1
     assert runtime.stats().blocks_run == blocks
+    with pytest.raises(TypeCheckError, match="before definition"):
+        prepare_program(program)
 
 
 def test_a_program_only_the_cuda_emitter_refuses_runs_at_launch():
@@ -715,18 +723,18 @@ def test_a_split_k_call_computes_each_launch_key_once(monkeypatch):
 
 
 def _counting_prepare(monkeypatch):
-    """Patch the runtime's ``prepare_program``; returns the list of the
-    programs it is called on."""
-    from repro.runtime import runtime as runtime_module
+    """Count ``prepare_program``'s passes: returns the list of the
+    programs it verified (its first pass), whoever called it."""
+    from repro.compiler import pipeline
 
     prepared = []
-    original = runtime_module.prepare_program
+    original = pipeline.verify_program
 
-    def prepare(program):
+    def verify(program):
         prepared.append(program)
         return original(program)
 
-    monkeypatch.setattr(runtime_module, "prepare_program", prepare)
+    monkeypatch.setattr(pipeline, "verify_program", verify)
     return prepared
 
 
@@ -735,7 +743,7 @@ def test_a_specialization_is_the_program_object_plus_its_scalars(monkeypatch):
     traced launch through sync, stream and graph replay — cold and
     promoted — never prints its program (``Program.__repr__``); one
     object relaunched with the same scalars is one key and one
-    ``prepare_program`` call; two identical builds are two keys."""
+    preparation; two identical builds are two keys."""
     from repro.runtime import runtime as runtime_module
 
     def refuse(self):
@@ -779,9 +787,9 @@ def test_a_specialization_is_the_program_object_plus_its_scalars(monkeypatch):
 
 def test_a_split_k_linear_prepares_each_program_once(monkeypatch):
     """The slices of a split-k call differ only in the scalar ``k0``:
-    the specialization cache keys on the program object, so three calls
-    of a ``split_k=2`` linear prepare its slice and its reduce program
-    once each (the slice was once prepared per ``k0``)."""
+    preparation is per program object, so three calls of a
+    ``split_k=2`` linear prepare its slice and its reduce program once
+    each (the slice was once prepared per ``k0``)."""
     prepared = _counting_prepare(monkeypatch)
     linear = ops.prepare_linear(
         np.ones((64, 16)), uint4, group_size=32, config=LINEARS["split-k"]
@@ -789,3 +797,24 @@ def test_a_split_k_linear_prepares_each_program_once(monkeypatch):
     for _ in range(3):
         linear(np.ones((4, 64)))
     assert prepared == list(linear.splitk_programs_for(4))
+
+
+def test_a_program_launched_on_two_runtimes_is_prepared_once(monkeypatch):
+    """Preparation lives on the program, not on a runtime: launched on
+    two runtimes, a program runs ``prepare_program``'s passes once.  The
+    first runtime counts the preparation (a miss), the second a launch
+    of a prepared program (a hit), and both compute the same bytes."""
+    prepared = _counting_prepare(monkeypatch)
+    program = scale_program("two_runtimes")
+    counts, outputs = [], []
+    for _ in range(2):
+        runtime, a, (out,) = fresh_runtime()
+        runtime.launch(program, [a, out, 2.0])
+        metrics = runtime.metrics()
+        counts.append(
+            (metrics["runtime.spec_cache.misses"], metrics["runtime.spec_cache.hits"])
+        )
+        outputs.append(runtime.download(out, [ROWS, COLS], float16).tobytes())
+    assert prepared == [program]
+    assert counts == [(1, 0), (0, 1)]
+    assert outputs[0] == outputs[1]

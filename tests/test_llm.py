@@ -15,6 +15,9 @@ from repro.llm import (
 )
 from repro.perf import A100, H100, L40S
 
+#: The stages of Figures 12 and 13.
+STAGES = (("decode", 1), ("decode", 16), ("prefill", 2048))
+
 
 class TestModelConfigs:
     def test_paper_benchmark_shapes_come_from_llama(self):
@@ -51,6 +54,7 @@ class TestMemoryAccounting:
         assert simulate_cell(QWEN2_5_32B, ServingConfig("vllm", float16, L40S), "decode", 1).error == "OOM"
         assert simulate_cell(LLAMA3_70B, ServingConfig("vllm", float16, L40S), "decode", 1).error == "OOM"
         assert simulate_cell(LLAMA3_70B, ServingConfig("tilus", uint8, L40S), "decode", 1).error == "OOM"
+        assert simulate_cell(LLAMA3_70B, ServingConfig("ladder", uint8, L40S), "decode", 1).error == "OOM"
         assert simulate_cell(GEMMA2_9B, ServingConfig("vllm", float16, L40S), "decode", 1).ok
         assert simulate_cell(LLAMA3_70B, ServingConfig("tilus", uint4, L40S), "decode", 1).ok
 
@@ -68,17 +72,19 @@ class TestMemoryAccounting:
 
 class TestFigure13HardwareMatrix:
     def test_ladder_errs_on_hopper(self):
-        cell = simulate_cell(QWEN2_5_32B, ServingConfig("ladder", uint4, H100), "decode", 1)
-        assert cell.error == "ERR"
+        for stage, toks in STAGES:
+            cell = simulate_cell(QWEN2_5_32B, ServingConfig("ladder", uint4, H100), stage, toks)
+            assert cell.error == "ERR", stage
 
     def test_tilus_runs_everywhere(self):
         for gpu in (A100, L40S, H100):
-            cell = simulate_cell(QWEN2_5_32B, ServingConfig("tilus", uint4, gpu), "decode", 1)
-            assert cell.ok, gpu
+            for stage, toks in STAGES:
+                cell = simulate_cell(QWEN2_5_32B, ServingConfig("tilus", uint4, gpu), stage, toks)
+                assert cell.ok, (gpu, stage)
 
     def test_tilus_beats_ladder_on_all_gpus(self):
         for gpu in (A100, L40S):
-            for stage, toks in (("decode", 1), ("decode", 16), ("prefill", 2048)):
+            for stage, toks in STAGES:
                 t = simulate_cell(QWEN2_5_32B, ServingConfig("tilus", uint4, gpu), stage, toks)
                 l = simulate_cell(QWEN2_5_32B, ServingConfig("ladder", uint4, gpu), stage, toks)
                 assert t.latency_ms < l.latency_ms, (gpu, stage, toks)
@@ -123,6 +129,19 @@ class TestFigure12Shapes:
         t = simulate_cell(GEMMA2_9B, ServingConfig("tilus", uint4, L40S), "prefill", 2048)
         l = simulate_cell(GEMMA2_9B, ServingConfig("ladder", uint4, L40S), "prefill", 2048)
         assert v.latency_ms < t.latency_ms < l.latency_ms
+
+    def test_tilus_at_most_ladder_on_every_cell(self):
+        """Every model, stage and weight width both systems run."""
+        count = 0
+        for model in MODELS.values():
+            for stage, toks in STAGES:
+                for dtype in (uint8, uint4, uint2):
+                    t = simulate_cell(model, ServingConfig("tilus", dtype, L40S), stage, toks)
+                    l = simulate_cell(model, ServingConfig("ladder", dtype, L40S), stage, toks)
+                    if t.ok and l.ok:
+                        assert t.latency_ms <= l.latency_ms, (model.name, stage, dtype)
+                        count += 1
+        assert count >= 18
 
     def test_decode_latency_scales_with_model(self):
         g = simulate_cell(GEMMA2_9B, ServingConfig("tilus", uint4, L40S), "decode", 1)

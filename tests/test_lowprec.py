@@ -130,3 +130,10 @@ def test_execute_helper_consistency():
         for idx, v in enumerate(values):
             plan = fallback_load_plan(nbits, idx)
             assert _execute_load_plan(plan, data) == int(v)
+
+
+def test_vectorized_u5_cast_beats_the_bitwise_fallback():
+    """The vectorized-cast ablation: a u5 -> f16 cast costs under 1/1.5
+    of the fallback's per-element extraction plus its convert."""
+    fallback = sum(len(fallback_load_plan(5, i)) for i in range(8)) / 8 + 1
+    assert fallback / cast_cost_per_element(dtype_from_name("u5"), float16) > 1.5

@@ -164,7 +164,6 @@ class TestChromeExport:
 #: is ever dropped or renamed without updating this contract).
 BASELINE_RUNTIME_KEYS = {
     "runtime.launches",
-    "runtime.spec_cache.entries",
     "runtime.spec_cache.hits",
     "runtime.spec_cache.misses",
     "runtime.spec_cache.evictions",
@@ -186,7 +185,6 @@ BASELINE_RUNTIME_KEYS = {
     "jit.promotions",
     "jit.cache.hits",
     "jit.cache.misses",
-    "jit.cache.evictions",
 }
 
 BASELINE_SIMULATOR_KEYS = BASELINE_RUNTIME_KEYS | {

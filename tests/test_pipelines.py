@@ -3,12 +3,14 @@
 from repro.dtypes import uint4, uint8
 from repro.perf import (
     L40S,
+    PIPELINES,
     ladder_pipeline,
     tilus_pipeline,
     triton_pipeline,
 )
 
 TILE = 16 * 8  # one mma-sized weight tile
+FIG1_TILE = 64 * 64  # one staged weight tile of Figure 1's stage table
 
 
 class TestStageStructure:
@@ -63,6 +65,27 @@ class TestCriticalPath:
         p2 = tilus_pipeline(TILE, uint8)
         p1 = tilus_pipeline(TILE, uint4)
         assert p2.total_bytes() == 2 * p1.total_bytes()
+
+
+class TestFigure1Tile:
+    def test_serial_bytes_per_system(self):
+        """Tilus: no serial work; Triton: the conversion's two f16
+        passes; Ladder: everything serial, more than Triton."""
+        serial = {
+            name: factory(FIG1_TILE, uint4).serial_bytes()
+            for name, factory in PIPELINES.items()
+        }
+        assert serial["tilus"] == 0
+        assert serial["triton"] == 2 * FIG1_TILE * 2
+        assert serial["ladder"] > serial["triton"]
+
+    def test_critical_times(self):
+        t = {
+            name: factory(FIG1_TILE, uint4).critical_time(L40S)
+            for name, factory in PIPELINES.items()
+        }
+        assert t["tilus"] == 0.0
+        assert t["tilus"] < t["triton"] < t["ladder"] * 10
 
 
 class TestScopes:

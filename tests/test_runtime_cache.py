@@ -1,5 +1,5 @@
-"""Specialization-cache behaviour: hit/miss counters, identity keys,
-eviction bound, and wiring into the operator / autotuner launch paths."""
+"""Preparation once per program object: the ``runtime.spec_cache.*``
+counts, identity keys, and wiring into the operator launch path."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.compiler import specialization_key
 from repro.dtypes import float16, int32
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
-from repro.runtime import Runtime, SpecializationCache
+from repro.runtime import Runtime
 
 
 def _scale_program(scale: float, name: str = "scale"):
@@ -50,41 +50,28 @@ class TestSpecializationKey:
         assert ("n", 4) in k1[1]
 
 
+def _spec_counts(rt):
+    metrics = rt.metrics()
+    return tuple(
+        metrics[f"runtime.spec_cache.{name}"] for name in ("misses", "hits", "evictions")
+    )
+
+
 class TestSpecializationCache:
+    """The counts still named for the cache: misses are the programs a
+    runtime prepared, hits its launches of a prepared program, and
+    nothing evicts."""
+
     def test_hits_and_misses_counted(self):
-        cache = SpecializationCache()
+        rt = Runtime()
+        data = float16.quantize(np.random.default_rng(0).standard_normal((8, 4)))
+        a = rt.upload(data, float16)
+        b = rt.empty([8, 4], float16)
         program = _scale_program(2.0)
-        cache.get(program)
-        cache.get(program)
-        cache.get(_scale_program(2.0))  # fresh identical build: a new program
-        assert cache.misses == 2
-        assert cache.hits == 1
-        assert cache.hit_rate == pytest.approx(1 / 3)
-        assert len(cache) == 2
-
-    def test_eviction_bound_respected(self):
-        cache = SpecializationCache(max_entries=3)
-        for scale in (1.0, 2.0, 3.0, 4.0, 5.0):
-            cache.get(_scale_program(float(scale)))
-        assert len(cache) == 3
-        assert cache.evictions == 2
-
-    def test_lru_eviction_order(self):
-        cache = SpecializationCache(max_entries=2)
-        p1, p2, p3 = (_scale_program(float(s)) for s in (1.0, 2.0, 3.0))
-        cache.get(p1)
-        cache.get(p2)
-        cache.get(p1)  # refresh p1 → p2 becomes LRU
-        cache.get(p3)  # evicts p2
-        hits = cache.hits
-        cache.get(p1)
-        assert cache.hits == hits + 1
-        cache.get(p2)  # must re-compile
-        assert cache.misses == 4
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError):
-            SpecializationCache(max_entries=0)
+        rt.launch(program, [a, b])
+        rt.launch(program, [a, b])
+        rt.launch(_scale_program(2.0), [a, b])  # fresh identical build: a new program
+        assert _spec_counts(rt) == (2, 1, 0)
 
 
 class TestRuntimeWiring:
@@ -96,8 +83,7 @@ class TestRuntimeWiring:
         program = _scale_program(2.0)
         for _ in range(5):
             rt.launch(program, [a, b])
-        assert rt.cache.misses == 1
-        assert rt.cache.hits == 4
+        assert _spec_counts(rt) == (1, 4, 0)
         assert np.array_equal(
             rt.download(b, [8, 4], float16), float16.quantize(data * np.float64(2.0))
         )
@@ -112,8 +98,7 @@ class TestRuntimeWiring:
         first = linear(a)
         second = linear(a)
         assert np.array_equal(first, second)
-        assert linear.runtime.cache.misses == 1
-        assert linear.runtime.cache.hits == 1
+        assert _spec_counts(linear.runtime) == (1, 1, 0)
 
     def test_engine_override_per_launch(self):
         rt = Runtime(engine="sequential")
@@ -132,12 +117,15 @@ class TestRuntimeWiring:
             Runtime(engine="warp")
 
     def test_wrong_arg_count_is_vmerror_and_never_cached(self):
+        from repro.compiler.pipeline import prepare_program
         from repro.errors import VMError
 
         rt = Runtime()
+        program = _scale_program(2.0)
         with pytest.raises(VMError, match="expects 2 args, got 1"):
-            rt.launch(_scale_program(2.0), [0])
-        assert len(rt.cache) == 0 and rt.cache.misses == 0
+            rt.launch(program, [0])
+        assert _spec_counts(rt) == (0, 0, 0)
+        assert prepare_program(program), "the refused launch prepared it"
 
     def test_block_varying_view_shape_routes_sequential(self):
         # Per-block tensor shapes cannot be stacked; the auto policy must

@@ -503,7 +503,7 @@ class TestRuntimeCapture:
                 rt.launch(program, [src, mid], stream=pool.streams[0])
                 rt.launch(program, [mid, dst])  # sync launch: recorded too
             assert graph.num_nodes == 2
-            assert rt.cache.misses == 1  # capture compiled through the cache
+            assert rt.prepared == 1  # capture prepared the program
             graph.replay()
             want = float16.quantize(
                 float16.quantize(data.astype(np.float64) * 2 + 1).astype(np.float64)
@@ -511,9 +511,10 @@ class TestRuntimeCapture:
                 + 1
             )
             assert np.array_equal(rt.download(dst, [ROWS, COLS], float16), want)
-            # Steady state: replays hit the compiled graph, not the cache.
-            hits = rt.cache.hits
+            # Steady state: a replay prepares nothing and counts no launch
+            # of a prepared program.
+            counts = (rt.prepared, rt.reused)
             graph.replay()
-            assert rt.cache.hits == hits
+            assert (rt.prepared, rt.reused) == counts
         finally:
             pool.shutdown()

@@ -365,7 +365,7 @@ class TestRuntimeIntegration:
         assert np.array_equal(rt.download(dst, [ROWS, COLS], float16), want)
         # Runtime stats aggregate the per-stream counters.
         assert rt.stats().blocks_run == 4
-        assert rt.cache.misses == 1
+        assert rt.metrics()["runtime.spec_cache.misses"] == 1
         rt.stream_pool().shutdown()
 
     def test_program_order_across_sync_launch_and_download(self):

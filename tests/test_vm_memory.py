@@ -7,11 +7,24 @@ from hypothesis import strategies as st
 
 from tests.helpers import random_values_for
 from repro.dtypes import dtype_from_name, float16, int6, uint, uint8
+from repro.dtypes.registry import all_weight_dtypes
 from repro.errors import OutOfMemoryError, VMError
 from repro.vm import GlobalMemory, SharedMemory, TensorView
 
 
+SUB_BYTE = [dt for dt in all_weight_dtypes() if dt.nbits < 8]
+
+
 class TestGlobalMemory:
+    @pytest.mark.parametrize("dtype", SUB_BYTE + [float16], ids=str)
+    def test_a_zero_element_tensor_round_trips(self, dtype):
+        """Storing nothing writes nothing, whatever the element width."""
+        mem = GlobalMemory(1 << 12)
+        for shape in [(0,), (3, 0)]:
+            addr = mem.upload(np.zeros(shape), dtype)
+            assert mem.download(addr, shape, dtype).shape == shape
+        assert not mem.buffer.any()
+
     def test_alloc_and_alignment(self):
         mem = GlobalMemory(1 << 20)
         a = mem.alloc(100)
